@@ -568,47 +568,44 @@ void AsyncIngest::worker_loop(std::size_t index) {
     LatencyHistogram latency;
     std::vector<Item> hold;  // parked lines of a paused shard, in order
     bool paused = false;
-    bool latency_dirty = false;
+    bool listed = false;  // on the dirty list
   };
   std::vector<LocalShard> locals(worker.shard_ids.size());
+  // Shards touched since the last publish, each at most once. Every shard
+  // starts listed, so the first publish fills every slot (pre-seeded tree
+  // bytes included); from then on an unlisted shard's slots already hold
+  // its current values and a publish costs O(shards touched), not
+  // O(shards owned).
+  std::vector<std::size_t> dirty;
+  dirty.reserve(worker.shard_ids.size());
+  const auto mark = [&](std::size_t local) {
+    if (locals[local].listed) return;
+    locals[local].listed = true;
+    dirty.push_back(local);
+  };
   for (std::size_t i = 0; i < worker.shard_ids.size(); ++i) {
     const std::size_t s = worker.shard_ids[i];
     const std::size_t local = group.add(shards_[s]->monitor.get());
     NFV_CHECK(local == i, "group local ids must follow registration order");
     local_of_shard[s] = local;
     locals[i].shard = shards_[s].get();
+    mark(local);
   }
 
-  std::size_t staged = 0;
   // (local id, submit stamp) of each staged line; latencies are recorded
   // against one clock read taken right after the batch is scored.
-  std::vector<std::pair<std::size_t, std::uint64_t>> staged_meta;
+  std::vector<std::pair<std::size_t, std::uint64_t>> staged;
   std::uint64_t lines_local = 0;
   std::uint64_t flushes_local = 0;
   std::uint64_t epoch_local = 0;
   bool holds_dirty = false;  // held-lines gauge changed since last publish
-  // Copying every dirty 48-bucket histogram into its shared slots is the
-  // one publish step whose cost scales with shard count (≈6 cache lines of
-  // stores per shard), and doing it every flush is what blows the <=2%
-  // instrumentation budget. Counters and gauges still publish per flush;
-  // histograms ride along only every kLatencyPublishEvery flushes — and
-  // always at quiescent points (barrier, commands, idle, exit), so a
-  // flush()-then-snapshot() reader still sees exact bucket counts.
-  constexpr std::uint64_t kLatencyPublishEvery = 16;
-  std::uint64_t flushes_since_latency_pub = 0;
-  bool latency_lagging = false;  // skipped dirty histograms at last publish
   Clock::time_point batch_start{};
   std::uint64_t seen_epoch = 0;
   unsigned idle_round = 0;
 
-  // Seqlock publish of this worker's cut: counters and gauges always,
-  // histograms only when forced or on the amortized cadence (and then only
-  // for shards that recorded since their last copy). A lagging histogram
-  // only ever under-counts, so the snapshot invariant
-  // latency.total() <= lines survives the deferral.
-  const auto publish_stats = [&](bool force_latency) {
-    const bool publish_latency =
-        force_latency || ++flushes_since_latency_pub >= kLatencyPublishEvery;
+  // Seqlock publish of this worker's cut: the worker counters, then every
+  // listed shard's counters, gauges and histogram buckets.
+  const auto publish_stats = [&] {
     const std::uint64_t seq = worker.stat_seq.load(std::memory_order_relaxed);
     worker.stat_seq.store(seq + 1, std::memory_order_relaxed);
     std::atomic_thread_fence(std::memory_order_release);
@@ -616,7 +613,9 @@ void AsyncIngest::worker_loop(std::size_t index) {
     worker.stat_epoch.store(epoch_local, std::memory_order_relaxed);
     worker.stat_lines.store(lines_local, std::memory_order_relaxed);
     worker.stat_flushes.store(flushes_local, std::memory_order_relaxed);
-    for (LocalShard& ls : locals) {
+    for (const std::size_t local : dirty) {
+      LocalShard& ls = locals[local];
+      ls.listed = false;
       ls.shard->pub_paused.store(ls.paused, std::memory_order_relaxed);
       ls.shard->pub_lines.store(ls.shard->monitor->lines_ingested(),
                                 std::memory_order_relaxed);
@@ -625,72 +624,67 @@ void AsyncIngest::worker_loop(std::size_t index) {
       ls.shard->pub_held.store(ls.hold.size(), std::memory_order_relaxed);
       ls.shard->pub_tree_bytes.store(ls.shard->tree->memory_bytes(),
                                      std::memory_order_relaxed);
-      if (ls.latency_dirty && publish_latency) {
+      if (instrument) {
         const auto& buckets = ls.latency.buckets();
         for (std::size_t i = 0; i < buckets.size(); ++i) {
           ls.shard->pub_latency[i].store(buckets[i],
                                          std::memory_order_relaxed);
         }
-        ls.latency_dirty = false;
       }
     }
     worker.stat_seq.store(seq + 2, std::memory_order_release);
+    dirty.clear();
     holds_dirty = false;
-    if (publish_latency) {
-      flushes_since_latency_pub = 0;
-      latency_lagging = false;
-    } else {
-      for (const LocalShard& ls : locals) {
-        if (ls.latency_dirty) {
-          latency_lagging = true;
-          break;
-        }
-      }
-    }
   };
 
   const auto flush_group = [&] {
-    if (staged == 0) return;
+    if (staged.empty()) return;
     group.flush();
     flushes_.fetch_add(1, std::memory_order_relaxed);
-    lines_scored_.fetch_add(staged, std::memory_order_relaxed);
+    lines_scored_.fetch_add(staged.size(), std::memory_order_relaxed);
     ++flushes_local;
-    if (instrument) {
-      const std::uint64_t scored = now_ns();
-      for (const auto& [local, submitted] : staged_meta) {
+    const std::uint64_t scored = instrument ? now_ns() : 0;
+    for (const auto& [local, submitted] : staged) {
+      // Re-listed here too: an idle publish between staging and this
+      // flush already unlisted the shard, but its warnings and latency
+      // change only now.
+      mark(local);
+      if (instrument) {
         locals[local].latency.record(scored > submitted ? scored - submitted
                                                         : 0);
-        locals[local].latency_dirty = true;
       }
     }
-    staged_meta.clear();
-    staged = 0;
-    publish_stats(false);
+    staged.clear();
+    publish_stats();
   };
 
   const auto process_item = [&](Item&& item) {
-    if (staged == 0) batch_start = Clock::now();
+    if (staged.empty()) batch_start = Clock::now();
     const std::size_t local = local_of_shard[item.shard];
-    if (instrument) staged_meta.emplace_back(local, item.enqueue_ns);
+    mark(local);
+    staged.emplace_back(local, item.enqueue_ns);
     ++lines_local;
     if (item.raw) {
       group.ingest(local, item.log.time, item.line);
     } else {
       group.ingest_parsed(local, item.log);
     }
-    ++staged;
-    if (staged >= config_.flush_batch) flush_group();
+    if (staged.size() >= config_.flush_batch) flush_group();
   };
 
   // Drain the command mailbox at a micro-batch boundary. The staged batch
   // is flushed first so a pause/resume never splits one, and the pending
   // gauge only drops AFTER each command's effect (including hold-buffer
-  // replay) is complete — that is what wait_commands() certifies.
+  // replay) is complete AND published — that is what wait_commands()
+  // certifies, so shard_paused()/snapshot() right after it see the effect.
   const auto apply_commands = [&] {
     flush_group();
     ShardCommand cmd;
+    std::uint64_t applied = 0;
     while (worker.commands.try_pop(cmd)) {
-      LocalShard& ls = locals[local_of_shard[cmd.shard]];
+      const std::size_t local = local_of_shard[cmd.shard];
+      LocalShard& ls = locals[local];
+      mark(local);
       if (cmd.kind == ShardCommand::Kind::kPause) {
         ls.paused = true;
       } else if (ls.paused) {
@@ -701,9 +695,10 @@ void AsyncIngest::worker_loop(std::size_t index) {
         ls.hold.clear();
         for (Item& held : hold) process_item(std::move(held));
       }
-      worker.commands_pending.fetch_sub(1, std::memory_order_release);
+      ++applied;
     }
-    publish_stats(true);
+    publish_stats();
+    worker.commands_pending.fetch_sub(applied, std::memory_order_release);
   };
 
   for (;;) {
@@ -712,12 +707,20 @@ void AsyncIngest::worker_loop(std::size_t index) {
       continue;
     }
 
+    // Read the epoch request BEFORE the pop: once a request is seen, every
+    // line submitted before it is visible to the pop, so the barrier below
+    // never parks with such a line still queued (read after a failed pop,
+    // it could see a request issued right behind a last submit).
+    const std::uint64_t requested =
+        epoch_requested_.load(std::memory_order_acquire);
     Item item;
     if (worker.queue->try_pop(item)) {
       idle_round = 0;
-      LocalShard& ls = locals[local_of_shard[item.shard]];
+      const std::size_t local = local_of_shard[item.shard];
+      LocalShard& ls = locals[local];
       if (ls.paused) {
         ls.hold.push_back(std::move(item));
+        mark(local);
         holds_dirty = true;
         continue;
       }
@@ -728,7 +731,7 @@ void AsyncIngest::worker_loop(std::size_t index) {
     // Queue momentarily empty: flush a ripe micro-batch (deadline 0 =
     // flush immediately for minimum latency; batching then only engages
     // under backlog).
-    if (staged > 0 &&
+    if (!staged.empty() &&
         (flush_deadline.count() <= 0 ||
          Clock::now() - batch_start >= flush_deadline)) {
       flush_group();
@@ -739,11 +742,9 @@ void AsyncIngest::worker_loop(std::size_t index) {
     // wait for release, then refresh the detector (it may have been
     // swapped while parked). Held lines of paused shards stay held —
     // flush()'s guarantee covers lines that have reached a monitor.
-    const std::uint64_t requested =
-        epoch_requested_.load(std::memory_order_acquire);
     if (requested != seen_epoch) {
       flush_group();
-      publish_stats(true);
+      publish_stats();
       seen_epoch = requested;
       {
         std::unique_lock<std::mutex> lock(barrier_mu_);
@@ -768,9 +769,11 @@ void AsyncIngest::worker_loop(std::size_t index) {
       // paused shard (replaying its hold in order), then one final queue
       // sweep in case items raced the close — no submitted line is lost.
       apply_commands();
-      for (LocalShard& ls : locals) {
+      for (std::size_t local = 0; local < locals.size(); ++local) {
+        LocalShard& ls = locals[local];
         if (ls.paused || !ls.hold.empty()) {
           ls.paused = false;
+          mark(local);
           std::vector<Item> hold = std::move(ls.hold);
           ls.hold.clear();
           for (Item& held : hold) process_item(std::move(held));
@@ -778,14 +781,14 @@ void AsyncIngest::worker_loop(std::size_t index) {
       }
       while (worker.queue->try_pop(item)) process_item(std::move(item));
       flush_group();
-      publish_stats(true);
+      publish_stats();
       return;
     }
 
-    if (holds_dirty || latency_lagging) {
-      // Idle with parked lines or deferred histogram buckets accumulated
-      // since the last boundary: let snapshot readers catch up.
-      publish_stats(true);
+    if (holds_dirty) {
+      // Idle with lines parked since the last boundary: let snapshot
+      // readers see the held gauge.
+      publish_stats();
       continue;
     }
 

@@ -27,7 +27,8 @@
 // merge_warnings_by_vpe() restores a canonical order.
 //
 // Backpressure: submit() blocks when the target worker's queue is full
-// (end-to-end memory is bounded by workers × queue_capacity items);
+// (end-to-end memory is bounded by workers × queue_capacity items, the
+// hold buffers of paused shards aside — see Runtime commands below);
 // try_submit() instead returns false so the producer can shed load.
 //
 // Detector swap (monthly update / post-update adaptation) uses an epoch
@@ -43,13 +44,15 @@
 // publishes them into seqlock-guarded slots at micro-batch boundaries —
 // so snapshot() returns, at any moment and from any thread, a stats cut
 // in which each worker's counters are mutually consistent at its latest
-// completed micro-batch ("epoch-consistent"). Histogram buckets are the
-// bulky part of a publish, so they ride along on an amortized cadence
-// (every 16th flush) and may lag the counters by a few micro-batches
-// mid-burst; every quiescent point (epoch barrier, command application,
-// idle, stop()) forces them current, so flush()-then-snapshot() reads
-// exact buckets and a live cut never over-counts (latency total <=
-// lines). Queue-depth gauges and
+// completed micro-batch ("epoch-consistent"). A publish walks only the
+// shards touched since the previous one (a worker-local dirty list: lines
+// staged or scored, lines held, pause/resume applied), so its cost is
+// O(shards touched), at most about flush_batch per flush, not O(shards
+// owned); an untouched shard's slots already hold its current values.
+// Histogram buckets publish with the counters, so they are current at
+// every published epoch (latency total <= lines in any live cut, equal
+// after flush()), and the instrumentation stays within its <=2%
+// lines/sec gate. Queue-depth gauges and
 // backpressure-stall counters come from the rings themselves. Latency is
 // measured submit -> micro-batch scored; warnings are published inside
 // that interval, so the histogram upper-bounds ingest-to-warning latency
@@ -59,8 +62,10 @@
 // Runtime commands ride a thread-safe per-worker command queue and are
 // applied by the owning worker at its next micro-batch boundary:
 //   - pause_shard(): the shard's lines are parked, in order, in a hold
-//     buffer (mined/scored only on resume — memory grows with the pause,
-//     bounded only by producer backpressure);
+//     buffer (mined/scored only on resume). The hold is unbounded today:
+//     the worker keeps popping the paused shard's lines into it, so its
+//     queue never fills and backpressure never engages — memory grows
+//     with the pause (ROADMAP item 5);
 //   - resume_shard(): the hold buffer replays in order, so the per-vPE
 //     warning stream is unchanged by any pause/resume schedule;
 //   - swap_detector() (epoch barrier, below) and snapshot()/stats_json()
@@ -311,7 +316,8 @@ class AsyncIngest {
   void pause_shard(std::size_t shard);
   void resume_shard(std::size_t shard);
   /// Returns once every pause/resume command issued so far has been
-  /// applied by its worker. Control-plane thread only (a worker parked
+  /// applied by its worker and published, so shard_paused() and
+  /// snapshot() already show it. Control-plane thread only (a worker parked
   /// inside a concurrent flush()/swap_detector() cannot apply commands).
   void wait_commands();
   /// Applied (not merely requested) pause state; any thread.

@@ -515,5 +515,135 @@ TEST_F(AsyncIngestTest, StatsDumpRacesIngestFlushAndShutdownSafely) {
   EXPECT_EQ(lines, kTestLen * kVpes);
 }
 
+// A publish only rewrites the shards touched since the previous one, so
+// every way a shard's published values can change must put it on the
+// worker's dirty list: staging a line, scoring it, holding it, and a
+// pause/resume or stop()'s force-resume. A sparse, shifting subset of a
+// 1k-shard fleet leaves most slots untouched for the whole run; each
+// check below goes stale if one of those paths stops listing its shard.
+TEST_F(AsyncIngestTest, DirtyListPublishKeepsEveryShardSlotCurrent) {
+  constexpr std::size_t kShards = 1024;
+  AsyncIngestConfig config;
+  config.workers = 1;
+  config.flush_batch = 16;
+  // Batches flush only when full or at a barrier, so staged lines can sit
+  // across an idle publish.
+  config.flush_deadline = std::chrono::hours(1);
+  config.queue_capacity = 256;
+  AsyncIngest ingest(&detector(), config);
+  for (std::size_t s = 0; s < kShards; ++s) {
+    prime_tree(ingest.mutable_tree(ingest.add_shard(
+        static_cast<std::int32_t>(s), monitor_config(threshold()))));
+  }
+  ingest.start();
+
+  std::vector<std::size_t> next(kShards, 0);  // lines submitted per shard
+  const auto submit = [&](std::size_t s, std::size_t count) {
+    for (std::size_t n = 0; n < count; ++n, ++next[s]) {
+      ingest.submit(s, line_time(next[s]), make_line(test_shape(s, next[s]),
+                                                     next[s]));
+    }
+  };
+
+  // Every cut a concurrent reader takes must account each line the worker
+  // counted to exactly one shard.
+  std::atomic<bool> done{false};
+  std::atomic<std::uint64_t> bad_cuts{0};
+  std::thread reader([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      const RuntimeStatsSnapshot snap = ingest.snapshot();
+      std::uint64_t lines = 0;
+      for (const ShardStatsSnapshot& shard : snap.shards) lines += shard.lines;
+      if (lines != snap.workers[0].lines) {
+        bad_cuts.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+  });
+
+  // Shifting subset: 8 shards at a time, each kept for 6 rounds of 8 lines
+  // (enough to pass the anomaly pairs at lines 40-41 of its stream).
+  for (std::size_t round = 0; round < 48; ++round) {
+    const std::size_t group = round / 6;
+    for (std::size_t line = 0; line < 8; ++line) {
+      for (std::size_t k = 0; k < 8; ++k) {
+        submit((group * 61 + k * 127 + 5) % kShards, 1);
+      }
+    }
+  }
+  ingest.flush();
+
+  constexpr std::size_t kPaused = 1;   // lines held while the worker idles
+  constexpr std::size_t kStaged = 2;   // lines staged across that idle
+  constexpr std::size_t kToggled = 3;  // paused and resumed, no lines
+  constexpr std::size_t kStopped = 4;  // still paused at stop()
+  constexpr std::size_t kHeld = 5;
+  ingest.pause_shard(kPaused);
+  ingest.wait_commands();
+  EXPECT_TRUE(ingest.snapshot().shards[kPaused].paused);
+
+  submit(kStaged, 3);
+  submit(kPaused, kHeld);
+  // Nothing flushes (batch not full, deadline far off), so only the idle
+  // publish can show the held gauge — in the same cut as the staged lines.
+  RuntimeStatsSnapshot idle;
+  const auto give_up = std::chrono::steady_clock::now() +
+                       std::chrono::seconds(10);
+  do {
+    idle = ingest.snapshot();
+  } while (idle.shards[kPaused].held != kHeld &&
+           std::chrono::steady_clock::now() < give_up);
+  EXPECT_EQ(idle.shards[kPaused].held, kHeld)
+      << "held gauge not published while the worker idles";
+  EXPECT_EQ(idle.shards[kStaged].lines, next[kStaged]);
+
+  // After a barrier every slot equals what its monitor and tree hold: the
+  // monitor's warning count is the number of warnings it published.
+  std::vector<StreamWarning> drained;
+  std::vector<std::uint64_t> warnings(kShards, 0);
+  const auto expect_slots_current = [&](const std::string& label,
+                                        std::size_t paused_held) {
+    ingest.drain_warnings(drained);
+    for (const StreamWarning& warning : drained) {
+      ++warnings[static_cast<std::size_t>(warning.vpe)];
+    }
+    drained.clear();
+    const RuntimeStatsSnapshot snap = ingest.snapshot();
+    for (std::size_t s = 0; s < kShards; ++s) {
+      const ShardStatsSnapshot& shard = snap.shards[s];
+      const std::size_t held = s == kPaused ? paused_held : 0;
+      ASSERT_EQ(shard.held, held) << label << " shard " << s;
+      ASSERT_EQ(shard.lines, next[s] - held) << label << " shard " << s;
+      ASSERT_EQ(shard.warnings, warnings[s]) << label << " shard " << s;
+      ASSERT_EQ(shard.tree_bytes, ingest.tree(s).memory_bytes())
+          << label << " shard " << s;
+      ASSERT_EQ(shard.latency.total(), shard.lines) << label << " shard " << s;
+    }
+  };
+  ingest.flush();
+  expect_slots_current("after flush", kHeld);
+
+  ingest.pause_shard(kToggled);
+  ingest.wait_commands();
+  EXPECT_TRUE(ingest.shard_paused(kToggled));
+  ingest.resume_shard(kToggled);
+  ingest.resume_shard(kPaused);
+  ingest.pause_shard(kStopped);
+  ingest.wait_commands();
+  EXPECT_FALSE(ingest.shard_paused(kToggled));
+  EXPECT_TRUE(ingest.shard_paused(kStopped));
+
+  ingest.flush();
+  ingest.stop();
+  done.store(true, std::memory_order_release);
+  reader.join();
+  EXPECT_EQ(bad_cuts.load(), 0u);
+
+  expect_slots_current("after stop", 0);
+  EXPECT_FALSE(ingest.snapshot().shards[kStopped].paused);
+  std::uint64_t total_warnings = 0;
+  for (const std::uint64_t count : warnings) total_warnings += count;
+  EXPECT_GT(total_warnings, 0u) << "vacuous warning comparison";
+}
+
 }  // namespace
 }  // namespace nfv::core

@@ -12,7 +12,9 @@
 # async-ingest smoke also gates the instrumentation overhead at <=2%
 # lines/sec; the fleet-soak smoke gates the sharing-tier memory ladder
 # (arena+forest bytes/vPE < shared-arena < private) and warning parity
-# vs serial replay at two worker counts. The forest-labelled tests cover
+# vs serial replay at two worker counts; the benchmark ledger's self-test
+# (perfbench/selftest.py) then checks its metric set, its serial-replay
+# parity gate and that gate's --perturb trip. The forest-labelled tests cover
 # the shared signature forest (sequence-interner publication machinery,
 # cross-vPE template dedup, copy-on-write divergence) and run in both
 # the regular and TSan legs. The quantized-scoring leg runs the quant-labelled
@@ -51,6 +53,9 @@ ctest --test-dir "$ROOT/build" -L forest --output-on-failure -j "$JOBS"
 echo "=== fleet soak: sharing-tier memory ladder + warning-parity smoke ==="
 cmake --build "$ROOT/build" -j "$JOBS" --target bench_fleet_soak
 "$ROOT/build/bench/bench_fleet_soak" --smoke
+
+echo "=== benchmark ledger: metric-set, serial-replay parity and --perturb self-test ==="
+python3 "$ROOT/perfbench/selftest.py"
 
 echo "=== quantized scoring: kernel/lifecycle tests + rank-agreement smoke ==="
 ctest --test-dir "$ROOT/build" -L quant --output-on-failure -j "$JOBS"

@@ -21,7 +21,9 @@
 //       signatures (clusters of >=2 anomalies within 2 minutes).
 //
 // Exit codes: 0 ok, 1 usage error, 2 runtime failure.
+#include <cerrno>
 #include <chrono>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -62,12 +64,33 @@ struct Args {
     return *value;
   }
   long get_long(const std::string& key, long fallback) const {
-    const auto value = get(key);
-    return value ? std::strtol(value->c_str(), nullptr, 10) : fallback;
+    return get_number(key, fallback, [](const char* text, char** end) {
+      return std::strtol(text, end, 10);
+    });
   }
   double get_double(const std::string& key, double fallback) const {
+    return get_number(key, fallback, [](const char* text, char** end) {
+      return std::strtod(text, end);
+    });
+  }
+
+ private:
+  // The whole value must parse, in range: "--threads abc" is a usage
+  // error, not a silent 0.
+  template <typename T, typename Parse>
+  T get_number(const std::string& key, T fallback, Parse parse) const {
     const auto value = get(key);
-    return value ? std::strtod(value->c_str(), nullptr) : fallback;
+    if (!value) return fallback;
+    const char* text = value->c_str();
+    char* end = nullptr;
+    errno = 0;
+    const T parsed = parse(text, &end);
+    if (value->empty() || *end != '\0' || errno == ERANGE) {
+      std::cerr << "error: --" << key << " expects a number, got '" << *value
+                << "'\n";
+      std::exit(1);
+    }
+    return parsed;
   }
 };
 
