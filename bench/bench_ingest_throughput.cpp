@@ -141,7 +141,6 @@ std::vector<core::StreamWarning> run_async(const Fixture& f,
   config.workers = workers;
   config.flush_batch = 64;
   config.flush_deadline = std::chrono::microseconds(2000);
-  config.single_producer = true;
   config.instrument = instrument;
   core::AsyncIngest ingest(&f.detector, config);
   for (std::size_t s = 0; s < g_vpes; ++s) {

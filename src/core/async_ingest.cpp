@@ -24,19 +24,6 @@ std::uint64_t now_ns() {
 
 }  // namespace
 
-template <typename Queue>
-struct AsyncIngest::IngestQueueImpl final : AsyncIngest::IngestQueue {
-  explicit IngestQueueImpl(std::size_t capacity) : queue(capacity) {}
-  bool try_push(Item&& item) override { return queue.try_push(std::move(item)); }
-  bool push(Item&& item) override { return queue.push(std::move(item)); }
-  bool try_pop(Item& out) override { return queue.try_pop(out); }
-  void close() override { queue.close(); }
-  std::size_t depth() const override { return queue.depth(); }
-  std::size_t capacity() const override { return queue.capacity(); }
-  std::uint64_t stall_count() const override { return queue.stall_count(); }
-  Queue queue;
-};
-
 AsyncIngest::AsyncIngest(const AnomalyDetector* detector,
                          AsyncIngestConfig config)
     : detector_(detector),
@@ -45,13 +32,6 @@ AsyncIngest::AsyncIngest(const AnomalyDetector* detector,
   NFV_CHECK(detector != nullptr, "AsyncIngest requires a detector");
   NFV_CHECK(config_.flush_batch >= 1, "flush_batch must be >= 1");
   NFV_CHECK(config_.queue_capacity >= 1, "queue_capacity must be >= 1");
-  if (config_.share_token_arena) {
-    token_arena_ = std::make_unique<nfv::util::SharedInterner>();
-    if (config_.share_template_forest) {
-      template_forest_ =
-          std::make_unique<logproc::SharedSignatureForest>(token_arena_.get());
-    }
-  }
   model_mem_ = detector->model_memory();
 }
 
@@ -66,8 +46,7 @@ std::size_t AsyncIngest::add_shard(std::int32_t vpe,
   shard->vpe = vpe;
   shard->index = shards_.size();
   shard->tree = std::make_unique<logproc::SignatureTree>(
-      logproc::SignatureTreeConfig{}, token_arena_.get(),
-      template_forest_.get());
+      logproc::SignatureTreeConfig{}, &token_arena_, &template_forest_);
   Shard* raw = shard.get();
   shard->monitor = std::make_unique<StreamMonitor>(
       vpe, detector_.load(std::memory_order_relaxed), shard->tree.get(),
@@ -86,15 +65,7 @@ void AsyncIngest::start() {
       shards_.size());
   workers_.reserve(worker_count_);
   for (std::size_t w = 0; w < worker_count_; ++w) {
-    auto worker = std::make_unique<Worker>();
-    if (config_.single_producer) {
-      worker->queue = std::make_unique<
-          IngestQueueImpl<nfv::util::SpscQueue<Item>>>(config_.queue_capacity);
-    } else {
-      worker->queue = std::make_unique<
-          IngestQueueImpl<nfv::util::MpscQueue<Item>>>(config_.queue_capacity);
-    }
-    workers_.push_back(std::move(worker));
+    workers_.push_back(std::make_unique<Worker>(config_.queue_capacity));
   }
   // Static per-vPE sharding: a vPE's lines always flow through the same
   // worker, which is what keeps per-vPE processing order — and with it
@@ -130,7 +101,7 @@ void AsyncIngest::push_item(std::size_t shard, Item item) {
   if (config_.instrument) item.enqueue_ns = now_ns();
   lines_submitted_.fetch_add(1, std::memory_order_relaxed);
   const bool pushed =
-      workers_[shards_[shard]->worker]->queue->push(std::move(item));
+      workers_[shards_[shard]->worker]->queue.push(std::move(item));
   NFV_CHECK(pushed, "submit raced with stop()");
 }
 
@@ -138,7 +109,7 @@ bool AsyncIngest::try_push_item(std::size_t shard, Item&& item) {
   NFV_CHECK(started_ && !stopped_, "submit outside start()..stop()");
   NFV_CHECK(shard < shards_.size(), "unknown shard " << shard);
   if (config_.instrument) item.enqueue_ns = now_ns();
-  if (!workers_[shards_[shard]->worker]->queue->try_push(std::move(item))) {
+  if (!workers_[shards_[shard]->worker]->queue.try_push(std::move(item))) {
     rejected_submits_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
@@ -172,14 +143,6 @@ void AsyncIngest::submit_parsed(std::size_t shard,
   item.shard = static_cast<std::uint32_t>(shard);
   item.log = log;
   push_item(shard, std::move(item));
-}
-
-bool AsyncIngest::try_submit_parsed(std::size_t shard,
-                                    const logproc::ParsedLog& log) {
-  Item item;
-  item.shard = static_cast<std::uint32_t>(shard);
-  item.log = log;
-  return try_push_item(shard, std::move(item));
 }
 
 void AsyncIngest::publish_warning(std::size_t worker,
@@ -325,7 +288,7 @@ void AsyncIngest::stop() {
   // Close queues first so any producer stuck in a blocking submit fails
   // fast instead of waiting on workers that are about to exit (workers
   // still drain every already-queued item before returning).
-  for (auto& worker : workers_) worker->queue->close();
+  for (auto& worker : workers_) worker->queue.close();
   // Unpark any worker sitting at a barrier from a concurrent quiesce —
   // by contract there is none (single control thread), but be safe.
   release();
@@ -467,9 +430,9 @@ RuntimeStatsSnapshot AsyncIngest::snapshot() const {
       }
       nfv::util::queue_detail::backoff(round);
     }
-    ws.queue.depth = worker.queue->depth();
-    ws.queue.capacity = worker.queue->capacity();
-    ws.queue.stalls = worker.queue->stall_count();
+    ws.queue.depth = worker.queue.depth();
+    ws.queue.capacity = worker.queue.capacity();
+    ws.queue.stalls = worker.queue.stall_count();
   }
   if (workers_.empty()) {
     // Before start(): no writers exist, the slots are all zero — except
@@ -492,16 +455,10 @@ RuntimeStatsSnapshot AsyncIngest::snapshot() const {
   // never re-summed per shard.
   FleetMemoryStats& mem = snap.memory;
   mem.shards = shards_.size();
-  mem.shared_arena = token_arena_ != nullptr;
-  if (token_arena_ != nullptr) {
-    mem.arena_bytes = token_arena_->bytes();
-    mem.arena_tokens = token_arena_->size();
-  }
-  mem.shared_forest = template_forest_ != nullptr;
-  if (template_forest_ != nullptr) {
-    mem.forest_bytes = template_forest_->bytes();
-    mem.forest_templates = template_forest_->size();
-  }
+  mem.arena_bytes = token_arena_.bytes();
+  mem.arena_tokens = token_arena_.size();
+  mem.forest_bytes = template_forest_.bytes();
+  mem.forest_templates = template_forest_.size();
   for (const ShardStatsSnapshot& sh : snap.shards) {
     mem.tree_bytes_total += sh.tree_bytes;
     mem.tree_bytes_max = std::max(mem.tree_bytes_max, sh.tree_bytes);
@@ -525,20 +482,7 @@ RuntimeStatsSnapshot AsyncIngest::snapshot() const {
 void AsyncIngest::worker_loop(std::size_t index) {
   Worker& worker = *workers_[index];
   const bool instrument = config_.instrument;
-  // Staggered flush deadline: a deterministic per-worker phase offset
-  // (worker w waits deadline * (1 + w/workers)) decorrelates the
-  // workers' deadline flushes — without it every worker's micro-batch
-  // ripens in lockstep and the aligned flush bursts drive the p99/p999
-  // queue-residency cliff at high shard counts under one core. The
-  // deadline never affects scores or warnings, so neither does this.
-  const std::chrono::microseconds flush_deadline =
-      config_.stagger_flush && worker_count_ > 1 &&
-              config_.flush_deadline.count() > 0
-          ? config_.flush_deadline +
-                (config_.flush_deadline *
-                 static_cast<std::int64_t>(index)) /
-                    static_cast<std::int64_t>(worker_count_)
-          : config_.flush_deadline;
+  const std::chrono::microseconds flush_deadline = config_.flush_deadline;
 
   // Per-worker micro-batching group over this worker's shards only.
   const AnomalyDetector* detector = detector_.load(std::memory_order_acquire);
@@ -714,7 +658,7 @@ void AsyncIngest::worker_loop(std::size_t index) {
     const std::uint64_t requested =
         epoch_requested_.load(std::memory_order_acquire);
     Item item;
-    if (worker.queue->try_pop(item)) {
+    if (worker.queue.try_pop(item)) {
       idle_round = 0;
       const std::size_t local = local_of_shard[item.shard];
       LocalShard& ls = locals[local];
@@ -779,7 +723,7 @@ void AsyncIngest::worker_loop(std::size_t index) {
           for (Item& held : hold) process_item(std::move(held));
         }
       }
-      while (worker.queue->try_pop(item)) process_item(std::move(item));
+      while (worker.queue.try_pop(item)) process_item(std::move(item));
       flush_group();
       publish_stats();
       return;

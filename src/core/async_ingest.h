@@ -4,14 +4,14 @@
 // running in parallel with existing reactive monitoring systems" (§1).
 // AsyncIngest is that runtime at production line rates: producer threads
 // hand raw syslog lines (or pre-parsed events) to per-vPE monitor shards
-// over bounded queues; shard workers stage lines into per-worker
+// over bounded MPSC rings; shard workers stage lines into per-worker
 // StreamMonitorGroup micro-batches and flush them through the fused
 // batched scorer on a size-or-deadline trigger; warnings come back over a
 // lock-free MPSC queue the caller drains.
 //
 // Topology and determinism
 // ------------------------
-//   producers --MPSC/SPSC--> worker[shard % workers] --> StreamMonitorGroup
+//   producers --MPSC--> worker[shard % workers] --> StreamMonitorGroup
 //                                                          |  flush()
 //   caller  <--- lock-free MPSC warning queue <------------+
 //
@@ -25,6 +25,14 @@
 // any worker count, flush_batch, or deadline. Only the interleaving of
 // DIFFERENT vPEs' warnings in the drain is scheduling-dependent;
 // merge_warnings_by_vpe() restores a canonical order.
+//
+// Every shard tree resolves against one fleet-wide token arena
+// (util::SharedInterner) and delegates template storage to one
+// fleet-wide template forest (logproc::SharedSignatureForest), so the
+// heavily overlapping fleet token and template sets are stored once
+// instead of per vPE. Mining depends on token text, never on numeric ids
+// or storage location, so sharing never moves a warning (pinned by
+// miner_equivalence_test and the determinism tests).
 //
 // Backpressure: submit() blocks when the target worker's queue is full
 // (end-to-end memory is bounded by workers × queue_capacity items, the
@@ -73,14 +81,13 @@
 // stop() implicitly resumes paused shards and replays their holds: no
 // submitted line is ever lost.
 //
-// Threading rules: any number of threads may submit (see single_producer
-// for the SPSC fast path), and any thread may call snapshot(),
-// stats_json(), shard_paused(), stats() — including concurrently with
-// stop(). One designated caller thread owns the rest of the control
-// plane — start/flush/swap_detector/pause/resume/wait_commands/stop/
-// drain_warnings — and must not submit concurrently with flush/swap/stop
-// (workers quiesce by draining their queues, which never happens under a
-// firehose).
+// Threading rules: any number of threads may submit, and any thread may
+// call snapshot(), stats_json(), shard_paused(), stats() — including
+// concurrently with stop(). One designated caller thread owns the rest of
+// the control plane — start/flush/swap_detector/pause/resume/
+// wait_commands/stop/drain_warnings — and must not submit concurrently
+// with flush/swap/stop (workers quiesce by draining their queues, which
+// never happens under a firehose).
 //
 // Online continual learning (config.online_retrain)
 // -------------------------------------------------
@@ -136,7 +143,6 @@
 #include "logproc/signature_tree.h"
 #include "util/interner.h"
 #include "util/mpsc_queue.h"
-#include "util/spsc_queue.h"
 #include "util/thread_pool.h"
 
 namespace nfv::core {
@@ -156,44 +162,15 @@ struct AsyncIngestConfig {
   /// line while the queue is idle (0 = flush whenever the queue is empty).
   /// Neither trigger affects scores or warnings, only latency/GEMM size.
   std::chrono::microseconds flush_deadline{2000};
-  /// Stagger each worker's flush deadline by a deterministic phase offset
-  /// (worker w waits flush_deadline * (1 + w/workers)), so at high shard
-  /// counts the workers' deadline flushes decorrelate instead of firing
-  /// in lockstep — the aligned bursts are what drove the p99/p999
-  /// queue-residency cliff at 10k shards under one core. Deadlines never
-  /// affect scores or warnings, so neither does the stagger.
-  bool stagger_flush = true;
   /// Bounded capacity of the warning queue. Overflowing warnings spill
   /// losslessly (and still in per-vPE order) into per-worker buffers, so
   /// an undrained caller never blocks or crashes the workers.
   std::size_t warning_capacity = 4096;
-  /// Promise that exactly one thread submits: per-worker routing then
-  /// uses the cheaper wait-free SPSC ring instead of the MPSC ring.
-  bool single_producer = false;
   /// Per-shard ingest-to-scored latency histograms (submit timestamps +
   /// one clock read per flushed batch). Counters, gauges and the command
   /// plane stay on regardless; bench_ingest_throughput gates the
   /// instrumented/uninstrumented gap at <= 2% lines/sec.
   bool instrument = true;
-  /// All shards of this runtime share one read-mostly token arena
-  /// (util::SharedInterner): the heavily overlapping fleet token set is
-  /// stored once instead of per vPE, and shared-range token ids are
-  /// identical across every shard's tree. Warning streams are unaffected
-  /// (template mining depends on token text, never numeric ids — pinned
-  /// by the miner-equivalence and async determinism tests). Disable for
-  /// the fully-private pre-arena layout (the bytes/vPE baseline in
-  /// bench_fleet_soak).
-  bool share_token_arena = true;
-  /// All shards additionally share one read-mostly template forest
-  /// (logproc::SharedSignatureForest): templates whose token ids are all
-  /// shared-arena ids are stored once fleet-wide as immutable nodes with
-  /// fleet-stable node ids, and each shard tree keeps only a 16-byte
-  /// entry (match count + node id) plus a copy-on-write private range
-  /// for diverging templates. Warning streams are unaffected (pinned by
-  /// miner_equivalence_test and the async determinism tests). Effective
-  /// only when share_token_arena is also set — the forest's node
-  /// sequences are only meaningful over a fleet-wide token id space.
-  bool share_template_forest = true;
   /// Online continual learning: run the background trainer thread (see
   /// the file comment). Requires the detector passed to the constructor
   /// to be an LstmDetector (checked at start()).
@@ -251,9 +228,8 @@ class AsyncIngest {
   bool try_submit(std::size_t shard, nfv::util::SimTime time,
                   std::string line);
 
-  /// Pre-parsed variants of the above.
+  /// Pre-parsed variant of submit().
   void submit_parsed(std::size_t shard, const logproc::ParsedLog& log);
-  bool try_submit_parsed(std::size_t shard, const logproc::ParsedLog& log);
 
   /// Move every published warning into `out` (appended); returns how many.
   /// Warnings from one vPE arrive in emission order; across vPEs the
@@ -340,18 +316,17 @@ class AsyncIngest {
   /// Mutable access for pre-seeding templates (canonical id priming)
   /// before start() — or while quiesced, under the same rule as above.
   logproc::SignatureTree& mutable_tree(std::size_t shard);
-  /// The fleet-wide token arena every shard tree resolves against, or
-  /// nullptr when share_token_arena is off. Safe to read from any thread
-  /// (lock-free reader contract in util/interner.h).
+  /// The fleet-wide token arena every shard tree resolves against (never
+  /// null). Safe to read from any thread (lock-free reader contract in
+  /// util/interner.h).
   const nfv::util::SharedInterner* token_arena() const {
-    return token_arena_.get();
+    return &token_arena_;
   }
   /// The fleet-wide template forest every shard tree delegates template
-  /// storage to, or nullptr when share_template_forest (or the arena it
-  /// requires) is off. Safe to read from any thread (lock-free reader
-  /// contract in logproc/shared_forest.h).
+  /// storage to (never null). Safe to read from any thread (lock-free
+  /// reader contract in logproc/shared_forest.h).
   const logproc::SharedSignatureForest* template_forest() const {
-    return template_forest_.get();
+    return &template_forest_;
   }
   AsyncIngestStats stats() const;
 
@@ -369,21 +344,6 @@ class AsyncIngest {
     Kind kind = Kind::kPause;
     std::uint32_t shard = 0;
   };
-
-  // Uniform facade over the two ring-buffer flavours so the worker loop
-  // is written once (virtual dispatch is noise next to scoring work).
-  struct IngestQueue {
-    virtual ~IngestQueue() = default;
-    virtual bool try_push(Item&& item) = 0;
-    virtual bool push(Item&& item) = 0;
-    virtual bool try_pop(Item& out) = 0;
-    virtual void close() = 0;
-    virtual std::size_t depth() const = 0;
-    virtual std::size_t capacity() const = 0;
-    virtual std::uint64_t stall_count() const = 0;
-  };
-  template <typename Queue>
-  struct IngestQueueImpl;
 
   struct Shard {
     std::int32_t vpe = -1;
@@ -403,7 +363,8 @@ class AsyncIngest {
   };
 
   struct Worker {
-    std::unique_ptr<IngestQueue> queue;
+    explicit Worker(std::size_t queue_capacity) : queue(queue_capacity) {}
+    nfv::util::MpscQueue<Item> queue;
     std::vector<std::size_t> shard_ids;
     // Lossless spillover for warnings that found the warning queue full;
     // a worker keeps spilling until the caller drains the buffer, so
@@ -452,13 +413,12 @@ class AsyncIngest {
 
   std::atomic<const AnomalyDetector*> detector_;
   AsyncIngestConfig config_;
-  // Fleet-wide token arena (share_token_arena) and template forest
-  // (share_template_forest); created before any shard tree and destroyed
-  // after them (member order), satisfying the arena/forest-outlive-trees
-  // contract. The forest is declared after the arena it references, so
-  // it is destroyed first.
-  std::unique_ptr<nfv::util::SharedInterner> token_arena_;
-  std::unique_ptr<logproc::SharedSignatureForest> template_forest_;
+  // Fleet-wide token arena and template forest; constructed before any
+  // shard tree and destroyed after them (member order), satisfying the
+  // arena/forest-outlive-trees contract. The forest is declared after the
+  // arena it references, so it is destroyed first.
+  nfv::util::SharedInterner token_arena_;
+  logproc::SharedSignatureForest template_forest_{&token_arena_};
   std::size_t worker_count_ = 0;
   bool started_ = false;
   bool stopped_ = false;

@@ -159,10 +159,8 @@ std::string to_json(const RuntimeStatsSnapshot& snapshot) {
   write_queue(w, snapshot.warning_queue);
 
   w.key("memory").begin_object();
-  w.kv("shared_arena", snapshot.memory.shared_arena);
   w.kv("arena_bytes", snapshot.memory.arena_bytes);
   w.kv("arena_tokens", snapshot.memory.arena_tokens);
-  w.kv("shared_forest", snapshot.memory.shared_forest);
   w.kv("forest_bytes", snapshot.memory.forest_bytes);
   w.kv("forest_templates", snapshot.memory.forest_templates);
   w.kv("tree_bytes_total", snapshot.memory.tree_bytes_total);

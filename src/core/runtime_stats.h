@@ -133,11 +133,9 @@ struct RuntimeTotals {
 /// reported separately in the per-shard ModelMemoryStats block (also
 /// shared fleet-wide, so adding them here would double-count per vPE).
 struct FleetMemoryStats {
-  bool shared_arena = false;       // share_token_arena was on
-  std::uint64_t arena_bytes = 0;   // 0 when shared_arena is false
+  std::uint64_t arena_bytes = 0;
   std::uint64_t arena_tokens = 0;
-  bool shared_forest = false;       // share_template_forest was effective
-  std::uint64_t forest_bytes = 0;   // 0 when shared_forest is false
+  std::uint64_t forest_bytes = 0;
   std::uint64_t forest_templates = 0;
   std::uint64_t tree_bytes_total = 0;  // sum over shards
   std::uint64_t tree_bytes_max = 0;    // worst shard

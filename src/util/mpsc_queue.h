@@ -19,19 +19,48 @@
 // property the deterministic ingest mode relies on (a vPE's events flow
 // producer → one worker → warning queue without reordering).
 //
-// Backpressure mirrors SpscQueue: try_push/try_pop are non-blocking;
-// push/pop block with yield/sleep backoff; close() fails further pushes
-// while pop drains remaining items before reporting exhaustion.
+// Backpressure modes:
+//  - try_push/try_pop never block: try_push returns false when the ring
+//    is full (or closed) so the producer can shed or buffer load;
+//  - push/pop block with a yield/sleep backoff until space/data arrives,
+//    bounding producer memory at `capacity()` items end-to-end.
+//
+// close() fails further pushes while pop drains remaining items before
+// reporting exhaustion.
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-
-#include "util/spsc_queue.h"  // queue_detail::backoff / round_up_pow2
+#include <thread>
 
 namespace nfv::util {
+
+namespace queue_detail {
+
+/// Wait strategy for the ring and its spinning callers: spin briefly,
+/// then yield, then sleep — single-core friendly (the peer thread needs
+/// the CPU to make the awaited progress).
+inline void backoff(unsigned& round) {
+  if (round < 8) {
+    // brief spin
+  } else if (round < 64) {
+    std::this_thread::yield();
+  } else {
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+  }
+  ++round;
+}
+
+inline std::size_t round_up_pow2(std::size_t n) {
+  std::size_t p = 1;
+  while (p < n) p <<= 1;
+  return p;
+}
+
+}  // namespace queue_detail
 
 template <typename T>
 class MpscQueue {

@@ -188,20 +188,18 @@ TEST_F(AsyncIngestTest, WarningStreamDeterministicForAnyWorkerCount) {
     std::size_t workers;
     std::size_t flush_batch;
     std::chrono::microseconds deadline;
-    bool single_producer;
   };
   const std::vector<Variant> variants = {
-      {1, 1, std::chrono::microseconds(0), true},
-      {2, 32, std::chrono::microseconds(2000), false},
-      {3, 7, std::chrono::microseconds(0), false},
-      {4, 256, std::chrono::microseconds(500), true},
+      {1, 1, std::chrono::microseconds(0)},
+      {2, 32, std::chrono::microseconds(2000)},
+      {3, 7, std::chrono::microseconds(0)},
+      {4, 256, std::chrono::microseconds(500)},
   };
   for (const Variant& variant : variants) {
     AsyncIngestConfig config;
     config.workers = variant.workers;
     config.flush_batch = variant.flush_batch;
     config.flush_deadline = variant.deadline;
-    config.single_producer = variant.single_producer;
     config.queue_capacity = 64;
     AsyncIngest ingest(&detector(), config);
     for (std::size_t v = 0; v < kVpes; ++v) {

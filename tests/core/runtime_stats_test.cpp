@@ -316,97 +316,79 @@ TEST(RuntimeStatsSnapshotTest, JsonDumpRoundTripsThroughTheParser) {
 // Fleet-memory aggregates: the snapshot and its JSON dump must report
 // the shared structures (arena, forest) exactly ONCE fleet-wide — never
 // re-summed per shard — plus per-shard tree bytes and the combined
-// bytes/vPE figure, in every sharing mode.
+// bytes/vPE figure.
 TEST(RuntimeStatsSnapshotTest, FleetMemoryAggregatesInSnapshotAndJson) {
   StepDetector detector;
-  for (const bool shared : {true, false}) {
-    AsyncIngestConfig config;
-    config.workers = 2;
-    config.share_token_arena = shared;
-    config.share_template_forest = shared;
-    AsyncIngest ingest(&detector, config);
-    StreamMonitorConfig monitor;
-    monitor.threshold = 10.0;
-    monitor.window = 4;
+  AsyncIngestConfig config;
+  config.workers = 2;
+  AsyncIngest ingest(&detector, config);
+  StreamMonitorConfig monitor;
+  monitor.threshold = 10.0;
+  monitor.window = 4;
+  for (std::size_t v = 0; v < 3; ++v) {
+    ingest.add_shard(static_cast<std::int32_t>(v), monitor);
+  }
+  ingest.start();
+  // Raw lines (not pre-parsed) so the shard trees actually mine and the
+  // token arena fills.
+  for (std::size_t i = 0; i < 200; ++i) {
     for (std::size_t v = 0; v < 3; ++v) {
-      ingest.add_shard(static_cast<std::int32_t>(v), monitor);
+      ingest.submit(v, nfv::util::SimTime{static_cast<std::int64_t>(i)},
+                    "daemon restarted peer 10.0." + std::to_string(v) + "." +
+                        std::to_string(i % 7) + " session up");
     }
-    ingest.start();
-    // Raw lines (not pre-parsed) so the shard trees actually mine and
-    // the token arena fills.
-    for (std::size_t i = 0; i < 200; ++i) {
-      for (std::size_t v = 0; v < 3; ++v) {
-        ingest.submit(v, nfv::util::SimTime{static_cast<std::int64_t>(i)},
-                      "daemon restarted peer 10.0." + std::to_string(v) +
-                          "." + std::to_string(i % 7) + " session up");
-      }
-    }
-    ingest.flush();
-    const RuntimeStatsSnapshot snap = ingest.snapshot();
-    const std::string json = ingest.stats_json();
-    ingest.stop();
+  }
+  ingest.flush();
+  const RuntimeStatsSnapshot snap = ingest.snapshot();
+  const std::string json = ingest.stats_json();
+  ingest.stop();
 
-    EXPECT_EQ(snap.memory.shared_arena, shared);
-    EXPECT_EQ(snap.memory.shards, 3u);
-    std::uint64_t total = 0, max_tree = 0;
-    for (const ShardStatsSnapshot& shard : snap.shards) {
-      EXPECT_GT(shard.tree_bytes, 0u) << "shared=" << shared;
-      total += shard.tree_bytes;
-      max_tree = std::max(max_tree, shard.tree_bytes);
-    }
-    EXPECT_EQ(snap.memory.tree_bytes_total, total);
-    EXPECT_EQ(snap.memory.tree_bytes_max, max_tree);
-    if (shared) {
-      ASSERT_NE(ingest.token_arena(), nullptr);
-      EXPECT_GT(snap.memory.arena_tokens, 2u);
-      EXPECT_GT(snap.memory.arena_bytes, 0u);
-      ASSERT_NE(ingest.template_forest(), nullptr);
-      EXPECT_TRUE(snap.memory.shared_forest);
-      EXPECT_GT(snap.memory.forest_templates, 0u);
-      EXPECT_GT(snap.memory.forest_bytes, 0u);
-      // Counted once: the aggregates are the live structures' own byte
-      // counters, independent of the shard count.
-      EXPECT_EQ(snap.memory.arena_bytes, ingest.token_arena()->bytes());
-      EXPECT_EQ(snap.memory.forest_bytes, ingest.template_forest()->bytes());
-    } else {
-      EXPECT_EQ(ingest.token_arena(), nullptr);
-      EXPECT_EQ(snap.memory.arena_tokens, 0u);
-      EXPECT_EQ(snap.memory.arena_bytes, 0u);
-      EXPECT_EQ(ingest.template_forest(), nullptr);
-      EXPECT_FALSE(snap.memory.shared_forest);
-      EXPECT_EQ(snap.memory.forest_templates, 0u);
-      EXPECT_EQ(snap.memory.forest_bytes, 0u);
-    }
-    // bytes/vPE amortizes each shared structure exactly once over the
-    // fleet: (arena + forest + per-shard trees) / shards.
-    EXPECT_NEAR(snap.memory.bytes_per_vpe,
-                static_cast<double>(snap.memory.arena_bytes +
-                                    snap.memory.forest_bytes + total) /
-                    3.0,
-                1.0);
+  EXPECT_EQ(snap.memory.shards, 3u);
+  std::uint64_t total = 0, max_tree = 0;
+  for (const ShardStatsSnapshot& shard : snap.shards) {
+    EXPECT_GT(shard.tree_bytes, 0u);
+    total += shard.tree_bytes;
+    max_tree = std::max(max_tree, shard.tree_bytes);
+  }
+  EXPECT_EQ(snap.memory.tree_bytes_total, total);
+  EXPECT_EQ(snap.memory.tree_bytes_max, max_tree);
+  ASSERT_NE(ingest.token_arena(), nullptr);
+  EXPECT_GT(snap.memory.arena_tokens, 2u);
+  EXPECT_GT(snap.memory.arena_bytes, 0u);
+  ASSERT_NE(ingest.template_forest(), nullptr);
+  EXPECT_GT(snap.memory.forest_templates, 0u);
+  EXPECT_GT(snap.memory.forest_bytes, 0u);
+  // Counted once: the aggregates are the live structures' own byte
+  // counters, independent of the shard count.
+  EXPECT_EQ(snap.memory.arena_bytes, ingest.token_arena()->bytes());
+  EXPECT_EQ(snap.memory.forest_bytes, ingest.template_forest()->bytes());
+  // bytes/vPE amortizes each shared structure exactly once over the
+  // fleet: (arena + forest + per-shard trees) / shards.
+  EXPECT_NEAR(snap.memory.bytes_per_vpe,
+              static_cast<double>(snap.memory.arena_bytes +
+                                  snap.memory.forest_bytes + total) /
+                  3.0,
+              1.0);
 
-    std::string error;
-    const auto doc = nfv::util::json_parse(json, &error);
-    ASSERT_TRUE(doc.has_value()) << error << "\n" << json;
-    const nfv::util::JsonValue* memory = doc->find("memory");
-    ASSERT_NE(memory, nullptr);
-    EXPECT_EQ(memory->find("shared_arena")->boolean, shared);
-    EXPECT_EQ(memory->find("shared_forest")->boolean, shared);
-    EXPECT_EQ(memory->find("forest_bytes")->number,
-              static_cast<double>(snap.memory.forest_bytes));
-    EXPECT_EQ(memory->find("forest_templates")->number,
-              static_cast<double>(snap.memory.forest_templates));
-    EXPECT_EQ(memory->find("tree_bytes_total")->number,
-              static_cast<double>(total));
-    // Round trip: the parsed bytes_per_vpe reproduces the once-counted
-    // aggregate formula bit-for-bit within JSON double precision.
-    EXPECT_NEAR(memory->find("bytes_per_vpe")->number,
-                snap.memory.bytes_per_vpe, 1e-6);
-    const nfv::util::JsonValue* shards = doc->find("shards");
-    ASSERT_NE(shards, nullptr);
-    for (const nfv::util::JsonValue& shard : shards->items) {
-      EXPECT_GT(shard.find("tree_bytes")->number, 0.0);
-    }
+  std::string error;
+  const auto doc = nfv::util::json_parse(json, &error);
+  ASSERT_TRUE(doc.has_value()) << error << "\n" << json;
+  const nfv::util::JsonValue* memory = doc->find("memory");
+  ASSERT_NE(memory, nullptr);
+  EXPECT_EQ(memory->find("forest_bytes")->number,
+            static_cast<double>(snap.memory.forest_bytes));
+  EXPECT_EQ(memory->find("forest_templates")->number,
+            static_cast<double>(snap.memory.forest_templates));
+  EXPECT_EQ(memory->find("tree_bytes_total")->number,
+            static_cast<double>(total));
+  // Round trip: the parsed bytes_per_vpe reproduces the once-counted
+  // aggregate formula bit-for-bit within JSON double precision.
+  EXPECT_NEAR(memory->find("bytes_per_vpe")->number,
+              snap.memory.bytes_per_vpe, 1e-6);
+  const nfv::util::JsonValue* shards = doc->find("shards");
+  ASSERT_NE(shards, nullptr);
+  for (const nfv::util::JsonValue& shard : shards->items) {
+    EXPECT_GT(shard.find("tree_bytes")->number, 0.0);
   }
 }
 

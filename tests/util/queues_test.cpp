@@ -1,8 +1,7 @@
-// Ring-buffer semantics (SPSC + MPSC): FIFO order, bounded capacity with
+// Ring-buffer semantics (MPSC): FIFO order, bounded capacity with
 // try-push backpressure, close/drain behaviour, and multi-threaded stress
 // runs that TSan checks for data races (ctest -L concurrency).
 #include "util/mpsc_queue.h"
-#include "util/spsc_queue.h"
 
 #include <gtest/gtest.h>
 
@@ -18,56 +17,8 @@
 namespace nfv::util {
 namespace {
 
-TEST(SpscQueueTest, FifoOrderAndCapacityRounding) {
-  SpscQueue<int> queue(3);  // rounds up to 4
-  EXPECT_EQ(queue.capacity(), 4u);
-  for (int i = 0; i < 4; ++i) EXPECT_TRUE(queue.try_push(i));
-  EXPECT_FALSE(queue.try_push(99));  // full: backpressure, not a drop
-  int out = -1;
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(queue.try_pop(out));
-    EXPECT_EQ(out, i);
-  }
-  EXPECT_FALSE(queue.try_pop(out));  // empty
-}
-
-TEST(SpscQueueTest, CloseDrainsBeforeReportingExhaustion) {
-  SpscQueue<std::string> queue(8);
-  EXPECT_TRUE(queue.push("a"));
-  EXPECT_TRUE(queue.push("b"));
-  queue.close();
-  EXPECT_FALSE(queue.push("c"));      // closed: push fails
-  EXPECT_FALSE(queue.try_push("c"));
-  std::string out;
-  EXPECT_TRUE(queue.pop(out));
-  EXPECT_EQ(out, "a");
-  EXPECT_TRUE(queue.pop(out));
-  EXPECT_EQ(out, "b");
-  EXPECT_FALSE(queue.pop(out));  // closed AND drained
-}
-
-TEST(SpscQueueTest, BlockingHandoffAcrossThreads) {
-  // Tiny capacity forces the producer through the blocking-push
-  // (backpressure) path many times; the consumer must still see every
-  // value exactly once, in order.
-  constexpr int kItems = 20000;
-  SpscQueue<int> queue(2);
-  std::thread producer([&] {
-    for (int i = 0; i < kItems; ++i) ASSERT_TRUE(queue.push(i));
-    queue.close();
-  });
-  int expected = 0;
-  int out = -1;
-  while (queue.pop(out)) {
-    ASSERT_EQ(out, expected);
-    ++expected;
-  }
-  producer.join();
-  EXPECT_EQ(expected, kItems);
-}
-
 TEST(MpscQueueTest, FifoOrderAndBackpressure) {
-  MpscQueue<int> queue(4);
+  MpscQueue<int> queue(3);  // rounds up to 4
   EXPECT_EQ(queue.capacity(), 4u);
   for (int i = 0; i < 4; ++i) EXPECT_TRUE(queue.try_push(i));
   EXPECT_FALSE(queue.try_push(99));
@@ -81,6 +32,26 @@ TEST(MpscQueueTest, FifoOrderAndBackpressure) {
   EXPECT_TRUE(queue.try_push(7));
   ASSERT_TRUE(queue.pop(out));
   EXPECT_EQ(out, 7);
+}
+
+TEST(MpscQueueTest, BlockingHandoffAcrossThreads) {
+  // Tiny capacity forces the producer through the blocking-push
+  // (backpressure) path many times; the blocking consumer must still see
+  // every value exactly once, in order, and stop only after the close.
+  constexpr int kItems = 20000;
+  MpscQueue<int> queue(2);
+  std::thread producer([&] {
+    for (int i = 0; i < kItems; ++i) ASSERT_TRUE(queue.push(i));
+    queue.close();
+  });
+  int expected = 0;
+  int out = -1;
+  while (queue.pop(out)) {
+    ASSERT_EQ(out, expected);
+    ++expected;
+  }
+  producer.join();
+  EXPECT_EQ(expected, kItems);
 }
 
 TEST(MpscQueueTest, CloseDrainsBeforeReportingExhaustion) {
@@ -153,10 +124,6 @@ void expect_deterministic_stall_counting() {
   EXPECT_EQ(queue.stall_count(), 3u);
 }
 
-TEST(SpscQueueTest, TryPushStallCountingIsDeterministic) {
-  expect_deterministic_stall_counting<SpscQueue<int>>();
-}
-
 TEST(MpscQueueTest, TryPushStallCountingIsDeterministic) {
   expect_deterministic_stall_counting<MpscQueue<int>>();
 }
@@ -189,19 +156,15 @@ void expect_wraparound_fifo_at_capacity() {
   EXPECT_GT(next_push, static_cast<int>(3 * queue.capacity()));
 }
 
-TEST(SpscQueueTest, WrapAroundAtCapacityKeepsFifoAndGauge) {
-  expect_wraparound_fifo_at_capacity<SpscQueue<int>>();
-}
-
 TEST(MpscQueueTest, WrapAroundAtCapacityKeepsFifoAndGauge) {
   expect_wraparound_fifo_at_capacity<MpscQueue<int>>();
 }
 
-TEST(SpscQueueTest, BlockingPushCountsOneStallPerEpisodeNotPerSpin) {
+TEST(MpscQueueTest, BlockingPushCountsOneStallPerEpisodeNotPerSpin) {
   // A blocked push() spins/sleeps many times before space frees up; the
   // stall counter must report ONE backpressure episode, not thousands of
   // retry iterations.
-  SpscQueue<int> queue(2);
+  MpscQueue<int> queue(2);
   ASSERT_TRUE(queue.push(0));
   ASSERT_TRUE(queue.push(1));
   EXPECT_EQ(queue.stall_count(), 0u);
@@ -241,7 +204,9 @@ void expect_gauges_sane_under_stress(std::size_t producers) {
   for (std::size_t p = 0; p < producers; ++p) {
     workers.emplace_back([&queue] {
       for (int i = 0; i < kPerProducer; ++i) {
-        if (!queue.try_push(int{i})) ASSERT_TRUE(queue.push(int{i}));
+        if (!queue.try_push(int{i})) {
+          ASSERT_TRUE(queue.push(int{i}));
+        }
       }
     });
   }
@@ -258,10 +223,6 @@ void expect_gauges_sane_under_stress(std::size_t producers) {
   done.store(true, std::memory_order_release);
   sampler.join();
   EXPECT_EQ(queue.depth(), 0u);
-}
-
-TEST(SpscQueueTest, DepthGaugeStaysInBoundsUnderStress) {
-  expect_gauges_sane_under_stress<SpscQueue<int>>(1);
 }
 
 TEST(MpscQueueTest, DepthGaugeStaysInBoundsUnderStress) {

@@ -10,11 +10,12 @@
 # the async-ingest determinism/backpressure/control-plane suite, and the
 # batched-inference batch-size/thread-count invariance suite). The
 # async-ingest smoke also gates the instrumentation overhead at <=2%
-# lines/sec; the fleet-soak smoke gates the sharing-tier memory ladder
-# (arena+forest bytes/vPE < shared-arena < private) and warning parity
-# vs serial replay at two worker counts; the benchmark ledger's self-test
-# (perfbench/selftest.py) then checks its metric set, its serial-replay
-# parity gate and that gate's --perturb trip. The forest-labelled tests cover
+# lines/sec; the fleet-soak smoke gates the runtime's bytes/vPE (shared
+# arena + forest) below the private-tree baseline measured on the serial
+# replay, and warning parity vs that replay at two worker counts; the
+# benchmark ledger's self-test (perfbench/selftest.py) then checks its
+# metric set, its serial-replay parity gate and that gate's --perturb
+# trip. The forest-labelled tests cover
 # the shared signature forest (sequence-interner publication machinery,
 # cross-vPE template dedup, copy-on-write divergence) and run in both
 # the regular and TSan legs. The quantized-scoring leg runs the quant-labelled
@@ -50,7 +51,7 @@ cmake --build "$ROOT/build" -j "$JOBS" --target bench_parsing_throughput
 echo "=== shared signature forest: dedup + divergence tests ==="
 ctest --test-dir "$ROOT/build" -L forest --output-on-failure -j "$JOBS"
 
-echo "=== fleet soak: sharing-tier memory ladder + warning-parity smoke ==="
+echo "=== fleet soak: bytes/vPE below private baseline + warning-parity smoke ==="
 cmake --build "$ROOT/build" -j "$JOBS" --target bench_fleet_soak
 "$ROOT/build/bench/bench_fleet_soak" --smoke
 

@@ -28,6 +28,7 @@
 #include <iostream>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -68,6 +69,16 @@ struct Args {
       return std::strtol(text, end, 10);
     });
   }
+  /// get_long() that also rejects values below `min`: "--flush-batch -1"
+  /// is a usage error, not SIZE_MAX after a cast.
+  long get_long_min(const std::string& key, long fallback, long min) const {
+    const long value = get_long(key, fallback);
+    if (value < min) {
+      std::cerr << "error: --" << key << " must be >= " << min << "\n";
+      std::exit(1);
+    }
+    return value;
+  }
   double get_double(const std::string& key, double fallback) const {
     return get_number(key, fallback, [](const char* text, char** end) {
       return std::strtod(text, end);
@@ -94,17 +105,43 @@ struct Args {
   }
 };
 
+// The options each subcommand reads, besides the common ones. Anything
+// else is a usage error: a misspelt or retired flag must not be ignored.
+const std::set<std::string> kCommonOptions = {"threads", "score-batch",
+                                              "quantize"};
+const std::map<std::string, std::set<std::string>> kCommandOptions = {
+    {"simulate", {"out", "vpe", "months", "seed", "tickets", "gap-scale"}},
+    {"mine", {"logs", "max"}},
+    {"train", {"logs", "model", "window", "epochs", "persistent-optimizer"}},
+    {"score",
+     {"logs", "model", "threshold-quantile", "async-ingest", "ingest-workers",
+      "flush-batch", "flush-deadline", "stats-json", "online-retrain",
+      "retrain-interval", "retrain-samples"}},
+};
+
 Args parse_args(int argc, char** argv) {
   Args args;
   if (argc < 2) return args;
   args.command = argv[1];
-  for (int i = 2; i + 1 < argc; i += 2) {
-    std::string key = argv[i];
+  const auto command = kCommandOptions.find(args.command);
+  if (command == kCommandOptions.end()) return args;  // main prints usage
+  for (int i = 2; i < argc; i += 2) {
+    const std::string key = argv[i];
     if (key.rfind("--", 0) != 0) {
       std::cerr << "error: expected --option, got '" << key << "'\n";
       std::exit(1);
     }
-    args.options[key.substr(2)] = argv[i + 1];
+    const std::string name = key.substr(2);
+    if (kCommonOptions.count(name) == 0 && command->second.count(name) == 0) {
+      std::cerr << "error: unknown option " << key << " for "
+                << args.command << "\n";
+      std::exit(1);
+    }
+    if (i + 1 >= argc) {
+      std::cerr << "error: missing value for " << key << "\n";
+      std::exit(1);
+    }
+    args.options[name] = argv[i + 1];
   }
   return args;
 }
@@ -123,15 +160,10 @@ void usage() {
       "           asynchronous streaming ingest runtime (per-line warning\n"
       "           rule; identical warnings for any worker count)\n"
       "           [--ingest-workers N]  shard workers (default: auto)\n"
-      "           [--flush-batch N]     micro-batch size (default 64)\n"
+      "           [--flush-batch N]     micro-batch size (default 64,\n"
+      "           min 1)\n"
       "           [--flush-deadline US] micro-batch deadline in\n"
       "           microseconds (default 2000; 0 = immediate)\n"
-      "           [--share-arena 0|1]   fleet-wide shared token arena\n"
-      "           (default 1; 0 = fully private per-shard interners)\n"
-      "           [--share-forest 0|1]  fleet-wide shared signature\n"
-      "           forest: cross-vPE template dedup with copy-on-write\n"
-      "           divergence (default 1; needs --share-arena 1; never\n"
-      "           changes mined templates or warnings)\n"
       "           [--stats-json FILE]   dump the runtime observability\n"
       "           snapshot (per-shard counters, ingest-to-scored latency\n"
       "           histograms, queue gauges) as JSON after the replay\n"
@@ -261,11 +293,7 @@ int cmd_train(const Args& args) {
   config.persistent_optimizer =
       args.get_long("persistent-optimizer", 0) != 0;
   config.quantize = args.get_long("quantize", 0) != 0;
-  const long score_batch = args.get_long("score-batch", 0);
-  if (score_batch < 0) {
-    std::cerr << "error: --score-batch must be positive\n";
-    return 1;
-  }
+  const long score_batch = args.get_long_min("score-batch", 0, 0);
   if (score_batch > 0) {
     config.score_batch = static_cast<std::size_t>(score_batch);
   }
@@ -285,7 +313,26 @@ int cmd_train(const Args& args) {
   return 0;
 }
 
+/// The --async-ingest runtime options, validated up front so a bad value
+/// fails before any file is read.
+core::AsyncIngestConfig ingest_config_from(const Args& args) {
+  core::AsyncIngestConfig config;
+  config.workers =
+      static_cast<std::size_t>(args.get_long_min("ingest-workers", 0, 0));
+  config.flush_batch =
+      static_cast<std::size_t>(args.get_long_min("flush-batch", 64, 1));
+  config.flush_deadline =
+      std::chrono::microseconds(args.get_long_min("flush-deadline", 2000, 0));
+  config.online_retrain = args.get_long("online-retrain", 0) != 0;
+  config.retrain_interval_lines = static_cast<std::uint64_t>(
+      args.get_long_min("retrain-interval", 50000, 0));
+  config.retrain_samples =
+      static_cast<std::size_t>(args.get_long_min("retrain-samples", 2048, 1));
+  return config;
+}
+
 int cmd_score(const Args& args) {
+  const core::AsyncIngestConfig ingest_config = ingest_config_from(args);
   const auto lines = read_log_file(args.require("logs"));
   std::ifstream model_in(args.require("model"), std::ios::binary);
   if (!model_in) {
@@ -298,11 +345,7 @@ int cmd_score(const Args& args) {
     // the checkpoint already carried one).
     detector.set_quantized(true);
   }
-  const long score_batch = args.get_long("score-batch", 0);
-  if (score_batch < 0) {
-    std::cerr << "error: --score-batch must be positive\n";
-    return 1;
-  }
+  const long score_batch = args.get_long_min("score-batch", 0, 0);
   if (score_batch > 0) {
     detector.set_score_batch(static_cast<std::size_t>(score_batch));
   }
@@ -333,29 +376,6 @@ int cmd_score(const Args& args) {
     // >=2-anomalies-within-minutes warning rule). The threshold comes
     // from the batch calibration above; warnings are deterministic for
     // any worker count / flush batch / deadline.
-    core::AsyncIngestConfig ingest_config;
-    ingest_config.workers =
-        static_cast<std::size_t>(args.get_long("ingest-workers", 0));
-    ingest_config.flush_batch =
-        static_cast<std::size_t>(args.get_long("flush-batch", 64));
-    ingest_config.flush_deadline =
-        std::chrono::microseconds(args.get_long("flush-deadline", 2000));
-    ingest_config.share_token_arena = args.get_long("share-arena", 1) != 0;
-    ingest_config.share_template_forest =
-        args.get_long("share-forest", 1) != 0;
-    ingest_config.single_producer = true;
-    ingest_config.online_retrain = args.get_long("online-retrain", 0) != 0;
-    const long retrain_interval = args.get_long("retrain-interval", 50000);
-    const long retrain_samples = args.get_long("retrain-samples", 2048);
-    if (retrain_interval < 0 || retrain_samples < 1) {
-      std::cerr << "error: --retrain-interval must be >= 0 and"
-                   " --retrain-samples >= 1\n";
-      return 1;
-    }
-    ingest_config.retrain_interval_lines =
-        static_cast<std::uint64_t>(retrain_interval);
-    ingest_config.retrain_samples =
-        static_cast<std::size_t>(retrain_samples);
     core::AsyncIngest ingest(&detector, ingest_config);
     core::StreamMonitorConfig monitor_config;
     monitor_config.threshold = threshold;
@@ -431,11 +451,7 @@ int cmd_score(const Args& args) {
 int main(int argc, char** argv) {
   const Args args = parse_args(argc, argv);
   try {
-    const long threads = args.get_long("threads", 0);
-    if (threads < 0) {
-      std::cerr << "error: --threads must be positive\n";
-      return 1;
-    }
+    const long threads = args.get_long_min("threads", 0, 0);
     if (threads > 0) {
       util::set_global_threads(static_cast<std::size_t>(threads));
     }
@@ -448,5 +464,5 @@ int main(int argc, char** argv) {
     return 2;
   }
   usage();
-  return args.command.empty() ? 1 : 1;
+  return 1;
 }
