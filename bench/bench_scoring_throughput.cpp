@@ -8,7 +8,8 @@
 //   - window-by-window: one detector.score() call per (k+1)-log window,
 //     the granularity of the immediate streaming monitor;
 //   - batched: one detector.score_streams() call over all streams, which
-//     packs every window into fused forward batches via the batch planner;
+//     packs every window into fused forward batches of
+//     LstmDetector::kScoreBatch rows;
 //   - batched+int8 (--quantize): the same fused path with the detector's
 //     per-channel int8 sidecar installed, so every GEMM runs the packed
 //     vpmaddubsw kernels of ml::matmul_quant.
@@ -123,7 +124,7 @@ double run_window_by_window(const Fixture& f) {
   return sink;
 }
 
-// One fused call over all streams (the batch planner packs every window).
+// One fused call over all streams (score_streams packs every window).
 double run_batched_with(const core::LstmDetector& detector, const Fixture& f) {
   std::vector<core::LogView> views(f.streams.begin(), f.streams.end());
   const std::vector<std::vector<core::ScoredEvent>> events =
@@ -251,7 +252,7 @@ int run_json_mode(const std::string& path, bool quantize) {
   w.kv("window", f.window);
   w.kv("hidden", f.detector.config().hidden);
   w.kv("total_windows", f.total_windows);
-  w.kv("score_batch", f.detector.config().score_batch);
+  w.kv("score_batch", core::LstmDetector::kScoreBatch);
   if (quantize) {
     const core::ModelMemoryStats fp32_mem = f.detector.model_memory();
     const core::ModelMemoryStats quant_mem = f.quantized.model_memory();

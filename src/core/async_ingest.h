@@ -5,9 +5,9 @@
 // AsyncIngest is that runtime at production line rates: producer threads
 // hand raw syslog lines (or pre-parsed events) to per-vPE monitor shards
 // over bounded MPSC rings; shard workers stage lines into per-worker
-// StreamMonitorGroup micro-batches and flush them through the fused
-// batched scorer on a size-or-deadline trigger; warnings come back over a
-// lock-free MPSC queue the caller drains.
+// StreamMonitorGroup micro-batches and flush each one through a single
+// fused scoring call on a size-or-deadline trigger; warnings come back
+// over a lock-free MPSC queue the caller drains.
 //
 // Topology and determinism
 // ------------------------
@@ -18,9 +18,9 @@
 // Every vPE shard is pinned to exactly one worker, and each worker drains
 // its queue FIFO, so a vPE's lines are mined, staged, scored and
 // cluster-tracked in submission order no matter how many workers run.
-// Scores do not depend on micro-batch composition (StreamMonitorGroup
-// captures each shard's vocabulary at stage time and the batched scorer
-// is bit-identical to per-window scoring), so the per-vPE warning stream
+// Scores do not depend on micro-batch composition (no detector reads the
+// vocabulary at score time, and the fused scorer is bit-identical to
+// per-window scoring), so the per-vPE warning stream
 // is byte-for-byte the one a serial StreamMonitor replay produces — for
 // any worker count, flush_batch, or deadline. Only the interleaving of
 // DIFFERENT vPEs' warnings in the drain is scheduling-dependent;

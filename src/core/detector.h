@@ -70,6 +70,9 @@ class AnomalyDetector {
 
   /// Score one vPE's (test) log stream. Implementations may emit one event
   /// per log position (LSTM) or per document window (feature baselines).
+  /// `vocab` is kept for symmetry with training, but no detector reads it
+  /// at score time (each scores against the vocabulary it was trained on),
+  /// so callers that batch streams of different trees may pass 0.
   virtual std::vector<ScoredEvent> score(LogView logs,
                                          std::size_t vocab) const = 0;
 

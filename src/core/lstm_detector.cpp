@@ -6,7 +6,6 @@
 #include <istream>
 #include <ostream>
 
-#include "core/batch_planner.h"
 #include "ml/optimizer.h"
 #include "ml/serialize.h"
 #include "util/check.h"
@@ -97,30 +96,42 @@ void LstmDetector::train_epochs(std::span<const SeqExample> examples,
   }
 }
 
-void LstmDetector::score_known_windows(
-    std::span<const std::vector<const SeqExample*>> streams,
-    std::vector<std::vector<double>>& scores) const {
-  // One scorer per call: score paths must stay const and thread-safe (the
-  // streaming monitors share a detector across threads), so the scratch
-  // cannot live on the detector. Within the call every fused batch reuses
-  // the scorer's buffers.
-  BatchedWindowScorer scorer(config_.score_batch);
-  const BatchScoreKind kind =
-      config_.score_mode == LstmScoreMode::kTargetRank
-          ? BatchScoreKind::kTargetRank
-          : BatchScoreKind::kNegLogLikelihood;
-  scorer.score(*model_, kind, streams, scores);
+void LstmDetector::score_windows(std::span<const SeqExample* const> windows,
+                                 std::span<double* const> slots) const {
+  if (windows.empty()) return;
+  // Scratch per call: score paths must stay const and thread-safe (the
+  // streaming monitors share a detector across threads), so it cannot
+  // live on the detector. Within the call every fused batch reuses it.
+  ml::SequenceModel::InferenceScratch scratch;
+  if (config_.score_mode == LstmScoreMode::kTargetRank) {
+    std::vector<std::size_t> ranks(windows.size());
+    model_->score_ranks_batched(windows, kScoreBatch, scratch, ranks);
+    for (std::size_t i = 0; i < ranks.size(); ++i) {
+      *slots[i] = static_cast<double>(ranks[i]);
+    }
+  } else {
+    std::vector<double> log_likelihoods(windows.size());
+    model_->score_batched(windows, kScoreBatch, scratch, log_likelihoods);
+    for (std::size_t i = 0; i < log_likelihoods.size(); ++i) {
+      *slots[i] = -log_likelihoods[i];
+    }
+  }
 }
 
 std::vector<double> LstmDetector::score_examples(
     std::span<const SeqExample> examples) const {
   NFV_CHECK(trained(), "score_examples before fit");
-  std::vector<std::vector<const SeqExample*>> streams(1);
-  streams[0].reserve(examples.size());
-  for (const SeqExample& ex : examples) streams[0].push_back(&ex);
-  std::vector<std::vector<double>> scores;
-  score_known_windows(streams, scores);
-  return std::move(scores[0]);
+  std::vector<double> scores(examples.size());
+  std::vector<const SeqExample*> windows;
+  std::vector<double*> slots;
+  windows.reserve(examples.size());
+  slots.reserve(examples.size());
+  for (std::size_t i = 0; i < examples.size(); ++i) {
+    windows.push_back(&examples[i]);
+    slots.push_back(&scores[i]);
+  }
+  score_windows(windows, slots);
+  return scores;
 }
 
 void LstmDetector::oversample_refine(std::vector<SeqExample> examples) {
@@ -226,14 +237,14 @@ std::vector<std::vector<ScoredEvent>> LstmDetector::score_streams(
   (void)vocab;
   const auto model_vocab = static_cast<std::int32_t>(model_->config().vocab);
 
-  // Gather phase: build every stream's windows and split them into
-  // unknown-template windows (scored immediately with the pessimistic
-  // constant) and model-known windows, remembering each known window's
-  // per-stream slot so the fused scores scatter back in order.
+  // Gather phase: build every stream's windows, score unknown-template
+  // windows immediately with the pessimistic constant, and collect the
+  // model-known ones into one flat list with a pointer to each window's
+  // output slot (out[s] is sized once, so the pointers stay valid).
   std::vector<std::vector<ScoredEvent>> out(streams.size());
   std::vector<std::vector<SeqExample>> examples(streams.size());
-  std::vector<std::vector<const SeqExample*>> known(streams.size());
-  std::vector<std::vector<std::size_t>> known_index(streams.size());
+  std::vector<const SeqExample*> known;
+  std::vector<double*> slots;
   for (std::size_t s = 0; s < streams.size(); ++s) {
     const LogView logs = streams[s];
     if (logs.size() <= config_.window) continue;
@@ -242,40 +253,25 @@ std::vector<std::vector<ScoredEvent>> LstmDetector::score_streams(
     examples[s] = logproc::build_sequence_examples(
         logs, config_.window, nfv::util::Duration::of_days(3650));
     out[s].resize(examples[s].size());
-    std::size_t example_index = 0;
-    for (std::size_t i = config_.window; i < logs.size();
-         ++i, ++example_index) {
-      SeqExample& ex = examples[s][example_index];
-      out[s][example_index].time = logs[i].time;
+    for (std::size_t e = 0; e < examples[s].size(); ++e) {
+      const SeqExample& ex = examples[s][e];
+      ScoredEvent& event = out[s][e];
+      event.time = logs[config_.window + e].time;
       bool unknown = ex.target >= model_vocab;
       for (std::int32_t id : ex.ids) unknown = unknown || id >= model_vocab;
       if (unknown) {
         // Templates the model has never seen are maximally surprising.
-        out[s][example_index].score =
-            config_.score_mode == LstmScoreMode::kTargetRank
-                ? static_cast<double>(model_->config().vocab)
-                : config_.unknown_score;
+        event.score = config_.score_mode == LstmScoreMode::kTargetRank
+                          ? static_cast<double>(model_->config().vocab)
+                          : config_.unknown_score;
       } else {
-        known[s].push_back(&ex);
-        known_index[s].push_back(example_index);
+        known.push_back(&ex);
+        slots.push_back(&event.score);
       }
     }
   }
-
-  // Fused scoring across all streams, then the slot-addressed scatter.
-  std::vector<std::vector<double>> scores;
-  score_known_windows(known, scores);
-  for (std::size_t s = 0; s < streams.size(); ++s) {
-    for (std::size_t i = 0; i < known[s].size(); ++i) {
-      out[s][known_index[s][i]].score = scores[s][i];
-    }
-  }
+  score_windows(known, slots);
   return out;
-}
-
-void LstmDetector::set_score_batch(std::size_t score_batch) {
-  NFV_CHECK(score_batch >= 1, "score_batch must be >= 1");
-  config_.score_batch = score_batch;
 }
 
 void LstmDetector::set_quantized(bool on) {
@@ -309,9 +305,16 @@ LstmDetector LstmDetector::load(std::istream& is) {
   NFV_CHECK(ml::read_u64(is) == 0x4e465644455431ULL,
             "not an LstmDetector checkpoint");
   LstmDetectorConfig config;
-  config.score_mode = static_cast<LstmScoreMode>(ml::read_u64(is));
+  const std::uint64_t score_mode = ml::read_u64(is);
+  NFV_CHECK(score_mode <= 1, "corrupt LstmDetector checkpoint: score_mode "
+                                 << score_mode << " is not 0 or 1");
+  config.score_mode = static_cast<LstmScoreMode>(score_mode);
   config.window = ml::read_u64(is);
   ml::SequenceModel model = ml::SequenceModel::load(is);
+  NFV_CHECK(config.window == model.config().window,
+            "corrupt LstmDetector checkpoint: header window "
+                << config.window << " != model window "
+                << model.config().window);
   config.embed_dim = model.config().embed_dim;
   config.hidden = model.config().hidden;
   config.layers = model.config().layers;

@@ -53,11 +53,6 @@ struct LstmDetectorConfig {
   /// Layers frozen during transfer adaptation (embedding is frozen too
   /// whenever this is > 0).
   std::size_t adapt_frozen_layers = 1;
-  /// Fused inference batch size for the batched scoring engine: scoring
-  /// windows (across all streams of a score_streams call) are packed into
-  /// forward batches of at most this many rows. Scores are bit-identical
-  /// for any value ≥ 1; larger batches amortize GEMM dispatch.
-  std::size_t score_batch = 1024;
   /// Keep one Adam instance alive across fit/update/adapt rounds instead
   /// of constructing a fresh optimizer inside every train_epochs call.
   /// With it on, moment estimates accumulated during the initial fit carry
@@ -73,8 +68,8 @@ struct LstmDetectorConfig {
   LstmScoreMode score_mode = LstmScoreMode::kLogLikelihood;
   /// Quantized steady-state scoring: after every fit/update/adapt the
   /// model is re-calibrated to per-channel int8 (ml::SequenceModel::
-  /// quantize) and all scoring — score/score_streams, the batched
-  /// planner, async-ingest flushes — runs the packed int8 kernels.
+  /// quantize) and all scoring — score/score_streams, score_examples,
+  /// async-ingest flushes — runs the packed int8 kernels.
   /// Training always stays fp32; the correctness contract is the
   /// rank-agreement gate (see README "Quantized scoring").
   bool quantize = false;
@@ -82,6 +77,13 @@ struct LstmDetectorConfig {
 
 class LstmDetector final : public AnomalyDetector {
  public:
+  /// Rows per fused forward batch. Scores are bit-identical for any batch
+  /// size (every row's forward math is independent of its neighbours);
+  /// 1024 rows keep the per-timestep GEMM above the parallel threshold and
+  /// its scratch cache-resident. A runtime flush holds far fewer windows,
+  /// so it is always one batch.
+  static constexpr std::size_t kScoreBatch = 1024;
+
   explicit LstmDetector(const LstmDetectorConfig& config = {});
 
   /// Copying is the teacher → student step of transfer adaptation; the
@@ -106,16 +108,15 @@ class LstmDetector final : public AnomalyDetector {
   std::vector<ScoredEvent> score(LogView logs,
                                  std::size_t vocab) const override;
 
-  /// Cross-stream batched scoring: windows from ALL streams are flattened
-  /// into one slot-addressed queue and scored in fused forward batches of
-  /// config().score_batch rows (see core/batch_planner.h). Bit-identical
-  /// to per-stream score() for any batch size and thread count.
+  /// Cross-stream batched scoring: the model-known windows of ALL streams
+  /// are gathered into one flat list, each with a pointer to its output
+  /// slot, and scored in fused forward batches of kScoreBatch rows.
+  /// Windows holding a template the model has never seen score the
+  /// pessimistic constant instead. Bit-identical to per-stream score() for
+  /// any thread count. `vocab` is not read: the model's own vocabulary
+  /// decides which templates are known.
   std::vector<std::vector<ScoredEvent>> score_streams(
       std::span<const LogView> streams, std::size_t vocab) const override;
-
-  /// Adjust the fused inference batch size (e.g. from the CLI's
-  /// --score-batch flag); scores do not depend on it.
-  void set_score_batch(std::size_t score_batch);
 
   /// Toggle quantized scoring on an already-trained detector (e.g. after
   /// load, or to build the quantized shadow for swap_detector): on = (re)
@@ -141,16 +142,18 @@ class LstmDetector final : public AnomalyDetector {
   std::vector<double> score_examples(
       std::span<const ml::SeqExample> examples) const;
 
-  /// Persist / restore the trained model (config + weights).
+  /// Persist / restore the trained model (config + weights). load()
+  /// throws util::CheckError, naming the field, on a score mode outside
+  /// LstmScoreMode or a header window that differs from the model's.
   void save(std::ostream& os) const;
   static LstmDetector load(std::istream& is);
 
  private:
-  /// Score windows already known to be inside the model's vocabulary;
-  /// shared by score_streams / score_examples.
-  void score_known_windows(
-      std::span<const std::vector<const ml::SeqExample*>> streams,
-      std::vector<std::vector<double>>& scores) const;
+  /// Score windows already known to be inside the model's vocabulary in
+  /// fused batches, writing window i's anomaly score to *slots[i]; shared
+  /// by score_streams / score_examples.
+  void score_windows(std::span<const ml::SeqExample* const> windows,
+                     std::span<double* const> slots) const;
 
   void train_epochs(std::span<const ml::SeqExample> examples,
                     std::size_t epochs, float lr);

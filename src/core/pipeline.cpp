@@ -241,10 +241,10 @@ PipelineResult run_pipeline(const simnet::FleetTrace& trace,
     // Phase 1 — batched per-group scoring up to the adaptation point (or
     // the whole month): all member streams of a group go through ONE
     // score_streams call, which packs their windows into fused forward
-    // batches (core/batch_planner.h) instead of scoring window-by-window
-    // per vPE. Detectors are strictly read-only while scoring; every
-    // group writes only its own members' pre-sized slots, so results stay
-    // bit-identical for any thread count and any inference batch size.
+    // batches (LstmDetector::score_streams) instead of scoring
+    // window-by-window per vPE. Detectors are strictly read-only while
+    // scoring; every group writes only its own members' pre-sized slots,
+    // so results stay bit-identical for any thread count.
     std::vector<std::vector<ScoredEvent>> events_by_task(
         member_tasks.size());
     pool.parallel_for(0, groups.size(), [&](std::size_t g) {

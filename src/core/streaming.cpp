@@ -19,6 +19,7 @@ StreamMonitor::StreamMonitor(std::int32_t vpe,
   NFV_CHECK(detector != nullptr, "StreamMonitor requires a detector");
   NFV_CHECK(tree != nullptr, "StreamMonitor requires a signature tree");
   NFV_CHECK(config.window >= 1, "window must be >= 1");
+  history_.resize(config.window + 1);
 }
 
 void StreamMonitor::set_detector(const AnomalyDetector* detector) {
@@ -41,6 +42,7 @@ double StreamMonitor::ingest(nfv::util::SimTime time,
 double StreamMonitor::ingest_parsed(const logproc::ParsedLog& log) {
   // scratch_window_ is a member so steady-state per-line ingestion reuses
   // its capacity instead of allocating a fresh window vector every line.
+  scratch_window_.clear();
   if (!stage_parsed(log, scratch_window_)) return 0.0;
 
   // One-window scoring: the detector sees exactly (k history + this log).
@@ -53,12 +55,16 @@ double StreamMonitor::ingest_parsed(const logproc::ParsedLog& log) {
 }
 
 bool StreamMonitor::stage_parsed(const logproc::ParsedLog& log,
-                                 std::vector<logproc::ParsedLog>& window) {
+                                 std::vector<logproc::ParsedLog>& windows) {
   ++lines_ingested_;  // both ingestion paths funnel through here
-  history_.push_back(log);
-  if (history_.size() > config_.window + 1) history_.pop_front();
-  if (history_.size() < config_.window + 1) return false;
-  window.assign(history_.begin(), history_.end());
+  history_[history_next_] = log;
+  if (++history_next_ == history_.size()) history_next_ = 0;
+  if (lines_ingested_ < history_.size()) return false;
+  // Full ring: history_next_ now indexes the oldest event.
+  const auto oldest =
+      history_.begin() + static_cast<std::ptrdiff_t>(history_next_);
+  windows.insert(windows.end(), oldest, history_.end());
+  windows.insert(windows.end(), history_.begin(), oldest);
   return true;
 }
 
@@ -142,14 +148,8 @@ void StreamMonitorGroup::ingest_parsed(std::size_t shard,
   entry.shard = shard;
   entry.time = log.time;
   entry.template_id = log.template_id;
-  // Captured AFTER any online mining for this line, matching the
-  // tree_->size() an immediate ingest_parsed() would score with.
-  entry.vocab = monitors_[shard]->tree().size();
-  if (windows_used_ == windows_.size()) windows_.emplace_back();
-  if (monitors_[shard]->stage_parsed(log, windows_[windows_used_])) {
-    entry.window = windows_used_;
-    ++windows_used_;
-  }
+  const std::size_t offset = windows_.size();
+  if (monitors_[shard]->stage_parsed(log, windows_)) entry.window = offset;
   entries_.push_back(entry);
 }
 
@@ -166,56 +166,33 @@ std::vector<double> StreamMonitorGroup::flush() {
     }
   }
 
-  if (windows_used_ > 0) {
-    // Fused cross-shard batches: every staged window becomes one
-    // single-window stream, and score_streams packs them into large
-    // forward batches via the batch planner. Windows are bucketed by the
-    // vocabulary captured at stage time: immediate ingestion passes each
-    // shard's OWN tree size at that moment, never the max across shards,
-    // and the "scores are identical" contract above requires batching to
-    // preserve that. In steady state the vocabulary is stable, so this is
-    // one bucket — one fused batch — per flush.
-    window_score_.assign(windows_used_, 0.0);
-    window_scored_.assign(windows_used_, 0);
-    vocabs_.clear();
-    for (const PendingEntry& entry : entries_) {
-      if (entry.window == PendingEntry::npos) continue;
-      std::size_t b = 0;
-      while (b < vocabs_.size() && vocabs_[b] != entry.vocab) ++b;
-      if (b == vocabs_.size()) {
-        vocabs_.push_back(entry.vocab);
-        if (b == buckets_.size()) buckets_.emplace_back();
-        buckets_[b].clear();
-      }
-      buckets_[b].push_back(entry.window);
-    }
-    for (std::size_t b = 0; b < vocabs_.size(); ++b) {
-      views_.clear();
-      views_.reserve(buckets_[b].size());
-      for (std::size_t w : buckets_[b]) views_.emplace_back(windows_[w]);
-      const std::vector<std::vector<ScoredEvent>> events_by_window =
-          detector_->score_streams(views_, vocabs_[b]);
-      for (std::size_t j = 0; j < buckets_[b].size(); ++j) {
-        if (events_by_window[j].empty()) continue;  // document detectors
-        window_score_[buckets_[b][j]] = events_by_window[j].back().score;
-        window_scored_[buckets_[b][j]] = 1;
-      }
-    }
-
+  // One fused call: every staged window becomes one single-window stream,
+  // in arrival order. The views are built only now because staging may
+  // have reallocated windows_.
+  views_.clear();
+  for (const PendingEntry& entry : entries_) {
+    if (entry.window == PendingEntry::npos) continue;
+    views_.emplace_back(windows_.data() + entry.window,
+                        monitors_[entry.shard]->config().window + 1);
+  }
+  if (!views_.empty()) {
+    const std::vector<std::vector<ScoredEvent>> events_by_window =
+        detector_->score_streams(views_, 0);
     // Replay in arrival order: identical threshold / cluster tracking to
     // immediate ingestion.
+    std::size_t w = 0;
     for (std::size_t i = 0; i < entries_.size(); ++i) {
       const PendingEntry& entry = entries_[i];
       if (entry.window == PendingEntry::npos) continue;
-      if (!window_scored_[entry.window]) continue;
-      const double score = window_score_[entry.window];
-      scores[i] = score;
+      const std::vector<ScoredEvent>& events = events_by_window[w++];
+      if (events.empty()) continue;  // document detectors need more
+      scores[i] = events.back().score;
       monitors_[entry.shard]->apply_score(entry.time, entry.template_id,
-                                          score);
+                                          scores[i]);
     }
   }
   entries_.clear();
-  windows_used_ = 0;
+  windows_.clear();
   return scores;
 }
 

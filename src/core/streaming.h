@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <string_view>
 #include <vector>
@@ -86,12 +85,12 @@ class StreamMonitor {
 
   /// Deferred ingestion for micro-batched scoring (StreamMonitorGroup):
   /// appends the event to the history and, if a full scoring window is
-  /// available, copies it into `window` and returns true. The caller must
-  /// later hand the externally computed score back via apply_score(), in
-  /// staging order — the combination is exactly ingest_parsed() with the
-  /// scoring hoisted out.
+  /// available, appends it (window + 1 events, oldest first) to `windows`
+  /// and returns true. The caller must later hand the externally computed
+  /// score back via apply_score(), in staging order — the combination is
+  /// exactly ingest_parsed() with the scoring hoisted out.
   bool stage_parsed(const logproc::ParsedLog& log,
-                    std::vector<logproc::ParsedLog>& window);
+                    std::vector<logproc::ParsedLog>& windows);
 
   /// Apply an externally computed anomaly score for a staged window:
   /// drives the same threshold / warning-cluster tracking as immediate
@@ -127,7 +126,11 @@ class StreamMonitor {
   StreamMonitorConfig config_;
   WarningCallback on_warning_;
 
-  std::deque<logproc::ParsedLog> history_;  // last `window`+1 events
+  // The last `window`+1 events as a fixed ring (time and id: the model's
+  // Δt input needs the times). history_next_ is the slot the next event
+  // overwrites, i.e. the oldest event once the ring is full.
+  std::vector<logproc::ParsedLog> history_;
+  std::size_t history_next_ = 0;
   std::vector<logproc::ParsedLog> scratch_window_;  // ingest_parsed scratch
   // Current anomaly run (cluster candidate). Deliberately O(1): a
   // sustained anomaly storm grows the run for as long as it lasts, and
@@ -146,11 +149,13 @@ class StreamMonitor {
 /// Micro-batching front-end over a set of per-vPE monitor shards that
 /// share one detector. Ingested lines are staged (template mining and
 /// history tracking happen immediately; scoring is deferred); flush()
-/// then scores ALL staged windows across ALL shards in one fused
-/// cross-stream batch (AnomalyDetector::score_streams → the batch planner
-/// for the LSTM) and replays the per-monitor warning tracking in arrival
-/// order. Scores and warnings are identical to immediate per-line
-/// ingestion; only the GEMM granularity changes.
+/// then scores ALL staged windows across ALL shards with ONE
+/// AnomalyDetector::score_streams call (one fused forward batch for the
+/// LSTM) and replays the per-monitor warning tracking in arrival order.
+/// No detector reads the vocabulary argument at score time, so the call
+/// passes 0 and shards whose trees differ in size share the batch.
+/// Scores and warnings are identical to immediate per-line ingestion;
+/// only the GEMM granularity changes.
 ///
 /// Concurrency: a group is single-threaded (it serializes its shards'
 /// history/cluster mutations); many groups may share one read-only
@@ -190,9 +195,9 @@ class StreamMonitorGroup {
   /// Stage one already-parsed event for `shard`.
   void ingest_parsed(std::size_t shard, const logproc::ParsedLog& log);
 
-  /// Score every staged window in one fused batch and drive the shards'
-  /// warning tracking. Returns the per-line scores in arrival order
-  /// (0 for lines whose history window was still filling).
+  /// Score every staged window in one score_streams call and drive the
+  /// shards' warning tracking. Returns the per-line scores in arrival
+  /// order (0 for lines whose history window was still filling).
   std::vector<double> flush();
 
  private:
@@ -200,12 +205,8 @@ class StreamMonitorGroup {
     std::size_t shard = 0;
     nfv::util::SimTime time;
     std::int32_t template_id = -1;
-    // The shard's OWN template-dictionary size when this line was staged
-    // — exactly what immediate ingestion would have passed to score().
-    // Captured per entry because the tree may grow between staging and
-    // flush, and shards' trees differ in size.
-    std::size_t vocab = 0;
-    // Index into windows_; npos when the history was still filling.
+    // Offset of this entry's window in windows_; npos when the history
+    // was still filling.
     std::size_t window = npos;
     static constexpr std::size_t npos = static_cast<std::size_t>(-1);
   };
@@ -214,18 +215,10 @@ class StreamMonitorGroup {
   SampleTap sample_tap_;
   std::vector<StreamMonitor*> monitors_;
   std::vector<PendingEntry> entries_;
-  // Staged scoring windows. Slots are recycled across flushes: windows_
-  // never shrinks and windows_used_ marks the live prefix, so steady-state
-  // staging reassigns into a warm slot instead of allocating a fresh
-  // window vector per ingested line.
-  std::vector<std::vector<logproc::ParsedLog>> windows_;
-  std::size_t windows_used_ = 0;
-  // flush() scratch, hoisted so a steady-state flush cycle only allocates
-  // the score vector it returns.
-  std::vector<double> window_score_;
-  std::vector<char> window_scored_;
-  std::vector<std::size_t> vocabs_;  // distinct, first-appearance order
-  std::vector<std::vector<std::size_t>> buckets_;
+  // Every staged window back to back, and flush()'s views into them. Both
+  // keep their capacity across flushes, so steady-state staging does not
+  // allocate.
+  std::vector<logproc::ParsedLog> windows_;
   std::vector<LogView> views_;
 };
 

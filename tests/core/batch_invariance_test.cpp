@@ -1,21 +1,23 @@
 // The batched inference engine's determinism contract: packing scoring
 // windows from many streams into fused forward batches must produce
-// scores bit-identical to window-by-window scoring — for ANY inference
-// batch size and ANY thread count (the per-row forward math never depends
-// on batch neighbours). These tests sweep score_batch ∈ {1, 64, 1024} ×
-// threads ∈ {1, 4} against the window-by-window reference, and prove the
+// scores bit-identical to window-by-window scoring — for ANY batch
+// composition and ANY thread count (the per-row forward math never
+// depends on batch neighbours). These tests sweep the model's fused batch
+// size ∈ {1, 5, 64, 1024} × threads ∈ {1, 4} against the serial fp32
+// references, check the detector's cross-stream call (empty and
+// short streams included) against one-window calls, and prove the
 // StreamMonitorGroup micro-batch flush equivalent to immediate per-line
 // ingestion. Run under -DNFVPRED_SANITIZE=thread via ctest -L concurrency.
-#include "core/batch_planner.h"
-
 #include <gtest/gtest.h>
 
+#include <span>
 #include <vector>
 
 #include "core/lstm_detector.h"
 #include "core/streaming.h"
 #include "logproc/dataset.h"
 #include "logproc/signature_tree.h"
+#include "ml/sequence_model.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -85,58 +87,151 @@ TEST(BatchInvarianceTest, ScoresIdenticalForAnyBatchSizeAndThreadCount) {
        {LstmScoreMode::kLogLikelihood, LstmScoreMode::kTargetRank}) {
     LstmDetector detector = make_trained_detector(mode);
 
-    std::vector<std::vector<ParsedLog>> test_streams(kStreams);
-    for (std::size_t s = 0; s < kStreams; ++s) {
-      // Unknown templates exercise the gather/scatter split between
-      // model-scored and constant-scored windows.
-      test_streams[s] = make_stream(s + 10, 200, /*with_unknowns=*/true);
-    }
+    // Unknown templates exercise the gather/scatter split between
+    // model-scored and constant-scored windows; the empty stream and the
+    // stream shorter than the window sit in the middle, so every later
+    // stream's windows must still land in their own slots.
+    std::vector<std::vector<ParsedLog>> test_streams = {
+        make_stream(10, 200, /*with_unknowns=*/true),
+        {},
+        make_stream(11, kWindow - 1, /*with_unknowns=*/false),
+        make_stream(12, 200, /*with_unknowns=*/true),
+        make_stream(13, 200, /*with_unknowns=*/true),
+    };
     std::vector<LogView> views(test_streams.begin(), test_streams.end());
 
-    // Reference: window-by-window (batch size 1), serial.
+    // Reference: the window ending at each log, scored in a call of its
+    // own (a fused batch of at most two rows), serial. The slice starts
+    // one log before the window so the window's first Δt matches the
+    // full stream's; its last event is that window's score.
     nfv::util::set_global_threads(1);
-    detector.set_score_batch(1);
-    const std::vector<std::vector<ScoredEvent>> reference =
-        detector.score_streams(views, kVocab);
-    for (const auto& events : reference) ASSERT_FALSE(events.empty());
+    std::vector<std::vector<ScoredEvent>> reference(views.size());
+    for (std::size_t s = 0; s < views.size(); ++s) {
+      for (std::size_t i = kWindow; i < views[s].size(); ++i) {
+        const std::size_t begin = i == kWindow ? 0 : i - kWindow - 1;
+        const std::vector<ScoredEvent> one =
+            detector.score(views[s].subspan(begin, i + 1 - begin), kVocab);
+        ASSERT_FALSE(one.empty());
+        reference[s].push_back(one.back());
+      }
+    }
+    EXPECT_TRUE(reference[1].empty());
+    EXPECT_TRUE(reference[2].empty());
+    ASSERT_FALSE(reference.back().empty());
 
     for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
       nfv::util::set_global_threads(threads);
-      for (const std::size_t batch :
-           {std::size_t{1}, std::size_t{64}, std::size_t{1024}}) {
-        detector.set_score_batch(batch);
-        const std::vector<std::vector<ScoredEvent>> fused =
-            detector.score_streams(views, kVocab);
-        expect_identical_events(
-            reference, fused,
-            "mode=" + std::to_string(static_cast<int>(mode)) +
-                " batch=" + std::to_string(batch) +
-                " threads=" + std::to_string(threads));
+      const std::string label = "mode=" +
+                                std::to_string(static_cast<int>(mode)) +
+                                " threads=" + std::to_string(threads);
+      // Every stream's windows in one fused batch...
+      expect_identical_events(reference, detector.score_streams(views, kVocab),
+                              label + " all streams");
+      // ...and one stream's windows per batch.
+      std::vector<std::vector<ScoredEvent>> per_stream;
+      for (const LogView& view : views) {
+        per_stream.push_back(detector.score(view, kVocab));
       }
+      expect_identical_events(reference, per_stream, label + " per stream");
     }
     nfv::util::set_global_threads(0);  // restore auto sizing
   }
 }
 
 // The fused path must agree with the completely independent serial
-// reference path (SequenceModel::predict) window by window.
+// reference paths (SequenceModel::score_log_likelihood for the NLL mode,
+// score_target_ranks for DeepLog's rank mode) window by window.
 TEST(BatchInvarianceTest, FusedScoresMatchSerialModelReference) {
-  LstmDetector detector = make_trained_detector(LstmScoreMode::kLogLikelihood);
   const std::vector<ParsedLog> logs =
       make_stream(42, 150, /*with_unknowns=*/false);
-
-  detector.set_score_batch(1024);
-  const std::vector<ScoredEvent> fused = detector.score(logs, kTrainVocab);
-
   const std::vector<ml::SeqExample> examples =
       logproc::build_sequence_examples(logs, kWindow,
                                        nfv::util::Duration::of_days(3650));
-  ASSERT_EQ(fused.size(), examples.size());
+
+  const LstmDetector nll_detector =
+      make_trained_detector(LstmScoreMode::kLogLikelihood);
+  const std::vector<ScoredEvent> nll = nll_detector.score(logs, kTrainVocab);
+  ASSERT_EQ(nll.size(), examples.size());
   for (std::size_t i = 0; i < examples.size(); ++i) {
     const std::vector<double> ll =
-        detector.model().score_log_likelihood({&examples[i]});
-    ASSERT_EQ(fused[i].score, -ll[0]) << "window " << i;
+        nll_detector.model().score_log_likelihood({&examples[i]});
+    ASSERT_EQ(nll[i].score, -ll[0]) << "window " << i;
   }
+
+  const LstmDetector rank_detector =
+      make_trained_detector(LstmScoreMode::kTargetRank);
+  const std::vector<ScoredEvent> ranks = rank_detector.score(logs, kTrainVocab);
+  ASSERT_EQ(ranks.size(), examples.size());
+  bool any_nonzero_rank = false;
+  for (std::size_t i = 0; i < examples.size(); ++i) {
+    const std::vector<std::size_t> rank =
+        rank_detector.model().score_target_ranks({&examples[i]});
+    ASSERT_EQ(ranks[i].score, static_cast<double>(rank[0])) << "window " << i;
+    any_nonzero_rank = any_nonzero_rank || rank[0] != 0;
+  }
+  EXPECT_TRUE(any_nonzero_rank) << "vacuous: every target ranked first";
+}
+
+std::vector<ml::SeqExample> make_examples(std::size_t count,
+                                          std::size_t window,
+                                          std::size_t vocab,
+                                          std::uint64_t seed) {
+  nfv::util::Rng rng(seed);
+  std::vector<ml::SeqExample> examples(count);
+  for (ml::SeqExample& example : examples) {
+    example.ids.resize(window);
+    example.dts.resize(window);
+    for (std::size_t t = 0; t < window; ++t) {
+      example.ids[t] = static_cast<std::int32_t>(rng.uniform_index(vocab));
+      example.dts[t] = static_cast<float>(rng.uniform_index(300));
+    }
+    example.target = static_cast<std::int32_t>(rng.uniform_index(vocab));
+  }
+  return examples;
+}
+
+// The fp32 model's fused scoring entry points against its serial
+// references, for fused batch sizes that split the 23 windows unevenly
+// (1, 5), leave one partial batch (64) or match the detector's
+// LstmDetector::kScoreBatch (1024), at 1 and 4 threads. One scratch is
+// reused across every call, as a caller scoring many batches would.
+TEST(BatchInvarianceTest, ModelBatchedScoringMatchesSerialForAnyBatchSize) {
+  ml::SequenceModelConfig config;
+  config.vocab = 9;
+  config.embed_dim = 6;
+  config.hidden = 6;
+  config.window = 3;
+  nfv::util::Rng rng(7);
+  const ml::SequenceModel model(config, rng);  // untrained weights suffice
+
+  const std::vector<ml::SeqExample> examples =
+      make_examples(23, config.window, config.vocab, 99);
+  std::vector<const ml::SeqExample*> windows;
+  std::vector<double> serial_ll;
+  std::vector<std::size_t> serial_ranks;
+  for (const ml::SeqExample& example : examples) {
+    windows.push_back(&example);
+    serial_ll.push_back(model.score_log_likelihood({&example})[0]);
+    serial_ranks.push_back(model.score_target_ranks({&example})[0]);
+  }
+
+  ml::SequenceModel::InferenceScratch scratch;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    nfv::util::set_global_threads(threads);
+    for (const std::size_t batch_size :
+         {std::size_t{1}, std::size_t{5}, std::size_t{64},
+          LstmDetector::kScoreBatch}) {
+      std::vector<double> ll(windows.size());
+      model.score_batched(windows, batch_size, scratch, ll);
+      EXPECT_EQ(ll, serial_ll)
+          << "batch_size " << batch_size << " threads " << threads;
+      std::vector<std::size_t> ranks(windows.size());
+      model.score_ranks_batched(windows, batch_size, scratch, ranks);
+      EXPECT_EQ(ranks, serial_ranks)
+          << "batch_size " << batch_size << " threads " << threads;
+    }
+  }
+  nfv::util::set_global_threads(0);  // restore auto sizing
 }
 
 TEST(BatchInvarianceTest, MonitorGroupFlushMatchesImmediateIngestion) {

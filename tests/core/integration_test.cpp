@@ -3,7 +3,10 @@
 // checkpoint round-trips through the pipeline's own artifacts.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "core/feature_detectors.h"
 #include "core/lstm_detector.h"
@@ -110,6 +113,53 @@ TEST(LstmDetectorCheckpoint, LoadRejectsGarbageAndWrongMagic) {
   LstmDetector untrained;
   std::stringstream sink;
   EXPECT_THROW(untrained.save(sink), nfv::util::CheckError);
+}
+
+// A corrupt header field fails at load with a message naming it, instead
+// of loading silently (a score_mode outside the enum, or 257 truncated to
+// kTargetRank) or throwing on the first scored window (a header window
+// that differs from the model's) — inside AsyncIngest that throw would be
+// on a worker thread, out of the caller's reach.
+TEST(LstmDetectorCheckpoint, LoadRejectsCorruptScoreModeAndWindow) {
+  LstmDetectorConfig config;
+  config.window = 3;
+  config.embed_dim = 4;
+  config.hidden = 4;
+  config.initial_epochs = 1;
+  config.oversample = false;
+  LstmDetector detector(config);
+  std::vector<logproc::ParsedLog> logs;
+  for (std::int64_t i = 0; i < 40; ++i) {
+    logs.push_back({SimTime{i * 60}, static_cast<std::int32_t>(i % 4)});
+  }
+  const LogView view{logs};
+  detector.fit({&view, 1}, 4);
+  std::stringstream saved;
+  detector.save(saved);
+  const std::string bytes = saved.str();
+
+  // Header: magic, score_mode, window — one u64 each, at bytes 0, 8, 16.
+  const auto load_patched = [&bytes](std::size_t offset,
+                                     std::uint64_t value) -> std::string {
+    std::string patched = bytes;
+    std::memcpy(patched.data() + offset, &value, sizeof(value));
+    std::stringstream in(patched);
+    try {
+      LstmDetector::load(in);
+    } catch (const nfv::util::CheckError& e) {
+      return e.what();
+    }
+    return "";
+  };
+  EXPECT_EQ(load_patched(8, 1), "");   // kTargetRank is a valid mode
+  EXPECT_EQ(load_patched(16, 3), "");  // the model's own window
+  for (const std::uint64_t mode : {std::uint64_t{7}, std::uint64_t{257}}) {
+    const std::string error = load_patched(8, mode);
+    EXPECT_NE(error.find("score_mode"), std::string::npos)
+        << "mode " << mode << ": '" << error << "'";
+  }
+  const std::string error = load_patched(16, 5);
+  EXPECT_NE(error.find("window"), std::string::npos) << "'" << error << "'";
 }
 
 TEST_F(IntegrationFixture, FeatureDetectorPipelineMapsWithDocGranularity) {

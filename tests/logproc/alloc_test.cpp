@@ -4,7 +4,8 @@
 // asserts that SignatureTree::learn() and match() perform ZERO heap
 // allocations once the tree is warm (templates discovered, stable tokens
 // interned, scratch grown) — even when every line carries fresh variable
-// field values. This is the acceptance criterion for the zero-allocation
+// field values — and that StreamMonitorGroup staging, the step after
+// mining, allocates nothing either. This is the acceptance criterion for the zero-allocation
 // fast path; it lives in its own test binary because the counting
 // operator new/delete replacement is process-global.
 #include <gtest/gtest.h>
@@ -12,10 +13,13 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <iostream>
 #include <new>
 #include <string>
 #include <vector>
 
+#include "core/lstm_detector.h"
+#include "core/streaming.h"
 #include "logproc/signature_tree.h"
 #include "util/interner.h"
 
@@ -198,6 +202,72 @@ TEST(SteadyStateAllocations, SharedForestLearnAndMatchAreAllocationFree) {
   EXPECT_EQ(after - before, 0u) << "shared-forest warm path allocated";
   EXPECT_NE(sink, 0);
   EXPECT_EQ(tree.size(), templates) << "fresh values minted new templates";
+}
+
+// Staging into a StreamMonitorGroup is allocation-free once warm: each
+// shard's history is a fixed ring, and the group's entry list and flat
+// window buffer keep their capacity across flushes. Two flush cycles warm
+// them (the first stages fewer windows while the histories fill). The
+// flush's own allocations are printed for information, not gated.
+TEST(SteadyStateAllocations, GroupStagingIsAllocationFree) {
+  constexpr std::size_t kShards = 8;
+  constexpr std::size_t kLines = 64;  // per shard per cycle
+  constexpr std::int32_t kTemplates = 8;
+  const auto event = [](std::size_t shard, std::size_t line) {
+    return ParsedLog{
+        nfv::util::SimTime{static_cast<std::int64_t>(line * 30 + shard)},
+        static_cast<std::int32_t>((line * 3 + shard) % kTemplates)};
+  };
+
+  nfv::core::LstmDetectorConfig config;
+  config.window = 4;
+  config.embed_dim = 4;
+  config.hidden = 8;
+  config.initial_epochs = 1;
+  config.oversample = false;
+  nfv::core::LstmDetector detector(config);
+  std::vector<ParsedLog> train;
+  for (std::size_t i = 0; i < 200; ++i) train.push_back(event(0, i));
+  const nfv::core::LogView view{train};
+  detector.fit({&view, 1}, kTemplates);
+
+  nfv::core::StreamMonitorConfig monitor_config;
+  monitor_config.window = config.window;
+  std::vector<SignatureTree> trees(kShards);
+  std::vector<nfv::core::StreamMonitor> monitors;
+  monitors.reserve(kShards);
+  for (std::size_t s = 0; s < kShards; ++s) {
+    monitors.emplace_back(static_cast<std::int32_t>(s), &detector, &trees[s],
+                          monitor_config, nullptr);
+  }
+  nfv::core::StreamMonitorGroup group(&detector);
+  for (nfv::core::StreamMonitor& monitor : monitors) group.add(&monitor);
+
+  const auto stage = [&](std::size_t cycle) {
+    for (std::size_t i = 0; i < kLines; ++i) {
+      for (std::size_t s = 0; s < kShards; ++s) {
+        group.ingest_parsed(s, event(s, cycle * kLines + i));
+      }
+    }
+  };
+  for (std::size_t cycle = 0; cycle < 2; ++cycle) {
+    stage(cycle);
+    group.flush();
+  }
+
+  const std::uint64_t before = allocations();
+  stage(2);
+  const std::uint64_t staged = allocations();
+  const std::vector<double> scores = group.flush();
+  const std::uint64_t flushed = allocations();
+
+  EXPECT_EQ(staged - before, 0u) << "warm group staging allocated";
+  ASSERT_EQ(scores.size(), kShards * kLines);
+  std::cout << "[ info ] flush allocations per line: "
+            << static_cast<double>(flushed - staged) /
+                   static_cast<double>(scores.size())
+            << " (" << scores.size() << " lines, " << kShards
+            << " shards)\n";
 }
 
 // Sanity check that the counting hook itself works — otherwise the zero

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# CI entry point: tier-1 build + full test suite, an explicit pass over
-# the observability-labelled tests (latency histograms, runtime stats
+# CI entry point: tier-1 build + full test suite (its CLI chain scores
+# both in batch and through the async streaming runtime), an explicit
+# pass over the observability-labelled tests (latency histograms, runtime stats
 # snapshots, JSON round-trip), the continual-labelled tests (online
 # retrain update-shift scenario, per-epoch swap determinism, swap-storm
 # races, adapt unfreeze safety), then a ThreadSanitizer pass over the
@@ -8,7 +9,9 @@
 # queues, the shared token arena's lock-free reader/registrar stress,
 # parallel-vs-serial pipeline determinism, shared-detector streaming,
 # the async-ingest determinism/backpressure/control-plane suite, and the
-# batched-inference batch-size/thread-count invariance suite). The
+# batched-inference invariance suite: fused model scoring at any batch
+# size and thread count, cross-stream calls vs per-window calls, and
+# one-call group flushes vs immediate ingestion). The
 # async-ingest smoke also gates the instrumentation overhead at <=2%
 # lines/sec; the fleet-soak smoke gates the runtime's bytes/vPE (shared
 # arena + forest) below the private-tree baseline measured on the serial

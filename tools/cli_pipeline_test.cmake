@@ -1,4 +1,5 @@
-# End-to-end CLI chain: simulate → mine → train → score.
+# End-to-end CLI chain: simulate → mine → train → score, then the same
+# score through the async streaming ingest runtime.
 file(MAKE_DIRECTORY ${WORK_DIR})
 set(LOGS ${WORK_DIR}/demo.log)
 set(MODEL ${WORK_DIR}/demo.model)
@@ -27,4 +28,11 @@ execute_process(COMMAND ${NFVPRED} score --logs ${LOGS} --model ${MODEL}
                 RESULT_VARIABLE rc OUTPUT_VARIABLE score_out)
 if(NOT rc EQUAL 0 OR NOT score_out MATCHES "warning signature")
   message(FATAL_ERROR "score failed: ${rc} / ${score_out}")
+endif()
+
+execute_process(COMMAND ${NFVPRED} score --logs ${LOGS} --model ${MODEL}
+                        --async-ingest 1 --ingest-workers 2
+                RESULT_VARIABLE rc OUTPUT_VARIABLE async_out)
+if(NOT rc EQUAL 0 OR NOT async_out MATCHES "async ingest: [0-9]+ lines")
+  message(FATAL_ERROR "async score failed: ${rc} / ${async_out}")
 endif()

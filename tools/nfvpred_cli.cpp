@@ -107,8 +107,7 @@ struct Args {
 
 // The options each subcommand reads, besides the common ones. Anything
 // else is a usage error: a misspelt or retired flag must not be ignored.
-const std::set<std::string> kCommonOptions = {"threads", "score-batch",
-                                              "quantize"};
+const std::set<std::string> kCommonOptions = {"threads", "quantize"};
 const std::map<std::string, std::set<std::string>> kCommandOptions = {
     {"simulate", {"out", "vpe", "months", "seed", "tickets", "gap-scale"}},
     {"mine", {"logs", "max"}},
@@ -179,9 +178,6 @@ void usage() {
       "  --threads N   worker threads for training/scoring kernels\n"
       "                (default: NFVPRED_THREADS env, else all cores;\n"
       "                 results are identical for any thread count)\n"
-      "  --score-batch N  max windows per fused inference batch\n"
-      "                (train/score; default 1024, min 1; scores are\n"
-      "                 identical for any batch size)\n"
       "  --quantize 1  int8 quantized scoring (train: calibrate the int8\n"
       "                sidecar after training and store it in the\n"
       "                checkpoint; score: calibrate after load). Training\n"
@@ -293,10 +289,6 @@ int cmd_train(const Args& args) {
   config.persistent_optimizer =
       args.get_long("persistent-optimizer", 0) != 0;
   config.quantize = args.get_long("quantize", 0) != 0;
-  const long score_batch = args.get_long_min("score-batch", 0, 0);
-  if (score_batch > 0) {
-    config.score_batch = static_cast<std::size_t>(score_batch);
-  }
   core::LstmDetector detector(config);
   std::cerr << "training on " << logs.size() << " events ("
             << tree.size() << " templates)...\n";
@@ -344,10 +336,6 @@ int cmd_score(const Args& args) {
     // Calibrate the int8 sidecar from the loaded fp32 weights (a no-op if
     // the checkpoint already carried one).
     detector.set_quantized(true);
-  }
-  const long score_batch = args.get_long_min("score-batch", 0, 0);
-  if (score_batch > 0) {
-    detector.set_score_batch(static_cast<std::size_t>(score_batch));
   }
 
   // Template ids must be assigned consistently with training: the
