@@ -323,6 +323,7 @@ int run_json_mode(const std::string& path) {
   nfv::util::JsonWriter w;
   w.begin_object();
   w.kv("bench", "parsing_throughput");
+  bench::write_provenance(w);
   w.kv("total_lines", f.lines.size());
   w.kv("templates", warm_fast.size());
   w.kv("window", kWindow);

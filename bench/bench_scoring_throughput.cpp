@@ -18,9 +18,12 @@
 // for the rank-agreement gate checked by `--smoke` below.
 //
 // Run with `--json FILE` to skip google-benchmark and emit a
-// machine-readable summary (windows/sec and speedups at 1 and 4 threads),
-// e.g. BENCH_scoring.json; add `--quantize` to include the int8 rows and
-// the fp32-vs-int8 model weight bytes.
+// machine-readable summary (windows/sec and speedups at 1 and 4 threads,
+// plus a windows-per-call sweep at 1 thread: the first kSweepWindows
+// windows scored in calls of 1, 3, 17, 63 and 64 single-window streams,
+// the shape of a runtime flush holding that many staged windows), e.g.
+// BENCH_scoring.json; add `--quantize` to include the int8 rows, the int8
+// column of the sweep and the fp32-vs-int8 model weight bytes.
 //
 // Run with `--smoke` for the CI gate: trains a small model on a
 // *patterned* corpus (cyclic template sequence + 10% noise, so the
@@ -37,6 +40,7 @@
 #include <cmath>
 #include <cstring>
 #include <iostream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -70,11 +74,16 @@ std::vector<logproc::ParsedLog> sample_logs(std::size_t count,
   return logs;
 }
 
+/// Windows scored by each point of the windows-per-call sweep.
+constexpr std::size_t kSweepWindows = 1008;
+
 struct Fixture {
   core::LstmDetector detector;
   /// Same trained weights with the int8 sidecar installed.
   core::LstmDetector quantized;
   std::vector<std::vector<logproc::ParsedLog>> streams;
+  /// The first kSweepWindows (k+1)-line windows, one view each.
+  std::vector<core::LogView> sweep_windows;
   std::size_t window = 0;
   std::size_t total_windows = 0;
 };
@@ -104,6 +113,13 @@ const Fixture& fixture() {
       fx.streams.push_back(sample_logs(kStreamLen, 100 + s));
       fx.total_windows += kStreamLen - fx.window;
     }
+    for (const auto& stream : fx.streams) {
+      for (std::size_t i = fx.window; i < stream.size(); ++i) {
+        if (fx.sweep_windows.size() == kSweepWindows) break;
+        fx.sweep_windows.emplace_back(stream.data() + (i - fx.window),
+                                      fx.window + 1);
+      }
+    }
     return fx;
   }();
   return f;
@@ -132,6 +148,21 @@ double run_batched_with(const core::LstmDetector& detector, const Fixture& f) {
   double sink = 0.0;
   for (const auto& stream_events : events) {
     for (const core::ScoredEvent& event : stream_events) sink += event.score;
+  }
+  return sink;
+}
+
+// The sweep windows in calls of `per_call` single-window streams each.
+double run_calls_of(const core::LstmDetector& detector, const Fixture& f,
+                    std::size_t per_call) {
+  const std::span<const core::LogView> windows(f.sweep_windows);
+  double sink = 0.0;
+  for (std::size_t start = 0; start < windows.size(); start += per_call) {
+    const std::vector<std::vector<core::ScoredEvent>> events =
+        detector.score_streams(
+            windows.subspan(start, std::min(per_call, windows.size() - start)),
+            kVocab);
+    sink += events.back().back().score;
   }
   return sink;
 }
@@ -242,11 +273,43 @@ int run_json_mode(const std::string& path, bool quantize) {
     }
     std::cerr << "\n";
   }
+
+  struct SweepRow {
+    std::size_t per_call;
+    double fp32_wps;
+    double quant_wps = 0.0;  // 0 when the int8 tier was not measured
+  };
+  std::vector<SweepRow> sweep;
+  util::set_global_threads(1);
+  const double sweep_windows = static_cast<double>(f.sweep_windows.size());
+  for (const std::size_t per_call : {1, 3, 17, 63, 64}) {
+    run_calls_of(f.detector, f, per_call);  // warm-up
+    if (quantize) run_calls_of(f.quantized, f, per_call);
+    double fp32_best = 1e300, quant_best = 1e300;
+    for (std::size_t r = 0; r < kReps; ++r) {
+      fp32_best = std::min(fp32_best, timed_seconds([&] {
+                             return run_calls_of(f.detector, f, per_call);
+                           }));
+      if (quantize) {
+        quant_best = std::min(quant_best, timed_seconds([&] {
+                                return run_calls_of(f.quantized, f, per_call);
+                              }));
+      }
+    }
+    SweepRow row{per_call, sweep_windows / fp32_best};
+    if (quantize) row.quant_wps = sweep_windows / quant_best;
+    sweep.push_back(row);
+    std::cerr << "windows/call=" << per_call << " fp32=" << row.fp32_wps
+              << " windows/s";
+    if (quantize) std::cerr << ", int8=" << row.quant_wps << " windows/s";
+    std::cerr << "\n";
+  }
   util::set_global_threads(0);
 
   nfv::util::JsonWriter w;
   w.begin_object();
   w.kv("bench", "scoring_throughput");
+  bench::write_provenance(w);
   w.kv("streams", kStreams);
   w.kv("stream_length", kStreamLen);
   w.kv("window", f.window);
@@ -279,6 +342,19 @@ int run_json_mode(const std::string& path, bool quantize) {
     w.end_object();
   }
   w.end_array();
+  w.key("windows_per_call_sweep").begin_object();
+  w.kv("threads", 1);
+  w.kv("windows", f.sweep_windows.size());
+  w.key("rows").begin_array();
+  for (const SweepRow& row : sweep) {
+    w.begin_object()
+        .kv("windows_per_call", row.per_call)
+        .kv("fp32_windows_per_sec", row.fp32_wps);
+    if (quantize) w.kv("int8_windows_per_sec", row.quant_wps);
+    w.end_object();
+  }
+  w.end_array();
+  w.end_object();
   w.end_object();
   return bench::write_json_file(path, w) ? 0 : 1;
 }

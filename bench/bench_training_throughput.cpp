@@ -187,6 +187,7 @@ int run_json_mode(const std::string& path) {
   nfv::util::JsonWriter w;
   w.begin_object();
   w.kv("bench", "training_throughput");
+  bench::write_provenance(w);
   w.kv("examples", examples.size());
   w.kv("batch_size", kBatch);
   w.kv("window", model_config().window);

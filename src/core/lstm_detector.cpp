@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-
 #include <istream>
+#include <limits>
 #include <ostream>
 
 #include "ml/optimizer.h"
@@ -248,10 +248,11 @@ std::vector<std::vector<ScoredEvent>> LstmDetector::score_streams(
   for (std::size_t s = 0; s < streams.size(); ++s) {
     const LogView logs = streams[s];
     if (logs.size() <= config_.window) continue;
-    // Build windows (no gap filtering at scoring time: every log gets a
-    // score if it has k predecessors).
+    // Build windows with no gap filtering: every log with k predecessors
+    // gets a score, so window e is position window + e.
     examples[s] = logproc::build_sequence_examples(
-        logs, config_.window, nfv::util::Duration::of_days(3650));
+        logs, config_.window,
+        nfv::util::Duration{std::numeric_limits<std::int64_t>::max()});
     out[s].resize(examples[s].size());
     for (std::size_t e = 0; e < examples[s].size(); ++e) {
       const SeqExample& ex = examples[s][e];

@@ -115,6 +115,8 @@ __attribute__((target("avx2,fma"))) void gate_activation_row_fma(
 }
 
 /// Fused cell/hidden update for one row: c = f·c_prev + i·g, h = o·tanh(c).
+/// `c` may alias `cp` (stepping updates the state in place): every element
+/// reads its c_prev before writing it.
 __attribute__((target("avx2,fma"))) void cell_forward_row_fma(
     const float* g, const float* cp, float* c, float* hh, std::size_t h) {
   std::size_t j = 0;
@@ -185,6 +187,25 @@ __attribute__((target("avx2,fma"))) void gate_backward_row_fma(
 }
 #endif  // NFV_LSTM_SIMD
 
+/// Cell/hidden update for one row on the active kernel tier. The training
+/// forward and inference stepping both run it, so k steps reproduce the
+/// forward pass bit for bit; `c` may alias `cp`.
+void cell_forward_row(const float* g, const float* cp, float* c, float* hh,
+                      std::size_t h, bool simd) {
+#ifdef NFV_LSTM_SIMD
+  if (simd) {
+    cell_forward_row_fma(g, cp, c, hh, h);
+    return;
+  }
+#endif
+  (void)simd;
+  for (std::size_t j = 0; j < h; ++j) {
+    const float cj = g[h + j] * cp[j] + g[j] * g[2 * h + j];
+    c[j] = cj;
+    hh[j] = g[3 * h + j] * std::tanh(cj);
+  }
+}
+
 }  // namespace
 
 Lstm::Lstm(std::string name, std::size_t input_size, std::size_t hidden_size,
@@ -202,6 +223,7 @@ Lstm::Lstm(std::string name, std::size_t input_size, std::size_t hidden_size,
 
 void Lstm::compute_gates(const Matrix& input, const Matrix& h_prev,
                          Matrix& concat_scratch, Matrix& gates,
+                         const std::vector<float>* packed_weight,
                          const QuantizedMatrix* qweight) const {
   const std::size_t batch = input.rows();
   NFV_CHECK(input.cols() == input_size_,
@@ -215,6 +237,8 @@ void Lstm::compute_gates(const Matrix& input, const Matrix& h_prev,
   }
   if (qweight != nullptr) {
     matmul_quant(concat_scratch, *qweight, gates);
+  } else if (packed_weight != nullptr) {
+    matmul_transb_packed(concat_scratch, weight_.value, *packed_weight, gates);
   } else {
     matmul_transb(concat_scratch, weight_.value, gates);
   }
@@ -262,7 +286,8 @@ const std::vector<Matrix>& Lstm::forward(const std::vector<Matrix>& inputs) {
   const std::size_t h = hidden_size_;
   for (std::size_t t = 0; t < steps; ++t) {
     NFV_CHECK(inputs[t].rows() == batch, "Lstm batch size varies over time");
-    compute_gates(inputs[t], *h_prev, concat_cache_[t], gates_cache_[t]);
+    compute_gates(inputs[t], *h_prev, concat_cache_[t], gates_cache_[t],
+                  nullptr, nullptr);
     Matrix& c_t = c_cache_[t];
     Matrix& h_t = h_cache_[t];
     c_t.resize(batch, h);
@@ -270,26 +295,9 @@ const std::vector<Matrix>& Lstm::forward(const std::vector<Matrix>& inputs) {
     const Matrix& gates = gates_cache_[t];
     const Matrix& cp_m = *c_prev;
     const bool simd = simd_kernels_enabled();
-    (void)simd;
     for_each_row(batch, [&](std::size_t r) {
-      const float* g = gates.row(r);
-      const float* cp = cp_m.row(r);
-      float* c = c_t.row(r);
-      float* hh = h_t.row(r);
-#ifdef NFV_LSTM_SIMD
-      if (simd) {
-        cell_forward_row_fma(g, cp, c, hh, h);
-        return;
-      }
-#endif
-      for (std::size_t j = 0; j < h; ++j) {
-        const float ig = g[j];
-        const float fg = g[h + j];
-        const float cg = g[2 * h + j];
-        const float og = g[3 * h + j];
-        c[j] = fg * cp[j] + ig * cg;
-        hh[j] = og * std::tanh(c[j]);
-      }
+      cell_forward_row(gates.row(r), cp_m.row(r), c_t.row(r), h_t.row(r), h,
+                       simd);
     });
     h_prev = &h_t;
     c_prev = &c_t;
@@ -400,18 +408,14 @@ const std::vector<Matrix>& Lstm::backward(
   return grad_inputs_;
 }
 
-void Lstm::step(const Matrix& input, LstmState& state) const {
-  Matrix concat;
-  Matrix gates;
-  step(input, state, concat, gates);
-}
-
-void Lstm::step(const Matrix& input, LstmState& state, Matrix& concat_scratch,
-                Matrix& gates_scratch) const {
+void Lstm::step(const Matrix& input, LstmState& state,
+                const std::vector<float>& packed_weight,
+                Matrix& concat_scratch, Matrix& gates_scratch) const {
   const std::size_t batch = input.rows();
   NFV_CHECK(state.h.rows() == batch && state.c.rows() == batch,
             "LstmState batch mismatch");
-  compute_gates(input, state.h, concat_scratch, gates_scratch);
+  compute_gates(input, state.h, concat_scratch, gates_scratch, &packed_weight,
+                nullptr);
   cell_update(gates_scratch, state);
 }
 
@@ -425,20 +429,16 @@ void Lstm::step_quantized(const Matrix& input, LstmState& state,
   NFV_CHECK(qweight.rows == 4 * hidden_size_ &&
                 qweight.cols == input_size_ + hidden_size_,
             "Lstm::step_quantized weight shape mismatch");
-  compute_gates(input, state.h, concat_scratch, gates_scratch, &qweight);
+  compute_gates(input, state.h, concat_scratch, gates_scratch, nullptr,
+                &qweight);
   cell_update(gates_scratch, state);
 }
 
 void Lstm::cell_update(const Matrix& gates, LstmState& state) const {
-  const std::size_t h = hidden_size_;
+  const bool simd = simd_kernels_enabled();
   for_each_row(gates.rows(), [&](std::size_t r) {
-    const float* g = gates.row(r);
-    float* c = state.c.row(r);
-    float* hh = state.h.row(r);
-    for (std::size_t j = 0; j < h; ++j) {
-      c[j] = g[h + j] * c[j] + g[j] * g[2 * h + j];
-      hh[j] = g[3 * h + j] * std::tanh(c[j]);
-    }
+    cell_forward_row(gates.row(r), state.c.row(r), state.c.row(r),
+                     state.h.row(r), hidden_size_, simd);
   });
 }
 

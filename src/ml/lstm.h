@@ -39,16 +39,18 @@ class Lstm {
   /// returns dL/dx_t per step.
   const std::vector<Matrix>& backward(const std::vector<Matrix>& grad_hidden);
 
-  /// Stateful single-step inference (no caching, no gradients).
-  void step(const Matrix& input, LstmState& state) const;
-
-  /// As step(), but with caller-owned scratch matrices so tight scoring
-  /// loops allocate nothing per step (the scratch is resized in place and
-  /// its capacity is reused across calls).
-  void step(const Matrix& input, LstmState& state, Matrix& concat_scratch,
+  /// Stateful single-step inference (no caching, no gradients). The gate
+  /// GEMM reads `packed_weight`, which must come from
+  /// pack_transb(weight().value): a scoring call packs each layer once and
+  /// reuses it for every time step. The scratch matrices are resized in
+  /// place, so tight scoring loops allocate nothing per step. Gate and
+  /// cell math are the kernels forward() runs, so k steps reproduce
+  /// forward()'s last hidden state bit for bit.
+  void step(const Matrix& input, LstmState& state,
+            const std::vector<float>& packed_weight, Matrix& concat_scratch,
             Matrix& gates_scratch) const;
 
-  /// As the scratch step(), but the gate pre-activation GEMM runs on the
+  /// As step(), but the gate pre-activation GEMM runs on the
   /// packed int8 image of this layer's weight matrix (`qweight` must come
   /// from quantize_pack_b(weight().value)). Bias, gate activations and the
   /// cell update are the untouched fp32 code paths — only the matmul is
@@ -65,12 +67,16 @@ class Lstm {
   std::size_t input_size() const { return input_size_; }
   std::size_t hidden_size() const { return hidden_size_; }
   Param& weight() { return weight_; }
+  const Param& weight() const { return weight_; }
   Param& bias() { return bias_; }
 
  private:
+  /// Gate pre-activations through the packed fp32 weight, the int8 image,
+  /// or (both null, the training forward) matmul_transb on weight_.
   void compute_gates(const Matrix& input, const Matrix& h_prev,
                      Matrix& concat_scratch, Matrix& gates,
-                     const QuantizedMatrix* qweight = nullptr) const;
+                     const std::vector<float>* packed_weight,
+                     const QuantizedMatrix* qweight) const;
   void cell_update(const Matrix& gates, LstmState& state) const;
 
   std::size_t input_size_;

@@ -62,197 +62,128 @@ std::atomic<bool>& simd_flag() {
   return flag;
 }
 
-/// One row of out = a * b, i-k-j order (streams b and out contiguously);
-/// out row must start zeroed. Each out element accumulates in k-ascending
-/// order — the same chain every packed/tiled variant below uses.
-inline void matmul_row(const Matrix& a, const Matrix& b, Matrix& out,
-                       std::size_t i) {
-  const float* arow = a.row(i);
-  float* orow = out.row(i);
-  for (std::size_t k = 0; k < a.cols(); ++k) {
-    const float aik = arow[k];
-    const float* brow = b.row(k);
-    for (std::size_t j = 0; j < b.cols(); ++j) orow[j] += aik * brow[j];
-  }
-}
-
-/// One row of out = a * bᵀ. always_inline so the ISA-targeted wrappers
-/// below compile this body with their own instruction set (and FMA
-/// contraction) instead of calling a baseline copy.
-__attribute__((always_inline)) inline void matmul_transb_row(
-    const Matrix& a, const Matrix& b, Matrix& out, std::size_t i) {
-  const float* arow = a.row(i);
-  float* orow = out.row(i);
-  for (std::size_t j = 0; j < b.rows(); ++j) {
-    const float* brow = b.row(j);
-    float dot = 0.0f;
-    for (std::size_t k = 0; k < a.cols(); ++k) dot += arow[k] * brow[k];
-    orow[j] = dot;
-  }
-}
-
-/// Panel width of the packed kernels (output columns per tile).
+/// Panel width of the packed kernels (output columns per panel).
 constexpr std::size_t kPanelCols = 8;
+
+/// Panels covering `n` output columns. The last one is zero-padded, so the
+/// n mod 8 leftover columns run in the same vector lanes as the rest.
+constexpr std::size_t panel_count(std::size_t n) {
+  return (n + kPanelCols - 1) / kPanelCols;
+}
 
 /// Pack b (the weight matrix of out = a * bᵀ) into 8-row k-major panels:
 /// panel jp holds b rows [8jp, 8jp+8) interleaved as [k][jj], so the inner
 /// product loop reads 8 weights for 8 output columns from one contiguous
-/// 32-byte slot — the layout auto-vectorizes to SIMD with each lane an
-/// independent accumulator chain. Pack cost is O(b.size()) and is
-/// amortized over every row of a, which is exactly what a fused scoring
-/// batch provides and a single-window batch cannot.
+/// 32-byte slot, each lane an independent accumulator chain. Rows past
+/// b.rows() are zero. Pack cost is O(b.size()), paid once per product (or
+/// once per scoring call through pack_transb); full panels take a
+/// constant-width inner loop, which roughly halves it.
 void pack_transb_panels(const Matrix& b, std::vector<float>& packed) {
-  const std::size_t cols = b.cols();
-  const std::size_t panels = b.rows() / kPanelCols;
-  packed.resize(panels * cols * kPanelCols);
-  for (std::size_t jp = 0; jp < panels; ++jp) {
-    float* panel = packed.data() + jp * cols * kPanelCols;
-    for (std::size_t k = 0; k < cols; ++k) {
+  const std::size_t kn = b.cols();
+  const std::size_t jn = b.rows();
+  packed.resize(panel_count(jn) * kn * kPanelCols);
+  for (std::size_t jp = 0; jp < panel_count(jn); ++jp) {
+    float* panel = packed.data() + jp * kn * kPanelCols;
+    const std::size_t width = std::min(kPanelCols, jn - kPanelCols * jp);
+    if (width == kPanelCols) {
+      const float* brows[kPanelCols];
       for (std::size_t jj = 0; jj < kPanelCols; ++jj) {
-        panel[kPanelCols * k + jj] = b.row(kPanelCols * jp + jj)[k];
+        brows[jj] = b.row(kPanelCols * jp + jj);
       }
+      for (std::size_t k = 0; k < kn; ++k) {
+        for (std::size_t jj = 0; jj < kPanelCols; ++jj) {
+          panel[kPanelCols * k + jj] = brows[jj][k];
+        }
+      }
+      continue;
+    }
+    std::fill_n(panel, kn * kPanelCols, 0.0f);
+    for (std::size_t jj = 0; jj < width; ++jj) {
+      const float* brow = b.row(kPanelCols * jp + jj);
+      for (std::size_t k = 0; k < kn; ++k) panel[kPanelCols * k + jj] = brow[k];
     }
   }
 }
 
 /// Pack the B operand (K×C) of the *plain* product out = a·b into the
-/// same 8-column k-major panel layout: panel jp holds b columns
-/// [8jp, 8jp+8) interleaved as [k][jj]. Identical consumption pattern to
-/// the transb panels, so the compute kernels mirror each other.
+/// same layout: panel jp holds b columns [8jp, 8jp+8) interleaved as
+/// [k][jj], columns past b.cols() zero. Both products then run the one
+/// packed kernel below.
 void pack_matmul_b_panels(const Matrix& b, std::vector<float>& packed) {
   const std::size_t kn = b.rows();
-  const std::size_t panels = b.cols() / kPanelCols;
-  packed.resize(panels * kn * kPanelCols);
-  for (std::size_t jp = 0; jp < panels; ++jp) {
+  const std::size_t cn = b.cols();
+  packed.resize(panel_count(cn) * kn * kPanelCols);
+  for (std::size_t jp = 0; jp < panel_count(cn); ++jp) {
     float* panel = packed.data() + jp * kn * kPanelCols;
     for (std::size_t k = 0; k < kn; ++k) {
-      const float* brow = b.row(k) + kPanelCols * jp;
+      const float* brow = b.row(k);
       for (std::size_t jj = 0; jj < kPanelCols; ++jj) {
-        panel[kPanelCols * k + jj] = brow[jj];
+        const std::size_t j = kPanelCols * jp + jj;
+        panel[kPanelCols * k + jj] = j < cn ? brow[j] : 0.0f;
       }
     }
   }
 }
 
-/// Rows [i0, i1) of out = a * bᵀ with b pre-packed into panels: 4 a-rows ×
-/// one 8-column panel per tile, 32 accumulators. Every acc chain is
-/// accumulated in the same k-ascending order as matmul_transb_row, so
-/// results are bit-identical to the row-at-a-time kernel for any row
-/// blocking and any thread count.
-__attribute__((always_inline)) inline void matmul_transb_rows_packed(
-    const Matrix& a, const Matrix& b, const float* packed, Matrix& out,
-    std::size_t i0, std::size_t i1) {
-  const std::size_t cols = a.cols();
-  const std::size_t jn = b.rows();
-  const std::size_t panels = jn / kPanelCols;
-  std::size_t i = i0;
-  for (; i + 4 <= i1; i += 4) {
-    const float* a0 = a.row(i);
-    const float* a1 = a.row(i + 1);
-    const float* a2 = a.row(i + 2);
-    const float* a3 = a.row(i + 3);
-    for (std::size_t jp = 0; jp < panels; ++jp) {
-      const float* panel = packed + jp * cols * kPanelCols;
-      float acc0[kPanelCols] = {}, acc1[kPanelCols] = {};
-      float acc2[kPanelCols] = {}, acc3[kPanelCols] = {};
-      for (std::size_t k = 0; k < cols; ++k) {
-        const float* bv = panel + kPanelCols * k;
-        const float av0 = a0[k], av1 = a1[k], av2 = a2[k], av3 = a3[k];
-        for (std::size_t jj = 0; jj < kPanelCols; ++jj) {
-          acc0[jj] += av0 * bv[jj];
-          acc1[jj] += av1 * bv[jj];
-          acc2[jj] += av2 * bv[jj];
-          acc3[jj] += av3 * bv[jj];
-        }
-      }
-      float* o0 = out.row(i) + kPanelCols * jp;
-      float* o1 = out.row(i + 1) + kPanelCols * jp;
-      float* o2 = out.row(i + 2) + kPanelCols * jp;
-      float* o3 = out.row(i + 3) + kPanelCols * jp;
-      for (std::size_t jj = 0; jj < kPanelCols; ++jj) {
-        o0[jj] = acc0[jj];
-        o1[jj] = acc1[jj];
-        o2[jj] = acc2[jj];
-        o3[jj] = acc3[jj];
-      }
-    }
-    for (std::size_t j = kPanelCols * panels; j < jn; ++j) {
-      const float* brow = b.row(j);
-      float d0 = 0.0f, d1 = 0.0f, d2 = 0.0f, d3 = 0.0f;
-      for (std::size_t k = 0; k < cols; ++k) {
-        const float bk = brow[k];
-        d0 += a0[k] * bk;
-        d1 += a1[k] * bk;
-        d2 += a2[k] * bk;
-        d3 += a3[k] * bk;
-      }
-      out.row(i)[j] = d0;
-      out.row(i + 1)[j] = d1;
-      out.row(i + 2)[j] = d2;
-      out.row(i + 3)[j] = d3;
-    }
-  }
-  for (; i < i1; ++i) matmul_transb_row(a, b, out, i);
+/// Output columns of panel jp that exist in `out` (8 except in a padded
+/// last panel).
+inline std::size_t panel_width(const Matrix& out, std::size_t jp) {
+  return std::min(kPanelCols, out.cols() - kPanelCols * jp);
 }
 
-/// Rows [i0, i1) of out = a * b with b pre-packed into 8-column k-major
-/// panels. Same 4-row × 8-column register tiling as the transb kernel;
-/// every out element keeps the k-ascending chain of matmul_row, so the
-/// packed, row-at-a-time, and any row-blocked parallel variants all agree
-/// bit for bit.
-inline void matmul_rows_bpacked(const Matrix& a, const Matrix& b,
-                                const float* packed, Matrix& out,
-                                std::size_t i0, std::size_t i1) {
+/// R a-rows × P panels (8P columns) of out = a · packed, baseline tier:
+/// R·P·8 accumulators, each the chain `acc = acc + a[k]·b[k]` in
+/// k-ascending order. The chain of an output never depends on R, P, the
+/// row blocking or the thread count, so every tiling agrees bit for bit.
+template <std::size_t R, std::size_t P>
+__attribute__((always_inline)) inline void packed_tile(
+    const Matrix& a, const float* packed, Matrix& out, std::size_t i,
+    std::size_t jp) {
   const std::size_t kn = a.cols();
-  const std::size_t cn = b.cols();
-  const std::size_t panels = cn / kPanelCols;
-  std::size_t i = i0;
-  for (; i + 4 <= i1; i += 4) {
-    const float* a0 = a.row(i);
-    const float* a1 = a.row(i + 1);
-    const float* a2 = a.row(i + 2);
-    const float* a3 = a.row(i + 3);
-    for (std::size_t jp = 0; jp < panels; ++jp) {
-      const float* panel = packed + jp * kn * kPanelCols;
-      float acc0[kPanelCols] = {}, acc1[kPanelCols] = {};
-      float acc2[kPanelCols] = {}, acc3[kPanelCols] = {};
-      for (std::size_t k = 0; k < kn; ++k) {
-        const float* bv = panel + kPanelCols * k;
-        const float av0 = a0[k], av1 = a1[k], av2 = a2[k], av3 = a3[k];
+  const float* panel = packed + jp * kn * kPanelCols;
+  const float* ar[R];
+  for (std::size_t r = 0; r < R; ++r) ar[r] = a.row(i + r);
+  float acc[R][P][kPanelCols] = {};
+  for (std::size_t k = 0; k < kn; ++k) {
+    for (std::size_t r = 0; r < R; ++r) {
+      const float av = ar[r][k];
+      for (std::size_t p = 0; p < P; ++p) {
+        const float* bv = panel + p * kn * kPanelCols + kPanelCols * k;
         for (std::size_t jj = 0; jj < kPanelCols; ++jj) {
-          acc0[jj] += av0 * bv[jj];
-          acc1[jj] += av1 * bv[jj];
-          acc2[jj] += av2 * bv[jj];
-          acc3[jj] += av3 * bv[jj];
+          acc[r][p][jj] += av * bv[jj];
         }
       }
-      float* o0 = out.row(i) + kPanelCols * jp;
-      float* o1 = out.row(i + 1) + kPanelCols * jp;
-      float* o2 = out.row(i + 2) + kPanelCols * jp;
-      float* o3 = out.row(i + 3) + kPanelCols * jp;
-      for (std::size_t jj = 0; jj < kPanelCols; ++jj) {
-        o0[jj] = acc0[jj];
-        o1[jj] = acc1[jj];
-        o2[jj] = acc2[jj];
-        o3[jj] = acc3[jj];
-      }
-    }
-    for (std::size_t j = kPanelCols * panels; j < cn; ++j) {
-      float d0 = 0.0f, d1 = 0.0f, d2 = 0.0f, d3 = 0.0f;
-      for (std::size_t k = 0; k < kn; ++k) {
-        const float bk = b.row(k)[j];
-        d0 += a0[k] * bk;
-        d1 += a1[k] * bk;
-        d2 += a2[k] * bk;
-        d3 += a3[k] * bk;
-      }
-      out.row(i)[j] = d0;
-      out.row(i + 1)[j] = d1;
-      out.row(i + 2)[j] = d2;
-      out.row(i + 3)[j] = d3;
     }
   }
-  for (; i < i1; ++i) matmul_row(a, b, out, i);
+  for (std::size_t r = 0; r < R; ++r) {
+    for (std::size_t p = 0; p < P; ++p) {
+      const std::size_t n = panel_width(out, jp + p);
+      float* o = out.row(i + r) + kPanelCols * (jp + p);
+      for (std::size_t jj = 0; jj < n; ++jj) o[jj] = acc[r][p][jj];
+    }
+  }
+}
+
+/// Rows [i0, i1) of out = a · packed panels: a 4-row × 16-column main
+/// tile (two panels, 8 accumulator vectors), a 4×8 tile for an odd last
+/// panel, then a 1-row tail for the rows % 4 leftovers and for batches of
+/// 1–3 rows. The tail runs 8-column panels four at a time: a single row
+/// has no weight reuse, and four independent chains are enough to keep
+/// it bound by streaming the weights rather than by the add latency.
+void rows_packed(const Matrix& a, const float* packed, Matrix& out,
+                 std::size_t i0, std::size_t i1) {
+  const std::size_t panels = panel_count(out.cols());
+  std::size_t i = i0;
+  for (; i + 4 <= i1; i += 4) {
+    std::size_t jp = 0;
+    for (; jp + 2 <= panels; jp += 2) packed_tile<4, 2>(a, packed, out, i, jp);
+    if (jp < panels) packed_tile<4, 1>(a, packed, out, i, jp);
+  }
+  for (; i < i1; ++i) {
+    std::size_t jp = 0;
+    for (; jp + 4 <= panels; jp += 4) packed_tile<1, 4>(a, packed, out, i, jp);
+    for (; jp < panels; ++jp) packed_tile<1, 1>(a, packed, out, i, jp);
+  }
 }
 
 /// Column block [c0, c1) of out += aᵀ * b, register-tiled 4 out-rows × 8
@@ -331,168 +262,85 @@ inline void transa_acc_block(const Matrix& a, const Matrix& b, Matrix& out,
   }
 }
 
-/// Minimum a-row count before packing b into panels pays for itself; below
-/// this the plain row kernel is used (a 1-window batch never packs).
-constexpr std::size_t kPackMinRows = 8;
-
-/// Reused pack buffer (packing happens on the calling thread before any
-/// parallel fan-out; workers only read it).
+/// Thread-local pack buffer of the products that pack per call. Packing
+/// happens on the calling thread before any parallel fan-out; workers only
+/// read it.
 thread_local std::vector<float> tl_packed_b;
 
-// ISA dispatch for the packed kernels. Both the single-row reference
-// kernels and the packed batch kernels are cloned for AVX2+FMA, and ALL
-// take the same runtime branch (simd_kernels_enabled): every accumulator
-// chain then uses fused multiply-add on every path, so a window scored
-// alone still matches a window scored inside a fused batch bit for bit,
-// and a gradient accumulated serially matches any tiled/parallel variant.
-// (Results may differ between machines with and without FMA — and between
-// the default and NFVPRED_NO_AVX2 modes — determinism is per-machine and
-// per-mode, the same guarantee the baseline kernels give.)
+// ISA dispatch. Every fp32 kernel has a baseline and an AVX2+FMA clone,
+// and all of them take the same runtime branch (simd_kernels_enabled): in
+// the SIMD tier every accumulator chain is a fused multiply-add on every
+// path, so a window scored alone still matches a window scored inside a
+// fused batch bit for bit, and a gradient accumulated serially matches any
+// tiled/parallel variant. (Results may differ between machines with and
+// without FMA — and between the default and NFVPRED_NO_AVX2 modes —
+// determinism is per-machine and per-mode, the same guarantee the baseline
+// kernels give.)
 #ifdef NFV_X86_MULTIVERSION
 
-/// One row of out = a * bᵀ with every chain step an explicit fused
-/// multiply-add (`__builtin_fmaf` = one vfmadd instruction under the fma
-/// target). The compiler cannot split or partially contract the chain, so
-/// this is bit-identical to the fmadd lanes of the packed AVX2 kernel.
-__attribute__((always_inline)) inline void transb_row_fma_body(
-    const Matrix& a, const Matrix& b, Matrix& out, std::size_t i) {
-  const float* arow = a.row(i);
-  float* orow = out.row(i);
-  for (std::size_t j = 0; j < b.rows(); ++j) {
-    const float* brow = b.row(j);
-    float dot = 0.0f;
-    for (std::size_t k = 0; k < a.cols(); ++k) {
-      dot = __builtin_fmaf(arow[k], brow[k], dot);
-    }
-    orow[j] = dot;
-  }
-}
-
-__attribute__((target("avx2,fma"))) void matmul_transb_row_fma(
-    const Matrix& a, const Matrix& b, Matrix& out, std::size_t i) {
-  transb_row_fma_body(a, b, out, i);
-}
-
-/// One row of out = a * b with explicit fused multiply-adds, the scalar
-/// reference for the packed FMA kernel below.
-__attribute__((always_inline)) inline void matmul_row_fma_body(
-    const Matrix& a, const Matrix& b, Matrix& out, std::size_t i) {
-  const float* arow = a.row(i);
-  float* orow = out.row(i);
-  for (std::size_t k = 0; k < a.cols(); ++k) {
-    const float aik = arow[k];
-    const float* brow = b.row(k);
-    for (std::size_t j = 0; j < b.cols(); ++j) {
-      orow[j] = __builtin_fmaf(aik, brow[j], orow[j]);
-    }
-  }
-}
-
-__attribute__((target("avx2,fma"))) void matmul_row_fma(
-    const Matrix& a, const Matrix& b, Matrix& out, std::size_t i) {
-  matmul_row_fma_body(a, b, out, i);
-}
-
-/// Hand-vectorized AVX2+FMA packed kernel: one 256-bit fmadd per
-/// (a-row, k) covers a full 8-column panel, so each accumulator lane is
-/// exactly the chain `acc = fma(a[k]*b[k], acc)` in k order — the same
-/// fused operation the contracted scalar row kernel performs.
-__attribute__((target("avx2,fma"))) void matmul_transb_rows_packed_fma(
-    const Matrix& a, const Matrix& b, const float* packed, Matrix& out,
-    std::size_t i0, std::size_t i1) {
-  const std::size_t cols = a.cols();
-  const std::size_t jn = b.rows();
-  const std::size_t panels = jn / kPanelCols;
-  std::size_t i = i0;
-  for (; i + 4 <= i1; i += 4) {
-    const float* a0 = a.row(i);
-    const float* a1 = a.row(i + 1);
-    const float* a2 = a.row(i + 2);
-    const float* a3 = a.row(i + 3);
-    for (std::size_t jp = 0; jp < panels; ++jp) {
-      const float* panel = packed + jp * cols * kPanelCols;
-      __m256 acc0 = _mm256_setzero_ps();
-      __m256 acc1 = _mm256_setzero_ps();
-      __m256 acc2 = _mm256_setzero_ps();
-      __m256 acc3 = _mm256_setzero_ps();
-      for (std::size_t k = 0; k < cols; ++k) {
-        const __m256 bv = _mm256_loadu_ps(panel + kPanelCols * k);
-        acc0 = _mm256_fmadd_ps(_mm256_set1_ps(a0[k]), bv, acc0);
-        acc1 = _mm256_fmadd_ps(_mm256_set1_ps(a1[k]), bv, acc1);
-        acc2 = _mm256_fmadd_ps(_mm256_set1_ps(a2[k]), bv, acc2);
-        acc3 = _mm256_fmadd_ps(_mm256_set1_ps(a3[k]), bv, acc3);
-      }
-      _mm256_storeu_ps(out.row(i) + kPanelCols * jp, acc0);
-      _mm256_storeu_ps(out.row(i + 1) + kPanelCols * jp, acc1);
-      _mm256_storeu_ps(out.row(i + 2) + kPanelCols * jp, acc2);
-      _mm256_storeu_ps(out.row(i + 3) + kPanelCols * jp, acc3);
-    }
-    for (std::size_t j = kPanelCols * panels; j < jn; ++j) {
-      const float* brow = b.row(j);
-      float d0 = 0.0f, d1 = 0.0f, d2 = 0.0f, d3 = 0.0f;
-      for (std::size_t k = 0; k < cols; ++k) {
-        const float bk = brow[k];
-        d0 = __builtin_fmaf(a0[k], bk, d0);
-        d1 = __builtin_fmaf(a1[k], bk, d1);
-        d2 = __builtin_fmaf(a2[k], bk, d2);
-        d3 = __builtin_fmaf(a3[k], bk, d3);
-      }
-      out.row(i)[j] = d0;
-      out.row(i + 1)[j] = d1;
-      out.row(i + 2)[j] = d2;
-      out.row(i + 3)[j] = d3;
-    }
-  }
-  for (; i < i1; ++i) transb_row_fma_body(a, b, out, i);
-}
-
-/// AVX2+FMA clone of matmul_rows_bpacked (plain out = a·b, packed B).
-__attribute__((target("avx2,fma"))) void matmul_rows_bpacked_fma(
-    const Matrix& a, const Matrix& b, const float* packed, Matrix& out,
-    std::size_t i0, std::size_t i1) {
+/// AVX2+FMA clone of packed_tile: one 256-bit fmadd per (a-row, panel, k),
+/// so each lane is exactly the chain `acc = fma(a[k], b[k], acc)` in k
+/// order. The 4×2 instance keeps 8 independent accumulator vectors in
+/// flight, enough to cover the fmadd latency on both FMA ports.
+template <std::size_t R, std::size_t P>
+__attribute__((target("avx2,fma"), always_inline)) inline void
+packed_tile_fma(const Matrix& a, const float* packed, Matrix& out,
+                std::size_t i, std::size_t jp) {
   const std::size_t kn = a.cols();
-  const std::size_t cn = b.cols();
-  const std::size_t panels = cn / kPanelCols;
-  std::size_t i = i0;
-  for (; i + 4 <= i1; i += 4) {
-    const float* a0 = a.row(i);
-    const float* a1 = a.row(i + 1);
-    const float* a2 = a.row(i + 2);
-    const float* a3 = a.row(i + 3);
-    for (std::size_t jp = 0; jp < panels; ++jp) {
-      const float* panel = packed + jp * kn * kPanelCols;
-      __m256 acc0 = _mm256_setzero_ps();
-      __m256 acc1 = _mm256_setzero_ps();
-      __m256 acc2 = _mm256_setzero_ps();
-      __m256 acc3 = _mm256_setzero_ps();
-      for (std::size_t k = 0; k < kn; ++k) {
-        const __m256 bv = _mm256_loadu_ps(panel + kPanelCols * k);
-        acc0 = _mm256_fmadd_ps(_mm256_set1_ps(a0[k]), bv, acc0);
-        acc1 = _mm256_fmadd_ps(_mm256_set1_ps(a1[k]), bv, acc1);
-        acc2 = _mm256_fmadd_ps(_mm256_set1_ps(a2[k]), bv, acc2);
-        acc3 = _mm256_fmadd_ps(_mm256_set1_ps(a3[k]), bv, acc3);
-      }
-      _mm256_storeu_ps(out.row(i) + kPanelCols * jp, acc0);
-      _mm256_storeu_ps(out.row(i + 1) + kPanelCols * jp, acc1);
-      _mm256_storeu_ps(out.row(i + 2) + kPanelCols * jp, acc2);
-      _mm256_storeu_ps(out.row(i + 3) + kPanelCols * jp, acc3);
+  const float* panel = packed + jp * kn * kPanelCols;
+  const float* ar[R];
+  for (std::size_t r = 0; r < R; ++r) ar[r] = a.row(i + r);
+  __m256 acc[R][P];
+  for (std::size_t r = 0; r < R; ++r) {
+    for (std::size_t p = 0; p < P; ++p) acc[r][p] = _mm256_setzero_ps();
+  }
+  for (std::size_t k = 0; k < kn; ++k) {
+    __m256 bv[P];
+    for (std::size_t p = 0; p < P; ++p) {
+      bv[p] = _mm256_loadu_ps(panel + p * kn * kPanelCols + kPanelCols * k);
     }
-    for (std::size_t j = kPanelCols * panels; j < cn; ++j) {
-      float d0 = 0.0f, d1 = 0.0f, d2 = 0.0f, d3 = 0.0f;
-      for (std::size_t k = 0; k < kn; ++k) {
-        const float bk = b.row(k)[j];
-        d0 = __builtin_fmaf(a0[k], bk, d0);
-        d1 = __builtin_fmaf(a1[k], bk, d1);
-        d2 = __builtin_fmaf(a2[k], bk, d2);
-        d3 = __builtin_fmaf(a3[k], bk, d3);
+    for (std::size_t r = 0; r < R; ++r) {
+      const __m256 av = _mm256_set1_ps(ar[r][k]);
+      for (std::size_t p = 0; p < P; ++p) {
+        acc[r][p] = _mm256_fmadd_ps(av, bv[p], acc[r][p]);
       }
-      out.row(i)[j] = d0;
-      out.row(i + 1)[j] = d1;
-      out.row(i + 2)[j] = d2;
-      out.row(i + 3)[j] = d3;
     }
   }
-  for (; i < i1; ++i) matmul_row_fma_body(a, b, out, i);
+  for (std::size_t r = 0; r < R; ++r) {
+    for (std::size_t p = 0; p < P; ++p) {
+      const std::size_t n = panel_width(out, jp + p);
+      float* o = out.row(i + r) + kPanelCols * (jp + p);
+      if (n == kPanelCols) {
+        _mm256_storeu_ps(o, acc[r][p]);
+      } else {
+        alignas(32) float lanes[kPanelCols];
+        _mm256_store_ps(lanes, acc[r][p]);
+        std::memcpy(o, lanes, n * sizeof(float));
+      }
+    }
+  }
+}
+
+/// AVX2+FMA clone of rows_packed (same tiling).
+__attribute__((target("avx2,fma"))) void rows_packed_fma(
+    const Matrix& a, const float* packed, Matrix& out, std::size_t i0,
+    std::size_t i1) {
+  const std::size_t panels = panel_count(out.cols());
+  std::size_t i = i0;
+  for (; i + 4 <= i1; i += 4) {
+    std::size_t jp = 0;
+    for (; jp + 2 <= panels; jp += 2) {
+      packed_tile_fma<4, 2>(a, packed, out, i, jp);
+    }
+    if (jp < panels) packed_tile_fma<4, 1>(a, packed, out, i, jp);
+  }
+  for (; i < i1; ++i) {
+    std::size_t jp = 0;
+    for (; jp + 4 <= panels; jp += 4) {
+      packed_tile_fma<1, 4>(a, packed, out, i, jp);
+    }
+    for (; jp < panels; ++jp) packed_tile_fma<1, 1>(a, packed, out, i, jp);
+  }
 }
 
 /// AVX2+FMA clone of transa_acc_block (weight-gradient accumulation). The
@@ -567,50 +415,15 @@ __attribute__((target("avx2,fma"))) void transa_acc_block_fma(
 }
 #endif
 
-void transb_row_dispatch(const Matrix& a, const Matrix& b, Matrix& out,
-                         std::size_t i) {
+void rows_packed_dispatch(const Matrix& a, const float* packed, Matrix& out,
+                          std::size_t i0, std::size_t i1) {
 #ifdef NFV_X86_MULTIVERSION
   if (simd_kernels_enabled()) {
-    matmul_transb_row_fma(a, b, out, i);
+    rows_packed_fma(a, packed, out, i0, i1);
     return;
   }
 #endif
-  matmul_transb_row(a, b, out, i);
-}
-
-void transb_rows_packed_dispatch(const Matrix& a, const Matrix& b,
-                                 const float* packed, Matrix& out,
-                                 std::size_t i0, std::size_t i1) {
-#ifdef NFV_X86_MULTIVERSION
-  if (simd_kernels_enabled()) {
-    matmul_transb_rows_packed_fma(a, b, packed, out, i0, i1);
-    return;
-  }
-#endif
-  matmul_transb_rows_packed(a, b, packed, out, i0, i1);
-}
-
-void matmul_row_dispatch(const Matrix& a, const Matrix& b, Matrix& out,
-                         std::size_t i) {
-#ifdef NFV_X86_MULTIVERSION
-  if (simd_kernels_enabled()) {
-    matmul_row_fma(a, b, out, i);
-    return;
-  }
-#endif
-  matmul_row(a, b, out, i);
-}
-
-void matmul_rows_bpacked_dispatch(const Matrix& a, const Matrix& b,
-                                  const float* packed, Matrix& out,
-                                  std::size_t i0, std::size_t i1) {
-#ifdef NFV_X86_MULTIVERSION
-  if (simd_kernels_enabled()) {
-    matmul_rows_bpacked_fma(a, b, packed, out, i0, i1);
-    return;
-  }
-#endif
-  matmul_rows_bpacked(a, b, packed, out, i0, i1);
+  rows_packed(a, packed, out, i0, i1);
 }
 
 void transa_acc_block_dispatch(const Matrix& a, const Matrix& b, Matrix& out,
@@ -992,6 +805,25 @@ void quant_rows_dispatch(const std::uint8_t* qa, const float* sa,
   quant_rows_serial(qa, sa, zp, kpad, qb, out, i0, i1);
 }
 
+/// out = a · packed panels, all rows on the calling thread or, when
+/// `parallel`, in 16-row blocks on the global pool. Each task writes only
+/// its own rows and every accumulator chain keeps its k-order, so any
+/// thread count reproduces the serial result bit for bit.
+void packed_product(const Matrix& a, const float* packed, Matrix& out,
+                    bool parallel) {
+  if (!parallel) {
+    rows_packed_dispatch(a, packed, out, 0, a.rows());
+    return;
+  }
+  constexpr std::size_t kRowBlock = 16;
+  const std::size_t blocks = (a.rows() + kRowBlock - 1) / kRowBlock;
+  nfv::util::global_pool().parallel_for(0, blocks, [&](std::size_t bi) {
+    const std::size_t i0 = bi * kRowBlock;
+    rows_packed_dispatch(a, packed, out, i0,
+                         std::min(i0 + kRowBlock, a.rows()));
+  });
+}
+
 }  // namespace
 
 bool simd_kernels_enabled() {
@@ -1054,37 +886,17 @@ void matmul_serial(const Matrix& a, const Matrix& b, Matrix& out) {
   NFV_CHECK(a.cols() == b.rows(), "matmul inner-dimension mismatch: "
                                       << a.cols() << " vs " << b.rows());
   out.resize(a.rows(), b.cols());
-  if (a.rows() < kPackMinRows) {
-    for (std::size_t i = 0; i < a.rows(); ++i) {
-      matmul_row_dispatch(a, b, out, i);
-    }
-    return;
-  }
   pack_matmul_b_panels(b, tl_packed_b);
-  matmul_rows_bpacked_dispatch(a, b, tl_packed_b.data(), out, 0, a.rows());
+  packed_product(a, tl_packed_b.data(), out, false);
 }
 
 void matmul(const Matrix& a, const Matrix& b, Matrix& out) {
   NFV_CHECK(a.cols() == b.rows(), "matmul inner-dimension mismatch: "
                                       << a.cols() << " vs " << b.rows());
-  if (!use_parallel(a.rows() * a.cols() * b.cols())) {
-    matmul_serial(a, b, out);
-    return;
-  }
   out.resize(a.rows(), b.cols());
-  // Pack once on the calling thread; row blocks keep the 4×8 tiling inside
-  // each parallel task. Every task writes only its own rows and every
-  // accumulator chain keeps its k-order, so the result matches the serial
-  // kernel bit for bit regardless of thread count.
   pack_matmul_b_panels(b, tl_packed_b);
-  const float* packed = tl_packed_b.data();
-  constexpr std::size_t kRowBlock = 16;
-  const std::size_t blocks = (a.rows() + kRowBlock - 1) / kRowBlock;
-  nfv::util::global_pool().parallel_for(0, blocks, [&](std::size_t bi) {
-    const std::size_t i0 = bi * kRowBlock;
-    matmul_rows_bpacked_dispatch(a, b, packed, out, i0,
-                                 std::min(i0 + kRowBlock, a.rows()));
-  });
+  packed_product(a, tl_packed_b.data(), out,
+                 use_parallel(a.rows() * a.cols() * b.cols()));
 }
 
 void pack_matmul_b(const Matrix& b, std::vector<float>& packed) {
@@ -1095,57 +907,45 @@ void matmul_packed(const Matrix& a, const Matrix& b,
                    const std::vector<float>& packed, Matrix& out) {
   NFV_CHECK(a.cols() == b.rows(), "matmul_packed inner-dimension mismatch: "
                                       << a.cols() << " vs " << b.rows());
-  NFV_CHECK(packed.size() == (b.cols() / kPanelCols) * b.rows() * kPanelCols,
+  NFV_CHECK(packed.size() == panel_count(b.cols()) * b.rows() * kPanelCols,
             "matmul_packed: packed buffer does not match b (repack needed)");
   out.resize(a.rows(), b.cols());
-  if (!use_parallel(a.rows() * a.cols() * b.cols())) {
-    matmul_rows_bpacked_dispatch(a, b, packed.data(), out, 0, a.rows());
-    return;
-  }
-  constexpr std::size_t kRowBlock = 16;
-  const std::size_t blocks = (a.rows() + kRowBlock - 1) / kRowBlock;
-  nfv::util::global_pool().parallel_for(0, blocks, [&](std::size_t bi) {
-    const std::size_t i0 = bi * kRowBlock;
-    matmul_rows_bpacked_dispatch(a, b, packed.data(), out, i0,
-                                 std::min(i0 + kRowBlock, a.rows()));
-  });
+  packed_product(a, packed.data(), out,
+                 use_parallel(a.rows() * a.cols() * b.cols()));
 }
 
 void matmul_transb_serial(const Matrix& a, const Matrix& b, Matrix& out) {
   NFV_CHECK(a.cols() == b.cols(), "matmul_transb inner-dimension mismatch: "
                                       << a.cols() << " vs " << b.cols());
   out.resize(a.rows(), b.rows());
-  if (a.rows() < kPackMinRows) {
-    for (std::size_t i = 0; i < a.rows(); ++i) {
-      transb_row_dispatch(a, b, out, i);
-    }
-    return;
-  }
   pack_transb_panels(b, tl_packed_b);
-  transb_rows_packed_dispatch(a, b, tl_packed_b.data(), out, 0, a.rows());
+  packed_product(a, tl_packed_b.data(), out, false);
 }
 
 void matmul_transb(const Matrix& a, const Matrix& b, Matrix& out) {
   NFV_CHECK(a.cols() == b.cols(), "matmul_transb inner-dimension mismatch: "
                                       << a.cols() << " vs " << b.cols());
-  if (!use_parallel(a.rows() * a.cols() * b.rows())) {
-    matmul_transb_serial(a, b, out);
-    return;
-  }
   out.resize(a.rows(), b.rows());
-  // Pack once on the calling thread; row blocks keep the 4×4 tiling inside
-  // each parallel task. Every task writes only its own rows and every
-  // accumulator chain keeps its k-order, so the result matches the serial
-  // kernel bit for bit regardless of thread count.
   pack_transb_panels(b, tl_packed_b);
-  const float* packed = tl_packed_b.data();
-  constexpr std::size_t kRowBlock = 16;
-  const std::size_t blocks = (a.rows() + kRowBlock - 1) / kRowBlock;
-  nfv::util::global_pool().parallel_for(0, blocks, [&](std::size_t bi) {
-    const std::size_t i0 = bi * kRowBlock;
-    transb_rows_packed_dispatch(a, b, packed, out, i0,
-                                std::min(i0 + kRowBlock, a.rows()));
-  });
+  packed_product(a, tl_packed_b.data(), out,
+                 use_parallel(a.rows() * a.cols() * b.rows()));
+}
+
+void pack_transb(const Matrix& b, std::vector<float>& packed) {
+  pack_transb_panels(b, packed);
+}
+
+void matmul_transb_packed(const Matrix& a, const Matrix& b,
+                          const std::vector<float>& packed, Matrix& out) {
+  NFV_CHECK(a.cols() == b.cols(),
+            "matmul_transb_packed inner-dimension mismatch: "
+                << a.cols() << " vs " << b.cols());
+  NFV_CHECK(packed.size() == panel_count(b.rows()) * b.cols() * kPanelCols,
+            "matmul_transb_packed: packed buffer does not match b "
+            "(repack needed)");
+  out.resize(a.rows(), b.rows());
+  packed_product(a, packed.data(), out,
+                 use_parallel(a.rows() * a.cols() * b.rows()));
 }
 
 void matmul_transa_accumulate_serial(const Matrix& a, const Matrix& b,

@@ -69,15 +69,16 @@ class Matrix {
 bool simd_kernels_enabled();
 void set_simd_kernels_enabled(bool enabled);
 
-/// out = a (R×K) * b (K×C). `out` is resized and overwritten. Above a
-/// work threshold the rows are computed in parallel blocks on the global
-/// thread pool (bit-identical to the serial kernel: each output row is an
-/// independent slot computed in the same k-order); inside an already
-/// parallel region the serial kernel is used. For R ≥ 8 rows the B
-/// operand is packed into 8-column k-major panels (same layout machinery
-/// as matmul_transb) and a 4-row × 8-column register-tiled kernel is used;
-/// every accumulator chain keeps the k-ascending order, so packed and
-/// row-at-a-time results match bit for bit.
+/// out = a (R×K) * b (K×C). `out` is resized and overwritten. The B
+/// operand is packed into zero-padded 8-column k-major panels and every
+/// row runs one register-tiled kernel: a 4-row × 16-column main tile, a
+/// 4×8 tile for an odd last panel and a 1-row tail for the rows % 4
+/// leftovers and batches of 1–3 rows. Every output is one k-ascending
+/// multiply-add chain (a fused one in the SIMD tier), so results do not
+/// depend on the row count. Above a work threshold the rows are computed
+/// in parallel blocks on the global thread pool (bit-identical to the
+/// serial kernel: each output row is an independent slot); inside an
+/// already parallel region the serial kernel is used.
 void matmul(const Matrix& a, const Matrix& b, Matrix& out);
 
 /// Pack the B operand (K×C) of out = a·b into 8-column k-major panels for
@@ -94,8 +95,18 @@ void matmul_packed(const Matrix& a, const Matrix& b,
 
 /// out = a (R×K) * bᵀ where b is (C×K). The natural layout for y = x·Wᵀ
 /// with weight matrices stored as (out_features × in_features). Same
-/// row-blocked parallel dispatch as matmul.
+/// packed kernel and row-blocked parallel dispatch as matmul.
 void matmul_transb(const Matrix& a, const Matrix& b, Matrix& out);
+
+/// Pack b (C×K) into the panels matmul_transb_packed reads. A scoring call
+/// packs each weight matrix once and reuses it for every time step.
+void pack_transb(const Matrix& b, std::vector<float>& packed);
+
+/// out = a·bᵀ with `packed` previously produced by pack_transb(b).
+/// Bit-identical to matmul_transb(a, b, out) for any row count and thread
+/// count, with the same row-blocked parallel dispatch.
+void matmul_transb_packed(const Matrix& a, const Matrix& b,
+                          const std::vector<float>& packed, Matrix& out);
 
 /// out += aᵀ (K×R stored as R×K) * b (R×C) — i.e. out (K×C) accumulates
 /// gradient contributions Σ_r a[r]ᵀ b[r]. Used for weight gradients.

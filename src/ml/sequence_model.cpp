@@ -176,38 +176,21 @@ double SequenceModel::train_batch(const std::vector<const SeqExample*>& batch,
 void SequenceModel::predict(const std::vector<const SeqExample*>& batch,
                             Matrix& probs) const {
   NFV_CHECK(!batch.empty(), "predict on empty batch");
-  std::vector<Matrix> inputs;
-  build_inputs(batch.data(), batch.size(), inputs, nullptr);
-
   // Stateful stepping avoids touching the training caches, keeping
   // prediction const and cheap.
-  std::vector<LstmState> states;
-  states.reserve(lstm_layers_.size());
-  for (const Lstm& lstm : lstm_layers_) {
-    states.push_back(lstm.make_state(batch.size()));
+  InferenceScratch scratch;
+  pack_weights(scratch);
+  forward_probs(batch.data(), batch.size(), scratch);
+  probs = std::move(scratch.probs);
+}
+
+void SequenceModel::pack_weights(InferenceScratch& scratch) const {
+  if (quantized_) return;
+  scratch.packed_lstm.resize(lstm_layers_.size());
+  for (std::size_t l = 0; l < lstm_layers_.size(); ++l) {
+    pack_transb(lstm_layers_[l].weight().value, scratch.packed_lstm[l]);
   }
-  Matrix concat;
-  Matrix gates;
-  for (std::size_t t = 0; t < config_.window; ++t) {
-    const Matrix* x = &inputs[t];
-    for (std::size_t l = 0; l < lstm_layers_.size(); ++l) {
-      if (quantized_) {
-        lstm_layers_[l].step_quantized(*x, states[l], quantized_->lstm[l],
-                                       concat, gates);
-      } else {
-        lstm_layers_[l].step(*x, states[l], concat, gates);
-      }
-      x = &states[l].h;
-    }
-  }
-  Matrix logits;
-  if (quantized_) {
-    matmul_quant(states.back().h, quantized_->output, logits);
-  } else {
-    matmul_transb(states.back().h, output_.weight().value, logits);
-  }
-  add_row_vector(logits, output_.bias().value);
-  softmax(logits, probs);
+  pack_transb(output_.weight().value, scratch.packed_output);
 }
 
 void SequenceModel::forward_probs(const SeqExample* const* batch,
@@ -239,8 +222,8 @@ void SequenceModel::forward_probs(const SeqExample* const* batch,
                                        quantized_->lstm[l], scratch.concat,
                                        scratch.gates);
       } else {
-        lstm_layers_[l].step(*x, scratch.states[l], scratch.concat,
-                             scratch.gates);
+        lstm_layers_[l].step(*x, scratch.states[l], scratch.packed_lstm[l],
+                             scratch.concat, scratch.gates);
       }
       x = &scratch.states[l].h;
     }
@@ -249,8 +232,8 @@ void SequenceModel::forward_probs(const SeqExample* const* batch,
     matmul_quant(scratch.states.back().h, quantized_->output,
                  scratch.logits);
   } else {
-    matmul_transb(scratch.states.back().h, output_.weight().value,
-                  scratch.logits);
+    matmul_transb_packed(scratch.states.back().h, output_.weight().value,
+                         scratch.packed_output, scratch.logits);
   }
   add_row_vector(scratch.logits, output_.bias().value);
   softmax(scratch.logits, scratch.probs);
@@ -264,6 +247,7 @@ void SequenceModel::score_batched(std::span<const SeqExample* const> batch,
   NFV_CHECK(out.size() == batch.size(),
             "score_batched output size " << out.size() << " != batch size "
                                          << batch.size());
+  pack_weights(scratch);
   for (std::size_t start = 0; start < batch.size(); start += batch_size) {
     const std::size_t n = std::min(batch_size, batch.size() - start);
     forward_probs(batch.data() + start, n, scratch);
@@ -280,6 +264,7 @@ void SequenceModel::score_ranks_batched(
   NFV_CHECK(out.size() == batch.size(),
             "score_ranks_batched output size "
                 << out.size() << " != batch size " << batch.size());
+  pack_weights(scratch);
   for (std::size_t start = 0; start < batch.size(); start += batch_size) {
     const std::size_t n = std::min(batch_size, batch.size() - start);
     forward_probs(batch.data() + start, n, scratch);

@@ -83,6 +83,11 @@ class SequenceModel {
   struct InferenceScratch {
     std::vector<Matrix> inputs;    // k × (B × input_width)
     std::vector<LstmState> states; // one per LSTM layer
+    // fp32 weights packed for matmul_transb_packed (pack_transb), once per
+    // scoring call: every time step and sub-batch of the call reuses them.
+    // Unused in quantized mode, whose int8 image is packed at calibration.
+    std::vector<std::vector<float>> packed_lstm;  // one per LSTM layer
+    std::vector<float> packed_output;
     Matrix concat;                 // Lstm::step concat scratch
     Matrix gates;                  // Lstm::step gate scratch
     Matrix logits;
@@ -92,11 +97,11 @@ class SequenceModel {
   /// Batched forward-only scoring: the log-likelihood of each example's
   /// observed target, processed in fused sub-batches of at most
   /// `batch_size` rows. Built on Lstm::step/make_state, so no BPTT caches
-  /// are materialized. Every row's arithmetic is independent of its batch
-  /// neighbours (per-row embedding gather, per-row GEMM dot products,
-  /// per-row softmax), so results are bit-identical to
-  /// score_log_likelihood for ANY batch size and any thread count.
-  /// `out.size()` must equal `batch.size()`.
+  /// are materialized; the weights are packed once per call. Every row's
+  /// arithmetic is independent of its batch neighbours (per-row embedding
+  /// gather, per-row GEMM dot products, per-row softmax), so results are
+  /// bit-identical to score_log_likelihood for ANY batch size and any
+  /// thread count. `out.size()` must equal `batch.size()`.
   void score_batched(std::span<const SeqExample* const> batch,
                      std::size_t batch_size, InferenceScratch& scratch,
                      std::span<double> out) const;
@@ -169,8 +174,12 @@ class SequenceModel {
                     std::vector<Matrix>& inputs,
                     std::vector<std::vector<std::int32_t>>* ids_steps) const;
 
+  /// Pack the fp32 gate matrices and output head into scratch (no-op in
+  /// quantized mode). Called once per scoring call, before forward_probs.
+  void pack_weights(InferenceScratch& scratch) const;
+
   /// Forward one fused sub-batch through the stepped (cache-free) LSTM
-  /// stack into scratch.probs.
+  /// stack into scratch.probs. The weights must be packed already.
   void forward_probs(const SeqExample* const* batch, std::size_t batch_size,
                      InferenceScratch& scratch) const;
 

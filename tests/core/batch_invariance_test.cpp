@@ -191,8 +191,9 @@ std::vector<ml::SeqExample> make_examples(std::size_t count,
 }
 
 // The fp32 model's fused scoring entry points against its serial
-// references, for fused batch sizes that split the 23 windows unevenly
-// (1, 5), leave one partial batch (64) or match the detector's
+// references, for fused batch sizes that run only the kernels' 1-row tail
+// (1, 2, 3), split the 130 windows into tile-plus-tail batches (5, 7, 9,
+// 63), leave one partial batch (64) or match the detector's
 // LstmDetector::kScoreBatch (1024), at 1 and 4 threads. One scratch is
 // reused across every call, as a caller scoring many batches would.
 TEST(BatchInvarianceTest, ModelBatchedScoringMatchesSerialForAnyBatchSize) {
@@ -205,7 +206,7 @@ TEST(BatchInvarianceTest, ModelBatchedScoringMatchesSerialForAnyBatchSize) {
   const ml::SequenceModel model(config, rng);  // untrained weights suffice
 
   const std::vector<ml::SeqExample> examples =
-      make_examples(23, config.window, config.vocab, 99);
+      make_examples(130, config.window, config.vocab, 99);
   std::vector<const ml::SeqExample*> windows;
   std::vector<double> serial_ll;
   std::vector<std::size_t> serial_ranks;
@@ -219,7 +220,8 @@ TEST(BatchInvarianceTest, ModelBatchedScoringMatchesSerialForAnyBatchSize) {
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     nfv::util::set_global_threads(threads);
     for (const std::size_t batch_size :
-         {std::size_t{1}, std::size_t{5}, std::size_t{64},
+         {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{5},
+          std::size_t{7}, std::size_t{9}, std::size_t{63}, std::size_t{64},
           LstmDetector::kScoreBatch}) {
       std::vector<double> ll(windows.size());
       model.score_batched(windows, batch_size, scratch, ll);

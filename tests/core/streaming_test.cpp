@@ -492,6 +492,43 @@ TEST(StreamMonitorGroupEdgeCases, RepeatedFlushIsIdempotent) {
   EXPECT_EQ(monitor.run_length(), run);
 }
 
+// A multi-year silence inside a stream must neither drop nor shift
+// windows: every position with `window` predecessors is scored with its
+// own time and its own window's score, and a group flush scores every
+// staged window as immediate ingestion would.
+TEST_F(StreamingFixture, MultiYearGapStillScoresEveryPosition) {
+  std::vector<ParsedLog> logs = motif_stream(3);
+  logs.resize(10);
+  for (std::size_t i = 5; i < logs.size(); ++i) {
+    logs[i].time = logs[i].time + Duration::of_days(4000);
+  }
+  const std::vector<ScoredEvent> events = detector.score(logs, 8);
+  ASSERT_EQ(events.size(), logs.size() - 4);
+  for (std::size_t e = 0; e < events.size(); ++e) {
+    EXPECT_EQ(events[e].time, logs[4 + e].time) << "event " << e;
+    // The window ending at line 4 + e, with one line before it (when
+    // there is one) so its first Δt matches the full stream's.
+    const std::size_t first = e == 0 ? 0 : e - 1;
+    const std::vector<ScoredEvent> slice =
+        detector.score(LogView{logs.data() + first, 5 + e - first}, 8);
+    ASSERT_FALSE(slice.empty()) << "window ending at line " << 4 + e;
+    EXPECT_EQ(events[e].score, slice.back().score) << "event " << e;
+  }
+
+  StreamMonitor monitor(0, &detector, &tree, monitor_config(1e9), nullptr);
+  StreamMonitorGroup group(&detector);
+  group.add(&monitor);
+  for (const ParsedLog& log : logs) group.ingest_parsed(0, log);
+  const std::vector<double> scores = group.flush();
+  ASSERT_EQ(scores.size(), logs.size());
+  for (std::size_t e = 0; e < events.size(); ++e) {
+    const std::vector<ScoredEvent> staged =
+        detector.score(LogView{logs.data() + e, 5}, 8);
+    ASSERT_EQ(staged.size(), 1u) << "line " << 4 + e;
+    EXPECT_EQ(scores[4 + e], staged[0].score) << "line " << 4 + e;
+  }
+}
+
 TEST_F(StreamingFixture, TargetRankModeOrdersLikeDeepLog) {
   LstmDetectorConfig config = make_config();
   config.score_mode = LstmScoreMode::kTargetRank;

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <vector>
+
 #include "util/check.h"
+#include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace nfv::ml {
 namespace {
@@ -114,6 +119,80 @@ TEST(MatmulTransB, MatchesExplicitTranspose) {
   for (std::size_t i = 0; i < got.size(); ++i) {
     EXPECT_NEAR(got.data()[i], expected.data()[i], 1e-4f);
   }
+}
+
+/// Every product entry point against an in-test chain over k in ascending
+/// order — `acc = fma(a, b, acc)` in the SIMD tier, `acc = acc + a·b` in
+/// the baseline tier — for row counts that exercise the 4-row tile, the
+/// 1-row tail and batches of 1–3 rows, column counts around the 8-column
+/// panel (the zero-padded last panel) and the 16-column main tile, and
+/// reduction depths of the scoring and training shapes. Exact equality, at
+/// 1 and 4 threads (65×128×64 crosses the parallel row-block threshold).
+TEST(PackedKernels, ShapeSweepMatchesKAscendingChainInBothTiers) {
+  const bool simd_default = simd_kernels_enabled();
+  nfv::util::Rng rng(17);
+  const auto fill = [&](Matrix& m) {
+    for (float& x : m.storage()) x = static_cast<float>(rng.uniform(-1, 1));
+  };
+  const std::vector<std::size_t> row_counts = {1, 2,  3,  4,  5,  6,  7, 8,
+                                               9, 10, 11, 12, 13, 63, 64, 65};
+  for (const bool simd : {true, false}) {
+    set_simd_kernels_enabled(simd);
+    const bool fused = simd_kernels_enabled();  // false without AVX2+FMA
+    const auto chain = [fused](const float* a, const float* b,
+                               std::size_t b_stride, std::size_t kn) {
+      float acc = 0.0f;
+      for (std::size_t k = 0; k < kn; ++k) {
+        acc = fused ? std::fma(a[k], b[k * b_stride], acc)
+                    : acc + a[k] * b[k * b_stride];
+      }
+      return acc;
+    };
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      nfv::util::set_global_threads(threads);
+      for (const std::size_t kn : {1, 17, 49, 64}) {
+        for (const std::size_t cols : {1, 7, 8, 9, 16, 17, 24, 76, 128}) {
+          Matrix w(cols, kn);  // matmul_transb operand (C×K)
+          Matrix wt(kn, cols);  // the same weights for plain matmul (K×C)
+          fill(w);
+          for (std::size_t c = 0; c < cols; ++c) {
+            for (std::size_t k = 0; k < kn; ++k) wt.at(k, c) = w.at(c, k);
+          }
+          std::vector<float> packed_t;
+          std::vector<float> packed_b;
+          pack_transb(w, packed_t);
+          pack_matmul_b(wt, packed_b);
+          for (const std::size_t rows : row_counts) {
+            Matrix a(rows, kn);
+            fill(a);
+            Matrix transb, transb_packed, plain, plain_packed;
+            matmul_transb(a, w, transb);
+            matmul_transb_packed(a, w, packed_t, transb_packed);
+            matmul(a, wt, plain);
+            matmul_packed(a, wt, packed_b, plain_packed);
+            for (std::size_t i = 0; i < rows; ++i) {
+              for (std::size_t j = 0; j < cols; ++j) {
+                const float want = chain(a.row(i), w.row(j), 1, kn);
+                ASSERT_EQ(transb.at(i, j), want)
+                    << "transb simd=" << simd << " threads=" << threads
+                    << " " << rows << "x" << kn << "x" << cols << " at ("
+                    << i << "," << j << ")";
+                ASSERT_EQ(transb_packed.at(i, j), want)
+                    << "transb_packed " << rows << "x" << kn << "x" << cols;
+                ASSERT_EQ(plain.at(i, j), chain(a.row(i), wt.data() + j,
+                                                cols, kn))
+                    << "matmul " << rows << "x" << kn << "x" << cols;
+                ASSERT_EQ(plain_packed.at(i, j), plain.at(i, j))
+                    << "matmul_packed " << rows << "x" << kn << "x" << cols;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  nfv::util::set_global_threads(0);
+  set_simd_kernels_enabled(simd_default);
 }
 
 TEST(MatmulTransAAccumulate, AccumulatesGradientShape) {

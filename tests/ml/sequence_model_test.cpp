@@ -5,6 +5,8 @@
 #include <sstream>
 
 #include "ml/loss.h"
+#include "ml/lstm.h"
+#include "ml/matrix.h"
 #include "ml/optimizer.h"
 #include "util/check.h"
 #include "util/rng.h"
@@ -127,6 +129,37 @@ TEST(SequenceModel, PredictMatchesTrainingForwardPass) {
   zero_lr.bind(model.params());
   const double loss = model.train_batch(batch, zero_lr);
   EXPECT_NEAR(loss, expected, 1e-4);
+}
+
+// Inference stepping runs the training forward's gate and cell kernels:
+// k Lstm::step calls reproduce forward()'s last hidden state bit for bit in
+// both kernel tiers, at batch sizes that hit the 1-row GEMM tail and the
+// 4-row tile. Hidden 12 also leaves a 4-element tail after the 8-wide
+// vector cell loop.
+TEST(LstmStep, ReproducesForwardLastHiddenInBothTiers) {
+  const bool simd_default = simd_kernels_enabled();
+  for (const bool simd : {true, false}) {
+    set_simd_kernels_enabled(simd);
+    for (const std::size_t batch : {1, 7, 64}) {
+      Rng rng(11);
+      Lstm lstm("lstm", 5, 12, rng);
+      std::vector<Matrix> inputs(6, Matrix(batch, 5));
+      for (Matrix& x : inputs) {
+        for (float& v : x.storage()) v = static_cast<float>(rng.uniform(-2, 2));
+      }
+      const Matrix last = lstm.forward(inputs).back();
+
+      std::vector<float> packed;
+      pack_transb(lstm.weight().value, packed);
+      LstmState state = lstm.make_state(batch);
+      Matrix concat;
+      Matrix gates;
+      for (const Matrix& x : inputs) lstm.step(x, state, packed, concat, gates);
+      EXPECT_EQ(state.h.storage(), last.storage())
+          << "simd " << simd << " batch " << batch;
+    }
+  }
+  set_simd_kernels_enabled(simd_default);
 }
 
 TEST(SequenceModel, CopyYieldsIndependentTwin) {

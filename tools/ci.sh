@@ -23,7 +23,8 @@
 # cross-vPE template dedup, copy-on-write divergence) and run in both
 # the regular and TSan legs. The quantized-scoring leg runs the quant-labelled
 # tests, the bench_scoring_throughput --smoke rank-agreement /
-# tier-bit-identity gates, and an ASan build of the int8 kernels.
+# tier-bit-identity gates, and an ASan build of the int8 kernels and of the
+# fp32 packed kernels (test_ml_grad's shape sweep reads every panel tail).
 #
 # Usage: tools/ci.sh [jobs]
 set -euo pipefail
@@ -66,12 +67,13 @@ ctest --test-dir "$ROOT/build" -L quant --output-on-failure -j "$JOBS"
 cmake --build "$ROOT/build" -j "$JOBS" --target bench_scoring_throughput
 "$ROOT/build/bench/bench_scoring_throughput" --smoke
 
-echo "=== ASan: logproc fast path (interner, AVX2 tokenizer, alloc hook) + int8 kernels ==="
+echo "=== ASan: logproc fast path (interner, AVX2 tokenizer, alloc hook) + int8 and fp32 packed kernels ==="
 cmake -B "$ROOT/build-asan" -S "$ROOT" -DNFVPRED_SANITIZE=address
-cmake --build "$ROOT/build-asan" -j "$JOBS" --target test_logproc --target test_logproc_alloc --target test_quant
+cmake --build "$ROOT/build-asan" -j "$JOBS" --target test_logproc --target test_logproc_alloc --target test_quant --target test_ml_grad
 "$ROOT/build-asan/tests/test_logproc"
 "$ROOT/build-asan/tests/test_logproc_alloc"
 "$ROOT/build-asan/tests/test_quant"
+"$ROOT/build-asan/tests/test_ml_grad"
 
 echo "=== continual learning: online retrain + hot swap + adapt safety ==="
 ctest --test-dir "$ROOT/build" -L continual --output-on-failure -j "$JOBS"
