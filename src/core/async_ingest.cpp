@@ -98,7 +98,7 @@ void AsyncIngest::start() {
 void AsyncIngest::push_item(std::size_t shard, Item item) {
   NFV_CHECK(started_ && !stopped_, "submit outside start()..stop()");
   NFV_CHECK(shard < shards_.size(), "unknown shard " << shard);
-  if (config_.instrument) item.enqueue_ns = now_ns();
+  item.enqueue_ns = now_ns();
   lines_submitted_.fetch_add(1, std::memory_order_relaxed);
   const bool pushed =
       workers_[shards_[shard]->worker]->queue.push(std::move(item));
@@ -108,7 +108,7 @@ void AsyncIngest::push_item(std::size_t shard, Item item) {
 bool AsyncIngest::try_push_item(std::size_t shard, Item&& item) {
   NFV_CHECK(started_ && !stopped_, "submit outside start()..stop()");
   NFV_CHECK(shard < shards_.size(), "unknown shard " << shard);
-  if (config_.instrument) item.enqueue_ns = now_ns();
+  item.enqueue_ns = now_ns();
   if (!workers_[shards_[shard]->worker]->queue.try_push(std::move(item))) {
     rejected_submits_.fetch_add(1, std::memory_order_relaxed);
     return false;
@@ -481,7 +481,6 @@ RuntimeStatsSnapshot AsyncIngest::snapshot() const {
 
 void AsyncIngest::worker_loop(std::size_t index) {
   Worker& worker = *workers_[index];
-  const bool instrument = config_.instrument;
   const std::chrono::microseconds flush_deadline = config_.flush_deadline;
 
   // Per-worker micro-batching group over this worker's shards only.
@@ -568,12 +567,9 @@ void AsyncIngest::worker_loop(std::size_t index) {
       ls.shard->pub_held.store(ls.hold.size(), std::memory_order_relaxed);
       ls.shard->pub_tree_bytes.store(ls.shard->tree->memory_bytes(),
                                      std::memory_order_relaxed);
-      if (instrument) {
-        const auto& buckets = ls.latency.buckets();
-        for (std::size_t i = 0; i < buckets.size(); ++i) {
-          ls.shard->pub_latency[i].store(buckets[i],
-                                         std::memory_order_relaxed);
-        }
+      const auto& buckets = ls.latency.buckets();
+      for (std::size_t i = 0; i < buckets.size(); ++i) {
+        ls.shard->pub_latency[i].store(buckets[i], std::memory_order_relaxed);
       }
     }
     worker.stat_seq.store(seq + 2, std::memory_order_release);
@@ -587,16 +583,14 @@ void AsyncIngest::worker_loop(std::size_t index) {
     flushes_.fetch_add(1, std::memory_order_relaxed);
     lines_scored_.fetch_add(staged.size(), std::memory_order_relaxed);
     ++flushes_local;
-    const std::uint64_t scored = instrument ? now_ns() : 0;
+    const std::uint64_t scored = now_ns();
     for (const auto& [local, submitted] : staged) {
       // Re-listed here too: an idle publish between staging and this
       // flush already unlisted the shard, but its warnings and latency
       // change only now.
       mark(local);
-      if (instrument) {
-        locals[local].latency.record(scored > submitted ? scored - submitted
-                                                        : 0);
-      }
+      locals[local].latency.record(scored > submitted ? scored - submitted
+                                                      : 0);
     }
     staged.clear();
     publish_stats();

@@ -59,8 +59,8 @@
 // owned); an untouched shard's slots already hold its current values.
 // Histogram buckets publish with the counters, so they are current at
 // every published epoch (latency total <= lines in any live cut, equal
-// after flush()), and the instrumentation stays within its <=2%
-// lines/sec gate. Queue-depth gauges and
+// after flush()). The histograms are always on: one clock read per
+// submit and one per flushed batch. Queue-depth gauges and
 // backpressure-stall counters come from the rings themselves. Latency is
 // measured submit -> micro-batch scored; warnings are published inside
 // that interval, so the histogram upper-bounds ingest-to-warning latency
@@ -73,7 +73,7 @@
 //     buffer (mined/scored only on resume). The hold is unbounded today:
 //     the worker keeps popping the paused shard's lines into it, so its
 //     queue never fills and backpressure never engages — memory grows
-//     with the pause (ROADMAP item 5);
+//     with the pause (ROADMAP item 4);
 //   - resume_shard(): the hold buffer replays in order, so the per-vPE
 //     warning stream is unchanged by any pause/resume schedule;
 //   - swap_detector() (epoch barrier, below) and snapshot()/stats_json()
@@ -166,11 +166,6 @@ struct AsyncIngestConfig {
   /// losslessly (and still in per-vPE order) into per-worker buffers, so
   /// an undrained caller never blocks or crashes the workers.
   std::size_t warning_capacity = 4096;
-  /// Per-shard ingest-to-scored latency histograms (submit timestamps +
-  /// one clock read per flushed batch). Counters, gauges and the command
-  /// plane stay on regardless; bench_ingest_throughput gates the
-  /// instrumented/uninstrumented gap at <= 2% lines/sec.
-  bool instrument = true;
   /// Online continual learning: run the background trainer thread (see
   /// the file comment). Requires the detector passed to the constructor
   /// to be an LstmDetector (checked at start()).
@@ -336,7 +331,7 @@ class AsyncIngest {
     bool raw = false;
     logproc::ParsedLog log;  // time doubles as the raw line's timestamp
     std::string line;
-    std::uint64_t enqueue_ns = 0;  // steady-clock submit stamp (instrument)
+    std::uint64_t enqueue_ns = 0;  // steady-clock submit stamp
   };
 
   struct ShardCommand {

@@ -40,8 +40,8 @@ const char* to_string(DetectorKind kind);
 /// logs per event, so a single over-threshold document is a detection.
 enum class EventGranularity { kPerLog, kPerDocument };
 
-/// Resident model-memory footprint of a detector — the bytes/vPE axis of
-/// the fleet-scale soak plan. `weight_bytes_fp32` counts the fp32
+/// Resident model-memory footprint of a detector — the model share of a
+/// fleet's bytes/vPE. `weight_bytes_fp32` counts the fp32
 /// parameter values; `weight_bytes_quantized` the int8 scoring sidecar
 /// (0 when the detector scores in fp32). Detectors without a
 /// parameterized model report all-zero.

@@ -106,9 +106,9 @@ struct ShardStatsSnapshot {
   // reported once, fleet-wide, in FleetMemoryStats).
   std::uint64_t tree_bytes = 0;
   HistogramSnapshot latency;   // ingest -> scored/warning-published (ns)
-  // Resident model memory of the detector scoring this shard (bytes/vPE
-  // for the fleet-soak read; every shard of one AsyncIngest shares the
-  // detector, so these repeat the runtime-wide figures).
+  // Resident model memory of the detector scoring this shard (every
+  // shard of one AsyncIngest shares the detector, so these repeat the
+  // runtime-wide figures).
   std::uint64_t model_bytes_fp32 = 0;
   std::uint64_t model_bytes_quantized = 0;  // 0 = fp32-only scoring
   bool model_quantized = false;
@@ -128,7 +128,7 @@ struct RuntimeTotals {
 /// counted ONCE, however many vPEs resolve against them — never
 /// re-summed per shard) plus the sum/max of per-shard tree bytes (whose
 /// memory_bytes() deliberately exclude the shared structures).
-/// bytes_per_vpe is the soak bench's headline figure:
+/// bytes_per_vpe is the benchmark ledger's memory figure:
 /// (arena + forest + sum of tree bytes) / shards — model weights are
 /// reported separately in the per-shard ModelMemoryStats block (also
 /// shared fleet-wide, so adding them here would double-count per vPE).

@@ -63,8 +63,8 @@ class TemplateCatalog {
 
   /// Deterministic render: the variable fields are drawn from a fresh
   /// generator seeded with (id, salt), so the same (id, salt) pair yields
-  /// the same line on every call. This is what lets the fleet soak bench
-  /// regenerate a multi-million-line 10k-vPE workload for its serial
+  /// the same line on every call. This is what lets a fleet workload
+  /// regenerate a multi-million-line 10k-vPE stream for its serial
   /// replay instead of holding every line in memory.
   std::string render_seeded(std::int32_t id, std::uint64_t salt) const;
 

@@ -1,6 +1,7 @@
 // Async streaming ingest runtime: the per-vPE warning stream produced by
 // AsyncIngest must be byte-for-byte the serial StreamMonitor replay for
-// ANY worker count / flush batch / deadline (deterministic mode), lines
+// ANY worker count / flush batch / deadline (deterministic mode), from
+// raw lines and from the same lines pre-mined (submit_parsed), lines
 // must survive tiny-queue backpressure losslessly, multiple producers may
 // feed the runtime concurrently, and the epoch-barrier detector swap must
 // match a serial swap at the same stream position. Runs under TSan via
@@ -184,6 +185,17 @@ TEST_F(AsyncIngestTest, WarningStreamDeterministicForAnyWorkerCount) {
   for (const auto& per_vpe : serial) serial_total += per_vpe.size();
   ASSERT_GT(serial_total, 0u) << "vacuous comparison";
 
+  // The same lines pre-mined by a primed tree, for the submit_parsed input.
+  std::vector<std::vector<ParsedLog>> mined(kVpes);
+  for (std::size_t v = 0; v < kVpes; ++v) {
+    SignatureTree tree;
+    prime_tree(tree);
+    for (std::size_t i = 0; i < kTestLen; ++i) {
+      mined[v].push_back(
+          {line_time(i), tree.learn(make_line(test_shape(v, i), i))});
+    }
+  }
+
   struct Variant {
     std::size_t workers;
     std::size_t flush_batch;
@@ -195,38 +207,45 @@ TEST_F(AsyncIngestTest, WarningStreamDeterministicForAnyWorkerCount) {
       {3, 7, std::chrono::microseconds(0)},
       {4, 256, std::chrono::microseconds(500)},
   };
-  for (const Variant& variant : variants) {
-    AsyncIngestConfig config;
-    config.workers = variant.workers;
-    config.flush_batch = variant.flush_batch;
-    config.flush_deadline = variant.deadline;
-    config.queue_capacity = 64;
-    AsyncIngest ingest(&detector(), config);
-    for (std::size_t v = 0; v < kVpes; ++v) {
-      const std::size_t shard = ingest.add_shard(
-          static_cast<std::int32_t>(v), monitor_config(threshold()));
-      ASSERT_EQ(shard, v);
-      prime_tree(ingest.mutable_tree(shard));
-    }
-    ingest.start();
-    // One producer, lines interleaved across vPEs in global arrival order
-    // (per-vPE order is what determinism is defined over).
-    for (std::size_t i = 0; i < kTestLen; ++i) {
+  for (const bool parsed : {false, true}) {
+    for (const Variant& variant : variants) {
+      AsyncIngestConfig config;
+      config.workers = variant.workers;
+      config.flush_batch = variant.flush_batch;
+      config.flush_deadline = variant.deadline;
+      config.queue_capacity = 64;
+      AsyncIngest ingest(&detector(), config);
       for (std::size_t v = 0; v < kVpes; ++v) {
-        ingest.submit(v, line_time(i), make_line(test_shape(v, i), i));
+        const std::size_t shard = ingest.add_shard(
+            static_cast<std::int32_t>(v), monitor_config(threshold()));
+        ASSERT_EQ(shard, v);
+        prime_tree(ingest.mutable_tree(shard));
       }
+      ingest.start();
+      // One producer, lines interleaved across vPEs in global arrival
+      // order (per-vPE order is what determinism is defined over).
+      for (std::size_t i = 0; i < kTestLen; ++i) {
+        for (std::size_t v = 0; v < kVpes; ++v) {
+          if (parsed) {
+            ingest.submit_parsed(v, mined[v][i]);
+          } else {
+            ingest.submit(v, line_time(i), make_line(test_shape(v, i), i));
+          }
+        }
+      }
+      ingest.flush();
+      ingest.stop();
+      std::vector<StreamWarning> drained;
+      ingest.drain_warnings(drained);
+      const std::string label =
+          std::string(parsed ? "parsed" : "raw") +
+          " workers=" + std::to_string(variant.workers) +
+          " flush_batch=" + std::to_string(variant.flush_batch);
+      expect_same_warnings(serial, drained, label);
+      const AsyncIngestStats stats = ingest.stats();
+      EXPECT_EQ(stats.lines_submitted, kTestLen * kVpes) << label;
+      EXPECT_EQ(stats.lines_scored, kTestLen * kVpes) << label;
     }
-    ingest.flush();
-    ingest.stop();
-    std::vector<StreamWarning> drained;
-    ingest.drain_warnings(drained);
-    const std::string label = "workers=" + std::to_string(variant.workers) +
-                              " flush_batch=" +
-                              std::to_string(variant.flush_batch);
-    expect_same_warnings(serial, drained, label);
-    const AsyncIngestStats stats = ingest.stats();
-    EXPECT_EQ(stats.lines_submitted, kTestLen * kVpes) << label;
-    EXPECT_EQ(stats.lines_scored, kTestLen * kVpes) << label;
   }
 }
 

@@ -14,7 +14,7 @@
 //   - set_quantized() is a reversible toggle: dropping the sidecar
 //     restores bit-exact fp32 scoring;
 //   - AsyncIngest::stats_json() reports the per-detector model memory so
-//     the fleet-soak bytes/vPE axis is observable at runtime.
+//     the fleet bytes/vPE axis is observable at runtime.
 #include <gtest/gtest.h>
 
 #include <sstream>

@@ -248,32 +248,6 @@ TEST(RuntimeStatsSnapshotTest, SameTraceSameFinalCountersForAnyWorkerCount) {
   }
 }
 
-TEST(RuntimeStatsSnapshotTest, UninstrumentedRunKeepsCountersDropsLatency) {
-  StepDetector detector;
-  AsyncIngestConfig config;
-  config.workers = 2;
-  config.instrument = false;
-  AsyncIngest ingest(&detector, config);
-  StreamMonitorConfig monitor;
-  monitor.threshold = 10.0;
-  monitor.window = 4;
-  for (std::size_t v = 0; v < 3; ++v) {
-    ingest.add_shard(static_cast<std::int32_t>(v), monitor);
-  }
-  ingest.start();
-  for (std::size_t i = 0; i < 200; ++i) {
-    for (std::size_t v = 0; v < 3; ++v) ingest.submit_parsed(v, trace_log(v, i));
-  }
-  ingest.flush();
-  ingest.stop();
-  const RuntimeStatsSnapshot snap = ingest.snapshot();
-  EXPECT_EQ(snap.totals.lines_scored, 600u);
-  for (const ShardStatsSnapshot& shard : snap.shards) {
-    EXPECT_EQ(shard.lines, 200u);            // counters stay on
-    EXPECT_EQ(shard.latency.total(), 0u);    // histograms gated off
-  }
-}
-
 TEST(RuntimeStatsSnapshotTest, JsonDumpRoundTripsThroughTheParser) {
   StepDetector detector;
   AsyncIngestConfig config;

@@ -6,18 +6,26 @@
 // capacity caps spill to per-tree private nodes without changing what
 // is mined, and concurrent multi-tree admission / lock-free matching
 // is race-free (the stress tests are what tools/ci.sh runs under
-// ThreadSanitizer: ctest -L forest).
+// ThreadSanitizer: ctest -L forest). The fleet test drives the async
+// runtime on a simnet catalog fleet and pins the point of the sharing:
+// bytes/vPE below one private tree per vPE, with the warning stream
+// still byte-for-byte the serial replay.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/async_ingest.h"
+#include "core/lstm_detector.h"
 #include "logproc/shared_forest.h"
 #include "logproc/signature_tree.h"
+#include "simnet/template_catalog.h"
 #include "util/interner.h"
+#include "util/stats.h"
 
 namespace nfv::logproc {
 namespace {
@@ -268,6 +276,161 @@ TEST(SharedForestStressTest, LockFreeMatchRacesForestAdmission) {
   for (std::thread& t : threads) t.join();
   // The writer's templates actually landed next to the warm ones.
   EXPECT_GT(forest.size(), readers[0].size());
+}
+
+// ---- Fleet memory gate: the async runtime on a catalog-driven fleet ----
+
+constexpr std::size_t kWindow = 4;
+constexpr std::int64_t kStepSeconds = 30;
+
+/// Mine every catalog template once, in catalog order: identical ids in
+/// every tree primed this way, aligned with the detector vocabulary.
+void prime_with_catalog(SignatureTree& tree,
+                        const simnet::TemplateCatalog& catalog) {
+  for (const simnet::LogTemplate& t : catalog.all()) {
+    tree.learn(catalog.render_seeded(t.id, 0));
+  }
+}
+
+struct CatalogFleet {
+  simnet::TemplateCatalog catalog = simnet::TemplateCatalog::standard();
+  std::vector<std::int32_t> normal_ids;  // normal + maintenance templates
+  core::LstmDetector detector;
+  double threshold = 0.0;
+
+  CatalogFleet() {
+    for (const auto kind : {simnet::TemplateKind::kNormal,
+                            simnet::TemplateKind::kMaintenance}) {
+      for (const std::int32_t id : catalog.ids_of_kind(kind)) {
+        normal_ids.push_back(id);
+      }
+    }
+    SignatureTree tree;
+    prime_with_catalog(tree, catalog);
+    std::vector<std::vector<ParsedLog>> streams(4);
+    for (std::size_t v = 0; v < streams.size(); ++v) {
+      for (std::size_t i = 0; i < 400; ++i) {
+        streams[v].push_back({time(i), tree.learn(normal_line(v, i))});
+      }
+    }
+    core::LstmDetectorConfig config;
+    config.window = kWindow;
+    config.embed_dim = 8;
+    config.hidden = 16;
+    config.initial_epochs = 1;
+    config.max_train_windows = 1200;
+    config.oversample = false;
+    config.seed = 20260809;
+    detector = core::LstmDetector(config);
+    std::vector<core::LogView> views(streams.begin(), streams.end());
+    detector.fit(views, tree.size());
+    std::vector<double> scores;
+    for (const auto& stream : streams) {
+      for (const core::ScoredEvent& e : detector.score(stream, tree.size())) {
+        scores.push_back(e.score);
+      }
+    }
+    threshold = nfv::util::quantile(scores, 0.995);
+  }
+
+  static nfv::util::SimTime time(std::size_t i) {
+    return nfv::util::SimTime{static_cast<std::int64_t>(i) * kStepSeconds};
+  }
+  std::string normal_line(std::size_t vpe, std::size_t i) const {
+    const std::int32_t id =
+        normal_ids[(i * 7 + vpe * 3 + i / 31) % normal_ids.size()];
+    return catalog.render_seeded(
+        id, (static_cast<std::uint64_t>(vpe) << 32) | i);
+  }
+  /// Normal traffic, except pairs of two fault shapes NOT in the catalog
+  /// (letters-only heads, so the tokenizer keeps them stable) that are
+  /// mined online onto ids >= the model vocabulary. Each pair lands 30 s
+  /// apart, inside the 2-minute cluster span.
+  std::string line(std::size_t vpe, std::size_t i) const {
+    if (i % 47 != 20 && i % 47 != 21) return normal_line(vpe, i);
+    return std::string(vpe % 2 == 0 ? "zulufault cascade overload detected"
+                                    : "yankeefault thermal runaway shutdown") +
+           " code " + std::to_string(i);
+  }
+  core::StreamMonitorConfig monitor_config() const {
+    core::StreamMonitorConfig config;
+    config.threshold = threshold;
+    config.window = kWindow;
+    return config;
+  }
+};
+
+// 48 vPEs x 120 catalog lines through AsyncIngest with primed trees. The
+// shared arena and forest must cut bytes/vPE (their own bytes charged
+// against it) below the private baseline, the mean memory_bytes() of the
+// serial replay's own trees, and the warnings must match that replay at
+// 1 and 3 workers.
+TEST(SharedForestFleetTest,
+     RuntimeBytesPerVpeBeatPrivateTreesWithSerialParity) {
+  constexpr std::size_t kVpes = 48;
+  constexpr std::size_t kLines = 120;
+  const CatalogFleet fleet;
+
+  std::vector<core::StreamWarning> serial;
+  std::uint64_t private_bytes = 0;
+  for (std::size_t v = 0; v < kVpes; ++v) {
+    SignatureTree tree;
+    prime_with_catalog(tree, fleet.catalog);
+    core::StreamMonitor monitor(
+        static_cast<std::int32_t>(v), &fleet.detector, &tree,
+        fleet.monitor_config(),
+        [&serial](const core::StreamWarning& w) { serial.push_back(w); });
+    for (std::size_t i = 0; i < kLines; ++i) {
+      monitor.ingest(CatalogFleet::time(i), fleet.line(v, i));
+    }
+    private_bytes += tree.memory_bytes();
+  }
+  ASSERT_FALSE(serial.empty())
+      << "vacuous: the serial replay raised no warning";
+  const double private_bytes_per_vpe =
+      static_cast<double>(private_bytes) / static_cast<double>(kVpes);
+
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{3}}) {
+    core::AsyncIngestConfig config;
+    config.workers = workers;
+    config.flush_batch = 64;
+    config.flush_deadline = std::chrono::microseconds(2000);
+    core::AsyncIngest ingest(&fleet.detector, config);
+    for (std::size_t v = 0; v < kVpes; ++v) {
+      const std::size_t shard = ingest.add_shard(static_cast<std::int32_t>(v),
+                                                 fleet.monitor_config());
+      prime_with_catalog(ingest.mutable_tree(shard), fleet.catalog);
+    }
+    ingest.start();
+    for (std::size_t i = 0; i < kLines; ++i) {
+      for (std::size_t v = 0; v < kVpes; ++v) {
+        ingest.submit(v, CatalogFleet::time(i), fleet.line(v, i));
+      }
+    }
+    ingest.flush();
+    const core::FleetMemoryStats memory = ingest.snapshot().memory;
+    ingest.stop();
+    std::vector<core::StreamWarning> drained;
+    ingest.drain_warnings(drained);
+    const std::vector<core::StreamWarning> merged =
+        core::merge_warnings_by_vpe(std::move(drained));
+
+    const std::string label = "workers=" + std::to_string(workers);
+    EXPECT_GT(memory.forest_templates, 0u) << label;
+    EXPECT_LT(memory.bytes_per_vpe, private_bytes_per_vpe) << label;
+    ASSERT_EQ(merged.size(), serial.size()) << label;
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+      EXPECT_EQ(merged[i].vpe, serial[i].vpe) << label << " warning " << i;
+      EXPECT_EQ(merged[i].time.seconds, serial[i].time.seconds)
+          << label << " warning " << i;
+      EXPECT_EQ(merged[i].anomaly_count, serial[i].anomaly_count)
+          << label << " warning " << i;
+      EXPECT_EQ(merged[i].peak_score, serial[i].peak_score)
+          << label << " warning " << i;
+      EXPECT_EQ(merged[i].trigger_template, serial[i].trigger_template)
+          << label << " warning " << i;
+    }
+  }
 }
 
 }  // namespace

@@ -12,19 +12,17 @@
 # batched-inference invariance suite: fused model scoring at any batch
 # size and thread count, cross-stream calls vs per-window calls, and
 # one-call group flushes vs immediate ingestion). The
-# async-ingest smoke also gates the instrumentation overhead at <=2%
-# lines/sec; the fleet-soak smoke gates the runtime's bytes/vPE (shared
-# arena + forest) below the private-tree baseline measured on the serial
-# replay, and warning parity vs that replay at two worker counts; the
-# benchmark ledger's self-test (perfbench/selftest.py) then checks its
-# metric set, its serial-replay parity gate and that gate's --perturb
-# trip. The forest-labelled tests cover
-# the shared signature forest (sequence-interner publication machinery,
-# cross-vPE template dedup, copy-on-write divergence) and run in both
-# the regular and TSan legs. The quantized-scoring leg runs the quant-labelled
-# tests, the bench_scoring_throughput --smoke rank-agreement /
-# tier-bit-identity gates, and an ASan build of the int8 kernels and of the
-# fp32 packed kernels (test_ml_grad's shape sweep reads every panel tail).
+# benchmark ledger's self-test (perfbench/selftest.py) checks its metric
+# set, its serial-replay parity gate and that gate's --perturb trip. The
+# forest-labelled tests cover the shared signature forest (sequence-
+# interner publication machinery, cross-vPE template dedup, copy-on-write
+# divergence, and the fleet memory gate: the async runtime's bytes/vPE
+# below the private-tree baseline with serial warning parity at two
+# worker counts) and run in the regular, TSan and ASan legs. The
+# quantized-scoring leg runs the quant-labelled tests, the
+# bench_scoring_throughput --smoke rank-agreement / tier-bit-identity
+# gates, and an ASan build of the int8 kernels and of the fp32 packed
+# kernels (test_ml_grad's shape sweep reads every panel tail).
 #
 # Usage: tools/ci.sh [jobs]
 set -euo pipefail
@@ -44,20 +42,12 @@ cmake --build "$ROOT/build" -j "$JOBS" --target bench_training_throughput
 echo "=== observability: runtime stats + json round-trip ==="
 ctest --test-dir "$ROOT/build" -L observability --output-on-failure -j "$JOBS"
 
-echo "=== async ingest: serial-equivalence + instrumentation-overhead smoke ==="
-cmake --build "$ROOT/build" -j "$JOBS" --target bench_ingest_throughput
-"$ROOT/build/bench/bench_ingest_throughput" --smoke
-
 echo "=== template mining: fast-path equivalence smoke ==="
 cmake --build "$ROOT/build" -j "$JOBS" --target bench_parsing_throughput
 "$ROOT/build/bench/bench_parsing_throughput" --smoke
 
 echo "=== shared signature forest: dedup + divergence tests ==="
 ctest --test-dir "$ROOT/build" -L forest --output-on-failure -j "$JOBS"
-
-echo "=== fleet soak: bytes/vPE below private baseline + warning-parity smoke ==="
-cmake --build "$ROOT/build" -j "$JOBS" --target bench_fleet_soak
-"$ROOT/build/bench/bench_fleet_soak" --smoke
 
 echo "=== benchmark ledger: metric-set, serial-replay parity and --perturb self-test ==="
 python3 "$ROOT/perfbench/selftest.py"
@@ -67,11 +57,12 @@ ctest --test-dir "$ROOT/build" -L quant --output-on-failure -j "$JOBS"
 cmake --build "$ROOT/build" -j "$JOBS" --target bench_scoring_throughput
 "$ROOT/build/bench/bench_scoring_throughput" --smoke
 
-echo "=== ASan: logproc fast path (interner, AVX2 tokenizer, alloc hook) + int8 and fp32 packed kernels ==="
+echo "=== ASan: logproc fast path (interner, AVX2 tokenizer, alloc hook), shared arena + forest, int8 and fp32 packed kernels ==="
 cmake -B "$ROOT/build-asan" -S "$ROOT" -DNFVPRED_SANITIZE=address
-cmake --build "$ROOT/build-asan" -j "$JOBS" --target test_logproc --target test_logproc_alloc --target test_quant --target test_ml_grad
+cmake --build "$ROOT/build-asan" -j "$JOBS" --target test_logproc --target test_logproc_alloc --target test_forest --target test_quant --target test_ml_grad
 "$ROOT/build-asan/tests/test_logproc"
 "$ROOT/build-asan/tests/test_logproc_alloc"
+"$ROOT/build-asan/tests/test_forest"
 "$ROOT/build-asan/tests/test_quant"
 "$ROOT/build-asan/tests/test_ml_grad"
 

@@ -1,8 +1,23 @@
 # End-to-end CLI chain: simulate → mine → train → score, then the same
-# score through the async streaming ingest runtime.
+# score through the async streaming ingest runtime. Training on a log with
+# fewer than window+1 events fails with exit 2 and writes no model.
 file(MAKE_DIRECTORY ${WORK_DIR})
 set(LOGS ${WORK_DIR}/demo.log)
 set(MODEL ${WORK_DIR}/demo.model)
+
+set(SHORT_LOGS ${WORK_DIR}/short.log)
+set(SHORT_MODEL ${WORK_DIR}/short.model)
+file(REMOVE ${SHORT_MODEL})
+file(WRITE ${SHORT_LOGS} "100 link up on port 1\n130 link down on port 1\n"
+                         "160 link up on port 2\n")
+execute_process(COMMAND ${NFVPRED} train --logs ${SHORT_LOGS}
+                        --model ${SHORT_MODEL} --window 3
+                RESULT_VARIABLE rc ERROR_VARIABLE short_err)
+if(NOT rc EQUAL 2 OR NOT short_err MATCHES "not enough events to train"
+   OR EXISTS ${SHORT_MODEL})
+  message(FATAL_ERROR "train on a short log: expected exit 2, the error "
+                      "and no model file, got ${rc}: ${short_err}")
+endif()
 
 execute_process(COMMAND ${NFVPRED} simulate --out ${LOGS} --vpe 1
                         --months 2 --seed 7

@@ -223,11 +223,11 @@ std::vector<RawLine> read_log_file(const std::string& path) {
 
 int cmd_simulate(const Args& args) {
   simnet::FleetConfig config;
-  config.profiles.num_vpes = static_cast<int>(args.get_long("vpe", 1));
+  config.profiles.num_vpes = static_cast<int>(args.get_long_min("vpe", 1, 1));
   config.profiles.num_clusters =
       std::min(config.profiles.num_vpes, 4);
   config.profiles.num_outliers = 0;
-  config.months = static_cast<int>(args.get_long("months", 3));
+  config.months = static_cast<int>(args.get_long_min("months", 3, 1));
   config.seed = static_cast<std::uint64_t>(args.get_long("seed", 42));
   config.syslog.gap_scale = args.get_double("gap-scale", 2.0);
   const auto trace = simnet::simulate_fleet(config);
@@ -275,6 +275,14 @@ int cmd_mine(const Args& args) {
 }
 
 int cmd_train(const Args& args) {
+  core::LstmDetectorConfig config;
+  config.window = static_cast<std::size_t>(args.get_long_min("window", 10, 1));
+  config.initial_epochs =
+      static_cast<std::size_t>(args.get_long_min("epochs", 4, 1));
+  config.persistent_optimizer =
+      args.get_long("persistent-optimizer", 0) != 0;
+  config.quantize = args.get_long("quantize", 0) != 0;
+
   const auto lines = read_log_file(args.require("logs"));
   logproc::SignatureTree tree;
   std::vector<logproc::ParsedLog> logs;
@@ -282,13 +290,10 @@ int cmd_train(const Args& args) {
   for (const auto& line : lines) {
     logs.push_back({line.time, tree.learn(line.text)});
   }
-  core::LstmDetectorConfig config;
-  config.window = static_cast<std::size_t>(args.get_long("window", 10));
-  config.initial_epochs =
-      static_cast<std::size_t>(args.get_long("epochs", 4));
-  config.persistent_optimizer =
-      args.get_long("persistent-optimizer", 0) != 0;
-  config.quantize = args.get_long("quantize", 0) != 0;
+  if (logs.size() <= config.window) {
+    std::cerr << "not enough events to train (need window+1)\n";
+    return 2;
+  }
   core::LstmDetector detector(config);
   std::cerr << "training on " << logs.size() << " events ("
             << tree.size() << " templates)...\n";
