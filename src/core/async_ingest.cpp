@@ -29,7 +29,7 @@ AsyncIngest::AsyncIngest(const AnomalyDetector* detector,
     : detector_(detector),
       config_(config),
       warning_queue_(config.warning_capacity) {
-  NFV_CHECK(detector != nullptr, "AsyncIngest requires a detector");
+  check_per_log(detector);
   NFV_CHECK(config_.flush_batch >= 1, "flush_batch must be >= 1");
   NFV_CHECK(config_.queue_capacity >= 1, "queue_capacity must be >= 1");
   model_mem_ = detector->model_memory();
@@ -225,7 +225,7 @@ void AsyncIngest::flush() {
 std::uint64_t AsyncIngest::install_detector(
     const AnomalyDetector* detector,
     std::unique_ptr<const AnomalyDetector> owned, bool drain_pending) {
-  NFV_CHECK(detector != nullptr, "detector must not be null");
+  check_per_log(detector);
   NFV_CHECK(started_, "swap_detector() before start()");
   NFV_CHECK(!stopped_, "swap_detector() after stop()");
   // Footprint read BEFORE the install: the model is still exclusively the

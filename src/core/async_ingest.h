@@ -199,6 +199,8 @@ struct AsyncIngestStats {
 
 class AsyncIngest {
  public:
+  /// `detector` (and any detector swapped in later) must be a per-log
+  /// detector; a per-document one throws util::CheckError (check_per_log).
   explicit AsyncIngest(const AnomalyDetector* detector,
                        AsyncIngestConfig config = {});
   ~AsyncIngest();

@@ -14,6 +14,8 @@
 #include <vector>
 
 #include "logproc/dataset.h"
+#include "ml/sequence_model.h"
+#include "util/check.h"
 #include "util/rng.h"
 #include "util/sim_time.h"
 
@@ -49,6 +51,19 @@ struct ModelMemoryStats {
   std::size_t weight_bytes_fp32 = 0;
   std::size_t weight_bytes_quantized = 0;
   bool quantized = false;
+};
+
+/// Buffers for AnomalyDetector::score_windows, owned by the caller: one
+/// per StreamMonitorGroup or StreamMonitor, i.e. per scoring thread. A
+/// warm call refills them without allocating, while the detector itself
+/// stays const and shared.
+struct WindowScratch {
+  std::vector<LogView> views;        // default path: one view per window
+  ml::WindowBatch windows;           // LSTM: the model-known windows
+  std::vector<double*> slots;        // LSTM: each gathered window's score
+  std::vector<double> scores;        // LSTM: log-likelihoods
+  std::vector<std::size_t> ranks;    // LSTM: target ranks
+  ml::SequenceModel::InferenceScratch model;
 };
 
 class AnomalyDetector {
@@ -88,6 +103,38 @@ class AnomalyDetector {
     out.reserve(streams.size());
     for (const LogView& logs : streams) out.push_back(score(logs, vocab));
     return out;
+  }
+
+  /// Score out.size() windows of `window_events` (k + 1) events each,
+  /// laid back to back in `windows`, oldest event first. Each window is a
+  /// stream of its own, so out[w] is the score score() gives its last
+  /// event: the streaming runtime hands its staged windows straight in.
+  /// Same const/thread-safety contract as score(); all mutable state lives
+  /// in the caller's `scratch`. The default builds one view per window and
+  /// calls score_streams; it serves per-log detectors only (a per-document
+  /// detector emits nothing for a single window).
+  virtual void score_windows(std::span<const logproc::ParsedLog> windows,
+                             std::size_t window_events,
+                             WindowScratch& scratch,
+                             std::span<double> out) const {
+    NFV_CHECK(window_events >= 1 &&
+                  windows.size() == out.size() * window_events,
+              "score_windows: " << windows.size() << " events are not "
+                                << out.size() << " windows of "
+                                << window_events);
+    scratch.views.clear();
+    for (std::size_t w = 0; w < out.size(); ++w) {
+      scratch.views.push_back(windows.subspan(w * window_events,
+                                              window_events));
+    }
+    const std::vector<std::vector<ScoredEvent>> events =
+        score_streams(scratch.views, 0);
+    for (std::size_t w = 0; w < out.size(); ++w) {
+      NFV_CHECK(!events[w].empty(),
+                "detector emitted no score for a " << window_events
+                                                   << "-event window");
+      out[w] = events[w].back().score;
+    }
   }
 
   virtual bool trained() const = 0;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <istream>
-#include <limits>
 #include <ostream>
 
 #include "ml/optimizer.h"
@@ -20,12 +19,16 @@ LstmDetector::LstmDetector(const LstmDetectorConfig& config)
     : config_(config), rng_(config.seed) {}
 
 LstmDetector::LstmDetector(const LstmDetector& other)
-    : config_(other.config_), model_(other.model_), rng_(other.rng_) {}
+    : config_(other.config_),
+      model_(other.model_),
+      image_(other.image_),
+      rng_(other.rng_) {}
 
 LstmDetector& LstmDetector::operator=(const LstmDetector& other) {
   if (this != &other) {
     config_ = other.config_;
     model_ = other.model_;
+    image_ = other.image_;
     rng_ = other.rng_;
     optimizer_.reset();
   }
@@ -94,26 +97,56 @@ void LstmDetector::train_epochs(std::span<const SeqExample> examples,
       model_->train_batch(batch, *optimizer);
     }
   }
+  // The over-sampling loop scores between training rounds.
+  refresh_image();
 }
 
-void LstmDetector::score_windows(std::span<const SeqExample* const> windows,
-                                 std::span<double* const> slots) const {
-  if (windows.empty()) return;
-  // Scratch per call: score paths must stay const and thread-safe (the
-  // streaming monitors share a detector across threads), so it cannot
-  // live on the detector. Within the call every fused batch reuses it.
-  ml::SequenceModel::InferenceScratch scratch;
+void LstmDetector::refresh_image() {
+  image_ = model_->build_scoring_image();
+}
+
+bool LstmDetector::gather(LogView logs, std::size_t i,
+                          ml::WindowBatch& windows) const {
+  const std::size_t k = config_.window;
+  const auto vocab = static_cast<std::int32_t>(model_->config().vocab);
+  for (std::size_t j = i - k; j <= i; ++j) {
+    if (logs[j].template_id >= vocab) return false;
+  }
+  // Δt as build_sequence_examples computes it: the stream's first event
+  // has no predecessor and gets 0.
+  for (std::size_t j = i - k; j < i; ++j) {
+    windows.ids.push_back(logs[j].template_id);
+    windows.dts.push_back(
+        j == 0 ? 0.0f
+               : static_cast<float>((logs[j].time - logs[j - 1].time).seconds));
+  }
+  windows.targets.push_back(logs[i].template_id);
+  return true;
+}
+
+double LstmDetector::unknown_score() const {
+  // Templates the model has never seen are maximally surprising.
+  return config_.score_mode == LstmScoreMode::kTargetRank
+             ? static_cast<double>(model_->config().vocab)
+             : config_.unknown_score;
+}
+
+void LstmDetector::score_gathered(WindowScratch& scratch) const {
+  const std::size_t n = scratch.windows.size();
+  if (n == 0) return;
   if (config_.score_mode == LstmScoreMode::kTargetRank) {
-    std::vector<std::size_t> ranks(windows.size());
-    model_->score_ranks_batched(windows, kScoreBatch, scratch, ranks);
-    for (std::size_t i = 0; i < ranks.size(); ++i) {
-      *slots[i] = static_cast<double>(ranks[i]);
+    scratch.ranks.resize(n);
+    model_->score_ranks_batched(image_, scratch.windows, kScoreBatch,
+                                scratch.model, scratch.ranks);
+    for (std::size_t i = 0; i < n; ++i) {
+      *scratch.slots[i] = static_cast<double>(scratch.ranks[i]);
     }
   } else {
-    std::vector<double> log_likelihoods(windows.size());
-    model_->score_batched(windows, kScoreBatch, scratch, log_likelihoods);
-    for (std::size_t i = 0; i < log_likelihoods.size(); ++i) {
-      *slots[i] = -log_likelihoods[i];
+    scratch.scores.resize(n);
+    model_->score_batched(image_, scratch.windows, kScoreBatch, scratch.model,
+                          scratch.scores);
+    for (std::size_t i = 0; i < n; ++i) {
+      *scratch.slots[i] = -scratch.scores[i];
     }
   }
 }
@@ -122,15 +155,12 @@ std::vector<double> LstmDetector::score_examples(
     std::span<const SeqExample> examples) const {
   NFV_CHECK(trained(), "score_examples before fit");
   std::vector<double> scores(examples.size());
-  std::vector<const SeqExample*> windows;
-  std::vector<double*> slots;
-  windows.reserve(examples.size());
-  slots.reserve(examples.size());
+  WindowScratch scratch;
   for (std::size_t i = 0; i < examples.size(); ++i) {
-    windows.push_back(&examples[i]);
-    slots.push_back(&scores[i]);
+    scratch.windows.push_back(examples[i], config_.window);
+    scratch.slots.push_back(&scores[i]);
   }
-  score_windows(windows, slots);
+  score_gathered(scratch);
   return scores;
 }
 
@@ -187,6 +217,7 @@ void LstmDetector::fit(std::span<const LogView> streams, std::size_t vocab) {
   // Calibrate once, after ALL training (including the over-sampling
   // rounds, which score with the fp32 model they just trained).
   if (config_.quantize) model_->quantize();
+  refresh_image();
 }
 
 void LstmDetector::update(std::span<const LogView> streams,
@@ -199,6 +230,8 @@ void LstmDetector::update(std::span<const LogView> streams,
   std::vector<SeqExample> examples = prepare_examples(streams);
   train_epochs(examples, config_.update_epochs, config_.update_lr);
   if (config_.quantize) model_->quantize();
+  // Also after a grow_vocab with no training windows.
+  refresh_image();
 }
 
 void LstmDetector::adapt(std::span<const LogView> streams,
@@ -224,6 +257,7 @@ void LstmDetector::adapt(std::span<const LogView> streams,
     train_epochs(examples, config_.adapt_epochs, config_.adapt_lr);
   }
   if (config_.quantize) model_->quantize();
+  refresh_image();
 }
 
 std::vector<ScoredEvent> LstmDetector::score(LogView logs,
@@ -235,44 +269,53 @@ std::vector<std::vector<ScoredEvent>> LstmDetector::score_streams(
     std::span<const LogView> streams, std::size_t vocab) const {
   NFV_CHECK(trained(), "score before fit");
   (void)vocab;
-  const auto model_vocab = static_cast<std::int32_t>(model_->config().vocab);
-
-  // Gather phase: build every stream's windows, score unknown-template
-  // windows immediately with the pessimistic constant, and collect the
-  // model-known ones into one flat list with a pointer to each window's
-  // output slot (out[s] is sized once, so the pointers stay valid).
+  // Gather every stream's model-known windows into one flat batch, each
+  // with a pointer to its output slot (out[s] is sized once, so the
+  // pointers stay valid); unknown-template windows score the pessimistic
+  // constant at once. Every log with k predecessors gets a score, so
+  // window e is position window + e.
+  const std::size_t k = config_.window;
   std::vector<std::vector<ScoredEvent>> out(streams.size());
-  std::vector<std::vector<SeqExample>> examples(streams.size());
-  std::vector<const SeqExample*> known;
-  std::vector<double*> slots;
+  WindowScratch scratch;
   for (std::size_t s = 0; s < streams.size(); ++s) {
     const LogView logs = streams[s];
-    if (logs.size() <= config_.window) continue;
-    // Build windows with no gap filtering: every log with k predecessors
-    // gets a score, so window e is position window + e.
-    examples[s] = logproc::build_sequence_examples(
-        logs, config_.window,
-        nfv::util::Duration{std::numeric_limits<std::int64_t>::max()});
-    out[s].resize(examples[s].size());
-    for (std::size_t e = 0; e < examples[s].size(); ++e) {
-      const SeqExample& ex = examples[s][e];
-      ScoredEvent& event = out[s][e];
-      event.time = logs[config_.window + e].time;
-      bool unknown = ex.target >= model_vocab;
-      for (std::int32_t id : ex.ids) unknown = unknown || id >= model_vocab;
-      if (unknown) {
-        // Templates the model has never seen are maximally surprising.
-        event.score = config_.score_mode == LstmScoreMode::kTargetRank
-                          ? static_cast<double>(model_->config().vocab)
-                          : config_.unknown_score;
+    if (logs.size() <= k) continue;
+    out[s].resize(logs.size() - k);
+    for (std::size_t i = k; i < logs.size(); ++i) {
+      ScoredEvent& event = out[s][i - k];
+      event.time = logs[i].time;
+      if (gather(logs, i, scratch.windows)) {
+        scratch.slots.push_back(&event.score);
       } else {
-        known.push_back(&ex);
-        slots.push_back(&event.score);
+        event.score = unknown_score();
       }
     }
   }
-  score_windows(known, slots);
+  score_gathered(scratch);
   return out;
+}
+
+void LstmDetector::score_windows(std::span<const logproc::ParsedLog> windows,
+                                 std::size_t window_events,
+                                 WindowScratch& scratch,
+                                 std::span<double> out) const {
+  NFV_CHECK(trained(), "score before fit");
+  NFV_CHECK(window_events == config_.window + 1 &&
+                windows.size() == out.size() * window_events,
+            "score_windows: " << windows.size() << " events are not "
+                              << out.size() << " windows of "
+                              << config_.window + 1);
+  scratch.windows.clear();
+  scratch.slots.clear();
+  for (std::size_t w = 0; w < out.size(); ++w) {
+    if (gather(windows.subspan(w * window_events, window_events),
+               config_.window, scratch.windows)) {
+      scratch.slots.push_back(&out[w]);
+    } else {
+      out[w] = unknown_score();
+    }
+  }
+  score_gathered(scratch);
 }
 
 void LstmDetector::set_quantized(bool on) {
@@ -283,6 +326,7 @@ void LstmDetector::set_quantized(bool on) {
   } else {
     model_->clear_quantized();
   }
+  refresh_image();
 }
 
 ModelMemoryStats LstmDetector::model_memory() const {
@@ -322,6 +366,7 @@ LstmDetector LstmDetector::load(std::istream& is) {
   config.quantize = model.quantized();
   LstmDetector detector(config);
   detector.model_.emplace(std::move(model));
+  detector.refresh_image();
   return detector;
 }
 

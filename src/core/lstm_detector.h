@@ -109,7 +109,7 @@ class LstmDetector final : public AnomalyDetector {
                                  std::size_t vocab) const override;
 
   /// Cross-stream batched scoring: the model-known windows of ALL streams
-  /// are gathered into one flat list, each with a pointer to its output
+  /// are gathered into one flat batch, each with a pointer to its output
   /// slot, and scored in fused forward batches of kScoreBatch rows.
   /// Windows holding a template the model has never seen score the
   /// pessimistic constant instead. Bit-identical to per-stream score() for
@@ -118,11 +118,19 @@ class LstmDetector final : public AnomalyDetector {
   std::vector<std::vector<ScoredEvent>> score_streams(
       std::span<const LogView> streams, std::size_t vocab) const override;
 
+  /// The runtime flush path: gathers the windows' ids and Δt into the
+  /// caller's `scratch` and scores them from the scoring image, with no
+  /// per-window allocation and no per-call weight packing. Same scores as
+  /// score_streams over one view per window.
+  void score_windows(std::span<const logproc::ParsedLog> windows,
+                     std::size_t window_events, WindowScratch& scratch,
+                     std::span<double> out) const override;
+
   /// Toggle quantized scoring on an already-trained detector (e.g. after
   /// load, or to build the quantized shadow for swap_detector): on = (re)
   /// calibrate the int8 sidecar from the current fp32 weights, off = drop
-  /// it. Also updates config().quantize so later retraining keeps the
-  /// chosen mode.
+  /// it and rebuild the fp32 scoring image. Also updates config().quantize
+  /// so later retraining keeps the chosen mode.
   void set_quantized(bool on);
 
   /// Resident model memory (fp32 weights + int8 sidecar), zeros before fit.
@@ -149,11 +157,23 @@ class LstmDetector final : public AnomalyDetector {
   static LstmDetector load(std::istream& is);
 
  private:
-  /// Score windows already known to be inside the model's vocabulary in
-  /// fused batches, writing window i's anomaly score to *slots[i]; shared
-  /// by score_streams / score_examples.
-  void score_windows(std::span<const ml::SeqExample* const> windows,
-                     std::span<double* const> slots) const;
+  /// Rebuild the scoring image from the current weights. Called wherever
+  /// they change (train_epochs, fit / update / adapt, set_quantized,
+  /// load) and never at score time, so every score path stays const and
+  /// lock-free.
+  void refresh_image();
+
+  /// Append the window ending at logs[i] (k predecessors with their Δt;
+  /// the first event of `logs` gets Δt 0) to `windows`; false, appending
+  /// nothing, when it holds a template outside the model vocabulary.
+  bool gather(LogView logs, std::size_t i, ml::WindowBatch& windows) const;
+
+  /// Score of a window holding an unknown template.
+  double unknown_score() const;
+
+  /// Score scratch.windows from the image in fused batches, writing
+  /// window i's anomaly score to *scratch.slots[i].
+  void score_gathered(WindowScratch& scratch) const;
 
   void train_epochs(std::span<const ml::SeqExample> examples,
                     std::size_t epochs, float lr);
@@ -163,6 +183,9 @@ class LstmDetector final : public AnomalyDetector {
 
   LstmDetectorConfig config_;
   std::optional<ml::SequenceModel> model_;
+  /// model_'s scoring image; copied with the detector, so an installed
+  /// clone scores without building one.
+  ml::SequenceModel::ScoringImage image_;
   /// Lives across train_epochs calls when persistent_optimizer is on;
   /// train_epochs rebinds it to the model's current parameters each round
   /// (safe across model moves and grow_vocab — see ml::Adam::rebind).

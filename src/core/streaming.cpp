@@ -6,6 +6,14 @@
 
 namespace nfv::core {
 
+void check_per_log(const AnomalyDetector* detector) {
+  NFV_CHECK(detector != nullptr, "streaming requires a detector");
+  NFV_CHECK(detector->granularity() == EventGranularity::kPerLog,
+            "streaming scores one line at a time; "
+                << to_string(detector->kind())
+                << " is a per-document detector (batch pipeline only)");
+}
+
 StreamMonitor::StreamMonitor(std::int32_t vpe,
                              const AnomalyDetector* detector,
                              logproc::SignatureTree* tree,
@@ -16,14 +24,14 @@ StreamMonitor::StreamMonitor(std::int32_t vpe,
       tree_(tree),
       config_(config),
       on_warning_(std::move(on_warning)) {
-  NFV_CHECK(detector != nullptr, "StreamMonitor requires a detector");
+  check_per_log(detector);
   NFV_CHECK(tree != nullptr, "StreamMonitor requires a signature tree");
   NFV_CHECK(config.window >= 1, "window must be >= 1");
   history_.resize(config.window + 1);
 }
 
 void StreamMonitor::set_detector(const AnomalyDetector* detector) {
-  NFV_CHECK(detector != nullptr, "detector must not be null");
+  check_per_log(detector);
   detector_ = detector;
 }
 
@@ -46,10 +54,10 @@ double StreamMonitor::ingest_parsed(const logproc::ParsedLog& log) {
   if (!stage_parsed(log, scratch_window_)) return 0.0;
 
   // One-window scoring: the detector sees exactly (k history + this log).
-  const std::vector<ScoredEvent> events =
-      detector_->score(scratch_window_, tree_->size());
-  if (events.empty()) return 0.0;  // document-based detectors need more
-  const double score = events.back().score;
+  if (!scratch_) scratch_ = std::make_unique<WindowScratch>();
+  double score = 0.0;
+  detector_->score_windows(scratch_window_, scratch_window_.size(), *scratch_,
+                           {&score, 1});
   apply_score(log.time, log.template_id, score);
   return score;
 }
@@ -116,17 +124,21 @@ void StreamMonitor::track_cluster(nfv::util::SimTime time, double score,
 
 StreamMonitorGroup::StreamMonitorGroup(const AnomalyDetector* detector)
     : detector_(detector) {
-  NFV_CHECK(detector != nullptr, "StreamMonitorGroup requires a detector");
+  check_per_log(detector);
 }
 
 std::size_t StreamMonitorGroup::add(StreamMonitor* monitor) {
   NFV_CHECK(monitor != nullptr, "cannot add a null monitor");
+  const std::size_t events = monitor->config().window + 1;
+  NFV_CHECK(monitors_.empty() || events == window_events_,
+            "group shards must share one window length");
+  window_events_ = events;
   monitors_.push_back(monitor);
   return monitors_.size() - 1;
 }
 
 void StreamMonitorGroup::set_detector(const AnomalyDetector* detector) {
-  NFV_CHECK(detector != nullptr, "detector must not be null");
+  check_per_log(detector);
   NFV_CHECK(entries_.empty(),
             "detector swap with staged entries pending; flush() first");
   detector_ = detector;
@@ -153,9 +165,9 @@ void StreamMonitorGroup::ingest_parsed(std::size_t shard,
   entries_.push_back(entry);
 }
 
-std::vector<double> StreamMonitorGroup::flush() {
-  std::vector<double> scores(entries_.size(), 0.0);
-  if (entries_.empty()) return scores;
+std::span<const double> StreamMonitorGroup::flush() {
+  scores_.assign(entries_.size(), 0.0);
+  if (entries_.empty()) return scores_;
 
   // Micro-batch sample tap (online retrain): every staged entry — warm-up
   // lines included, they are part of the template sequence — in arrival
@@ -166,34 +178,25 @@ std::vector<double> StreamMonitorGroup::flush() {
     }
   }
 
-  // One fused call: every staged window becomes one single-window stream,
-  // in arrival order. The views are built only now because staging may
-  // have reallocated windows_.
-  views_.clear();
-  for (const PendingEntry& entry : entries_) {
-    if (entry.window == PendingEntry::npos) continue;
-    views_.emplace_back(windows_.data() + entry.window,
-                        monitors_[entry.shard]->config().window + 1);
+  // One call: the staged windows go in back to back, in arrival order,
+  // and come back as one score each.
+  window_scores_.resize(windows_.size() / window_events_);
+  if (!window_scores_.empty()) {
+    detector_->score_windows(windows_, window_events_, scratch_,
+                             window_scores_);
   }
-  if (!views_.empty()) {
-    const std::vector<std::vector<ScoredEvent>> events_by_window =
-        detector_->score_streams(views_, 0);
-    // Replay in arrival order: identical threshold / cluster tracking to
-    // immediate ingestion.
-    std::size_t w = 0;
-    for (std::size_t i = 0; i < entries_.size(); ++i) {
-      const PendingEntry& entry = entries_[i];
-      if (entry.window == PendingEntry::npos) continue;
-      const std::vector<ScoredEvent>& events = events_by_window[w++];
-      if (events.empty()) continue;  // document detectors need more
-      scores[i] = events.back().score;
-      monitors_[entry.shard]->apply_score(entry.time, entry.template_id,
-                                          scores[i]);
-    }
+  // Replay in arrival order: identical threshold / cluster tracking to
+  // immediate ingestion.
+  for (std::size_t i = 0; i < entries_.size(); ++i) {
+    const PendingEntry& entry = entries_[i];
+    if (entry.window == PendingEntry::npos) continue;
+    scores_[i] = window_scores_[entry.window / window_events_];
+    monitors_[entry.shard]->apply_score(entry.time, entry.template_id,
+                                        scores_[i]);
   }
   entries_.clear();
   windows_.clear();
-  return scores;
+  return scores_;
 }
 
 const char* to_string(OperationalScenario scenario) {

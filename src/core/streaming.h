@@ -11,6 +11,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -41,8 +43,13 @@ struct StreamMonitorConfig {
   std::size_t window = 10;
 };
 
-/// Per-vPE online monitor over a shared detector. The detector is not
-/// owned and may be swapped (e.g. after a monthly update) via
+/// Throws util::CheckError unless `detector` is a non-null per-log
+/// detector: streaming scores one line at a time, so the per-document
+/// (TF-IDF) baselines serve the batch pipeline only.
+void check_per_log(const AnomalyDetector* detector);
+
+/// Per-vPE online monitor over a shared per-log detector. The detector is
+/// not owned and may be swapped (e.g. after a monthly update) via
 /// set_detector(); the history window survives the swap.
 ///
 /// Concurrency contract: one StreamMonitor is single-threaded, but many
@@ -132,6 +139,9 @@ class StreamMonitor {
   std::vector<logproc::ParsedLog> history_;
   std::size_t history_next_ = 0;
   std::vector<logproc::ParsedLog> scratch_window_;  // ingest_parsed scratch
+  // ingest_parsed's scoring buffers, made at its first scored line: a
+  // monitor fed only through a StreamMonitorGroup never needs them.
+  std::unique_ptr<WindowScratch> scratch_;
   // Current anomaly run (cluster candidate). Deliberately O(1): a
   // sustained anomaly storm grows the run for as long as it lasts, and
   // the emitted warning only needs the run's first time, size, peak and
@@ -147,15 +157,14 @@ class StreamMonitor {
 };
 
 /// Micro-batching front-end over a set of per-vPE monitor shards that
-/// share one detector. Ingested lines are staged (template mining and
-/// history tracking happen immediately; scoring is deferred); flush()
-/// then scores ALL staged windows across ALL shards with ONE
-/// AnomalyDetector::score_streams call (one fused forward batch for the
+/// share one per-log detector. Ingested lines are staged (template mining
+/// and history tracking happen immediately; scoring is deferred); flush()
+/// then hands ALL staged windows across ALL shards to ONE
+/// AnomalyDetector::score_windows call (one fused forward batch for the
 /// LSTM) and replays the per-monitor warning tracking in arrival order.
-/// No detector reads the vocabulary argument at score time, so the call
-/// passes 0 and shards whose trees differ in size share the batch.
-/// Scores and warnings are identical to immediate per-line ingestion;
-/// only the GEMM granularity changes.
+/// No detector reads the vocabulary at score time, so shards whose trees
+/// differ in size share the batch. Scores and warnings are identical to
+/// immediate per-line ingestion; only the GEMM granularity changes.
 ///
 /// Concurrency: a group is single-threaded (it serializes its shards'
 /// history/cluster mutations); many groups may share one read-only
@@ -165,7 +174,8 @@ class StreamMonitorGroup {
   explicit StreamMonitorGroup(const AnomalyDetector* detector);
 
   /// Register a monitor shard; returns its shard id. The monitor must
-  /// out-live the group and use the same detector.
+  /// out-live the group, use the same detector and share the window
+  /// length of the shards before it.
   std::size_t add(StreamMonitor* monitor);
 
   std::size_t shards() const { return monitors_.size(); }
@@ -195,10 +205,12 @@ class StreamMonitorGroup {
   /// Stage one already-parsed event for `shard`.
   void ingest_parsed(std::size_t shard, const logproc::ParsedLog& log);
 
-  /// Score every staged window in one score_streams call and drive the
+  /// Score every staged window in one score_windows call and drive the
   /// shards' warning tracking. Returns the per-line scores in arrival
-  /// order (0 for lines whose history window was still filling).
-  std::vector<double> flush();
+  /// order (0 for lines whose history window was still filling), as a
+  /// view of a buffer the group owns: valid until the next flush().
+  /// Once warm, staging and flushing allocate nothing.
+  std::span<const double> flush();
 
  private:
   struct PendingEntry {
@@ -215,11 +227,15 @@ class StreamMonitorGroup {
   SampleTap sample_tap_;
   std::vector<StreamMonitor*> monitors_;
   std::vector<PendingEntry> entries_;
-  // Every staged window back to back, and flush()'s views into them. Both
-  // keep their capacity across flushes, so steady-state staging does not
-  // allocate.
+  std::size_t window_events_ = 0;  // k + 1, shared by every shard
+  // Every staged window back to back, the flush's per-window and per-line
+  // scores, and the detector's gather buffers. All keep their capacity
+  // across flushes (one group per worker thread, like a per-core batch
+  // buffer), so a warm flush does not allocate.
   std::vector<logproc::ParsedLog> windows_;
-  std::vector<LogView> views_;
+  std::vector<double> window_scores_;
+  std::vector<double> scores_;
+  WindowScratch scratch_;
 };
 
 /// §5.3 "Operational findings": the four scenarios a detected condition

@@ -3,11 +3,8 @@
 #include <cmath>
 #include <cstring>
 
-#if defined(__x86_64__) && defined(__GNUC__)
-#include <immintrin.h>
-#endif
-
 #include "ml/activations.h"
+#include "ml/simd_math.h"
 #include "util/check.h"
 #include "util/thread_pool.h"
 
@@ -37,40 +34,11 @@ void for_each_row(std::size_t rows, const Fn& fn) {
   }
 }
 
-#if defined(__x86_64__) && defined(__GNUC__)
-#define NFV_LSTM_SIMD 1
+#ifdef NFV_SIMD_MATH
 
 // Vectorized activations for the fused gate/cell row passes, used only in
-// the AVX2+FMA kernel mode (ml::simd_kernels_enabled). exp — and tanh /
-// sigmoid through it — is the classic Cephes single-precision evaluation
-// (range-reduce by ln 2, degree-6 polynomial, scale by 2^n), accurate to
-// ~1e-7 relative. Like FMA contraction in the matmul kernels, this makes
-// the two SIMD modes differ numerically from each other, while each mode
-// stays bit-identical across thread counts: the row split never changes
-// which instructions evaluate a given element.
-
-__attribute__((target("avx2,fma"))) inline __m256 exp256(__m256 x) {
-  x = _mm256_min_ps(x, _mm256_set1_ps(88.3762626647949f));
-  x = _mm256_max_ps(x, _mm256_set1_ps(-88.3762626647949f));
-  const __m256 n = _mm256_round_ps(
-      _mm256_mul_ps(x, _mm256_set1_ps(1.44269504088896341f)),
-      _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
-  // r = x - n·ln2, with ln2 split in two for extra precision.
-  __m256 r = _mm256_fnmadd_ps(n, _mm256_set1_ps(0.693359375f), x);
-  r = _mm256_fnmadd_ps(n, _mm256_set1_ps(-2.12194440e-4f), r);
-  __m256 p = _mm256_set1_ps(1.9875691500e-4f);
-  p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(1.3981999507e-3f));
-  p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(8.3334519073e-3f));
-  p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(4.1665795894e-2f));
-  p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(1.6666665459e-1f));
-  p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(5.0000001201e-1f));
-  p = _mm256_fmadd_ps(p, _mm256_mul_ps(r, r), r);
-  p = _mm256_add_ps(p, _mm256_set1_ps(1.0f));
-  __m256i bits = _mm256_cvtps_epi32(n);
-  bits = _mm256_add_epi32(bits, _mm256_set1_epi32(127));
-  bits = _mm256_slli_epi32(bits, 23);
-  return _mm256_mul_ps(p, _mm256_castsi256_ps(bits));
-}
+// the AVX2+FMA kernel mode (ml::simd_kernels_enabled); tanh and sigmoid
+// go through exp256 (ml/simd_math.h).
 
 __attribute__((target("avx2,fma"))) inline __m256 tanh256(__m256 x) {
   // tanh(x) = sign(x)·(1 − t)/(1 + t) with t = exp(−2|x|) ∈ (0, 1].
@@ -90,26 +58,29 @@ __attribute__((target("avx2,fma"))) inline __m256 sigmoid256(__m256 x) {
   return _mm256_div_ps(one, _mm256_add_ps(one, e));
 }
 
-/// Fused bias + gate activations for one row of [i f g o] pre-activations.
+/// Fused addend + gate activations for one row of [i f g o]
+/// pre-activations; kAdd = false skips the addend (a row that already
+/// holds its full pre-activation).
+template <bool kAdd>
 __attribute__((target("avx2,fma"))) void gate_activation_row_fma(
-    float* g, const float* bias, std::size_t h) {
+    float* g, const float* add, std::size_t h) {
   for (std::size_t seg = 0; seg < 4; ++seg) {
     const std::size_t j1 = (seg + 1) * h;
     std::size_t j = seg * h;
     if (seg == 2) {  // candidate gate: tanh
       for (; j + 8 <= j1; j += 8) {
-        const __m256 v = _mm256_add_ps(_mm256_loadu_ps(g + j),
-                                       _mm256_loadu_ps(bias + j));
+        __m256 v = _mm256_loadu_ps(g + j);
+        if (kAdd) v = _mm256_add_ps(v, _mm256_loadu_ps(add + j));
         _mm256_storeu_ps(g + j, tanh256(v));
       }
-      for (; j < j1; ++j) g[j] = std::tanh(g[j] + bias[j]);
+      for (; j < j1; ++j) g[j] = std::tanh(kAdd ? g[j] + add[j] : g[j]);
     } else {  // input / forget / output gates: sigmoid
       for (; j + 8 <= j1; j += 8) {
-        const __m256 v = _mm256_add_ps(_mm256_loadu_ps(g + j),
-                                       _mm256_loadu_ps(bias + j));
+        __m256 v = _mm256_loadu_ps(g + j);
+        if (kAdd) v = _mm256_add_ps(v, _mm256_loadu_ps(add + j));
         _mm256_storeu_ps(g + j, sigmoid256(v));
       }
-      for (; j < j1; ++j) g[j] = sigmoid(g[j] + bias[j]);
+      for (; j < j1; ++j) g[j] = sigmoid(kAdd ? g[j] + add[j] : g[j]);
     }
   }
 }
@@ -185,14 +156,14 @@ __attribute__((target("avx2,fma"))) void gate_backward_row_fma(
     dcn[j] = dc * fg;
   }
 }
-#endif  // NFV_LSTM_SIMD
+#endif  // NFV_SIMD_MATH
 
 /// Cell/hidden update for one row on the active kernel tier. The training
 /// forward and inference stepping both run it, so k steps reproduce the
 /// forward pass bit for bit; `c` may alias `cp`.
 void cell_forward_row(const float* g, const float* cp, float* c, float* hh,
                       std::size_t h, bool simd) {
-#ifdef NFV_LSTM_SIMD
+#ifdef NFV_SIMD_MATH
   if (simd) {
     cell_forward_row_fma(g, cp, c, hh, h);
     return;
@@ -204,6 +175,32 @@ void cell_forward_row(const float* g, const float* cp, float* c, float* hh,
     c[j] = cj;
     hh[j] = g[3 * h + j] * std::tanh(cj);
   }
+}
+
+/// Gate activations for one row on the active kernel tier, after adding
+/// `add` (a 4H row: the bias, a recurrent product, or null for none). Same
+/// per-element order as an add_row_vector followed by the activation
+/// sweeps.
+void gate_activation_row(float* g, const float* add, std::size_t h,
+                         bool simd) {
+#ifdef NFV_SIMD_MATH
+  if (simd) {
+    if (add != nullptr) {
+      gate_activation_row_fma<true>(g, add, h);
+    } else {
+      gate_activation_row_fma<false>(g, add, h);
+    }
+    return;
+  }
+#endif
+  (void)simd;
+  if (add != nullptr) {
+    for (std::size_t j = 0; j < 4 * h; ++j) g[j] += add[j];
+  }
+  for (std::size_t j = 0; j < h; ++j) g[j] = sigmoid(g[j]);            // i
+  for (std::size_t j = h; j < 2 * h; ++j) g[j] = sigmoid(g[j]);        // f
+  for (std::size_t j = 2 * h; j < 3 * h; ++j) g[j] = std::tanh(g[j]);  // g
+  for (std::size_t j = 3 * h; j < 4 * h; ++j) g[j] = sigmoid(g[j]);    // o
 }
 
 }  // namespace
@@ -228,7 +225,7 @@ void Lstm::compute_gates(const Matrix& input, const Matrix& h_prev,
   const std::size_t batch = input.rows();
   NFV_CHECK(input.cols() == input_size_,
             "Lstm input width " << input.cols() << " != " << input_size_);
-  concat_scratch.resize(batch, input_size_ + hidden_size_);
+  concat_scratch.reshape(batch, input_size_ + hidden_size_);
   for (std::size_t r = 0; r < batch; ++r) {
     std::memcpy(concat_scratch.row(r), input.row(r),
                 input_size_ * sizeof(float));
@@ -242,25 +239,16 @@ void Lstm::compute_gates(const Matrix& input, const Matrix& h_prev,
   } else {
     matmul_transb(concat_scratch, weight_.value, gates);
   }
-  const std::size_t h = hidden_size_;
-  const float* bias = bias_.value.row(0);
-  // Bias + activations fused into one row pass (same per-element order as
-  // add_row_vector followed by the activation sweeps).
+  activate_gates(gates, bias_.value.row(0), nullptr);
+}
+
+void Lstm::activate_gates(Matrix& gates, const float* bias,
+                          const Matrix* row_addend) const {
   const bool simd = simd_kernels_enabled();
-  (void)simd;
-  for_each_row(batch, [&](std::size_t r) {
-    float* g = gates.row(r);
-#ifdef NFV_LSTM_SIMD
-    if (simd) {
-      gate_activation_row_fma(g, bias, h);
-      return;
-    }
-#endif
-    for (std::size_t j = 0; j < 4 * h; ++j) g[j] += bias[j];
-    for (std::size_t j = 0; j < h; ++j) g[j] = sigmoid(g[j]);                // i
-    for (std::size_t j = h; j < 2 * h; ++j) g[j] = sigmoid(g[j]);            // f
-    for (std::size_t j = 2 * h; j < 3 * h; ++j) g[j] = std::tanh(g[j]);      // g
-    for (std::size_t j = 3 * h; j < 4 * h; ++j) g[j] = sigmoid(g[j]);        // o
+  for_each_row(gates.rows(), [&](std::size_t r) {
+    gate_activation_row(gates.row(r),
+                        row_addend != nullptr ? row_addend->row(r) : bias,
+                        hidden_size_, simd);
   });
 }
 
@@ -342,7 +330,7 @@ const std::vector<Matrix>& Lstm::backward(
       float* dhn = dh_next_.row(r);
       float* dcn = dc_next_.row(r);
       float* dg = dgates.row(r);
-#ifdef NFV_LSTM_SIMD
+#ifdef NFV_SIMD_MATH
       if (simd) {
         gate_backward_row_fma(g, c, c_prev ? c_prev->row(r) : nullptr, gh,
                               dhn, dcn, dg, h);
@@ -432,6 +420,35 @@ void Lstm::step_quantized(const Matrix& input, LstmState& state,
   compute_gates(input, state.h, concat_scratch, gates_scratch, nullptr,
                 &qweight);
   cell_update(gates_scratch, state);
+}
+
+void Lstm::step_input_gates(Matrix& gates, LstmState& state,
+                            const std::vector<float>* packed_recurrent,
+                            Matrix& recurrent_scratch) const {
+  NFV_CHECK(gates.cols() == 4 * hidden_size_ &&
+                state.h.rows() == gates.rows() &&
+                state.c.rows() == gates.rows(),
+            "Lstm::step_input_gates shape mismatch");
+  if (packed_recurrent != nullptr) {
+    matmul_transb_packed(state.h, 4 * hidden_size_, *packed_recurrent,
+                         recurrent_scratch);
+    activate_gates(gates, nullptr, &recurrent_scratch);
+  } else {
+    activate_gates(gates, nullptr, nullptr);
+  }
+  cell_update(gates, state);
+}
+
+void Lstm::step_zero_state(const Matrix& input, LstmState& state,
+                           const std::vector<float>& packed_input,
+                           Matrix& gates) const {
+  NFV_CHECK(input.cols() == input_size_,
+            "Lstm input width " << input.cols() << " != " << input_size_);
+  NFV_CHECK(state.h.rows() == input.rows() && state.c.rows() == input.rows(),
+            "LstmState batch mismatch");
+  matmul_transb_packed(input, 4 * hidden_size_, packed_input, gates);
+  activate_gates(gates, bias_.value.row(0), nullptr);
+  cell_update(gates, state);
 }
 
 void Lstm::cell_update(const Matrix& gates, LstmState& state) const {

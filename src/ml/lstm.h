@@ -41,14 +41,32 @@ class Lstm {
 
   /// Stateful single-step inference (no caching, no gradients). The gate
   /// GEMM reads `packed_weight`, which must come from
-  /// pack_transb(weight().value): a scoring call packs each layer once and
-  /// reuses it for every time step. The scratch matrices are resized in
-  /// place, so tight scoring loops allocate nothing per step. Gate and
-  /// cell math are the kernels forward() runs, so k steps reproduce
-  /// forward()'s last hidden state bit for bit.
+  /// pack_transb(weight().value): a scoring image packs each layer once
+  /// per weight change and reuses it for every time step. The scratch
+  /// matrices are resized in place, so tight scoring loops allocate
+  /// nothing per step. Gate and cell math are the kernels forward() runs,
+  /// so k steps reproduce forward()'s last hidden state bit for bit.
   void step(const Matrix& input, LstmState& state,
             const std::vector<float>& packed_weight, Matrix& concat_scratch,
             Matrix& gates_scratch) const;
+
+  /// Inference step whose input term is precomputed: on entry each row of
+  /// `gates` (B × 4H) holds x·W_xᵀ + b (SequenceModel's per-template
+  /// table for layer 0). The step adds h·W_hᵀ through `packed_recurrent`
+  /// (pack_transb(weight().value, input_size(), …), the recurrent block),
+  /// or nothing when it is null — the zero state of a window's first
+  /// step — then runs the gate activations and the cell update in place.
+  void step_input_gates(Matrix& gates, LstmState& state,
+                        const std::vector<float>* packed_recurrent,
+                        Matrix& recurrent_scratch) const;
+
+  /// First step from the zero state: the gate GEMM reads only the input
+  /// block W[:, :I] (`packed_input`, pack_transb(weight().value, 0,
+  /// input_size(), …)). Bit-identical to step() on a zero state: the terms
+  /// it skips are the zeros at the end of every k-ascending chain.
+  void step_zero_state(const Matrix& input, LstmState& state,
+                       const std::vector<float>& packed_input,
+                       Matrix& gates_scratch) const;
 
   /// As step(), but the gate pre-activation GEMM runs on the
   /// packed int8 image of this layer's weight matrix (`qweight` must come
@@ -69,6 +87,7 @@ class Lstm {
   Param& weight() { return weight_; }
   const Param& weight() const { return weight_; }
   Param& bias() { return bias_; }
+  const Param& bias() const { return bias_; }
 
  private:
   /// Gate pre-activations through the packed fp32 weight, the int8 image,
@@ -77,6 +96,10 @@ class Lstm {
                      Matrix& concat_scratch, Matrix& gates,
                      const std::vector<float>* packed_weight,
                      const QuantizedMatrix* qweight) const;
+  /// Gate activations in place, after adding row r of `row_addend` (when
+  /// given) or `bias` (when not null) to row r's pre-activations.
+  void activate_gates(Matrix& gates, const float* bias,
+                      const Matrix* row_addend) const;
   void cell_update(const Matrix& gates, LstmState& state) const;
 
   std::size_t input_size_;

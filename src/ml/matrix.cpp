@@ -71,15 +71,16 @@ constexpr std::size_t panel_count(std::size_t n) {
   return (n + kPanelCols - 1) / kPanelCols;
 }
 
-/// Pack b (the weight matrix of out = a * bᵀ) into 8-row k-major panels:
-/// panel jp holds b rows [8jp, 8jp+8) interleaved as [k][jj], so the inner
-/// product loop reads 8 weights for 8 output columns from one contiguous
-/// 32-byte slot, each lane an independent accumulator chain. Rows past
-/// b.rows() are zero. Pack cost is O(b.size()), paid once per product (or
-/// once per scoring call through pack_transb); full panels take a
-/// constant-width inner loop, which roughly halves it.
-void pack_transb_panels(const Matrix& b, std::vector<float>& packed) {
-  const std::size_t kn = b.cols();
+/// Pack columns [k0, k1) of b (the weight matrix of out = a * bᵀ) into
+/// 8-row k-major panels: panel jp holds b rows [8jp, 8jp+8) interleaved as
+/// [k][jj], so the inner product loop reads 8 weights for 8 output columns
+/// from one contiguous 32-byte slot, each lane an independent accumulator
+/// chain. Rows past b.rows() are zero. Pack cost is O(rows × (k1 − k0)),
+/// paid once per product (or once per scoring image through pack_transb);
+/// full panels take a constant-width inner loop, which roughly halves it.
+void pack_transb_panels(const Matrix& b, std::size_t k0, std::size_t k1,
+                        std::vector<float>& packed) {
+  const std::size_t kn = k1 - k0;
   const std::size_t jn = b.rows();
   packed.resize(panel_count(jn) * kn * kPanelCols);
   for (std::size_t jp = 0; jp < panel_count(jn); ++jp) {
@@ -88,7 +89,7 @@ void pack_transb_panels(const Matrix& b, std::vector<float>& packed) {
     if (width == kPanelCols) {
       const float* brows[kPanelCols];
       for (std::size_t jj = 0; jj < kPanelCols; ++jj) {
-        brows[jj] = b.row(kPanelCols * jp + jj);
+        brows[jj] = b.row(kPanelCols * jp + jj) + k0;
       }
       for (std::size_t k = 0; k < kn; ++k) {
         for (std::size_t jj = 0; jj < kPanelCols; ++jj) {
@@ -99,7 +100,7 @@ void pack_transb_panels(const Matrix& b, std::vector<float>& packed) {
     }
     std::fill_n(panel, kn * kPanelCols, 0.0f);
     for (std::size_t jj = 0; jj < width; ++jj) {
-      const float* brow = b.row(kPanelCols * jp + jj);
+      const float* brow = b.row(kPanelCols * jp + jj) + k0;
       for (std::size_t k = 0; k < kn; ++k) panel[kPanelCols * k + jj] = brow[k];
     }
   }
@@ -852,6 +853,12 @@ void Matrix::resize(std::size_t rows, std::size_t cols) {
   data_.assign(rows * cols, 0.0f);
 }
 
+void Matrix::reshape(std::size_t rows, std::size_t cols) {
+  rows_ = rows;
+  cols_ = cols;
+  data_.resize(rows * cols);
+}
+
 void Matrix::add(const Matrix& other) {
   NFV_CHECK(rows_ == other.rows_ && cols_ == other.cols_,
             "Matrix::add shape mismatch");
@@ -885,7 +892,7 @@ double Matrix::squared_norm() const {
 void matmul_serial(const Matrix& a, const Matrix& b, Matrix& out) {
   NFV_CHECK(a.cols() == b.rows(), "matmul inner-dimension mismatch: "
                                       << a.cols() << " vs " << b.rows());
-  out.resize(a.rows(), b.cols());
+  out.reshape(a.rows(), b.cols());
   pack_matmul_b_panels(b, tl_packed_b);
   packed_product(a, tl_packed_b.data(), out, false);
 }
@@ -893,7 +900,7 @@ void matmul_serial(const Matrix& a, const Matrix& b, Matrix& out) {
 void matmul(const Matrix& a, const Matrix& b, Matrix& out) {
   NFV_CHECK(a.cols() == b.rows(), "matmul inner-dimension mismatch: "
                                       << a.cols() << " vs " << b.rows());
-  out.resize(a.rows(), b.cols());
+  out.reshape(a.rows(), b.cols());
   pack_matmul_b_panels(b, tl_packed_b);
   packed_product(a, tl_packed_b.data(), out,
                  use_parallel(a.rows() * a.cols() * b.cols()));
@@ -909,7 +916,7 @@ void matmul_packed(const Matrix& a, const Matrix& b,
                                       << a.cols() << " vs " << b.rows());
   NFV_CHECK(packed.size() == panel_count(b.cols()) * b.rows() * kPanelCols,
             "matmul_packed: packed buffer does not match b (repack needed)");
-  out.resize(a.rows(), b.cols());
+  out.reshape(a.rows(), b.cols());
   packed_product(a, packed.data(), out,
                  use_parallel(a.rows() * a.cols() * b.cols()));
 }
@@ -917,22 +924,30 @@ void matmul_packed(const Matrix& a, const Matrix& b,
 void matmul_transb_serial(const Matrix& a, const Matrix& b, Matrix& out) {
   NFV_CHECK(a.cols() == b.cols(), "matmul_transb inner-dimension mismatch: "
                                       << a.cols() << " vs " << b.cols());
-  out.resize(a.rows(), b.rows());
-  pack_transb_panels(b, tl_packed_b);
+  out.reshape(a.rows(), b.rows());
+  pack_transb_panels(b, 0, b.cols(), tl_packed_b);
   packed_product(a, tl_packed_b.data(), out, false);
 }
 
 void matmul_transb(const Matrix& a, const Matrix& b, Matrix& out) {
   NFV_CHECK(a.cols() == b.cols(), "matmul_transb inner-dimension mismatch: "
                                       << a.cols() << " vs " << b.cols());
-  out.resize(a.rows(), b.rows());
-  pack_transb_panels(b, tl_packed_b);
+  out.reshape(a.rows(), b.rows());
+  pack_transb_panels(b, 0, b.cols(), tl_packed_b);
   packed_product(a, tl_packed_b.data(), out,
                  use_parallel(a.rows() * a.cols() * b.rows()));
 }
 
 void pack_transb(const Matrix& b, std::vector<float>& packed) {
-  pack_transb_panels(b, packed);
+  pack_transb_panels(b, 0, b.cols(), packed);
+}
+
+void pack_transb(const Matrix& b, std::size_t k0, std::size_t k1,
+                 std::vector<float>& packed) {
+  NFV_CHECK(k0 < k1 && k1 <= b.cols(), "pack_transb column block [" << k0
+                                            << ", " << k1 << ") outside "
+                                            << b.cols() << " columns");
+  pack_transb_panels(b, k0, k1, packed);
 }
 
 void matmul_transb_packed(const Matrix& a, const Matrix& b,
@@ -940,12 +955,17 @@ void matmul_transb_packed(const Matrix& a, const Matrix& b,
   NFV_CHECK(a.cols() == b.cols(),
             "matmul_transb_packed inner-dimension mismatch: "
                 << a.cols() << " vs " << b.cols());
-  NFV_CHECK(packed.size() == panel_count(b.rows()) * b.cols() * kPanelCols,
-            "matmul_transb_packed: packed buffer does not match b "
-            "(repack needed)");
-  out.resize(a.rows(), b.rows());
+  matmul_transb_packed(a, b.rows(), packed, out);
+}
+
+void matmul_transb_packed(const Matrix& a, std::size_t b_rows,
+                          const std::vector<float>& packed, Matrix& out) {
+  NFV_CHECK(packed.size() == panel_count(b_rows) * a.cols() * kPanelCols,
+            "matmul_transb_packed: packed buffer does not match a "
+            << b_rows << " × " << a.cols() << " weight (repack needed)");
+  out.reshape(a.rows(), b_rows);
   packed_product(a, packed.data(), out,
-                 use_parallel(a.rows() * a.cols() * b.rows()));
+                 use_parallel(a.rows() * a.cols() * b_rows));
 }
 
 void matmul_transa_accumulate_serial(const Matrix& a, const Matrix& b,

@@ -41,6 +41,9 @@ class Matrix {
   void zero() { fill(0.0f); }
   /// Reshape, reallocating as needed; contents are zeroed.
   void resize(std::size_t rows, std::size_t cols);
+  /// Reshape for a caller that overwrites every element: keeps the heap
+  /// capacity and skips resize()'s zero fill, so contents are unspecified.
+  void reshape(std::size_t rows, std::size_t cols);
 
   /// Elementwise in-place operations.
   void add(const Matrix& other);                   // this += other
@@ -98,14 +101,27 @@ void matmul_packed(const Matrix& a, const Matrix& b,
 /// packed kernel and row-blocked parallel dispatch as matmul.
 void matmul_transb(const Matrix& a, const Matrix& b, Matrix& out);
 
-/// Pack b (C×K) into the panels matmul_transb_packed reads. A scoring call
-/// packs each weight matrix once and reuses it for every time step.
+/// Pack b (C×K) into the panels matmul_transb_packed reads, once per
+/// weight change: a scoring image keeps the packs until the model moves.
 void pack_transb(const Matrix& b, std::vector<float>& packed);
+
+/// As pack_transb, for the column block b[:, k0:k1) — e.g. the input or
+/// the recurrent half of an LSTM gate matrix — packed as a C × (k1 − k0)
+/// weight of its own.
+void pack_transb(const Matrix& b, std::size_t k0, std::size_t k1,
+                 std::vector<float>& packed);
 
 /// out = a·bᵀ with `packed` previously produced by pack_transb(b).
 /// Bit-identical to matmul_transb(a, b, out) for any row count and thread
 /// count, with the same row-blocked parallel dispatch.
 void matmul_transb_packed(const Matrix& a, const Matrix& b,
+                          const std::vector<float>& packed, Matrix& out);
+
+/// out = a·wᵀ for a `b_rows` × a.cols() weight w known only by its pack
+/// (the column-block form of pack_transb). Every output is the same
+/// k-ascending chain as above, so a block that drops trailing columns
+/// multiplied by zeros reproduces the full product bit for bit.
+void matmul_transb_packed(const Matrix& a, std::size_t b_rows,
                           const std::vector<float>& packed, Matrix& out);
 
 /// out += aᵀ (K×R stored as R×K) * b (R×C) — i.e. out (K×C) accumulates

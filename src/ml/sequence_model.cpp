@@ -5,6 +5,7 @@
 #include <cstring>
 #include <istream>
 #include <ostream>
+#include <utility>
 
 #include "ml/loss.h"
 #include "ml/serialize.h"
@@ -52,8 +53,17 @@ std::vector<const Param*> SequenceModel::params() const {
   return {mutable_params.begin(), mutable_params.end()};
 }
 
+void WindowBatch::push_back(const SeqExample& example, std::size_t window) {
+  NFV_CHECK(example.ids.size() == window && example.dts.size() == window,
+            "SeqExample window length " << example.ids.size()
+                                        << " != model window " << window);
+  ids.insert(ids.end(), example.ids.begin(), example.ids.end());
+  dts.insert(dts.end(), example.dts.begin(), example.dts.end());
+  targets.push_back(example.target);
+}
+
 void SequenceModel::build_inputs(
-    const SeqExample* const* batch, std::size_t batch_size,
+    const WindowBatch& windows, std::size_t start, std::size_t n,
     std::vector<Matrix>& inputs,
     std::vector<std::vector<std::int32_t>>* ids_steps) const {
   const std::size_t k = config_.window;
@@ -64,14 +74,11 @@ void SequenceModel::build_inputs(
   if (ids_steps && ids_steps->size() != k) ids_steps->assign(k, {});
   for (std::size_t t = 0; t < k; ++t) {
     Matrix& input = inputs[t];
-    input.resize(batch_size, width);
-    if (ids_steps) (*ids_steps)[t].resize(batch_size);
-    for (std::size_t r = 0; r < batch_size; ++r) {
-      const SeqExample& ex = *batch[r];
-      NFV_CHECK(ex.ids.size() == k && ex.dts.size() == k,
-                "SeqExample window length " << ex.ids.size()
-                                            << " != model window " << k);
-      const auto id = ex.ids[t];
+    input.resize(n, width);
+    if (ids_steps) (*ids_steps)[t].resize(n);
+    for (std::size_t r = 0; r < n; ++r) {
+      const std::size_t at = (start + r) * k + t;
+      const auto id = windows.ids[at];
       NFV_CHECK(id >= 0 &&
                     static_cast<std::size_t>(id) < embedding_.vocab(),
                 "template id " << id << " outside vocab "
@@ -80,7 +87,7 @@ void SequenceModel::build_inputs(
           embedding_.table().value.row(static_cast<std::size_t>(id));
       std::memcpy(input.row(r), row, config_.embed_dim * sizeof(float));
       if (config_.use_dt_feature) {
-        input.at(r, config_.embed_dim) = normalize_dt(ex.dts[t]);
+        input.at(r, config_.embed_dim) = normalize_dt(windows.dts[at]);
       }
       if (ids_steps) (*ids_steps)[t][r] = id;
     }
@@ -93,9 +100,12 @@ double SequenceModel::forward_backward(
   const std::size_t batch_size = batch.size();
 
   // All scratch lives on the model and is reused batch after batch.
+  WindowBatch& windows = train_scratch_.windows;
+  windows.clear();
+  for (const SeqExample* example : batch) windows.push_back(*example, k);
   std::vector<Matrix>& inputs = train_scratch_.inputs;
   std::vector<std::vector<std::int32_t>>& ids_steps = train_scratch_.ids;
-  build_inputs(batch.data(), batch_size, inputs, &ids_steps);
+  build_inputs(windows, 0, batch_size, inputs, &ids_steps);
 
   // Forward through the LSTM stack.
   const std::vector<Matrix>* hidden = &lstm_layers_[0].forward(inputs);
@@ -104,11 +114,7 @@ double SequenceModel::forward_backward(
   }
   const Matrix& logits = output_.forward(hidden->back());
 
-  train_scratch_.targets.resize(batch_size);
-  for (std::size_t r = 0; r < batch_size; ++r) {
-    train_scratch_.targets[r] = batch[r]->target;
-  }
-  const double loss = softmax_cross_entropy(logits, train_scratch_.targets,
+  const double loss = softmax_cross_entropy(logits, windows.targets,
                                             train_scratch_.grad_logits);
 
   // Backward: dense head, then the LSTM stack top-down.
@@ -173,104 +179,165 @@ double SequenceModel::train_batch(const std::vector<const SeqExample*>& batch,
   return loss;
 }
 
-void SequenceModel::predict(const std::vector<const SeqExample*>& batch,
-                            Matrix& probs) const {
-  NFV_CHECK(!batch.empty(), "predict on empty batch");
-  // Stateful stepping avoids touching the training caches, keeping
-  // prediction const and cheap.
-  InferenceScratch scratch;
-  pack_weights(scratch);
-  forward_probs(batch.data(), batch.size(), scratch);
-  probs = std::move(scratch.probs);
-}
-
-void SequenceModel::pack_weights(InferenceScratch& scratch) const {
-  if (quantized_) return;
-  scratch.packed_lstm.resize(lstm_layers_.size());
-  for (std::size_t l = 0; l < lstm_layers_.size(); ++l) {
-    pack_transb(lstm_layers_[l].weight().value, scratch.packed_lstm[l]);
+SequenceModel::ScoringImage SequenceModel::build_scoring_image() const {
+  ScoringImage image;
+  if (quantized_) return image;
+  const Lstm& first = lstm_layers_[0];
+  const Matrix& w0 = first.weight().value;
+  const std::size_t embed = config_.embed_dim;
+  // input_gates = embed · W_x[:, :E]ᵀ + b: each template's share of the
+  // layer-0 gate pre-activation, computed once instead of per window.
+  std::vector<float> pack;
+  pack_transb(w0, 0, embed, pack);
+  matmul_transb_packed(embedding_.table().value, w0.rows(), pack,
+                       image.input_gates);
+  add_row_vector(image.input_gates, first.bias().value);
+  if (config_.use_dt_feature) {
+    image.dt_gates.resize(w0.rows());
+    for (std::size_t j = 0; j < w0.rows(); ++j) {
+      image.dt_gates[j] = w0.at(j, embed);
+    }
   }
-  pack_transb(output_.weight().value, scratch.packed_output);
+  pack_transb(w0, first.input_size(), w0.cols(), image.recurrent0);
+  for (std::size_t l = 1; l < lstm_layers_.size(); ++l) {
+    const Matrix& w = lstm_layers_[l].weight().value;
+    image.input_blocks.emplace_back();
+    pack_transb(w, 0, lstm_layers_[l].input_size(), image.input_blocks.back());
+    image.gate_weights.emplace_back();
+    pack_transb(w, image.gate_weights.back());
+  }
+  pack_transb(output_.weight().value, image.output);
+  image.vocab = config_.vocab;
+  return image;
 }
 
-void SequenceModel::forward_probs(const SeqExample* const* batch,
-                                  std::size_t batch_size,
-                                  InferenceScratch& scratch) const {
-  build_inputs(batch, batch_size, scratch.inputs, nullptr);
+void SequenceModel::layer0_step(const ScoringImage& image,
+                                const WindowBatch& windows, std::size_t start,
+                                std::size_t t,
+                                InferenceScratch& scratch) const {
+  const std::size_t k = config_.window;
+  const std::size_t gates = 4 * config_.hidden;
+  LstmState& state = scratch.states[0];
+  const std::size_t n = state.h.rows();
+  scratch.gates.reshape(n, gates);
+  const float* dt_gates = image.dt_gates.data();
+  for (std::size_t r = 0; r < n; ++r) {
+    const std::size_t at = (start + r) * k + t;
+    const auto id = windows.ids[at];
+    NFV_CHECK(id >= 0 && static_cast<std::size_t>(id) < image.vocab,
+              "template id " << id << " outside vocab " << image.vocab);
+    const float* table = image.input_gates.row(static_cast<std::size_t>(id));
+    float* g = scratch.gates.row(r);
+    if (config_.use_dt_feature) {
+      const float dt = normalize_dt(windows.dts[at]);
+      for (std::size_t j = 0; j < gates; ++j) g[j] = table[j] + dt * dt_gates[j];
+    } else {
+      std::memcpy(g, table, gates * sizeof(float));
+    }
+  }
+  // The state is zero at t = 0, so the first step has no recurrent GEMM.
+  lstm_layers_[0].step_input_gates(
+      scratch.gates, state, t == 0 ? nullptr : &image.recurrent0,
+      scratch.recurrent);
+}
 
+void SequenceModel::forward_logits(const ScoringImage& image,
+                                   const WindowBatch& windows,
+                                   std::size_t start, std::size_t n,
+                                   InferenceScratch& scratch) const {
+  NFV_CHECK(quantized_ || image.vocab == config_.vocab,
+            "scoring image built at vocab " << image.vocab
+                                            << ", model vocab is "
+                                            << config_.vocab
+                                            << " (stale image)");
   // (Re)shape the recurrent state in place. Matrix::resize zero-fills,
   // which is exactly the initial state Lstm::make_state would provide,
   // while reusing the buffers' heap capacity across sub-batches.
-  if (scratch.states.size() != lstm_layers_.size()) {
-    scratch.states.clear();
-    scratch.states.reserve(lstm_layers_.size());
-    for (const Lstm& lstm : lstm_layers_) {
-      scratch.states.push_back(lstm.make_state(batch_size));
-    }
-  } else {
-    for (std::size_t l = 0; l < lstm_layers_.size(); ++l) {
-      scratch.states[l].h.resize(batch_size, config_.hidden);
-      scratch.states[l].c.resize(batch_size, config_.hidden);
-    }
+  scratch.states.resize(lstm_layers_.size());
+  for (LstmState& state : scratch.states) {
+    state.h.resize(n, config_.hidden);
+    state.c.resize(n, config_.hidden);
   }
 
-  for (std::size_t t = 0; t < config_.window; ++t) {
-    const Matrix* x = &scratch.inputs[t];
-    for (std::size_t l = 0; l < lstm_layers_.size(); ++l) {
-      if (quantized_) {
+  if (quantized_) {
+    // Per-row activation quantization makes a zero-state skip inexact,
+    // so int8 runs every step through the concat GEMM.
+    build_inputs(windows, start, n, scratch.inputs, nullptr);
+    for (std::size_t t = 0; t < config_.window; ++t) {
+      const Matrix* x = &scratch.inputs[t];
+      for (std::size_t l = 0; l < lstm_layers_.size(); ++l) {
         lstm_layers_[l].step_quantized(*x, scratch.states[l],
                                        quantized_->lstm[l], scratch.concat,
                                        scratch.gates);
-      } else {
-        lstm_layers_[l].step(*x, scratch.states[l], scratch.packed_lstm[l],
-                             scratch.concat, scratch.gates);
+        x = &scratch.states[l].h;
       }
-      x = &scratch.states[l].h;
     }
-  }
-  if (quantized_) {
     matmul_quant(scratch.states.back().h, quantized_->output,
                  scratch.logits);
   } else {
-    matmul_transb_packed(scratch.states.back().h, output_.weight().value,
-                         scratch.packed_output, scratch.logits);
+    for (std::size_t t = 0; t < config_.window; ++t) {
+      layer0_step(image, windows, start, t, scratch);
+      for (std::size_t l = 1; l < lstm_layers_.size(); ++l) {
+        const Matrix& x = scratch.states[l - 1].h;
+        if (t == 0) {
+          lstm_layers_[l].step_zero_state(x, scratch.states[l],
+                                          image.input_blocks[l - 1],
+                                          scratch.gates);
+        } else {
+          lstm_layers_[l].step(x, scratch.states[l],
+                               image.gate_weights[l - 1], scratch.concat,
+                               scratch.gates);
+        }
+      }
+    }
+    matmul_transb_packed(scratch.states.back().h, config_.vocab,
+                         image.output, scratch.logits);
   }
   add_row_vector(scratch.logits, output_.bias().value);
-  softmax(scratch.logits, scratch.probs);
 }
 
-void SequenceModel::score_batched(std::span<const SeqExample* const> batch,
+void SequenceModel::score_batched(const ScoringImage& image,
+                                  const WindowBatch& windows,
                                   std::size_t batch_size,
                                   InferenceScratch& scratch,
                                   std::span<double> out) const {
   NFV_CHECK(batch_size >= 1, "score_batched requires batch_size >= 1");
-  NFV_CHECK(out.size() == batch.size(),
-            "score_batched output size " << out.size() << " != batch size "
-                                         << batch.size());
-  pack_weights(scratch);
-  for (std::size_t start = 0; start < batch.size(); start += batch_size) {
-    const std::size_t n = std::min(batch_size, batch.size() - start);
-    forward_probs(batch.data() + start, n, scratch);
+  NFV_CHECK(out.size() == windows.size() &&
+                windows.ids.size() == windows.size() * config_.window &&
+                windows.dts.size() == windows.ids.size(),
+            "score_batched: " << out.size() << " outputs for "
+                              << windows.size() << " windows");
+  for (std::size_t start = 0; start < windows.size(); start += batch_size) {
+    const std::size_t n = std::min(batch_size, windows.size() - start);
+    forward_logits(image, windows, start, n, scratch);
     for (std::size_t r = 0; r < n; ++r) {
-      out[start + r] = log_prob(scratch.probs, r, batch[start + r]->target);
+      const auto target = windows.targets[start + r];
+      NFV_CHECK(target >= 0 &&
+                    static_cast<std::size_t>(target) < config_.vocab,
+                "target outside vocabulary");
+      out[start + r] = log_softmax_at(scratch.logits.row_span(r),
+                                      static_cast<std::size_t>(target));
     }
   }
 }
 
-void SequenceModel::score_ranks_batched(
-    std::span<const SeqExample* const> batch, std::size_t batch_size,
-    InferenceScratch& scratch, std::span<std::size_t> out) const {
+void SequenceModel::score_ranks_batched(const ScoringImage& image,
+                                        const WindowBatch& windows,
+                                        std::size_t batch_size,
+                                        InferenceScratch& scratch,
+                                        std::span<std::size_t> out) const {
   NFV_CHECK(batch_size >= 1, "score_ranks_batched requires batch_size >= 1");
-  NFV_CHECK(out.size() == batch.size(),
-            "score_ranks_batched output size "
-                << out.size() << " != batch size " << batch.size());
-  pack_weights(scratch);
-  for (std::size_t start = 0; start < batch.size(); start += batch_size) {
-    const std::size_t n = std::min(batch_size, batch.size() - start);
-    forward_probs(batch.data() + start, n, scratch);
+  NFV_CHECK(out.size() == windows.size() &&
+                windows.ids.size() == windows.size() * config_.window &&
+                windows.dts.size() == windows.ids.size(),
+            "score_ranks_batched: " << out.size() << " outputs for "
+                                    << windows.size() << " windows");
+  for (std::size_t start = 0; start < windows.size(); start += batch_size) {
+    const std::size_t n = std::min(batch_size, windows.size() - start);
+    forward_logits(image, windows, start, n, scratch);
+    softmax(scratch.logits, scratch.probs);
     for (std::size_t r = 0; r < n; ++r) {
-      const auto target =
-          static_cast<std::size_t>(batch[start + r]->target);
+      const auto target = static_cast<std::size_t>(windows.targets[start + r]);
       NFV_CHECK(target < scratch.probs.cols(), "target outside vocabulary");
       const float p_target = scratch.probs.at(r, target);
       std::size_t rank = 0;
@@ -282,32 +349,40 @@ void SequenceModel::score_ranks_batched(
   }
 }
 
+WindowBatch SequenceModel::gather(
+    const std::vector<const SeqExample*>& batch) const {
+  NFV_CHECK(!batch.empty(), "scoring an empty batch");
+  WindowBatch windows;
+  for (const SeqExample* example : batch) {
+    windows.push_back(*example, config_.window);
+  }
+  return windows;
+}
+
+void SequenceModel::predict(const std::vector<const SeqExample*>& batch,
+                            Matrix& probs) const {
+  const WindowBatch windows = gather(batch);
+  InferenceScratch scratch;
+  forward_logits(build_scoring_image(), windows, 0, windows.size(), scratch);
+  softmax(scratch.logits, probs);
+}
+
 std::vector<double> SequenceModel::score_log_likelihood(
     const std::vector<const SeqExample*>& batch) const {
-  Matrix probs;
-  predict(batch, probs);
-  std::vector<double> out(batch.size());
-  for (std::size_t r = 0; r < batch.size(); ++r) {
-    out[r] = log_prob(probs, r, batch[r]->target);
-  }
+  const WindowBatch windows = gather(batch);
+  InferenceScratch scratch;
+  std::vector<double> out(windows.size());
+  score_batched(build_scoring_image(), windows, windows.size(), scratch, out);
   return out;
 }
 
 std::vector<std::size_t> SequenceModel::score_target_ranks(
     const std::vector<const SeqExample*>& batch) const {
-  Matrix probs;
-  predict(batch, probs);
-  std::vector<std::size_t> out(batch.size());
-  for (std::size_t r = 0; r < batch.size(); ++r) {
-    const auto target = static_cast<std::size_t>(batch[r]->target);
-    NFV_CHECK(target < probs.cols(), "target outside vocabulary");
-    const float p_target = probs.at(r, target);
-    std::size_t rank = 0;
-    for (std::size_t c = 0; c < probs.cols(); ++c) {
-      if (probs.at(r, c) > p_target) ++rank;
-    }
-    out[r] = rank;
-  }
+  const WindowBatch windows = gather(batch);
+  InferenceScratch scratch;
+  std::vector<std::size_t> out(windows.size());
+  score_ranks_batched(build_scoring_image(), windows, windows.size(), scratch,
+                      out);
   return out;
 }
 
@@ -407,6 +482,27 @@ SequenceModel SequenceModel::load(std::istream& is) {
   config.layers = read_u64(is);
   config.window = read_u64(is);
   config.use_dt_feature = read_u64(is) != 0;
+  // Validate the header before the constructor allocates from it: a
+  // corrupt field must fail as a CheckError, not as std::bad_alloc.
+  const std::size_t in0 = config.embed_dim + (config.use_dt_feature ? 1 : 0);
+  const std::pair<const char*, std::size_t> fields[] = {
+      {"vocab", config.vocab},   {"embed_dim", config.embed_dim},
+      {"hidden", config.hidden}, {"layers", config.layers},
+      {"window", config.window}};
+  for (const auto& [name, value] : fields) {
+    NFV_CHECK(value >= 1 && value <= kMaxCheckpointElements,
+              "corrupt SequenceModel checkpoint: " << name << " = " << value);
+  }
+  const std::size_t gates = checked_elements(4, config.hidden);
+  const std::size_t parameters =
+      checked_elements(config.vocab, config.embed_dim) +
+      checked_elements(gates, in0 + config.hidden) +
+      checked_elements(config.layers - 1,
+                       checked_elements(gates, 2 * config.hidden)) +
+      checked_elements(config.vocab, config.hidden);
+  NFV_CHECK(parameters <= kMaxCheckpointElements,
+            "corrupt SequenceModel checkpoint: " << parameters
+                                                 << " parameters");
   nfv::util::Rng rng(0);  // weights are overwritten below
   SequenceModel model(config, rng);
   for (Param* p : model.params()) {
@@ -420,8 +516,11 @@ SequenceModel SequenceModel::load(std::istream& is) {
     qw.lstm.resize(config.layers);
     for (std::size_t l = 0; l < config.layers; ++l) {
       qw.lstm[l] = read_quant_matrix(is);
-      NFV_CHECK(qw.lstm[l].rows == 4 * config.hidden,
-                "saved quantized LSTM layer shape mismatch");
+      const Lstm& layer = model.lstm_layers_[l];
+      NFV_CHECK(qw.lstm[l].rows == 4 * config.hidden &&
+                    qw.lstm[l].cols ==
+                        layer.input_size() + layer.hidden_size(),
+                "saved quantized LSTM layer " << l << " shape mismatch");
     }
     qw.output = read_quant_matrix(is);
     NFV_CHECK(qw.output.rows == config.vocab &&

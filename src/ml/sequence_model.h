@@ -30,6 +30,26 @@ struct SeqExample {
   std::int32_t target = 0;        // the (k+1)-th template id
 };
 
+/// Scoring windows laid out flat: window w's k template ids and Δt
+/// (seconds) sit at [w·k, (w+1)·k) of `ids` / `dts`, and the template that
+/// followed at targets[w]. A caller that clears and refills one batch
+/// keeps its capacity, so a warm gather allocates nothing.
+struct WindowBatch {
+  std::vector<std::int32_t> ids;
+  std::vector<float> dts;
+  std::vector<std::int32_t> targets;
+
+  std::size_t size() const { return targets.size(); }
+  void clear() {
+    ids.clear();
+    dts.clear();
+    targets.clear();
+  }
+  /// Append one example; throws util::CheckError unless it holds exactly
+  /// `window` ids and Δt.
+  void push_back(const SeqExample& example, std::size_t window);
+};
+
 /// Model hyper-parameters. The paper reports performance is "fairly
 /// insensitive to parameter choices"; defaults here are sized for the
 /// simulator's vocabulary.
@@ -62,63 +82,89 @@ class SequenceModel {
   double train_batch(const std::vector<const SeqExample*>& batch,
                      Optimizer& optimizer, double max_grad_norm = 5.0);
 
-  /// Forward-only: probability rows over the vocabulary, one per example.
-  void predict(const std::vector<const SeqExample*>& batch,
-               Matrix& probs) const;
+  /// Immutable fp32 scoring image of the weights, built once per weight
+  /// change by build_scoring_image() and read by every scoring call until
+  /// then (the model never caches one: train_batch would have to
+  /// invalidate it). It holds
+  ///   - layer 0's input term as a per-template table,
+  ///     input_gates[v] = W_x·embed[v] + b (vocab × 4H), and its Δt column;
+  ///   - layer 0's recurrent block W_h, packed;
+  ///   - for each layer above, the input block W[:, :I] (its zero-state
+  ///     first step) and the full gate matrix, packed;
+  ///   - the output head, packed.
+  /// A quantized model's image is empty: its int8 sidecar is packed at
+  /// calibration and every int8 step runs step_quantized.
+  struct ScoringImage {
+    std::size_t vocab = 0;  // the model vocabulary it was built at; 0 = empty
+    Matrix input_gates;
+    std::vector<float> dt_gates;    // empty without use_dt_feature
+    std::vector<float> recurrent0;
+    std::vector<std::vector<float>> input_blocks;  // layer l at [l − 1]
+    std::vector<std::vector<float>> gate_weights;  // layer l at [l − 1]
+    std::vector<float> output;
 
-  /// Log-likelihood of each example's observed target under the model.
-  /// Serial reference path for the batched scorer below.
-  std::vector<double> score_log_likelihood(
-      const std::vector<const SeqExample*>& batch) const;
+    bool empty() const { return vocab == 0; }
+  };
 
-  /// Rank (0-based) of each example's observed target in the predicted
-  /// distribution: 0 = most likely next template. DeepLog-style detection
-  /// flags an event whose rank is ≥ k. Serial reference path.
-  std::vector<std::size_t> score_target_ranks(
-      const std::vector<const SeqExample*>& batch) const;
+  /// Build the scoring image of the current weights (empty when
+  /// quantized).
+  ScoringImage build_scoring_image() const;
 
   /// Reusable buffers for the batched scoring path. One scratch belongs to
   /// exactly one calling thread; reusing it across calls means the fused
   /// forward loop performs no heap allocation once shapes have stabilized.
   struct InferenceScratch {
-    std::vector<Matrix> inputs;    // k × (B × input_width)
+    std::vector<Matrix> inputs;    // int8: k × (B × input_width)
     std::vector<LstmState> states; // one per LSTM layer
-    // fp32 weights packed for matmul_transb_packed (pack_transb), once per
-    // scoring call: every time step and sub-batch of the call reuses them.
-    // Unused in quantized mode, whose int8 image is packed at calibration.
-    std::vector<std::vector<float>> packed_lstm;  // one per LSTM layer
-    std::vector<float> packed_output;
     Matrix concat;                 // Lstm::step concat scratch
-    Matrix gates;                  // Lstm::step gate scratch
+    Matrix gates;                  // gate pre-activations of one layer
+    Matrix recurrent;              // layer 0's h·W_hᵀ
     Matrix logits;
-    Matrix probs;
+    Matrix probs;                  // rank mode's softmax
   };
 
-  /// Batched forward-only scoring: the log-likelihood of each example's
-  /// observed target, processed in fused sub-batches of at most
-  /// `batch_size` rows. Built on Lstm::step/make_state, so no BPTT caches
-  /// are materialized; the weights are packed once per call. Every row's
-  /// arithmetic is independent of its batch neighbours (per-row embedding
-  /// gather, per-row GEMM dot products, per-row softmax), so results are
-  /// bit-identical to score_log_likelihood for ANY batch size and any
-  /// thread count. `out.size()` must equal `batch.size()`.
-  void score_batched(std::span<const SeqExample* const> batch,
+  /// Batched forward-only scoring: the log-likelihood of each window's
+  /// observed target, in fused sub-batches of at most `batch_size` rows.
+  /// fp32 reads `image`, which must come from build_scoring_image() of the
+  /// current weights (a quantized model reads its sidecar instead). Every
+  /// row's arithmetic is independent of its batch neighbours (per-row
+  /// gathers, per-row GEMM dot products, per-row log-sum-exp), so results
+  /// are bit-identical to score_log_likelihood for ANY batch size and any
+  /// thread count. `out.size()` must equal `windows.size()`.
+  void score_batched(const ScoringImage& image, const WindowBatch& windows,
                      std::size_t batch_size, InferenceScratch& scratch,
                      std::span<double> out) const;
 
   /// As score_batched, but emits target ranks (DeepLog's top-k rule).
-  void score_ranks_batched(std::span<const SeqExample* const> batch,
-                           std::size_t batch_size, InferenceScratch& scratch,
+  void score_ranks_batched(const ScoringImage& image,
+                           const WindowBatch& windows, std::size_t batch_size,
+                           InferenceScratch& scratch,
                            std::span<std::size_t> out) const;
+
+  /// Serial references of the batched scorers: one batch, scored from a
+  /// scoring image built for the call.
+  /// predict() fills probability rows over the vocabulary, one per example.
+  void predict(const std::vector<const SeqExample*>& batch,
+               Matrix& probs) const;
+
+  /// Log-likelihood of each example's observed target under the model.
+  std::vector<double> score_log_likelihood(
+      const std::vector<const SeqExample*>& batch) const;
+
+  /// Rank (0-based) of each example's observed target in the predicted
+  /// distribution: 0 = most likely next template. DeepLog-style detection
+  /// flags an event whose rank is ≥ k.
+  std::vector<std::size_t> score_target_ranks(
+      const std::vector<const SeqExample*>& batch) const;
 
   /// Reusable buffers for the training path — the mirror of
   /// InferenceScratch: once shapes have stabilized,
   /// forward_backward/train_batch perform no steady-state heap allocation
   /// (the LSTM layers hold their own BPTT scratch the same way).
   struct TrainingScratch {
+    WindowBatch windows;                         // the batch, gathered flat
     std::vector<Matrix> inputs;                  // k × (B × input_width)
     std::vector<std::vector<std::int32_t>> ids;  // k × B gathered ids
-    std::vector<std::int32_t> targets;           // B
     std::vector<Matrix> grad_hidden;             // k × (B × hidden)
     Matrix grad_logits;
   };
@@ -168,20 +214,28 @@ class SequenceModel {
   static SequenceModel load(std::istream& is);
 
  private:
-  /// Builds per-timestep input matrices from the batch (embedding + Δt).
-  /// Reuses the capacity of `inputs` (and `ids_steps`) across calls.
-  void build_inputs(const SeqExample* const* batch, std::size_t batch_size,
-                    std::vector<Matrix>& inputs,
+  /// Builds per-timestep input matrices (embedding + Δt) of windows
+  /// [start, start + n). Reuses the capacity of `inputs` (and
+  /// `ids_steps`) across calls.
+  void build_inputs(const WindowBatch& windows, std::size_t start,
+                    std::size_t n, std::vector<Matrix>& inputs,
                     std::vector<std::vector<std::int32_t>>* ids_steps) const;
 
-  /// Pack the fp32 gate matrices and output head into scratch (no-op in
-  /// quantized mode). Called once per scoring call, before forward_probs.
-  void pack_weights(InferenceScratch& scratch) const;
+  /// Forward windows [start, start + n) through the stepped (cache-free)
+  /// LSTM stack into scratch.logits: the image path in fp32,
+  /// step_quantized in int8.
+  void forward_logits(const ScoringImage& image, const WindowBatch& windows,
+                      std::size_t start, std::size_t n,
+                      InferenceScratch& scratch) const;
 
-  /// Forward one fused sub-batch through the stepped (cache-free) LSTM
-  /// stack into scratch.probs. The weights must be packed already.
-  void forward_probs(const SeqExample* const* batch, std::size_t batch_size,
-                     InferenceScratch& scratch) const;
+  /// One time step of layer 0 from the image's table: gathers each row's
+  /// input gates, then adds the recurrent term unless t == 0.
+  void layer0_step(const ScoringImage& image, const WindowBatch& windows,
+                   std::size_t start, std::size_t t,
+                   InferenceScratch& scratch) const;
+
+  /// Serial-reference helper: the examples as one flat batch.
+  WindowBatch gather(const std::vector<const SeqExample*>& batch) const;
 
   double forward_backward(const std::vector<const SeqExample*>& batch);
 

@@ -7,6 +7,16 @@
 
 namespace nfv::ml {
 
+std::uint64_t checked_elements(std::uint64_t a, std::uint64_t b) {
+  std::uint64_t product = 0;
+  NFV_CHECK(!__builtin_mul_overflow(a, b, &product) &&
+                product <= kMaxCheckpointElements,
+            "corrupt checkpoint: " << a << " × " << b
+                                   << " elements exceed the limit of "
+                                   << kMaxCheckpointElements);
+  return product;
+}
+
 void write_u64(std::ostream& os, std::uint64_t value) {
   os.write(reinterpret_cast<const char*>(&value), sizeof(value));
 }
@@ -30,6 +40,7 @@ Matrix read_matrix(std::istream& is) {
   NFV_CHECK(read_u64(is) == kMatrixMagic, "corrupt checkpoint: bad matrix tag");
   const std::uint64_t rows = read_u64(is);
   const std::uint64_t cols = read_u64(is);
+  checked_elements(rows, cols);
   Matrix m(rows, cols);
   is.read(reinterpret_cast<char*>(m.data()),
           static_cast<std::streamsize>(m.size() * sizeof(float)));
@@ -60,8 +71,9 @@ QuantizedMatrix read_quant_matrix(std::istream& is) {
   m.cols = read_u64(is);
   m.cols_padded = read_u64(is);
   const std::uint64_t bytes = read_u64(is);
-  NFV_CHECK(m.cols_padded >= m.cols && m.cols_padded % 4 == 0 &&
-                bytes == m.rows * m.cols_padded,
+  NFV_CHECK(m.rows >= 1 && m.cols >= 1 && m.cols_padded >= m.cols &&
+                m.cols_padded % 4 == 0 &&
+                bytes == checked_elements(m.rows, m.cols_padded),
             "corrupt checkpoint: quantized-matrix shape mismatch");
   m.data.resize(bytes);
   is.read(reinterpret_cast<char*>(m.data.data()),

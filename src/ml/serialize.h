@@ -14,6 +14,16 @@ inline constexpr std::uint64_t kAutoencoderMagic = 0x4e4656414531ULL;
 inline constexpr std::uint64_t kMatrixMagic = 0x4e46564d5831ULL;
 inline constexpr std::uint64_t kQuantMatrixMagic = 0x4e465651384d31ULL;
 
+/// Largest element count a checkpoint header may declare for one tensor or
+/// one model's parameters: 2^28 floats (1 GiB). A larger header is corrupt;
+/// rejecting it before allocating turns a std::bad_alloc into a CheckError.
+inline constexpr std::uint64_t kMaxCheckpointElements = std::uint64_t{1}
+                                                        << 28;
+
+/// a × b; throws util::CheckError when the product overflows or exceeds
+/// kMaxCheckpointElements.
+std::uint64_t checked_elements(std::uint64_t a, std::uint64_t b);
+
 void write_u64(std::ostream& os, std::uint64_t value);
 std::uint64_t read_u64(std::istream& is);
 

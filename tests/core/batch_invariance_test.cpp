@@ -207,15 +207,16 @@ TEST(BatchInvarianceTest, ModelBatchedScoringMatchesSerialForAnyBatchSize) {
 
   const std::vector<ml::SeqExample> examples =
       make_examples(130, config.window, config.vocab, 99);
-  std::vector<const ml::SeqExample*> windows;
+  ml::WindowBatch windows;
   std::vector<double> serial_ll;
   std::vector<std::size_t> serial_ranks;
   for (const ml::SeqExample& example : examples) {
-    windows.push_back(&example);
+    windows.push_back(example, config.window);
     serial_ll.push_back(model.score_log_likelihood({&example})[0]);
     serial_ranks.push_back(model.score_target_ranks({&example})[0]);
   }
 
+  const ml::SequenceModel::ScoringImage image = model.build_scoring_image();
   ml::SequenceModel::InferenceScratch scratch;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     nfv::util::set_global_threads(threads);
@@ -224,11 +225,11 @@ TEST(BatchInvarianceTest, ModelBatchedScoringMatchesSerialForAnyBatchSize) {
           std::size_t{7}, std::size_t{9}, std::size_t{63}, std::size_t{64},
           LstmDetector::kScoreBatch}) {
       std::vector<double> ll(windows.size());
-      model.score_batched(windows, batch_size, scratch, ll);
+      model.score_batched(image, windows, batch_size, scratch, ll);
       EXPECT_EQ(ll, serial_ll)
           << "batch_size " << batch_size << " threads " << threads;
       std::vector<std::size_t> ranks(windows.size());
-      model.score_ranks_batched(windows, batch_size, scratch, ranks);
+      model.score_ranks_batched(image, windows, batch_size, scratch, ranks);
       EXPECT_EQ(ranks, serial_ranks)
           << "batch_size " << batch_size << " threads " << threads;
     }
@@ -289,7 +290,7 @@ TEST(BatchInvarianceTest, MonitorGroupFlushMatchesImmediateIngestion) {
   std::vector<std::vector<double>> group_scores(kStreams);
   std::vector<std::size_t> flush_shard_order;
   const auto drain = [&] {
-    const std::vector<double> scores = group.flush();
+    const std::span<const double> scores = group.flush();
     ASSERT_EQ(scores.size(), flush_shard_order.size());
     for (std::size_t i = 0; i < scores.size(); ++i) {
       group_scores[flush_shard_order[i]].push_back(scores[i]);

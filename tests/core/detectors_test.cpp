@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <sstream>
 
 #include "core/feature_detectors.h"
 #include "core/hmm_detector.h"
@@ -194,6 +196,78 @@ TEST(LstmDetector, OversamplingReducesTrainingTailScores) {
     return worst;
   };
   EXPECT_LT(rare_score(with), rare_score(without) + 0.5);
+}
+
+/// Every window of `logs` with a full history, as training examples.
+std::vector<ml::SeqExample> all_windows(const std::vector<ParsedLog>& logs,
+                                        std::size_t window) {
+  return logproc::build_sequence_examples(
+      logs, window, Duration{std::numeric_limits<std::int64_t>::max()});
+}
+
+/// The detector's scores (its own scoring image) against the model's
+/// serial reference, which builds a fresh image from the current weights.
+void expect_fresh_image(const LstmDetector& detector,
+                        const std::vector<ml::SeqExample>& examples,
+                        const char* after) {
+  std::vector<const ml::SeqExample*> batch;
+  for (const ml::SeqExample& ex : examples) batch.push_back(&ex);
+  const std::vector<double> fresh =
+      detector.model().score_log_likelihood(batch);
+  const std::vector<double> scores = detector.score_examples(examples);
+  ASSERT_EQ(scores.size(), fresh.size()) << after;
+  for (std::size_t i = 0; i < scores.size(); ++i) {
+    EXPECT_EQ(scores[i], -fresh[i]) << "after " << after << ", window " << i;
+  }
+}
+
+// The detector's scoring image follows every weight change: fit, an
+// update that only grows the vocabulary (no training windows), adapt,
+// set_quantized(false), load and copies.
+TEST(LstmDetector, ScoringImageFollowsEveryWeightChange) {
+  LstmDetector detector(fast_lstm_config());
+  const auto train = motif_stream(60);
+  const LogView view{train};
+  detector.fit({&view, 1}, 8);
+  expect_fresh_image(detector, all_windows(motif_stream(6), 4), "fit");
+
+  // Three lines < window + 1: no training window, but the vocab grows to
+  // 12 and windows with templates 8–11 must score from the grown image.
+  std::vector<ParsedLog> post;
+  std::int64_t t = 9000000;
+  for (int c = 0; c < 40; ++c) {
+    for (std::int32_t id = 8; id < 12; ++id) post.push_back({SimTime{t += 45}, id});
+  }
+  const std::vector<ParsedLog> too_short(post.begin(), post.begin() + 3);
+  const LogView short_view{too_short};
+  detector.update({&short_view, 1}, 12);
+  EXPECT_EQ(detector.model().config().vocab, 12u);
+  const std::vector<ml::SeqExample> grown = all_windows(post, 4);
+  expect_fresh_image(detector, grown, "update growing the vocab");
+
+  const LogView post_view{post};
+  detector.adapt({&post_view, 1}, 12);
+  expect_fresh_image(detector, grown, "adapt");
+
+  detector.set_quantized(true);
+  detector.set_quantized(false);
+  expect_fresh_image(detector, grown, "set_quantized(false)");
+
+  std::stringstream saved;
+  detector.save(saved);
+  const LstmDetector loaded = LstmDetector::load(saved);
+  expect_fresh_image(loaded, grown, "load");
+
+  // Copies carry the image; retraining the original leaves them intact.
+  const LstmDetector copy(detector);
+  LstmDetector assigned;
+  assigned = detector;
+  detector.update({&view, 1}, 12);
+  expect_fresh_image(detector, grown, "update");
+  expect_fresh_image(copy, grown, "copy");
+  expect_fresh_image(assigned, grown, "assignment");
+  EXPECT_EQ(copy.score_examples(grown), loaded.score_examples(grown));
+  EXPECT_NE(copy.score_examples(grown), detector.score_examples(grown));
 }
 
 TEST(LstmDetector, LifecycleChecks) {

@@ -5,6 +5,7 @@
 #include <sstream>
 #include <string>
 
+#include "core/async_ingest.h"
 #include "core/feature_detectors.h"
 #include "core/lstm_detector.h"
 #include "util/check.h"
@@ -306,63 +307,24 @@ TEST(StreamMonitorGroupVocab, OneScoringCallPerFlushAcrossTreeSizes) {
   EXPECT_TRUE(any_nonzero) << "vacuous parity: no window ever scored";
 }
 
-// Batched-vs-immediate parity for a DOCUMENT-based detector: with
-// doc_size == window + 1 every staged window is exactly one TF-IDF
-// document, so the group flush must reproduce immediate ingestion's
-// reconstruction-error scores bit-for-bit.
-TEST(StreamMonitorGroupVocab, DocumentDetectorFlushMatchesImmediate) {
-  AutoencoderDetectorConfig ae_config;
-  ae_config.doc_size = 5;
-  ae_config.encoder = {8, 4};
-  ae_config.initial_epochs = 3;
-  AutoencoderDetector detector(ae_config);
-  std::vector<ParsedLog> train;
-  for (std::size_t i = 0; i < 400; ++i) {
-    train.push_back(
-        {SimTime{static_cast<std::int64_t>(i) * 60},
-         static_cast<std::int32_t>(i % 6)});
-  }
-  const LogView view{train};
-  detector.fit({&view, 1}, 8);
+// Streaming scores one line at a time, so a per-document (TF-IDF)
+// detector is refused by every streaming front-end; it serves the batch
+// pipeline only.
+TEST(StreamingDocumentDetectors, RejectedByEveryStreamingFrontEnd) {
+  AutoencoderDetector document_detector;
+  FakeTemplateDetector line_detector;
+  logproc::SignatureTree tree;
+  const StreamMonitorConfig config;
+  EXPECT_THROW(StreamMonitor(0, &document_detector, &tree, config, nullptr),
+               nfv::util::CheckError);
+  EXPECT_THROW(StreamMonitorGroup{&document_detector}, nfv::util::CheckError);
+  EXPECT_THROW(AsyncIngest{&document_detector}, nfv::util::CheckError);
 
-  StreamMonitorConfig config;
-  config.window = 4;  // window + 1 == doc_size
-  config.threshold = 1e12;
-
-  std::vector<ParsedLog> test;
-  for (std::size_t i = 0; i < 120; ++i) {
-    const std::int32_t id =
-        (i % 37 == 11) ? 7 : static_cast<std::int32_t>(i % 6);
-    test.push_back({SimTime{500000 + static_cast<std::int64_t>(i) * 60}, id});
-  }
-
-  logproc::SignatureTree direct_tree;
-  StreamMonitor direct(0, &detector, &direct_tree, config, nullptr);
-  std::vector<double> immediate;
-  for (const ParsedLog& log : test) {
-    immediate.push_back(direct.ingest_parsed(log));
-  }
-
-  logproc::SignatureTree group_tree;
-  StreamMonitor shard(0, &detector, &group_tree, config, nullptr);
-  StreamMonitorGroup group(&detector);
-  group.add(&shard);
-  std::vector<double> batched;
-  for (std::size_t i = 0; i < test.size(); ++i) {
-    group.ingest_parsed(0, test[i]);
-    if (i % 13 == 12) {
-      for (double score : group.flush()) batched.push_back(score);
-    }
-  }
-  for (double score : group.flush()) batched.push_back(score);
-
-  ASSERT_EQ(immediate.size(), batched.size());
-  bool any_nonzero = false;
-  for (std::size_t i = 0; i < immediate.size(); ++i) {
-    ASSERT_EQ(immediate[i], batched[i]) << "line " << i;
-    any_nonzero = any_nonzero || immediate[i] != 0.0;
-  }
-  EXPECT_TRUE(any_nonzero) << "vacuous parity: no window ever scored";
+  StreamMonitor monitor(0, &line_detector, &tree, config, nullptr);
+  EXPECT_THROW(monitor.set_detector(&document_detector),
+               nfv::util::CheckError);
+  StreamMonitorGroup group(&line_detector);
+  EXPECT_THROW(group.set_detector(&document_detector), nfv::util::CheckError);
 }
 
 // Regression: a sustained anomaly storm must not grow monitor state. The
@@ -430,7 +392,7 @@ TEST(StreamMonitorGroupEdgeCases, FlushWithEntriesButNoFullWindows) {
     group.ingest_parsed(0, {SimTime{i * 60}, 1});
   }
   EXPECT_EQ(group.pending(), 3u);
-  const std::vector<double> scores = group.flush();
+  const std::span<const double> scores = group.flush();
   ASSERT_EQ(scores.size(), 3u);
   for (double score : scores) EXPECT_EQ(score, 0.0);
   EXPECT_EQ(group.pending(), 0u);
@@ -452,7 +414,7 @@ TEST(StreamMonitorGroupEdgeCases, NeverFillingShardScoresZeroAlongside) {
     group.ingest_parsed(0, {SimTime{i * 60}, static_cast<std::int32_t>(i)});
   }
   group.ingest_parsed(1, {SimTime{0}, 9});  // its window never fills
-  const std::vector<double> scores = group.flush();
+  const std::span<const double> scores = group.flush();
   ASSERT_EQ(scores.size(), 9u);
   EXPECT_EQ(scores.back(), 0.0);  // the sparse shard's only line
   // The busy shard still scored normally once its window filled.
@@ -478,7 +440,7 @@ TEST(StreamMonitorGroupEdgeCases, RepeatedFlushIsIdempotent) {
   for (std::int64_t i = 0; i < 6; ++i) {
     group.ingest_parsed(0, {SimTime{i * 30}, 2});
   }
-  const std::vector<double> first = group.flush();
+  const std::span<const double> first = group.flush();
   EXPECT_EQ(first.size(), 6u);
   const std::size_t warned = warnings.size();
   EXPECT_EQ(warned, 1u);
@@ -519,7 +481,7 @@ TEST_F(StreamingFixture, MultiYearGapStillScoresEveryPosition) {
   StreamMonitorGroup group(&detector);
   group.add(&monitor);
   for (const ParsedLog& log : logs) group.ingest_parsed(0, log);
-  const std::vector<double> scores = group.flush();
+  const std::span<const double> scores = group.flush();
   ASSERT_EQ(scores.size(), logs.size());
   for (std::size_t e = 0; e < events.size(); ++e) {
     const std::vector<ScoredEvent> staged =

@@ -20,6 +20,7 @@
 
 #include "core/lstm_detector.h"
 #include "core/streaming.h"
+#include "util/thread_pool.h"
 #include "logproc/signature_tree.h"
 #include "util/interner.h"
 
@@ -204,11 +205,17 @@ TEST(SteadyStateAllocations, SharedForestLearnAndMatchAreAllocationFree) {
   EXPECT_EQ(tree.size(), templates) << "fresh values minted new templates";
 }
 
-// Staging into a StreamMonitorGroup is allocation-free once warm: each
-// shard's history is a fixed ring, and the group's entry list and flat
-// window buffer keep their capacity across flushes. Two flush cycles warm
-// them (the first stages fewer windows while the histories fill). The
-// flush's own allocations are printed for information, not gated.
+// The group's full cycle is allocation-free once warm: staging (each
+// shard's history is a fixed ring, the entry list and flat window buffer
+// keep their capacity), the flush (windows gathered into the group's
+// detector scratch, scored from the detector's scoring image into the
+// group's score buffers) and the warning tracking it drives. Two cycles
+// warm the buffers (the first stages fewer windows while the histories
+// fill). Every scored line crosses the threshold and, 30 s after the
+// previous one with a 10 s cluster span, raises a warning of its own.
+// The group runs inside a ScopedRegion, as on an AsyncIngest worker:
+// its kernels take their serial paths instead of the global fork-join
+// pool.
 TEST(SteadyStateAllocations, GroupStagingIsAllocationFree) {
   constexpr std::size_t kShards = 8;
   constexpr std::size_t kLines = 64;  // per shard per cycle
@@ -233,15 +240,21 @@ TEST(SteadyStateAllocations, GroupStagingIsAllocationFree) {
 
   nfv::core::StreamMonitorConfig monitor_config;
   monitor_config.window = config.window;
+  monitor_config.threshold = 0.0;
+  monitor_config.min_cluster_size = 1;
+  monitor_config.cluster_span = nfv::util::Duration::of_seconds(10);
+  std::size_t warnings = 0;
   std::vector<SignatureTree> trees(kShards);
   std::vector<nfv::core::StreamMonitor> monitors;
   monitors.reserve(kShards);
   for (std::size_t s = 0; s < kShards; ++s) {
-    monitors.emplace_back(static_cast<std::int32_t>(s), &detector, &trees[s],
-                          monitor_config, nullptr);
+    monitors.emplace_back(
+        static_cast<std::int32_t>(s), &detector, &trees[s], monitor_config,
+        [&warnings](const nfv::core::StreamWarning&) { ++warnings; });
   }
   nfv::core::StreamMonitorGroup group(&detector);
   for (nfv::core::StreamMonitor& monitor : monitors) group.add(&monitor);
+  const nfv::util::ThreadPool::ScopedRegion worker_thread;
 
   const auto stage = [&](std::size_t cycle) {
     for (std::size_t i = 0; i < kLines; ++i) {
@@ -255,19 +268,21 @@ TEST(SteadyStateAllocations, GroupStagingIsAllocationFree) {
     group.flush();
   }
 
+  const std::size_t warned = warnings;
   const std::uint64_t before = allocations();
   stage(2);
   const std::uint64_t staged = allocations();
-  const std::vector<double> scores = group.flush();
+  const std::span<const double> scores = group.flush();
   const std::uint64_t flushed = allocations();
 
   EXPECT_EQ(staged - before, 0u) << "warm group staging allocated";
+  EXPECT_EQ(flushed - staged, 0u)
+      << "warm flush allocated "
+      << static_cast<double>(flushed - staged) /
+             static_cast<double>(scores.size())
+      << " times per line";
   ASSERT_EQ(scores.size(), kShards * kLines);
-  std::cout << "[ info ] flush allocations per line: "
-            << static_cast<double>(flushed - staged) /
-                   static_cast<double>(scores.size())
-            << " (" << scores.size() << " lines, " << kShards
-            << " shards)\n";
+  EXPECT_EQ(warnings - warned, kShards * kLines) << "warning tracking idle";
 }
 
 // Sanity check that the counting hook itself works — otherwise the zero

@@ -327,15 +327,17 @@ TEST(SequenceModelQuantize, SerialAndBatchedQuantizedScoresAgree) {
   const std::vector<double> serial = model.score_log_likelihood(batch);
   const std::vector<std::size_t> serial_ranks =
       model.score_target_ranks(batch);
+  WindowBatch windows;
+  for (const SeqExample& ex : examples) windows.push_back(ex, config.window);
+  const SequenceModel::ScoringImage image = model.build_scoring_image();
+  EXPECT_TRUE(image.empty()) << "int8 scoring reads the sidecar";
   SequenceModel::InferenceScratch scratch;
   for (const std::size_t batch_size : {1ul, 7ul, 32ul, 1024ul}) {
     std::vector<double> batched(batch.size());
-    model.score_batched({batch.data(), batch.size()}, batch_size, scratch,
-                        batched);
+    model.score_batched(image, windows, batch_size, scratch, batched);
     EXPECT_EQ(batched, serial) << "batch_size " << batch_size;
     std::vector<std::size_t> ranks(batch.size());
-    model.score_ranks_batched({batch.data(), batch.size()}, batch_size,
-                              scratch, ranks);
+    model.score_ranks_batched(image, windows, batch_size, scratch, ranks);
     EXPECT_EQ(ranks, serial_ranks) << "batch_size " << batch_size;
   }
 }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <sstream>
 
 #include "ml/loss.h"
@@ -160,6 +162,176 @@ TEST(LstmStep, ReproducesForwardLastHiddenInBothTiers) {
     }
   }
   set_simd_kernels_enabled(simd_default);
+}
+
+// A window's first step starts from the zero state, so every layer above
+// the first multiplies its input by the input block W[:, :I] alone. The
+// terms that skips are zeros at the end of each k-ascending chain, so the
+// product, and the step built on it, match the full concat GEMM bit for
+// bit in both kernel tiers, at batches that hit the 1-row tail and the
+// 4-row tile and with hidden 12's vector tails.
+TEST(LstmStep, ZeroStateInputBlockMatchesConcatGemmInBothTiers) {
+  const bool simd_default = simd_kernels_enabled();
+  for (const bool simd : {true, false}) {
+    set_simd_kernels_enabled(simd);
+    for (const std::size_t batch : {1, 7, 64}) {
+      Rng rng(23);
+      Lstm lstm("lstm", 5, 12, rng);
+      Matrix x(batch, 5);
+      for (float& v : x.storage()) v = static_cast<float>(rng.uniform(-2, 2));
+      Matrix concat(batch, 5 + 12);  // [x, h = 0]
+      for (std::size_t r = 0; r < batch; ++r) {
+        std::copy_n(x.row(r), 5, concat.row(r));
+      }
+
+      std::vector<float> full;
+      std::vector<float> input_block;
+      pack_transb(lstm.weight().value, full);
+      pack_transb(lstm.weight().value, 0, 5, input_block);
+      Matrix via_concat;
+      Matrix via_block;
+      matmul_transb_packed(concat, lstm.weight().value, full, via_concat);
+      matmul_transb_packed(x, 4 * 12, input_block, via_block);
+      EXPECT_EQ(via_block.storage(), via_concat.storage())
+          << "simd " << simd << " batch " << batch;
+
+      LstmState stepped = lstm.make_state(batch);
+      LstmState zero_step = lstm.make_state(batch);
+      Matrix scratch;
+      Matrix gates;
+      lstm.step(x, stepped, full, scratch, gates);
+      lstm.step_zero_state(x, zero_step, input_block, gates);
+      EXPECT_EQ(zero_step.h.storage(), stepped.h.storage());
+      EXPECT_EQ(zero_step.c.storage(), stepped.c.storage());
+    }
+  }
+  set_simd_kernels_enabled(simd_default);
+}
+
+/// Float64 concat-and-softmax reference of the model's log-likelihood:
+/// the textbook LSTM equations on the fp32 weights, every sum in double,
+/// floored at log(1e-12) like the scorer.
+double reference_log_likelihood(const SequenceModel& model,
+                                const SeqExample& ex) {
+  const SequenceModelConfig& config = model.config();
+  const std::vector<const Param*> params = model.params();
+  const std::size_t h = config.hidden;
+  const auto sigmoid = [](double z) { return 1.0 / (1.0 + std::exp(-z)); };
+  std::vector<std::vector<double>> hidden(config.layers,
+                                          std::vector<double>(h, 0.0));
+  std::vector<std::vector<double>> cell = hidden;
+  for (std::size_t t = 0; t < config.window; ++t) {
+    const float* embed =
+        params[0]->value.row(static_cast<std::size_t>(ex.ids[t]));
+    std::vector<double> x(embed, embed + config.embed_dim);
+    if (config.use_dt_feature) x.push_back(normalize_dt(ex.dts[t]));
+    for (std::size_t l = 0; l < config.layers; ++l) {
+      const Matrix& w = params[1 + 2 * l]->value;
+      const Matrix& b = params[2 + 2 * l]->value;
+      std::vector<double> z(4 * h);
+      for (std::size_t j = 0; j < 4 * h; ++j) {
+        double sum = b.at(0, j);
+        for (std::size_t i = 0; i < x.size(); ++i) sum += w.at(j, i) * x[i];
+        for (std::size_t m = 0; m < h; ++m) {
+          sum += w.at(j, x.size() + m) * hidden[l][m];
+        }
+        z[j] = sum;
+      }
+      for (std::size_t m = 0; m < h; ++m) {
+        cell[l][m] = sigmoid(z[h + m]) * cell[l][m] +
+                     sigmoid(z[m]) * std::tanh(z[2 * h + m]);
+        hidden[l][m] = sigmoid(z[3 * h + m]) * std::tanh(cell[l][m]);
+      }
+      x = hidden[l];
+    }
+  }
+  const Matrix& w_out = params[params.size() - 2]->value;
+  const Matrix& b_out = params.back()->value;
+  std::vector<double> logits(config.vocab);
+  for (std::size_t v = 0; v < config.vocab; ++v) {
+    double sum = b_out.at(0, v);
+    for (std::size_t m = 0; m < h; ++m) sum += w_out.at(v, m) * hidden.back()[m];
+    logits[v] = sum;
+  }
+  const double top = *std::max_element(logits.begin(), logits.end());
+  double total = 0.0;
+  for (const double logit : logits) total += std::exp(logit - top);
+  const double ll =
+      logits[static_cast<std::size_t>(ex.target)] - top - std::log(total);
+  return std::max(ll, std::log(1e-12));
+}
+
+// The scoring image's forward pass (per-template layer-0 table, zero-state
+// first steps, log-sum-exp head) against the float64 reference, in both
+// kernel tiers, with and without the Δt feature, at batches of 1, 7 and
+// 64 windows and hidden 12 (vector tails). One window's target logit is
+// pushed far below the rest so its score sits on the log(1e-12) floor.
+TEST(ScoringImage, ForwardMatchesFloat64ReferenceInBothTiers) {
+  const bool simd_default = simd_kernels_enabled();
+  for (const bool use_dt : {true, false}) {
+    SequenceModelConfig config = small_config();
+    config.use_dt_feature = use_dt;
+    config.vocab = 11;
+    Rng rng(31);
+    SequenceModel model(config, rng);
+    // Class 10 is unreachable: its score clamps at log(1e-12).
+    model.params().back()->value.at(0, 10) = -80.0f;
+
+    std::vector<SeqExample> examples(64);
+    for (SeqExample& ex : examples) {
+      for (std::size_t t = 0; t < config.window; ++t) {
+        ex.ids.push_back(static_cast<std::int32_t>(rng.uniform_index(10)));
+        ex.dts.push_back(static_cast<float>(rng.uniform_index(600)));
+      }
+      ex.target = static_cast<std::int32_t>(rng.uniform_index(10));
+    }
+    examples[5].target = 10;
+    std::vector<double> reference;
+    for (const SeqExample& ex : examples) {
+      reference.push_back(reference_log_likelihood(model, ex));
+    }
+    ASSERT_DOUBLE_EQ(reference[5], std::log(1e-12));
+
+    for (const bool simd : {true, false}) {
+      set_simd_kernels_enabled(simd);
+      const SequenceModel::ScoringImage image = model.build_scoring_image();
+      SequenceModel::InferenceScratch scratch;
+      for (const std::size_t batch : {1, 7, 64}) {
+        WindowBatch windows;
+        for (std::size_t i = 0; i < batch; ++i) {
+          windows.push_back(examples[i], config.window);
+        }
+        std::vector<double> scores(batch);
+        model.score_batched(image, windows, batch, scratch, scores);
+        for (std::size_t i = 0; i < batch; ++i) {
+          EXPECT_NEAR(scores[i], reference[i], 1e-4)
+              << "use_dt " << use_dt << " simd " << simd << " batch "
+              << batch << " window " << i;
+        }
+      }
+    }
+  }
+  set_simd_kernels_enabled(simd_default);
+}
+
+// The image is a snapshot: scoring refuses one built before grow_vocab.
+TEST(ScoringImage, StaleImageIsRejected) {
+  Rng rng(37);
+  SequenceModel model(small_config(), rng);
+  const SequenceModel::ScoringImage image = model.build_scoring_image();
+  EXPECT_FALSE(image.empty());
+  Rng grow_rng(1);
+  model.grow_vocab(12, grow_rng);
+  const SeqExample example = cyclic_examples(8, 4, 1)[0];
+  WindowBatch windows;
+  windows.push_back(example, 4);
+  SequenceModel::InferenceScratch scratch;
+  std::vector<double> scores(1);
+  EXPECT_THROW(model.score_batched(image, windows, 1, scratch, scores),
+               nfv::util::CheckError);
+  model.score_batched(model.build_scoring_image(), windows, 1, scratch,
+                      scores);
+  EXPECT_EQ(scores, model.score_log_likelihood({&example}));
 }
 
 TEST(SequenceModel, CopyYieldsIndependentTwin) {

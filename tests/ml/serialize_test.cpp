@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <sstream>
+#include <string>
 
+#include "ml/sequence_model.h"
 #include "util/check.h"
+#include "util/rng.h"
 
 namespace nfv::ml {
 namespace {
@@ -126,6 +130,77 @@ TEST(Serialize, QuantMatrixRejectsInconsistentShape) {
   write_u64(stream, 8);  // cols
   write_u64(stream, 4);  // cols_padded < cols
   EXPECT_THROW(read_quant_matrix(stream), nfv::util::CheckError);
+}
+
+/// A SequenceModel header (magic + config), without any tensors.
+std::stringstream model_header(std::uint64_t vocab, std::uint64_t layers) {
+  std::stringstream stream;
+  write_u64(stream, kSequenceModelMagic);
+  write_u64(stream, vocab);
+  write_u64(stream, 4);  // embed_dim
+  write_u64(stream, 8);  // hidden
+  write_u64(stream, layers);
+  write_u64(stream, 3);  // window
+  write_u64(stream, 1);  // use_dt_feature
+  return stream;
+}
+
+// Corrupt headers fail as CheckError before anything is allocated from
+// them, instead of escaping as std::bad_alloc from the model constructor.
+TEST(Serialize, ModelHeaderWithHugeVocabThrows) {
+  std::stringstream stream = model_header(std::uint64_t{1} << 40, 2);
+  EXPECT_THROW(SequenceModel::load(stream), nfv::util::CheckError);
+}
+
+TEST(Serialize, ModelHeaderWithHugeLayerCountThrows) {
+  std::stringstream stream = model_header(16, std::uint64_t{1} << 40);
+  EXPECT_THROW(SequenceModel::load(stream), nfv::util::CheckError);
+  std::stringstream zero = model_header(16, 0);
+  EXPECT_THROW(SequenceModel::load(zero), nfv::util::CheckError);
+}
+
+TEST(Serialize, MatrixHeaderBeyondElementLimitThrows) {
+  std::stringstream stream;
+  write_u64(stream, kMatrixMagic);
+  write_u64(stream, std::uint64_t{1} << 30);  // rows
+  write_u64(stream, std::uint64_t{1} << 12);  // cols
+  EXPECT_THROW(read_matrix(stream), nfv::util::CheckError);
+  std::stringstream overflow;
+  write_u64(overflow, kMatrixMagic);
+  write_u64(overflow, std::uint64_t{1} << 40);
+  write_u64(overflow, std::uint64_t{1} << 40);
+  EXPECT_THROW(read_matrix(overflow), nfv::util::CheckError);
+}
+
+// An int8 LSTM layer whose width disagrees with the model fails at load,
+// not at the first score inside a streaming worker.
+TEST(Serialize, QuantizedLayerWithWrongColumnsThrowsAtLoad) {
+  SequenceModelConfig config;
+  config.vocab = 6;
+  config.embed_dim = 6;
+  config.hidden = 12;
+  config.window = 3;
+  nfv::util::Rng rng(3);
+  SequenceModel model(config, rng);
+  model.quantize();
+  std::stringstream saved;
+  model.save(saved);
+  std::string bytes = saved.str();
+  // Layer 0 is the first quantized matrix: tag, rows, then cols = 6 + 1 +
+  // 12 = 19 (padded to 20). Declaring 18 keeps the matrix self-consistent.
+  const std::uint64_t magic = kQuantMatrixMagic;
+  const std::size_t at =
+      bytes.find(std::string(reinterpret_cast<const char*>(&magic), 8));
+  ASSERT_NE(at, std::string::npos);
+  std::uint64_t cols = 0;
+  std::memcpy(&cols, bytes.data() + at + 16, 8);
+  ASSERT_EQ(cols, 19u);
+  cols = 18;
+  std::memcpy(bytes.data() + at + 16, &cols, 8);
+  std::stringstream corrupt(bytes);
+  EXPECT_THROW(SequenceModel::load(corrupt), nfv::util::CheckError);
+  std::stringstream intact(saved.str());
+  EXPECT_NO_THROW(SequenceModel::load(intact));
 }
 
 }  // namespace

@@ -21,8 +21,10 @@
 # worker counts) and run in the regular, TSan and ASan legs. The
 # quantized-scoring leg runs the quant-labelled tests, the
 # bench_scoring_throughput --smoke rank-agreement / tier-bit-identity
-# gates, and an ASan build of the int8 kernels and of the fp32 packed
-# kernels (test_ml_grad's shape sweep reads every panel tail).
+# gates, and an ASan build of the int8 kernels, of the fp32 packed
+# kernels (test_ml_grad's shape sweep reads every panel tail) and of the
+# sequence model (test_ml_models: the scoring image, its table gather and
+# the checkpoint loader's corrupt-header checks).
 #
 # Usage: tools/ci.sh [jobs]
 set -euo pipefail
@@ -57,14 +59,15 @@ ctest --test-dir "$ROOT/build" -L quant --output-on-failure -j "$JOBS"
 cmake --build "$ROOT/build" -j "$JOBS" --target bench_scoring_throughput
 "$ROOT/build/bench/bench_scoring_throughput" --smoke
 
-echo "=== ASan: logproc fast path (interner, AVX2 tokenizer, alloc hook), shared arena + forest, int8 and fp32 packed kernels ==="
+echo "=== ASan: logproc fast path (interner, AVX2 tokenizer, alloc hook), shared arena + forest, int8 and fp32 packed kernels, scoring image + checkpoint loader ==="
 cmake -B "$ROOT/build-asan" -S "$ROOT" -DNFVPRED_SANITIZE=address
-cmake --build "$ROOT/build-asan" -j "$JOBS" --target test_logproc --target test_logproc_alloc --target test_forest --target test_quant --target test_ml_grad
+cmake --build "$ROOT/build-asan" -j "$JOBS" --target test_logproc --target test_logproc_alloc --target test_forest --target test_quant --target test_ml_grad --target test_ml_models
 "$ROOT/build-asan/tests/test_logproc"
 "$ROOT/build-asan/tests/test_logproc_alloc"
 "$ROOT/build-asan/tests/test_forest"
 "$ROOT/build-asan/tests/test_quant"
 "$ROOT/build-asan/tests/test_ml_grad"
+"$ROOT/build-asan/tests/test_ml_models"
 
 echo "=== continual learning: online retrain + hot swap + adapt safety ==="
 ctest --test-dir "$ROOT/build" -L continual --output-on-failure -j "$JOBS"
