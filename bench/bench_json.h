@@ -42,7 +42,7 @@ inline std::string source_git_sha() {
 inline void write_provenance(nfv::util::JsonWriter& w) {
   w.key("provenance").begin_object();
   w.kv("nproc", static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
-  w.kv("simd_tier", nfv::ml::simd_kernels_enabled() ? "avx2+fma" : "baseline");
+  w.kv("simd_tier", nfv::ml::kernel_tier_name());
   w.kv("build_type", NFV_BUILD_TYPE);
   w.kv("git_sha", source_git_sha());
   w.end_object();

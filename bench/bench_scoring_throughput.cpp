@@ -12,16 +12,17 @@
 //     LstmDetector::kScoreBatch rows;
 //   - batched+int8 (--quantize): the same fused path with the detector's
 //     per-channel int8 sidecar installed, so every GEMM runs the packed
-//     vpmaddubsw kernels of ml::matmul_quant.
+//     int8 kernels of ml::matmul_quant (vpmaddubsw or VNNI vpdpbusd).
 // fp32 scores are bit-identical between the first two (see
 // batch_invariance_test); the quantized tier trades exact score equality
 // for the rank-agreement gate checked by `--smoke` below.
 //
 // Run with `--json FILE` to skip google-benchmark and emit a
 // machine-readable summary (windows/sec and speedups at 1 and 4 threads,
-// plus a windows-per-call sweep at 1 thread: the first kSweepWindows
-// windows scored in calls of 1, 3, 17, 63 and 64 single-window streams,
-// the shape of a runtime flush holding that many staged windows), e.g.
+// plus a windows-per-call sweep at 1 thread in every kernel tier the CPU
+// has, each row labelled with its tier: the first kSweepWindows windows
+// scored in calls of 1, 3, 17, 63 and 64 single-window streams, the shape
+// of a runtime flush holding that many staged windows), e.g.
 // BENCH_scoring.json; add `--quantize` to include the int8 rows, the int8
 // column of the sweep and the fp32-vs-int8 model weight bytes.
 //
@@ -30,8 +31,9 @@
 // predicted distributions are sharp, unlike the uniform-random throughput
 // fixture), quantizes it, and checks
 //   1. DeepLog top-k rank agreement fp32 vs int8 >= 99.5% of windows,
-//   2. quantized scores are bit-identical between the AVX2 and serial
-//      kernel tiers, and
+//   2. quantized scores are bit-identical between every SIMD kernel tier
+//      the CPU has and the serial tier, and fp32 scores (log-likelihoods
+//      and ranks) between the SIMD tiers, and
 //   3. quantized scores are bit-identical across thread counts.
 // Exit code is non-zero if any gate fails.
 #include <benchmark/benchmark.h>
@@ -42,6 +44,7 @@
 #include <iostream>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_json.h"
@@ -275,6 +278,7 @@ int run_json_mode(const std::string& path, bool quantize) {
   }
 
   struct SweepRow {
+    const char* tier;
     std::size_t per_call;
     double fp32_wps;
     double quant_wps = 0.0;  // 0 when the int8 tier was not measured
@@ -282,28 +286,37 @@ int run_json_mode(const std::string& path, bool quantize) {
   std::vector<SweepRow> sweep;
   util::set_global_threads(1);
   const double sweep_windows = static_cast<double>(f.sweep_windows.size());
-  for (const std::size_t per_call : {1, 3, 17, 63, 64}) {
-    run_calls_of(f.detector, f, per_call);  // warm-up
-    if (quantize) run_calls_of(f.quantized, f, per_call);
-    double fp32_best = 1e300, quant_best = 1e300;
-    for (std::size_t r = 0; r < kReps; ++r) {
-      fp32_best = std::min(fp32_best, timed_seconds([&] {
-                             return run_calls_of(f.detector, f, per_call);
-                           }));
-      if (quantize) {
-        quant_best = std::min(quant_best, timed_seconds([&] {
-                                return run_calls_of(f.quantized, f, per_call);
-                              }));
+  const ml::KernelTier default_tier = ml::kernel_tier();
+  for (const ml::KernelTier tier :
+       {ml::KernelTier::kBaseline, ml::KernelTier::kAvx2,
+        ml::KernelTier::kAvx512}) {
+    if (ml::set_kernel_tier(tier) != tier) continue;  // CPU lacks it
+    for (const std::size_t per_call : {1, 3, 17, 63, 64}) {
+      run_calls_of(f.detector, f, per_call);  // warm-up
+      if (quantize) run_calls_of(f.quantized, f, per_call);
+      double fp32_best = 1e300, quant_best = 1e300;
+      for (std::size_t r = 0; r < kReps; ++r) {
+        fp32_best = std::min(fp32_best, timed_seconds([&] {
+                               return run_calls_of(f.detector, f, per_call);
+                             }));
+        if (quantize) {
+          quant_best = std::min(quant_best, timed_seconds([&] {
+                                  return run_calls_of(f.quantized, f,
+                                                      per_call);
+                                }));
+        }
       }
+      SweepRow row{ml::kernel_tier_name(tier), per_call,
+                   sweep_windows / fp32_best};
+      if (quantize) row.quant_wps = sweep_windows / quant_best;
+      sweep.push_back(row);
+      std::cerr << "tier=" << row.tier << " windows/call=" << per_call
+                << " fp32=" << row.fp32_wps << " windows/s";
+      if (quantize) std::cerr << ", int8=" << row.quant_wps << " windows/s";
+      std::cerr << "\n";
     }
-    SweepRow row{per_call, sweep_windows / fp32_best};
-    if (quantize) row.quant_wps = sweep_windows / quant_best;
-    sweep.push_back(row);
-    std::cerr << "windows/call=" << per_call << " fp32=" << row.fp32_wps
-              << " windows/s";
-    if (quantize) std::cerr << ", int8=" << row.quant_wps << " windows/s";
-    std::cerr << "\n";
   }
+  ml::set_kernel_tier(default_tier);
   util::set_global_threads(0);
 
   nfv::util::JsonWriter w;
@@ -348,6 +361,7 @@ int run_json_mode(const std::string& path, bool quantize) {
   w.key("rows").begin_array();
   for (const SweepRow& row : sweep) {
     w.begin_object()
+        .kv("kernel_tier", row.tier)
         .kv("windows_per_call", row.per_call)
         .kv("fp32_windows_per_sec", row.fp32_wps);
     if (quantize) w.kv("int8_windows_per_sec", row.quant_wps);
@@ -453,16 +467,55 @@ int run_smoke_mode() {
     ok = false;
   }
 
-  // Gate 2: quantized scores bit-identical AVX2 vs serial kernels.
-  ml::set_simd_kernels_enabled(false);
-  const auto serial_ranks = score_all(quantized, streams);
-  ml::set_simd_kernels_enabled(true);
-  if (serial_ranks != quant_ranks) {
-    std::cerr << "smoke: FAIL int8 AVX2 vs serial scores differ\n";
-    ok = false;
-  } else {
-    std::cerr << "smoke: int8 AVX2 == serial (bit-identical)\n";
+  // Gate 2: every SIMD tier's int8 ranks bit-identical to the serial
+  // tier's, and the SIMD tiers' fp32 log-likelihoods and ranks bit-identical
+  // to each other.
+  std::vector<ml::SeqExample> examples;
+  for (const auto& stream : streams) {
+    for (ml::SeqExample& ex :
+         logproc::build_sequence_examples(stream, config.window)) {
+      examples.push_back(std::move(ex));
+    }
   }
+  std::vector<const ml::SeqExample*> batch;
+  for (const ml::SeqExample& ex : examples) batch.push_back(&ex);
+  const ml::KernelTier default_tier = ml::kernel_tier();
+  ml::set_kernel_tier(ml::KernelTier::kBaseline);
+  const auto serial_ranks = score_all(quantized, streams);
+  const char* first_simd = nullptr;  // the SIMD tier the others match
+  std::vector<double> simd_lls;
+  std::vector<std::vector<double>> simd_ranks;
+  for (const ml::KernelTier tier :
+       {ml::KernelTier::kAvx2, ml::KernelTier::kAvx512}) {
+    const char* name = ml::kernel_tier_name(tier);
+    if (ml::set_kernel_tier(tier) != tier) {
+      std::cerr << "smoke: " << name << " tier not on this CPU, not checked\n";
+      continue;
+    }
+    if (score_all(quantized, streams) != serial_ranks) {
+      std::cerr << "smoke: FAIL int8 " << name << " vs serial scores differ\n";
+      ok = false;
+    } else {
+      std::cerr << "smoke: int8 " << name << " == serial (bit-identical)\n";
+    }
+    const std::vector<double> lls =
+        detector.model().score_log_likelihood(batch);
+    const auto ranks = score_all(detector, streams);
+    if (first_simd == nullptr) {
+      first_simd = name;
+      simd_lls = lls;
+      simd_ranks = ranks;
+    } else if (lls != simd_lls || ranks != simd_ranks) {
+      std::cerr << "smoke: FAIL fp32 " << name << " vs " << first_simd
+                << " scores differ\n";
+      ok = false;
+    } else {
+      std::cerr << "smoke: fp32 " << name << " == " << first_simd
+                << " (bit-identical, " << lls.size()
+                << " log-likelihoods and ranks)\n";
+    }
+  }
+  ml::set_kernel_tier(default_tier);
 
   // Gate 3: quantized scores bit-identical across thread counts.
   util::set_global_threads(4);
@@ -497,8 +550,8 @@ int main(int argc, char** argv) {
       smoke = true;
     } else if (std::strcmp(argv[i], "--no-avx2") == 0) {
       // Same escape hatch as the NFVPRED_NO_AVX2 environment variable:
-      // score through the reference kernels instead of the AVX2 clones.
-      ml::set_simd_kernels_enabled(false);
+      // score through the baseline kernels instead of a SIMD tier.
+      ml::set_kernel_tier(ml::KernelTier::kBaseline);
     }
   }
   if (smoke) return run_smoke_mode();

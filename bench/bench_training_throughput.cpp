@@ -1,5 +1,6 @@
-// Training throughput: serial reference kernels vs the packed AVX2+FMA
-// training fast path, at 1 and 4 threads.
+// Training throughput: serial reference kernels vs the packed SIMD
+// training fast path (the widest kernel tier the CPU has: AVX-512 or
+// AVX2+FMA), at 1 and 4 threads.
 //
 // The paper's deployment story is dominated by repeated training (initial
 // per-cluster fits, monthly incremental updates, transfer fine-tunes,
@@ -8,8 +9,8 @@
 // the identical batch schedule:
 //   - serial: SIMD kernel dispatch forced off, one thread — the explicitly
 //     fused reference path the determinism tests pin everything against;
-//   - packed: AVX2+FMA packed kernels, one thread;
-//   - packed+parallel: AVX2+FMA packed kernels, four threads (sharded BPTT
+//   - packed: SIMD packed kernels, one thread;
+//   - packed+parallel: SIMD packed kernels, four threads (sharded BPTT
 //     partials, embedding scatter, Adam chunks).
 // Within each SIMD mode the losses are bit-identical for any thread count.
 //
@@ -84,6 +85,11 @@ double train_pass(ml::SequenceModel& model, ml::Adam& adam,
   return loss;
 }
 
+/// The widest SIMD tier the CPU has (on) or the baseline tier (off).
+void set_simd(bool on) {
+  ml::set_kernel_tier(on ? ml::KernelTier::kAvx512 : ml::KernelTier::kBaseline);
+}
+
 struct FreshModel {
   util::Rng rng;
   ml::SequenceModel model;
@@ -96,14 +102,14 @@ struct FreshModel {
 void BM_TrainSerialReference(benchmark::State& state) {
   const auto examples = make_dataset(512);
   util::set_global_threads(1);
-  ml::set_simd_kernels_enabled(false);
+  set_simd(false);
   FreshModel fm;
   for (auto _ : state) {
     benchmark::DoNotOptimize(train_pass(fm.model, fm.adam, examples));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(examples.size()));
-  ml::set_simd_kernels_enabled(true);
+  set_simd(true);
   util::set_global_threads(0);
 }
 BENCHMARK(BM_TrainSerialReference)->Unit(benchmark::kMillisecond);
@@ -148,11 +154,11 @@ constexpr Regime kRegimes[] = {
 double regime_pass_seconds(const Regime& regime,
                            const std::vector<ml::SeqExample>& examples) {
   util::set_global_threads(regime.threads);
-  ml::set_simd_kernels_enabled(regime.simd);
+  set_simd(regime.simd);
   FreshModel fm;
   const double seconds = timed_seconds(
       [&] { return train_pass(fm.model, fm.adam, examples); });
-  ml::set_simd_kernels_enabled(true);
+  set_simd(true);
   util::set_global_threads(0);
   return seconds;
 }
@@ -216,7 +222,7 @@ int run_smoke_mode() {
     std::uint64_t bits_1t = 0, bits_4t = 0;
     for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
       util::set_global_threads(threads);
-      ml::set_simd_kernels_enabled(simd);
+      set_simd(simd);
       FreshModel fm;
       const double loss = train_pass(fm.model, fm.adam, examples);
       if (!std::isfinite(loss) || loss <= 0.0) {
@@ -235,7 +241,7 @@ int run_smoke_mode() {
       return 1;
     }
   }
-  ml::set_simd_kernels_enabled(true);
+  set_simd(true);
   util::set_global_threads(0);
   std::cerr << "training smoke ok (1T == 4T in both SIMD modes)\n";
   return 0;
@@ -253,7 +259,7 @@ int main(int argc, char** argv) {
       return run_json_mode(argv[i] + 7);
     }
     if (std::strcmp(argv[i], "--no-avx2") == 0) {
-      ml::set_simd_kernels_enabled(false);
+      set_simd(false);
     }
   }
   benchmark::Initialize(&argc, argv);

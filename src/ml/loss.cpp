@@ -3,35 +3,11 @@
 #include <algorithm>
 #include <cmath>
 
-#include "ml/simd_math.h"
+#include "ml/simd_kernels.h"
 #include "util/check.h"
 #include "util/thread_pool.h"
 
 namespace nfv::ml {
-
-namespace {
-
-#ifdef NFV_SIMD_MATH
-/// Σ exp(l − m) of one logit row in 8 lanes: the lane sums reduce pairwise
-/// in a fixed order, then the n mod 8 tail adds std::exp terms.
-__attribute__((target("avx2,fma"))) float sum_exp_fma(const float* l,
-                                                      std::size_t n, float m) {
-  const __m256 mb = _mm256_set1_ps(m);
-  __m256 acc = _mm256_setzero_ps();
-  std::size_t c = 0;
-  for (; c + 8 <= n; c += 8) {
-    acc = _mm256_add_ps(acc, exp256(_mm256_sub_ps(_mm256_loadu_ps(l + c), mb)));
-  }
-  alignas(32) float lanes[8];
-  _mm256_store_ps(lanes, acc);
-  float total = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) +
-                ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]));
-  for (; c < n; ++c) total += std::exp(l[c] - m);
-  return total;
-}
-#endif
-
-}  // namespace
 
 void softmax(const Matrix& logits, Matrix& probs) {
   probs.resize(logits.rows(), logits.cols());
@@ -123,12 +99,9 @@ double log_softmax_at(std::span<const float> logits, std::size_t target,
   const std::size_t n = logits.size();
   const float m = *std::max_element(l, l + n);
   float total = 0.0f;
-#ifdef NFV_SIMD_MATH
-  if (simd_kernels_enabled()) {
-    total = sum_exp_fma(l, n, m);
-  } else
-#endif
-  {
+  if (const simd::Kernels* kernels = simd::active()) {
+    total = kernels->sum_exp(l, n, m);
+  } else {
     for (std::size_t c = 0; c < n; ++c) total += std::exp(l[c] - m);
   }
   const double ll = static_cast<double>(l[target] - m) -

@@ -36,9 +36,11 @@ double log_prob(const Matrix& probs, std::size_t row, std::int32_t target,
 
 /// log softmax(logits)[target] straight from one row of logits, floored
 /// at log(min_prob): max(l_t − m − log Σ_c exp(l_c − m), log min_prob)
-/// with m = max_c l_c. No probability row and no division. The SIMD tier
-/// sums exp256 in 8 lanes, the baseline tier std::exp in order; either
-/// way the result depends on the row alone, not on its batch.
+/// with m = max_c l_c. No probability row and no division. The SIMD tiers
+/// sum a Cephes exp into one 8-lane accumulator in the same order (the
+/// AVX-512 tier adds each 16-lane vector as its two halves), the baseline
+/// tier std::exp in order; either way the result depends on the row
+/// alone, not on its batch.
 double log_softmax_at(std::span<const float> logits, std::size_t target,
                       double min_prob = 1e-12);
 

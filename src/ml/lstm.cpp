@@ -4,7 +4,7 @@
 #include <cstring>
 
 #include "ml/activations.h"
-#include "ml/simd_math.h"
+#include "ml/simd_kernels.h"
 #include "util/check.h"
 #include "util/thread_pool.h"
 
@@ -34,142 +34,16 @@ void for_each_row(std::size_t rows, const Fn& fn) {
   }
 }
 
-#ifdef NFV_SIMD_MATH
-
-// Vectorized activations for the fused gate/cell row passes, used only in
-// the AVX2+FMA kernel mode (ml::simd_kernels_enabled); tanh and sigmoid
-// go through exp256 (ml/simd_math.h).
-
-__attribute__((target("avx2,fma"))) inline __m256 tanh256(__m256 x) {
-  // tanh(x) = sign(x)·(1 − t)/(1 + t) with t = exp(−2|x|) ∈ (0, 1].
-  const __m256 sign_mask = _mm256_set1_ps(-0.0f);
-  const __m256 sign = _mm256_and_ps(x, sign_mask);
-  const __m256 ax = _mm256_andnot_ps(sign_mask, x);
-  const __m256 t = exp256(_mm256_mul_ps(ax, _mm256_set1_ps(-2.0f)));
-  const __m256 one = _mm256_set1_ps(1.0f);
-  const __m256 y =
-      _mm256_div_ps(_mm256_sub_ps(one, t), _mm256_add_ps(one, t));
-  return _mm256_or_ps(y, sign);
-}
-
-__attribute__((target("avx2,fma"))) inline __m256 sigmoid256(__m256 x) {
-  const __m256 one = _mm256_set1_ps(1.0f);
-  const __m256 e = exp256(_mm256_sub_ps(_mm256_setzero_ps(), x));
-  return _mm256_div_ps(one, _mm256_add_ps(one, e));
-}
-
-/// Fused addend + gate activations for one row of [i f g o]
-/// pre-activations; kAdd = false skips the addend (a row that already
-/// holds its full pre-activation).
-template <bool kAdd>
-__attribute__((target("avx2,fma"))) void gate_activation_row_fma(
-    float* g, const float* add, std::size_t h) {
-  for (std::size_t seg = 0; seg < 4; ++seg) {
-    const std::size_t j1 = (seg + 1) * h;
-    std::size_t j = seg * h;
-    if (seg == 2) {  // candidate gate: tanh
-      for (; j + 8 <= j1; j += 8) {
-        __m256 v = _mm256_loadu_ps(g + j);
-        if (kAdd) v = _mm256_add_ps(v, _mm256_loadu_ps(add + j));
-        _mm256_storeu_ps(g + j, tanh256(v));
-      }
-      for (; j < j1; ++j) g[j] = std::tanh(kAdd ? g[j] + add[j] : g[j]);
-    } else {  // input / forget / output gates: sigmoid
-      for (; j + 8 <= j1; j += 8) {
-        __m256 v = _mm256_loadu_ps(g + j);
-        if (kAdd) v = _mm256_add_ps(v, _mm256_loadu_ps(add + j));
-        _mm256_storeu_ps(g + j, sigmoid256(v));
-      }
-      for (; j < j1; ++j) g[j] = sigmoid(kAdd ? g[j] + add[j] : g[j]);
-    }
-  }
-}
-
-/// Fused cell/hidden update for one row: c = f·c_prev + i·g, h = o·tanh(c).
-/// `c` may alias `cp` (stepping updates the state in place): every element
-/// reads its c_prev before writing it.
-__attribute__((target("avx2,fma"))) void cell_forward_row_fma(
-    const float* g, const float* cp, float* c, float* hh, std::size_t h) {
-  std::size_t j = 0;
-  for (; j + 8 <= h; j += 8) {
-    const __m256 ig = _mm256_loadu_ps(g + j);
-    const __m256 fg = _mm256_loadu_ps(g + h + j);
-    const __m256 cg = _mm256_loadu_ps(g + 2 * h + j);
-    const __m256 og = _mm256_loadu_ps(g + 3 * h + j);
-    const __m256 cj =
-        _mm256_fmadd_ps(fg, _mm256_loadu_ps(cp + j), _mm256_mul_ps(ig, cg));
-    _mm256_storeu_ps(c + j, cj);
-    _mm256_storeu_ps(hh + j, _mm256_mul_ps(og, tanh256(cj)));
-  }
-  for (; j < h; ++j) {
-    const float cj = __builtin_fmaf(g[h + j], cp[j], g[j] * g[2 * h + j]);
-    c[j] = cj;
-    hh[j] = g[3 * h + j] * std::tanh(cj);
-  }
-}
-
-/// Fused gate-gradient pass for one row of the BPTT recurrence; same math
-/// as the scalar body in Lstm::backward.
-__attribute__((target("avx2,fma"))) void gate_backward_row_fma(
-    const float* g, const float* c, const float* cprev, const float* gh,
-    const float* dhn, float* dcn, float* dg, std::size_t h) {
-  const __m256 one = _mm256_set1_ps(1.0f);
-  std::size_t j = 0;
-  for (; j + 8 <= h; j += 8) {
-    const __m256 ig = _mm256_loadu_ps(g + j);
-    const __m256 fg = _mm256_loadu_ps(g + h + j);
-    const __m256 cg = _mm256_loadu_ps(g + 2 * h + j);
-    const __m256 og = _mm256_loadu_ps(g + 3 * h + j);
-    const __m256 tc = tanh256(_mm256_loadu_ps(c + j));
-    const __m256 dh =
-        _mm256_add_ps(_mm256_loadu_ps(gh + j), _mm256_loadu_ps(dhn + j));
-    const __m256 dc = _mm256_fmadd_ps(_mm256_mul_ps(dh, og),
-                                      _mm256_fnmadd_ps(tc, tc, one),
-                                      _mm256_loadu_ps(dcn + j));
-    const __m256 cp = cprev ? _mm256_loadu_ps(cprev + j)
-                            : _mm256_setzero_ps();
-    const __m256 gi = _mm256_mul_ps(ig, _mm256_sub_ps(one, ig));
-    const __m256 gf = _mm256_mul_ps(fg, _mm256_sub_ps(one, fg));
-    const __m256 gg = _mm256_fnmadd_ps(cg, cg, one);
-    const __m256 go = _mm256_mul_ps(og, _mm256_sub_ps(one, og));
-    _mm256_storeu_ps(dg + j, _mm256_mul_ps(_mm256_mul_ps(dc, cg), gi));
-    _mm256_storeu_ps(dg + h + j, _mm256_mul_ps(_mm256_mul_ps(dc, cp), gf));
-    _mm256_storeu_ps(dg + 2 * h + j,
-                     _mm256_mul_ps(_mm256_mul_ps(dc, ig), gg));
-    _mm256_storeu_ps(dg + 3 * h + j,
-                     _mm256_mul_ps(_mm256_mul_ps(dh, tc), go));
-    _mm256_storeu_ps(dcn + j, _mm256_mul_ps(dc, fg));
-  }
-  for (; j < h; ++j) {
-    const float ig = g[j];
-    const float fg = g[h + j];
-    const float cg = g[2 * h + j];
-    const float og = g[3 * h + j];
-    const float tc = std::tanh(c[j]);
-    const float dh = gh[j] + dhn[j];
-    const float dc = dh * og * (1.0f - tc * tc) + dcn[j];
-    const float cpj = cprev ? cprev[j] : 0.0f;
-    dg[j] = dc * cg * sigmoid_grad_from_output(ig);
-    dg[h + j] = dc * cpj * sigmoid_grad_from_output(fg);
-    dg[2 * h + j] = dc * ig * tanh_grad_from_output(cg);
-    dg[3 * h + j] = dh * tc * sigmoid_grad_from_output(og);
-    dcn[j] = dc * fg;
-  }
-}
-#endif  // NFV_SIMD_MATH
-
-/// Cell/hidden update for one row on the active kernel tier. The training
-/// forward and inference stepping both run it, so k steps reproduce the
-/// forward pass bit for bit; `c` may alias `cp`.
+/// Cell/hidden update for one row on the active kernel tier (`kernels`
+/// null: baseline). The training forward and inference stepping both run
+/// it, so k steps reproduce the forward pass bit for bit; `c` may alias
+/// `cp`.
 void cell_forward_row(const float* g, const float* cp, float* c, float* hh,
-                      std::size_t h, bool simd) {
-#ifdef NFV_SIMD_MATH
-  if (simd) {
-    cell_forward_row_fma(g, cp, c, hh, h);
+                      std::size_t h, const simd::Kernels* kernels) {
+  if (kernels != nullptr) {
+    kernels->cell_forward_row(g, cp, c, hh, h);
     return;
   }
-#endif
-  (void)simd;
   for (std::size_t j = 0; j < h; ++j) {
     const float cj = g[h + j] * cp[j] + g[j] * g[2 * h + j];
     c[j] = cj;
@@ -182,18 +56,11 @@ void cell_forward_row(const float* g, const float* cp, float* c, float* hh,
 /// per-element order as an add_row_vector followed by the activation
 /// sweeps.
 void gate_activation_row(float* g, const float* add, std::size_t h,
-                         bool simd) {
-#ifdef NFV_SIMD_MATH
-  if (simd) {
-    if (add != nullptr) {
-      gate_activation_row_fma<true>(g, add, h);
-    } else {
-      gate_activation_row_fma<false>(g, add, h);
-    }
+                         const simd::Kernels* kernels) {
+  if (kernels != nullptr) {
+    kernels->gate_activation_row(g, add, h);
     return;
   }
-#endif
-  (void)simd;
   if (add != nullptr) {
     for (std::size_t j = 0; j < 4 * h; ++j) g[j] += add[j];
   }
@@ -244,11 +111,11 @@ void Lstm::compute_gates(const Matrix& input, const Matrix& h_prev,
 
 void Lstm::activate_gates(Matrix& gates, const float* bias,
                           const Matrix* row_addend) const {
-  const bool simd = simd_kernels_enabled();
+  const simd::Kernels* kernels = simd::active();
   for_each_row(gates.rows(), [&](std::size_t r) {
     gate_activation_row(gates.row(r),
                         row_addend != nullptr ? row_addend->row(r) : bias,
-                        hidden_size_, simd);
+                        hidden_size_, kernels);
   });
 }
 
@@ -282,10 +149,10 @@ const std::vector<Matrix>& Lstm::forward(const std::vector<Matrix>& inputs) {
     h_t.resize(batch, h);
     const Matrix& gates = gates_cache_[t];
     const Matrix& cp_m = *c_prev;
-    const bool simd = simd_kernels_enabled();
+    const simd::Kernels* kernels = simd::active();
     for_each_row(batch, [&](std::size_t r) {
       cell_forward_row(gates.row(r), cp_m.row(r), c_t.row(r), h_t.row(r), h,
-                       simd);
+                       kernels);
     });
     h_prev = &h_t;
     c_prev = &c_t;
@@ -321,8 +188,7 @@ const std::vector<Matrix>& Lstm::backward(
     Matrix& dgates = dgates_cache_[ti];
     dgates.resize(batch, 4 * h);
 
-    const bool simd = simd_kernels_enabled();
-    (void)simd;
+    const simd::Kernels* kernels = simd::active();
     for_each_row(batch, [&](std::size_t r) {
       const float* g = gates.row(r);
       const float* c = c_t.row(r);
@@ -330,13 +196,11 @@ const std::vector<Matrix>& Lstm::backward(
       float* dhn = dh_next_.row(r);
       float* dcn = dc_next_.row(r);
       float* dg = dgates.row(r);
-#ifdef NFV_SIMD_MATH
-      if (simd) {
-        gate_backward_row_fma(g, c, c_prev ? c_prev->row(r) : nullptr, gh,
-                              dhn, dcn, dg, h);
+      if (kernels != nullptr) {
+        kernels->gate_backward_row(g, c, c_prev ? c_prev->row(r) : nullptr,
+                                   gh, dhn, dcn, dg, h);
         return;
       }
-#endif
       for (std::size_t j = 0; j < h; ++j) {
         const float ig = g[j];
         const float fg = g[h + j];
@@ -452,10 +316,10 @@ void Lstm::step_zero_state(const Matrix& input, LstmState& state,
 }
 
 void Lstm::cell_update(const Matrix& gates, LstmState& state) const {
-  const bool simd = simd_kernels_enabled();
+  const simd::Kernels* kernels = simd::active();
   for_each_row(gates.rows(), [&](std::size_t r) {
     cell_forward_row(gates.row(r), state.c.row(r), state.c.row(r),
-                     state.h.row(r), hidden_size_, simd);
+                     state.h.row(r), hidden_size_, kernels);
   });
 }
 

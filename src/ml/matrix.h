@@ -60,31 +60,50 @@ class Matrix {
   std::vector<float> data_;
 };
 
-/// Runtime switch for the AVX2+FMA kernel dispatch shared by every packed
-/// kernel in this file (scoring *and* training take the same branch).
-/// Defaults to true when the CPU supports AVX2+FMA and the environment
-/// variable NFVPRED_NO_AVX2 is unset; setting it to false forces the
-/// baseline (unfused) kernels everywhere — the A/B escape hatch used by
-/// the `--no-avx2` bench flags and the determinism tests. Results are
-/// bit-identical across thread counts *within* either mode; the two modes
-/// may differ from each other exactly as two machines with and without
-/// FMA would.
+/// The kernel tier every packed, gate, cell, int8 and log-sum-exp kernel
+/// in src/ml runs (scoring *and* training take the same one):
+///   - kBaseline: portable C++ (unfused multiply-add chains, libm
+///     activations);
+///   - kAvx2: AVX2+FMA at 8 lanes;
+///   - kAvx512: AVX-512 F/BW/DQ/VL + VNNI at 16 lanes.
+/// Chosen once, at first use, from CPUID: the widest tier the CPU has, or
+/// kBaseline when the environment variable NFVPRED_NO_AVX2 is set. The two
+/// SIMD tiers are bit-identical to each other (fused chains in k order,
+/// the same Cephes exp, the same lanes for every scalar tail), so
+/// switching between them moves only speed. The baseline tier differs
+/// from them exactly as a machine without FMA would. Every tier is
+/// bit-identical across thread counts and batch sizes.
+enum class KernelTier { kBaseline, kAvx2, kAvx512 };
+KernelTier kernel_tier();
+
+/// True in either SIMD tier (kernel_tier() != kBaseline).
 bool simd_kernels_enabled();
-void set_simd_kernels_enabled(bool enabled);
+
+/// Switch tier for tests and benches, from a single-threaded control
+/// point; clamped to the widest tier the CPU has. Returns the tier now
+/// active.
+KernelTier set_kernel_tier(KernelTier tier);
+
+/// "avx512", "avx2+fma" or "baseline": the label BENCH_*.json rows
+/// record.
+const char* kernel_tier_name(KernelTier tier = kernel_tier());
 
 /// out = a (R×K) * b (K×C). `out` is resized and overwritten. The B
-/// operand is packed into zero-padded 8-column k-major panels and every
-/// row runs one register-tiled kernel: a 4-row × 16-column main tile, a
-/// 4×8 tile for an odd last panel and a 1-row tail for the rows % 4
-/// leftovers and batches of 1–3 rows. Every output is one k-ascending
-/// multiply-add chain (a fused one in the SIMD tier), so results do not
-/// depend on the row count. Above a work threshold the rows are computed
-/// in parallel blocks on the global thread pool (bit-identical to the
-/// serial kernel: each output row is an independent slot); inside an
-/// already parallel region the serial kernel is used.
+/// operand is packed into zero-padded 16-column k-major panels (the one
+/// layout of every tier: the AVX-512 kernel reads a panel as one vector,
+/// the AVX2 kernel as two 8-lane halves, the baseline kernel loops over
+/// its 16 columns) and every row runs one register-tiled kernel: 4-row
+/// tiles (4×1 panels in the baseline and AVX2 tiers, 4×4 with 4×2 and 4×1
+/// tails in the AVX-512 tier) and a 1-row tail for the rows % 4 leftovers
+/// and batches of 1–3 rows. Every output is one k-ascending multiply-add
+/// chain (a fused one in the SIMD tiers), so results do not depend on the
+/// row count. Above a work threshold the rows are computed in parallel
+/// blocks on the global thread pool (bit-identical to the serial kernel:
+/// each output row is an independent slot); inside an already parallel
+/// region the serial kernel is used.
 void matmul(const Matrix& a, const Matrix& b, Matrix& out);
 
-/// Pack the B operand (K×C) of out = a·b into 8-column k-major panels for
+/// Pack the B operand (K×C) of out = a·b into 16-column k-major panels for
 /// matmul_packed. Pack cost is O(b.size()); pre-packing pays off when the
 /// same B multiplies many A matrices — e.g. the per-timestep
 /// dgates_t × W products of BPTT, which share one weight matrix across
@@ -126,8 +145,8 @@ void matmul_transb_packed(const Matrix& a, std::size_t b_rows,
 
 /// out += aᵀ (K×R stored as R×K) * b (R×C) — i.e. out (K×C) accumulates
 /// gradient contributions Σ_r a[r]ᵀ b[r]. Used for weight gradients.
-/// Register-tiled 4-row × 8-column kernel with AVX2+FMA dispatch: each
-/// out element adds a sum accumulated from zero in r-ascending order, so
+/// Register-tiled 4 out-rows × one vector of columns in the SIMD tiers:
+/// each out element adds a sum accumulated from zero in r-ascending order, so
 /// any tiling and any column-block parallel split produce the same bits.
 /// Parallelized over blocks of output *columns*.
 void matmul_transa_accumulate(const Matrix& a, const Matrix& b, Matrix& out);
@@ -144,9 +163,11 @@ void matmul_transa_accumulate_serial(const Matrix& a, const Matrix& b,
 /// symmetrically per output channel (scale[c] = max|b[c,:]| / 127, all-zero
 /// rows get scale 1 so nothing divides by zero) and stored pre-packed for
 /// the int8 kernel: full groups of 8 channels live in k-major panels of
-/// 4-k × 8-channel 32-byte blocks (the vpmaddubsw operand layout), the
-/// C mod 8 tail channels follow row-major, and K is zero-padded to a
-/// multiple of 4. `col_sums[c]` caches Σ_k q[c][k] for the activation
+/// 4-k × 8-channel 32-byte blocks (the vpmaddubsw operand of the AVX2
+/// tier; the AVX-512 tier's vpdpbusd reads two consecutive blocks per
+/// 64-byte load), the C mod 8 tail channels follow row-major, and K is
+/// zero-padded to a multiple of 4. Checkpoints persist this layout byte
+/// for byte. `col_sums[c]` caches Σ_k q[c][k] for the activation
 /// zero-point correction so the kernel epilogue is a single fused
 /// subtract-and-scale per output.
 struct QuantizedMatrix {
@@ -180,16 +201,18 @@ void quantize_pack_b(const Matrix& b, QuantizedMatrix& out);
 /// (asymmetric, zero-point corrected through qb.col_sums); products
 /// accumulate in exact int32 and a single fp32 scale pair maps back.
 /// Contract (stronger than the fp32 family): results are bit-identical
-/// across thread counts, batch sizes, AND between the AVX2
-/// vpmaddubsw/vpmaddwd kernel and the serial reference — integer
-/// accumulation is associative, the u7 activation range keeps every
-/// vpmaddubsw pair sum below i16 saturation, and the float epilogue is the
+/// across thread counts, batch sizes, AND between every tier — the AVX2
+/// vpmaddubsw/vpmaddwd kernel, the AVX-512 VNNI vpdpbusd kernel and the
+/// serial reference. Integer accumulation is exact and associative, the
+/// u7 activation range keeps every vpmaddubsw pair sum below i16
+/// saturation, the activation quantizer's min/max/multiply/convert are
+/// exact or singly rounded per element, and the float epilogue is the
 /// same two-rounding expression on every tier. Same row-blocked parallel
 /// dispatch as matmul_transb.
 void matmul_quant(const Matrix& a, const QuantizedMatrix& qb, Matrix& out);
 
 /// Serial reference for matmul_quant (single-threaded; bit-identical to
-/// the parallel/AVX2 paths by the contract above).
+/// the parallel and SIMD paths by the contract above).
 void matmul_quant_serial(const Matrix& a, const QuantizedMatrix& qb,
                          Matrix& out);
 

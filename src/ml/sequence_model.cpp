@@ -9,6 +9,7 @@
 
 #include "ml/loss.h"
 #include "ml/serialize.h"
+#include "ml/simd_kernels.h"
 #include "util/check.h"
 #include "util/thread_pool.h"
 
@@ -221,6 +222,7 @@ void SequenceModel::layer0_step(const ScoringImage& image,
   const std::size_t n = state.h.rows();
   scratch.gates.reshape(n, gates);
   const float* dt_gates = image.dt_gates.data();
+  const simd::Kernels* kernels = simd::active();
   for (std::size_t r = 0; r < n; ++r) {
     const std::size_t at = (start + r) * k + t;
     const auto id = windows.ids[at];
@@ -229,8 +231,16 @@ void SequenceModel::layer0_step(const ScoringImage& image,
     const float* table = image.input_gates.row(static_cast<std::size_t>(id));
     float* g = scratch.gates.row(r);
     if (config_.use_dt_feature) {
+      // A separate multiply and add in every tier: the SIMD gather rounds
+      // the product before the add, as this loop does.
       const float dt = normalize_dt(windows.dts[at]);
-      for (std::size_t j = 0; j < gates; ++j) g[j] = table[j] + dt * dt_gates[j];
+      if (kernels != nullptr) {
+        kernels->gather_row(table, dt, dt_gates, g, gates);
+      } else {
+        for (std::size_t j = 0; j < gates; ++j) {
+          g[j] = table[j] + dt * dt_gates[j];
+        }
+      }
     } else {
       std::memcpy(g, table, gates * sizeof(float));
     }

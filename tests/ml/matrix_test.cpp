@@ -5,6 +5,7 @@
 #include <cmath>
 #include <vector>
 
+#include "kernel_tiers.h"
 #include "util/check.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -122,23 +123,24 @@ TEST(MatmulTransB, MatchesExplicitTranspose) {
 }
 
 /// Every product entry point against an in-test chain over k in ascending
-/// order — `acc = fma(a, b, acc)` in the SIMD tier, `acc = acc + a·b` in
-/// the baseline tier — for row counts that exercise the 4-row tile, the
-/// 1-row tail and batches of 1–3 rows, column counts around the 8-column
-/// panel (the zero-padded last panel) and the 16-column main tile, and
-/// reduction depths of the scoring and training shapes. Exact equality, at
-/// 1 and 4 threads (65×128×64 crosses the parallel row-block threshold).
+/// order — `acc = fma(a, b, acc)` in the SIMD tiers, `acc = acc + a·b` in
+/// the baseline tier — in every kernel tier the CPU has, for row counts
+/// that exercise the 4-row tile, the 1-row tail and batches of 1–3 rows,
+/// column counts around the 16-column panel (8-lane halves, zero-padded
+/// last panels and masked stores) and the AVX-512 tier's 4-, 2- and
+/// 1-panel tiles, and reduction depths of the scoring and training
+/// shapes. Exact equality, at 1 and 4 threads (65×128×64 crosses the
+/// parallel row-block threshold); matching the same fused chain makes the
+/// two SIMD tiers equal bit for bit.
 TEST(PackedKernels, ShapeSweepMatchesKAscendingChainInBothTiers) {
-  const bool simd_default = simd_kernels_enabled();
   nfv::util::Rng rng(17);
   const auto fill = [&](Matrix& m) {
     for (float& x : m.storage()) x = static_cast<float>(rng.uniform(-1, 1));
   };
   const std::vector<std::size_t> row_counts = {1, 2,  3,  4,  5,  6,  7, 8,
                                                9, 10, 11, 12, 13, 63, 64, 65};
-  for (const bool simd : {true, false}) {
-    set_simd_kernels_enabled(simd);
-    const bool fused = simd_kernels_enabled();  // false without AVX2+FMA
+  const std::string missing = for_each_kernel_tier([&](KernelTier tier) {
+    const bool fused = tier != KernelTier::kBaseline;
     const auto chain = [fused](const float* a, const float* b,
                                std::size_t b_stride, std::size_t kn) {
       float acc = 0.0f;
@@ -151,7 +153,8 @@ TEST(PackedKernels, ShapeSweepMatchesKAscendingChainInBothTiers) {
     for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
       nfv::util::set_global_threads(threads);
       for (const std::size_t kn : {1, 17, 49, 64}) {
-        for (const std::size_t cols : {1, 7, 8, 9, 16, 17, 24, 76, 128}) {
+        for (const std::size_t cols :
+             {1, 7, 8, 9, 15, 16, 17, 24, 31, 32, 33, 76, 128}) {
           Matrix w(cols, kn);  // matmul_transb operand (C×K)
           Matrix wt(kn, cols);  // the same weights for plain matmul (K×C)
           fill(w);
@@ -174,9 +177,9 @@ TEST(PackedKernels, ShapeSweepMatchesKAscendingChainInBothTiers) {
               for (std::size_t j = 0; j < cols; ++j) {
                 const float want = chain(a.row(i), w.row(j), 1, kn);
                 ASSERT_EQ(transb.at(i, j), want)
-                    << "transb simd=" << simd << " threads=" << threads
-                    << " " << rows << "x" << kn << "x" << cols << " at ("
-                    << i << "," << j << ")";
+                    << "transb tier=" << kernel_tier_name(tier)
+                    << " threads=" << threads << " " << rows << "x" << kn
+                    << "x" << cols << " at (" << i << "," << j << ")";
                 ASSERT_EQ(transb_packed.at(i, j), want)
                     << "transb_packed " << rows << "x" << kn << "x" << cols;
                 ASSERT_EQ(plain.at(i, j), chain(a.row(i), wt.data() + j,
@@ -190,9 +193,9 @@ TEST(PackedKernels, ShapeSweepMatchesKAscendingChainInBothTiers) {
         }
       }
     }
-  }
+  });
   nfv::util::set_global_threads(0);
-  set_simd_kernels_enabled(simd_default);
+  if (!missing.empty()) GTEST_SKIP() << "CPU lacks the " << missing << " tier";
 }
 
 TEST(MatmulTransAAccumulate, AccumulatesGradientShape) {

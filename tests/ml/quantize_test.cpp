@@ -1,8 +1,9 @@
 // Kernel- and model-level tests of the int8 quantized scoring tier.
 //
 // The contracts under test, in order of load-bearingness:
-//   1. matmul_quant is bit-identical across SIMD tiers (AVX2 vs serial
-//      reference), thread counts, and row partitionings — quantized
+//   1. matmul_quant is bit-identical across kernel tiers (AVX2 and
+//      AVX-512 VNNI vs the serial reference), thread counts, and row
+//      partitionings — quantized
 //      scores may differ from fp32, but never from each other.
 //   2. Degenerate weight channels (all-zero rows, constant rows) quantize
 //      without division by zero or saturation artifacts.
@@ -14,8 +15,10 @@
 
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <vector>
 
+#include "kernel_tiers.h"
 #include "ml/matrix.h"
 #include "ml/optimizer.h"
 #include "ml/sequence_model.h"
@@ -40,18 +43,6 @@ bool bitwise_equal(const Matrix& a, const Matrix& b) {
   return a.rows() == b.rows() && a.cols() == b.cols() &&
          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
 }
-
-/// Toggles the SIMD kernel tier for one scope; restores on destruction.
-class SimdGuard {
- public:
-  explicit SimdGuard(bool enabled) : was_(simd_kernels_enabled()) {
-    set_simd_kernels_enabled(enabled);
-  }
-  ~SimdGuard() { set_simd_kernels_enabled(was_); }
-
- private:
-  bool was_;
-};
 
 TEST(QuantizePackB, PanelLayoutScalesAndColumnSums) {
   Rng rng(3);
@@ -164,33 +155,46 @@ TEST(MatmulQuant, MatchesFp32WithinQuantizationError) {
   EXPECT_LT(std::sqrt(num / den), 0.02);
 }
 
+// Every SIMD tier against the serial reference tier, at k-group counts
+// that leave the AVX-512 tier's two-group VNNI step an odd group (K = 4,
+// 49, 65) or none (K = 5, 7, 48), and channel counts with and without
+// row-major tail channels.
 TEST(MatmulQuant, BitIdenticalAcrossSimdTiers) {
   Rng rng(11);
-  for (const auto [m, kn, cn] :
+  std::vector<Matrix> as, bs;
+  for (const auto& [m, kn, cn] :
        {std::tuple{17ul, 7ul, 13ul}, std::tuple{64ul, 48ul, 128ul},
-        std::tuple{3ul, 4ul, 8ul}, std::tuple{33ul, 65ul, 9ul}}) {
-    const Matrix a = random_matrix(m, kn, rng, 2.0f);
-    const Matrix b = random_matrix(cn, kn, rng);
-    QuantizedMatrix qb_simd, qb_ref;
-    Matrix out_simd, out_ref;
-    {
-      SimdGuard guard(true);  // no-op off x86; tiers then trivially agree
-      quantize_pack_b(b, qb_simd);
-      matmul_quant(a, qb_simd, out_simd);
-    }
-    {
-      SimdGuard guard(false);
-      quantize_pack_b(b, qb_ref);
-      matmul_quant(a, qb_ref, out_ref);
-    }
-    // Packing is tier-independent (same bytes), and the product must be
-    // bit-identical — the u7 activation range leaves no room for i16
-    // saturation divergence in vpmaddubsw.
-    EXPECT_EQ(qb_simd.data, qb_ref.data) << m << "x" << kn << "x" << cn;
-    EXPECT_EQ(qb_simd.col_sums, qb_ref.col_sums);
-    EXPECT_TRUE(bitwise_equal(out_simd, out_ref))
-        << m << "x" << kn << "x" << cn;
+        std::tuple{3ul, 4ul, 8ul}, std::tuple{33ul, 65ul, 9ul},
+        std::tuple{6ul, 5ul, 16ul}, std::tuple{9ul, 49ul, 128ul}}) {
+    as.push_back(random_matrix(m, kn, rng, 2.0f));
+    bs.push_back(random_matrix(cn, kn, rng));
   }
+  std::vector<QuantizedMatrix> qb_ref(as.size());
+  std::vector<Matrix> out_ref(as.size());
+  const std::string missing = for_each_kernel_tier([&](KernelTier tier) {
+    for (std::size_t s = 0; s < as.size(); ++s) {
+      if (tier == KernelTier::kBaseline) {
+        quantize_pack_b(bs[s], qb_ref[s]);
+        matmul_quant(as[s], qb_ref[s], out_ref[s]);
+        continue;
+      }
+      QuantizedMatrix qb;
+      Matrix out;
+      quantize_pack_b(bs[s], qb);
+      matmul_quant(as[s], qb, out);
+      // Packing is tier-independent (same bytes), and the product must be
+      // bit-identical — the u7 activation range leaves no room for i16
+      // saturation divergence in vpmaddubsw, and vpdpbusd sums exactly.
+      const std::string shape = std::to_string(as[s].rows()) + "x" +
+                                std::to_string(as[s].cols()) + "x" +
+                                std::to_string(bs[s].rows());
+      EXPECT_EQ(qb.data, qb_ref[s].data) << shape;
+      EXPECT_EQ(qb.col_sums, qb_ref[s].col_sums) << shape;
+      EXPECT_TRUE(bitwise_equal(out, out_ref[s]))
+          << kernel_tier_name(tier) << " " << shape;
+    }
+  });
+  if (!missing.empty()) GTEST_SKIP() << "CPU lacks the " << missing << " tier";
 }
 
 TEST(MatmulQuant, BitIdenticalAcrossThreadCountsAndPartitionings) {

@@ -4,8 +4,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <sstream>
+#include <string>
+#include <utility>
 
+#include "kernel_tiers.h"
 #include "ml/loss.h"
 #include "ml/lstm.h"
 #include "ml/matrix.h"
@@ -135,77 +139,97 @@ TEST(SequenceModel, PredictMatchesTrainingForwardPass) {
 
 // Inference stepping runs the training forward's gate and cell kernels:
 // k Lstm::step calls reproduce forward()'s last hidden state bit for bit in
-// both kernel tiers, at batch sizes that hit the 1-row GEMM tail and the
-// 4-row tile. Hidden 12 also leaves a 4-element tail after the 8-wide
-// vector cell loop.
+// every kernel tier, at batch sizes that hit the 1-row GEMM tail and the
+// 4-row tile, and at hidden 12, 16, 24 and 40: 16-lane, 8-lane and scalar
+// tails of the gate and cell loops. The SIMD tiers also match each other.
 TEST(LstmStep, ReproducesForwardLastHiddenInBothTiers) {
-  const bool simd_default = simd_kernels_enabled();
-  for (const bool simd : {true, false}) {
-    set_simd_kernels_enabled(simd);
-    for (const std::size_t batch : {1, 7, 64}) {
-      Rng rng(11);
-      Lstm lstm("lstm", 5, 12, rng);
-      std::vector<Matrix> inputs(6, Matrix(batch, 5));
-      for (Matrix& x : inputs) {
-        for (float& v : x.storage()) v = static_cast<float>(rng.uniform(-2, 2));
-      }
-      const Matrix last = lstm.forward(inputs).back();
+  std::map<std::pair<std::size_t, std::size_t>, std::vector<float>> simd;
+  const std::string missing = for_each_kernel_tier([&](KernelTier tier) {
+    for (const std::size_t hidden : {12, 16, 24, 40}) {
+      for (const std::size_t batch : {1, 7, 64}) {
+        Rng rng(11);
+        Lstm lstm("lstm", 5, hidden, rng);
+        std::vector<Matrix> inputs(6, Matrix(batch, 5));
+        for (Matrix& x : inputs) {
+          for (float& v : x.storage()) {
+            v = static_cast<float>(rng.uniform(-2, 2));
+          }
+        }
+        const Matrix last = lstm.forward(inputs).back();
 
-      std::vector<float> packed;
-      pack_transb(lstm.weight().value, packed);
-      LstmState state = lstm.make_state(batch);
-      Matrix concat;
-      Matrix gates;
-      for (const Matrix& x : inputs) lstm.step(x, state, packed, concat, gates);
-      EXPECT_EQ(state.h.storage(), last.storage())
-          << "simd " << simd << " batch " << batch;
+        std::vector<float> packed;
+        pack_transb(lstm.weight().value, packed);
+        LstmState state = lstm.make_state(batch);
+        Matrix concat;
+        Matrix gates;
+        for (const Matrix& x : inputs) {
+          lstm.step(x, state, packed, concat, gates);
+        }
+        EXPECT_EQ(state.h.storage(), last.storage())
+            << kernel_tier_name(tier) << " hidden " << hidden << " batch "
+            << batch;
+        if (tier == KernelTier::kBaseline) continue;
+        const auto [it, first] =
+            simd.emplace(std::pair{hidden, batch}, last.storage());
+        EXPECT_TRUE(first || it->second == last.storage())
+            << kernel_tier_name(tier) << " differs from the other SIMD tier"
+            << " at hidden " << hidden << " batch " << batch;
+      }
     }
-  }
-  set_simd_kernels_enabled(simd_default);
+  });
+  if (!missing.empty()) GTEST_SKIP() << "CPU lacks the " << missing << " tier";
 }
 
 // A window's first step starts from the zero state, so every layer above
 // the first multiplies its input by the input block W[:, :I] alone. The
 // terms that skips are zeros at the end of each k-ascending chain, so the
 // product, and the step built on it, match the full concat GEMM bit for
-// bit in both kernel tiers, at batches that hit the 1-row tail and the
-// 4-row tile and with hidden 12's vector tails.
+// bit in every kernel tier, at batches that hit the 1-row tail and the
+// 4-row tile and at hidden 12, 16, 24 and 40 (vector tails).
 TEST(LstmStep, ZeroStateInputBlockMatchesConcatGemmInBothTiers) {
-  const bool simd_default = simd_kernels_enabled();
-  for (const bool simd : {true, false}) {
-    set_simd_kernels_enabled(simd);
-    for (const std::size_t batch : {1, 7, 64}) {
-      Rng rng(23);
-      Lstm lstm("lstm", 5, 12, rng);
-      Matrix x(batch, 5);
-      for (float& v : x.storage()) v = static_cast<float>(rng.uniform(-2, 2));
-      Matrix concat(batch, 5 + 12);  // [x, h = 0]
-      for (std::size_t r = 0; r < batch; ++r) {
-        std::copy_n(x.row(r), 5, concat.row(r));
+  std::map<std::pair<std::size_t, std::size_t>, std::vector<float>> simd;
+  const std::string missing = for_each_kernel_tier([&](KernelTier tier) {
+    for (const std::size_t hidden : {12, 16, 24, 40}) {
+      for (const std::size_t batch : {1, 7, 64}) {
+        Rng rng(23);
+        Lstm lstm("lstm", 5, hidden, rng);
+        Matrix x(batch, 5);
+        for (float& v : x.storage()) v = static_cast<float>(rng.uniform(-2, 2));
+        Matrix concat(batch, 5 + hidden);  // [x, h = 0]
+        for (std::size_t r = 0; r < batch; ++r) {
+          std::copy_n(x.row(r), 5, concat.row(r));
+        }
+
+        std::vector<float> full;
+        std::vector<float> input_block;
+        pack_transb(lstm.weight().value, full);
+        pack_transb(lstm.weight().value, 0, 5, input_block);
+        Matrix via_concat;
+        Matrix via_block;
+        matmul_transb_packed(concat, lstm.weight().value, full, via_concat);
+        matmul_transb_packed(x, 4 * hidden, input_block, via_block);
+        EXPECT_EQ(via_block.storage(), via_concat.storage())
+            << kernel_tier_name(tier) << " hidden " << hidden << " batch "
+            << batch;
+
+        LstmState stepped = lstm.make_state(batch);
+        LstmState zero_step = lstm.make_state(batch);
+        Matrix scratch;
+        Matrix gates;
+        lstm.step(x, stepped, full, scratch, gates);
+        lstm.step_zero_state(x, zero_step, input_block, gates);
+        EXPECT_EQ(zero_step.h.storage(), stepped.h.storage());
+        EXPECT_EQ(zero_step.c.storage(), stepped.c.storage());
+        if (tier == KernelTier::kBaseline) continue;
+        const auto [it, first] =
+            simd.emplace(std::pair{hidden, batch}, zero_step.h.storage());
+        EXPECT_TRUE(first || it->second == zero_step.h.storage())
+            << kernel_tier_name(tier) << " differs from the other SIMD tier"
+            << " at hidden " << hidden << " batch " << batch;
       }
-
-      std::vector<float> full;
-      std::vector<float> input_block;
-      pack_transb(lstm.weight().value, full);
-      pack_transb(lstm.weight().value, 0, 5, input_block);
-      Matrix via_concat;
-      Matrix via_block;
-      matmul_transb_packed(concat, lstm.weight().value, full, via_concat);
-      matmul_transb_packed(x, 4 * 12, input_block, via_block);
-      EXPECT_EQ(via_block.storage(), via_concat.storage())
-          << "simd " << simd << " batch " << batch;
-
-      LstmState stepped = lstm.make_state(batch);
-      LstmState zero_step = lstm.make_state(batch);
-      Matrix scratch;
-      Matrix gates;
-      lstm.step(x, stepped, full, scratch, gates);
-      lstm.step_zero_state(x, zero_step, input_block, gates);
-      EXPECT_EQ(zero_step.h.storage(), stepped.h.storage());
-      EXPECT_EQ(zero_step.c.storage(), stepped.c.storage());
     }
-  }
-  set_simd_kernels_enabled(simd_default);
+  });
+  if (!missing.empty()) GTEST_SKIP() << "CPU lacks the " << missing << " tier";
 }
 
 /// Float64 concat-and-softmax reference of the model's log-likelihood:
@@ -262,56 +286,70 @@ double reference_log_likelihood(const SequenceModel& model,
 }
 
 // The scoring image's forward pass (per-template layer-0 table, zero-state
-// first steps, log-sum-exp head) against the float64 reference, in both
-// kernel tiers, with and without the Δt feature, at batches of 1, 7 and
-// 64 windows and hidden 12 (vector tails). One window's target logit is
-// pushed far below the rest so its score sits on the log(1e-12) floor.
+// first steps, log-sum-exp head) against the float64 reference, in every
+// kernel tier, with and without the Δt feature, at batches of 1, 7 and 64
+// windows, hidden 12, 16, 24 and 40 (16-lane, 8-lane and scalar tails
+// of the gate, cell and gather loops) and vocab 43 (two 16-lane vectors,
+// one 8-lane vector and a scalar tail in the log-sum-exp). One window's
+// target logit is pushed far below the rest so its score sits on the
+// log(1e-12) floor. The SIMD tiers' scores are also equal to each other
+// bit for bit.
 TEST(ScoringImage, ForwardMatchesFloat64ReferenceInBothTiers) {
-  const bool simd_default = simd_kernels_enabled();
-  for (const bool use_dt : {true, false}) {
-    SequenceModelConfig config = small_config();
-    config.use_dt_feature = use_dt;
-    config.vocab = 11;
-    Rng rng(31);
-    SequenceModel model(config, rng);
-    // Class 10 is unreachable: its score clamps at log(1e-12).
-    model.params().back()->value.at(0, 10) = -80.0f;
+  std::string missing;
+  for (const std::size_t hidden : {12, 16, 24, 40}) {
+    for (const bool use_dt : {true, false}) {
+      SequenceModelConfig config = small_config();
+      config.use_dt_feature = use_dt;
+      config.vocab = 43;
+      config.hidden = hidden;
+      Rng rng(31);
+      SequenceModel model(config, rng);
+      // Class 10 is unreachable: its score clamps at log(1e-12).
+      model.params().back()->value.at(0, 10) = -80.0f;
 
-    std::vector<SeqExample> examples(64);
-    for (SeqExample& ex : examples) {
-      for (std::size_t t = 0; t < config.window; ++t) {
-        ex.ids.push_back(static_cast<std::int32_t>(rng.uniform_index(10)));
-        ex.dts.push_back(static_cast<float>(rng.uniform_index(600)));
+      std::vector<SeqExample> examples(64);
+      for (SeqExample& ex : examples) {
+        for (std::size_t t = 0; t < config.window; ++t) {
+          ex.ids.push_back(static_cast<std::int32_t>(rng.uniform_index(10)));
+          ex.dts.push_back(static_cast<float>(rng.uniform_index(600)));
+        }
+        ex.target = static_cast<std::int32_t>(rng.uniform_index(10));
       }
-      ex.target = static_cast<std::int32_t>(rng.uniform_index(10));
-    }
-    examples[5].target = 10;
-    std::vector<double> reference;
-    for (const SeqExample& ex : examples) {
-      reference.push_back(reference_log_likelihood(model, ex));
-    }
-    ASSERT_DOUBLE_EQ(reference[5], std::log(1e-12));
+      examples[5].target = 10;
+      std::vector<double> reference;
+      for (const SeqExample& ex : examples) {
+        reference.push_back(reference_log_likelihood(model, ex));
+      }
+      ASSERT_DOUBLE_EQ(reference[5], std::log(1e-12));
 
-    for (const bool simd : {true, false}) {
-      set_simd_kernels_enabled(simd);
-      const SequenceModel::ScoringImage image = model.build_scoring_image();
-      SequenceModel::InferenceScratch scratch;
-      for (const std::size_t batch : {1, 7, 64}) {
-        WindowBatch windows;
-        for (std::size_t i = 0; i < batch; ++i) {
-          windows.push_back(examples[i], config.window);
+      std::map<std::size_t, std::vector<double>> simd;
+      missing = for_each_kernel_tier([&](KernelTier tier) {
+        const SequenceModel::ScoringImage image = model.build_scoring_image();
+        SequenceModel::InferenceScratch scratch;
+        for (const std::size_t batch : {1, 7, 64}) {
+          WindowBatch windows;
+          for (std::size_t i = 0; i < batch; ++i) {
+            windows.push_back(examples[i], config.window);
+          }
+          std::vector<double> scores(batch);
+          model.score_batched(image, windows, batch, scratch, scores);
+          for (std::size_t i = 0; i < batch; ++i) {
+            EXPECT_NEAR(scores[i], reference[i], 1e-4)
+                << "hidden " << hidden << " use_dt " << use_dt << " "
+                << kernel_tier_name(tier) << " batch " << batch
+                << " window " << i;
+          }
+          if (tier == KernelTier::kBaseline) continue;
+          const auto [it, first] = simd.emplace(batch, scores);
+          EXPECT_TRUE(first || it->second == scores)
+              << kernel_tier_name(tier) << " differs from the other SIMD "
+              << "tier at hidden " << hidden << " use_dt " << use_dt
+              << " batch " << batch;
         }
-        std::vector<double> scores(batch);
-        model.score_batched(image, windows, batch, scratch, scores);
-        for (std::size_t i = 0; i < batch; ++i) {
-          EXPECT_NEAR(scores[i], reference[i], 1e-4)
-              << "use_dt " << use_dt << " simd " << simd << " batch "
-              << batch << " window " << i;
-        }
-      }
+      });
     }
   }
-  set_simd_kernels_enabled(simd_default);
+  if (!missing.empty()) GTEST_SKIP() << "CPU lacks the " << missing << " tier";
 }
 
 // The image is a snapshot: scoring refuses one built before grow_vocab.

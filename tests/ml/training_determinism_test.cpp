@@ -1,15 +1,17 @@
 // Bitwise determinism of the training fast path: per-batch losses and
-// final parameters must be identical for any NFVPRED_THREADS, both with
-// the AVX2+FMA kernels enabled and with them forced off. (The two SIMD
-// modes may differ from each other — that is the same per-machine contract
-// the scoring kernels ship with — but each mode must be internally
+// final parameters must be identical for any NFVPRED_THREADS in every
+// kernel tier, and identical between the AVX2 and AVX-512 tiers. (The
+// baseline tier may differ from them — that is the same per-machine
+// contract the scoring kernels ship with — but it must be internally
 // invariant to the thread count.)
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstring>
+#include <string>
 #include <vector>
 
+#include "kernel_tiers.h"
 #include "ml/matrix.h"
 #include "ml/optimizer.h"
 #include "ml/sequence_model.h"
@@ -42,9 +44,9 @@ std::vector<SeqExample> make_dataset(const SequenceModelConfig& config,
   return examples;
 }
 
-TrainRun run_training(std::size_t threads, bool simd) {
+TrainRun run_training(std::size_t threads, KernelTier tier) {
   nfv::util::set_global_threads(threads);
-  set_simd_kernels_enabled(simd);
+  set_kernel_tier(tier);
 
   SequenceModelConfig config;
   config.vocab = 40;
@@ -97,30 +99,43 @@ void expect_bitwise_equal(const TrainRun& a, const TrainRun& b,
 
 class TrainingDeterminismTest : public ::testing::Test {
  protected:
-  void SetUp() override { simd_default_ = simd_kernels_enabled(); }
+  void SetUp() override { tier_default_ = kernel_tier(); }
   void TearDown() override {
-    set_simd_kernels_enabled(simd_default_);
+    set_kernel_tier(tier_default_);
     nfv::util::set_global_threads(0);
   }
-  bool simd_default_ = false;
+  KernelTier tier_default_ = KernelTier::kBaseline;
 };
 
+// Each SIMD tier the CPU has is thread-count invariant, and the AVX-512
+// tier trains the AVX2 tier's weights bit for bit.
 TEST_F(TrainingDeterminismTest, ThreadCountInvariantWithSimd) {
-  if (!simd_default_) GTEST_SKIP() << "AVX2+FMA unavailable or disabled";
-  const TrainRun one = run_training(1, true);
-  const TrainRun four = run_training(4, true);
-  expect_bitwise_equal(one, four, "simd 1T vs 4T");
+  std::vector<TrainRun> four_thread_runs;
+  const std::string missing = for_each_kernel_tier([&](KernelTier tier) {
+    if (tier == KernelTier::kBaseline) return;
+    const TrainRun one = run_training(1, tier);
+    const TrainRun four = run_training(4, tier);
+    expect_bitwise_equal(one, four,
+                         std::string(kernel_tier_name(tier)) + " 1T vs 4T");
+    if (!four_thread_runs.empty()) {
+      expect_bitwise_equal(four_thread_runs.front(), four,
+                           std::string(kernel_tier_name(tier)) +
+                               " vs the other SIMD tier");
+    }
+    four_thread_runs.push_back(four);
+  });
+  if (!missing.empty()) GTEST_SKIP() << "CPU lacks the " << missing << " tier";
 }
 
 TEST_F(TrainingDeterminismTest, ThreadCountInvariantWithSimdOff) {
-  const TrainRun one = run_training(1, false);
-  const TrainRun four = run_training(4, false);
+  const TrainRun one = run_training(1, KernelTier::kBaseline);
+  const TrainRun four = run_training(4, KernelTier::kBaseline);
   expect_bitwise_equal(one, four, "baseline 1T vs 4T");
 }
 
 TEST_F(TrainingDeterminismTest, RepeatRunsBitIdentical) {
-  const TrainRun a = run_training(4, simd_default_);
-  const TrainRun b = run_training(4, simd_default_);
+  const TrainRun a = run_training(4, tier_default_);
+  const TrainRun b = run_training(4, tier_default_);
   expect_bitwise_equal(a, b, "repeat 4T");
 }
 

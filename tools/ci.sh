@@ -20,17 +20,37 @@
 # below the private-tree baseline with serial warning parity at two
 # worker counts) and run in the regular, TSan and ASan legs. The
 # quantized-scoring leg runs the quant-labelled tests, the
-# bench_scoring_throughput --smoke rank-agreement / tier-bit-identity
-# gates, and an ASan build of the int8 kernels, of the fp32 packed
+# bench_scoring_throughput --smoke gates (int8 rank agreement, int8 ranks
+# of every SIMD tier bit-identical to the serial tier, fp32 scores of the
+# SIMD tiers bit-identical to each other), and an ASan build of the int8 kernels, of the fp32 packed
 # kernels (test_ml_grad's shape sweep reads every panel tail) and of the
 # sequence model (test_ml_models: the scoring image, its table gather and
-# the checkpoint loader's corrupt-header checks).
+# the checkpoint loader's corrupt-header checks). The UBSan leg runs the
+# same three ML binaries, whose kernels shift lane masks, index vector
+# tails and convert floats to ints. The log opens with the kernel tier
+# (avx512, avx2+fma or baseline) these legs exercise on this host.
 #
 # Usage: tools/ci.sh [jobs]
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 JOBS="${1:-$(nproc)}"
+
+# The tier ml::kernel_tier() picks here, by the same CPUID rule: AVX-512
+# F/BW/DQ/VL + VNNI, else AVX2+FMA, else baseline; NFVPRED_NO_AVX2 forces
+# baseline.
+cpu_flags=" $(grep -m1 '^flags' /proc/cpuinfo 2>/dev/null | cut -d: -f2) "
+has_flag() { [[ "$cpu_flags" == *" $1 "* ]]; }
+tier=baseline
+if [[ -z "${NFVPRED_NO_AVX2:-}" ]]; then
+  if has_flag avx512f && has_flag avx512bw && has_flag avx512dq &&
+      has_flag avx512vl && has_flag avx512_vnni; then
+    tier=avx512
+  elif has_flag avx2 && has_flag fma; then
+    tier=avx2+fma
+  fi
+fi
+echo "=== kernel tier: $tier ==="
 
 echo "=== tier-1: build + full ctest ==="
 cmake -B "$ROOT/build" -S "$ROOT"
@@ -54,7 +74,7 @@ ctest --test-dir "$ROOT/build" -L forest --output-on-failure -j "$JOBS"
 echo "=== benchmark ledger: metric-set, serial-replay parity and --perturb self-test ==="
 python3 "$ROOT/perfbench/selftest.py"
 
-echo "=== quantized scoring: kernel/lifecycle tests + rank-agreement smoke ==="
+echo "=== quantized scoring: kernel/lifecycle tests + rank-agreement and tier-identity smoke ==="
 ctest --test-dir "$ROOT/build" -L quant --output-on-failure -j "$JOBS"
 cmake --build "$ROOT/build" -j "$JOBS" --target bench_scoring_throughput
 "$ROOT/build/bench/bench_scoring_throughput" --smoke
@@ -68,6 +88,13 @@ cmake --build "$ROOT/build-asan" -j "$JOBS" --target test_logproc --target test_
 "$ROOT/build-asan/tests/test_quant"
 "$ROOT/build-asan/tests/test_ml_grad"
 "$ROOT/build-asan/tests/test_ml_models"
+
+echo "=== UBSan: fp32 packed, int8 and sequence-model kernels ($tier tier) ==="
+cmake -B "$ROOT/build-ubsan" -S "$ROOT" -DNFVPRED_SANITIZE=undefined
+cmake --build "$ROOT/build-ubsan" -j "$JOBS" --target test_ml_grad --target test_quant --target test_ml_models
+"$ROOT/build-ubsan/tests/test_ml_grad"
+"$ROOT/build-ubsan/tests/test_quant"
+"$ROOT/build-ubsan/tests/test_ml_models"
 
 echo "=== continual learning: online retrain + hot swap + adapt safety ==="
 ctest --test-dir "$ROOT/build" -L continual --output-on-failure -j "$JOBS"
