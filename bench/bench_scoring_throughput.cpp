@@ -470,15 +470,10 @@ int run_smoke_mode() {
   // Gate 2: every SIMD tier's int8 ranks bit-identical to the serial
   // tier's, and the SIMD tiers' fp32 log-likelihoods and ranks bit-identical
   // to each other.
-  std::vector<ml::SeqExample> examples;
+  ml::WindowBatch batch;
   for (const auto& stream : streams) {
-    for (ml::SeqExample& ex :
-         logproc::build_sequence_examples(stream, config.window)) {
-      examples.push_back(std::move(ex));
-    }
+    logproc::append_sequence_windows(stream, config.window, batch);
   }
-  std::vector<const ml::SeqExample*> batch;
-  for (const ml::SeqExample& ex : examples) batch.push_back(&ex);
   const ml::KernelTier default_tier = ml::kernel_tier();
   ml::set_kernel_tier(ml::KernelTier::kBaseline);
   const auto serial_ranks = score_all(quantized, streams);

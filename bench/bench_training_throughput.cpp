@@ -53,18 +53,18 @@ ml::SequenceModelConfig model_config() {
   return config;
 }
 
-std::vector<ml::SeqExample> make_dataset(std::size_t count) {
+ml::WindowBatch make_dataset(std::size_t count) {
   const ml::SequenceModelConfig config = model_config();
   util::Rng rng(17);
-  std::vector<ml::SeqExample> examples(count);
-  for (ml::SeqExample& ex : examples) {
-    ex.ids.resize(config.window);
-    ex.dts.resize(config.window);
+  ml::WindowBatch examples;
+  for (std::size_t e = 0; e < count; ++e) {
     for (std::size_t t = 0; t < config.window; ++t) {
-      ex.ids[t] = static_cast<std::int32_t>(rng.uniform_index(kVocab));
-      ex.dts[t] = static_cast<float>(rng.uniform(0.5, 600.0));
+      examples.ids.push_back(
+          static_cast<std::int32_t>(rng.uniform_index(kVocab)));
+      examples.dts.push_back(static_cast<float>(rng.uniform(0.5, 600.0)));
     }
-    ex.target = static_cast<std::int32_t>(rng.uniform_index(kVocab));
+    examples.targets.push_back(
+        static_cast<std::int32_t>(rng.uniform_index(kVocab)));
   }
   return examples;
 }
@@ -72,14 +72,16 @@ std::vector<ml::SeqExample> make_dataset(std::size_t count) {
 /// One full pass over the dataset in fixed batch order; returns the last
 /// batch loss (kept alive as an optimization sink and a sanity value).
 double train_pass(ml::SequenceModel& model, ml::Adam& adam,
-                  const std::vector<ml::SeqExample>& examples) {
+                  const ml::WindowBatch& examples) {
+  const std::size_t window = model.config().window;
   double loss = 0.0;
-  std::vector<const ml::SeqExample*> batch;
-  batch.reserve(kBatch);
+  ml::WindowBatch batch;
   for (std::size_t start = 0; start < examples.size(); start += kBatch) {
     batch.clear();
     const std::size_t end = std::min(start + kBatch, examples.size());
-    for (std::size_t i = start; i < end; ++i) batch.push_back(&examples[i]);
+    for (std::size_t i = start; i < end; ++i) {
+      batch.append_row(examples, i, window);
+    }
     loss = model.train_batch(batch, adam);
   }
   return loss;
@@ -152,7 +154,7 @@ constexpr Regime kRegimes[] = {
 /// One timed pass of a regime over a fresh model (identical workload every
 /// time: same init seed, same batch schedule).
 double regime_pass_seconds(const Regime& regime,
-                           const std::vector<ml::SeqExample>& examples) {
+                           const ml::WindowBatch& examples) {
   util::set_global_threads(regime.threads);
   set_simd(regime.simd);
   FreshModel fm;

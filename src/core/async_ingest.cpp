@@ -139,6 +139,10 @@ bool AsyncIngest::try_submit(std::size_t shard, nfv::util::SimTime time,
 
 void AsyncIngest::submit_parsed(std::size_t shard,
                                 const logproc::ParsedLog& log) {
+  // Checked on the producer's thread: a worker has no caller to throw to,
+  // so a negative id reaching the scorer there would end the process.
+  NFV_CHECK(log.template_id >= 0,
+            "negative template id " << log.template_id);
   Item item;
   item.shard = static_cast<std::uint32_t>(shard);
   item.log = log;

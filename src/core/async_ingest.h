@@ -225,7 +225,9 @@ class AsyncIngest {
   bool try_submit(std::size_t shard, nfv::util::SimTime time,
                   std::string line);
 
-  /// Pre-parsed variant of submit().
+  /// Pre-parsed variant of submit(). A negative template id throws
+  /// util::CheckError here, on the producer's thread, before the line is
+  /// counted or queued.
   void submit_parsed(std::size_t shard, const logproc::ParsedLog& log);
 
   /// Move every published warning into `out` (appended); returns how many.

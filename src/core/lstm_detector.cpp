@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <istream>
+#include <numeric>
 #include <ostream>
 
 #include "ml/optimizer.h"
@@ -12,89 +13,71 @@
 
 namespace nfv::core {
 
-using ml::SeqExample;
 using nfv::util::Rng;
+
+namespace {
+
+/// Rows 0 … n − 1: one pass over every window of a batch.
+std::vector<std::size_t> all_rows(std::size_t n) {
+  std::vector<std::size_t> rows(n);
+  std::iota(rows.begin(), rows.end(), std::size_t{0});
+  return rows;
+}
+
+}  // namespace
 
 LstmDetector::LstmDetector(const LstmDetectorConfig& config)
     : config_(config), rng_(config.seed) {}
 
-LstmDetector::LstmDetector(const LstmDetector& other)
-    : config_(other.config_),
-      model_(other.model_),
-      image_(other.image_),
-      rng_(other.rng_) {}
-
-LstmDetector& LstmDetector::operator=(const LstmDetector& other) {
-  if (this != &other) {
-    config_ = other.config_;
-    model_ = other.model_;
-    image_ = other.image_;
-    rng_ = other.rng_;
-    optimizer_.reset();
-  }
-  return *this;
-}
-
-std::vector<SeqExample> LstmDetector::prepare_examples(
+ml::WindowBatch LstmDetector::prepare_windows(
     std::span<const LogView> streams) const {
-  std::vector<SeqExample> examples;
+  const std::size_t k = config_.window;
+  ml::WindowBatch windows;
   for (const LogView& logs : streams) {
-    std::vector<SeqExample> part =
-        logproc::build_sequence_examples(logs, config_.window);
-    examples.insert(examples.end(),
-                    std::make_move_iterator(part.begin()),
-                    std::make_move_iterator(part.end()));
+    logproc::append_sequence_windows(logs, k, windows);
   }
-  if (examples.size() > config_.max_train_windows) {
-    // Deterministic uniform subsample preserving time order.
-    std::vector<SeqExample> kept;
-    kept.reserve(config_.max_train_windows);
-    const double stride = static_cast<double>(examples.size()) /
-                          static_cast<double>(config_.max_train_windows);
-    for (std::size_t i = 0; i < config_.max_train_windows; ++i) {
-      kept.push_back(examples[static_cast<std::size_t>(i * stride)]);
+  const std::size_t cap = config_.max_train_windows;
+  if (windows.size() > cap) {
+    // Deterministic uniform subsample preserving time order, compacted in
+    // place: the kept rows increase and row i comes from a row ≥ i, so no
+    // row is overwritten before it is read.
+    const double stride =
+        static_cast<double>(windows.size()) / static_cast<double>(cap);
+    for (std::size_t i = 0; i < cap; ++i) {
+      const auto from = static_cast<std::size_t>(i * stride);
+      std::copy_n(windows.ids.begin() + from * k, k,
+                  windows.ids.begin() + i * k);
+      std::copy_n(windows.dts.begin() + from * k, k,
+                  windows.dts.begin() + i * k);
+      windows.targets[i] = windows.targets[from];
     }
-    examples = std::move(kept);
+    windows.ids.resize(cap * k);
+    windows.dts.resize(cap * k);
+    windows.targets.resize(cap);
   }
-  return examples;
+  return windows;
 }
 
-void LstmDetector::train_epochs(std::span<const SeqExample> examples,
+void LstmDetector::train_epochs(const ml::WindowBatch& windows,
+                                std::vector<std::size_t> rows,
                                 std::size_t epochs, float lr) {
-  if (examples.empty()) return;
-  // Default path: a fresh Adam per training round (the seed behavior).
-  // Persistent path: one instance lives on the detector and is re-pointed
-  // at the (possibly moved or vocab-grown) parameters each round, keeping
-  // its moment state warm across incremental updates.
-  std::optional<ml::Adam> local_optimizer;
-  ml::Adam* optimizer = nullptr;
-  if (config_.persistent_optimizer) {
-    if (!optimizer_) optimizer_ = std::make_unique<ml::Adam>(lr);
-    optimizer_->set_learning_rate(lr);
-    optimizer_->rebind(model_->params());
-    optimizer = optimizer_.get();
-  } else {
-    local_optimizer.emplace(lr);
-    local_optimizer->bind(model_->params());
-    optimizer = &*local_optimizer;
-  }
-  std::vector<std::size_t> order(examples.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  // Hoisted out of the batch loop: the pointer buffer (and the model's
-  // input scratch, inside train_batch) is reused for every batch.
-  std::vector<const SeqExample*> batch;
-  batch.reserve(std::min<std::size_t>(config_.batch_size, order.size()));
+  if (rows.empty()) return;
+  ml::Adam optimizer(lr);
+  optimizer.bind(model_->params());
+  // Shuffling the rows themselves permutes them exactly as shuffling
+  // positions into them would: the draws depend only on the count.
+  ml::WindowBatch batch;
   for (std::size_t epoch = 0; epoch < epochs; ++epoch) {
-    rng_.shuffle(order);
-    for (std::size_t start = 0; start < order.size();
+    rng_.shuffle(rows);
+    for (std::size_t start = 0; start < rows.size();
          start += config_.batch_size) {
       const std::size_t end =
-          std::min(start + config_.batch_size, order.size());
+          std::min(start + config_.batch_size, rows.size());
       batch.clear();
       for (std::size_t i = start; i < end; ++i) {
-        batch.push_back(&examples[order[i]]);
+        batch.append_row(windows, rows[i], config_.window);
       }
-      model_->train_batch(batch, *optimizer);
+      model_->train_batch(batch, optimizer);
     }
   }
   // The over-sampling loop scores between training rounds.
@@ -112,7 +95,7 @@ bool LstmDetector::gather(LogView logs, std::size_t i,
   for (std::size_t j = i - k; j <= i; ++j) {
     if (logs[j].template_id >= vocab) return false;
   }
-  // Δt as build_sequence_examples computes it: the stream's first event
+  // Δt as append_sequence_windows computes it: the stream's first event
   // has no predecessor and gets 0.
   for (std::size_t j = i - k; j < i; ++j) {
     windows.ids.push_back(logs[j].template_id);
@@ -131,19 +114,20 @@ double LstmDetector::unknown_score() const {
              : config_.unknown_score;
 }
 
-void LstmDetector::score_gathered(WindowScratch& scratch) const {
-  const std::size_t n = scratch.windows.size();
+void LstmDetector::score_gathered(const ml::WindowBatch& windows,
+                                  WindowScratch& scratch) const {
+  const std::size_t n = windows.size();
   if (n == 0) return;
   if (config_.score_mode == LstmScoreMode::kTargetRank) {
     scratch.ranks.resize(n);
-    model_->score_ranks_batched(image_, scratch.windows, kScoreBatch,
-                                scratch.model, scratch.ranks);
+    model_->score_ranks_batched(image_, windows, kScoreBatch, scratch.model,
+                                scratch.ranks);
     for (std::size_t i = 0; i < n; ++i) {
       *scratch.slots[i] = static_cast<double>(scratch.ranks[i]);
     }
   } else {
     scratch.scores.resize(n);
-    model_->score_batched(image_, scratch.windows, kScoreBatch, scratch.model,
+    model_->score_batched(image_, windows, kScoreBatch, scratch.model,
                           scratch.scores);
     for (std::size_t i = 0; i < n; ++i) {
       *scratch.slots[i] = -scratch.scores[i];
@@ -151,24 +135,21 @@ void LstmDetector::score_gathered(WindowScratch& scratch) const {
   }
 }
 
-std::vector<double> LstmDetector::score_examples(
-    std::span<const SeqExample> examples) const {
-  NFV_CHECK(trained(), "score_examples before fit");
-  std::vector<double> scores(examples.size());
+std::vector<double> LstmDetector::score_batch(
+    const ml::WindowBatch& windows) const {
+  NFV_CHECK(trained(), "score_batch before fit");
+  std::vector<double> scores(windows.size());
   WindowScratch scratch;
-  for (std::size_t i = 0; i < examples.size(); ++i) {
-    scratch.windows.push_back(examples[i], config_.window);
-    scratch.slots.push_back(&scores[i]);
-  }
-  score_gathered(scratch);
+  for (double& score : scores) scratch.slots.push_back(&score);
+  score_gathered(windows, scratch);
   return scores;
 }
 
-void LstmDetector::oversample_refine(std::vector<SeqExample> examples) {
-  if (examples.empty()) return;
+void LstmDetector::oversample_refine(const ml::WindowBatch& windows) {
+  if (windows.size() == 0) return;
   double previous_fp_rate = 1.0;
   for (std::size_t round = 0; round < config_.oversample_rounds; ++round) {
-    const std::vector<double> scores = score_examples(examples);
+    const std::vector<double> scores = score_batch(windows);
     // "Misclassified as anomaly": the highest-score (lowest-likelihood)
     // quantile of the *normal* training data.
     const double threshold =
@@ -183,18 +164,16 @@ void LstmDetector::oversample_refine(std::vector<SeqExample> examples) {
     previous_fp_rate = fp_rate;
 
     // Over-sample the minority patterns, random-sample the rest (§4.2).
-    std::vector<SeqExample> refined;
+    std::vector<std::size_t> refined;
     refined.reserve(minority.size() * config_.oversample_factor +
-                    examples.size() / 2);
+                    windows.size() / 2);
     for (std::size_t idx : minority) {
-      for (std::size_t r = 0; r < config_.oversample_factor; ++r) {
-        refined.push_back(examples[idx]);
-      }
+      refined.insert(refined.end(), config_.oversample_factor, idx);
     }
-    for (std::size_t i = 0; i < examples.size(); ++i) {
-      if (rng_.bernoulli(0.5)) refined.push_back(examples[i]);
+    for (std::size_t i = 0; i < windows.size(); ++i) {
+      if (rng_.bernoulli(0.5)) refined.push_back(i);
     }
-    train_epochs(refined, 1, config_.update_lr);
+    train_epochs(windows, std::move(refined), 1, config_.update_lr);
   }
 }
 
@@ -208,12 +187,11 @@ void LstmDetector::fit(std::span<const LogView> streams, std::size_t vocab) {
   model_config.window = config_.window;
   Rng init_rng = rng_.fork(1);
   model_.emplace(model_config, init_rng);
-  // A freshly initialized model invalidates any accumulated moment state.
-  optimizer_.reset();
 
-  std::vector<SeqExample> examples = prepare_examples(streams);
-  train_epochs(examples, config_.initial_epochs, config_.initial_lr);
-  if (config_.oversample) oversample_refine(std::move(examples));
+  const ml::WindowBatch windows = prepare_windows(streams);
+  train_epochs(windows, all_rows(windows.size()), config_.initial_epochs,
+               config_.initial_lr);
+  if (config_.oversample) oversample_refine(windows);
   // Calibrate once, after ALL training (including the over-sampling
   // rounds, which score with the fp32 model they just trained).
   if (config_.quantize) model_->quantize();
@@ -227,8 +205,9 @@ void LstmDetector::update(std::span<const LogView> streams,
     Rng grow_rng = rng_.fork(2);
     model_->grow_vocab(vocab, grow_rng);
   }
-  std::vector<SeqExample> examples = prepare_examples(streams);
-  train_epochs(examples, config_.update_epochs, config_.update_lr);
+  const ml::WindowBatch windows = prepare_windows(streams);
+  train_epochs(windows, all_rows(windows.size()), config_.update_epochs,
+               config_.update_lr);
   if (config_.quantize) model_->quantize();
   // Also after a grow_vocab with no training windows.
   refresh_image();
@@ -253,8 +232,9 @@ void LstmDetector::adapt(std::span<const LogView> streams,
       ml::SequenceModel* model;
       ~UnfreezeGuard() { model->freeze_lower_layers(0); }
     } guard{&*model_};
-    std::vector<SeqExample> examples = prepare_examples(streams);
-    train_epochs(examples, config_.adapt_epochs, config_.adapt_lr);
+    const ml::WindowBatch windows = prepare_windows(streams);
+    train_epochs(windows, all_rows(windows.size()), config_.adapt_epochs,
+                 config_.adapt_lr);
   }
   if (config_.quantize) model_->quantize();
   refresh_image();
@@ -291,7 +271,7 @@ std::vector<std::vector<ScoredEvent>> LstmDetector::score_streams(
       }
     }
   }
-  score_gathered(scratch);
+  score_gathered(scratch.windows, scratch);
   return out;
 }
 
@@ -315,7 +295,7 @@ void LstmDetector::score_windows(std::span<const logproc::ParsedLog> windows,
       out[w] = unknown_score();
     }
   }
-  score_gathered(scratch);
+  score_gathered(scratch.windows, scratch);
 }
 
 void LstmDetector::set_quantized(bool on) {

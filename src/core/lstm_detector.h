@@ -7,6 +7,9 @@
 // model assigns to it. Includes the paper's iterative minority-pattern
 // over-sampling loop (rare-but-normal patterns are over-sampled between
 // training rounds until the training false-positive rate stops improving).
+// Training and scoring share one window format, ml::WindowBatch: a round
+// gathers every stream's windows into one flat batch, and the subsample,
+// the over-sampling and the minibatches select rows of it.
 #pragma once
 
 #include <iosfwd>
@@ -53,14 +56,6 @@ struct LstmDetectorConfig {
   /// Layers frozen during transfer adaptation (embedding is frozen too
   /// whenever this is > 0).
   std::size_t adapt_frozen_layers = 1;
-  /// Keep one Adam instance alive across fit/update/adapt rounds instead
-  /// of constructing a fresh optimizer inside every train_epochs call.
-  /// With it on, moment estimates accumulated during the initial fit carry
-  /// into the monthly incremental updates (surviving grow_vocab reshapes —
-  /// new rows start with zero moments), so the update steps are already
-  /// warm instead of re-estimating curvature from scratch. Off by default
-  /// to preserve the seed training trajectory exactly.
-  bool persistent_optimizer = false;
   std::uint64_t seed = 1234;
   /// Score assigned to events involving templates unseen at training time
   /// (in kTargetRank mode the unknown score is the vocabulary size).
@@ -68,7 +63,7 @@ struct LstmDetectorConfig {
   LstmScoreMode score_mode = LstmScoreMode::kLogLikelihood;
   /// Quantized steady-state scoring: after every fit/update/adapt the
   /// model is re-calibrated to per-channel int8 (ml::SequenceModel::
-  /// quantize) and all scoring — score/score_streams, score_examples,
+  /// quantize) and all scoring — score/score_streams, score_batch,
   /// async-ingest flushes — runs the packed int8 kernels.
   /// Training always stays fp32; the correctness contract is the
   /// rank-agreement gate (see README "Quantized scoring").
@@ -86,21 +81,13 @@ class LstmDetector final : public AnomalyDetector {
 
   explicit LstmDetector(const LstmDetectorConfig& config = {});
 
-  /// Copying is the teacher → student step of transfer adaptation; the
-  /// persistent optimizer's moment state is per-instance and does not
-  /// follow the copy (the student's next train_epochs starts it fresh).
-  LstmDetector(const LstmDetector& other);
-
-  /// Heap-allocated teacher → student copy: the clone the online-retrain
+  /// Heap-allocated teacher → student copy (copying is the teacher →
+  /// student step of transfer adaptation): the clone the online-retrain
   /// trainer fine-tunes and installs while the original keeps scoring.
-  /// Weights, config (including quantize mode) and RNG state follow; the
-  /// persistent optimizer does not (same contract as the copy ctor).
+  /// Weights, config (including quantize mode) and RNG state follow.
   std::unique_ptr<LstmDetector> clone_as_teacher() const {
     return std::make_unique<LstmDetector>(*this);
   }
-  LstmDetector& operator=(const LstmDetector& other);
-  LstmDetector(LstmDetector&&) = default;
-  LstmDetector& operator=(LstmDetector&&) = default;
 
   void fit(std::span<const LogView> streams, std::size_t vocab) override;
   void update(std::span<const LogView> streams, std::size_t vocab) override;
@@ -145,10 +132,10 @@ class LstmDetector final : public AnomalyDetector {
   const LstmDetectorConfig& config() const { return config_; }
   const ml::SequenceModel& model() const { return *model_; }
 
-  /// Anomaly scores of a set of windows (per score_mode); exposed for the
-  /// over-sampling loop and threshold calibration.
-  std::vector<double> score_examples(
-      std::span<const ml::SeqExample> examples) const;
+  /// Anomaly scores of a batch of windows (per score_mode); exposed for
+  /// the over-sampling loop and threshold calibration. Every template id
+  /// must be inside the model vocabulary.
+  std::vector<double> score_batch(const ml::WindowBatch& windows) const;
 
   /// Persist / restore the trained model (config + weights). load()
   /// throws util::CheckError, naming the field, on a score mode outside
@@ -171,25 +158,26 @@ class LstmDetector final : public AnomalyDetector {
   /// Score of a window holding an unknown template.
   double unknown_score() const;
 
-  /// Score scratch.windows from the image in fused batches, writing
-  /// window i's anomaly score to *scratch.slots[i].
-  void score_gathered(WindowScratch& scratch) const;
+  /// Score `windows` from the image in fused batches, writing window i's
+  /// anomaly score to *scratch.slots[i].
+  void score_gathered(const ml::WindowBatch& windows,
+                      WindowScratch& scratch) const;
 
-  void train_epochs(std::span<const ml::SeqExample> examples,
-                    std::size_t epochs, float lr);
-  std::vector<ml::SeqExample> prepare_examples(
-      std::span<const LogView> streams) const;
-  void oversample_refine(std::vector<ml::SeqExample> examples);
+  /// Every stream's training windows in one batch, subsampled in place to
+  /// max_train_windows rows.
+  ml::WindowBatch prepare_windows(std::span<const LogView> streams) const;
+  /// `epochs` passes over the given rows of `windows` (a row may repeat),
+  /// shuffled each epoch, in minibatches of batch_size, with a fresh Adam.
+  void train_epochs(const ml::WindowBatch& windows,
+                    std::vector<std::size_t> rows, std::size_t epochs,
+                    float lr);
+  void oversample_refine(const ml::WindowBatch& windows);
 
   LstmDetectorConfig config_;
   std::optional<ml::SequenceModel> model_;
   /// model_'s scoring image; copied with the detector, so an installed
   /// clone scores without building one.
   ml::SequenceModel::ScoringImage image_;
-  /// Lives across train_epochs calls when persistent_optimizer is on;
-  /// train_epochs rebinds it to the model's current parameters each round
-  /// (safe across model moves and grow_vocab — see ml::Adam::rebind).
-  std::unique_ptr<ml::Adam> optimizer_;
   mutable nfv::util::Rng rng_;
 };
 

@@ -161,7 +161,6 @@ PipelineResult run_pipeline(const simnet::FleetTrace& trace,
       LstmDetectorConfig config =
           options.lstm_config.value_or(LstmDetectorConfig{});
       config.oversample = options.oversample;
-      config.persistent_optimizer = options.persistent_optimizer;
       if (options.quantize) config.quantize = true;
       config.seed = options.seed + 100 * (g + 1);
       group.detector = std::make_unique<LstmDetector>(config);

@@ -32,11 +32,6 @@ struct PipelineOptions {
   bool adapt = true;
   /// Forwarded to the LSTM detector's minority over-sampling loop.
   bool oversample = true;
-  /// Forwarded to LstmDetectorConfig::persistent_optimizer: keep one Adam
-  /// (moment state included) alive across the monthly update/adapt rounds
-  /// instead of restarting it cold each round. Off by default to preserve
-  /// the seed training trajectory.
-  bool persistent_optimizer = false;
   VpeClusteringOptions clustering{.fixed_k = 4};
   MappingConfig mapping;
   /// Margin before ticket report for training-data exclusion (paper: 3 d).

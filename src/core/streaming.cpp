@@ -48,6 +48,8 @@ double StreamMonitor::ingest(nfv::util::SimTime time,
 }
 
 double StreamMonitor::ingest_parsed(const logproc::ParsedLog& log) {
+  NFV_CHECK(log.template_id >= 0,
+            "negative template id " << log.template_id);
   // scratch_window_ is a member so steady-state per-line ingestion reuses
   // its capacity instead of allocating a fresh window vector every line.
   scratch_window_.clear();
@@ -156,6 +158,8 @@ void StreamMonitorGroup::ingest(std::size_t shard, nfv::util::SimTime time,
 void StreamMonitorGroup::ingest_parsed(std::size_t shard,
                                        const logproc::ParsedLog& log) {
   NFV_CHECK(shard < monitors_.size(), "unknown shard " << shard);
+  NFV_CHECK(log.template_id >= 0,
+            "negative template id " << log.template_id);
   PendingEntry entry;
   entry.shard = shard;
   entry.time = log.time;

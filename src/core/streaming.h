@@ -87,7 +87,8 @@ class StreamMonitor {
   double ingest(nfv::util::SimTime time, std::string_view raw_line);
 
   /// Feed an already-parsed event (template id + time). Same ordering
-  /// contract as ingest().
+  /// contract as ingest(). A negative template id throws util::CheckError
+  /// and changes nothing.
   double ingest_parsed(const logproc::ParsedLog& log);
 
   /// Deferred ingestion for micro-batched scoring (StreamMonitorGroup):
@@ -202,7 +203,8 @@ class StreamMonitorGroup {
   void ingest(std::size_t shard, nfv::util::SimTime time,
               std::string_view raw_line);
 
-  /// Stage one already-parsed event for `shard`.
+  /// Stage one already-parsed event for `shard`; a negative template id
+  /// throws util::CheckError and stages nothing.
   void ingest_parsed(std::size_t shard, const logproc::ParsedLog& log);
 
   /// Score every staged window in one score_windows call and drive the

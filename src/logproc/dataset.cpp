@@ -37,12 +37,10 @@ std::vector<ParsedLog> slice_time(std::span<const ParsedLog> logs,
   return out;
 }
 
-std::vector<nfv::ml::SeqExample> build_sequence_examples(
-    std::span<const ParsedLog> logs, std::size_t window, Duration max_gap) {
+void append_sequence_windows(std::span<const ParsedLog> logs,
+                             std::size_t window, nfv::ml::WindowBatch& out,
+                             Duration max_gap) {
   NFV_CHECK(window >= 1, "window must be >= 1");
-  std::vector<nfv::ml::SeqExample> out;
-  if (logs.size() <= window) return out;
-  out.reserve(logs.size() - window);
   for (std::size_t i = window; i < logs.size(); ++i) {
     // Reject windows spanning a session break.
     bool gap_break = false;
@@ -53,20 +51,14 @@ std::vector<nfv::ml::SeqExample> build_sequence_examples(
       }
     }
     if (gap_break) continue;
-    nfv::ml::SeqExample ex;
-    ex.ids.resize(window);
-    ex.dts.resize(window);
-    for (std::size_t j = 0; j < window; ++j) {
-      const std::size_t idx = i - window + j;
-      ex.ids[j] = logs[idx].template_id;
+    for (std::size_t idx = i - window; idx < i; ++idx) {
+      out.ids.push_back(logs[idx].template_id);
       const Duration dt =
           idx == 0 ? Duration{0} : logs[idx].time - logs[idx - 1].time;
-      ex.dts[j] = static_cast<float>(dt.seconds);
+      out.dts.push_back(static_cast<float>(dt.seconds));
     }
-    ex.target = logs[i].template_id;
-    out.push_back(std::move(ex));
+    out.targets.push_back(logs[i].template_id);
   }
-  return out;
 }
 
 std::vector<double> template_distribution(std::span<const ParsedLog> logs,

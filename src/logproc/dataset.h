@@ -1,6 +1,6 @@
 // Dataset construction: turns template-id log streams into the model
-// inputs of §4.2 — sliding windows of (template id, inter-arrival) tuples —
-// plus the frequency distributions and TF-IDF features used by the
+// inputs of §4.2 — sliding windows of (template id, inter-arrival) tuples,
+// appended flat to an ml::WindowBatch — plus the frequency distributions and TF-IDF features used by the
 // clustering step and the baseline detectors.
 #pragma once
 
@@ -39,12 +39,14 @@ std::vector<ParsedLog> slice_time(std::span<const ParsedLog> logs,
                                   nfv::util::SimTime begin,
                                   nfv::util::SimTime end);
 
-/// Build LSTM training/scoring windows: for each position i ≥ k, a window
-/// of the k preceding (template, Δt) tuples with log i as the prediction
-/// target. Windows never span gaps larger than `max_gap` (a session break:
+/// Append the LSTM training windows of one log stream to `out`: for each
+/// position i ≥ k, the k preceding (template, Δt) tuples with log i as the
+/// prediction target. The stream's first event has no predecessor and gets
+/// Δt = 0. Windows never span gaps larger than `max_gap` (a session break:
 /// prediction across an hours-long silence carries no sequential signal).
-std::vector<nfv::ml::SeqExample> build_sequence_examples(
+void append_sequence_windows(
     std::span<const ParsedLog> logs, std::size_t window,
+    nfv::ml::WindowBatch& out,
     nfv::util::Duration max_gap = nfv::util::Duration::of_hours(12));
 
 /// Normalized template-frequency distribution over `logs` with the given

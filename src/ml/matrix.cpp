@@ -616,6 +616,28 @@ void quantize_pack_b(const Matrix& b, QuantizedMatrix& out) {
   }
 }
 
+std::int64_t quant_channel_sum(const QuantizedMatrix& qb, std::size_t c) {
+  const std::size_t kpad = qb.cols_padded;
+  const std::size_t panels = qb.rows / kQuantChannels;
+  std::int64_t sum = 0;
+  if (c < panels * kQuantChannels) {
+    const std::int8_t* panel =
+        qb.data.data() + c / kQuantChannels * kpad * kQuantChannels;
+    const std::size_t jj = c % kQuantChannels;
+    for (std::size_t g = 0; g < kpad / kQuantK; ++g) {
+      for (std::size_t k = 0; k < kQuantK; ++k) {
+        sum += panel[kQuantChannels * kQuantK * g + kQuantK * jj + k];
+      }
+    }
+  } else {
+    const std::int8_t* row = qb.data.data() +
+                             panels * kpad * kQuantChannels +
+                             (c - panels * kQuantChannels) * kpad;
+    for (std::size_t k = 0; k < kpad; ++k) sum += row[k];
+  }
+  return sum;
+}
+
 void matmul_quant_serial(const Matrix& a, const QuantizedMatrix& qb,
                          Matrix& out) {
   NFV_CHECK(a.cols() == qb.cols, "matmul_quant inner-dimension mismatch: "

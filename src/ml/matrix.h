@@ -196,6 +196,11 @@ struct QuantizedMatrix {
 /// ±127 (exact up to one rounding).
 void quantize_pack_b(const Matrix& b, QuantizedMatrix& out);
 
+/// Σ_k of channel c's codes read from qb's packed layout: the value
+/// quantize_pack_b caches in col_sums[c]. A checkpoint loader compares
+/// the two, since the kernels trust the cache.
+std::int64_t quant_channel_sum(const QuantizedMatrix& qb, std::size_t c);
+
 /// out = a (R×K) * dequant(qb)ᵀ — the int8 twin of matmul_transb.
 /// Activations are quantized on the fly per row to unsigned 7-bit
 /// (asymmetric, zero-point corrected through qb.col_sums); products

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
 #include "util/check.h"
 #include "util/thread_pool.h"
@@ -54,35 +53,6 @@ void Adam::bind(std::vector<Param*> params) {
     m_.emplace_back(p->value.rows(), p->value.cols());
     v_.emplace_back(p->value.rows(), p->value.cols());
   }
-}
-
-void Adam::rebind(std::vector<Param*> params) {
-  if (params_.empty()) {
-    bind(std::move(params));
-    return;
-  }
-  NFV_CHECK(params.size() == m_.size(),
-            "Adam::rebind parameter count changed: " << params.size()
-                                                     << " vs " << m_.size());
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    const Matrix& value = params[i]->value;
-    if (m_[i].rows() == value.rows() && m_[i].cols() == value.cols()) {
-      continue;
-    }
-    // Shape changed (grow_vocab): keep the moments of surviving weights,
-    // start the new rows/columns from zero like a fresh bind would.
-    Matrix m_new(value.rows(), value.cols());
-    Matrix v_new(value.rows(), value.cols());
-    const std::size_t rn = std::min(m_[i].rows(), m_new.rows());
-    const std::size_t cn = std::min(m_[i].cols(), m_new.cols());
-    for (std::size_t r = 0; r < rn; ++r) {
-      std::memcpy(m_new.row(r), m_[i].row(r), cn * sizeof(float));
-      std::memcpy(v_new.row(r), v_[i].row(r), cn * sizeof(float));
-    }
-    m_[i] = std::move(m_new);
-    v_[i] = std::move(v_new);
-  }
-  params_ = std::move(params);
 }
 
 void Adam::step() {

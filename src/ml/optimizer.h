@@ -17,8 +17,9 @@ class Optimizer {
  public:
   virtual ~Optimizer() = default;
 
-  /// Bind the parameter set. Must be called before step(); rebinding resets
-  /// internal state (used after copying a teacher model into a student).
+  /// Bind the parameter set. Must be called before step(); binding again
+  /// resets internal state (used after copying a teacher model into a
+  /// student).
   virtual void bind(std::vector<Param*> params) = 0;
 
   /// Apply one update from the accumulated gradients, then zero them.
@@ -55,18 +56,6 @@ class Adam final : public Optimizer {
   void step() override;
   void set_learning_rate(float lr) override { lr_ = lr; }
   float learning_rate() const override { return lr_; }
-
-  /// Re-point the optimizer at a new parameter set while preserving moment
-  /// state: step count and m/v survive, and after a shape change (e.g.
-  /// grow_vocab) the overlapping top-left block of each moment matrix is
-  /// carried over with the new rows/columns starting from zero. This is
-  /// what lets one Adam instance live across incremental update/adapt
-  /// rounds instead of restarting cold each month — contrast bind(), which
-  /// resets everything. The parameter count must match the bound set.
-  void rebind(std::vector<Param*> params);
-
-  /// True once bind() has been called (rebind falls back to bind if not).
-  bool bound() const { return !params_.empty(); }
 
  private:
   float lr_;

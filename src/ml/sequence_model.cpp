@@ -29,7 +29,8 @@ SequenceModel::SequenceModel(const SequenceModelConfig& config,
   NFV_CHECK(config.vocab > 0, "SequenceModel requires a non-empty vocabulary");
   NFV_CHECK(config.layers >= 1, "SequenceModel requires at least one LSTM layer");
   NFV_CHECK(config.window >= 1, "SequenceModel requires window >= 1");
-  const std::size_t in0 = config.embed_dim + (config.use_dt_feature ? 1 : 0);
+  // Layer 0 reads each template's embedding plus its normalized Δt.
+  const std::size_t in0 = config.embed_dim + 1;
   lstm_layers_.reserve(config.layers);
   for (std::size_t l = 0; l < config.layers; ++l) {
     lstm_layers_.emplace_back("lstm" + std::to_string(l),
@@ -54,13 +55,22 @@ std::vector<const Param*> SequenceModel::params() const {
   return {mutable_params.begin(), mutable_params.end()};
 }
 
-void WindowBatch::push_back(const SeqExample& example, std::size_t window) {
-  NFV_CHECK(example.ids.size() == window && example.dts.size() == window,
-            "SeqExample window length " << example.ids.size()
-                                        << " != model window " << window);
-  ids.insert(ids.end(), example.ids.begin(), example.ids.end());
-  dts.insert(dts.end(), example.dts.begin(), example.dts.end());
-  targets.push_back(example.target);
+void WindowBatch::append_row(const WindowBatch& from, std::size_t row,
+                             std::size_t window) {
+  const auto at = static_cast<std::ptrdiff_t>(row * window);
+  const auto k = static_cast<std::ptrdiff_t>(window);
+  ids.insert(ids.end(), from.ids.begin() + at, from.ids.begin() + at + k);
+  dts.insert(dts.end(), from.dts.begin() + at, from.dts.begin() + at + k);
+  targets.push_back(from.targets[row]);
+}
+
+void SequenceModel::check_windows(const WindowBatch& windows) const {
+  NFV_CHECK(windows.ids.size() == windows.size() * config_.window &&
+                windows.dts.size() == windows.ids.size(),
+            "window batch of " << windows.size() << " targets holds "
+                               << windows.ids.size() << " ids and "
+                               << windows.dts.size()
+                               << " Δt, not windows of " << config_.window);
 }
 
 void SequenceModel::build_inputs(
@@ -68,8 +78,7 @@ void SequenceModel::build_inputs(
     std::vector<Matrix>& inputs,
     std::vector<std::vector<std::int32_t>>* ids_steps) const {
   const std::size_t k = config_.window;
-  const std::size_t width =
-      config_.embed_dim + (config_.use_dt_feature ? 1 : 0);
+  const std::size_t width = config_.embed_dim + 1;
   // Reuse, don't reallocate: every matrix entry is fully rewritten below.
   if (inputs.size() != k) inputs.assign(k, Matrix());
   if (ids_steps && ids_steps->size() != k) ids_steps->assign(k, {});
@@ -87,23 +96,17 @@ void SequenceModel::build_inputs(
       const float* row =
           embedding_.table().value.row(static_cast<std::size_t>(id));
       std::memcpy(input.row(r), row, config_.embed_dim * sizeof(float));
-      if (config_.use_dt_feature) {
-        input.at(r, config_.embed_dim) = normalize_dt(windows.dts[at]);
-      }
+      input.at(r, config_.embed_dim) = normalize_dt(windows.dts[at]);
       if (ids_steps) (*ids_steps)[t][r] = id;
     }
   }
 }
 
-double SequenceModel::forward_backward(
-    const std::vector<const SeqExample*>& batch) {
+double SequenceModel::forward_backward(const WindowBatch& windows) {
   const std::size_t k = config_.window;
-  const std::size_t batch_size = batch.size();
+  const std::size_t batch_size = windows.size();
 
   // All scratch lives on the model and is reused batch after batch.
-  WindowBatch& windows = train_scratch_.windows;
-  windows.clear();
-  for (const SeqExample* example : batch) windows.push_back(*example, k);
   std::vector<Matrix>& inputs = train_scratch_.inputs;
   std::vector<std::vector<std::int32_t>>& ids_steps = train_scratch_.ids;
   build_inputs(windows, 0, batch_size, inputs, &ids_steps);
@@ -168,9 +171,10 @@ double SequenceModel::forward_backward(
   return loss;
 }
 
-double SequenceModel::train_batch(const std::vector<const SeqExample*>& batch,
+double SequenceModel::train_batch(const WindowBatch& batch,
                                   Optimizer& optimizer, double max_grad_norm) {
-  NFV_CHECK(!batch.empty(), "train_batch on empty batch");
+  NFV_CHECK(batch.size() != 0, "train_batch on empty batch");
+  check_windows(batch);
   const double loss = forward_backward(batch);
   clip_gradients(params(), max_grad_norm);
   optimizer.step();
@@ -193,11 +197,9 @@ SequenceModel::ScoringImage SequenceModel::build_scoring_image() const {
   matmul_transb_packed(embedding_.table().value, w0.rows(), pack,
                        image.input_gates);
   add_row_vector(image.input_gates, first.bias().value);
-  if (config_.use_dt_feature) {
-    image.dt_gates.resize(w0.rows());
-    for (std::size_t j = 0; j < w0.rows(); ++j) {
-      image.dt_gates[j] = w0.at(j, embed);
-    }
+  image.dt_gates.resize(w0.rows());
+  for (std::size_t j = 0; j < w0.rows(); ++j) {
+    image.dt_gates[j] = w0.at(j, embed);
   }
   pack_transb(w0, first.input_size(), w0.cols(), image.recurrent0);
   for (std::size_t l = 1; l < lstm_layers_.size(); ++l) {
@@ -230,19 +232,15 @@ void SequenceModel::layer0_step(const ScoringImage& image,
               "template id " << id << " outside vocab " << image.vocab);
     const float* table = image.input_gates.row(static_cast<std::size_t>(id));
     float* g = scratch.gates.row(r);
-    if (config_.use_dt_feature) {
-      // A separate multiply and add in every tier: the SIMD gather rounds
-      // the product before the add, as this loop does.
-      const float dt = normalize_dt(windows.dts[at]);
-      if (kernels != nullptr) {
-        kernels->gather_row(table, dt, dt_gates, g, gates);
-      } else {
-        for (std::size_t j = 0; j < gates; ++j) {
-          g[j] = table[j] + dt * dt_gates[j];
-        }
-      }
+    // A separate multiply and add in every tier: the SIMD gather rounds
+    // the product before the add, as this loop does.
+    const float dt = normalize_dt(windows.dts[at]);
+    if (kernels != nullptr) {
+      kernels->gather_row(table, dt, dt_gates, g, gates);
     } else {
-      std::memcpy(g, table, gates * sizeof(float));
+      for (std::size_t j = 0; j < gates; ++j) {
+        g[j] = table[j] + dt * dt_gates[j];
+      }
     }
   }
   // The state is zero at t = 0, so the first step has no recurrent GEMM.
@@ -312,11 +310,10 @@ void SequenceModel::score_batched(const ScoringImage& image,
                                   InferenceScratch& scratch,
                                   std::span<double> out) const {
   NFV_CHECK(batch_size >= 1, "score_batched requires batch_size >= 1");
-  NFV_CHECK(out.size() == windows.size() &&
-                windows.ids.size() == windows.size() * config_.window &&
-                windows.dts.size() == windows.ids.size(),
+  NFV_CHECK(out.size() == windows.size(),
             "score_batched: " << out.size() << " outputs for "
                               << windows.size() << " windows");
+  check_windows(windows);
   for (std::size_t start = 0; start < windows.size(); start += batch_size) {
     const std::size_t n = std::min(batch_size, windows.size() - start);
     forward_logits(image, windows, start, n, scratch);
@@ -337,11 +334,10 @@ void SequenceModel::score_ranks_batched(const ScoringImage& image,
                                         InferenceScratch& scratch,
                                         std::span<std::size_t> out) const {
   NFV_CHECK(batch_size >= 1, "score_ranks_batched requires batch_size >= 1");
-  NFV_CHECK(out.size() == windows.size() &&
-                windows.ids.size() == windows.size() * config_.window &&
-                windows.dts.size() == windows.ids.size(),
+  NFV_CHECK(out.size() == windows.size(),
             "score_ranks_batched: " << out.size() << " outputs for "
                                     << windows.size() << " windows");
+  check_windows(windows);
   for (std::size_t start = 0; start < windows.size(); start += batch_size) {
     const std::size_t n = std::min(batch_size, windows.size() - start);
     forward_logits(image, windows, start, n, scratch);
@@ -359,39 +355,29 @@ void SequenceModel::score_ranks_batched(const ScoringImage& image,
   }
 }
 
-WindowBatch SequenceModel::gather(
-    const std::vector<const SeqExample*>& batch) const {
-  NFV_CHECK(!batch.empty(), "scoring an empty batch");
-  WindowBatch windows;
-  for (const SeqExample* example : batch) {
-    windows.push_back(*example, config_.window);
-  }
-  return windows;
-}
-
-void SequenceModel::predict(const std::vector<const SeqExample*>& batch,
-                            Matrix& probs) const {
-  const WindowBatch windows = gather(batch);
+void SequenceModel::predict(const WindowBatch& batch, Matrix& probs) const {
+  NFV_CHECK(batch.size() != 0, "scoring an empty batch");
+  check_windows(batch);
   InferenceScratch scratch;
-  forward_logits(build_scoring_image(), windows, 0, windows.size(), scratch);
+  forward_logits(build_scoring_image(), batch, 0, batch.size(), scratch);
   softmax(scratch.logits, probs);
 }
 
 std::vector<double> SequenceModel::score_log_likelihood(
-    const std::vector<const SeqExample*>& batch) const {
-  const WindowBatch windows = gather(batch);
+    const WindowBatch& batch) const {
+  NFV_CHECK(batch.size() != 0, "scoring an empty batch");
   InferenceScratch scratch;
-  std::vector<double> out(windows.size());
-  score_batched(build_scoring_image(), windows, windows.size(), scratch, out);
+  std::vector<double> out(batch.size());
+  score_batched(build_scoring_image(), batch, batch.size(), scratch, out);
   return out;
 }
 
 std::vector<std::size_t> SequenceModel::score_target_ranks(
-    const std::vector<const SeqExample*>& batch) const {
-  const WindowBatch windows = gather(batch);
+    const WindowBatch& batch) const {
+  NFV_CHECK(batch.size() != 0, "scoring an empty batch");
   InferenceScratch scratch;
-  std::vector<std::size_t> out(windows.size());
-  score_ranks_batched(build_scoring_image(), windows, windows.size(), scratch,
+  std::vector<std::size_t> out(batch.size());
+  score_ranks_batched(build_scoring_image(), batch, batch.size(), scratch,
                       out);
   return out;
 }
@@ -467,7 +453,7 @@ void SequenceModel::save(std::ostream& os) const {
   write_u64(os, config_.hidden);
   write_u64(os, config_.layers);
   write_u64(os, config_.window);
-  write_u64(os, config_.use_dt_feature ? 1 : 0);
+  write_u64(os, 1);  // dt_feature: layer 0 reads Δt (always on)
   auto* self = const_cast<SequenceModel*>(this);
   for (Param* p : self->params()) write_matrix(os, p->value);
   // Trailing quantized sidecar: the calibration (scales, packed panels,
@@ -491,10 +477,13 @@ SequenceModel SequenceModel::load(std::istream& is) {
   config.hidden = read_u64(is);
   config.layers = read_u64(is);
   config.window = read_u64(is);
-  config.use_dt_feature = read_u64(is) != 0;
+  const std::uint64_t dt_feature = read_u64(is);
+  NFV_CHECK(dt_feature == 1,
+            "unsupported SequenceModel checkpoint: dt_feature = "
+                << dt_feature << ", but every model reads Δt");
   // Validate the header before the constructor allocates from it: a
   // corrupt field must fail as a CheckError, not as std::bad_alloc.
-  const std::size_t in0 = config.embed_dim + (config.use_dt_feature ? 1 : 0);
+  const std::size_t in0 = config.embed_dim + 1;
   const std::pair<const char*, std::size_t> fields[] = {
       {"vocab", config.vocab},   {"embed_dim", config.embed_dim},
       {"hidden", config.hidden}, {"layers", config.layers},
@@ -510,32 +499,24 @@ SequenceModel SequenceModel::load(std::istream& is) {
       checked_elements(config.layers - 1,
                        checked_elements(gates, 2 * config.hidden)) +
       checked_elements(config.vocab, config.hidden);
-  NFV_CHECK(parameters <= kMaxCheckpointElements,
+  NFV_CHECK(parameters <= kMaxCheckpointElements &&
+                parameters * sizeof(float) <= bytes_left(is),
             "corrupt SequenceModel checkpoint: " << parameters
                                                  << " parameters");
   nfv::util::Rng rng(0);  // weights are overwritten below
   SequenceModel model(config, rng);
+  // Each tensor's header must declare the shape the config implies,
+  // checked before its body is allocated.
   for (Param* p : model.params()) {
-    Matrix m = read_matrix(is);
-    NFV_CHECK(m.rows() == p->value.rows() && m.cols() == p->value.cols(),
-              "saved tensor shape mismatch for " << p->name);
-    p->value = std::move(m);
+    p->value = read_matrix(is, p->value.rows(), p->value.cols());
   }
   if (read_u64(is) != 0) {
     QuantizedWeights qw;
-    qw.lstm.resize(config.layers);
-    for (std::size_t l = 0; l < config.layers; ++l) {
-      qw.lstm[l] = read_quant_matrix(is);
-      const Lstm& layer = model.lstm_layers_[l];
-      NFV_CHECK(qw.lstm[l].rows == 4 * config.hidden &&
-                    qw.lstm[l].cols ==
-                        layer.input_size() + layer.hidden_size(),
-                "saved quantized LSTM layer " << l << " shape mismatch");
+    for (const Lstm& layer : model.lstm_layers_) {
+      qw.lstm.push_back(read_quant_matrix(
+          is, 4 * config.hidden, layer.input_size() + layer.hidden_size()));
     }
-    qw.output = read_quant_matrix(is);
-    NFV_CHECK(qw.output.rows == config.vocab &&
-                  qw.output.cols == config.hidden,
-              "saved quantized output head shape mismatch");
+    qw.output = read_quant_matrix(is, config.vocab, config.hidden);
     model.quantized_ = std::move(qw);
   }
   return model;

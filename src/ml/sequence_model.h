@@ -22,18 +22,11 @@
 
 namespace nfv::ml {
 
-/// One training/scoring window: k template ids with their inter-arrival
-/// times (seconds), plus the id of the template that followed.
-struct SeqExample {
-  std::vector<std::int32_t> ids;  // length k
-  std::vector<float> dts;         // length k, seconds since previous log
-  std::int32_t target = 0;        // the (k+1)-th template id
-};
-
-/// Scoring windows laid out flat: window w's k template ids and Δt
-/// (seconds) sit at [w·k, (w+1)·k) of `ids` / `dts`, and the template that
-/// followed at targets[w]. A caller that clears and refills one batch
-/// keeps its capacity, so a warm gather allocates nothing.
+/// The one window format of training and scoring: window w's k template
+/// ids and inter-arrival times Δt (seconds) sit at [w·k, (w+1)·k) of
+/// `ids` / `dts`, and the id of the template that followed at targets[w].
+/// A caller that clears and refills one batch keeps its capacity, so a
+/// warm gather allocates nothing.
 struct WindowBatch {
   std::vector<std::int32_t> ids;
   std::vector<float> dts;
@@ -45,9 +38,9 @@ struct WindowBatch {
     dts.clear();
     targets.clear();
   }
-  /// Append one example; throws util::CheckError unless it holds exactly
-  /// `window` ids and Δt.
-  void push_back(const SeqExample& example, std::size_t window);
+  /// Append window `row` of `from`, whose windows are `window` long.
+  void append_row(const WindowBatch& from, std::size_t row,
+                  std::size_t window);
 };
 
 /// Model hyper-parameters. The paper reports performance is "fairly
@@ -59,7 +52,6 @@ struct SequenceModelConfig {
   std::size_t hidden = 32;      // LSTM hidden width
   std::size_t layers = 2;       // stacked LSTM layers
   std::size_t window = 10;      // k = history length
-  bool use_dt_feature = true;   // append log1p(Δt) to each embedded input
 };
 
 /// Two-layer LSTM next-template language model with manual backprop.
@@ -79,8 +71,8 @@ class SequenceModel {
 
   /// One optimization step on a batch. Returns mean cross-entropy loss.
   /// Gradients are clipped to `max_grad_norm` before the optimizer step.
-  double train_batch(const std::vector<const SeqExample*>& batch,
-                     Optimizer& optimizer, double max_grad_norm = 5.0);
+  double train_batch(const WindowBatch& batch, Optimizer& optimizer,
+                     double max_grad_norm = 5.0);
 
   /// Immutable fp32 scoring image of the weights, built once per weight
   /// change by build_scoring_image() and read by every scoring call until
@@ -97,7 +89,7 @@ class SequenceModel {
   struct ScoringImage {
     std::size_t vocab = 0;  // the model vocabulary it was built at; 0 = empty
     Matrix input_gates;
-    std::vector<float> dt_gates;    // empty without use_dt_feature
+    std::vector<float> dt_gates;    // layer 0's Δt weight column
     std::vector<float> recurrent0;
     std::vector<std::vector<float>> input_blocks;  // layer l at [l − 1]
     std::vector<std::vector<float>> gate_weights;  // layer l at [l − 1]
@@ -143,26 +135,22 @@ class SequenceModel {
 
   /// Serial references of the batched scorers: one batch, scored from a
   /// scoring image built for the call.
-  /// predict() fills probability rows over the vocabulary, one per example.
-  void predict(const std::vector<const SeqExample*>& batch,
-               Matrix& probs) const;
+  /// predict() fills probability rows over the vocabulary, one per window.
+  void predict(const WindowBatch& batch, Matrix& probs) const;
 
-  /// Log-likelihood of each example's observed target under the model.
-  std::vector<double> score_log_likelihood(
-      const std::vector<const SeqExample*>& batch) const;
+  /// Log-likelihood of each window's observed target under the model.
+  std::vector<double> score_log_likelihood(const WindowBatch& batch) const;
 
-  /// Rank (0-based) of each example's observed target in the predicted
+  /// Rank (0-based) of each window's observed target in the predicted
   /// distribution: 0 = most likely next template. DeepLog-style detection
   /// flags an event whose rank is ≥ k.
-  std::vector<std::size_t> score_target_ranks(
-      const std::vector<const SeqExample*>& batch) const;
+  std::vector<std::size_t> score_target_ranks(const WindowBatch& batch) const;
 
   /// Reusable buffers for the training path — the mirror of
   /// InferenceScratch: once shapes have stabilized,
   /// forward_backward/train_batch perform no steady-state heap allocation
   /// (the LSTM layers hold their own BPTT scratch the same way).
   struct TrainingScratch {
-    WindowBatch windows;                         // the batch, gathered flat
     std::vector<Matrix> inputs;                  // k × (B × input_width)
     std::vector<std::vector<std::int32_t>> ids;  // k × B gathered ids
     std::vector<Matrix> grad_hidden;             // k × (B × hidden)
@@ -234,10 +222,11 @@ class SequenceModel {
                    std::size_t start, std::size_t t,
                    InferenceScratch& scratch) const;
 
-  /// Serial-reference helper: the examples as one flat batch.
-  WindowBatch gather(const std::vector<const SeqExample*>& batch) const;
+  /// Throws util::CheckError unless `windows` holds whole windows of
+  /// config().window ids and Δt each.
+  void check_windows(const WindowBatch& windows) const;
 
-  double forward_backward(const std::vector<const SeqExample*>& batch);
+  double forward_backward(const WindowBatch& batch);
 
   SequenceModelConfig config_;
   Embedding embedding_;

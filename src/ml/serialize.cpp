@@ -28,6 +28,16 @@ std::uint64_t read_u64(std::istream& is) {
   return value;
 }
 
+std::uint64_t bytes_left(std::istream& is) {
+  const std::istream::pos_type at = is.tellg();
+  if (at == std::istream::pos_type(-1)) return ~std::uint64_t{0};
+  is.seekg(0, std::ios::end);
+  const std::istream::pos_type end = is.tellg();
+  is.seekg(at);
+  if (end == std::istream::pos_type(-1)) return ~std::uint64_t{0};
+  return static_cast<std::uint64_t>(end - at);
+}
+
 void write_matrix(std::ostream& os, const Matrix& m) {
   write_u64(os, kMatrixMagic);
   write_u64(os, m.rows());
@@ -36,10 +46,14 @@ void write_matrix(std::ostream& os, const Matrix& m) {
            static_cast<std::streamsize>(m.size() * sizeof(float)));
 }
 
-Matrix read_matrix(std::istream& is) {
+Matrix read_matrix(std::istream& is, std::size_t rows, std::size_t cols) {
   NFV_CHECK(read_u64(is) == kMatrixMagic, "corrupt checkpoint: bad matrix tag");
-  const std::uint64_t rows = read_u64(is);
-  const std::uint64_t cols = read_u64(is);
+  const std::uint64_t saved_rows = read_u64(is);
+  const std::uint64_t saved_cols = read_u64(is);
+  NFV_CHECK(saved_rows == rows && saved_cols == cols,
+            "corrupt checkpoint: matrix is " << saved_rows << " × "
+                                             << saved_cols << ", expected "
+                                             << rows << " × " << cols);
   checked_elements(rows, cols);
   Matrix m(rows, cols);
   is.read(reinterpret_cast<char*>(m.data()),
@@ -63,12 +77,17 @@ void write_quant_matrix(std::ostream& os, const QuantizedMatrix& m) {
                                         sizeof(std::int32_t)));
 }
 
-QuantizedMatrix read_quant_matrix(std::istream& is) {
+QuantizedMatrix read_quant_matrix(std::istream& is, std::size_t rows,
+                                  std::size_t cols) {
   NFV_CHECK(read_u64(is) == kQuantMatrixMagic,
             "corrupt checkpoint: bad quantized-matrix tag");
   QuantizedMatrix m;
   m.rows = read_u64(is);
   m.cols = read_u64(is);
+  NFV_CHECK(m.rows == rows && m.cols == cols,
+            "corrupt checkpoint: quantized matrix is "
+                << m.rows << " × " << m.cols << ", expected " << rows << " × "
+                << cols);
   m.cols_padded = read_u64(is);
   const std::uint64_t bytes = read_u64(is);
   NFV_CHECK(m.rows >= 1 && m.cols >= 1 && m.cols_padded >= m.cols &&
@@ -87,6 +106,14 @@ QuantizedMatrix read_quant_matrix(std::istream& is) {
                                        sizeof(std::int32_t)));
   NFV_CHECK(is.good(),
             "unexpected end of checkpoint stream in quantized-matrix body");
+  // The int8 kernels subtract zero_point × col_sums[c] in int32; a sum
+  // that disagrees with the codes is corrupt and could overflow there.
+  for (std::size_t c = 0; c < m.rows; ++c) {
+    NFV_CHECK(m.col_sums[c] == quant_channel_sum(m, c),
+              "corrupt checkpoint: quantized channel "
+                  << c << " column sum " << m.col_sums[c]
+                  << " disagrees with its codes");
+  }
   return m;
 }
 

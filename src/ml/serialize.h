@@ -27,13 +27,22 @@ std::uint64_t checked_elements(std::uint64_t a, std::uint64_t b);
 void write_u64(std::ostream& os, std::uint64_t value);
 std::uint64_t read_u64(std::istream& is);
 
+/// Bytes between the read position and the end of a seekable stream (the
+/// position is restored); UINT64_MAX when the stream cannot seek.
+std::uint64_t bytes_left(std::istream& is);
+
 void write_matrix(std::ostream& os, const Matrix& m);
-Matrix read_matrix(std::istream& is);
+/// Read a rows × cols matrix: a header declaring any other shape throws
+/// util::CheckError before the body is allocated.
+Matrix read_matrix(std::istream& is, std::size_t rows, std::size_t cols);
 
 /// Quantized-matrix image: magic, shape, then the raw packed int8 panels,
 /// per-channel fp32 scales and int32 column sums byte for byte — a
 /// round-trip reproduces the calibration exactly (no re-quantization).
+/// read_quant_matrix reads a rows × cols matrix: any other declared shape
+/// throws util::CheckError before the body is allocated.
 void write_quant_matrix(std::ostream& os, const QuantizedMatrix& m);
-QuantizedMatrix read_quant_matrix(std::istream& is);
+QuantizedMatrix read_quant_matrix(std::istream& is, std::size_t rows,
+                                  std::size_t cols);
 
 }  // namespace nfv::ml

@@ -16,6 +16,7 @@
 
 #include "core/lstm_detector.h"
 #include "logproc/signature_tree.h"
+#include "util/check.h"
 #include "util/stats.h"
 
 namespace nfv::core {
@@ -660,6 +661,66 @@ TEST_F(AsyncIngestTest, DirtyListPublishKeepsEveryShardSlotCurrent) {
   std::uint64_t total_warnings = 0;
   for (const std::uint64_t count : warnings) total_warnings += count;
   EXPECT_GT(total_warnings, 0u) << "vacuous warning comparison";
+}
+
+// A negative parsed template id is refused on the producer's thread,
+// before it is counted or queued: on a worker it would reach the scorer's
+// id check with no caller to throw to and end the process. The lines
+// around it keep the serial replay's warning stream, and the immediate
+// and micro-batched front-ends refuse it the same way.
+TEST_F(AsyncIngestTest, NegativeParsedTemplateIdThrowsOnCaller) {
+  const auto serial = serial_replay(detector(), threshold());
+  std::vector<std::vector<ParsedLog>> mined(kVpes);
+  for (std::size_t v = 0; v < kVpes; ++v) {
+    SignatureTree tree;
+    prime_tree(tree);
+    for (std::size_t i = 0; i < kTestLen; ++i) {
+      mined[v].push_back(
+          {line_time(i), tree.learn(make_line(test_shape(v, i), i))});
+    }
+  }
+
+  AsyncIngestConfig config;
+  config.workers = 2;
+  config.flush_batch = 16;
+  AsyncIngest ingest(&detector(), config);
+  for (std::size_t v = 0; v < kVpes; ++v) {
+    prime_tree(ingest.mutable_tree(ingest.add_shard(
+        static_cast<std::int32_t>(v), monitor_config(threshold()))));
+  }
+  ingest.start();
+  for (std::size_t i = 0; i < kTestLen; ++i) {
+    if (i == kTestLen / 2) {
+      const std::uint64_t submitted = ingest.stats().lines_submitted;
+      EXPECT_THROW(ingest.submit_parsed(1, {line_time(i), -1}),
+                   nfv::util::CheckError);
+      EXPECT_EQ(ingest.stats().lines_submitted, submitted);
+    }
+    for (std::size_t v = 0; v < kVpes; ++v) {
+      ingest.submit_parsed(v, mined[v][i]);
+    }
+  }
+  ingest.flush();
+  ingest.stop();
+  std::vector<StreamWarning> drained;
+  ingest.drain_warnings(drained);
+  expect_same_warnings(serial, drained, "negative id refused");
+  const AsyncIngestStats stats = ingest.stats();
+  EXPECT_EQ(stats.lines_submitted, kTestLen * kVpes);
+  EXPECT_EQ(stats.lines_scored, kTestLen * kVpes);
+
+  SignatureTree tree;
+  StreamMonitor monitor(0, &detector(), &tree, monitor_config(threshold()),
+                        [](const StreamWarning&) {});
+  for (std::size_t i = 0; i < 6; ++i) monitor.ingest_parsed(mined[0][i]);
+  EXPECT_THROW(monitor.ingest_parsed({line_time(6), -1}),
+               nfv::util::CheckError);
+  EXPECT_EQ(monitor.lines_ingested(), 6u);
+  StreamMonitorGroup group(&detector());
+  group.add(&monitor);
+  EXPECT_THROW(group.ingest_parsed(0, {line_time(6), -1}),
+               nfv::util::CheckError);
+  EXPECT_EQ(group.pending(), 0u);
 }
 
 }  // namespace

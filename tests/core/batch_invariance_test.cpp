@@ -138,56 +138,63 @@ TEST(BatchInvarianceTest, ScoresIdenticalForAnyBatchSizeAndThreadCount) {
   }
 }
 
+/// Window `row` of `from` alone, as a one-window batch.
+ml::WindowBatch one_window(const ml::WindowBatch& from, std::size_t row,
+                           std::size_t window) {
+  ml::WindowBatch one;
+  one.append_row(from, row, window);
+  return one;
+}
+
 // The fused path must agree with the completely independent serial
 // reference paths (SequenceModel::score_log_likelihood for the NLL mode,
 // score_target_ranks for DeepLog's rank mode) window by window.
 TEST(BatchInvarianceTest, FusedScoresMatchSerialModelReference) {
   const std::vector<ParsedLog> logs =
       make_stream(42, 150, /*with_unknowns=*/false);
-  const std::vector<ml::SeqExample> examples =
-      logproc::build_sequence_examples(logs, kWindow,
-                                       nfv::util::Duration::of_days(3650));
+  ml::WindowBatch windows;
+  logproc::append_sequence_windows(logs, kWindow, windows,
+                                   nfv::util::Duration::of_days(3650));
 
   const LstmDetector nll_detector =
       make_trained_detector(LstmScoreMode::kLogLikelihood);
   const std::vector<ScoredEvent> nll = nll_detector.score(logs, kTrainVocab);
-  ASSERT_EQ(nll.size(), examples.size());
-  for (std::size_t i = 0; i < examples.size(); ++i) {
-    const std::vector<double> ll =
-        nll_detector.model().score_log_likelihood({&examples[i]});
+  ASSERT_EQ(nll.size(), windows.size());
+  for (std::size_t i = 0; i < windows.size(); ++i) {
+    const std::vector<double> ll = nll_detector.model().score_log_likelihood(
+        one_window(windows, i, kWindow));
     ASSERT_EQ(nll[i].score, -ll[0]) << "window " << i;
   }
 
   const LstmDetector rank_detector =
       make_trained_detector(LstmScoreMode::kTargetRank);
   const std::vector<ScoredEvent> ranks = rank_detector.score(logs, kTrainVocab);
-  ASSERT_EQ(ranks.size(), examples.size());
+  ASSERT_EQ(ranks.size(), windows.size());
   bool any_nonzero_rank = false;
-  for (std::size_t i = 0; i < examples.size(); ++i) {
+  for (std::size_t i = 0; i < windows.size(); ++i) {
     const std::vector<std::size_t> rank =
-        rank_detector.model().score_target_ranks({&examples[i]});
+        rank_detector.model().score_target_ranks(
+            one_window(windows, i, kWindow));
     ASSERT_EQ(ranks[i].score, static_cast<double>(rank[0])) << "window " << i;
     any_nonzero_rank = any_nonzero_rank || rank[0] != 0;
   }
   EXPECT_TRUE(any_nonzero_rank) << "vacuous: every target ranked first";
 }
 
-std::vector<ml::SeqExample> make_examples(std::size_t count,
-                                          std::size_t window,
-                                          std::size_t vocab,
-                                          std::uint64_t seed) {
+ml::WindowBatch make_windows(std::size_t count, std::size_t window,
+                             std::size_t vocab, std::uint64_t seed) {
   nfv::util::Rng rng(seed);
-  std::vector<ml::SeqExample> examples(count);
-  for (ml::SeqExample& example : examples) {
-    example.ids.resize(window);
-    example.dts.resize(window);
+  ml::WindowBatch windows;
+  for (std::size_t e = 0; e < count; ++e) {
     for (std::size_t t = 0; t < window; ++t) {
-      example.ids[t] = static_cast<std::int32_t>(rng.uniform_index(vocab));
-      example.dts[t] = static_cast<float>(rng.uniform_index(300));
+      windows.ids.push_back(
+          static_cast<std::int32_t>(rng.uniform_index(vocab)));
+      windows.dts.push_back(static_cast<float>(rng.uniform_index(300)));
     }
-    example.target = static_cast<std::int32_t>(rng.uniform_index(vocab));
+    windows.targets.push_back(
+        static_cast<std::int32_t>(rng.uniform_index(vocab)));
   }
-  return examples;
+  return windows;
 }
 
 // The fp32 model's fused scoring entry points against its serial
@@ -205,15 +212,14 @@ TEST(BatchInvarianceTest, ModelBatchedScoringMatchesSerialForAnyBatchSize) {
   nfv::util::Rng rng(7);
   const ml::SequenceModel model(config, rng);  // untrained weights suffice
 
-  const std::vector<ml::SeqExample> examples =
-      make_examples(130, config.window, config.vocab, 99);
-  ml::WindowBatch windows;
+  const ml::WindowBatch windows =
+      make_windows(130, config.window, config.vocab, 99);
   std::vector<double> serial_ll;
   std::vector<std::size_t> serial_ranks;
-  for (const ml::SeqExample& example : examples) {
-    windows.push_back(example, config.window);
-    serial_ll.push_back(model.score_log_likelihood({&example})[0]);
-    serial_ranks.push_back(model.score_target_ranks({&example})[0]);
+  for (std::size_t i = 0; i < windows.size(); ++i) {
+    const ml::WindowBatch one = one_window(windows, i, config.window);
+    serial_ll.push_back(model.score_log_likelihood(one)[0]);
+    serial_ranks.push_back(model.score_target_ranks(one)[0]);
   }
 
   const ml::SequenceModel::ScoringImage image = model.build_scoring_image();

@@ -198,23 +198,23 @@ TEST(LstmDetector, OversamplingReducesTrainingTailScores) {
   EXPECT_LT(rare_score(with), rare_score(without) + 0.5);
 }
 
-/// Every window of `logs` with a full history, as training examples.
-std::vector<ml::SeqExample> all_windows(const std::vector<ParsedLog>& logs,
-                                        std::size_t window) {
-  return logproc::build_sequence_examples(
-      logs, window, Duration{std::numeric_limits<std::int64_t>::max()});
+/// Every window of `logs` with a full history.
+ml::WindowBatch all_windows(const std::vector<ParsedLog>& logs,
+                            std::size_t window) {
+  ml::WindowBatch windows;
+  logproc::append_sequence_windows(
+      logs, window, windows,
+      Duration{std::numeric_limits<std::int64_t>::max()});
+  return windows;
 }
 
 /// The detector's scores (its own scoring image) against the model's
 /// serial reference, which builds a fresh image from the current weights.
 void expect_fresh_image(const LstmDetector& detector,
-                        const std::vector<ml::SeqExample>& examples,
-                        const char* after) {
-  std::vector<const ml::SeqExample*> batch;
-  for (const ml::SeqExample& ex : examples) batch.push_back(&ex);
+                        const ml::WindowBatch& windows, const char* after) {
   const std::vector<double> fresh =
-      detector.model().score_log_likelihood(batch);
-  const std::vector<double> scores = detector.score_examples(examples);
+      detector.model().score_log_likelihood(windows);
+  const std::vector<double> scores = detector.score_batch(windows);
   ASSERT_EQ(scores.size(), fresh.size()) << after;
   for (std::size_t i = 0; i < scores.size(); ++i) {
     EXPECT_EQ(scores[i], -fresh[i]) << "after " << after << ", window " << i;
@@ -242,7 +242,7 @@ TEST(LstmDetector, ScoringImageFollowsEveryWeightChange) {
   const LogView short_view{too_short};
   detector.update({&short_view, 1}, 12);
   EXPECT_EQ(detector.model().config().vocab, 12u);
-  const std::vector<ml::SeqExample> grown = all_windows(post, 4);
+  const ml::WindowBatch grown = all_windows(post, 4);
   expect_fresh_image(detector, grown, "update growing the vocab");
 
   const LogView post_view{post};
@@ -266,8 +266,8 @@ TEST(LstmDetector, ScoringImageFollowsEveryWeightChange) {
   expect_fresh_image(detector, grown, "update");
   expect_fresh_image(copy, grown, "copy");
   expect_fresh_image(assigned, grown, "assignment");
-  EXPECT_EQ(copy.score_examples(grown), loaded.score_examples(grown));
-  EXPECT_NE(copy.score_examples(grown), detector.score_examples(grown));
+  EXPECT_EQ(copy.score_batch(grown), loaded.score_batch(grown));
+  EXPECT_NE(copy.score_batch(grown), detector.score_batch(grown));
 }
 
 TEST(LstmDetector, LifecycleChecks) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "util/check.h"
 
 namespace nfv::logproc {
@@ -51,27 +53,36 @@ TEST(SliceTime, HalfOpenWindow) {
   EXPECT_EQ(window[1].time.seconds, 120);
 }
 
+/// The windows of one stream, in a fresh batch.
+nfv::ml::WindowBatch windows_of(
+    std::span<const ParsedLog> logs, std::size_t window,
+    Duration max_gap = Duration::of_hours(12)) {
+  nfv::ml::WindowBatch out;
+  append_sequence_windows(logs, window, out, max_gap);
+  return out;
+}
+
+// BuildSequenceExamples: the windows append_sequence_windows builds.
 TEST(BuildSequenceExamples, WindowContentsAndTarget) {
   const auto logs = make_stream(8, 60);
-  const auto examples = build_sequence_examples(logs, 3);
-  ASSERT_EQ(examples.size(), 5u);
-  const auto& first = examples[0];
-  ASSERT_EQ(first.ids.size(), 3u);
-  EXPECT_EQ(first.ids[0], 0);
-  EXPECT_EQ(first.ids[1], 1);
-  EXPECT_EQ(first.ids[2], 2);
-  EXPECT_EQ(first.target, 3);
+  const nfv::ml::WindowBatch windows = windows_of(logs, 3);
+  ASSERT_EQ(windows.size(), 5u);
+  ASSERT_EQ(windows.ids.size(), 15u);
+  ASSERT_EQ(windows.dts.size(), 15u);
+  EXPECT_EQ(windows.ids[0], 0);
+  EXPECT_EQ(windows.ids[1], 1);
+  EXPECT_EQ(windows.ids[2], 2);
+  EXPECT_EQ(windows.targets[0], 3);
   // Δt of the window head is 0 only for the stream's first log.
-  EXPECT_FLOAT_EQ(first.dts[0], 0.0f);
-  EXPECT_FLOAT_EQ(first.dts[1], 60.0f);
-  const auto& second = examples[1];
-  EXPECT_FLOAT_EQ(second.dts[0], 60.0f);
+  EXPECT_FLOAT_EQ(windows.dts[0], 0.0f);
+  EXPECT_FLOAT_EQ(windows.dts[1], 60.0f);
+  EXPECT_FLOAT_EQ(windows.dts[3], 60.0f);  // the second window's head
 }
 
 TEST(BuildSequenceExamples, TooFewLogsYieldNothing) {
   const auto logs = make_stream(3, 60);
-  EXPECT_TRUE(build_sequence_examples(logs, 3).empty());
-  EXPECT_TRUE(build_sequence_examples({}, 3).empty());
+  EXPECT_EQ(windows_of(logs, 3).size(), 0u);
+  EXPECT_EQ(windows_of({}, 3).size(), 0u);
 }
 
 TEST(BuildSequenceExamples, GapBreaksWindows) {
@@ -79,18 +90,34 @@ TEST(BuildSequenceExamples, GapBreaksWindows) {
   // Insert a 2-day silence before two more logs.
   logs.push_back({logs.back().time + Duration::of_days(2), 0});
   logs.push_back({logs.back().time + Duration::of_seconds(30), 1});
-  const auto examples =
-      build_sequence_examples(logs, 2, Duration::of_hours(12));
+  const nfv::ml::WindowBatch windows = windows_of(logs, 2);
   // Windows spanning the silence are rejected.
-  for (const auto& ex : examples) {
-    for (float dt : ex.dts) EXPECT_LE(dt, 12.0f * 3600.0f);
-  }
-  EXPECT_LT(examples.size(), logs.size() - 2);
+  for (float dt : windows.dts) EXPECT_LE(dt, 12.0f * 3600.0f);
+  EXPECT_LT(windows.size(), logs.size() - 2);
 }
 
 TEST(BuildSequenceExamples, RejectsZeroWindow) {
   const auto logs = make_stream(5);
-  EXPECT_THROW(build_sequence_examples(logs, 0), nfv::util::CheckError);
+  EXPECT_THROW(windows_of(logs, 0), nfv::util::CheckError);
+}
+
+// A second stream's windows land after the first's, whole, so one batch
+// can hold a training round's every stream.
+TEST(BuildSequenceExamples, AppendsAfterExistingWindows) {
+  const auto first = make_stream(6, 60);
+  const auto second = make_stream(5, 30);
+  nfv::ml::WindowBatch windows;
+  append_sequence_windows(first, 2, windows);
+  append_sequence_windows(second, 2, windows);
+  const nfv::ml::WindowBatch alone = windows_of(second, 2);
+  ASSERT_EQ(windows.size(), 4u + alone.size());
+  ASSERT_EQ(windows.ids.size(), 2 * windows.size());
+  EXPECT_TRUE(std::equal(alone.ids.begin(), alone.ids.end(),
+                         windows.ids.begin() + 8));
+  EXPECT_TRUE(std::equal(alone.dts.begin(), alone.dts.end(),
+                         windows.dts.begin() + 8));
+  EXPECT_TRUE(std::equal(alone.targets.begin(), alone.targets.end(),
+                         windows.targets.begin() + 4));
 }
 
 TEST(TemplateDistribution, NormalizedCounts) {

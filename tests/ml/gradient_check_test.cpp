@@ -254,14 +254,10 @@ TEST(GradientCheck, SequenceModelEndToEnd) {
   config.window = 3;
   SequenceModel model(config, rng);
 
-  std::vector<SeqExample> examples(2);
-  examples[0].ids = {0, 2, 4};
-  examples[0].dts = {10.0f, 30.0f, 5.0f};
-  examples[0].target = 1;
-  examples[1].ids = {5, 5, 3};
-  examples[1].dts = {100.0f, 2.0f, 60.0f};
-  examples[1].target = 0;
-  std::vector<const SeqExample*> batch{&examples[0], &examples[1]};
+  WindowBatch batch;
+  batch.ids = {0, 2, 4, 5, 5, 3};
+  batch.dts = {10.0f, 30.0f, 5.0f, 100.0f, 2.0f, 60.0f};
+  batch.targets = {1, 0};
 
   CaptureOptimizer capture;
   capture.bind(model.params());
@@ -304,8 +300,7 @@ struct CheckRig {
   SequenceModelConfig config;
   Rng init_rng;
   SequenceModel model;
-  std::vector<SeqExample> examples;
-  std::vector<const SeqExample*> batch;
+  WindowBatch batch;
   CaptureOptimizer capture;
   std::vector<Param*> params;
   std::vector<Matrix> analytic;
@@ -323,20 +318,15 @@ struct CheckRig {
   explicit CheckRig(std::uint64_t seed)
       : config(make_config()), init_rng(seed), model(config, init_rng) {
     Rng data_rng(seed + 1);
-    // 16 examples: enough rows for the packed (≥ 8-row) batch kernels.
-    examples.resize(16);
-    for (std::size_t e = 0; e < examples.size(); ++e) {
-      SeqExample& ex = examples[e];
-      ex.ids.resize(config.window);
-      ex.dts.resize(config.window);
+    // 16 windows: enough rows for the packed (≥ 8-row) batch kernels.
+    for (std::size_t e = 0; e < 16; ++e) {
       for (std::size_t t = 0; t < config.window; ++t) {
-        ex.ids[t] = static_cast<std::int32_t>(
-            data_rng.uniform_index(config.vocab));
-        ex.dts[t] = static_cast<float>(data_rng.uniform(0.5, 300.0));
+        batch.ids.push_back(static_cast<std::int32_t>(
+            data_rng.uniform_index(config.vocab)));
+        batch.dts.push_back(static_cast<float>(data_rng.uniform(0.5, 300.0)));
       }
-      ex.target =
-          static_cast<std::int32_t>(data_rng.uniform_index(config.vocab));
-      batch.push_back(&ex);
+      batch.targets.push_back(
+          static_cast<std::int32_t>(data_rng.uniform_index(config.vocab)));
     }
     capture.bind(model.params());
     params = model.params();
@@ -418,39 +408,6 @@ TEST(GradCheckTrainingPath, OutputDenseHead) {
                   2, "output weight grad");
   rig.check_range(kOutBiasIdx, 0, rig.params[kOutBiasIdx]->value.size(), 1,
                   "output bias grad");
-}
-
-TEST(GradCheckTrainingPath, AdamRebindPreservesMoments) {
-  Rng rng(43);
-  SequenceModelConfig config = CheckRig::make_config();
-  SequenceModel model(config, rng);
-  Adam adam(1e-2f);
-  adam.bind(model.params());
-
-  CheckRig rig(47);
-  // A few real steps to build nonzero moment state.
-  for (int i = 0; i < 3; ++i) model.train_batch(rig.batch, adam);
-  const Matrix before = model.params()[kEmbedIdx]->value;
-
-  // Moving the model relocates every Param; rebind must re-point the
-  // optimizer without resetting the moments, and a grow_vocab reshape must
-  // keep the surviving block.
-  SequenceModel moved = std::move(model);
-  Rng grow_rng(49);
-  moved.grow_vocab(config.vocab + 3, grow_rng);
-  adam.rebind(moved.params());
-  const double loss = moved.train_batch(rig.batch, adam);
-  EXPECT_TRUE(std::isfinite(loss));
-  // The step actually updated the moved model's (grown) parameters.
-  const Matrix& after = moved.params()[kEmbedIdx]->value;
-  ASSERT_EQ(after.rows(), before.rows() + 3);
-  bool changed = false;
-  for (std::size_t r = 0; r < before.rows() && !changed; ++r) {
-    for (std::size_t c = 0; c < before.cols() && !changed; ++c) {
-      changed = after.at(r, c) != before.at(r, c);
-    }
-  }
-  EXPECT_TRUE(changed);
 }
 
 }  // namespace

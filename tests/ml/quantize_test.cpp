@@ -259,20 +259,20 @@ SequenceModelConfig small_config() {
   return config;
 }
 
-std::vector<SeqExample> make_examples(const SequenceModelConfig& config,
-                                      std::size_t count, std::uint64_t seed) {
+WindowBatch make_windows(const SequenceModelConfig& config, std::size_t count,
+                         std::uint64_t seed) {
   Rng rng(seed);
-  std::vector<SeqExample> examples(count);
-  for (SeqExample& ex : examples) {
-    ex.ids.resize(config.window);
-    ex.dts.resize(config.window);
+  WindowBatch windows;
+  for (std::size_t e = 0; e < count; ++e) {
     for (std::size_t t = 0; t < config.window; ++t) {
-      ex.ids[t] = static_cast<std::int32_t>(rng.uniform_index(config.vocab));
-      ex.dts[t] = static_cast<float>(rng.uniform(1.0, 100.0));
+      windows.ids.push_back(
+          static_cast<std::int32_t>(rng.uniform_index(config.vocab)));
+      windows.dts.push_back(static_cast<float>(rng.uniform(1.0, 100.0)));
     }
-    ex.target = static_cast<std::int32_t>(rng.uniform_index(config.vocab));
+    windows.targets.push_back(
+        static_cast<std::int32_t>(rng.uniform_index(config.vocab)));
   }
-  return examples;
+  return windows;
 }
 
 TEST(SequenceModelQuantize, SidecarLifecycleFollowsWeightMutations) {
@@ -290,9 +290,7 @@ TEST(SequenceModelQuantize, SidecarLifecycleFollowsWeightMutations) {
   EXPECT_EQ(model.quantized_weights()->lstm.size(), config.layers);
 
   // Training changes the fp32 weights → the stale sidecar must drop.
-  const auto examples = make_examples(config, 8, 23);
-  std::vector<const SeqExample*> batch;
-  for (const SeqExample& ex : examples) batch.push_back(&ex);
+  const WindowBatch batch = make_windows(config, 8, 23);
   Adam adam(1e-2f);
   adam.bind(model.params());
   model.train_batch(batch, adam);
@@ -306,9 +304,7 @@ TEST(SequenceModelQuantize, SidecarLifecycleFollowsWeightMutations) {
   EXPECT_FALSE(model.quantized());
 
   // And clear_quantized() restores bit-exact fp32 scoring.
-  const auto examples2 = make_examples(config, 8, 31);
-  std::vector<const SeqExample*> batch2;
-  for (const SeqExample& ex : examples2) batch2.push_back(&ex);
+  const WindowBatch batch2 = make_windows(config, 8, 31);
   const std::vector<double> fp32_scores = model.score_log_likelihood(batch2);
   model.quantize();
   model.clear_quantized();
@@ -321,26 +317,22 @@ TEST(SequenceModelQuantize, SerialAndBatchedQuantizedScoresAgree) {
   SequenceModel model(config, rng);
   model.quantize();
 
-  const auto examples = make_examples(config, 32, 41);
-  std::vector<const SeqExample*> batch;
-  for (const SeqExample& ex : examples) batch.push_back(&ex);
+  const WindowBatch windows = make_windows(config, 32, 41);
 
   // Serial reference (predict()-based) vs fused batches of several sizes:
   // within quantized mode everything must stay bit-identical, exactly as
   // in fp32 mode.
-  const std::vector<double> serial = model.score_log_likelihood(batch);
+  const std::vector<double> serial = model.score_log_likelihood(windows);
   const std::vector<std::size_t> serial_ranks =
-      model.score_target_ranks(batch);
-  WindowBatch windows;
-  for (const SeqExample& ex : examples) windows.push_back(ex, config.window);
+      model.score_target_ranks(windows);
   const SequenceModel::ScoringImage image = model.build_scoring_image();
   EXPECT_TRUE(image.empty()) << "int8 scoring reads the sidecar";
   SequenceModel::InferenceScratch scratch;
   for (const std::size_t batch_size : {1ul, 7ul, 32ul, 1024ul}) {
-    std::vector<double> batched(batch.size());
+    std::vector<double> batched(windows.size());
     model.score_batched(image, windows, batch_size, scratch, batched);
     EXPECT_EQ(batched, serial) << "batch_size " << batch_size;
-    std::vector<std::size_t> ranks(batch.size());
+    std::vector<std::size_t> ranks(windows.size());
     model.score_ranks_batched(image, windows, batch_size, scratch, ranks);
     EXPECT_EQ(ranks, serial_ranks) << "batch_size " << batch_size;
   }

@@ -34,18 +34,15 @@ SequenceModelConfig small_config() {
 
 /// Deterministic pattern: template (i % vocab) follows i-1, so the next
 /// template is always (last + 1) % vocab. Learnable by a tiny LSTM.
-std::vector<SeqExample> cyclic_examples(std::size_t vocab,
-                                        std::size_t window,
-                                        std::size_t count) {
-  std::vector<SeqExample> out;
+WindowBatch cyclic_windows(std::size_t vocab, std::size_t window,
+                           std::size_t count) {
+  WindowBatch out;
   for (std::size_t s = 0; s < count; ++s) {
-    SeqExample ex;
     for (std::size_t j = 0; j < window; ++j) {
-      ex.ids.push_back(static_cast<std::int32_t>((s + j) % vocab));
-      ex.dts.push_back(30.0f);
+      out.ids.push_back(static_cast<std::int32_t>((s + j) % vocab));
+      out.dts.push_back(30.0f);
     }
-    ex.target = static_cast<std::int32_t>((s + window) % vocab);
-    out.push_back(std::move(ex));
+    out.targets.push_back(static_cast<std::int32_t>((s + window) % vocab));
   }
   return out;
 }
@@ -53,9 +50,7 @@ std::vector<SeqExample> cyclic_examples(std::size_t vocab,
 TEST(SequenceModel, LearnsCyclicPattern) {
   Rng rng(3);
   SequenceModel model(small_config(), rng);
-  const auto examples = cyclic_examples(8, 4, 64);
-  std::vector<const SeqExample*> batch;
-  for (const auto& ex : examples) batch.push_back(&ex);
+  const WindowBatch batch = cyclic_windows(8, 4, 64);
 
   Adam adam(5e-3f);
   adam.bind(model.params());
@@ -79,27 +74,23 @@ TEST(SequenceModel, LearnsCyclicPattern) {
 TEST(SequenceModel, AnomalousContinuationScoresLow) {
   Rng rng(3);
   SequenceModel model(small_config(), rng);
-  const auto examples = cyclic_examples(8, 4, 64);
-  std::vector<const SeqExample*> batch;
-  for (const auto& ex : examples) batch.push_back(&ex);
+  const WindowBatch batch = cyclic_windows(8, 4, 64);
   Adam adam(5e-3f);
   adam.bind(model.params());
   for (int epoch = 0; epoch < 60; ++epoch) model.train_batch(batch, adam);
 
-  SeqExample normal = examples[0];
-  SeqExample anomalous = examples[0];
-  anomalous.target = (normal.target + 3) % 8;  // wrong continuation
-  const auto lls =
-      model.score_log_likelihood({&normal, &anomalous});
+  WindowBatch pair;  // the first window, then it with a wrong continuation
+  pair.append_row(batch, 0, 4);
+  pair.append_row(batch, 0, 4);
+  pair.targets[1] = (pair.targets[0] + 3) % 8;
+  const auto lls = model.score_log_likelihood(pair);
   EXPECT_GT(lls[0], lls[1] + 1.0);  // ≥ e× likelihood gap
 }
 
 TEST(SequenceModel, PredictReturnsDistribution) {
   Rng rng(5);
   SequenceModel model(small_config(), rng);
-  const auto examples = cyclic_examples(8, 4, 3);
-  std::vector<const SeqExample*> batch;
-  for (const auto& ex : examples) batch.push_back(&ex);
+  const WindowBatch batch = cyclic_windows(8, 4, 3);
   Matrix probs;
   model.predict(batch, probs);
   ASSERT_EQ(probs.rows(), 3u);
@@ -118,9 +109,7 @@ TEST(SequenceModel, PredictMatchesTrainingForwardPass) {
   // The stateful inference path must agree with the cached training path.
   Rng rng(7);
   SequenceModel model(small_config(), rng);
-  const auto examples = cyclic_examples(8, 4, 5);
-  std::vector<const SeqExample*> batch;
-  for (const auto& ex : examples) batch.push_back(&ex);
+  const WindowBatch batch = cyclic_windows(8, 4, 5);
 
   Matrix probs;
   model.predict(batch, probs);
@@ -128,7 +117,7 @@ TEST(SequenceModel, PredictMatchesTrainingForwardPass) {
   // -log p(target) from predict's probabilities.
   double expected = 0.0;
   for (std::size_t r = 0; r < batch.size(); ++r) {
-    expected -= log_prob(probs, r, batch[r]->target);
+    expected -= log_prob(probs, r, batch.targets[r]);
   }
   expected /= static_cast<double>(batch.size());
   Sgd zero_lr(0.0f);
@@ -236,7 +225,7 @@ TEST(LstmStep, ZeroStateInputBlockMatchesConcatGemmInBothTiers) {
 /// the textbook LSTM equations on the fp32 weights, every sum in double,
 /// floored at log(1e-12) like the scorer.
 double reference_log_likelihood(const SequenceModel& model,
-                                const SeqExample& ex) {
+                                const WindowBatch& windows, std::size_t w) {
   const SequenceModelConfig& config = model.config();
   const std::vector<const Param*> params = model.params();
   const std::size_t h = config.hidden;
@@ -245,10 +234,11 @@ double reference_log_likelihood(const SequenceModel& model,
                                           std::vector<double>(h, 0.0));
   std::vector<std::vector<double>> cell = hidden;
   for (std::size_t t = 0; t < config.window; ++t) {
+    const std::size_t at = w * config.window + t;
     const float* embed =
-        params[0]->value.row(static_cast<std::size_t>(ex.ids[t]));
+        params[0]->value.row(static_cast<std::size_t>(windows.ids[at]));
     std::vector<double> x(embed, embed + config.embed_dim);
-    if (config.use_dt_feature) x.push_back(normalize_dt(ex.dts[t]));
+    x.push_back(normalize_dt(windows.dts[at]));
     for (std::size_t l = 0; l < config.layers; ++l) {
       const Matrix& w = params[1 + 2 * l]->value;
       const Matrix& b = params[2 + 2 * l]->value;
@@ -281,13 +271,14 @@ double reference_log_likelihood(const SequenceModel& model,
   double total = 0.0;
   for (const double logit : logits) total += std::exp(logit - top);
   const double ll =
-      logits[static_cast<std::size_t>(ex.target)] - top - std::log(total);
+      logits[static_cast<std::size_t>(windows.targets[w])] - top -
+      std::log(total);
   return std::max(ll, std::log(1e-12));
 }
 
 // The scoring image's forward pass (per-template layer-0 table, zero-state
 // first steps, log-sum-exp head) against the float64 reference, in every
-// kernel tier, with and without the Δt feature, at batches of 1, 7 and 64
+// kernel tier, at batches of 1, 7 and 64
 // windows, hidden 12, 16, 24 and 40 (16-lane, 8-lane and scalar tails
 // of the gate, cell and gather loops) and vocab 43 (two 16-lane vectors,
 // one 8-lane vector and a scalar tail in the log-sum-exp). One window's
@@ -297,57 +288,54 @@ double reference_log_likelihood(const SequenceModel& model,
 TEST(ScoringImage, ForwardMatchesFloat64ReferenceInBothTiers) {
   std::string missing;
   for (const std::size_t hidden : {12, 16, 24, 40}) {
-    for (const bool use_dt : {true, false}) {
-      SequenceModelConfig config = small_config();
-      config.use_dt_feature = use_dt;
-      config.vocab = 43;
-      config.hidden = hidden;
-      Rng rng(31);
-      SequenceModel model(config, rng);
-      // Class 10 is unreachable: its score clamps at log(1e-12).
-      model.params().back()->value.at(0, 10) = -80.0f;
+    SequenceModelConfig config = small_config();
+    config.vocab = 43;
+    config.hidden = hidden;
+    Rng rng(31);
+    SequenceModel model(config, rng);
+    // Class 10 is unreachable: its score clamps at log(1e-12).
+    model.params().back()->value.at(0, 10) = -80.0f;
 
-      std::vector<SeqExample> examples(64);
-      for (SeqExample& ex : examples) {
-        for (std::size_t t = 0; t < config.window; ++t) {
-          ex.ids.push_back(static_cast<std::int32_t>(rng.uniform_index(10)));
-          ex.dts.push_back(static_cast<float>(rng.uniform_index(600)));
-        }
-        ex.target = static_cast<std::int32_t>(rng.uniform_index(10));
+    WindowBatch examples;
+    for (std::size_t e = 0; e < 64; ++e) {
+      for (std::size_t t = 0; t < config.window; ++t) {
+        examples.ids.push_back(
+            static_cast<std::int32_t>(rng.uniform_index(10)));
+        examples.dts.push_back(static_cast<float>(rng.uniform_index(600)));
       }
-      examples[5].target = 10;
-      std::vector<double> reference;
-      for (const SeqExample& ex : examples) {
-        reference.push_back(reference_log_likelihood(model, ex));
-      }
-      ASSERT_DOUBLE_EQ(reference[5], std::log(1e-12));
-
-      std::map<std::size_t, std::vector<double>> simd;
-      missing = for_each_kernel_tier([&](KernelTier tier) {
-        const SequenceModel::ScoringImage image = model.build_scoring_image();
-        SequenceModel::InferenceScratch scratch;
-        for (const std::size_t batch : {1, 7, 64}) {
-          WindowBatch windows;
-          for (std::size_t i = 0; i < batch; ++i) {
-            windows.push_back(examples[i], config.window);
-          }
-          std::vector<double> scores(batch);
-          model.score_batched(image, windows, batch, scratch, scores);
-          for (std::size_t i = 0; i < batch; ++i) {
-            EXPECT_NEAR(scores[i], reference[i], 1e-4)
-                << "hidden " << hidden << " use_dt " << use_dt << " "
-                << kernel_tier_name(tier) << " batch " << batch
-                << " window " << i;
-          }
-          if (tier == KernelTier::kBaseline) continue;
-          const auto [it, first] = simd.emplace(batch, scores);
-          EXPECT_TRUE(first || it->second == scores)
-              << kernel_tier_name(tier) << " differs from the other SIMD "
-              << "tier at hidden " << hidden << " use_dt " << use_dt
-              << " batch " << batch;
-        }
-      });
+      examples.targets.push_back(
+          static_cast<std::int32_t>(rng.uniform_index(10)));
     }
+    examples.targets[5] = 10;
+    std::vector<double> reference;
+    for (std::size_t w = 0; w < examples.size(); ++w) {
+      reference.push_back(reference_log_likelihood(model, examples, w));
+    }
+    ASSERT_DOUBLE_EQ(reference[5], std::log(1e-12));
+
+    std::map<std::size_t, std::vector<double>> simd;
+    missing = for_each_kernel_tier([&](KernelTier tier) {
+      const SequenceModel::ScoringImage image = model.build_scoring_image();
+      SequenceModel::InferenceScratch scratch;
+      for (const std::size_t batch : {1, 7, 64}) {
+        WindowBatch windows;
+        for (std::size_t i = 0; i < batch; ++i) {
+          windows.append_row(examples, i, config.window);
+        }
+        std::vector<double> scores(batch);
+        model.score_batched(image, windows, batch, scratch, scores);
+        for (std::size_t i = 0; i < batch; ++i) {
+          EXPECT_NEAR(scores[i], reference[i], 1e-4)
+              << "hidden " << hidden << " " << kernel_tier_name(tier)
+              << " batch " << batch << " window " << i;
+        }
+        if (tier == KernelTier::kBaseline) continue;
+        const auto [it, first] = simd.emplace(batch, scores);
+        EXPECT_TRUE(first || it->second == scores)
+            << kernel_tier_name(tier) << " differs from the other SIMD "
+            << "tier at hidden " << hidden << " batch " << batch;
+      }
+    });
   }
   if (!missing.empty()) GTEST_SKIP() << "CPU lacks the " << missing << " tier";
 }
@@ -360,16 +348,14 @@ TEST(ScoringImage, StaleImageIsRejected) {
   EXPECT_FALSE(image.empty());
   Rng grow_rng(1);
   model.grow_vocab(12, grow_rng);
-  const SeqExample example = cyclic_examples(8, 4, 1)[0];
-  WindowBatch windows;
-  windows.push_back(example, 4);
+  const WindowBatch windows = cyclic_windows(8, 4, 1);
   SequenceModel::InferenceScratch scratch;
   std::vector<double> scores(1);
   EXPECT_THROW(model.score_batched(image, windows, 1, scratch, scores),
                nfv::util::CheckError);
   model.score_batched(model.build_scoring_image(), windows, 1, scratch,
                       scores);
-  EXPECT_EQ(scores, model.score_log_likelihood({&example}));
+  EXPECT_EQ(scores, model.score_log_likelihood(windows));
 }
 
 TEST(SequenceModel, CopyYieldsIndependentTwin) {
@@ -377,9 +363,7 @@ TEST(SequenceModel, CopyYieldsIndependentTwin) {
   SequenceModel teacher(small_config(), rng);
   SequenceModel student = teacher;  // teacher → student copy
 
-  const auto examples = cyclic_examples(8, 4, 16);
-  std::vector<const SeqExample*> batch;
-  for (const auto& ex : examples) batch.push_back(&ex);
+  const WindowBatch batch = cyclic_windows(8, 4, 16);
 
   const auto before = teacher.score_log_likelihood(batch);
   Adam adam(1e-2f);
@@ -404,9 +388,7 @@ TEST(SequenceModel, FreezeLowerLayersPinsBottomWeights) {
   SequenceModel model(small_config(), rng);
   model.freeze_lower_layers(1);
 
-  const auto examples = cyclic_examples(8, 4, 16);
-  std::vector<const SeqExample*> batch;
-  for (const auto& ex : examples) batch.push_back(&ex);
+  const WindowBatch batch = cyclic_windows(8, 4, 16);
 
   const std::vector<Param*> params = model.params();
   // params order: embedding, lstm0 (w,b), lstm1 (w,b), dense (w,b).
@@ -437,9 +419,7 @@ TEST(SequenceModel, FreezeLowerLayersPinsBottomWeights) {
 TEST(SequenceModel, GrowVocabPreservesOldPredictions) {
   Rng rng(13);
   SequenceModel model(small_config(), rng);
-  const auto examples = cyclic_examples(8, 4, 8);
-  std::vector<const SeqExample*> batch;
-  for (const auto& ex : examples) batch.push_back(&ex);
+  const WindowBatch batch = cyclic_windows(8, 4, 8);
   const auto before = model.score_log_likelihood(batch);
 
   Rng grow_rng(99);
@@ -453,9 +433,9 @@ TEST(SequenceModel, GrowVocabPreservesOldPredictions) {
   }
 
   // New ids are now legal inputs/targets.
-  SeqExample ex = examples[0];
-  ex.target = 11;
-  EXPECT_NO_THROW(model.score_log_likelihood({&ex}));
+  WindowBatch grown = cyclic_windows(8, 4, 1);
+  grown.targets[0] = 11;
+  EXPECT_NO_THROW(model.score_log_likelihood(grown));
 }
 
 TEST(SequenceModel, GrowVocabCannotShrink) {
@@ -468,9 +448,7 @@ TEST(SequenceModel, GrowVocabCannotShrink) {
 TEST(SequenceModel, SaveLoadRoundTrip) {
   Rng rng(17);
   SequenceModel model(small_config(), rng);
-  const auto examples = cyclic_examples(8, 4, 8);
-  std::vector<const SeqExample*> batch;
-  for (const auto& ex : examples) batch.push_back(&ex);
+  const WindowBatch batch = cyclic_windows(8, 4, 8);
   Adam adam(1e-2f);
   adam.bind(model.params());
   for (int i = 0; i < 5; ++i) model.train_batch(batch, adam);
@@ -497,15 +475,18 @@ TEST(SequenceModel, LoadRejectsGarbage) {
 TEST(SequenceModel, RejectsBadWindows) {
   Rng rng(19);
   SequenceModel model(small_config(), rng);
-  SeqExample bad;
+  WindowBatch bad;
   bad.ids = {0, 1};  // wrong window length
   bad.dts = {1.0f, 1.0f};
-  bad.target = 0;
-  EXPECT_THROW(model.score_log_likelihood({&bad}), nfv::util::CheckError);
+  bad.targets = {0};
+  EXPECT_THROW(model.score_log_likelihood(bad), nfv::util::CheckError);
+  Sgd sgd(0.1f);
+  sgd.bind(model.params());
+  EXPECT_THROW(model.train_batch(bad, sgd), nfv::util::CheckError);
 
-  SeqExample out_of_vocab = cyclic_examples(8, 4, 1)[0];
+  WindowBatch out_of_vocab = cyclic_windows(8, 4, 1);
   out_of_vocab.ids[0] = 99;
-  EXPECT_THROW(model.score_log_likelihood({&out_of_vocab}),
+  EXPECT_THROW(model.score_log_likelihood(out_of_vocab),
                nfv::util::CheckError);
 }
 

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "ml/sequence_model.h"
 #include "util/check.h"
@@ -34,12 +36,17 @@ TEST(Serialize, MatrixRoundTrip) {
   }
   std::stringstream stream;
   write_matrix(stream, m);
-  const Matrix restored = read_matrix(stream);
+  const std::string saved = stream.str();
+  const Matrix restored = read_matrix(stream, 3, 4);
   ASSERT_EQ(restored.rows(), 3u);
   ASSERT_EQ(restored.cols(), 4u);
   for (std::size_t i = 0; i < m.size(); ++i) {
     EXPECT_FLOAT_EQ(restored.data()[i], m.data()[i]);
   }
+  // The reader expects a shape; the same elements in another one are a
+  // corrupt header.
+  std::stringstream transposed(saved);
+  EXPECT_THROW(read_matrix(transposed, 4, 3), nfv::util::CheckError);
 }
 
 TEST(Serialize, MatrixBadMagicThrows) {
@@ -47,7 +54,7 @@ TEST(Serialize, MatrixBadMagicThrows) {
   write_u64(stream, 12345);  // not kMatrixMagic
   write_u64(stream, 1);
   write_u64(stream, 1);
-  EXPECT_THROW(read_matrix(stream), nfv::util::CheckError);
+  EXPECT_THROW(read_matrix(stream, 1, 1), nfv::util::CheckError);
 }
 
 TEST(Serialize, MatrixTruncatedBodyThrows) {
@@ -57,14 +64,14 @@ TEST(Serialize, MatrixTruncatedBodyThrows) {
   std::string data = stream.str();
   data.resize(data.size() - 4);  // chop the last float
   std::stringstream truncated(data);
-  EXPECT_THROW(read_matrix(truncated), nfv::util::CheckError);
+  EXPECT_THROW(read_matrix(truncated, 2, 2), nfv::util::CheckError);
 }
 
 TEST(Serialize, EmptyMatrixRoundTrip) {
   Matrix m(0, 5);
   std::stringstream stream;
   write_matrix(stream, m);
-  const Matrix restored = read_matrix(stream);
+  const Matrix restored = read_matrix(stream, 0, 5);
   EXPECT_EQ(restored.rows(), 0u);
   EXPECT_EQ(restored.cols(), 5u);
 }
@@ -86,7 +93,7 @@ TEST(Serialize, QuantMatrixRoundTripIsByteExact) {
   const QuantizedMatrix q = sample_quant_matrix();
   std::stringstream stream;
   write_quant_matrix(stream, q);
-  const QuantizedMatrix restored = read_quant_matrix(stream);
+  const QuantizedMatrix restored = read_quant_matrix(stream, q.rows, q.cols);
   EXPECT_EQ(restored.rows, q.rows);
   EXPECT_EQ(restored.cols, q.cols);
   EXPECT_EQ(restored.cols_padded, q.cols_padded);
@@ -99,6 +106,14 @@ TEST(Serialize, QuantMatrixRoundTripIsByteExact) {
   for (std::size_t c = 0; c < q.scales.size(); ++c) {
     EXPECT_EQ(restored.scales[c], q.scales[c]) << "channel " << c;
   }
+  // The kernels trust the cached column sums; one that disagrees with
+  // its channel's codes is refused at load.
+  QuantizedMatrix corrupt = q;
+  corrupt.col_sums[3] += 1;
+  std::stringstream corrupt_stream;
+  write_quant_matrix(corrupt_stream, corrupt);
+  EXPECT_THROW(read_quant_matrix(corrupt_stream, q.rows, q.cols),
+               nfv::util::CheckError);
 }
 
 TEST(Serialize, QuantMatrixBadMagicThrows) {
@@ -107,7 +122,7 @@ TEST(Serialize, QuantMatrixBadMagicThrows) {
   write_u64(stream, 1);
   write_u64(stream, 1);
   write_u64(stream, 4);
-  EXPECT_THROW(read_quant_matrix(stream), nfv::util::CheckError);
+  EXPECT_THROW(read_quant_matrix(stream, 1, 1), nfv::util::CheckError);
 }
 
 TEST(Serialize, QuantMatrixTruncatedBodyThrows) {
@@ -117,7 +132,8 @@ TEST(Serialize, QuantMatrixTruncatedBodyThrows) {
   std::string data = stream.str();
   data.resize(data.size() - 4);  // chop the last column sum
   std::stringstream truncated(data);
-  EXPECT_THROW(read_quant_matrix(truncated), nfv::util::CheckError);
+  EXPECT_THROW(read_quant_matrix(truncated, q.rows, q.cols),
+               nfv::util::CheckError);
 }
 
 TEST(Serialize, QuantMatrixRejectsInconsistentShape) {
@@ -129,11 +145,12 @@ TEST(Serialize, QuantMatrixRejectsInconsistentShape) {
   write_u64(stream, 2);  // rows
   write_u64(stream, 8);  // cols
   write_u64(stream, 4);  // cols_padded < cols
-  EXPECT_THROW(read_quant_matrix(stream), nfv::util::CheckError);
+  EXPECT_THROW(read_quant_matrix(stream, 2, 8), nfv::util::CheckError);
 }
 
 /// A SequenceModel header (magic + config), without any tensors.
-std::stringstream model_header(std::uint64_t vocab, std::uint64_t layers) {
+std::stringstream model_header(std::uint64_t vocab, std::uint64_t layers,
+                               std::uint64_t dt_feature = 1) {
   std::stringstream stream;
   write_u64(stream, kSequenceModelMagic);
   write_u64(stream, vocab);
@@ -141,7 +158,7 @@ std::stringstream model_header(std::uint64_t vocab, std::uint64_t layers) {
   write_u64(stream, 8);  // hidden
   write_u64(stream, layers);
   write_u64(stream, 3);  // window
-  write_u64(stream, 1);  // use_dt_feature
+  write_u64(stream, dt_feature);
   return stream;
 }
 
@@ -159,17 +176,33 @@ TEST(Serialize, ModelHeaderWithHugeLayerCountThrows) {
   EXPECT_THROW(SequenceModel::load(zero), nfv::util::CheckError);
 }
 
+// Every model reads Δt; a header declaring a model without it is refused,
+// naming the field.
+TEST(Serialize, ModelHeaderWithoutDtFeatureThrows) {
+  std::stringstream stream = model_header(16, 2, 0);
+  try {
+    SequenceModel::load(stream);
+    ADD_FAILURE() << "a header with dt_feature = 0 loaded";
+  } catch (const nfv::util::CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("dt_feature"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Serialize, MatrixHeaderBeyondElementLimitThrows) {
   std::stringstream stream;
   write_u64(stream, kMatrixMagic);
   write_u64(stream, std::uint64_t{1} << 30);  // rows
   write_u64(stream, std::uint64_t{1} << 12);  // cols
-  EXPECT_THROW(read_matrix(stream), nfv::util::CheckError);
+  EXPECT_THROW(read_matrix(stream, std::size_t{1} << 30, std::size_t{1} << 12),
+               nfv::util::CheckError);
   std::stringstream overflow;
   write_u64(overflow, kMatrixMagic);
   write_u64(overflow, std::uint64_t{1} << 40);
   write_u64(overflow, std::uint64_t{1} << 40);
-  EXPECT_THROW(read_matrix(overflow), nfv::util::CheckError);
+  EXPECT_THROW(
+      read_matrix(overflow, std::size_t{1} << 40, std::size_t{1} << 40),
+      nfv::util::CheckError);
 }
 
 // An int8 LSTM layer whose width disagrees with the model fails at load,
@@ -201,6 +234,125 @@ TEST(Serialize, QuantizedLayerWithWrongColumnsThrowsAtLoad) {
   EXPECT_THROW(SequenceModel::load(corrupt), nfv::util::CheckError);
   std::stringstream intact(saved.str());
   EXPECT_NO_THROW(SequenceModel::load(intact));
+}
+
+// ---------------------------------------------------------------------------
+// Seeded mutation fuzzer for SequenceModel::load. From a valid fp32 and a
+// valid int8 checkpoint it derives, with a fixed seed, byte flips, every
+// header and tensor-dimension u64 set to a boundary value, and truncations
+// at every 8th offset. Each input must load or throw util::CheckError:
+// nothing else may escape, and the sanitizer builds catch any crash or
+// out-of-bounds read. A model that loads must also score a window.
+
+/// Offsets of the u64 fields of a checkpoint that size what follows: the
+/// model header, each tensor's shape, the int8 flag and each int8 tensor's
+/// shape and byte count.
+std::vector<std::size_t> size_fields(const std::string& bytes,
+                                     const SequenceModelConfig& config,
+                                     bool quantized) {
+  const auto u64_at = [&](std::size_t at) {
+    std::uint64_t value = 0;
+    std::memcpy(&value, bytes.data() + at, sizeof(value));
+    return value;
+  };
+  std::vector<std::size_t> fields;
+  std::size_t at = 8;  // past the magic
+  for (int i = 0; i < 6; ++i, at += 8) fields.push_back(at);
+  const std::size_t tensors = 3 + 2 * config.layers;
+  for (std::size_t t = 0; t < tensors; ++t) {
+    fields.push_back(at + 8);   // rows
+    fields.push_back(at + 16);  // cols
+    at += 24 + 4 * u64_at(at + 8) * u64_at(at + 16);
+  }
+  fields.push_back(at);  // int8 flag
+  at += 8;
+  if (quantized) {
+    for (std::size_t t = 0; t < config.layers + 1; ++t) {
+      for (std::size_t f = 1; f <= 4; ++f) fields.push_back(at + 8 * f);
+      at += 40 + u64_at(at + 32) + 8 * u64_at(at + 8);
+    }
+  }
+  EXPECT_EQ(at, bytes.size()) << "checkpoint layout walk out of step";
+  return fields;
+}
+
+struct FuzzTally {
+  std::size_t loaded = 0;
+  std::size_t rejected = 0;
+};
+
+void load_or_reject(const std::string& bytes, const WindowBatch& window,
+                    const std::string& what, FuzzTally& tally) {
+  std::stringstream stream(bytes);
+  std::optional<SequenceModel> model;
+  try {
+    model.emplace(SequenceModel::load(stream));
+  } catch (const nfv::util::CheckError&) {
+    ++tally.rejected;
+    return;
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << what << ": " << e.what();
+    return;
+  }
+  ++tally.loaded;
+  if (window.ids.size() != window.size() * model->config().window ||
+      window.targets[0] >= static_cast<std::int32_t>(model->config().vocab)) {
+    return;  // the probe window does not fit this (mutated) shape
+  }
+  EXPECT_NO_THROW(model->score_log_likelihood(window)) << what;
+}
+
+TEST(Serialize, MutatedCheckpointsLoadOrThrowCheckError) {
+  SequenceModelConfig config;
+  config.vocab = 7;
+  config.embed_dim = 5;
+  config.hidden = 6;
+  config.layers = 2;
+  config.window = 3;
+  WindowBatch window;
+  window.ids = {1, 4, 6};
+  window.dts = {0.0f, 12.0f, 300.0f};
+  window.targets = {2};
+  nfv::util::Rng rng(20261018);
+  for (const bool quantized : {false, true}) {
+    SequenceModel model(config, rng);
+    if (quantized) model.quantize();
+    std::stringstream saved;
+    model.save(saved);
+    const std::string valid = saved.str();
+    const std::string kind = quantized ? "int8" : "fp32";
+    FuzzTally tally;
+    load_or_reject(valid, window, kind + " valid", tally);
+    ASSERT_EQ(tally.loaded, 1u);
+
+    for (int i = 0; i < 1500; ++i) {
+      std::string bytes = valid;
+      const std::size_t at = rng.uniform_index(bytes.size());
+      bytes[at] = static_cast<char>(bytes[at] ^ (1 + rng.uniform_index(255)));
+      load_or_reject(bytes, window,
+                     kind + " flip at " + std::to_string(at), tally);
+    }
+    constexpr std::uint64_t kBoundaries[] = {
+        0, 1, std::uint64_t{1} << 28, (std::uint64_t{1} << 28) + 1,
+        std::uint64_t{1} << 63, ~std::uint64_t{0}};
+    for (const std::size_t at : size_fields(valid, config, quantized)) {
+      for (const std::uint64_t value : kBoundaries) {
+        std::string bytes = valid;
+        std::memcpy(bytes.data() + at, &value, sizeof(value));
+        load_or_reject(bytes, window,
+                       kind + " u64 at " + std::to_string(at) + " = " +
+                           std::to_string(value),
+                       tally);
+      }
+    }
+    for (std::size_t at = 0; at < valid.size(); at += 8) {
+      load_or_reject(valid.substr(0, at), window,
+                     kind + " truncated at " + std::to_string(at), tally);
+    }
+    // Not vacuous: float payload flips load, shape and size flips do not.
+    EXPECT_GT(tally.loaded, 100u) << kind;
+    EXPECT_GT(tally.rejected, 500u) << kind;
+  }
 }
 
 }  // namespace

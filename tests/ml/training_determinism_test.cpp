@@ -28,20 +28,20 @@ struct TrainRun {
   std::vector<float> final_params;       // all tensors, flattened in order
 };
 
-std::vector<SeqExample> make_dataset(const SequenceModelConfig& config,
-                                     std::size_t count) {
+WindowBatch make_dataset(const SequenceModelConfig& config,
+                         std::size_t count) {
   Rng rng(99);
-  std::vector<SeqExample> examples(count);
-  for (SeqExample& ex : examples) {
-    ex.ids.resize(config.window);
-    ex.dts.resize(config.window);
+  WindowBatch windows;
+  for (std::size_t e = 0; e < count; ++e) {
     for (std::size_t t = 0; t < config.window; ++t) {
-      ex.ids[t] = static_cast<std::int32_t>(rng.uniform_index(config.vocab));
-      ex.dts[t] = static_cast<float>(rng.uniform(0.5, 600.0));
+      windows.ids.push_back(
+          static_cast<std::int32_t>(rng.uniform_index(config.vocab)));
+      windows.dts.push_back(static_cast<float>(rng.uniform(0.5, 600.0)));
     }
-    ex.target = static_cast<std::int32_t>(rng.uniform_index(config.vocab));
+    windows.targets.push_back(
+        static_cast<std::int32_t>(rng.uniform_index(config.vocab)));
   }
-  return examples;
+  return windows;
 }
 
 TrainRun run_training(std::size_t threads, KernelTier tier) {
@@ -61,15 +61,16 @@ TrainRun run_training(std::size_t threads, KernelTier tier) {
 
   // Batch of 64 rows: wide enough for the packed kernels AND the
   // row-parallel elementwise splits, so every parallel code path is live.
-  const std::vector<SeqExample> examples = make_dataset(config, 192);
+  const WindowBatch windows = make_dataset(config, 192);
   constexpr std::size_t kBatch = 64;
   TrainRun run;
+  WindowBatch batch;
   for (std::size_t epoch = 0; epoch < 2; ++epoch) {
-    for (std::size_t start = 0; start < examples.size(); start += kBatch) {
-      std::vector<const SeqExample*> batch;
+    for (std::size_t start = 0; start < windows.size(); start += kBatch) {
+      batch.clear();
       for (std::size_t i = start;
-           i < std::min(start + kBatch, examples.size()); ++i) {
-        batch.push_back(&examples[i]);
+           i < std::min(start + kBatch, windows.size()); ++i) {
+        batch.append_row(windows, i, config.window);
       }
       const double loss = model.train_batch(batch, adam);
       std::uint64_t bits = 0;

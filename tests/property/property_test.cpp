@@ -132,16 +132,17 @@ TEST_P(WindowLengthP, ExampleCountAndContents) {
   for (int i = 0; i < 100; ++i) {
     logs.push_back({util::SimTime{i * 30}, i % 6});
   }
-  const auto examples = logproc::build_sequence_examples(logs, k);
-  ASSERT_EQ(examples.size(), logs.size() - k);
-  for (std::size_t e = 0; e < examples.size(); ++e) {
-    ASSERT_EQ(examples[e].ids.size(), k);
-    ASSERT_EQ(examples[e].dts.size(), k);
+  ml::WindowBatch windows;
+  logproc::append_sequence_windows(logs, k, windows);
+  ASSERT_EQ(windows.size(), logs.size() - k);
+  ASSERT_EQ(windows.ids.size(), windows.size() * k);
+  ASSERT_EQ(windows.dts.size(), windows.size() * k);
+  for (std::size_t e = 0; e < windows.size(); ++e) {
     // Window contents are exactly the k logs preceding the target.
     for (std::size_t j = 0; j < k; ++j) {
-      EXPECT_EQ(examples[e].ids[j], logs[e + j].template_id);
+      EXPECT_EQ(windows.ids[e * k + j], logs[e + j].template_id);
     }
-    EXPECT_EQ(examples[e].target, logs[e + k].template_id);
+    EXPECT_EQ(windows.targets[e], logs[e + k].template_id);
   }
 }
 

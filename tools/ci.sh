@@ -24,10 +24,13 @@
 # of every SIMD tier bit-identical to the serial tier, fp32 scores of the
 # SIMD tiers bit-identical to each other), and an ASan build of the int8 kernels, of the fp32 packed
 # kernels (test_ml_grad's shape sweep reads every panel tail) and of the
-# sequence model (test_ml_models: the scoring image, its table gather and
-# the checkpoint loader's corrupt-header checks). The UBSan leg runs the
-# same three ML binaries, whose kernels shift lane masks, index vector
-# tails and convert floats to ints. The log opens with the kernel tier
+# sequence model (test_ml_models: the scoring image, its table gather,
+# the checkpoint loader's corrupt-header checks and its seeded mutation
+# fuzzer). The UBSan leg runs the same three ML binaries, whose kernels
+# shift lane masks, index vector tails and convert floats to ints. Both
+# sanitizer legs also run the detector tests of test_core
+# (LstmDetector*:HmmDetector*), whose training rounds subsample,
+# over-sample and minibatch windows by row index. The log opens with the kernel tier
 # (avx512, avx2+fma or baseline) these legs exercise on this host.
 #
 # Usage: tools/ci.sh [jobs]
@@ -79,22 +82,24 @@ ctest --test-dir "$ROOT/build" -L quant --output-on-failure -j "$JOBS"
 cmake --build "$ROOT/build" -j "$JOBS" --target bench_scoring_throughput
 "$ROOT/build/bench/bench_scoring_throughput" --smoke
 
-echo "=== ASan: logproc fast path (interner, AVX2 tokenizer, alloc hook), shared arena + forest, int8 and fp32 packed kernels, scoring image + checkpoint loader ==="
+echo "=== ASan: logproc fast path (interner, AVX2 tokenizer, alloc hook), shared arena + forest, int8 and fp32 packed kernels, scoring image + checkpoint loader + its fuzzer, detector training rounds ==="
 cmake -B "$ROOT/build-asan" -S "$ROOT" -DNFVPRED_SANITIZE=address
-cmake --build "$ROOT/build-asan" -j "$JOBS" --target test_logproc --target test_logproc_alloc --target test_forest --target test_quant --target test_ml_grad --target test_ml_models
+cmake --build "$ROOT/build-asan" -j "$JOBS" --target test_logproc --target test_logproc_alloc --target test_forest --target test_quant --target test_ml_grad --target test_ml_models --target test_core
 "$ROOT/build-asan/tests/test_logproc"
 "$ROOT/build-asan/tests/test_logproc_alloc"
 "$ROOT/build-asan/tests/test_forest"
 "$ROOT/build-asan/tests/test_quant"
 "$ROOT/build-asan/tests/test_ml_grad"
 "$ROOT/build-asan/tests/test_ml_models"
+"$ROOT/build-asan/tests/test_core" --gtest_filter='LstmDetector*:HmmDetector*'
 
-echo "=== UBSan: fp32 packed, int8 and sequence-model kernels ($tier tier) ==="
+echo "=== UBSan: fp32 packed, int8 and sequence-model kernels, checkpoint fuzzer, detector training rounds ($tier tier) ==="
 cmake -B "$ROOT/build-ubsan" -S "$ROOT" -DNFVPRED_SANITIZE=undefined
-cmake --build "$ROOT/build-ubsan" -j "$JOBS" --target test_ml_grad --target test_quant --target test_ml_models
+cmake --build "$ROOT/build-ubsan" -j "$JOBS" --target test_ml_grad --target test_quant --target test_ml_models --target test_core
 "$ROOT/build-ubsan/tests/test_ml_grad"
 "$ROOT/build-ubsan/tests/test_quant"
 "$ROOT/build-ubsan/tests/test_ml_models"
+"$ROOT/build-ubsan/tests/test_core" --gtest_filter='LstmDetector*:HmmDetector*'
 
 echo "=== continual learning: online retrain + hot swap + adapt safety ==="
 ctest --test-dir "$ROOT/build" -L continual --output-on-failure -j "$JOBS"

@@ -111,7 +111,7 @@ const std::set<std::string> kCommonOptions = {"threads", "quantize"};
 const std::map<std::string, std::set<std::string>> kCommandOptions = {
     {"simulate", {"out", "vpe", "months", "seed", "tickets", "gap-scale"}},
     {"mine", {"logs", "max"}},
-    {"train", {"logs", "model", "window", "epochs", "persistent-optimizer"}},
+    {"train", {"logs", "model", "window", "epochs"}},
     {"score",
      {"logs", "model", "threshold-quantile", "async-ingest", "ingest-workers",
       "flush-batch", "flush-deadline", "stats-json", "online-retrain",
@@ -152,8 +152,6 @@ void usage() {
       " [--tickets FILE]\n"
       "  mine     --logs FILE [--max N]\n"
       "  train    --logs FILE --model FILE [--window K] [--epochs E]\n"
-      "           [--persistent-optimizer 1]  keep Adam moment state\n"
-      "           across the over-sampling refinement rounds\n"
       "  score    --logs FILE --model FILE [--threshold-quantile Q]\n"
       "           [--async-ingest 1]    replay the file through the\n"
       "           asynchronous streaming ingest runtime (per-line warning\n"
@@ -279,8 +277,6 @@ int cmd_train(const Args& args) {
   config.window = static_cast<std::size_t>(args.get_long_min("window", 10, 1));
   config.initial_epochs =
       static_cast<std::size_t>(args.get_long_min("epochs", 4, 1));
-  config.persistent_optimizer =
-      args.get_long("persistent-optimizer", 0) != 0;
   config.quantize = args.get_long("quantize", 0) != 0;
 
   const auto lines = read_log_file(args.require("logs"));
