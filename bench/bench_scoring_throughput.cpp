@@ -11,8 +11,9 @@
 //     packs every window into fused forward batches of
 //     LstmDetector::kScoreBatch rows;
 //   - batched+int8 (--quantize): the same fused path with the detector's
-//     per-channel int8 sidecar installed, so every GEMM runs the packed
-//     int8 kernels of ml::matmul_quant (vpmaddubsw or VNNI vpdpbusd).
+//     per-channel int8 sidecar installed, so every LSTM gate product runs
+//     the fused step's int8 blocks and the head ml::matmul_quant
+//     (vpmaddubsw or VNNI vpdpbusd).
 // fp32 scores are bit-identical between the first two (see
 // batch_invariance_test); the quantized tier trades exact score equality
 // for the rank-agreement gate checked by `--smoke` below.
@@ -24,16 +25,20 @@
 // scored in calls of 1, 3, 17, 63 and 64 single-window streams, the shape
 // of a runtime flush holding that many staged windows), e.g.
 // BENCH_scoring.json; add `--quantize` to include the int8 rows, the int8
-// column of the sweep and the fp32-vs-int8 model weight bytes.
+// column of the sweep and the fp32-vs-int8 model weight bytes. The
+// `paper_shape` rows score the paper's model (hidden 32, window 10) in
+// calls of 64 windows, a full runtime flush, in fp32 and int8 in every
+// tier.
 //
 // Run with `--smoke` for the CI gate: trains a small model on a
 // *patterned* corpus (cyclic template sequence + 10% noise, so the
 // predicted distributions are sharp, unlike the uniform-random throughput
 // fixture), quantizes it, and checks
 //   1. DeepLog top-k rank agreement fp32 vs int8 >= 99.5% of windows,
-//   2. quantized scores are bit-identical between every SIMD kernel tier
-//      the CPU has and the serial tier, and fp32 scores (log-likelihoods
-//      and ranks) between the SIMD tiers, and
+//   2. quantized ranks are bit-identical between every SIMD kernel tier
+//      the CPU has and the serial tier, quantized log-likelihoods between
+//      the SIMD tiers, and fp32 scores (log-likelihoods and ranks) between
+//      the SIMD tiers, and
 //   3. quantized scores are bit-identical across thread counts.
 // Exit code is non-zero if any gate fails.
 #include <benchmark/benchmark.h>
@@ -91,40 +96,50 @@ struct Fixture {
   std::size_t total_windows = 0;
 };
 
+Fixture make_fixture(std::size_t hidden) {
+  Fixture fx;
+  core::LstmDetectorConfig config;
+  config.initial_epochs = 1;
+  config.oversample = false;
+  config.hidden = hidden;
+  fx.detector = core::LstmDetector(config);
+  fx.window = config.window;
+  const auto train = sample_logs(2000, 2);
+  const core::LogView view{train};
+  fx.detector.fit({&view, 1}, kVocab);
+  fx.quantized = fx.detector;
+  fx.quantized.set_quantized(true);
+  fx.streams.reserve(kStreams);
+  for (std::size_t s = 0; s < kStreams; ++s) {
+    fx.streams.push_back(sample_logs(kStreamLen, 100 + s));
+    fx.total_windows += kStreamLen - fx.window;
+  }
+  for (const auto& stream : fx.streams) {
+    for (std::size_t i = fx.window; i < stream.size(); ++i) {
+      if (fx.sweep_windows.size() == kSweepWindows) break;
+      fx.sweep_windows.emplace_back(stream.data() + (i - fx.window),
+                                    fx.window + 1);
+    }
+  }
+  return fx;
+}
+
+// Inference-heavy sizing: at the library default (hidden=32) the forward
+// pass is dominated by the fixed fp32 work every tier shares (gate
+// sigmoids/tanh, softmax, embedding gather), which hides what this
+// benchmark exists to compare — the GEMM regimes. hidden=128 makes the
+// per-step GEMMs the dominant term, the regime a production-scale model
+// lives in.
 const Fixture& fixture() {
-  static const Fixture f = [] {
-    Fixture fx;
-    core::LstmDetectorConfig config;
-    config.initial_epochs = 1;
-    config.oversample = false;
-    // Inference-heavy sizing: at the library default (hidden=32) the
-    // forward pass is dominated by the fixed fp32 work every tier shares
-    // (gate sigmoids/tanh, softmax, embedding gather), which hides what
-    // this benchmark exists to compare — the GEMM regimes. hidden=128
-    // makes the per-step GEMMs the dominant term, the regime a
-    // production-scale model lives in.
-    config.hidden = 128;
-    fx.detector = core::LstmDetector(config);
-    fx.window = config.window;
-    const auto train = sample_logs(2000, 2);
-    const core::LogView view{train};
-    fx.detector.fit({&view, 1}, kVocab);
-    fx.quantized = fx.detector;
-    fx.quantized.set_quantized(true);
-    fx.streams.reserve(kStreams);
-    for (std::size_t s = 0; s < kStreams; ++s) {
-      fx.streams.push_back(sample_logs(kStreamLen, 100 + s));
-      fx.total_windows += kStreamLen - fx.window;
-    }
-    for (const auto& stream : fx.streams) {
-      for (std::size_t i = fx.window; i < stream.size(); ++i) {
-        if (fx.sweep_windows.size() == kSweepWindows) break;
-        fx.sweep_windows.emplace_back(stream.data() + (i - fx.window),
-                                      fx.window + 1);
-      }
-    }
-    return fx;
-  }();
+  static const Fixture f = make_fixture(128);
+  return f;
+}
+
+// The paper's §5.1 model at the library defaults (hidden 32, window 10):
+// the shape the runtime scores, where the activations weigh as much as
+// the products.
+const Fixture& paper_fixture() {
+  static const Fixture f = make_fixture(32);
   return f;
 }
 
@@ -316,6 +331,44 @@ int run_json_mode(const std::string& path, bool quantize) {
       std::cerr << "\n";
     }
   }
+
+  // The paper shape at the runtime's flush size, 64 windows per call, in
+  // fp32 and int8.
+  struct ShapeRow {
+    const char* tier;
+    double fp32_wps;
+    double quant_wps;
+  };
+  std::vector<ShapeRow> paper_rows;
+  const Fixture& paper = paper_fixture();
+  constexpr std::size_t kFlushWindows = 64;
+  for (const ml::KernelTier tier :
+       {ml::KernelTier::kBaseline, ml::KernelTier::kAvx2,
+        ml::KernelTier::kAvx512}) {
+    if (ml::set_kernel_tier(tier) != tier) continue;  // CPU lacks it
+    run_calls_of(paper.detector, paper, kFlushWindows);  // warm-up
+    run_calls_of(paper.quantized, paper, kFlushWindows);
+    double fp32_best = 1e300, quant_best = 1e300;
+    for (std::size_t r = 0; r < kReps; ++r) {
+      fp32_best = std::min(fp32_best, timed_seconds([&] {
+                             return run_calls_of(paper.detector, paper,
+                                                 kFlushWindows);
+                           }));
+      quant_best = std::min(quant_best, timed_seconds([&] {
+                              return run_calls_of(paper.quantized, paper,
+                                                  kFlushWindows);
+                            }));
+    }
+    const double n = static_cast<double>(paper.sweep_windows.size());
+    paper_rows.push_back(
+        {ml::kernel_tier_name(tier), n / fp32_best, n / quant_best});
+    std::cerr << "paper shape tier=" << paper_rows.back().tier
+              << " fp32=" << paper_rows.back().fp32_wps
+              << " windows/s, int8=" << paper_rows.back().quant_wps
+              << " windows/s (int8/fp32 "
+              << paper_rows.back().quant_wps / paper_rows.back().fp32_wps
+              << "x)\n";
+  }
   ml::set_kernel_tier(default_tier);
   util::set_global_threads(0);
 
@@ -366,6 +419,23 @@ int run_json_mode(const std::string& path, bool quantize) {
         .kv("fp32_windows_per_sec", row.fp32_wps);
     if (quantize) w.kv("int8_windows_per_sec", row.quant_wps);
     w.end_object();
+  }
+  w.end_array();
+  w.end_object();
+  w.key("paper_shape").begin_object();
+  w.kv("hidden", paper.detector.config().hidden);
+  w.kv("window", paper.window);
+  w.kv("windows_per_call", kFlushWindows);
+  w.kv("threads", 1);
+  w.kv("windows", paper.sweep_windows.size());
+  w.key("rows").begin_array();
+  for (const ShapeRow& row : paper_rows) {
+    w.begin_object()
+        .kv("kernel_tier", row.tier)
+        .kv("fp32_windows_per_sec", row.fp32_wps)
+        .kv("int8_windows_per_sec", row.quant_wps)
+        .kv("int8_speedup_vs_fp32", row.quant_wps / row.fp32_wps)
+        .end_object();
   }
   w.end_array();
   w.end_object();
@@ -468,8 +538,8 @@ int run_smoke_mode() {
   }
 
   // Gate 2: every SIMD tier's int8 ranks bit-identical to the serial
-  // tier's, and the SIMD tiers' fp32 log-likelihoods and ranks bit-identical
-  // to each other.
+  // tier's, and the SIMD tiers' int8 log-likelihoods and fp32
+  // log-likelihoods and ranks bit-identical to each other.
   ml::WindowBatch batch;
   for (const auto& stream : streams) {
     logproc::append_sequence_windows(stream, config.window, batch);
@@ -479,6 +549,7 @@ int run_smoke_mode() {
   const auto serial_ranks = score_all(quantized, streams);
   const char* first_simd = nullptr;  // the SIMD tier the others match
   std::vector<double> simd_lls;
+  std::vector<double> simd_quant_lls;
   std::vector<std::vector<double>> simd_ranks;
   for (const ml::KernelTier tier :
        {ml::KernelTier::kAvx2, ml::KernelTier::kAvx512}) {
@@ -495,12 +566,26 @@ int run_smoke_mode() {
     }
     const std::vector<double> lls =
         detector.model().score_log_likelihood(batch);
+    const std::vector<double> quant_lls =
+        quantized.model().score_log_likelihood(batch);
     const auto ranks = score_all(detector, streams);
     if (first_simd == nullptr) {
       first_simd = name;
       simd_lls = lls;
+      simd_quant_lls = quant_lls;
       simd_ranks = ranks;
-    } else if (lls != simd_lls || ranks != simd_ranks) {
+      continue;
+    }
+    if (quant_lls != simd_quant_lls) {
+      std::cerr << "smoke: FAIL int8 " << name << " vs " << first_simd
+                << " log-likelihoods differ\n";
+      ok = false;
+    } else {
+      std::cerr << "smoke: int8 " << name << " == " << first_simd
+                << " (bit-identical, " << quant_lls.size()
+                << " log-likelihoods)\n";
+    }
+    if (lls != simd_lls || ranks != simd_ranks) {
       std::cerr << "smoke: FAIL fp32 " << name << " vs " << first_simd
                 << " scores differ\n";
       ok = false;

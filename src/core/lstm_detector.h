@@ -73,10 +73,11 @@ struct LstmDetectorConfig {
 class LstmDetector final : public AnomalyDetector {
  public:
   /// Rows per fused forward batch. Scores are bit-identical for any batch
-  /// size (every row's forward math is independent of its neighbours);
-  /// 1024 rows keep the per-timestep GEMM above the parallel threshold and
-  /// its scratch cache-resident. A runtime flush holds far fewer windows,
-  /// so it is always one batch.
+  /// size (every row's forward math is independent of its neighbours). A
+  /// batch above 64 rows runs its windows in 64-row blocks on the global
+  /// pool when that has more than one thread; an AsyncIngest flush holds
+  /// at most flush_batch (64) windows, so it is one block, scored on the
+  /// flushing worker's thread.
   static constexpr std::size_t kScoreBatch = 1024;
 
   explicit LstmDetector(const LstmDetectorConfig& config = {});

@@ -28,7 +28,7 @@ struct VpeClusteringOptions {
   std::size_t k_max = 8;
   /// SOM grid (used when method == kSom); empty units are dropped, so the
   /// effective group count is at most rows × cols.
-  ml::SomConfig som;
+  ml::SomConfig som{};
 };
 
 struct VpeClustering {

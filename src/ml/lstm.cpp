@@ -1,5 +1,6 @@
 #include "ml/lstm.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
@@ -12,14 +13,13 @@ namespace nfv::ml {
 
 namespace {
 
-/// Row-parallel threshold for the elementwise gate/cell loops. The
-/// sigmoid/tanh evaluations dominate the fused scoring batches (each costs
-/// tens of MACs), so the bar is much lower than the matmul one; rows are
-/// independent, so the parallel split is bit-identical to the serial loop.
-/// Training batches (typically 64 rows) deliberately stay under it — at
-/// that size a fork-join costs more than the row loop, and the training
-/// path gets its parallelism from the chunky per-timestep gradient shards
-/// instead. The fused scoring batches (~1024 rows) are far above it.
+/// Row-parallel threshold for the training forward's elementwise gate and
+/// cell loops. Each sigmoid/tanh costs tens of MACs, so the bar is much
+/// lower than the matmul one; rows are independent, so the parallel split
+/// is bit-identical to the serial loop. Training batches (typically 64
+/// rows) deliberately stay under it — at that size a fork-join costs more
+/// than the row loop, and the training path gets its parallelism from the
+/// chunky per-timestep gradient shards instead.
 bool use_parallel_rows(std::size_t rows) {
   return rows >= 256 && !nfv::util::ThreadPool::in_parallel_region() &&
          nfv::util::global_pool().size() > 1;
@@ -34,10 +34,10 @@ void for_each_row(std::size_t rows, const Fn& fn) {
   }
 }
 
-/// Cell/hidden update for one row on the active kernel tier (`kernels`
-/// null: baseline). The training forward and inference stepping both run
-/// it, so k steps reproduce the forward pass bit for bit; `c` may alias
-/// `cp`.
+/// Cell/hidden update for one row of the training forward on the active
+/// kernel tier (`kernels` null: baseline). The fused scoring step
+/// evaluates the same expressions per unit, so k scoring steps reproduce
+/// the forward pass bit for bit; `c` may alias `cp`.
 void cell_forward_row(const float* g, const float* cp, float* c, float* hh,
                       std::size_t h, const simd::Kernels* kernels) {
   if (kernels != nullptr) {
@@ -52,18 +52,15 @@ void cell_forward_row(const float* g, const float* cp, float* c, float* hh,
 }
 
 /// Gate activations for one row on the active kernel tier, after adding
-/// `add` (a 4H row: the bias, a recurrent product, or null for none). Same
-/// per-element order as an add_row_vector followed by the activation
-/// sweeps.
+/// the bias `add`. Same per-element order as an add_row_vector followed by
+/// the activation sweeps.
 void gate_activation_row(float* g, const float* add, std::size_t h,
                          const simd::Kernels* kernels) {
   if (kernels != nullptr) {
     kernels->gate_activation_row(g, add, h);
     return;
   }
-  if (add != nullptr) {
-    for (std::size_t j = 0; j < 4 * h; ++j) g[j] += add[j];
-  }
+  for (std::size_t j = 0; j < 4 * h; ++j) g[j] += add[j];
   for (std::size_t j = 0; j < h; ++j) g[j] = sigmoid(g[j]);            // i
   for (std::size_t j = h; j < 2 * h; ++j) g[j] = sigmoid(g[j]);        // f
   for (std::size_t j = 2 * h; j < 3 * h; ++j) g[j] = std::tanh(g[j]);  // g
@@ -86,9 +83,7 @@ Lstm::Lstm(std::string name, std::size_t input_size, std::size_t hidden_size,
 }
 
 void Lstm::compute_gates(const Matrix& input, const Matrix& h_prev,
-                         Matrix& concat_scratch, Matrix& gates,
-                         const std::vector<float>* packed_weight,
-                         const QuantizedMatrix* qweight) const {
+                         Matrix& concat_scratch, Matrix& gates) const {
   const std::size_t batch = input.rows();
   NFV_CHECK(input.cols() == input_size_,
             "Lstm input width " << input.cols() << " != " << input_size_);
@@ -99,23 +94,11 @@ void Lstm::compute_gates(const Matrix& input, const Matrix& h_prev,
     std::memcpy(concat_scratch.row(r) + input_size_, h_prev.row(r),
                 hidden_size_ * sizeof(float));
   }
-  if (qweight != nullptr) {
-    matmul_quant(concat_scratch, *qweight, gates);
-  } else if (packed_weight != nullptr) {
-    matmul_transb_packed(concat_scratch, weight_.value, *packed_weight, gates);
-  } else {
-    matmul_transb(concat_scratch, weight_.value, gates);
-  }
-  activate_gates(gates, bias_.value.row(0), nullptr);
-}
-
-void Lstm::activate_gates(Matrix& gates, const float* bias,
-                          const Matrix* row_addend) const {
+  matmul_transb(concat_scratch, weight_.value, gates);
   const simd::Kernels* kernels = simd::active();
-  for_each_row(gates.rows(), [&](std::size_t r) {
-    gate_activation_row(gates.row(r),
-                        row_addend != nullptr ? row_addend->row(r) : bias,
-                        hidden_size_, kernels);
+  const float* bias = bias_.value.row(0);
+  for_each_row(batch, [&](std::size_t r) {
+    gate_activation_row(gates.row(r), bias, hidden_size_, kernels);
   });
 }
 
@@ -141,8 +124,7 @@ const std::vector<Matrix>& Lstm::forward(const std::vector<Matrix>& inputs) {
   const std::size_t h = hidden_size_;
   for (std::size_t t = 0; t < steps; ++t) {
     NFV_CHECK(inputs[t].rows() == batch, "Lstm batch size varies over time");
-    compute_gates(inputs[t], *h_prev, concat_cache_[t], gates_cache_[t],
-                  nullptr, nullptr);
+    compute_gates(inputs[t], *h_prev, concat_cache_[t], gates_cache_[t]);
     Matrix& c_t = c_cache_[t];
     Matrix& h_t = h_cache_[t];
     c_t.resize(batch, h);
@@ -260,71 +242,170 @@ const std::vector<Matrix>& Lstm::backward(
   return grad_inputs_;
 }
 
-void Lstm::step(const Matrix& input, LstmState& state,
-                const std::vector<float>& packed_weight,
-                Matrix& concat_scratch, Matrix& gates_scratch) const {
-  const std::size_t batch = input.rows();
-  NFV_CHECK(state.h.rows() == batch && state.c.rows() == batch,
-            "LstmState batch mismatch");
-  compute_gates(input, state.h, concat_scratch, gates_scratch, &packed_weight,
-                nullptr);
-  cell_update(gates_scratch, state);
-}
-
-void Lstm::step_quantized(const Matrix& input, LstmState& state,
-                          const QuantizedMatrix& qweight,
-                          Matrix& concat_scratch,
-                          Matrix& gates_scratch) const {
-  const std::size_t batch = input.rows();
-  NFV_CHECK(state.h.rows() == batch && state.c.rows() == batch,
-            "LstmState batch mismatch");
-  NFV_CHECK(qweight.rows == 4 * hidden_size_ &&
-                qweight.cols == input_size_ + hidden_size_,
-            "Lstm::step_quantized weight shape mismatch");
-  compute_gates(input, state.h, concat_scratch, gates_scratch, nullptr,
-                &qweight);
-  cell_update(gates_scratch, state);
-}
-
-void Lstm::step_input_gates(Matrix& gates, LstmState& state,
-                            const std::vector<float>* packed_recurrent,
-                            Matrix& recurrent_scratch) const {
-  NFV_CHECK(gates.cols() == 4 * hidden_size_ &&
-                state.h.rows() == gates.rows() &&
-                state.c.rows() == gates.rows(),
-            "Lstm::step_input_gates shape mismatch");
-  if (packed_recurrent != nullptr) {
-    matmul_transb_packed(state.h, 4 * hidden_size_, *packed_recurrent,
-                         recurrent_scratch);
-    activate_gates(gates, nullptr, &recurrent_scratch);
+LstmStepWeights Lstm::step_weights(bool table_input,
+                                   const QuantizedMatrix* quantized) const {
+  LstmStepWeights w;
+  const std::size_t k0 = table_input ? input_size_ : 0;
+  const std::size_t k1 = input_size_ + hidden_size_;
+  if (quantized != nullptr) {
+    NFV_CHECK(quantized->rows == 4 * hidden_size_ && quantized->cols == k1,
+              "Lstm::step_weights: int8 weight shape mismatch");
+    pack_gate_blocks(*quantized, k0, k1, w.quant);
+    if (!table_input) {
+      pack_gate_blocks(*quantized, 0, input_size_, w.quant_input);
+    }
   } else {
-    activate_gates(gates, nullptr, nullptr);
+    pack_gate_blocks(weight_.value, k0, k1, w.weights);
   }
-  cell_update(gates, state);
+  if (!table_input) {
+    w.bias.resize(gate_block_count(hidden_size_) * kGateBlockWidth);
+    pack_gate_vector(bias_.value.row(0), hidden_size_, w.bias.data());
+  }
+  return w;
 }
 
-void Lstm::step_zero_state(const Matrix& input, LstmState& state,
-                           const std::vector<float>& packed_input,
-                           Matrix& gates) const {
-  NFV_CHECK(input.cols() == input_size_,
-            "Lstm input width " << input.cols() << " != " << input_size_);
-  NFV_CHECK(state.h.rows() == input.rows() && state.c.rows() == input.rows(),
-            "LstmState batch mismatch");
-  matmul_transb_packed(input, 4 * hidden_size_, packed_input, gates);
-  activate_gates(gates, bias_.value.row(0), nullptr);
-  cell_update(gates, state);
+std::size_t Lstm::code_stride() const {
+  return (input_size_ + hidden_size_ + 3) / 4 * 4;
 }
 
-void Lstm::cell_update(const Matrix& gates, LstmState& state) const {
-  const simd::Kernels* kernels = simd::active();
-  for_each_row(gates.rows(), [&](std::size_t r) {
-    cell_forward_row(gates.row(r), state.c.row(r), state.c.row(r),
-                     state.h.row(r), hidden_size_, kernels);
-  });
+void Lstm::reset_state(LstmState& state, std::size_t batch) const {
+  state.h[0].reshape(batch, hidden_size_);
+  state.h[1].reshape(batch, hidden_size_);
+  // Matrix::resize zero-fills: the zero cell state of a window's start.
+  state.c.resize(batch, gate_block_count(hidden_size_) * kGateBlockUnits);
+  state.codes.resize(batch * code_stride());
+  state.scales.resize(batch);
+  state.zero_points.resize(batch);
 }
 
-LstmState Lstm::make_state(std::size_t batch) const {
-  return LstmState{Matrix(batch, hidden_size_), Matrix(batch, hidden_size_)};
+namespace {
+
+/// The baseline tier's fused step over rows [i0, i1): per row and gate
+/// block, the 64 gate outputs' unfused k-ascending chains (or exact int8
+/// sums and matmul_quant's epilogue), plus the addend, then libm
+/// activations and the cell update, in the order of the unfused baseline
+/// passes.
+void step_rows_baseline(const simd::StepArgs& s, std::size_t i0,
+                        std::size_t i1) {
+  constexpr std::size_t kq = simd::kQuantK;
+  const std::size_t h = s.hidden;
+  const std::size_t blocks = gate_block_count(h);
+  for (std::size_t i = i0; i < i1; ++i) {
+    for (std::size_t b = 0; b < blocks; ++b) {
+      // The block's i, f, g and o pre-activations, gate-blocked.
+      float pre[kGateBlockWidth] = {};
+      const std::size_t at = b * kGateBlockWidth;
+      if (s.quant != nullptr) {
+        const QuantGateBlocks& qb = *s.quant;
+        const std::size_t groups = qb.depth_padded / kq;
+        const std::int8_t* w =
+            qb.codes.data() + b * groups * kGateBlockWidth * kq;
+        const std::uint8_t* a = s.codes + i * s.code_stride;
+        std::int32_t acc[kGateBlockWidth] = {};
+        for (std::size_t g = 0; g < groups; ++g) {
+          for (std::size_t j = 0; j < kGateBlockWidth; ++j, w += kq) {
+            for (std::size_t t = 0; t < kq; ++t) {
+              acc[j] += static_cast<std::int32_t>(a[kq * g + t]) * w[t];
+            }
+          }
+        }
+        for (std::size_t j = 0; j < kGateBlockWidth; ++j) {
+          const std::int32_t zp_sum = s.zero_points[i] * qb.col_sums[at + j];
+          pre[j] = static_cast<float>(acc[j] - zp_sum) *
+                   (s.row_scales[i] * qb.scales[at + j]);
+        }
+      } else if (s.weights != nullptr) {
+        const float* w = s.weights + b * s.depth * kGateBlockWidth;
+        const auto chain = [&](const float* a, std::size_t n) {
+          for (std::size_t k = 0; k < n; ++k, w += kGateBlockWidth) {
+            for (std::size_t j = 0; j < kGateBlockWidth; ++j) {
+              pre[j] += a[k] * w[j];
+            }
+          }
+        };
+        if (s.x != nullptr) chain(s.x + i * s.x_cols, s.x_cols);
+        if (s.h_prev != nullptr) chain(s.h_prev + i * h, h);
+      }
+      const bool product = s.quant != nullptr || s.weights != nullptr;
+      for (std::size_t j = 0; j < kGateBlockWidth; ++j) {
+        const float add =
+            s.table != nullptr
+                ? s.table[i][at + j] + s.dt[i] * s.dt_gates[at + j]
+                : s.bias[at + j];
+        pre[j] = product ? pre[j] + add : add;
+      }
+      const std::size_t units =
+          std::min(kGateBlockUnits, h - b * kGateBlockUnits);
+      for (std::size_t m = 0; m < units; ++m) {
+        const std::size_t u = b * kGateBlockUnits + m;
+        float& c = s.c[i * blocks * kGateBlockUnits + u];
+        const float ig = sigmoid(pre[m]);
+        const float fg = sigmoid(pre[kGateBlockUnits + m]);
+        const float cg = std::tanh(pre[2 * kGateBlockUnits + m]);
+        const float og = sigmoid(pre[3 * kGateBlockUnits + m]);
+        c = fg * c + ig * cg;
+        s.h[i * h + u] = og * std::tanh(c);
+      }
+    }
+  }
+}
+
+}  // namespace
+
+void Lstm::score_step(const LstmStepWeights& weights,
+                      const LstmStepInput& input, std::size_t t,
+                      LstmState& state, std::size_t i0,
+                      std::size_t i1) const {
+  const std::size_t h = hidden_size_;
+  NFV_CHECK(input.x == nullptr || (input.x->cols() == input_size_ &&
+                                   input.x->rows() == state.c.rows()),
+            "Lstm::score_step input shape mismatch");
+  simd::StepArgs s;
+  s.hidden = h;
+  s.c = state.c.data();
+  s.h = state.h[t % 2].data();
+  if (input.table != nullptr) {
+    s.table = input.table;
+    s.dt = input.dt;
+    s.dt_gates = input.dt_gates;
+  } else {
+    s.bias = weights.bias.data();
+  }
+  // The state is zero at t = 0: no recurrent term.
+  const float* x = input.x != nullptr ? input.x->data() : nullptr;
+  const std::size_t x_cols = x != nullptr ? input_size_ : 0;
+  const float* h_prev = t == 0 ? nullptr : state.h[(t + 1) % 2].data();
+  if (x != nullptr || h_prev != nullptr) {
+    if (!weights.quant.empty()) {
+      const QuantGateBlocks& qb = t == 0 ? weights.quant_input : weights.quant;
+      // Every step's codes rows are code_stride() bytes apart (zeros past
+      // the step's width), so row ranges on different threads never share
+      // bytes whichever step each is at.
+      s.quant = &qb;
+      s.codes = state.codes.data();
+      s.code_stride = code_stride();
+      s.row_scales = state.scales.data();
+      s.zero_points = state.zero_points.data();
+      quantize_activations(
+          x != nullptr ? x + i0 * x_cols : nullptr, x_cols,
+          h_prev != nullptr ? h_prev + i0 * h : nullptr,
+          h_prev != nullptr ? h : 0, i1 - i0, s.code_stride,
+          state.codes.data() + i0 * s.code_stride, state.scales.data() + i0,
+          state.zero_points.data() + i0);
+    } else {
+      s.x = x;
+      s.x_cols = x_cols;
+      s.h_prev = h_prev;
+      s.weights = weights.weights.data();
+      s.depth = weights.weights.size() /
+                (gate_block_count(h) * kGateBlockWidth);
+    }
+  }
+  if (const simd::Kernels* kernels = simd::active()) {
+    kernels->lstm_step(s, i0, i1);
+  } else {
+    step_rows_baseline(s, i0, i1);
+  }
 }
 
 }  // namespace nfv::ml

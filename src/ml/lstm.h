@@ -3,9 +3,13 @@
 // Implements the standard LSTM of Hochreiter & Schmidhuber as used by the
 // paper's anomaly detector (two stacked LSTM layers followed by a dense
 // softmax over the syslog template vocabulary). Weights for the four gates
-// are packed into one matrix so each timestep is a single GEMM.
+// are packed into one matrix so each training timestep is a single GEMM;
+// scoring runs one fused kernel per layer step instead (score_step), in
+// fp32 or int8, over gate-blocked copies of that matrix.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -15,10 +19,40 @@
 
 namespace nfv::ml {
 
-/// Inference-time recurrent state for streaming scoring.
+/// One layer's weights as the fused scoring step reads them, built once
+/// per weight change by Lstm::step_weights (a scoring image holds one per
+/// layer). Layer 0 takes its input term from a per-template table, so it
+/// keeps only the recurrent block W[:, I:]; a layer above keeps all of W
+/// and its bias. The fp32 and int8 products are gate-blocked
+/// (pack_gate_blocks); an int8 layer above also keeps the input block
+/// W[:, :I] of its zero-state first step.
+struct LstmStepWeights {
+  std::vector<float> bias;      // gate-blocked b; empty in layer 0
+  std::vector<float> weights;   // fp32 pack of W[:, I:] (layer 0) or W
+  QuantGateBlocks quant;        // int8 pack of W[:, I:] (layer 0) or W
+  QuantGateBlocks quant_input;  // int8 pack of W[:, :I] (layers above)
+};
+
+/// Where a scoring step's input term comes from: the layer below's h_t
+/// (`x`), or, in layer 0, each row's table row plus its normalized Δt
+/// times the table's Δt column (all gate-blocked).
+struct LstmStepInput {
+  const Matrix* x = nullptr;
+  const float* const* table = nullptr;  // row r's table row
+  const float* dt = nullptr;            // row r's normalized Δt
+  const float* dt_gates = nullptr;
+};
+
+/// Recurrent state of the fused scoring step for a batch of rows. h is
+/// double-buffered: step t writes h[t % 2] while its later gate blocks
+/// still read h_{t−1} from the other buffer.
 struct LstmState {
-  Matrix h;  // (batch × hidden)
-  Matrix c;  // (batch × hidden)
+  Matrix h[2];  // (batch × H)
+  Matrix c;     // (batch × 16·gate_block_count(H)); padding units unused
+  // int8: the step input's u7 codes, scales and zero points per row.
+  std::vector<std::uint8_t> codes;
+  std::vector<float> scales;
+  std::vector<std::int32_t> zero_points;
 };
 
 /// Single LSTM layer. Gate packing order along the 4H axis: input, forget,
@@ -39,47 +73,31 @@ class Lstm {
   /// returns dL/dx_t per step.
   const std::vector<Matrix>& backward(const std::vector<Matrix>& grad_hidden);
 
-  /// Stateful single-step inference (no caching, no gradients). The gate
-  /// GEMM reads `packed_weight`, which must come from
-  /// pack_transb(weight().value): a scoring image packs each layer once
-  /// per weight change and reuses it for every time step. The scratch
-  /// matrices are resized in place, so tight scoring loops allocate
-  /// nothing per step. Gate and cell math are the kernels forward() runs,
-  /// so k steps reproduce forward()'s last hidden state bit for bit.
-  void step(const Matrix& input, LstmState& state,
-            const std::vector<float>& packed_weight, Matrix& concat_scratch,
-            Matrix& gates_scratch) const;
+  /// This layer's weights for score_step: with `table_input` (layer 0)
+  /// only the recurrent block, and in int8 (`quantized`, the layer's
+  /// calibrated sidecar from quantize_pack_b(weight().value)) its codes
+  /// instead of the fp32 weights.
+  LstmStepWeights step_weights(bool table_input,
+                               const QuantizedMatrix* quantized) const;
 
-  /// Inference step whose input term is precomputed: on entry each row of
-  /// `gates` (B × 4H) holds x·W_xᵀ + b (SequenceModel's per-template
-  /// table for layer 0). The step adds h·W_hᵀ through `packed_recurrent`
-  /// (pack_transb(weight().value, input_size(), …), the recurrent block),
-  /// or nothing when it is null — the zero state of a window's first
-  /// step — then runs the gate activations and the cell update in place.
-  void step_input_gates(Matrix& gates, LstmState& state,
-                        const std::vector<float>* packed_recurrent,
-                        Matrix& recurrent_scratch) const;
+  /// Size `state` for `batch` rows from the zero state.
+  void reset_state(LstmState& state, std::size_t batch) const;
 
-  /// First step from the zero state: the gate GEMM reads only the input
-  /// block W[:, :I] (`packed_input`, pack_transb(weight().value, 0,
-  /// input_size(), …)). Bit-identical to step() on a zero state: the terms
-  /// it skips are the zeros at the end of every k-ascending chain.
-  void step_zero_state(const Matrix& input, LstmState& state,
-                       const std::vector<float>& packed_input,
-                       Matrix& gates_scratch) const;
-
-  /// As step(), but the gate pre-activation GEMM runs on the
-  /// packed int8 image of this layer's weight matrix (`qweight` must come
-  /// from quantize_pack_b(weight().value)). Bias, gate activations and the
-  /// cell update are the untouched fp32 code paths — only the matmul is
-  /// quantized, so the result inherits matmul_quant's cross-tier and
-  /// cross-batch bit-identity.
-  void step_quantized(const Matrix& input, LstmState& state,
-                      const QuantizedMatrix& qweight, Matrix& concat_scratch,
-                      Matrix& gates_scratch) const;
-
-  /// Zero-initialized state for a given batch size.
-  LstmState make_state(std::size_t batch) const;
+  /// Fused inference step t of rows [i0, i1) (no caching, no gradients):
+  /// per tile of rows × one 16-unit gate block, one kernel runs the gate
+  /// product, adds the bias (or layer 0's table row), runs the gate
+  /// activations and the cell update and writes h_t to state.h[t % 2],
+  /// without writing the gates to memory. At t = 0 the state is zero, so
+  /// layer 0 runs no product and a layer above multiplies by its input
+  /// block alone. fp32 keeps the training forward's k-ascending chains
+  /// and activation kernels, so k steps reproduce forward()'s last hidden
+  /// state bit for bit. int8 first quantizes [x, h_{t−1}] per row as
+  /// matmul_quant does, and dequantizes as it does; the input block's
+  /// products equal matmul_quant's on [x, 0] exactly. Rows are
+  /// independent, so disjoint row ranges may run in parallel.
+  void score_step(const LstmStepWeights& weights, const LstmStepInput& input,
+                  std::size_t t, LstmState& state, std::size_t i0,
+                  std::size_t i1) const;
 
   std::vector<Param*> params() { return {&weight_, &bias_}; }
   std::size_t input_size() const { return input_size_; }
@@ -90,17 +108,12 @@ class Lstm {
   const Param& bias() const { return bias_; }
 
  private:
-  /// Gate pre-activations through the packed fp32 weight, the int8 image,
-  /// or (both null, the training forward) matmul_transb on weight_.
+  /// Bytes per row of LstmState::codes: [x, h] codes padded to 4.
+  std::size_t code_stride() const;
+  /// Activated gates of the training forward: [input, h_prev] · Wᵀ + b,
+  /// then the gate activations.
   void compute_gates(const Matrix& input, const Matrix& h_prev,
-                     Matrix& concat_scratch, Matrix& gates,
-                     const std::vector<float>* packed_weight,
-                     const QuantizedMatrix* qweight) const;
-  /// Gate activations in place, after adding row r of `row_addend` (when
-  /// given) or `bias` (when not null) to row r's pre-activations.
-  void activate_gates(Matrix& gates, const float* bias,
-                      const Matrix* row_addend) const;
-  void cell_update(const Matrix& gates, LstmState& state) const;
+                     Matrix& concat_scratch, Matrix& gates) const;
 
   std::size_t input_size_;
   std::size_t hidden_size_;

@@ -267,21 +267,27 @@ void transa_acc_block_dispatch(const Matrix& a, const Matrix& b, Matrix& out,
 // the SIMD and baseline builds of that expression agree bit for bit.
 // ---------------------------------------------------------------------------
 
-/// Quantize one activation row to unsigned 7-bit codes with a per-row
-/// asymmetric scale/zero-point — the scalar reference tier. The [0, 127]
-/// code range (not [0, 255]) is what makes the AVX2 GEMM exact: every
-/// vpmaddubsw pair sum is at most 2·127·127 = 32258 < 2^15, so the i16
-/// intermediate never saturates and SIMD equals the serial int32
-/// reference. The quantized range always brackets 0 (lo ≤ 0 ≤ hi), so
-/// the zero point lands in [0, 127] and an all-zero row round-trips to
-/// exact zeros.
-void quantize_activation_row_scalar(const float* ar, std::size_t kn,
+/// Quantize one activation row, the concatenation of a (a_cols) and b
+/// (b_cols), to unsigned 7-bit codes with a per-row asymmetric
+/// scale/zero-point — the scalar reference tier. The [0, 127] code range
+/// (not [0, 255]) is what makes the AVX2 GEMM exact: every vpmaddubsw
+/// pair sum is at most 2·127·127 = 32258 < 2^15, so the i16 intermediate
+/// never saturates and SIMD equals the serial int32 reference. The
+/// quantized range always brackets 0 (lo ≤ 0 ≤ hi), so the zero point
+/// lands in [0, 127], an all-zero row round-trips to exact zeros, and a
+/// row [x, 0] gets the range, scale and zero point of x alone.
+void quantize_activation_row_scalar(const float* a, std::size_t a_cols,
+                                    const float* b, std::size_t b_cols,
                                     std::size_t kpad, std::uint8_t* q,
                                     float* sa, std::int32_t* zp) {
   float lo = 0.0f, hi = 0.0f;
-  for (std::size_t k = 0; k < kn; ++k) {
-    lo = std::min(lo, ar[k]);
-    hi = std::max(hi, ar[k]);
+  for (std::size_t k = 0; k < a_cols; ++k) {
+    lo = std::min(lo, a[k]);
+    hi = std::max(hi, a[k]);
+  }
+  for (std::size_t k = 0; k < b_cols; ++k) {
+    lo = std::min(lo, b[k]);
+    hi = std::max(hi, b[k]);
   }
   const float range = hi - lo;
   if (range <= 0.0f) {
@@ -292,29 +298,36 @@ void quantize_activation_row_scalar(const float* ar, std::size_t kn,
   }
   const float inv = 127.0f / range;
   const std::int32_t z = std::clamp(round_nearest_i32(-lo * inv), 0, 127);
-  for (std::size_t k = 0; k < kn; ++k) {
-    const std::int32_t v = round_nearest_i32(ar[k] * inv) + z;
-    q[k] = static_cast<std::uint8_t>(std::clamp(v, 0, 127));
-  }
-  std::memset(q + kn, 0, kpad - kn);
+  const auto code = [&](float v) {
+    return static_cast<std::uint8_t>(
+        std::clamp(round_nearest_i32(v * inv) + z, 0, 127));
+  };
+  for (std::size_t k = 0; k < a_cols; ++k) q[k] = code(a[k]);
+  for (std::size_t k = 0; k < b_cols; ++k) q[a_cols + k] = code(b[k]);
+  std::memset(q + a_cols + b_cols, 0, kpad - a_cols - b_cols);
   *sa = range / 127.0f;
   *zp = z;
 }
 
-/// Quantize every row of `a` (the SIMD tiers produce the scalar tier's
-/// codes, so this dispatch is a pure speed knob).
-void quantize_activation_rows(const Matrix& a, std::size_t kpad,
-                              std::uint8_t* qa, float* sa,
-                              std::int32_t* zp) {
-  if (const simd::Kernels* kernels = simd::active()) {
-    kernels->quantize_rows(a, kpad, qa, sa, zp);
-    return;
-  }
-  const std::size_t kn = a.cols();
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    quantize_activation_row_scalar(a.row(i), kn, kpad, qa + i * kpad, sa + i,
-                                   zp + i);
-  }
+/// Code of channel c at depth k in qb's packed layout (a full 8-channel
+/// panel or a row-major tail channel).
+std::int8_t quant_code(const QuantizedMatrix& qb, std::size_t c,
+                       std::size_t k) {
+  const std::size_t kpad = qb.cols_padded;
+  const std::size_t full = qb.rows / kQuantChannels * kQuantChannels;
+  if (c >= full) return qb.data[full * kpad + (c - full) * kpad + k];
+  const std::int8_t* panel =
+      qb.data.data() + c / kQuantChannels * kpad * kQuantChannels;
+  return panel[kQuantChannels * kQuantK * (k / kQuantK) +
+               kQuantK * (c % kQuantChannels) + k % kQuantK];
+}
+
+/// Where gate row j (of 4H, gate-major) sits in a gate-blocked row: its
+/// block's offset plus its gate's 16-unit group.
+std::size_t gate_block_index(std::size_t j, std::size_t hidden) {
+  const std::size_t u = j % hidden;
+  return u / kGateBlockUnits * kGateBlockWidth + j / hidden * kGateBlockUnits +
+         u % kGateBlockUnits;
 }
 
 /// Activation-quantization scratch: filled on the calling thread before
@@ -617,25 +630,83 @@ void quantize_pack_b(const Matrix& b, QuantizedMatrix& out) {
 }
 
 std::int64_t quant_channel_sum(const QuantizedMatrix& qb, std::size_t c) {
-  const std::size_t kpad = qb.cols_padded;
-  const std::size_t panels = qb.rows / kQuantChannels;
   std::int64_t sum = 0;
-  if (c < panels * kQuantChannels) {
-    const std::int8_t* panel =
-        qb.data.data() + c / kQuantChannels * kpad * kQuantChannels;
-    const std::size_t jj = c % kQuantChannels;
-    for (std::size_t g = 0; g < kpad / kQuantK; ++g) {
-      for (std::size_t k = 0; k < kQuantK; ++k) {
-        sum += panel[kQuantChannels * kQuantK * g + kQuantK * jj + k];
-      }
-    }
-  } else {
-    const std::int8_t* row = qb.data.data() +
-                             panels * kpad * kQuantChannels +
-                             (c - panels * kQuantChannels) * kpad;
-    for (std::size_t k = 0; k < kpad; ++k) sum += row[k];
-  }
+  for (std::size_t k = 0; k < qb.cols_padded; ++k) sum += quant_code(qb, c, k);
   return sum;
+}
+
+void quantize_activations(const float* a, std::size_t a_cols, const float* b,
+                          std::size_t b_cols, std::size_t rows,
+                          std::size_t kpad, std::uint8_t* qa, float* sa,
+                          std::int32_t* zp) {
+  // The SIMD tiers produce the scalar tier's codes, so this dispatch is a
+  // pure speed knob.
+  if (const simd::Kernels* kernels = simd::active()) {
+    kernels->quantize_rows(a, a_cols, b, b_cols, rows, kpad, qa, sa, zp);
+    return;
+  }
+  for (std::size_t i = 0; i < rows; ++i) {
+    quantize_activation_row_scalar(a + i * a_cols, a_cols,
+                                   b == nullptr ? nullptr : b + i * b_cols,
+                                   b_cols, kpad, qa + i * kpad, sa + i,
+                                   zp + i);
+  }
+}
+
+void pack_gate_blocks(const Matrix& w, std::size_t k0, std::size_t k1,
+                      std::vector<float>& packed) {
+  NFV_CHECK(w.rows() % 4 == 0 && k0 <= k1 && k1 <= w.cols(),
+            "pack_gate_blocks: columns [" << k0 << ", " << k1 << ") of a "
+                                          << w.rows() << " × " << w.cols()
+                                          << " gate matrix");
+  const std::size_t hidden = w.rows() / 4;
+  const std::size_t kn = k1 - k0;
+  packed.assign(gate_block_count(hidden) * kn * kGateBlockWidth, 0.0f);
+  for (std::size_t j = 0; j < w.rows(); ++j) {
+    const std::size_t at = gate_block_index(j, hidden);
+    float* out = packed.data() + at / kGateBlockWidth * kn * kGateBlockWidth +
+                 at % kGateBlockWidth;
+    const float* row = w.row(j) + k0;
+    for (std::size_t k = 0; k < kn; ++k) out[kGateBlockWidth * k] = row[k];
+  }
+}
+
+void pack_gate_vector(const float* v, std::size_t hidden, float* out) {
+  std::fill_n(out, gate_block_count(hidden) * kGateBlockWidth, 0.0f);
+  for (std::size_t j = 0; j < 4 * hidden; ++j) {
+    out[gate_block_index(j, hidden)] = v[j];
+  }
+}
+
+void pack_gate_blocks(const QuantizedMatrix& q, std::size_t k0,
+                      std::size_t k1, QuantGateBlocks& out) {
+  NFV_CHECK(q.rows % 4 == 0 && k0 <= k1 && k1 <= q.cols,
+            "pack_gate_blocks: columns [" << k0 << ", " << k1 << ") of a "
+                                          << q.rows << " × " << q.cols
+                                          << " int8 gate matrix");
+  const std::size_t hidden = q.rows / 4;
+  const std::size_t blocks = gate_block_count(hidden);
+  out.depth_padded = (k1 - k0 + kQuantK - 1) / kQuantK * kQuantK;
+  const std::size_t groups = out.depth_padded / kQuantK;
+  // Bytes per block and 4-k group: the i, f, g and o 16-channel blocks.
+  constexpr std::size_t kGroupBytes = kGateBlockWidth * kQuantK;
+  out.codes.assign(blocks * groups * kGroupBytes, 0);
+  out.scales.assign(blocks * kGateBlockWidth, 0.0f);
+  out.col_sums.assign(blocks * kGateBlockWidth, 0);
+  for (std::size_t c = 0; c < q.rows; ++c) {
+    const std::size_t lane = gate_block_index(c, hidden);
+    std::int8_t* block = out.codes.data() +
+                         lane / kGateBlockWidth * groups * kGroupBytes +
+                         lane % kGateBlockWidth * kQuantK;
+    std::int32_t sum = 0;
+    for (std::size_t k = k0; k < k1; ++k) {
+      const std::int8_t code = quant_code(q, c, k);
+      block[(k - k0) / kQuantK * kGroupBytes + (k - k0) % kQuantK] = code;
+      sum += code;
+    }
+    out.scales[lane] = q.scales[c];
+    out.col_sums[lane] = sum;
+  }
 }
 
 void matmul_quant_serial(const Matrix& a, const QuantizedMatrix& qb,
@@ -648,8 +719,9 @@ void matmul_quant_serial(const Matrix& a, const QuantizedMatrix& qb,
   tl_quant_a.resize(a.rows() * kpad);
   tl_quant_sa.resize(a.rows());
   tl_quant_zp.resize(a.rows());
-  quantize_activation_rows(a, kpad, tl_quant_a.data(), tl_quant_sa.data(),
-                           tl_quant_zp.data());
+  quantize_activations(a.data(), a.cols(), nullptr, 0, a.rows(), kpad,
+                       tl_quant_a.data(), tl_quant_sa.data(),
+                       tl_quant_zp.data());
   quant_rows_dispatch(tl_quant_a.data(), tl_quant_sa.data(),
                       tl_quant_zp.data(), kpad, qb, out, 0, a.rows());
 }
@@ -669,8 +741,9 @@ void matmul_quant(const Matrix& a, const QuantizedMatrix& qb, Matrix& out) {
   tl_quant_a.resize(a.rows() * kpad);
   tl_quant_sa.resize(a.rows());
   tl_quant_zp.resize(a.rows());
-  quantize_activation_rows(a, kpad, tl_quant_a.data(), tl_quant_sa.data(),
-                           tl_quant_zp.data());
+  quantize_activations(a.data(), a.cols(), nullptr, 0, a.rows(), kpad,
+                       tl_quant_a.data(), tl_quant_sa.data(),
+                       tl_quant_zp.data());
   const std::uint8_t* qa = tl_quant_a.data();
   const float* sa = tl_quant_sa.data();
   const std::int32_t* zp = tl_quant_zp.data();

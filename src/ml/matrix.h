@@ -221,6 +221,60 @@ void matmul_quant(const Matrix& a, const QuantizedMatrix& qb, Matrix& out);
 void matmul_quant_serial(const Matrix& a, const QuantizedMatrix& qb,
                          Matrix& out);
 
+/// Quantize the rows of [a | b] as matmul_quant quantizes its activations
+/// (a: rows × a_cols, b: rows × b_cols or null, both dense row-major):
+/// row i's u7 codes go to qa + i·kpad (a's codes, then b's, then zeros up
+/// to kpad), its scale to sa[i] and its zero point to zp[i]. Every tier
+/// produces the same codes. The fused LSTM step quantizes [x, h_{t−1}]
+/// this way without copying the two halves into one row.
+void quantize_activations(const float* a, std::size_t a_cols, const float* b,
+                          std::size_t b_cols, std::size_t rows,
+                          std::size_t kpad, std::uint8_t* qa, float* sa,
+                          std::int32_t* zp);
+
+/// Hidden units per gate block of the fused LSTM scoring step
+/// (Lstm::score_step), and floats per k-row of a block: the i, f, g and o
+/// columns of those units side by side.
+constexpr std::size_t kGateBlockUnits = 16;
+constexpr std::size_t kGateBlockWidth = 4 * kGateBlockUnits;
+
+/// Gate blocks covering `hidden` units; the last one is zero-padded.
+constexpr std::size_t gate_block_count(std::size_t hidden) {
+  return (hidden + kGateBlockUnits - 1) / kGateBlockUnits;
+}
+
+/// Columns [k0, k1) of an LSTM gate matrix w (4H × K, the i, f, g and o
+/// rows of H units each) packed gate-blocked: block b holds, per k, the
+/// i, f, g and o weights of units 16b…16b+15 as four 16-float groups
+/// (kGateBlockWidth floats per k, k-major), units past H zero. A block's
+/// first n k-rows are the pack of columns [k0, k0 + n).
+void pack_gate_blocks(const Matrix& w, std::size_t k0, std::size_t k1,
+                      std::vector<float>& packed);
+
+/// A length-4H gate vector (a bias, a table row) in the gate-block order
+/// of pack_gate_blocks: out holds gate_block_count(H)·kGateBlockWidth
+/// floats, units past H zero.
+void pack_gate_vector(const float* v, std::size_t hidden, float* out);
+
+/// The int8 twin of pack_gate_blocks, re-packed from a calibrated sidecar
+/// (quantize_pack_b of the gate matrix): per block and per 4-k group, the
+/// i, f, g and o 16-channel × 4-k blocks of 64 bytes (channel-major, the
+/// vpdpbusd operand; the AVX2 tier reads each as two 8-channel halves).
+/// The columns [k0, k1) are zero-padded to a multiple of 4, col_sums are
+/// summed over those columns alone and the scales stay as calibrated, so
+/// the product of a column block dequantizes exactly as matmul_quant on
+/// rows that are zero outside it.
+struct QuantGateBlocks {
+  std::size_t depth_padded = 0;        ///< k1 − k0 rounded up to 4.
+  std::vector<std::int8_t> codes;
+  std::vector<float> scales;           ///< Gate-block order, 0 past H.
+  std::vector<std::int32_t> col_sums;  ///< Gate-block order, 0 past H.
+
+  bool empty() const { return codes.empty(); }
+};
+void pack_gate_blocks(const QuantizedMatrix& q, std::size_t k0,
+                      std::size_t k1, QuantGateBlocks& out);
+
 /// Add a row vector (1×C or length-C matrix) to every row of m.
 void add_row_vector(Matrix& m, const Matrix& row);
 

@@ -9,7 +9,6 @@
 
 #include "ml/loss.h"
 #include "ml/serialize.h"
-#include "ml/simd_kernels.h"
 #include "util/check.h"
 #include "util/thread_pool.h"
 
@@ -74,20 +73,19 @@ void SequenceModel::check_windows(const WindowBatch& windows) const {
 }
 
 void SequenceModel::build_inputs(
-    const WindowBatch& windows, std::size_t start, std::size_t n,
-    std::vector<Matrix>& inputs,
-    std::vector<std::vector<std::int32_t>>* ids_steps) const {
+    const WindowBatch& windows, std::size_t n, std::vector<Matrix>& inputs,
+    std::vector<std::vector<std::int32_t>>& ids_steps) const {
   const std::size_t k = config_.window;
   const std::size_t width = config_.embed_dim + 1;
   // Reuse, don't reallocate: every matrix entry is fully rewritten below.
   if (inputs.size() != k) inputs.assign(k, Matrix());
-  if (ids_steps && ids_steps->size() != k) ids_steps->assign(k, {});
+  if (ids_steps.size() != k) ids_steps.assign(k, {});
   for (std::size_t t = 0; t < k; ++t) {
     Matrix& input = inputs[t];
     input.resize(n, width);
-    if (ids_steps) (*ids_steps)[t].resize(n);
+    ids_steps[t].resize(n);
     for (std::size_t r = 0; r < n; ++r) {
-      const std::size_t at = (start + r) * k + t;
+      const std::size_t at = r * k + t;
       const auto id = windows.ids[at];
       NFV_CHECK(id >= 0 &&
                     static_cast<std::size_t>(id) < embedding_.vocab(),
@@ -97,7 +95,7 @@ void SequenceModel::build_inputs(
           embedding_.table().value.row(static_cast<std::size_t>(id));
       std::memcpy(input.row(r), row, config_.embed_dim * sizeof(float));
       input.at(r, config_.embed_dim) = normalize_dt(windows.dts[at]);
-      if (ids_steps) (*ids_steps)[t][r] = id;
+      ids_steps[t][r] = id;
     }
   }
 }
@@ -109,7 +107,7 @@ double SequenceModel::forward_backward(const WindowBatch& windows) {
   // All scratch lives on the model and is reused batch after batch.
   std::vector<Matrix>& inputs = train_scratch_.inputs;
   std::vector<std::vector<std::int32_t>>& ids_steps = train_scratch_.ids;
-  build_inputs(windows, 0, batch_size, inputs, &ids_steps);
+  build_inputs(windows, batch_size, inputs, ids_steps);
 
   // Forward through the LSTM stack.
   const std::vector<Matrix>* hidden = &lstm_layers_[0].forward(inputs);
@@ -186,120 +184,94 @@ double SequenceModel::train_batch(const WindowBatch& batch,
 
 SequenceModel::ScoringImage SequenceModel::build_scoring_image() const {
   ScoringImage image;
-  if (quantized_) return image;
   const Lstm& first = lstm_layers_[0];
   const Matrix& w0 = first.weight().value;
   const std::size_t embed = config_.embed_dim;
+  const std::size_t width =
+      gate_block_count(config_.hidden) * kGateBlockWidth;
   // input_gates = embed · W_x[:, :E]ᵀ + b: each template's share of the
   // layer-0 gate pre-activation, computed once instead of per window.
   std::vector<float> pack;
   pack_transb(w0, 0, embed, pack);
-  matmul_transb_packed(embedding_.table().value, w0.rows(), pack,
-                       image.input_gates);
-  add_row_vector(image.input_gates, first.bias().value);
-  image.dt_gates.resize(w0.rows());
-  for (std::size_t j = 0; j < w0.rows(); ++j) {
-    image.dt_gates[j] = w0.at(j, embed);
+  Matrix table;
+  matmul_transb_packed(embedding_.table().value, w0.rows(), pack, table);
+  add_row_vector(table, first.bias().value);
+  image.input_gates.reshape(config_.vocab, width);
+  for (std::size_t v = 0; v < config_.vocab; ++v) {
+    pack_gate_vector(table.row(v), config_.hidden, image.input_gates.row(v));
   }
-  pack_transb(w0, first.input_size(), w0.cols(), image.recurrent0);
-  for (std::size_t l = 1; l < lstm_layers_.size(); ++l) {
-    const Matrix& w = lstm_layers_[l].weight().value;
-    image.input_blocks.emplace_back();
-    pack_transb(w, 0, lstm_layers_[l].input_size(), image.input_blocks.back());
-    image.gate_weights.emplace_back();
-    pack_transb(w, image.gate_weights.back());
+  std::vector<float> dt(w0.rows());
+  for (std::size_t j = 0; j < w0.rows(); ++j) dt[j] = w0.at(j, embed);
+  image.dt_gates.resize(width);
+  pack_gate_vector(dt.data(), config_.hidden, image.dt_gates.data());
+  for (std::size_t l = 0; l < lstm_layers_.size(); ++l) {
+    image.layers.push_back(lstm_layers_[l].step_weights(
+        l == 0, quantized_ ? &quantized_->lstm[l] : nullptr));
   }
-  pack_transb(output_.weight().value, image.output);
+  if (!quantized_) pack_transb(output_.weight().value, image.output);
+  image.quantized = quantized_.has_value();
   image.vocab = config_.vocab;
   return image;
-}
-
-void SequenceModel::layer0_step(const ScoringImage& image,
-                                const WindowBatch& windows, std::size_t start,
-                                std::size_t t,
-                                InferenceScratch& scratch) const {
-  const std::size_t k = config_.window;
-  const std::size_t gates = 4 * config_.hidden;
-  LstmState& state = scratch.states[0];
-  const std::size_t n = state.h.rows();
-  scratch.gates.reshape(n, gates);
-  const float* dt_gates = image.dt_gates.data();
-  const simd::Kernels* kernels = simd::active();
-  for (std::size_t r = 0; r < n; ++r) {
-    const std::size_t at = (start + r) * k + t;
-    const auto id = windows.ids[at];
-    NFV_CHECK(id >= 0 && static_cast<std::size_t>(id) < image.vocab,
-              "template id " << id << " outside vocab " << image.vocab);
-    const float* table = image.input_gates.row(static_cast<std::size_t>(id));
-    float* g = scratch.gates.row(r);
-    // A separate multiply and add in every tier: the SIMD gather rounds
-    // the product before the add, as this loop does.
-    const float dt = normalize_dt(windows.dts[at]);
-    if (kernels != nullptr) {
-      kernels->gather_row(table, dt, dt_gates, g, gates);
-    } else {
-      for (std::size_t j = 0; j < gates; ++j) {
-        g[j] = table[j] + dt * dt_gates[j];
-      }
-    }
-  }
-  // The state is zero at t = 0, so the first step has no recurrent GEMM.
-  lstm_layers_[0].step_input_gates(
-      scratch.gates, state, t == 0 ? nullptr : &image.recurrent0,
-      scratch.recurrent);
 }
 
 void SequenceModel::forward_logits(const ScoringImage& image,
                                    const WindowBatch& windows,
                                    std::size_t start, std::size_t n,
                                    InferenceScratch& scratch) const {
-  NFV_CHECK(quantized_ || image.vocab == config_.vocab,
-            "scoring image built at vocab " << image.vocab
-                                            << ", model vocab is "
-                                            << config_.vocab
-                                            << " (stale image)");
-  // (Re)shape the recurrent state in place. Matrix::resize zero-fills,
-  // which is exactly the initial state Lstm::make_state would provide,
-  // while reusing the buffers' heap capacity across sub-batches.
-  scratch.states.resize(lstm_layers_.size());
-  for (LstmState& state : scratch.states) {
-    state.h.resize(n, config_.hidden);
-    state.c.resize(n, config_.hidden);
+  NFV_CHECK(image.vocab == config_.vocab && image.quantized == quantized(),
+            "scoring image built at vocab "
+                << image.vocab << (image.quantized ? " (int8)" : " (fp32)")
+                << ", model vocab is " << config_.vocab
+                << (quantized() ? " (int8)" : " (fp32)") << " (stale image)");
+  const std::size_t k = config_.window;
+  // Layer 0's input term of every (t, row): its table row and Δt.
+  scratch.table_rows.resize(k * n);
+  scratch.dts.resize(k * n);
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t t = 0; t < k; ++t) {
+      const std::size_t at = (start + r) * k + t;
+      const auto id = windows.ids[at];
+      NFV_CHECK(id >= 0 && static_cast<std::size_t>(id) < image.vocab,
+                "template id " << id << " outside vocab " << image.vocab);
+      scratch.table_rows[t * n + r] =
+          image.input_gates.row(static_cast<std::size_t>(id));
+      scratch.dts[t * n + r] = normalize_dt(windows.dts[at]);
+    }
   }
-
-  if (quantized_) {
-    // Per-row activation quantization makes a zero-state skip inexact,
-    // so int8 runs every step through the concat GEMM.
-    build_inputs(windows, start, n, scratch.inputs, nullptr);
-    for (std::size_t t = 0; t < config_.window; ++t) {
-      const Matrix* x = &scratch.inputs[t];
+  scratch.states.resize(lstm_layers_.size());
+  for (std::size_t l = 0; l < lstm_layers_.size(); ++l) {
+    lstm_layers_[l].reset_state(scratch.states[l], n);
+  }
+  // Every row's window runs all its steps before the next block of rows:
+  // rows are independent, so row blocks may run on any thread.
+  const auto window_rows = [&](std::size_t i0, std::size_t i1) {
+    for (std::size_t t = 0; t < k; ++t) {
+      LstmStepInput input;
+      input.table = scratch.table_rows.data() + t * n;
+      input.dt = scratch.dts.data() + t * n;
+      input.dt_gates = image.dt_gates.data();
       for (std::size_t l = 0; l < lstm_layers_.size(); ++l) {
-        lstm_layers_[l].step_quantized(*x, scratch.states[l],
-                                       quantized_->lstm[l], scratch.concat,
-                                       scratch.gates);
-        x = &scratch.states[l].h;
+        if (l > 0) input = LstmStepInput{&scratch.states[l - 1].h[t % 2]};
+        lstm_layers_[l].score_step(image.layers[l], input, t,
+                                   scratch.states[l], i0, i1);
       }
     }
-    matmul_quant(scratch.states.back().h, quantized_->output,
-                 scratch.logits);
+  };
+  constexpr std::size_t kRowBlock = 64;
+  nfv::util::ThreadPool& pool = nfv::util::global_pool();
+  if (n > kRowBlock && pool.size() > 1 &&
+      !nfv::util::ThreadPool::in_parallel_region()) {
+    pool.parallel_for(0, (n + kRowBlock - 1) / kRowBlock, [&](std::size_t b) {
+      window_rows(b * kRowBlock, std::min(n, (b + 1) * kRowBlock));
+    });
   } else {
-    for (std::size_t t = 0; t < config_.window; ++t) {
-      layer0_step(image, windows, start, t, scratch);
-      for (std::size_t l = 1; l < lstm_layers_.size(); ++l) {
-        const Matrix& x = scratch.states[l - 1].h;
-        if (t == 0) {
-          lstm_layers_[l].step_zero_state(x, scratch.states[l],
-                                          image.input_blocks[l - 1],
-                                          scratch.gates);
-        } else {
-          lstm_layers_[l].step(x, scratch.states[l],
-                               image.gate_weights[l - 1], scratch.concat,
-                               scratch.gates);
-        }
-      }
-    }
-    matmul_transb_packed(scratch.states.back().h, config_.vocab,
-                         image.output, scratch.logits);
+    window_rows(0, n);
+  }
+  const Matrix& top = scratch.states.back().h[(k - 1) % 2];
+  if (quantized_) {
+    matmul_quant(top, quantized_->output, scratch.logits);
+  } else {
+    matmul_transb_packed(top, config_.vocab, image.output, scratch.logits);
   }
   add_row_vector(scratch.logits, output_.bias().value);
 }

@@ -5,6 +5,12 @@
 // Given the k previous syslog tuples (template id, inter-arrival time) the
 // model predicts a probability distribution for the (k+1)-th template. A low
 // log-likelihood of the actually observed template flags an anomaly.
+//
+// Training runs the LSTM layers' cached forward and BPTT in fp32. Scoring
+// reads an immutable ScoringImage and runs one fused Lstm::score_step per
+// layer and time step, in fp32 or, once quantize() has calibrated an int8
+// sidecar, with int8 gate products; layer 0's input term comes from a
+// per-template fp32 table in both precisions.
 #pragma once
 
 #include <cstdint>
@@ -74,51 +80,46 @@ class SequenceModel {
   double train_batch(const WindowBatch& batch, Optimizer& optimizer,
                      double max_grad_norm = 5.0);
 
-  /// Immutable fp32 scoring image of the weights, built once per weight
-  /// change by build_scoring_image() and read by every scoring call until
-  /// then (the model never caches one: train_batch would have to
-  /// invalidate it). It holds
-  ///   - layer 0's input term as a per-template table,
-  ///     input_gates[v] = W_x·embed[v] + b (vocab × 4H), and its Δt column;
-  ///   - layer 0's recurrent block W_h, packed;
-  ///   - for each layer above, the input block W[:, :I] (its zero-state
-  ///     first step) and the full gate matrix, packed;
-  ///   - the output head, packed.
-  /// A quantized model's image is empty: its int8 sidecar is packed at
-  /// calibration and every int8 step runs step_quantized.
+  /// Immutable scoring image of the weights, built once per weight or
+  /// precision change by build_scoring_image() and read by every scoring
+  /// call until then (the model never caches one: train_batch would have
+  /// to invalidate it). In both precisions it holds layer 0's input term
+  /// as a per-template fp32 table, input_gates[v] = W_x·embed[v] + b, and
+  /// its Δt column, both gate-blocked (pack_gate_vector). Per layer it
+  /// holds the step weights of the fused scoring step
+  /// (Lstm::step_weights): gate-blocked fp32 packs, or, for a quantized
+  /// model, 16-channel int8 blocks re-packed from the calibrated sidecar.
+  /// An fp32 image also holds the packed output head; int8 scores the
+  /// head through the sidecar.
   struct ScoringImage {
     std::size_t vocab = 0;  // the model vocabulary it was built at; 0 = empty
-    Matrix input_gates;
-    std::vector<float> dt_gates;    // layer 0's Δt weight column
-    std::vector<float> recurrent0;
-    std::vector<std::vector<float>> input_blocks;  // layer l at [l − 1]
-    std::vector<std::vector<float>> gate_weights;  // layer l at [l − 1]
+    bool quantized = false;
+    Matrix input_gates;           // vocab × gate-blocked 4H
+    std::vector<float> dt_gates;  // layer 0's Δt weight column, gate-blocked
+    std::vector<LstmStepWeights> layers;
     std::vector<float> output;
 
     bool empty() const { return vocab == 0; }
   };
 
-  /// Build the scoring image of the current weights (empty when
-  /// quantized).
+  /// Build the scoring image of the current weights and precision.
   ScoringImage build_scoring_image() const;
 
   /// Reusable buffers for the batched scoring path. One scratch belongs to
   /// exactly one calling thread; reusing it across calls means the fused
   /// forward loop performs no heap allocation once shapes have stabilized.
   struct InferenceScratch {
-    std::vector<Matrix> inputs;    // int8: k × (B × input_width)
-    std::vector<LstmState> states; // one per LSTM layer
-    Matrix concat;                 // Lstm::step concat scratch
-    Matrix gates;                  // gate pre-activations of one layer
-    Matrix recurrent;              // layer 0's h·W_hᵀ
+    std::vector<LstmState> states;         // one per LSTM layer
+    std::vector<const float*> table_rows;  // layer 0's table row per (t, row)
+    std::vector<float> dts;                // normalized Δt per (t, row)
     Matrix logits;
-    Matrix probs;                  // rank mode's softmax
+    Matrix probs;                          // rank mode's softmax
   };
 
   /// Batched forward-only scoring: the log-likelihood of each window's
-  /// observed target, in fused sub-batches of at most `batch_size` rows.
-  /// fp32 reads `image`, which must come from build_scoring_image() of the
-  /// current weights (a quantized model reads its sidecar instead). Every
+  /// observed target, in fused sub-batches of at most `batch_size` rows,
+  /// read from `image`, which must come from build_scoring_image() of the
+  /// current weights and precision. Every
   /// row's arithmetic is independent of its batch neighbours (per-row
   /// gathers, per-row GEMM dot products, per-row log-sum-exp), so results
   /// are bit-identical to score_log_likelihood for ANY batch size and any
@@ -169,7 +170,9 @@ class SequenceModel {
 
   /// Post-training int8 sidecar: the per-layer LSTM gate matrices and the
   /// dense output head, quantized per output channel and pre-packed for
-  /// matmul_quant. The embedding is a gather (no GEMM) and the biases are
+  /// matmul_quant (the head's product; the scoring image re-packs the
+  /// gate matrices for the fused step). The embedding is a gather (no
+  /// GEMM) and the biases are
   /// O(width) vectors, so both stay fp32. Calibrated once from the fp32
   /// weights; the fp32 parameters remain the source of truth for
   /// training/serialization.
@@ -181,10 +184,12 @@ class SequenceModel {
 
   /// (Re)calibrate the int8 sidecar from the current fp32 weights. Every
   /// scoring entry point (predict, score_*, score_batched /
-  /// score_ranks_batched) then routes its GEMMs through matmul_quant, so
-  /// the serial references and the batched path stay mutually
-  /// bit-identical within quantized mode. Gate/cell math, softmax and the
-  /// embedding gather are unchanged fp32.
+  /// score_ranks_batched) then runs the LSTM's gate products in int8 (the
+  /// fused step's 16-channel blocks, re-packed from the sidecar by
+  /// build_scoring_image) and the head through matmul_quant, so the
+  /// serial references and the batched path stay mutually bit-identical
+  /// within quantized mode. Layer 0's input term comes from the fp32
+  /// table in both precisions; gate/cell math and softmax stay fp32.
   void quantize();
   /// Drop the sidecar and return to fp32 scoring.
   void clear_quantized() { quantized_.reset(); }
@@ -203,24 +208,17 @@ class SequenceModel {
 
  private:
   /// Builds per-timestep input matrices (embedding + Δt) of windows
-  /// [start, start + n). Reuses the capacity of `inputs` (and
-  /// `ids_steps`) across calls.
-  void build_inputs(const WindowBatch& windows, std::size_t start,
-                    std::size_t n, std::vector<Matrix>& inputs,
-                    std::vector<std::vector<std::int32_t>>* ids_steps) const;
+  /// [0, n) for the training forward. Reuses the capacity of `inputs` and
+  /// `ids_steps` across calls.
+  void build_inputs(const WindowBatch& windows, std::size_t n,
+                    std::vector<Matrix>& inputs,
+                    std::vector<std::vector<std::int32_t>>& ids_steps) const;
 
-  /// Forward windows [start, start + n) through the stepped (cache-free)
-  /// LSTM stack into scratch.logits: the image path in fp32,
-  /// step_quantized in int8.
+  /// Forward windows [start, start + n) through the fused scoring steps
+  /// of the LSTM stack into scratch.logits.
   void forward_logits(const ScoringImage& image, const WindowBatch& windows,
                       std::size_t start, std::size_t n,
                       InferenceScratch& scratch) const;
-
-  /// One time step of layer 0 from the image's table: gathers each row's
-  /// input gates, then adds the recurrent term unless t == 0.
-  void layer0_step(const ScoringImage& image, const WindowBatch& windows,
-                   std::size_t start, std::size_t t,
-                   InferenceScratch& scratch) const;
 
   /// Throws util::CheckError unless `windows` holds whole windows of
   /// config().window ids and Δt each.

@@ -37,6 +37,42 @@ inline std::int32_t round_nearest_i32(float x) {
   return static_cast<std::int32_t>((x + kMagic) - kMagic);
 }
 
+/// One fused LSTM scoring step (Lstm::score_step) over rows [i0, i1):
+/// per tile of rows × one gate block, the product of the step's input
+/// rows with the block's weights (none, fp32 or int8), plus the addend
+/// (the bias, or layer 0's gathered table row), then the gate activations
+/// and the cell update, writing c and h; the gates stay in registers.
+/// Row pointers are of row 0; `c` rows hold gate_block_count(hidden)·16
+/// floats (the padding units are scratch) and `h` rows `hidden`. The
+/// fp32 product runs when `weights` is set, the int8 one when `quant` is.
+struct StepArgs {
+  std::size_t hidden = 0;
+  /// fp32: rows of [x | h_prev] times `weights`, a gate-blocked pack of
+  /// `depth` k-rows whose first x_cols rows multiply x; either part is
+  /// skipped when null.
+  const float* x = nullptr;
+  std::size_t x_cols = 0;
+  const float* h_prev = nullptr;
+  const float* weights = nullptr;
+  std::size_t depth = 0;
+  /// int8: each row's u7 codes (quant->depth_padded of them, rows
+  /// `code_stride` bytes apart), scale and zero point
+  /// (quantize_activations).
+  const std::uint8_t* codes = nullptr;
+  std::size_t code_stride = 0;
+  const float* row_scales = nullptr;
+  const std::int32_t* zero_points = nullptr;
+  const QuantGateBlocks* quant = nullptr;
+  /// The addend: `bias`, or, when `table` is set, table[r] + dt[r] ·
+  /// dt_gates with the product rounded before the add (all gate-blocked).
+  const float* bias = nullptr;
+  const float* const* table = nullptr;
+  const float* dt = nullptr;
+  const float* dt_gates = nullptr;
+  float* c = nullptr;
+  float* h = nullptr;
+};
+
 /// One SIMD tier's kernels. Each matches the baseline kernel of the same
 /// name in its caller's file up to the documented per-tier numerics (FMA
 /// chains, Cephes exp); the AVX2 and AVX-512 tables agree bit for bit.
@@ -47,17 +83,19 @@ struct Kernels {
   /// Columns [c0, c1) of out += aᵀ · b.
   void (*transa_acc_block)(const Matrix& a, const Matrix& b, Matrix& out,
                            std::size_t c0, std::size_t c1);
-  /// Per-row u7 codes, scales and zero points of a (codes padded to kpad).
-  void (*quantize_rows)(const Matrix& a, std::size_t kpad, std::uint8_t* qa,
-                        float* sa, std::int32_t* zp);
+  /// Per-row u7 codes, scales and zero points of [a | b] (b may be null;
+  /// codes padded to kpad): quantize_activations.
+  void (*quantize_rows)(const float* a, std::size_t a_cols, const float* b,
+                        std::size_t b_cols, std::size_t rows,
+                        std::size_t kpad, std::uint8_t* qa, float* sa,
+                        std::int32_t* zp);
   /// Rows [i0, i1) of the int8 product over qb's full 8-channel panels
   /// (the C mod 8 tail channels are the caller's).
   void (*quant_panels)(const std::uint8_t* qa, const float* sa,
                        const std::int32_t* zp, std::size_t kpad,
                        const QuantizedMatrix& qb, Matrix& out, std::size_t i0,
                        std::size_t i1);
-  /// Gate activations of one [i f g o] row after adding `add` (or nothing
-  /// when null).
+  /// Gate activations of one [i f g o] row after adding the bias `add`.
   void (*gate_activation_row)(float* g, const float* add, std::size_t h);
   /// c = f·c_prev + i·g, h = o·tanh(c); `c` may alias `cp`.
   void (*cell_forward_row)(const float* g, const float* cp, float* c,
@@ -69,9 +107,8 @@ struct Kernels {
                             std::size_t h);
   /// Σ exp(l[c] − m) over n logits.
   float (*sum_exp)(const float* l, std::size_t n, float m);
-  /// out[j] = table[j] + dt · w[j], a separate multiply and add.
-  void (*gather_row)(const float* table, float dt, const float* w,
-                     float* out, std::size_t n);
+  /// Rows [i0, i1) of one fused LSTM scoring step.
+  void (*lstm_step)(const StepArgs& s, std::size_t i0, std::size_t i1);
 };
 
 /// The kernels of the active tier (ml::kernel_tier), null in the baseline

@@ -9,9 +9,10 @@
 // scalar tails are the same C++ in both tiers, so the AVX2 and AVX-512
 // tiers agree bit for bit; the baseline kernels (unfused chains, libm
 // activations) keep their own results. GCC contracts a·b + c into an FMA
-// in C++ code whenever the target has one, so the two kernels that must
-// round a separate multiply and add the way the baseline tier does opt
-// out with NFV_NO_CONTRACT.
+// whenever the target has one, so where a multiply and an add must round
+// separately, as in the baseline tier, the activation quantizer opts out
+// with NFV_NO_CONTRACT and the fused LSTM step passes the product through
+// T::opaque.
 
 /// Runs body(T{}, j) over [j, n) in T-lane steps and, in the 16-lane
 /// tier, one more 8-lane step; returns where the scalar tail starts. An
@@ -223,30 +224,40 @@ void transa_acc_block(const Matrix& a, const Matrix& b, Matrix& out,
 // ---------------------------------------------------------------------------
 
 /// The scalar tier's quantizer (min/max seeded at 0, ×inv, round to
-/// nearest even, clamp to [0, 127]) with the vector part at T lanes.
-/// min/max, the multiply and vcvtps2dq are exact or singly rounded per
-/// element in any order, so the codes equal the scalar tier's.
+/// nearest even, clamp to [0, 127]) over rows of [a | b], with the
+/// vector part at T lanes. min/max, the multiply and vcvtps2dq are exact
+/// or singly rounded per element in any order, so the codes equal the
+/// scalar tier's.
 template <class T>
-NFV_NO_CONTRACT void quantize_rows(const Matrix& a, std::size_t kpad,
+NFV_NO_CONTRACT void quantize_rows(const float* a, std::size_t a_cols,
+                                   const float* b, std::size_t b_cols,
+                                   std::size_t rows, std::size_t kpad,
                                    std::uint8_t* qa, float* sa,
                                    std::int32_t* zp) {
-  const std::size_t kn = a.cols();
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    const float* ar = a.row(i);
+  const std::size_t cols[2] = {a_cols, b_cols};
+  for (std::size_t i = 0; i < rows; ++i) {
+    const float* seg[2] = {a + i * a_cols,
+                           b == nullptr ? nullptr : b + i * b_cols};
     std::uint8_t* q = qa + i * kpad;
     typename T::V vlo = T::zero();
     typename T::V vhi = T::zero();
-    std::size_t k = 0;
-    for (; k + T::kLanes <= kn; k += T::kLanes) {
-      const typename T::V v = T::load(ar + k);
-      vlo = T::min(vlo, v);
-      vhi = T::max(vhi, v);
+    std::size_t tail[2];
+    for (std::size_t p = 0; p < 2; ++p) {
+      std::size_t k = 0;
+      for (; k + T::kLanes <= cols[p]; k += T::kLanes) {
+        const typename T::V v = T::load(seg[p] + k);
+        vlo = T::min(vlo, v);
+        vhi = T::max(vhi, v);
+      }
+      tail[p] = k;
     }
     float lo = T::reduce_min(vlo);
     float hi = T::reduce_max(vhi);
-    for (; k < kn; ++k) {
-      lo = std::min(lo, ar[k]);
-      hi = std::max(hi, ar[k]);
+    for (std::size_t p = 0; p < 2; ++p) {
+      for (std::size_t k = tail[p]; k < cols[p]; ++k) {
+        lo = std::min(lo, seg[p][k]);
+        hi = std::max(hi, seg[p][k]);
+      }
     }
     const float range = hi - lo;
     if (range <= 0.0f) {
@@ -261,16 +272,21 @@ NFV_NO_CONTRACT void quantize_rows(const Matrix& a, std::size_t kpad,
     const typename T::Vi vz = T::set1_i(z);
     const typename T::Vi v0 = T::zero_i();
     const typename T::Vi v127 = T::set1_i(127);
-    for (k = 0; k + T::kLanes <= kn; k += T::kLanes) {
-      const typename T::Vi codes =
-          T::add_i(T::to_int(T::mul(T::load(ar + k), vinv)), vz);
-      T::store_bytes(q + k, T::clamp_i(codes, v0, v127));
+    std::uint8_t* out = q;
+    for (std::size_t p = 0; p < 2; ++p) {
+      std::size_t k = 0;
+      for (; k + T::kLanes <= cols[p]; k += T::kLanes) {
+        const typename T::Vi codes =
+            T::add_i(T::to_int(T::mul(T::load(seg[p] + k), vinv)), vz);
+        T::store_bytes(out + k, T::clamp_i(codes, v0, v127));
+      }
+      for (; k < cols[p]; ++k) {
+        const std::int32_t v = round_nearest_i32(seg[p][k] * inv) + z;
+        out[k] = static_cast<std::uint8_t>(std::clamp(v, 0, 127));
+      }
+      out += cols[p];
     }
-    for (; k < kn; ++k) {
-      const std::int32_t v = round_nearest_i32(ar[k] * inv) + z;
-      q[k] = static_cast<std::uint8_t>(std::clamp(v, 0, 127));
-    }
-    std::memset(q + kn, 0, kpad - kn);
+    std::memset(out, 0, kpad - a_cols - b_cols);
     sa[i] = range / 127.0f;
     zp[i] = z;
   }
@@ -350,37 +366,27 @@ void quant_panels(const std::uint8_t* qa, const float* sa,
 // LSTM rows, the log-sum-exp head and the layer-0 gather.
 // ---------------------------------------------------------------------------
 
-/// Elements [j, j1) of a gate row: add `add` (when kAdd), then tanh (the
-/// candidate gate) or sigmoid (input, forget and output gates).
-template <bool kAdd, bool kTanh>
+/// Elements [j, j1) of a gate row: add `add`, then tanh (the candidate
+/// gate) or sigmoid (input, forget and output gates).
+template <bool kTanh>
 void activate_segment(float* g, const float* add, std::size_t j,
                       std::size_t j1) {
   j = vector_span<Vec>(j, j1, [&](auto lanes, std::size_t col) {
     using U = decltype(lanes);
-    typename U::V v = U::load(g + col);
-    if (kAdd) v = U::add(v, U::load(add + col));
+    const typename U::V v = U::add(U::load(g + col), U::load(add + col));
     U::store(g + col, kTanh ? tanh_ps<U>(v) : sigmoid_ps<U>(v));
   });
   for (; j < j1; ++j) {
-    const float v = kAdd ? g[j] + add[j] : g[j];
+    const float v = g[j] + add[j];
     g[j] = kTanh ? std::tanh(v) : sigmoid(v);
   }
 }
 
-template <bool kAdd>
-void gate_activation(float* g, const float* add, std::size_t h) {
-  activate_segment<kAdd, false>(g, add, 0, h);          // i
-  activate_segment<kAdd, false>(g, add, h, 2 * h);      // f
-  activate_segment<kAdd, true>(g, add, 2 * h, 3 * h);   // g
-  activate_segment<kAdd, false>(g, add, 3 * h, 4 * h);  // o
-}
-
 void gate_activation_row(float* g, const float* add, std::size_t h) {
-  if (add != nullptr) {
-    gate_activation<true>(g, add, h);
-  } else {
-    gate_activation<false>(g, add, h);
-  }
+  activate_segment<false>(g, add, 0, h);          // i
+  activate_segment<false>(g, add, h, 2 * h);      // f
+  activate_segment<true>(g, add, 2 * h, 3 * h);   // g
+  activate_segment<false>(g, add, 3 * h, 4 * h);  // o
 }
 
 void cell_forward_row(const float* g, const float* cp, float* c, float* hh,
@@ -462,21 +468,262 @@ float sum_exp(const float* l, std::size_t n, float m) {
   return total;
 }
 
-/// out = table + dt·w with the product rounded before the add, like the
-/// baseline tier's loop.
-NFV_NO_CONTRACT void gather_row(const float* table, float dt, const float* w,
-                                float* out, std::size_t n) {
-  const Vec::V vdt = Vec::set1(dt);
-  std::size_t j = 0;
-  for (; j + Vec::kLanes <= n; j += Vec::kLanes) {
-    Vec::store(out + j,
-               Vec::add(Vec::load(table + j), Vec::mul(vdt, Vec::load(w + j))));
+// ---------------------------------------------------------------------------
+// The fused LSTM scoring step.
+// ---------------------------------------------------------------------------
+
+enum class StepProduct { kNone, kFp32, kInt8 };
+
+/// pre[r][q] += the fp32 products of rows [i, i+R) of a (n columns, row
+/// stride `stride`) with k-rows [0, n) of `w`, gate q's T::kLanes units at
+/// w + 16q: one fused multiply-add per k in k order, as packed_tile. The
+/// R rows share each weight load.
+template <class T, std::size_t R>
+__attribute__((always_inline)) inline void gate_products(
+    typename T::V (&pre)[R][4], const float* a, std::size_t stride,
+    std::size_t n, const float* w, std::size_t i) {
+  for (std::size_t k = 0; k < n; ++k, w += kGateBlockWidth) {
+    typename T::V wv[4];
+    for (std::size_t q = 0; q < 4; ++q) {
+      wv[q] = T::opaque(T::load(w + q * kGateBlockUnits));
+    }
+    for (std::size_t r = 0; r < R; ++r) {
+      const typename T::V av = T::set1(a[(i + r) * stride + k]);
+      for (std::size_t q = 0; q < 4; ++q) {
+        pre[r][q] = T::fmadd(av, wv[q], pre[r][q]);
+      }
+    }
   }
-  for (; j < n; ++j) out[j] = table[j] + dt * w[j];
+}
+
+/// pre[r][q] = the int8 products of rows [i, i+R), dequantized as
+/// matmul_quant's epilogue, (acc − zp·col_sum)·(sa·scale): per 4-k group
+/// one activation quad per row against gate q's T::kLanes channels
+/// (vpdpbusd on a whole 16-channel block, maddubs+madd on each 8-channel
+/// half). The integer sums are exact, so any grouping gives the same.
+template <class T, std::size_t R>
+__attribute__((always_inline)) inline void gate_products_int8(
+    typename T::V (&pre)[R][4], const StepArgs& s, std::size_t i,
+    std::size_t u0) {
+  constexpr std::size_t kGroupBytes = kGateBlockWidth * kQuantK;
+  const QuantGateBlocks& qb = *s.quant;
+  const std::size_t kpad = qb.depth_padded;
+  const std::size_t groups = kpad / kQuantK;
+  const std::size_t lane0 =
+      u0 / kGateBlockUnits * kGateBlockWidth + u0 % kGateBlockUnits;
+  const std::int8_t* w = qb.codes.data() +
+                         u0 / kGateBlockUnits * groups * kGroupBytes +
+                         u0 % kGateBlockUnits * kQuantK;
+  typename T::Vi acc[R][4];
+  for (std::size_t r = 0; r < R; ++r) {
+    for (std::size_t q = 0; q < 4; ++q) acc[r][q] = T::zero_i();
+  }
+  for (std::size_t g = 0; g < groups; ++g, w += kGroupBytes) {
+    typename T::Vi wv[4];
+    for (std::size_t q = 0; q < 4; ++q) {
+      wv[q] = T::load_i(w + q * kGateBlockUnits * kQuantK);
+    }
+    for (std::size_t r = 0; r < R; ++r) {
+      const typename T::Vi av =
+          T::broadcast_quad(s.codes + (i + r) * s.code_stride + kQuantK * g);
+      for (std::size_t q = 0; q < 4; ++q) {
+        acc[r][q] = T::dot(acc[r][q], av, wv[q]);
+      }
+    }
+  }
+  for (std::size_t r = 0; r < R; ++r) {
+    const typename T::Vi zp = T::set1_i(s.zero_points[i + r]);
+    const typename T::V sa = T::set1(s.row_scales[i + r]);
+    for (std::size_t q = 0; q < 4; ++q) {
+      const std::size_t at = lane0 + q * kGateBlockUnits;
+      const typename T::V f = T::to_float(T::sub_i(
+          acc[r][q], T::mullo_i(zp, T::load_i(qb.col_sums.data() + at))));
+      pre[r][q] = T::mul(f, T::mul(sa, T::load(qb.scales.data() + at)));
+    }
+  }
+}
+
+/// Gate activations and cell update of one row's T::kLanes units from u0,
+/// given their i, f, g and o pre-activations. The units the row kernels
+/// above run in vector code (vector_span: every whole 8-lane group) run
+/// the Cephes activations here too; the rest take the same libm tail, so
+/// every unit matches gate_activation_row + cell_forward_row bit for bit.
+template <class T>
+__attribute__((always_inline)) inline void cell_units(
+    const StepArgs& s, std::size_t row, std::size_t u0,
+    const typename T::V (&pre)[4]) {
+  using V = typename T::V;
+  const std::size_t h = s.hidden;
+  float* c = s.c + row * gate_block_count(h) * kGateBlockUnits + u0;
+  float* hh = s.h + row * h + u0;
+  const V cp = T::load(c);
+  const std::size_t vec_end = h / Vec8::kLanes * Vec8::kLanes;
+  const std::size_t n = std::min(T::kLanes, h - u0);
+  const std::size_t nvec = vec_end > u0 ? std::min(n, vec_end - u0) : 0;
+  if (nvec > 0) {
+    const V ig = sigmoid_ps<T>(pre[0]);
+    const V fg = sigmoid_ps<T>(pre[1]);
+    const V cg = tanh_ps<T>(pre[2]);
+    const V og = sigmoid_ps<T>(pre[3]);
+    const V cj = T::fmadd(fg, cp, T::mul(ig, cg));
+    const V hv = T::mul(og, tanh_ps<T>(cj));
+    T::store(c, cj);  // c rows are padded to whole blocks
+    if (nvec == T::kLanes) {
+      T::store(hh, hv);
+    } else {
+      T::store_n(hh, hv, nvec);
+    }
+  }
+  if (nvec == n) return;
+  alignas(64) float g[4][T::kLanes];
+  alignas(64) float cps[T::kLanes];
+  for (std::size_t q = 0; q < 4; ++q) T::store(g[q], pre[q]);
+  T::store(cps, cp);
+  for (std::size_t j = nvec; j < n; ++j) {
+    const float ig = sigmoid(g[0][j]);
+    const float fg = sigmoid(g[1][j]);
+    const float cg = std::tanh(g[2][j]);
+    const float og = sigmoid(g[3][j]);
+    const float cj = __builtin_fmaf(fg, cps[j], ig * cg);
+    c[j] = cj;
+    hh[j] = og * std::tanh(cj);
+  }
+}
+
+/// fp32 k-rows per sweep of a row block: a sweep reads kStepChunk ×
+/// 256 B of a gate block's weights (16 KB), which stay in L1 across the
+/// block's row tiles however deep [x | h] is.
+constexpr std::size_t kStepChunk = 64;
+/// Rows per row block of the fp32 step: its chunk accumulators fit in
+/// one stack buffer.
+constexpr std::size_t kStepRowBlock = 64;
+
+/// Rows [i, i+R) × the T::kLanes units from u0: product, addend,
+/// activations, cell. The fp32 chains run k-ascending over x, then
+/// h_prev, from zero — the concat GEMM's chains, whose terms past a zero
+/// state are the zeros this skips. They run k-rows [k0, k1) here,
+/// starting from the accumulators the previous chunk left in `carry`
+/// (a float round trip is exact) and leaving them there unless k1 ends
+/// the chain. Products that feed an add are rounded first (T::opaque),
+/// as in the separate passes they replace.
+template <class T, StepProduct kProduct, bool kTable, std::size_t R>
+__attribute__((always_inline)) inline void step_tile(
+    const StepArgs& s, std::size_t i, std::size_t u0, std::size_t k0 = 0,
+    std::size_t k1 = 0, float* carry = nullptr) {
+  using V = typename T::V;
+  const std::size_t lane0 =
+      u0 / kGateBlockUnits * kGateBlockWidth + u0 % kGateBlockUnits;
+  V pre[R][4];
+  if constexpr (kProduct == StepProduct::kFp32) {
+    for (std::size_t r = 0; r < R; ++r) {
+      for (std::size_t q = 0; q < 4; ++q) {
+        pre[r][q] =
+            k0 == 0 ? T::zero() : T::load(carry + (4 * r + q) * T::kLanes);
+      }
+    }
+    const float* w = s.weights +
+                     u0 / kGateBlockUnits * s.depth * kGateBlockWidth +
+                     u0 % kGateBlockUnits;
+    const std::size_t xc = s.x_cols;
+    if (s.x != nullptr && k0 < xc) {
+      gate_products<T, R>(pre, s.x + k0, xc, std::min(k1, xc) - k0,
+                          w + k0 * kGateBlockWidth, i);
+    }
+    if (s.h_prev != nullptr && k1 > xc) {
+      const std::size_t kh = std::max(k0, xc);
+      gate_products<T, R>(pre, s.h_prev + (kh - xc), s.hidden, k1 - kh,
+                          w + kh * kGateBlockWidth, i);
+    }
+    if (k1 < (s.h_prev != nullptr ? xc + s.hidden : xc)) {
+      for (std::size_t r = 0; r < R; ++r) {
+        for (std::size_t q = 0; q < 4; ++q) {
+          T::store(carry + (4 * r + q) * T::kLanes, pre[r][q]);
+        }
+      }
+      return;
+    }
+  } else if constexpr (kProduct == StepProduct::kInt8) {
+    gate_products_int8<T, R>(pre, s, i, u0);
+  }
+  for (std::size_t r = 0; r < R; ++r) {
+    V g[4];
+    for (std::size_t q = 0; q < 4; ++q) {
+      const std::size_t at = lane0 + q * kGateBlockUnits;
+      V add;
+      if constexpr (kTable) {
+        const V dt = T::mul(T::set1(s.dt[i + r]), T::load(s.dt_gates + at));
+        add = T::add(T::load(s.table[i + r] + at), T::opaque(dt));
+      } else {
+        add = T::load(s.bias + at);
+      }
+      if constexpr (kProduct == StepProduct::kNone) {
+        g[q] = add;
+      } else {
+        g[q] = T::add(T::opaque(pre[r][q]), add);
+      }
+    }
+    cell_units<T>(s, i + r, u0, g);
+  }
+}
+
+template <class T, StepProduct kProduct, bool kTable>
+void step_rows(const StepArgs& s, std::size_t i0, std::size_t i1) {
+  constexpr std::size_t kRows = T::kRegisters / 8;
+  if constexpr (kProduct == StepProduct::kFp32) {
+    // Per row block and units: the depth in chunks, each over every row
+    // tile, so a chunk's weights are read from L1 by all but the first.
+    alignas(64) float carry[kStepRowBlock * 4 * T::kLanes];
+    const std::size_t depth =
+        s.h_prev != nullptr ? s.x_cols + s.hidden : s.x_cols;
+    for (std::size_t b0 = i0; b0 < i1; b0 += kStepRowBlock) {
+      const std::size_t b1 = std::min(i1, b0 + kStepRowBlock);
+      for (std::size_t u0 = 0; u0 < s.hidden; u0 += T::kLanes) {
+        for (std::size_t k0 = 0; k0 < depth; k0 += kStepChunk) {
+          const std::size_t k1 = std::min(depth, k0 + kStepChunk);
+          std::size_t i = b0;
+          for (; i + kRows <= b1; i += kRows) {
+            step_tile<T, kProduct, kTable, kRows>(
+                s, i, u0, k0, k1, carry + (i - b0) * 4 * T::kLanes);
+          }
+          for (; i < b1; ++i) {
+            step_tile<T, kProduct, kTable, 1>(
+                s, i, u0, k0, k1, carry + (i - b0) * 4 * T::kLanes);
+          }
+        }
+      }
+    }
+    return;
+  }
+  for (std::size_t u0 = 0; u0 < s.hidden; u0 += T::kLanes) {
+    std::size_t i = i0;
+    for (; i + kRows <= i1; i += kRows) {
+      step_tile<T, kProduct, kTable, kRows>(s, i, u0);
+    }
+    for (; i < i1; ++i) step_tile<T, kProduct, kTable, 1>(s, i, u0);
+  }
+}
+
+template <class T, bool kTable>
+void step_rows(const StepArgs& s, std::size_t i0, std::size_t i1) {
+  if (s.quant != nullptr) {
+    step_rows<T, StepProduct::kInt8, kTable>(s, i0, i1);
+  } else if (s.weights != nullptr) {
+    step_rows<T, StepProduct::kFp32, kTable>(s, i0, i1);
+  } else {
+    step_rows<T, StepProduct::kNone, kTable>(s, i0, i1);
+  }
+}
+
+void lstm_step(const StepArgs& s, std::size_t i0, std::size_t i1) {
+  if (s.table != nullptr) {
+    step_rows<Vec, true>(s, i0, i1);
+  } else {
+    step_rows<Vec, false>(s, i0, i1);
+  }
 }
 
 const Kernels kKernels = {
     rows_packed<Vec>,    transa_acc_block<Vec>, quantize_rows<Vec>,
     quant_panels<Vec>,   gate_activation_row,   cell_forward_row,
-    gate_backward_row,   sum_exp,               gather_row,
+    gate_backward_row,   sum_exp,               lstm_step,
 };

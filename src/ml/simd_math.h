@@ -62,6 +62,15 @@ struct Vec8 {
   NFV_VEC8 V div(V a, V b) { return _mm256_div_ps(a, b); }
   /// a·b + c, one rounding.
   NFV_VEC8 V fmadd(V a, V b, V c) { return _mm256_fmadd_ps(a, b, c); }
+  /// x, opaque to the optimizer, in a register. A product passed through
+  /// here rounds before the add that takes it (GCC contracts a·b + c into
+  /// an FMA under an FMA target), and a load passed through here stays
+  /// one register load rather than a memory operand of each user. Emits
+  /// no instruction.
+  NFV_VEC8 V opaque(V x) {
+    asm("" : "+x"(x));
+    return x;
+  }
   /// c − a·b, one rounding.
   NFV_VEC8 V fnmadd(V a, V b, V c) { return _mm256_fnmadd_ps(a, b, c); }
   NFV_VEC8 V min(V a, V b) { return _mm256_min_ps(a, b); }
@@ -101,6 +110,11 @@ struct Vec8 {
   NFV_VEC8 Vi set1_i(std::int32_t x) { return _mm256_set1_epi32(x); }
   NFV_VEC8 Vi zero_i() { return _mm256_setzero_si256(); }
   NFV_VEC8 Vi add_i(Vi a, Vi b) { return _mm256_add_epi32(a, b); }
+  NFV_VEC8 Vi sub_i(Vi a, Vi b) { return _mm256_sub_epi32(a, b); }
+  /// Low 32 bits of a·b.
+  NFV_VEC8 Vi mullo_i(Vi a, Vi b) { return _mm256_mullo_epi32(a, b); }
+  /// Exact below 2^24, rounded to nearest even above.
+  NFV_VEC8 V to_float(Vi x) { return _mm256_cvtepi32_ps(x); }
   NFV_VEC8 Vi clamp_i(Vi v, Vi lo, Vi hi) {
     return _mm256_min_epi32(_mm256_max_epi32(v, lo), hi);
   }
@@ -114,8 +128,12 @@ struct Vec8 {
     return _mm256_loadu_si256(static_cast<const __m256i*>(p));
   }
   /// The A operand of one k-group: its activation quad in every lane.
-  NFV_VEC8 Vi broadcast_quads(const std::uint8_t* a) {
+  NFV_VEC8 Vi broadcast_quad(const std::uint8_t* a) {
     return _mm256_set1_epi32(load_quad(a));
+  }
+  /// The A operand of kQuads k-groups of an 8-channel panel: one here.
+  NFV_VEC8 Vi broadcast_quads(const std::uint8_t* a) {
+    return broadcast_quad(a);
   }
   /// acc += u8 a · s8 b, 4 products per int32 lane (vpmaddubsw +
   /// vpmaddwd; exact because u7 · s8 pair sums stay below 2^15).
@@ -148,6 +166,10 @@ struct Vec16 {
   NFV_VEC16 V mul(V a, V b) { return _mm512_mul_ps(a, b); }
   NFV_VEC16 V div(V a, V b) { return _mm512_div_ps(a, b); }
   NFV_VEC16 V fmadd(V a, V b, V c) { return _mm512_fmadd_ps(a, b, c); }
+  NFV_VEC16 V opaque(V x) {
+    asm("" : "+v"(x));
+    return x;
+  }
   NFV_VEC16 V fnmadd(V a, V b, V c) { return _mm512_fnmadd_ps(a, b, c); }
   NFV_VEC16 V min(V a, V b) { return _mm512_min_ps(a, b); }
   NFV_VEC16 V max(V a, V b) { return _mm512_max_ps(a, b); }
@@ -178,6 +200,9 @@ struct Vec16 {
   NFV_VEC16 Vi set1_i(std::int32_t x) { return _mm512_set1_epi32(x); }
   NFV_VEC16 Vi zero_i() { return _mm512_setzero_si512(); }
   NFV_VEC16 Vi add_i(Vi a, Vi b) { return _mm512_add_epi32(a, b); }
+  NFV_VEC16 Vi sub_i(Vi a, Vi b) { return _mm512_sub_epi32(a, b); }
+  NFV_VEC16 Vi mullo_i(Vi a, Vi b) { return _mm512_mullo_epi32(a, b); }
+  NFV_VEC16 V to_float(Vi x) { return _mm512_cvtepi32_ps(x); }
   NFV_VEC16 Vi clamp_i(Vi v, Vi lo, Vi hi) {
     return _mm512_min_epi32(_mm512_max_epi32(v, lo), hi);
   }
@@ -185,6 +210,10 @@ struct Vec16 {
     _mm_storeu_si128(reinterpret_cast<__m128i*>(q), _mm512_cvtepi32_epi8(v));
   }
   NFV_VEC16 Vi load_i(const void* p) { return _mm512_loadu_si512(p); }
+  /// One k-group's activation quad in every lane (a 16-channel block).
+  NFV_VEC16 Vi broadcast_quad(const std::uint8_t* a) {
+    return _mm512_set1_epi32(load_quad(a));
+  }
   /// The A operand of two consecutive k-groups, which one 64-byte panel
   /// load holds back to back: quad g in lanes 0–7, quad g+1 in 8–15.
   NFV_VEC16 Vi broadcast_quads(const std::uint8_t* a) {

@@ -11,14 +11,20 @@
 //      budget of 7-bit activations × 8-bit weights.
 //   4. The SequenceModel sidecar follows the fp32 weights' lifecycle:
 //      installed by quantize(), dropped by train_batch/grow_vocab.
+//   5. The fused LSTM scoring step's 16-channel int8 blocks reproduce
+//      matmul_quant's 8-channel product bit for bit, the zero-state input
+//      block included, and int8 scores agree between the SIMD tiers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "kernel_tiers.h"
+#include "ml/lstm.h"
 #include "ml/matrix.h"
 #include "ml/optimizer.h"
 #include "ml/sequence_model.h"
@@ -249,6 +255,156 @@ TEST(MatmulQuant, ZeroActivationRowsAndEmptyInputs) {
   EXPECT_EQ(out.cols(), 12u);
 }
 
+/// The shapes (vocab, hidden, window) of the step and scoring checks:
+/// paper-shape hidden 32 at two vocabularies, and hidden 16, 24, 12 and 40
+/// (whole 16-unit blocks, an 8-lane half block and libm tails).
+constexpr std::size_t kShapes[][3] = {{76, 32, 10}, {90, 32, 10},
+                                      {48, 16, 4},  {37, 24, 5},
+                                      {41, 12, 3},  {70, 40, 6}};
+
+/// h and c after one int8 score_step of `lstm` as a layer above the first:
+/// from the zero state (t = 0, the input block) or, when h_prev is given,
+/// from h_prev and c_prev (the full gate blocks).
+std::pair<Matrix, Matrix> int8_step(const Lstm& lstm, const QuantizedMatrix& q,
+                                    const Matrix& x, const Matrix* h_prev,
+                                    const Matrix& c_prev) {
+  const LstmStepWeights weights = lstm.step_weights(false, &q);
+  LstmState state;
+  lstm.reset_state(state, x.rows());
+  state.c = c_prev;
+  const std::size_t t = h_prev != nullptr ? 1 : 0;
+  if (h_prev != nullptr) state.h[0] = *h_prev;
+  LstmStepInput input;
+  input.x = &x;
+  lstm.score_step(weights, input, t, state, 0, x.rows());
+  return {state.h[t], state.c};
+}
+
+/// The same step with its pre-activations given: `gates` (rows × 4H, gate
+/// order) plus the bias go in as layer 0's table rows with Δt 0, a step
+/// with no product.
+std::pair<Matrix, Matrix> step_from_gates(const Lstm& lstm, const Matrix& gates,
+                                          const Matrix& c_prev) {
+  const std::size_t h = lstm.hidden_size();
+  const std::size_t width = gate_block_count(h) * kGateBlockWidth;
+  Matrix table(gates.rows(), width);
+  std::vector<float> row(4 * h);
+  std::vector<const float*> rows;
+  for (std::size_t r = 0; r < gates.rows(); ++r) {
+    for (std::size_t j = 0; j < 4 * h; ++j) {
+      row[j] = gates.at(r, j) + lstm.bias().value.at(0, j);
+    }
+    pack_gate_vector(row.data(), h, table.row(r));
+    rows.push_back(table.row(r));
+  }
+  const std::vector<float> zeros(std::max(width, gates.rows()), 0.0f);
+  const LstmStepWeights weights = lstm.step_weights(true, nullptr);
+  LstmState state;
+  lstm.reset_state(state, gates.rows());
+  state.c = c_prev;
+  LstmStepInput input;
+  input.table = rows.data();
+  input.dt = zeros.data();
+  input.dt_gates = zeros.data();
+  lstm.score_step(weights, input, 0, state, 0, gates.rows());
+  return {state.h[0], state.c};
+}
+
+// The fused step's int8 products against matmul_quant, in every tier: a
+// step from a random state (the full 16-channel re-pack of the 8-channel
+// sidecar, [x, h_{t−1}] quantized from the two buffers) ends exactly where
+// matmul_quant([x, h_{t−1}]) + b fed through the same gate and cell
+// kernels ends, and the zero-state step (the input block W[:, :I], its
+// column sums recomputed over the block) exactly where
+// matmul_quant([x, 0]) + b does.
+TEST(Int8Step, GateBlocksReproduceMatmulQuantInEveryTier) {
+  const std::string missing = for_each_kernel_tier([&](KernelTier tier) {
+    for (const auto& shape : kShapes) {
+      const std::size_t hidden = shape[1];
+      for (const std::size_t batch : {1ul, 7ul, 64ul, 256ul}) {
+        Rng rng(shape[0] * 1000 + batch);
+        Lstm lstm("lstm", hidden, hidden, rng);
+        QuantizedMatrix q;
+        quantize_pack_b(lstm.weight().value, q);
+        const Matrix x = random_matrix(batch, hidden, rng);
+        const Matrix h_prev = random_matrix(batch, hidden, rng);
+        const Matrix c_prev =
+            random_matrix(batch, gate_block_count(hidden) * 16, rng);
+        const Matrix c_zero(batch, c_prev.cols());
+        Matrix concat(batch, 2 * hidden);
+        for (std::size_t r = 0; r < batch; ++r) {
+          std::copy_n(x.row(r), hidden, concat.row(r));
+        }
+        const std::string at = std::string(kernel_tier_name(tier)) +
+                               " hidden " + std::to_string(hidden) +
+                               " batch " + std::to_string(batch);
+        Matrix gates;
+        matmul_quant(concat, q, gates);  // [x, 0]
+        const auto zero_state = int8_step(lstm, q, x, nullptr, c_zero);
+        const auto zero_ref = step_from_gates(lstm, gates, c_zero);
+        EXPECT_EQ(zero_state.first.storage(), zero_ref.first.storage()) << at;
+        EXPECT_EQ(zero_state.second.storage(), zero_ref.second.storage()) << at;
+
+        for (std::size_t r = 0; r < batch; ++r) {
+          std::copy_n(h_prev.row(r), hidden, concat.row(r) + hidden);
+        }
+        matmul_quant(concat, q, gates);
+        const auto stepped = int8_step(lstm, q, x, &h_prev, c_prev);
+        const auto ref = step_from_gates(lstm, gates, c_prev);
+        EXPECT_EQ(stepped.first.storage(), ref.first.storage()) << at;
+        EXPECT_EQ(stepped.second.storage(), ref.second.storage()) << at;
+      }
+    }
+  });
+  if (!missing.empty()) GTEST_SKIP() << "CPU lacks the " << missing << " tier";
+}
+
+// A quantized model scores the same bits in the AVX2 and AVX-512 tiers
+// (the image is built in each), at every batch size.
+TEST(Int8Step, ModelScoresEqualAcrossSimdTiers) {
+  const KernelTier was = kernel_tier();
+  if (set_kernel_tier(KernelTier::kAvx512) != KernelTier::kAvx512) {
+    set_kernel_tier(was);
+    GTEST_SKIP() << "CPU lacks the avx512 tier";
+  }
+  for (const auto& shape : kShapes) {
+    SequenceModelConfig config;
+    config.vocab = shape[0];
+    config.hidden = shape[1];
+    config.window = shape[2];
+    Rng rng(shape[0]);
+    SequenceModel model(config, rng);
+    model.quantize();
+    WindowBatch windows;
+    for (std::size_t e = 0; e < 300; ++e) {
+      for (std::size_t t = 0; t < config.window; ++t) {
+        windows.ids.push_back(
+            static_cast<std::int32_t>(rng.uniform_index(config.vocab)));
+        windows.dts.push_back(static_cast<float>(rng.exponential(60.0)));
+      }
+      windows.targets.push_back(
+          static_cast<std::int32_t>(rng.uniform_index(config.vocab)));
+    }
+    std::vector<std::vector<double>> scores[2];
+    for (const int t : {0, 1}) {
+      set_kernel_tier(t == 0 ? KernelTier::kAvx2 : KernelTier::kAvx512);
+      const SequenceModel::ScoringImage image = model.build_scoring_image();
+      SequenceModel::InferenceScratch scratch;
+      for (const std::size_t batch : {1ul, 7ul, 64ul, 256ul}) {
+        std::vector<double> out(windows.size());
+        model.score_batched(image, windows, batch, scratch, out);
+        scores[t].push_back(out);
+      }
+    }
+    EXPECT_EQ(scores[0], scores[1]) << "shape " << shape[0] << "/"
+                                    << shape[1] << "/" << shape[2];
+    for (const std::vector<double>& batch_scores : scores[1]) {
+      EXPECT_EQ(batch_scores, scores[1][0]) << "batch-size dependent";
+    }
+  }
+  set_kernel_tier(was);
+}
+
 SequenceModelConfig small_config() {
   SequenceModelConfig config;
   config.vocab = 11;
@@ -326,7 +482,7 @@ TEST(SequenceModelQuantize, SerialAndBatchedQuantizedScoresAgree) {
   const std::vector<std::size_t> serial_ranks =
       model.score_target_ranks(windows);
   const SequenceModel::ScoringImage image = model.build_scoring_image();
-  EXPECT_TRUE(image.empty()) << "int8 scoring reads the sidecar";
+  EXPECT_TRUE(image.quantized) << "int8 scoring reads the int8 image";
   SequenceModel::InferenceScratch scratch;
   for (const std::size_t batch_size : {1ul, 7ul, 32ul, 1024ul}) {
     std::vector<double> batched(windows.size());

@@ -126,16 +126,34 @@ TEST(SequenceModel, PredictMatchesTrainingForwardPass) {
   EXPECT_NEAR(loss, expected, 1e-4);
 }
 
-// Inference stepping runs the training forward's gate and cell kernels:
-// k Lstm::step calls reproduce forward()'s last hidden state bit for bit in
-// every kernel tier, at batch sizes that hit the 1-row GEMM tail and the
-// 4-row tile, and at hidden 12, 16, 24 and 40: 16-lane, 8-lane and scalar
-// tails of the gate and cell loops. The SIMD tiers also match each other.
+/// The state after k fused scoring steps of `lstm` as a layer above the
+/// first (input from x, bias added), zero state first; h_k−1 is in
+/// h[(k − 1) % 2].
+LstmState score_steps(const Lstm& lstm, const std::vector<Matrix>& inputs) {
+  const LstmStepWeights weights = lstm.step_weights(false, nullptr);
+  LstmState state;
+  const std::size_t batch = inputs.front().rows();
+  lstm.reset_state(state, batch);
+  for (std::size_t t = 0; t < inputs.size(); ++t) {
+    LstmStepInput input;
+    input.x = &inputs[t];
+    lstm.score_step(weights, input, t, state, 0, batch);
+  }
+  return state;
+}
+
+// The fused scoring step keeps the training forward's k-ascending chains
+// and its gate and cell kernels: k score_step calls reproduce forward()'s
+// last hidden state bit for bit in every kernel tier, at batch sizes that
+// hit the 1-row tile and the 2- and 4-row tiles (70: a second 64-row
+// block), and at hidden 12, 16, 24, 40 and 72: whole 16-unit blocks, an
+// 8-lane half block, libm tails and, at 72, a [x, h] depth of 77 that
+// runs in two chunks. The SIMD tiers also match each other.
 TEST(LstmStep, ReproducesForwardLastHiddenInBothTiers) {
   std::map<std::pair<std::size_t, std::size_t>, std::vector<float>> simd;
   const std::string missing = for_each_kernel_tier([&](KernelTier tier) {
-    for (const std::size_t hidden : {12, 16, 24, 40}) {
-      for (const std::size_t batch : {1, 7, 64}) {
+    for (const std::size_t hidden : {12, 16, 24, 40, 72}) {
+      for (const std::size_t batch : {1, 7, 64, 70}) {
         Rng rng(11);
         Lstm lstm("lstm", 5, hidden, rng);
         std::vector<Matrix> inputs(6, Matrix(batch, 5));
@@ -145,16 +163,9 @@ TEST(LstmStep, ReproducesForwardLastHiddenInBothTiers) {
           }
         }
         const Matrix last = lstm.forward(inputs).back();
-
-        std::vector<float> packed;
-        pack_transb(lstm.weight().value, packed);
-        LstmState state = lstm.make_state(batch);
-        Matrix concat;
-        Matrix gates;
-        for (const Matrix& x : inputs) {
-          lstm.step(x, state, packed, concat, gates);
-        }
-        EXPECT_EQ(state.h.storage(), last.storage())
+        const Matrix stepped =
+            score_steps(lstm, inputs).h[(inputs.size() - 1) % 2];
+        EXPECT_EQ(stepped.storage(), last.storage())
             << kernel_tier_name(tier) << " hidden " << hidden << " batch "
             << batch;
         if (tier == KernelTier::kBaseline) continue;
@@ -172,9 +183,9 @@ TEST(LstmStep, ReproducesForwardLastHiddenInBothTiers) {
 // A window's first step starts from the zero state, so every layer above
 // the first multiplies its input by the input block W[:, :I] alone. The
 // terms that skips are zeros at the end of each k-ascending chain, so the
-// product, and the step built on it, match the full concat GEMM bit for
-// bit in every kernel tier, at batches that hit the 1-row tail and the
-// 4-row tile and at hidden 12, 16, 24 and 40 (vector tails).
+// product, and the fused first step built on it, match the full concat
+// GEMM bit for bit in every kernel tier, at batches that hit the 1-row
+// tail and the row tiles and at hidden 12, 16, 24 and 40 (vector tails).
 TEST(LstmStep, ZeroStateInputBlockMatchesConcatGemmInBothTiers) {
   std::map<std::pair<std::size_t, std::size_t>, std::vector<float>> simd;
   const std::string missing = for_each_kernel_tier([&](KernelTier tier) {
@@ -201,18 +212,36 @@ TEST(LstmStep, ZeroStateInputBlockMatchesConcatGemmInBothTiers) {
             << kernel_tier_name(tier) << " hidden " << hidden << " batch "
             << batch;
 
-        LstmState stepped = lstm.make_state(batch);
-        LstmState zero_step = lstm.make_state(batch);
-        Matrix scratch;
-        Matrix gates;
-        lstm.step(x, stepped, full, scratch, gates);
-        lstm.step_zero_state(x, zero_step, input_block, gates);
-        EXPECT_EQ(zero_step.h.storage(), stepped.h.storage());
-        EXPECT_EQ(zero_step.c.storage(), stepped.c.storage());
+        // The zero-state step (t = 0: the input block alone) against a
+        // step past t = 0 from a zero h and c, which runs the full [x, h]
+        // chains; and against forward(), the concat GEMM on a zero state.
+        const std::vector<Matrix> inputs{x};
+        const LstmState zero_step = score_steps(lstm, inputs);
+        LstmState full_step;
+        lstm.reset_state(full_step, batch);
+        full_step.h[0].zero();
+        LstmStepInput input;
+        input.x = &x;
+        lstm.score_step(lstm.step_weights(false, nullptr), input, 1,
+                        full_step, 0, batch);
+        EXPECT_EQ(zero_step.h[0].storage(), full_step.h[1].storage())
+            << kernel_tier_name(tier) << " hidden " << hidden << " batch "
+            << batch;
+        for (std::size_t r = 0; r < batch; ++r) {
+          EXPECT_TRUE(std::equal(zero_step.c.row(r),
+                                 zero_step.c.row(r) + hidden,
+                                 full_step.c.row(r)))
+              << kernel_tier_name(tier) << " hidden " << hidden << " batch "
+              << batch << " c row " << r;
+        }
+        EXPECT_EQ(zero_step.h[0].storage(),
+                  lstm.forward(inputs).back().storage())
+            << kernel_tier_name(tier) << " hidden " << hidden << " batch "
+            << batch;
         if (tier == KernelTier::kBaseline) continue;
         const auto [it, first] =
-            simd.emplace(std::pair{hidden, batch}, zero_step.h.storage());
-        EXPECT_TRUE(first || it->second == zero_step.h.storage())
+            simd.emplace(std::pair{hidden, batch}, zero_step.h[0].storage());
+        EXPECT_TRUE(first || it->second == zero_step.h[0].storage())
             << kernel_tier_name(tier) << " differs from the other SIMD tier"
             << " at hidden " << hidden << " batch " << batch;
       }

@@ -55,8 +55,8 @@ if [[ -z "${NFVPRED_NO_AVX2:-}" ]]; then
 fi
 echo "=== kernel tier: $tier ==="
 
-echo "=== tier-1: build + full ctest ==="
-cmake -B "$ROOT/build" -S "$ROOT"
+echo "=== tier-1: warning-free build (-Werror) + full ctest ==="
+cmake -B "$ROOT/build" -S "$ROOT" -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 cmake --build "$ROOT/build" -j "$JOBS"
 ctest --test-dir "$ROOT/build" --output-on-failure -j "$JOBS"
 
