@@ -19,9 +19,9 @@
 // for the rank-agreement gate checked by `--smoke` below.
 //
 // Run with `--json FILE` to skip google-benchmark and emit a
-// machine-readable summary (windows/sec and speedups at 1 and 4 threads,
-// plus a windows-per-call sweep at 1 thread in every kernel tier the CPU
-// has, each row labelled with its tier: the first kSweepWindows windows
+// machine-readable summary (windows/sec and speedups, plus a
+// windows-per-call sweep in every kernel tier the CPU has, each row
+// labelled with its tier: the first kSweepWindows windows
 // scored in calls of 1, 3, 17, 63 and 64 single-window streams, the shape
 // of a runtime flush holding that many staged windows), e.g.
 // BENCH_scoring.json; add `--quantize` to include the int8 rows, the int8
@@ -38,9 +38,9 @@
 //   2. quantized ranks are bit-identical between every SIMD kernel tier
 //      the CPU has and the serial tier, quantized log-likelihoods between
 //      the SIMD tiers, and fp32 scores (log-likelihoods and ranks) between
-//      the SIMD tiers, and
-//   3. quantized scores are bit-identical across thread counts.
-// Exit code is non-zero if any gate fails.
+//      the SIMD tiers.
+// Exit code is non-zero if any gate fails. Every ml kernel runs on its
+// calling thread, so every row measures one core.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -58,7 +58,6 @@
 #include "logproc/dataset.h"
 #include "ml/matrix.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace {
 
@@ -193,45 +192,33 @@ double run_batched_quant(const Fixture& f) {
 
 void BM_ScoreWindowByWindow(benchmark::State& state) {
   const Fixture& f = fixture();
-  util::set_global_threads(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(run_window_by_window(f));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(f.total_windows));
-  util::set_global_threads(0);
 }
-BENCHMARK(BM_ScoreWindowByWindow)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ScoreWindowByWindow)->Unit(benchmark::kMillisecond);
 
 void BM_ScoreBatchedCrossStream(benchmark::State& state) {
   const Fixture& f = fixture();
-  util::set_global_threads(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(run_batched(f));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(f.total_windows));
-  util::set_global_threads(0);
 }
-BENCHMARK(BM_ScoreBatchedCrossStream)
-    ->Arg(1)
-    ->Arg(4)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ScoreBatchedCrossStream)->Unit(benchmark::kMillisecond);
 
 void BM_ScoreBatchedQuantized(benchmark::State& state) {
   const Fixture& f = fixture();
-  util::set_global_threads(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(run_batched_quant(f));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(f.total_windows));
-  util::set_global_threads(0);
 }
-BENCHMARK(BM_ScoreBatchedQuantized)
-    ->Arg(1)
-    ->Arg(4)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ScoreBatchedQuantized)->Unit(benchmark::kMillisecond);
 
 // --json mode: interleaved best-of-N wall-clock timing (robust to CPU
 // contention from neighbouring processes), machine-readable output.
@@ -250,47 +237,33 @@ int run_json_mode(const std::string& path, bool quantize) {
   const double windows = static_cast<double>(f.total_windows);
   constexpr std::size_t kReps = 7;
 
-  struct Row {
-    std::size_t threads;
-    double wbw_wps;
-    double batched_wps;
-    double quant_wps = 0.0;  // 0 when the int8 tier was not measured
-  };
-  std::vector<Row> rows;
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    util::set_global_threads(threads);
-    run_window_by_window(f);  // warm-up (also stabilizes scratch shapes)
-    run_batched(f);
-    if (quantize) run_batched_quant(f);
-    // Alternate the regimes so a burst of external CPU load cannot
-    // penalize only one of them; report the best (least-disturbed) rep.
-    double wbw_best = 1e300, batched_best = 1e300, quant_best = 1e300;
-    for (std::size_t r = 0; r < kReps; ++r) {
-      wbw_best = std::min(
-          wbw_best, timed_seconds([&] { return run_window_by_window(f); }));
-      batched_best =
-          std::min(batched_best, timed_seconds([&] { return run_batched(f); }));
-      if (quantize) {
-        quant_best = std::min(
-            quant_best, timed_seconds([&] { return run_batched_quant(f); }));
-      }
-    }
-    Row row;
-    row.threads = threads;
-    row.wbw_wps = windows / wbw_best;
-    row.batched_wps = windows / batched_best;
-    if (quantize) row.quant_wps = windows / quant_best;
-    rows.push_back(row);
-    std::cerr << "threads=" << threads << " window-by-window=" << row.wbw_wps
-              << " windows/s, batched=" << row.batched_wps
-              << " windows/s (speedup " << row.batched_wps / row.wbw_wps
-              << "x)";
+  run_window_by_window(f);  // warm-up (also stabilizes scratch shapes)
+  run_batched(f);
+  if (quantize) run_batched_quant(f);
+  // Alternate the regimes so a burst of external CPU load cannot penalize
+  // only one of them; report the best (least-disturbed) rep.
+  double wbw_best = 1e300, batched_best = 1e300, quant_best = 1e300;
+  for (std::size_t r = 0; r < kReps; ++r) {
+    wbw_best = std::min(wbw_best,
+                        timed_seconds([&] { return run_window_by_window(f); }));
+    batched_best =
+        std::min(batched_best, timed_seconds([&] { return run_batched(f); }));
     if (quantize) {
-      std::cerr << ", batched+int8=" << row.quant_wps << " windows/s ("
-                << row.quant_wps / row.batched_wps << "x over fp32 batched)";
+      quant_best = std::min(
+          quant_best, timed_seconds([&] { return run_batched_quant(f); }));
     }
-    std::cerr << "\n";
   }
+  const double wbw_wps = windows / wbw_best;
+  const double batched_wps = windows / batched_best;
+  const double quant_wps = quantize ? windows / quant_best : 0.0;
+  std::cerr << "window-by-window=" << wbw_wps
+            << " windows/s, batched=" << batched_wps
+            << " windows/s (speedup " << batched_wps / wbw_wps << "x)";
+  if (quantize) {
+    std::cerr << ", batched+int8=" << quant_wps << " windows/s ("
+              << quant_wps / batched_wps << "x over fp32 batched)";
+  }
+  std::cerr << "\n";
 
   struct SweepRow {
     const char* tier;
@@ -299,7 +272,6 @@ int run_json_mode(const std::string& path, bool quantize) {
     double quant_wps = 0.0;  // 0 when the int8 tier was not measured
   };
   std::vector<SweepRow> sweep;
-  util::set_global_threads(1);
   const double sweep_windows = static_cast<double>(f.sweep_windows.size());
   const ml::KernelTier default_tier = ml::kernel_tier();
   for (const ml::KernelTier tier :
@@ -370,7 +342,6 @@ int run_json_mode(const std::string& path, bool quantize) {
               << "x)\n";
   }
   ml::set_kernel_tier(default_tier);
-  util::set_global_threads(0);
 
   nfv::util::JsonWriter w;
   w.begin_object();
@@ -393,23 +364,16 @@ int run_json_mode(const std::string& path, bool quantize) {
              static_cast<double>(quant_mem.weight_bytes_quantized));
     w.end_object();
   }
-  w.key("results").begin_array();
-  for (const Row& row : rows) {
-    w.begin_object()
-        .kv("threads", row.threads)
-        .kv("window_by_window_windows_per_sec", row.wbw_wps)
-        .kv("batched_windows_per_sec", row.batched_wps)
-        .kv("speedup", row.batched_wps / row.wbw_wps);
-    if (quantize) {
-      w.kv("quantized_batched_windows_per_sec", row.quant_wps)
-          .kv("quantized_speedup_vs_fp32_batched",
-              row.quant_wps / row.batched_wps);
-    }
-    w.end_object();
+  w.key("results").begin_object();
+  w.kv("window_by_window_windows_per_sec", wbw_wps)
+      .kv("batched_windows_per_sec", batched_wps)
+      .kv("speedup", batched_wps / wbw_wps);
+  if (quantize) {
+    w.kv("quantized_batched_windows_per_sec", quant_wps)
+        .kv("quantized_speedup_vs_fp32_batched", quant_wps / batched_wps);
   }
-  w.end_array();
+  w.end_object();
   w.key("windows_per_call_sweep").begin_object();
-  w.kv("threads", 1);
   w.kv("windows", f.sweep_windows.size());
   w.key("rows").begin_array();
   for (const SweepRow& row : sweep) {
@@ -426,7 +390,6 @@ int run_json_mode(const std::string& path, bool quantize) {
   w.kv("hidden", paper.detector.config().hidden);
   w.kv("window", paper.window);
   w.kv("windows_per_call", kFlushWindows);
-  w.kv("threads", 1);
   w.kv("windows", paper.sweep_windows.size());
   w.key("rows").begin_array();
   for (const ShapeRow& row : paper_rows) {
@@ -486,7 +449,6 @@ std::vector<std::vector<double>> score_all(
 }
 
 int run_smoke_mode() {
-  util::set_global_threads(1);
   core::LstmDetectorConfig config;
   config.initial_epochs = 3;
   config.oversample = false;
@@ -596,17 +558,6 @@ int run_smoke_mode() {
     }
   }
   ml::set_kernel_tier(default_tier);
-
-  // Gate 3: quantized scores bit-identical across thread counts.
-  util::set_global_threads(4);
-  const auto mt_ranks = score_all(quantized, streams);
-  util::set_global_threads(0);
-  if (mt_ranks != quant_ranks) {
-    std::cerr << "smoke: FAIL int8 scores differ between 1 and 4 threads\n";
-    ok = false;
-  } else {
-    std::cerr << "smoke: int8 threads=1 == threads=4 (bit-identical)\n";
-  }
 
   std::cerr << (ok ? "smoke: PASS\n" : "smoke: FAIL\n");
   return ok ? 0 : 1;

@@ -1,22 +1,20 @@
-// Training throughput: serial reference kernels vs the packed SIMD
-// training fast path (the widest kernel tier the CPU has: AVX-512 or
-// AVX2+FMA), at 1 and 4 threads.
+// Training throughput: the baseline-tier reference kernels vs the packed
+// SIMD training fast path (the widest kernel tier the CPU has: AVX-512 or
+// AVX2+FMA), on one thread — every ml kernel runs on its calling thread.
 //
 // The paper's deployment story is dominated by repeated training (initial
 // per-cluster fits, monthly incremental updates, transfer fine-tunes,
 // over-sampling refinement rounds), so examples/sec through
-// SequenceModel::train_batch is the budget that matters. Three regimes run
+// SequenceModel::train_batch is the budget that matters. Two regimes run
 // the identical batch schedule:
-//   - serial: SIMD kernel dispatch forced off, one thread — the explicitly
-//     fused reference path the determinism tests pin everything against;
-//   - packed: SIMD packed kernels, one thread;
-//   - packed+parallel: SIMD packed kernels, four threads (sharded BPTT
-//     partials, embedding scatter, Adam chunks).
-// Within each SIMD mode the losses are bit-identical for any thread count.
+//   - serial: SIMD kernel dispatch forced off — the explicitly fused
+//     reference path the determinism tests pin everything against;
+//   - packed: SIMD packed kernels.
+// Within each SIMD mode repeat runs give bit-identical losses.
 //
 // Run with `--json FILE` for a machine-readable summary (examples/sec and
 // speedups, e.g. BENCH_training.json), `--smoke` for a ~2 s CI sanity pass
-// that also re-checks 1T-vs-4T loss bit-equality, or `--no-avx2` to force
+// that also re-checks repeat-run loss bit-equality, or `--no-avx2` to force
 // the reference kernels in google-benchmark mode (same escape hatch as the
 // NFVPRED_NO_AVX2 environment variable).
 #include <benchmark/benchmark.h>
@@ -34,7 +32,6 @@
 #include "ml/optimizer.h"
 #include "ml/sequence_model.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace {
 
@@ -103,7 +100,6 @@ struct FreshModel {
 
 void BM_TrainSerialReference(benchmark::State& state) {
   const auto examples = make_dataset(512);
-  util::set_global_threads(1);
   set_simd(false);
   FreshModel fm;
   for (auto _ : state) {
@@ -112,22 +108,19 @@ void BM_TrainSerialReference(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(examples.size()));
   set_simd(true);
-  util::set_global_threads(0);
 }
 BENCHMARK(BM_TrainSerialReference)->Unit(benchmark::kMillisecond);
 
 void BM_TrainPacked(benchmark::State& state) {
   const auto examples = make_dataset(512);
-  util::set_global_threads(static_cast<std::size_t>(state.range(0)));
   FreshModel fm;
   for (auto _ : state) {
     benchmark::DoNotOptimize(train_pass(fm.model, fm.adam, examples));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(examples.size()));
-  util::set_global_threads(0);
 }
-BENCHMARK(BM_TrainPacked)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_TrainPacked)->Unit(benchmark::kMillisecond);
 
 template <typename Fn>
 double timed_seconds(Fn&& fn) {
@@ -141,34 +134,30 @@ double timed_seconds(Fn&& fn) {
 
 struct Regime {
   const char* name;
-  std::size_t threads;
   bool simd;
 };
 
 constexpr Regime kRegimes[] = {
-    {"serial", 1, false},
-    {"packed", 1, true},
-    {"packed_parallel", 4, true},
+    {"serial", false},
+    {"packed", true},
 };
 
 /// One timed pass of a regime over a fresh model (identical workload every
 /// time: same init seed, same batch schedule).
 double regime_pass_seconds(const Regime& regime,
                            const ml::WindowBatch& examples) {
-  util::set_global_threads(regime.threads);
   set_simd(regime.simd);
   FreshModel fm;
   const double seconds = timed_seconds(
       [&] { return train_pass(fm.model, fm.adam, examples); });
   set_simd(true);
-  util::set_global_threads(0);
   return seconds;
 }
 
 int run_json_mode(const std::string& path) {
   const auto examples = make_dataset(1024);
   constexpr std::size_t kReps = 7;
-  // Warm-up (allocator, scratch shapes, pool threads), then interleaved
+  // Warm-up (allocator, scratch shapes), then interleaved
   // best-of-kReps: each rep times every regime back to back, so slow
   // phases of a noisy machine hit all regimes instead of skewing one.
   for (const Regime& regime : kRegimes) {
@@ -185,8 +174,8 @@ int run_json_mode(const std::string& path) {
   std::vector<double> eps;
   for (std::size_t i = 0; i < std::size(kRegimes); ++i) {
     eps.push_back(static_cast<double>(examples.size()) / best[i]);
-    std::cerr << kRegimes[i].name << " (threads=" << kRegimes[i].threads
-              << ", simd=" << (kRegimes[i].simd ? "on" : "off")
+    std::cerr << kRegimes[i].name
+              << " (simd=" << (kRegimes[i].simd ? "on" : "off")
               << "): " << eps.back() << " examples/s";
     if (i > 0) std::cerr << " (" << eps.back() / eps[0] << "x)";
     std::cerr << "\n";
@@ -204,7 +193,6 @@ int run_json_mode(const std::string& path) {
   for (std::size_t i = 0; i < std::size(kRegimes); ++i) {
     w.begin_object()
         .kv("mode", kRegimes[i].name)
-        .kv("threads", kRegimes[i].threads)
         .kv("simd", kRegimes[i].simd)
         .kv("examples_per_sec", eps[i])
         .kv("speedup_vs_serial", eps[i] / eps[0]);
@@ -215,37 +203,33 @@ int run_json_mode(const std::string& path) {
   return bench::write_json_file(path, w) ? 0 : 1;
 }
 
-/// ~2 s CI smoke: every regime runs one short pass (losses must be
-/// finite), and the 1T/4T losses within each SIMD mode must be bitwise
-/// equal — the fast canary for both kernel and determinism regressions.
+/// ~2 s CI smoke: each SIMD mode runs two short passes over fresh models
+/// (losses must be finite), and the two losses must be bitwise equal —
+/// the fast canary for both kernel and determinism regressions.
 int run_smoke_mode() {
   const auto examples = make_dataset(192);
   for (const bool simd : {true, false}) {
-    std::uint64_t bits_1t = 0, bits_4t = 0;
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      util::set_global_threads(threads);
-      set_simd(simd);
+    set_simd(simd);
+    std::uint64_t bits[2] = {};
+    for (std::uint64_t& run_bits : bits) {
       FreshModel fm;
       const double loss = train_pass(fm.model, fm.adam, examples);
       if (!std::isfinite(loss) || loss <= 0.0) {
         std::cerr << "smoke FAILED: non-finite loss (simd="
-                  << (simd ? "on" : "off") << ", threads=" << threads
-                  << ")\n";
+                  << (simd ? "on" : "off") << ")\n";
         return 1;
       }
-      std::uint64_t bits = 0;
-      std::memcpy(&bits, &loss, sizeof(bits));
-      (threads == 1 ? bits_1t : bits_4t) = bits;
+      std::memcpy(&run_bits, &loss, sizeof(run_bits));
     }
-    if (bits_1t != bits_4t) {
-      std::cerr << "smoke FAILED: 1T vs 4T losses differ (simd="
+    if (bits[0] != bits[1]) {
+      std::cerr << "smoke FAILED: repeat-run losses differ (simd="
                 << (simd ? "on" : "off") << ")\n";
       return 1;
     }
   }
   set_simd(true);
-  util::set_global_threads(0);
-  std::cerr << "training smoke ok (1T == 4T in both SIMD modes)\n";
+  std::cerr << "training smoke ok (repeat runs bit-identical in both SIMD "
+               "modes)\n";
   return 0;
 }
 

@@ -759,11 +759,6 @@ void AsyncIngest::wait_retrain_rounds(std::uint64_t rounds) {
 }
 
 void AsyncIngest::trainer_loop() {
-  // Like the shard workers, the trainer pins ml kernels to their serial
-  // paths: one background thread fine-tuning serially must not contend
-  // with the caller for the global fork-join pool.
-  nfv::util::ThreadPool::ScopedRegion serial_region;
-
   // Per-shard recency windows: the newest retrain_samples events of each
   // shard's tapped template-id stream, oldest evicted first. Bounded
   // memory, and the corpus tracks the live distribution.

@@ -120,12 +120,12 @@ PipelineResult run_pipeline(const simnet::FleetTrace& trace,
             "initial_train_months must leave at least one test month");
   Rng rng(options.seed);
 
-  // Fork-join pool for the per-group / per-vPE fan-out. Determinism for
-  // every thread count holds because (a) each group owns its detector and
-  // an explicitly split RNG stream (seed + 100·(g+1)), (b) every parallel
-  // task writes only its own pre-sized output slot, and (c) per-group
-  // results are collected in group order before any cross-group merge.
-  nfv::util::ThreadPool pool(options.threads);
+  // The per-group / per-vPE fan-out. Determinism for every pool size
+  // holds because (a) each group owns its detector and an explicitly split
+  // RNG stream (seed + 100·(g+1)), (b) every parallel task writes only its
+  // own pre-sized output slot, and (c) per-group results are collected in
+  // group order before any cross-group merge.
+  nfv::util::ThreadPool& pool = nfv::util::global_pool();
 
   PipelineResult result;
 

@@ -42,10 +42,6 @@ struct PipelineOptions {
   nfv::util::Duration adapt_span = nfv::util::Duration::of_days(7);
   /// Operating threshold = this quantile of training-data scores.
   double threshold_quantile = 0.99;
-  /// Worker threads for the per-group / per-vPE fan-out. 1 = serial
-  /// (default); 0 = auto (NFVPRED_THREADS env override, else hardware
-  /// concurrency). Results are bit-identical for every thread count.
-  std::size_t threads = 1;
   std::uint64_t seed = 7;
   /// Quantized steady-state scoring (LSTM detector only): each group's
   /// model is calibrated to per-channel int8 after training and every
@@ -81,7 +77,11 @@ struct PipelineResult {
   double eval_days = 0.0;
 };
 
-/// Run the full rolling evaluation.
+/// Run the full rolling evaluation. The per-group fit/update/adapt and the
+/// per-vPE scoring fan out on util::global_pool() (sized by
+/// NFVPRED_THREADS, the CLI's --threads or set_global_threads); results
+/// are bit-identical for every pool size. Must not be called from inside
+/// a task of that pool, where a nested parallel_for throws.
 PipelineResult run_pipeline(const simnet::FleetTrace& trace,
                             const ParsedFleet& parsed,
                             const PipelineOptions& options);

@@ -5,13 +5,12 @@
 
 #include "ml/simd_kernels.h"
 #include "util/check.h"
-#include "util/thread_pool.h"
 
 namespace nfv::ml {
 
 void softmax(const Matrix& logits, Matrix& probs) {
   probs.resize(logits.rows(), logits.cols());
-  const auto softmax_row = [&](std::size_t r) {
+  for (std::size_t r = 0; r < logits.rows(); ++r) {
     const float* in = logits.row(r);
     float* out = probs.row(r);
     float max_logit = in[0];
@@ -25,14 +24,6 @@ void softmax(const Matrix& logits, Matrix& probs) {
     }
     const float inv = 1.0f / total;
     for (std::size_t c = 0; c < logits.cols(); ++c) out[c] *= inv;
-  };
-  // Rows are independent, so the parallel split over the fused scoring
-  // batches is bit-identical to the serial sweep.
-  if (logits.rows() >= 64 && !nfv::util::ThreadPool::in_parallel_region() &&
-      nfv::util::global_pool().size() > 1) {
-    nfv::util::global_pool().parallel_for(0, logits.rows(), softmax_row);
-  } else {
-    for (std::size_t r = 0; r < logits.rows(); ++r) softmax_row(r);
   }
 }
 

@@ -7,32 +7,10 @@
 #include "ml/activations.h"
 #include "ml/simd_kernels.h"
 #include "util/check.h"
-#include "util/thread_pool.h"
 
 namespace nfv::ml {
 
 namespace {
-
-/// Row-parallel threshold for the training forward's elementwise gate and
-/// cell loops. Each sigmoid/tanh costs tens of MACs, so the bar is much
-/// lower than the matmul one; rows are independent, so the parallel split
-/// is bit-identical to the serial loop. Training batches (typically 64
-/// rows) deliberately stay under it — at that size a fork-join costs more
-/// than the row loop, and the training path gets its parallelism from the
-/// chunky per-timestep gradient shards instead.
-bool use_parallel_rows(std::size_t rows) {
-  return rows >= 256 && !nfv::util::ThreadPool::in_parallel_region() &&
-         nfv::util::global_pool().size() > 1;
-}
-
-template <typename Fn>
-void for_each_row(std::size_t rows, const Fn& fn) {
-  if (use_parallel_rows(rows)) {
-    nfv::util::global_pool().parallel_for(0, rows, fn);
-  } else {
-    for (std::size_t r = 0; r < rows; ++r) fn(r);
-  }
-}
 
 /// Cell/hidden update for one row of the training forward on the active
 /// kernel tier (`kernels` null: baseline). The fused scoring step
@@ -97,9 +75,9 @@ void Lstm::compute_gates(const Matrix& input, const Matrix& h_prev,
   matmul_transb(concat_scratch, weight_.value, gates);
   const simd::Kernels* kernels = simd::active();
   const float* bias = bias_.value.row(0);
-  for_each_row(batch, [&](std::size_t r) {
+  for (std::size_t r = 0; r < batch; ++r) {
     gate_activation_row(gates.row(r), bias, hidden_size_, kernels);
-  });
+  }
 }
 
 const std::vector<Matrix>& Lstm::forward(const std::vector<Matrix>& inputs) {
@@ -132,10 +110,10 @@ const std::vector<Matrix>& Lstm::forward(const std::vector<Matrix>& inputs) {
     const Matrix& gates = gates_cache_[t];
     const Matrix& cp_m = *c_prev;
     const simd::Kernels* kernels = simd::active();
-    for_each_row(batch, [&](std::size_t r) {
+    for (std::size_t r = 0; r < batch; ++r) {
       cell_forward_row(gates.row(r), cp_m.row(r), c_t.row(r), h_t.row(r), h,
                        kernels);
-    });
+    }
     h_prev = &h_t;
     c_prev = &c_t;
   }
@@ -152,36 +130,34 @@ const std::vector<Matrix>& Lstm::backward(
   const std::size_t h = hidden_size_;
 
   if (grad_inputs_.size() != steps) grad_inputs_.assign(steps, Matrix());
-  if (dgates_cache_.size() != steps) dgates_cache_.assign(steps, Matrix());
   dh_next_.resize(batch, h);
   dc_next_.resize(batch, h);
   // The dgates × W product recurs every step with the same W; pack it once.
   pack_matmul_b(weight_.value, packed_weight_);
 
-  // Phase 1 — sequential in t (the dh/dc recurrence), row-parallel within
-  // each step: one fused pass computes all four pre-activation gate
-  // gradients and the carried cell gradient, then the packed product
-  // yields dconcat and the dx / dh split. Every step's dgates stays alive
-  // in dgates_cache_ for the parameter-gradient phase below.
+  // Sequential in t (the dh/dc recurrence): one fused pass per row computes
+  // all four pre-activation gate gradients and the carried cell gradient,
+  // then the packed product yields dconcat and the dx / dh split. Each
+  // step's dW/db partial is computed from zero and then added to the
+  // parameter grads, so the grads sum the partials in descending t-order.
+  const simd::Kernels* kernels = simd::active();
   for (std::size_t ti = steps; ti-- > 0;) {
     const Matrix& gates = gates_cache_[ti];
     const Matrix& c_t = c_cache_[ti];
     const Matrix* c_prev = ti > 0 ? &c_cache_[ti - 1] : nullptr;
-    Matrix& dgates = dgates_cache_[ti];
-    dgates.resize(batch, 4 * h);
+    dgates_.resize(batch, 4 * h);
 
-    const simd::Kernels* kernels = simd::active();
-    for_each_row(batch, [&](std::size_t r) {
+    for (std::size_t r = 0; r < batch; ++r) {
       const float* g = gates.row(r);
       const float* c = c_t.row(r);
       const float* gh = grad_hidden[ti].row(r);
       float* dhn = dh_next_.row(r);
       float* dcn = dc_next_.row(r);
-      float* dg = dgates.row(r);
+      float* dg = dgates_.row(r);
       if (kernels != nullptr) {
         kernels->gate_backward_row(g, c, c_prev ? c_prev->row(r) : nullptr,
                                    gh, dhn, dcn, dg, h);
-        return;
+        continue;
       }
       for (std::size_t j = 0; j < h; ++j) {
         const float ig = g[j];
@@ -199,9 +175,9 @@ const std::vector<Matrix>& Lstm::backward(
         dg[3 * h + j] = dh * tc * sigmoid_grad_from_output(og);      // o
         dcn[j] = dc * fg;  // carried to step t-1
       }
-    });
+    }
 
-    matmul_packed(dgates, weight_.value, packed_weight_, dconcat_);
+    matmul_packed(dgates_, weight_.value, packed_weight_, dconcat_);
 
     Matrix& dx = grad_inputs_[ti];
     dx.resize(batch, input_size_);
@@ -210,34 +186,13 @@ const std::vector<Matrix>& Lstm::backward(
       std::memcpy(dh_next_.row(r), dconcat_.row(r) + input_size_,
                   h * sizeof(float));
     }
-  }
 
-  // Phase 2 — parameter gradients. Each timestep's dW/db partial is an
-  // independent product computed from zero (parallel across steps), then
-  // the partials are reduced into the parameter grads in fixed descending
-  // t-order. The same two-phase structure runs at every thread count, so
-  // gradients are bit-identical for any NFVPRED_THREADS.
-  if (dw_partials_.size() != steps) {
-    dw_partials_.assign(steps, Matrix());
-    db_partials_.assign(steps, Matrix());
-  }
-  const auto step_partial = [&](std::size_t t) {
-    Matrix& dw = dw_partials_[t];
-    dw.resize(4 * h, input_size_ + h);
-    matmul_transa_accumulate_serial(dgates_cache_[t], concat_cache_[t], dw);
-    Matrix& db = db_partials_[t];
-    db.resize(1, 4 * h);
-    sum_rows_accumulate(dgates_cache_[t], db);
-  };
-  if (!nfv::util::ThreadPool::in_parallel_region() &&
-      nfv::util::global_pool().size() > 1) {
-    nfv::util::global_pool().parallel_for(0, steps, step_partial);
-  } else {
-    for (std::size_t t = 0; t < steps; ++t) step_partial(t);
-  }
-  for (std::size_t ti = steps; ti-- > 0;) {
-    weight_.grad.add(dw_partials_[ti]);
-    bias_.grad.add(db_partials_[ti]);
+    dw_partial_.resize(4 * h, input_size_ + h);
+    matmul_transa_accumulate(dgates_, concat_cache_[ti], dw_partial_);
+    weight_.grad.add(dw_partial_);
+    db_partial_.resize(1, 4 * h);
+    sum_rows_accumulate(dgates_, db_partial_);
+    bias_.grad.add(db_partial_);
   }
   return grad_inputs_;
 }
@@ -354,11 +309,11 @@ void step_rows_baseline(const simd::StepArgs& s, std::size_t i0,
 
 void Lstm::score_step(const LstmStepWeights& weights,
                       const LstmStepInput& input, std::size_t t,
-                      LstmState& state, std::size_t i0,
-                      std::size_t i1) const {
+                      LstmState& state) const {
   const std::size_t h = hidden_size_;
+  const std::size_t rows = state.c.rows();
   NFV_CHECK(input.x == nullptr || (input.x->cols() == input_size_ &&
-                                   input.x->rows() == state.c.rows()),
+                                   input.x->rows() == rows),
             "Lstm::score_step input shape mismatch");
   simd::StepArgs s;
   s.hidden = h;
@@ -379,19 +334,15 @@ void Lstm::score_step(const LstmStepWeights& weights,
     if (!weights.quant.empty()) {
       const QuantGateBlocks& qb = t == 0 ? weights.quant_input : weights.quant;
       // Every step's codes rows are code_stride() bytes apart (zeros past
-      // the step's width), so row ranges on different threads never share
-      // bytes whichever step each is at.
+      // the step's width).
       s.quant = &qb;
       s.codes = state.codes.data();
       s.code_stride = code_stride();
       s.row_scales = state.scales.data();
       s.zero_points = state.zero_points.data();
-      quantize_activations(
-          x != nullptr ? x + i0 * x_cols : nullptr, x_cols,
-          h_prev != nullptr ? h_prev + i0 * h : nullptr,
-          h_prev != nullptr ? h : 0, i1 - i0, s.code_stride,
-          state.codes.data() + i0 * s.code_stride, state.scales.data() + i0,
-          state.zero_points.data() + i0);
+      quantize_activations(x, x_cols, h_prev, h_prev != nullptr ? h : 0,
+                           rows, s.code_stride, state.codes.data(),
+                           state.scales.data(), state.zero_points.data());
     } else {
       s.x = x;
       s.x_cols = x_cols;
@@ -402,9 +353,9 @@ void Lstm::score_step(const LstmStepWeights& weights,
     }
   }
   if (const simd::Kernels* kernels = simd::active()) {
-    kernels->lstm_step(s, i0, i1);
+    kernels->lstm_step(s, 0, rows);
   } else {
-    step_rows_baseline(s, i0, i1);
+    step_rows_baseline(s, 0, rows);
   }
 }
 

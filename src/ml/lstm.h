@@ -83,7 +83,7 @@ class Lstm {
   /// Size `state` for `batch` rows from the zero state.
   void reset_state(LstmState& state, std::size_t batch) const;
 
-  /// Fused inference step t of rows [i0, i1) (no caching, no gradients):
+  /// Fused inference step t of every state row (no caching, no gradients):
   /// per tile of rows × one 16-unit gate block, one kernel runs the gate
   /// product, adds the bias (or layer 0's table row), runs the gate
   /// activations and the cell update and writes h_t to state.h[t % 2],
@@ -93,11 +93,9 @@ class Lstm {
   /// and activation kernels, so k steps reproduce forward()'s last hidden
   /// state bit for bit. int8 first quantizes [x, h_{t−1}] per row as
   /// matmul_quant does, and dequantizes as it does; the input block's
-  /// products equal matmul_quant's on [x, 0] exactly. Rows are
-  /// independent, so disjoint row ranges may run in parallel.
+  /// products equal matmul_quant's on [x, 0] exactly.
   void score_step(const LstmStepWeights& weights, const LstmStepInput& input,
-                  std::size_t t, LstmState& state, std::size_t i0,
-                  std::size_t i1) const;
+                  std::size_t t, LstmState& state) const;
 
   std::vector<Param*> params() { return {&weight_, &bias_}; }
   std::size_t input_size() const { return input_size_; }
@@ -128,13 +126,11 @@ class Lstm {
   std::vector<Matrix> grad_inputs_;
 
   // Backward-pass scratch, reused across calls so BPTT allocates nothing
-  // in steady state. dgates_cache_ keeps every step's pre-activation gate
-  // gradients alive for the deferred (parallel) weight-gradient phase;
-  // dw_partials_/db_partials_ hold the per-timestep parameter-gradient
-  // partials that are reduced into weight_/bias_ grads in fixed t-order.
-  std::vector<Matrix> dgates_cache_;  // (B × 4H) per step
-  std::vector<Matrix> dw_partials_;   // (4H × (I+H)) per step
-  std::vector<Matrix> db_partials_;   // (1 × 4H) per step
+  // in steady state. dw_partial_/db_partial_ hold one timestep's
+  // parameter-gradient partial before it is added to weight_/bias_ grads.
+  Matrix dgates_;      // pre-activation gate gradients (B × 4H)
+  Matrix dw_partial_;  // (4H × (I+H))
+  Matrix db_partial_;  // (1 × 4H)
   Matrix dh_next_;
   Matrix dc_next_;
   Matrix dconcat_;

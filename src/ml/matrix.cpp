@@ -6,7 +6,6 @@
 
 #include "ml/simd_kernels.h"
 #include "util/check.h"
-#include "util/thread_pool.h"
 
 namespace nfv::ml {
 
@@ -17,24 +16,6 @@ using simd::kQuantChannels;
 using simd::kQuantK;
 using simd::panel_count;
 using simd::round_nearest_i32;
-
-/// Minimum multiply-accumulate count before the blocked-parallel kernels
-/// pay for themselves; below this the serial kernels win outright. Sized
-/// so the per-timestep training GEMMs (a 64-row batch against one layer's
-/// weights is ~4e5 MACs) stay on the calling thread — BPTT parallelizes
-/// across timesteps instead, one fork-join per backward pass rather than
-/// one per step — while the fused scoring batches (~1k rows, several
-/// MMACs) still shard across the pool.
-constexpr std::size_t kParallelMinWork = 1u << 19;
-
-/// Parallelize only for large products, only when a multi-thread pool is
-/// available, and never from inside an already parallel region (the
-/// per-group pipeline fan-out owns the threads there).
-bool use_parallel(std::size_t work) {
-  return work >= kParallelMinWork &&
-         !nfv::util::ThreadPool::in_parallel_region() &&
-         nfv::util::global_pool().size() > 1;
-}
 
 /// Pack columns [k0, k1) of b (the weight matrix of out = a * bᵀ) into
 /// 16-row k-major panels: panel jp holds b rows [16jp, 16jp+16)
@@ -94,8 +75,8 @@ void pack_matmul_b_panels(const Matrix& b, std::vector<float>& packed) {
 
 /// R a-rows × P panels (16P columns) of out = a · packed, baseline tier:
 /// R·P·16 accumulators, each the chain `acc = acc + a[k]·b[k]` in
-/// k-ascending order. The chain of an output never depends on R, P, the
-/// row blocking or the thread count, so every tiling agrees bit for bit.
+/// k-ascending order. The chain of an output never depends on R, P or the
+/// row blocking, so every tiling agrees bit for bit.
 template <std::size_t R, std::size_t P>
 __attribute__((always_inline)) inline void packed_tile(
     const Matrix& a, const float* packed, Matrix& out, std::size_t i,
@@ -148,7 +129,7 @@ void rows_packed(const Matrix& a, const float* packed, Matrix& out,
 /// Column block [c0, c1) of out += aᵀ * b, register-tiled 4 out-rows × 8
 /// out-columns. Each out element adds a partial sum accumulated from zero
 /// in r-ascending order (then one `out += sum`), so the result is
-/// independent of the k/c tiling and of any column-block parallel split.
+/// independent of the k/c tiling.
 inline void transa_acc_block(const Matrix& a, const Matrix& b, Matrix& out,
                              std::size_t c0, std::size_t c1) {
   constexpr std::size_t kCols = 8;
@@ -222,19 +203,17 @@ inline void transa_acc_block(const Matrix& a, const Matrix& b, Matrix& out,
   }
 }
 
-/// Thread-local pack buffer of the products that pack per call. Packing
-/// happens on the calling thread before any parallel fan-out; workers only
-/// read it.
+/// Thread-local pack buffer of the products that pack per call.
 thread_local std::vector<float> tl_packed_b;
 
 // Tier dispatch. Every kernel has a baseline body here and a SIMD body
 // per tier (ml/simd_kernels_impl.h), and all of them read the one tier value
 // (ml::kernel_tier): in the SIMD tiers every accumulator chain is a fused
 // multiply-add on every path, so a window scored alone still matches a
-// window scored inside a fused batch bit for bit, a gradient accumulated
-// serially matches any tiled/parallel variant, and the AVX2 and AVX-512
-// tiers match each other. (The baseline tier differs from them as a
-// machine without FMA would; determinism is per tier.)
+// window scored inside a fused batch bit for bit, a gradient matches any
+// tiled variant, and the AVX2 and AVX-512 tiers match each other. (The
+// baseline tier differs from them as a machine without FMA would;
+// determinism is per tier.)
 
 void rows_packed_dispatch(const Matrix& a, const float* packed, Matrix& out,
                           std::size_t i0, std::size_t i1) {
@@ -260,8 +239,7 @@ void transa_acc_block_dispatch(const Matrix& a, const Matrix& b, Matrix& out,
 // The reduction is exact int32 arithmetic, so unlike the fp32 kernels there
 // is no per-tier accumulation order to preserve — any tiling gives the same
 // integer. The only float work is the per-row activation quantization
-// (done once, on the calling thread, before any fan-out) and the dequant
-// epilogue, which is the fixed two-rounding expression
+// and the dequant epilogue, which is the fixed two-rounding expression
 //     out = float(iacc - zp·col_sum) * (a_scale * b_scale)
 // on every tier; elementwise float ops have no reassociation freedom, so
 // the SIMD and baseline builds of that expression agree bit for bit.
@@ -330,8 +308,7 @@ std::size_t gate_block_index(std::size_t j, std::size_t hidden) {
          u % kGateBlockUnits;
 }
 
-/// Activation-quantization scratch: filled on the calling thread before
-/// any parallel fan-out; workers only read through captured pointers.
+/// Activation-quantization scratch.
 thread_local std::vector<std::uint8_t> tl_quant_a;
 thread_local std::vector<float> tl_quant_sa;
 thread_local std::vector<std::int32_t> tl_quant_zp;
@@ -340,10 +317,10 @@ thread_local std::vector<std::int32_t> tl_quant_zp;
 /// panels, plain-int reference tier. The integer sums are exact so the
 /// order is immaterial, and the dequant epilogue is the canonical
 /// expression shared with the SIMD tiers.
-void quant_panels_serial(const std::uint8_t* qa, const float* sa,
-                         const std::int32_t* zp, std::size_t kpad,
-                         const QuantizedMatrix& qb, Matrix& out,
-                         std::size_t i0, std::size_t i1) {
+void quant_panels(const std::uint8_t* qa, const float* sa,
+                  const std::int32_t* zp, std::size_t kpad,
+                  const QuantizedMatrix& qb, Matrix& out, std::size_t i0,
+                  std::size_t i1) {
   const std::size_t groups = kpad / kQuantK;
   const std::size_t panels = qb.rows / kQuantChannels;
   for (std::size_t i = i0; i < i1; ++i) {
@@ -383,7 +360,7 @@ void quant_rows_dispatch(const std::uint8_t* qa, const float* sa,
   if (const simd::Kernels* kernels = simd::active()) {
     kernels->quant_panels(qa, sa, zp, kpad, qb, out, i0, i1);
   } else {
-    quant_panels_serial(qa, sa, zp, kpad, qb, out, i0, i1);
+    quant_panels(qa, sa, zp, kpad, qb, out, i0, i1);
   }
   const std::size_t first_tail = qb.rows / kQuantChannels * kQuantChannels;
   const std::int8_t* tail_base = qb.data.data() + first_tail * kpad;
@@ -399,25 +376,6 @@ void quant_rows_dispatch(const std::uint8_t* qa, const float* sa,
                       (sa[i] * qb.scales[c]);
     }
   }
-}
-
-/// out = a · packed panels, all rows on the calling thread or, when
-/// `parallel`, in 16-row blocks on the global pool. Each task writes only
-/// its own rows and every accumulator chain keeps its k-order, so any
-/// thread count reproduces the serial result bit for bit.
-void packed_product(const Matrix& a, const float* packed, Matrix& out,
-                    bool parallel) {
-  if (!parallel) {
-    rows_packed_dispatch(a, packed, out, 0, a.rows());
-    return;
-  }
-  constexpr std::size_t kRowBlock = 16;
-  const std::size_t blocks = (a.rows() + kRowBlock - 1) / kRowBlock;
-  nfv::util::global_pool().parallel_for(0, blocks, [&](std::size_t bi) {
-    const std::size_t i0 = bi * kRowBlock;
-    rows_packed_dispatch(a, packed, out, i0,
-                         std::min(i0 + kRowBlock, a.rows()));
-  });
 }
 
 }  // namespace
@@ -471,21 +429,12 @@ double Matrix::squared_norm() const {
   return sum;
 }
 
-void matmul_serial(const Matrix& a, const Matrix& b, Matrix& out) {
-  NFV_CHECK(a.cols() == b.rows(), "matmul inner-dimension mismatch: "
-                                      << a.cols() << " vs " << b.rows());
-  out.reshape(a.rows(), b.cols());
-  pack_matmul_b_panels(b, tl_packed_b);
-  packed_product(a, tl_packed_b.data(), out, false);
-}
-
 void matmul(const Matrix& a, const Matrix& b, Matrix& out) {
   NFV_CHECK(a.cols() == b.rows(), "matmul inner-dimension mismatch: "
                                       << a.cols() << " vs " << b.rows());
   out.reshape(a.rows(), b.cols());
   pack_matmul_b_panels(b, tl_packed_b);
-  packed_product(a, tl_packed_b.data(), out,
-                 use_parallel(a.rows() * a.cols() * b.cols()));
+  rows_packed_dispatch(a, tl_packed_b.data(), out, 0, a.rows());
 }
 
 void pack_matmul_b(const Matrix& b, std::vector<float>& packed) {
@@ -499,16 +448,7 @@ void matmul_packed(const Matrix& a, const Matrix& b,
   NFV_CHECK(packed.size() == panel_count(b.cols()) * b.rows() * kPanelCols,
             "matmul_packed: packed buffer does not match b (repack needed)");
   out.reshape(a.rows(), b.cols());
-  packed_product(a, packed.data(), out,
-                 use_parallel(a.rows() * a.cols() * b.cols()));
-}
-
-void matmul_transb_serial(const Matrix& a, const Matrix& b, Matrix& out) {
-  NFV_CHECK(a.cols() == b.cols(), "matmul_transb inner-dimension mismatch: "
-                                      << a.cols() << " vs " << b.cols());
-  out.reshape(a.rows(), b.rows());
-  pack_transb_panels(b, 0, b.cols(), tl_packed_b);
-  packed_product(a, tl_packed_b.data(), out, false);
+  rows_packed_dispatch(a, packed.data(), out, 0, a.rows());
 }
 
 void matmul_transb(const Matrix& a, const Matrix& b, Matrix& out) {
@@ -516,8 +456,7 @@ void matmul_transb(const Matrix& a, const Matrix& b, Matrix& out) {
                                       << a.cols() << " vs " << b.cols());
   out.reshape(a.rows(), b.rows());
   pack_transb_panels(b, 0, b.cols(), tl_packed_b);
-  packed_product(a, tl_packed_b.data(), out,
-                 use_parallel(a.rows() * a.cols() * b.rows()));
+  rows_packed_dispatch(a, tl_packed_b.data(), out, 0, a.rows());
 }
 
 void pack_transb(const Matrix& b, std::vector<float>& packed) {
@@ -546,18 +485,7 @@ void matmul_transb_packed(const Matrix& a, std::size_t b_rows,
             "matmul_transb_packed: packed buffer does not match a "
             << b_rows << " × " << a.cols() << " weight (repack needed)");
   out.reshape(a.rows(), b_rows);
-  packed_product(a, packed.data(), out,
-                 use_parallel(a.rows() * a.cols() * b_rows));
-}
-
-void matmul_transa_accumulate_serial(const Matrix& a, const Matrix& b,
-                                     Matrix& out) {
-  NFV_CHECK(a.rows() == b.rows(),
-            "matmul_transa_accumulate row mismatch: " << a.rows() << " vs "
-                                                      << b.rows());
-  NFV_CHECK(out.rows() == a.cols() && out.cols() == b.cols(),
-            "matmul_transa_accumulate output shape mismatch");
-  transa_acc_block_dispatch(a, b, out, 0, b.cols());
+  rows_packed_dispatch(a, packed.data(), out, 0, a.rows());
 }
 
 void matmul_transa_accumulate(const Matrix& a, const Matrix& b, Matrix& out) {
@@ -566,18 +494,7 @@ void matmul_transa_accumulate(const Matrix& a, const Matrix& b, Matrix& out) {
                                                       << b.rows());
   NFV_CHECK(out.rows() == a.cols() && out.cols() == b.cols(),
             "matmul_transa_accumulate output shape mismatch");
-  if (!use_parallel(a.rows() * a.cols() * b.cols())) {
-    transa_acc_block_dispatch(a, b, out, 0, b.cols());
-    return;
-  }
-  nfv::util::ThreadPool& pool = nfv::util::global_pool();
-  const std::size_t blocks = std::min(b.cols(), pool.size() * 4);
-  const std::size_t block = (b.cols() + blocks - 1) / blocks;
-  pool.parallel_for(0, blocks, [&](std::size_t bi) {
-    const std::size_t c0 = bi * block;
-    const std::size_t c1 = std::min(c0 + block, b.cols());
-    if (c0 < c1) transa_acc_block_dispatch(a, b, out, c0, c1);
-  });
+  transa_acc_block_dispatch(a, b, out, 0, b.cols());
 }
 
 void quantize_pack_b(const Matrix& b, QuantizedMatrix& out) {
@@ -709,8 +626,7 @@ void pack_gate_blocks(const QuantizedMatrix& q, std::size_t k0,
   }
 }
 
-void matmul_quant_serial(const Matrix& a, const QuantizedMatrix& qb,
-                         Matrix& out) {
+void matmul_quant(const Matrix& a, const QuantizedMatrix& qb, Matrix& out) {
   NFV_CHECK(a.cols() == qb.cols, "matmul_quant inner-dimension mismatch: "
                                      << a.cols() << " vs " << qb.cols);
   out.resize(a.rows(), qb.rows);
@@ -724,36 +640,6 @@ void matmul_quant_serial(const Matrix& a, const QuantizedMatrix& qb,
                        tl_quant_zp.data());
   quant_rows_dispatch(tl_quant_a.data(), tl_quant_sa.data(),
                       tl_quant_zp.data(), kpad, qb, out, 0, a.rows());
-}
-
-void matmul_quant(const Matrix& a, const QuantizedMatrix& qb, Matrix& out) {
-  NFV_CHECK(a.cols() == qb.cols, "matmul_quant inner-dimension mismatch: "
-                                     << a.cols() << " vs " << qb.cols);
-  if (!use_parallel(a.rows() * a.cols() * qb.rows)) {
-    matmul_quant_serial(a, qb, out);
-    return;
-  }
-  out.resize(a.rows(), qb.rows);
-  // Quantize every activation row once on the calling thread; the row
-  // blocks then run an exact integer reduction plus a per-element float
-  // epilogue, so any thread count produces the serial result bit for bit.
-  const std::size_t kpad = qb.cols_padded;
-  tl_quant_a.resize(a.rows() * kpad);
-  tl_quant_sa.resize(a.rows());
-  tl_quant_zp.resize(a.rows());
-  quantize_activations(a.data(), a.cols(), nullptr, 0, a.rows(), kpad,
-                       tl_quant_a.data(), tl_quant_sa.data(),
-                       tl_quant_zp.data());
-  const std::uint8_t* qa = tl_quant_a.data();
-  const float* sa = tl_quant_sa.data();
-  const std::int32_t* zp = tl_quant_zp.data();
-  constexpr std::size_t kRowBlock = 16;
-  const std::size_t blocks = (a.rows() + kRowBlock - 1) / kRowBlock;
-  nfv::util::global_pool().parallel_for(0, blocks, [&](std::size_t bi) {
-    const std::size_t i0 = bi * kRowBlock;
-    quant_rows_dispatch(qa, sa, zp, kpad, qb, out, i0,
-                        std::min(i0 + kRowBlock, a.rows()));
-  });
 }
 
 void add_row_vector(Matrix& m, const Matrix& row) {

@@ -72,7 +72,9 @@ class Matrix {
 /// the same Cephes exp, the same lanes for every scalar tail), so
 /// switching between them moves only speed. The baseline tier differs
 /// from them exactly as a machine without FMA would. Every tier is
-/// bit-identical across thread counts and batch sizes.
+/// bit-identical across batch sizes. Every kernel runs on the calling
+/// thread: parallelism lives with the callers that own independent work
+/// (a vPE group, a vPE, a shard), never inside one product.
 enum class KernelTier { kBaseline, kAvx2, kAvx512 };
 KernelTier kernel_tier();
 
@@ -97,10 +99,7 @@ const char* kernel_tier_name(KernelTier tier = kernel_tier());
 /// tails in the AVX-512 tier) and a 1-row tail for the rows % 4 leftovers
 /// and batches of 1–3 rows. Every output is one k-ascending multiply-add
 /// chain (a fused one in the SIMD tiers), so results do not depend on the
-/// row count. Above a work threshold the rows are computed in parallel
-/// blocks on the global thread pool (bit-identical to the serial kernel:
-/// each output row is an independent slot); inside an already parallel
-/// region the serial kernel is used.
+/// row count.
 void matmul(const Matrix& a, const Matrix& b, Matrix& out);
 
 /// Pack the B operand (K×C) of out = a·b into 16-column k-major panels for
@@ -111,13 +110,13 @@ void matmul(const Matrix& a, const Matrix& b, Matrix& out);
 void pack_matmul_b(const Matrix& b, std::vector<float>& packed);
 
 /// out = a·b with `packed` previously produced by pack_matmul_b(b).
-/// Bit-identical to matmul(a, b, out) for any row count and thread count.
+/// Bit-identical to matmul(a, b, out) for any row count.
 void matmul_packed(const Matrix& a, const Matrix& b,
                    const std::vector<float>& packed, Matrix& out);
 
 /// out = a (R×K) * bᵀ where b is (C×K). The natural layout for y = x·Wᵀ
 /// with weight matrices stored as (out_features × in_features). Same
-/// packed kernel and row-blocked parallel dispatch as matmul.
+/// packed kernel as matmul.
 void matmul_transb(const Matrix& a, const Matrix& b, Matrix& out);
 
 /// Pack b (C×K) into the panels matmul_transb_packed reads, once per
@@ -131,8 +130,7 @@ void pack_transb(const Matrix& b, std::size_t k0, std::size_t k1,
                  std::vector<float>& packed);
 
 /// out = a·bᵀ with `packed` previously produced by pack_transb(b).
-/// Bit-identical to matmul_transb(a, b, out) for any row count and thread
-/// count, with the same row-blocked parallel dispatch.
+/// Bit-identical to matmul_transb(a, b, out) for any row count.
 void matmul_transb_packed(const Matrix& a, const Matrix& b,
                           const std::vector<float>& packed, Matrix& out);
 
@@ -147,16 +145,8 @@ void matmul_transb_packed(const Matrix& a, std::size_t b_rows,
 /// gradient contributions Σ_r a[r]ᵀ b[r]. Used for weight gradients.
 /// Register-tiled 4 out-rows × one vector of columns in the SIMD tiers:
 /// each out element adds a sum accumulated from zero in r-ascending order, so
-/// any tiling and any column-block parallel split produce the same bits.
-/// Parallelized over blocks of output *columns*.
+/// any tiling produces the same bits.
 void matmul_transa_accumulate(const Matrix& a, const Matrix& b, Matrix& out);
-
-/// Serial reference kernels: always single-threaded, used by the parallel
-/// dispatchers below the work threshold and by the determinism tests.
-void matmul_serial(const Matrix& a, const Matrix& b, Matrix& out);
-void matmul_transb_serial(const Matrix& a, const Matrix& b, Matrix& out);
-void matmul_transa_accumulate_serial(const Matrix& a, const Matrix& b,
-                                     Matrix& out);
 
 /// Post-training int8 image of a weight matrix b (C×K, out_features ×
 /// in_features — the matmul_transb B operand). Weights are quantized
@@ -206,20 +196,14 @@ std::int64_t quant_channel_sum(const QuantizedMatrix& qb, std::size_t c);
 /// (asymmetric, zero-point corrected through qb.col_sums); products
 /// accumulate in exact int32 and a single fp32 scale pair maps back.
 /// Contract (stronger than the fp32 family): results are bit-identical
-/// across thread counts, batch sizes, AND between every tier — the AVX2
+/// across batch sizes AND between every tier — the AVX2
 /// vpmaddubsw/vpmaddwd kernel, the AVX-512 VNNI vpdpbusd kernel and the
-/// serial reference. Integer accumulation is exact and associative, the
+/// baseline reference. Integer accumulation is exact and associative, the
 /// u7 activation range keeps every vpmaddubsw pair sum below i16
 /// saturation, the activation quantizer's min/max/multiply/convert are
 /// exact or singly rounded per element, and the float epilogue is the
-/// same two-rounding expression on every tier. Same row-blocked parallel
-/// dispatch as matmul_transb.
+/// same two-rounding expression on every tier.
 void matmul_quant(const Matrix& a, const QuantizedMatrix& qb, Matrix& out);
-
-/// Serial reference for matmul_quant (single-threaded; bit-identical to
-/// the parallel and SIMD paths by the contract above).
-void matmul_quant_serial(const Matrix& a, const QuantizedMatrix& qb,
-                         Matrix& out);
 
 /// Quantize the rows of [a | b] as matmul_quant quantizes its activations
 /// (a: rows × a_cols, b: rows × b_cols or null, both dense row-major):

@@ -1,10 +1,8 @@
 #include "ml/optimizer.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "util/check.h"
-#include "util/thread_pool.h"
 
 namespace nfv::ml {
 
@@ -73,27 +71,12 @@ void Adam::step() {
     float* g = p.grad.data();
     float* w = p.value.data();
     const std::size_t n = p.value.size();
-    const auto update = [&](std::size_t j0, std::size_t j1) {
-      for (std::size_t j = j0; j < j1; ++j) {
-        mv[j] = beta1_ * mv[j] + (1.0f - beta1_) * g[j];
-        vv[j] = beta2_ * vv[j] + (1.0f - beta2_) * g[j] * g[j];
-        const float mhat = mv[j] / bias1;
-        const float vhat = vv[j] / bias2;
-        w[j] -= lr_ * mhat / (std::sqrt(vhat) + epsilon_);
-      }
-    };
-    // Every element's update is independent, so chunking over the pool is
-    // slot-addressed and bit-identical to the serial sweep. Only the big
-    // tensors (embedding table, output head) clear the bar.
-    constexpr std::size_t kChunk = 16384;
-    if (n >= 2 * kChunk && !nfv::util::ThreadPool::in_parallel_region() &&
-        nfv::util::global_pool().size() > 1) {
-      const std::size_t chunks = (n + kChunk - 1) / kChunk;
-      nfv::util::global_pool().parallel_for(0, chunks, [&](std::size_t ci) {
-        update(ci * kChunk, std::min((ci + 1) * kChunk, n));
-      });
-    } else {
-      update(0, n);
+    for (std::size_t j = 0; j < n; ++j) {
+      mv[j] = beta1_ * mv[j] + (1.0f - beta1_) * g[j];
+      vv[j] = beta2_ * vv[j] + (1.0f - beta2_) * g[j] * g[j];
+      const float mhat = mv[j] / bias1;
+      const float vhat = vv[j] / bias2;
+      w[j] -= lr_ * mhat / (std::sqrt(vhat) + epsilon_);
     }
     p.zero_grad();
   }

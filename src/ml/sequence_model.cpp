@@ -10,7 +10,6 @@
 #include "ml/loss.h"
 #include "ml/serialize.h"
 #include "util/check.h"
-#include "util/thread_pool.h"
 
 namespace nfv::ml {
 
@@ -132,39 +131,17 @@ double SequenceModel::forward_backward(const WindowBatch& windows) {
     grad_below = &lstm_layers_[l].backward(*grad_below);
   }
 
-  // Scatter input gradients back into the embedding table, sharded by
-  // destination: each task owns a block of vocab rows and scans every
-  // (t, r) pair for ids landing in its block. A table row therefore
-  // accumulates its contributions in exactly the serial (t, r) order no
-  // matter how many threads run, and no two tasks touch the same row.
+  // Scatter input gradients back into the embedding table in (t, r) order.
   Matrix& table_grad = embedding_.table().grad;
   const std::size_t embed_dim = config_.embed_dim;
-  const auto scatter_rows = [&](std::size_t v0, std::size_t v1) {
-    for (std::size_t t = 0; t < k; ++t) {
-      const Matrix& dx = (*grad_below)[t];
-      const std::int32_t* ids = ids_steps[t].data();
-      for (std::size_t r = 0; r < batch_size; ++r) {
-        const auto id = static_cast<std::size_t>(ids[r]);
-        if (id < v0 || id >= v1) continue;
-        float* grad_row = table_grad.row(id);
-        const float* g = dx.row(r);
-        for (std::size_t c = 0; c < embed_dim; ++c) grad_row[c] += g[c];
-      }
+  for (std::size_t t = 0; t < k; ++t) {
+    const Matrix& dx = (*grad_below)[t];
+    const std::int32_t* ids = ids_steps[t].data();
+    for (std::size_t r = 0; r < batch_size; ++r) {
+      float* grad_row = table_grad.row(static_cast<std::size_t>(ids[r]));
+      const float* g = dx.row(r);
+      for (std::size_t c = 0; c < embed_dim; ++c) grad_row[c] += g[c];
     }
-  };
-  const std::size_t vocab = embedding_.vocab();
-  nfv::util::ThreadPool& pool = nfv::util::global_pool();
-  // Each task rescans all (t, r) pairs, so the fan-out only pays off once
-  // the scatter moves a few hundred KMACs of row additions.
-  if (!nfv::util::ThreadPool::in_parallel_region() && pool.size() > 1 &&
-      k * batch_size * embed_dim >= (1u << 18)) {
-    const std::size_t blocks = std::min(vocab, pool.size() * 2);
-    const std::size_t block = (vocab + blocks - 1) / blocks;
-    pool.parallel_for(0, blocks, [&](std::size_t bi) {
-      scatter_rows(bi * block, std::min((bi + 1) * block, vocab));
-    });
-  } else {
-    scatter_rows(0, vocab);
   }
   return loss;
 }
@@ -242,30 +219,15 @@ void SequenceModel::forward_logits(const ScoringImage& image,
   for (std::size_t l = 0; l < lstm_layers_.size(); ++l) {
     lstm_layers_[l].reset_state(scratch.states[l], n);
   }
-  // Every row's window runs all its steps before the next block of rows:
-  // rows are independent, so row blocks may run on any thread.
-  const auto window_rows = [&](std::size_t i0, std::size_t i1) {
-    for (std::size_t t = 0; t < k; ++t) {
-      LstmStepInput input;
-      input.table = scratch.table_rows.data() + t * n;
-      input.dt = scratch.dts.data() + t * n;
-      input.dt_gates = image.dt_gates.data();
-      for (std::size_t l = 0; l < lstm_layers_.size(); ++l) {
-        if (l > 0) input = LstmStepInput{&scratch.states[l - 1].h[t % 2]};
-        lstm_layers_[l].score_step(image.layers[l], input, t,
-                                   scratch.states[l], i0, i1);
-      }
+  for (std::size_t t = 0; t < k; ++t) {
+    LstmStepInput input;
+    input.table = scratch.table_rows.data() + t * n;
+    input.dt = scratch.dts.data() + t * n;
+    input.dt_gates = image.dt_gates.data();
+    for (std::size_t l = 0; l < lstm_layers_.size(); ++l) {
+      if (l > 0) input = LstmStepInput{&scratch.states[l - 1].h[t % 2]};
+      lstm_layers_[l].score_step(image.layers[l], input, t, scratch.states[l]);
     }
-  };
-  constexpr std::size_t kRowBlock = 64;
-  nfv::util::ThreadPool& pool = nfv::util::global_pool();
-  if (n > kRowBlock && pool.size() > 1 &&
-      !nfv::util::ThreadPool::in_parallel_region()) {
-    pool.parallel_for(0, (n + kRowBlock - 1) / kRowBlock, [&](std::size_t b) {
-      window_rows(b * kRowBlock, std::min(n, (b + 1) * kRowBlock));
-    });
-  } else {
-    window_rows(0, n);
   }
   const Matrix& top = scratch.states.back().h[(k - 1) % 2];
   if (quantized_) {

@@ -122,8 +122,8 @@ class SequenceModel {
   /// current weights and precision. Every
   /// row's arithmetic is independent of its batch neighbours (per-row
   /// gathers, per-row GEMM dot products, per-row log-sum-exp), so results
-  /// are bit-identical to score_log_likelihood for ANY batch size and any
-  /// thread count. `out.size()` must equal `windows.size()`.
+  /// are bit-identical to score_log_likelihood for ANY batch size.
+  /// `out.size()` must equal `windows.size()`.
   void score_batched(const ScoringImage& image, const WindowBatch& windows,
                      std::size_t batch_size, InferenceScratch& scratch,
                      std::span<double> out) const;

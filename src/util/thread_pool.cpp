@@ -28,20 +28,12 @@ ThreadPool::ScopedRegion::~ScopedRegion() {
 }
 
 void ServiceThreads::start(std::size_t count,
-                           std::function<void(std::size_t)> fn,
-                           bool serial_kernels) {
+                           std::function<void(std::size_t)> fn) {
   NFV_CHECK(threads_.empty(), "ServiceThreads already started");
   NFV_CHECK(fn != nullptr, "ServiceThreads requires a loop function");
   threads_.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
-    threads_.emplace_back([fn, i, serial_kernels] {
-      if (serial_kernels) {
-        ThreadPool::ScopedRegion region;
-        fn(i);
-      } else {
-        fn(i);
-      }
-    });
+    threads_.emplace_back(fn, i);
   }
 }
 

@@ -1,5 +1,8 @@
-// Deterministic fork-join parallelism for the per-group training/scoring
-// fan-out and the blocked matrix kernels.
+// Deterministic fork-join parallelism for work that splits into
+// independent units: the per-group training and per-vPE scoring fan-out of
+// run_pipeline, the per-vPE trace synthesis of simulate_fleet and the
+// per-threshold sweep of precision_recall_curve. The ml kernels run on
+// their calling thread and never reach a pool.
 //
 // Design constraints (see README "Parallel execution & determinism"):
 //  - Results must be bit-identical to the serial path for any thread
@@ -12,9 +15,10 @@
 //    rethrown on the calling thread — the same exception the serial loop
 //    would have surfaced first.
 //  - Nesting is rejected. A parallel_for issued from inside a running
-//    parallel region throws CheckError instead of deadlocking; kernels
-//    that may be reached from inside tasks (e.g. nfv::ml::matmul) consult
-//    in_parallel_region() and fall back to their serial path.
+//    parallel region throws CheckError instead of deadlocking; code that
+//    may be reached from inside tasks (simulate_fleet,
+//    precision_recall_curve) consults in_parallel_region() and runs its
+//    loop inline instead.
 #pragma once
 
 #include <atomic>
@@ -57,15 +61,13 @@ class ThreadPool {
 
   /// True while the current thread is executing inside a multi-threaded
   /// parallel region (worker thread, or the caller participating in its
-  /// own job). Kernels use this to fall back to serial rather than nest.
+  /// own job). Callers use this to run inline rather than nest.
   static bool in_parallel_region();
 
-  /// RAII marker declaring the current thread part of a parallel region.
-  /// Long-running service threads (async ingest shard workers) install
-  /// one so every ml kernel underneath takes its serial path instead of
-  /// contending for the global fork-join pool — N service threads doing
-  /// serial work beat N threads queueing behind one pool. Restores the
-  /// previous state on destruction, so nesting is harmless.
+  /// RAII marker declaring the current thread part of a parallel region,
+  /// so code underneath that consults in_parallel_region() runs inline
+  /// instead of fanning out on a pool. Restores the previous state on
+  /// destruction, so nesting is harmless.
   class ScopedRegion {
    public:
     ScopedRegion();
@@ -120,9 +122,7 @@ class ThreadPool {
 /// the lifetime of a runtime object. Each thread runs fn(index) exactly
 /// once; join() (or destruction) blocks until every loop returns — the
 /// caller is responsible for signalling its loops to exit first (e.g. by
-/// closing their input queues). When `serial_kernels` is set (the
-/// default), each thread holds a ThreadPool::ScopedRegion for its entire
-/// run, pinning all ml kernels underneath to their serial paths.
+/// closing their input queues).
 class ServiceThreads {
  public:
   ServiceThreads() = default;
@@ -133,8 +133,7 @@ class ServiceThreads {
 
   /// Spawn `count` threads running fn(0..count-1). May only be called on
   /// an empty (never-started or joined) instance.
-  void start(std::size_t count, std::function<void(std::size_t)> fn,
-             bool serial_kernels = true);
+  void start(std::size_t count, std::function<void(std::size_t)> fn);
 
   /// Block until all loops return. Idempotent.
   void join();
@@ -145,9 +144,11 @@ class ServiceThreads {
   std::vector<std::thread> threads_;
 };
 
-/// Process-wide pool used by kernels that parallelize internally (blocked
-/// matmul) and by tools/benches. Lazily created at resolve_threads(0)
-/// size. Not intended to be resized concurrently with use.
+/// The process's one pool: run_pipeline, simulate_fleet and
+/// precision_recall_curve fan out on it. Lazily created at
+/// resolve_threads(0) size (NFVPRED_THREADS, else hardware concurrency);
+/// set_global_threads (the CLI's --threads) resizes it. Not intended to be
+/// resized concurrently with use.
 ThreadPool& global_pool();
 
 /// Replace the global pool with one of the given size (0 = auto). Call

@@ -1,13 +1,13 @@
 // The batched inference engine's determinism contract: packing scoring
 // windows from many streams into fused forward batches must produce
 // scores bit-identical to window-by-window scoring — for ANY batch
-// composition and ANY thread count (the per-row forward math never
-// depends on batch neighbours). These tests sweep the model's fused batch
-// size ∈ {1, 5, 64, 1024} × threads ∈ {1, 4} against the serial fp32
-// references, check the detector's cross-stream call (empty and
-// short streams included) against one-window calls, and prove the
-// StreamMonitorGroup micro-batch flush equivalent to immediate per-line
-// ingestion. Run under -DNFVPRED_SANITIZE=thread via ctest -L concurrency.
+// composition (the per-row forward math never depends on batch
+// neighbours). These tests sweep the model's fused batch size
+// ∈ {1, 5, 64, 1024} against the serial fp32 references, check the
+// detector's cross-stream call (empty and short streams included)
+// against one-window calls, and prove the StreamMonitorGroup
+// micro-batch flush equivalent to immediate per-line ingestion. Run under
+// -DNFVPRED_SANITIZE=thread via ctest -L concurrency.
 #include <gtest/gtest.h>
 
 #include <span>
@@ -19,7 +19,6 @@
 #include "logproc/signature_tree.h"
 #include "ml/sequence_model.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace nfv::core {
 namespace {
@@ -104,7 +103,6 @@ TEST(BatchInvarianceTest, ScoresIdenticalForAnyBatchSizeAndThreadCount) {
     // own (a fused batch of at most two rows), serial. The slice starts
     // one log before the window so the window's first Δt matches the
     // full stream's; its last event is that window's score.
-    nfv::util::set_global_threads(1);
     std::vector<std::vector<ScoredEvent>> reference(views.size());
     for (std::size_t s = 0; s < views.size(); ++s) {
       for (std::size_t i = kWindow; i < views[s].size(); ++i) {
@@ -119,22 +117,17 @@ TEST(BatchInvarianceTest, ScoresIdenticalForAnyBatchSizeAndThreadCount) {
     EXPECT_TRUE(reference[2].empty());
     ASSERT_FALSE(reference.back().empty());
 
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      nfv::util::set_global_threads(threads);
-      const std::string label = "mode=" +
-                                std::to_string(static_cast<int>(mode)) +
-                                " threads=" + std::to_string(threads);
-      // Every stream's windows in one fused batch...
-      expect_identical_events(reference, detector.score_streams(views, kVocab),
-                              label + " all streams");
-      // ...and one stream's windows per batch.
-      std::vector<std::vector<ScoredEvent>> per_stream;
-      for (const LogView& view : views) {
-        per_stream.push_back(detector.score(view, kVocab));
-      }
-      expect_identical_events(reference, per_stream, label + " per stream");
+    const std::string label =
+        "mode=" + std::to_string(static_cast<int>(mode));
+    // Every stream's windows in one fused batch...
+    expect_identical_events(reference, detector.score_streams(views, kVocab),
+                            label + " all streams");
+    // ...and one stream's windows per batch.
+    std::vector<std::vector<ScoredEvent>> per_stream;
+    for (const LogView& view : views) {
+      per_stream.push_back(detector.score(view, kVocab));
     }
-    nfv::util::set_global_threads(0);  // restore auto sizing
+    expect_identical_events(reference, per_stream, label + " per stream");
   }
 }
 
@@ -201,7 +194,7 @@ ml::WindowBatch make_windows(std::size_t count, std::size_t window,
 // references, for fused batch sizes that run only the kernels' 1-row tail
 // (1, 2, 3), split the 130 windows into tile-plus-tail batches (5, 7, 9,
 // 63), leave one partial batch (64) or match the detector's
-// LstmDetector::kScoreBatch (1024), at 1 and 4 threads. One scratch is
+// LstmDetector::kScoreBatch (1024). One scratch is
 // reused across every call, as a caller scoring many batches would.
 TEST(BatchInvarianceTest, ModelBatchedScoringMatchesSerialForAnyBatchSize) {
   ml::SequenceModelConfig config;
@@ -224,23 +217,17 @@ TEST(BatchInvarianceTest, ModelBatchedScoringMatchesSerialForAnyBatchSize) {
 
   const ml::SequenceModel::ScoringImage image = model.build_scoring_image();
   ml::SequenceModel::InferenceScratch scratch;
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    nfv::util::set_global_threads(threads);
-    for (const std::size_t batch_size :
-         {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{5},
-          std::size_t{7}, std::size_t{9}, std::size_t{63}, std::size_t{64},
-          LstmDetector::kScoreBatch}) {
-      std::vector<double> ll(windows.size());
-      model.score_batched(image, windows, batch_size, scratch, ll);
-      EXPECT_EQ(ll, serial_ll)
-          << "batch_size " << batch_size << " threads " << threads;
-      std::vector<std::size_t> ranks(windows.size());
-      model.score_ranks_batched(image, windows, batch_size, scratch, ranks);
-      EXPECT_EQ(ranks, serial_ranks)
-          << "batch_size " << batch_size << " threads " << threads;
-    }
+  for (const std::size_t batch_size :
+       {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{5},
+        std::size_t{7}, std::size_t{9}, std::size_t{63}, std::size_t{64},
+        LstmDetector::kScoreBatch}) {
+    std::vector<double> ll(windows.size());
+    model.score_batched(image, windows, batch_size, scratch, ll);
+    EXPECT_EQ(ll, serial_ll) << "batch_size " << batch_size;
+    std::vector<std::size_t> ranks(windows.size());
+    model.score_ranks_batched(image, windows, batch_size, scratch, ranks);
+    EXPECT_EQ(ranks, serial_ranks) << "batch_size " << batch_size;
   }
-  nfv::util::set_global_threads(0);  // restore auto sizing
 }
 
 TEST(BatchInvarianceTest, MonitorGroupFlushMatchesImmediateIngestion) {

@@ -1,13 +1,11 @@
 // Determinism is a hard requirement of the parallel execution layer: the
-// pipeline's per-group/per-vPE fan-out and the blocked matrix kernels must
-// produce bit-identical results for every thread count. These tests pin
-// that contract by comparing full runs at threads = 1 vs threads = 4.
+// pipeline's per-group/per-vPE fan-out on the global pool must produce
+// bit-identical results for every pool size. This test pins that contract
+// by comparing full runs at 1 vs 4 global-pool threads.
 #include "core/pipeline.h"
 
 #include <gtest/gtest.h>
 
-#include "ml/matrix.h"
-#include "util/rng.h"
 #include "util/thread_pool.h"
 
 namespace nfv::core {
@@ -98,58 +96,13 @@ TEST(PipelineDeterminismTest, ThreadsOneAndFourAreBitIdentical) {
   options.clustering.fixed_k = 2;
   options.lstm_config = fast_lstm();
 
-  options.threads = 1;
+  nfv::util::set_global_threads(1);
   const PipelineResult serial = run_pipeline(trace, parsed, options);
-  options.threads = 4;
+  nfv::util::set_global_threads(4);
   const PipelineResult parallel = run_pipeline(trace, parsed, options);
+  nfv::util::set_global_threads(0);  // back to the environment default
 
   expect_identical(serial, parallel);
-}
-
-// The blocked-parallel matrix kernels against their serial references on
-// random shapes straddling the parallelism work threshold.
-TEST(PipelineDeterminismTest, BlockedParallelMatmulMatchesSerial) {
-  nfv::util::set_global_threads(4);
-  nfv::util::Rng rng(99);
-  const struct {
-    std::size_t r, k, c;
-  } shapes[] = {
-      {1, 1, 1},     {3, 7, 5},      {17, 33, 9},
-      {64, 64, 64},  {128, 96, 130}, {300, 128, 77},
-  };
-  for (const auto& shape : shapes) {
-    ml::Matrix a(shape.r, shape.k);
-    ml::Matrix b(shape.k, shape.c);
-    ml::Matrix bt(shape.c, shape.k);
-    for (float& x : a.storage()) x = static_cast<float>(rng.normal());
-    for (float& x : b.storage()) x = static_cast<float>(rng.normal());
-    for (float& x : bt.storage()) x = static_cast<float>(rng.normal());
-
-    ml::Matrix serial, parallel;
-    ml::matmul_serial(a, b, serial);
-    ml::matmul(a, b, parallel);
-    ASSERT_EQ(serial.storage(), parallel.storage())
-        << shape.r << "x" << shape.k << "x" << shape.c;
-
-    ml::matmul_transb_serial(a, bt, serial);
-    ml::matmul_transb(a, bt, parallel);
-    ASSERT_EQ(serial.storage(), parallel.storage())
-        << "transb " << shape.r << "x" << shape.k << "x" << shape.c;
-
-    // Accumulating kernel: seed both accumulators identically.
-    ml::Matrix b2(shape.r, shape.c);
-    for (float& x : b2.storage()) x = static_cast<float>(rng.normal());
-    ml::Matrix acc_serial(shape.k, shape.c);
-    for (float& x : acc_serial.storage()) {
-      x = static_cast<float>(rng.normal());
-    }
-    ml::Matrix acc_parallel = acc_serial;
-    ml::matmul_transa_accumulate_serial(a, b2, acc_serial);
-    ml::matmul_transa_accumulate(a, b2, acc_parallel);
-    ASSERT_EQ(acc_serial.storage(), acc_parallel.storage())
-        << "transa " << shape.r << "x" << shape.k << "x" << shape.c;
-  }
-  nfv::util::set_global_threads(0);  // restore auto sizing
 }
 
 }  // namespace

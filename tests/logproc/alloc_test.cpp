@@ -20,7 +20,6 @@
 
 #include "core/lstm_detector.h"
 #include "core/streaming.h"
-#include "util/thread_pool.h"
 #include "logproc/signature_tree.h"
 #include "util/interner.h"
 
@@ -216,9 +215,6 @@ TEST(SteadyStateAllocations, SharedForestLearnAndMatchAreAllocationFree) {
 // warm the buffers (the first stages fewer windows while the histories
 // fill). Every scored line crosses the threshold and, 30 s after the
 // previous one with a 10 s cluster span, raises a warning of its own.
-// The group runs inside a ScopedRegion, as on an AsyncIngest worker:
-// its kernels take their serial paths instead of the global fork-join
-// pool.
 TEST(SteadyStateAllocations, GroupStagingIsAllocationFree) {
   constexpr std::size_t kShards = 8;
   constexpr std::size_t kLines = 64;  // per shard per cycle
@@ -257,7 +253,6 @@ TEST(SteadyStateAllocations, GroupStagingIsAllocationFree) {
   }
   nfv::core::StreamMonitorGroup group(&detector);
   for (nfv::core::StreamMonitor& monitor : monitors) group.add(&monitor);
-  const nfv::util::ThreadPool::ScopedRegion worker_thread;
 
   const auto stage = [&](std::size_t cycle) {
     for (std::size_t i = 0; i < kLines; ++i) {

@@ -8,7 +8,6 @@
 #include "kernel_tiers.h"
 #include "util/check.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace nfv::ml {
 namespace {
@@ -129,9 +128,10 @@ TEST(MatmulTransB, MatchesExplicitTranspose) {
 /// column counts around the 16-column panel (8-lane halves, zero-padded
 /// last panels and masked stores) and the AVX-512 tier's 4-, 2- and
 /// 1-panel tiles, and reduction depths of the scoring and training
-/// shapes. Exact equality, at 1 and 4 threads (65×128×64 crosses the
-/// parallel row-block threshold); matching the same fused chain makes the
-/// two SIMD tiers equal bit for bit.
+/// shapes; and the weight-gradient product matmul_transa_accumulate
+/// against its r-ascending chains on the same shapes. Exact equality;
+/// matching the same fused chain makes the two SIMD tiers equal bit for
+/// bit.
 TEST(PackedKernels, ShapeSweepMatchesKAscendingChainInBothTiers) {
   nfv::util::Rng rng(17);
   const auto fill = [&](Matrix& m) {
@@ -150,51 +150,68 @@ TEST(PackedKernels, ShapeSweepMatchesKAscendingChainInBothTiers) {
       }
       return acc;
     };
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      nfv::util::set_global_threads(threads);
-      for (const std::size_t kn : {1, 17, 49, 64}) {
-        for (const std::size_t cols :
-             {1, 7, 8, 9, 15, 16, 17, 24, 31, 32, 33, 76, 128}) {
-          Matrix w(cols, kn);  // matmul_transb operand (C×K)
-          Matrix wt(kn, cols);  // the same weights for plain matmul (K×C)
-          fill(w);
-          for (std::size_t c = 0; c < cols; ++c) {
-            for (std::size_t k = 0; k < kn; ++k) wt.at(k, c) = w.at(c, k);
+    for (const std::size_t kn : {1, 17, 49, 64}) {
+      for (const std::size_t cols :
+           {1, 7, 8, 9, 15, 16, 17, 24, 31, 32, 33, 76, 128}) {
+        Matrix w(cols, kn);  // matmul_transb operand (C×K)
+        Matrix wt(kn, cols);  // the same weights for plain matmul (K×C)
+        fill(w);
+        for (std::size_t c = 0; c < cols; ++c) {
+          for (std::size_t k = 0; k < kn; ++k) wt.at(k, c) = w.at(c, k);
+        }
+        std::vector<float> packed_t;
+        std::vector<float> packed_b;
+        pack_transb(w, packed_t);
+        pack_matmul_b(wt, packed_b);
+        for (const std::size_t rows : row_counts) {
+          Matrix a(rows, kn);
+          fill(a);
+          Matrix transb, transb_packed, plain, plain_packed;
+          matmul_transb(a, w, transb);
+          matmul_transb_packed(a, w, packed_t, transb_packed);
+          matmul(a, wt, plain);
+          matmul_packed(a, wt, packed_b, plain_packed);
+          for (std::size_t i = 0; i < rows; ++i) {
+            for (std::size_t j = 0; j < cols; ++j) {
+              const float want = chain(a.row(i), w.row(j), 1, kn);
+              ASSERT_EQ(transb.at(i, j), want)
+                  << "transb tier=" << kernel_tier_name(tier) << " " << rows
+                  << "x" << kn << "x" << cols << " at (" << i << "," << j
+                  << ")";
+              ASSERT_EQ(transb_packed.at(i, j), want)
+                  << "transb_packed " << rows << "x" << kn << "x" << cols;
+              ASSERT_EQ(plain.at(i, j), chain(a.row(i), wt.data() + j,
+                                              cols, kn))
+                  << "matmul " << rows << "x" << kn << "x" << cols;
+              ASSERT_EQ(plain_packed.at(i, j), plain.at(i, j))
+                  << "matmul_packed " << rows << "x" << kn << "x" << cols;
+            }
           }
-          std::vector<float> packed_t;
-          std::vector<float> packed_b;
-          pack_transb(w, packed_t);
-          pack_matmul_b(wt, packed_b);
-          for (const std::size_t rows : row_counts) {
-            Matrix a(rows, kn);
-            fill(a);
-            Matrix transb, transb_packed, plain, plain_packed;
-            matmul_transb(a, w, transb);
-            matmul_transb_packed(a, w, packed_t, transb_packed);
-            matmul(a, wt, plain);
-            matmul_packed(a, wt, packed_b, plain_packed);
-            for (std::size_t i = 0; i < rows; ++i) {
-              for (std::size_t j = 0; j < cols; ++j) {
-                const float want = chain(a.row(i), w.row(j), 1, kn);
-                ASSERT_EQ(transb.at(i, j), want)
-                    << "transb tier=" << kernel_tier_name(tier)
-                    << " threads=" << threads << " " << rows << "x" << kn
-                    << "x" << cols << " at (" << i << "," << j << ")";
-                ASSERT_EQ(transb_packed.at(i, j), want)
-                    << "transb_packed " << rows << "x" << kn << "x" << cols;
-                ASSERT_EQ(plain.at(i, j), chain(a.row(i), wt.data() + j,
-                                                cols, kn))
-                    << "matmul " << rows << "x" << kn << "x" << cols;
-                ASSERT_EQ(plain_packed.at(i, j), plain.at(i, j))
-                    << "matmul_packed " << rows << "x" << kn << "x" << cols;
+          // out += aᵀ·b: each element adds its r-ascending chain, summed
+          // from zero, to the prior value once.
+          Matrix b(rows, cols);
+          fill(b);
+          Matrix acc(kn, cols);
+          fill(acc);
+          const Matrix prior = acc;
+          matmul_transa_accumulate(a, b, acc);
+          for (std::size_t k = 0; k < kn; ++k) {
+            for (std::size_t j = 0; j < cols; ++j) {
+              float sum = 0.0f;
+              for (std::size_t r = 0; r < rows; ++r) {
+                sum = fused ? std::fma(a.at(r, k), b.at(r, j), sum)
+                            : sum + a.at(r, k) * b.at(r, j);
               }
+              ASSERT_EQ(acc.at(k, j), prior.at(k, j) + sum)
+                  << "transa tier=" << kernel_tier_name(tier) << " " << rows
+                  << "x" << kn << "x" << cols << " at (" << k << "," << j
+                  << ")";
             }
           }
         }
       }
     }
   });
-  nfv::util::set_global_threads(0);
   if (!missing.empty()) GTEST_SKIP() << "CPU lacks the " << missing << " tier";
 }
 

@@ -137,7 +137,7 @@ LstmState score_steps(const Lstm& lstm, const std::vector<Matrix>& inputs) {
   for (std::size_t t = 0; t < inputs.size(); ++t) {
     LstmStepInput input;
     input.x = &inputs[t];
-    lstm.score_step(weights, input, t, state, 0, batch);
+    lstm.score_step(weights, input, t, state);
   }
   return state;
 }
@@ -223,7 +223,7 @@ TEST(LstmStep, ZeroStateInputBlockMatchesConcatGemmInBothTiers) {
         LstmStepInput input;
         input.x = &x;
         lstm.score_step(lstm.step_weights(false, nullptr), input, 1,
-                        full_step, 0, batch);
+                        full_step);
         EXPECT_EQ(zero_step.h[0].storage(), full_step.h[1].storage())
             << kernel_tier_name(tier) << " hidden " << hidden << " batch "
             << batch;

@@ -1,9 +1,8 @@
 // Bitwise determinism of the training fast path: per-batch losses and
-// final parameters must be identical for any NFVPRED_THREADS in every
-// kernel tier, and identical between the AVX2 and AVX-512 tiers. (The
-// baseline tier may differ from them — that is the same per-machine
-// contract the scoring kernels ship with — but it must be internally
-// invariant to the thread count.)
+// final parameters must be identical between repeat runs in every kernel
+// tier, and identical between the AVX2 and AVX-512 tiers. (The baseline
+// tier may differ from them — that is the same per-machine contract the
+// scoring kernels ship with — but it must repeat itself bit for bit.)
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -16,7 +15,6 @@
 #include "ml/optimizer.h"
 #include "ml/sequence_model.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace nfv::ml {
 namespace {
@@ -44,8 +42,7 @@ WindowBatch make_dataset(const SequenceModelConfig& config,
   return windows;
 }
 
-TrainRun run_training(std::size_t threads, KernelTier tier) {
-  nfv::util::set_global_threads(threads);
+TrainRun run_training(KernelTier tier) {
   set_kernel_tier(tier);
 
   SequenceModelConfig config;
@@ -59,8 +56,7 @@ TrainRun run_training(std::size_t threads, KernelTier tier) {
   Adam adam(3e-3f);
   adam.bind(model.params());
 
-  // Batch of 64 rows: wide enough for the packed kernels AND the
-  // row-parallel elementwise splits, so every parallel code path is live.
+  // Batch of 64 rows: wide enough for the packed kernels' 4-row tiles.
   const WindowBatch windows = make_dataset(config, 192);
   constexpr std::size_t kBatch = 64;
   TrainRun run;
@@ -101,43 +97,31 @@ void expect_bitwise_equal(const TrainRun& a, const TrainRun& b,
 class TrainingDeterminismTest : public ::testing::Test {
  protected:
   void SetUp() override { tier_default_ = kernel_tier(); }
-  void TearDown() override {
-    set_kernel_tier(tier_default_);
-    nfv::util::set_global_threads(0);
-  }
+  void TearDown() override { set_kernel_tier(tier_default_); }
   KernelTier tier_default_ = KernelTier::kBaseline;
 };
 
-// Each SIMD tier the CPU has is thread-count invariant, and the AVX-512
-// tier trains the AVX2 tier's weights bit for bit.
-TEST_F(TrainingDeterminismTest, ThreadCountInvariantWithSimd) {
-  std::vector<TrainRun> four_thread_runs;
+// The AVX-512 tier trains the AVX2 tier's weights bit for bit.
+TEST_F(TrainingDeterminismTest, SimdTiersTrainBitIdentical) {
+  std::vector<TrainRun> simd_runs;
   const std::string missing = for_each_kernel_tier([&](KernelTier tier) {
     if (tier == KernelTier::kBaseline) return;
-    const TrainRun one = run_training(1, tier);
-    const TrainRun four = run_training(4, tier);
-    expect_bitwise_equal(one, four,
-                         std::string(kernel_tier_name(tier)) + " 1T vs 4T");
-    if (!four_thread_runs.empty()) {
-      expect_bitwise_equal(four_thread_runs.front(), four,
+    simd_runs.push_back(run_training(tier));
+    if (simd_runs.size() > 1) {
+      expect_bitwise_equal(simd_runs.front(), simd_runs.back(),
                            std::string(kernel_tier_name(tier)) +
                                " vs the other SIMD tier");
     }
-    four_thread_runs.push_back(four);
   });
   if (!missing.empty()) GTEST_SKIP() << "CPU lacks the " << missing << " tier";
 }
 
-TEST_F(TrainingDeterminismTest, ThreadCountInvariantWithSimdOff) {
-  const TrainRun one = run_training(1, KernelTier::kBaseline);
-  const TrainRun four = run_training(4, KernelTier::kBaseline);
-  expect_bitwise_equal(one, four, "baseline 1T vs 4T");
-}
-
+// Every tier the CPU has, the baseline included, repeats its own run.
 TEST_F(TrainingDeterminismTest, RepeatRunsBitIdentical) {
-  const TrainRun a = run_training(4, tier_default_);
-  const TrainRun b = run_training(4, tier_default_);
-  expect_bitwise_equal(a, b, "repeat 4T");
+  for_each_kernel_tier([&](KernelTier tier) {
+    expect_bitwise_equal(run_training(tier), run_training(tier),
+                         std::string(kernel_tier_name(tier)) + " repeat");
+  });
 }
 
 }  // namespace

@@ -122,7 +122,7 @@ TEST(ThreadPoolTest, InParallelRegionFlag) {
   EXPECT_FALSE(ThreadPool::in_parallel_region());
 
   // ...while a size-1 pool runs inline as plain serial code, leaving
-  // kernels below it free to use the global pool.
+  // code below it free to fan out on another pool.
   ThreadPool serial(1);
   bool inline_flag = true;
   serial.parallel_for(0, 1, [&](std::size_t) {

@@ -10,7 +10,7 @@
 # parallel-vs-serial pipeline determinism, shared-detector streaming,
 # the async-ingest determinism/backpressure/control-plane suite, and the
 # batched-inference invariance suite: fused model scoring at any batch
-# size and thread count, cross-stream calls vs per-window calls, and
+# size, cross-stream calls vs per-window calls, and
 # one-call group flushes vs immediate ingestion). The
 # benchmark ledger's self-test (perfbench/selftest.py) checks its metric
 # set, its serial-replay parity gate and that gate's --perturb trip. The

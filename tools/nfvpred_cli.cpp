@@ -173,9 +173,10 @@ void usage() {
       "           [--retrain-samples N] per-shard recency-window sample\n"
       "           budget for each retrain round (default 2048)\n"
       "common options:\n"
-      "  --threads N   worker threads for training/scoring kernels\n"
-      "                (default: NFVPRED_THREADS env, else all cores;\n"
-      "                 results are identical for any thread count)\n"
+      "  --threads N   global thread pool size; simulate generates the\n"
+      "                vPE traces on it in parallel (default:\n"
+      "                NFVPRED_THREADS env, else all cores; results are\n"
+      "                identical for any thread count)\n"
       "  --quantize 1  int8 quantized scoring (train: calibrate the int8\n"
       "                sidecar after training and store it in the\n"
       "                checkpoint; score: calibrate after load). Training\n"
