@@ -10,10 +10,10 @@
 //   - batched: one detector.score_streams() call over all streams, which
 //     packs every window into fused forward batches of
 //     LstmDetector::kScoreBatch rows;
-//   - batched+int8 (--quantize): the same fused path with the detector's
-//     per-channel int8 sidecar installed, so every LSTM gate product runs
-//     the fused step's int8 blocks and the head ml::matmul_quant
-//     (vpmaddubsw or VNNI vpdpbusd).
+//   - batched+int8 (--quantize): the same fused path from the detector's
+//     int8 scoring image, so every LSTM gate product runs the fused
+//     step's int8 gate blocks (vpmaddubsw or VNNI vpdpbusd), quantized
+//     per channel from the fp32 weights; the head stays fp32.
 // fp32 scores are bit-identical between the first two (see
 // batch_invariance_test); the quantized tier trades exact score equality
 // for the rank-agreement gate checked by `--smoke` below.
@@ -25,7 +25,10 @@
 // scored in calls of 1, 3, 17, 63 and 64 single-window streams, the shape
 // of a runtime flush holding that many staged windows), e.g.
 // BENCH_scoring.json; add `--quantize` to include the int8 rows, the int8
-// column of the sweep and the fp32-vs-int8 model weight bytes. The
+// column of the sweep and the gate-product weight bytes of the fp32 and
+// the int8 scoring image (`model`: weight_bytes_ratio is fp32 gate packs
+// over int8 gate blocks, how many fewer weight bytes the int8 step
+// streams; the int8 blocks are held next to the fp32 parameters). The
 // `paper_shape` rows score the paper's model (hidden 32, window 10) in
 // calls of 64 windows, a full runtime flush, in fp32 and int8 in every
 // tier.
@@ -33,12 +36,12 @@
 // Run with `--smoke` for the CI gate: trains a small model on a
 // *patterned* corpus (cyclic template sequence + 10% noise, so the
 // predicted distributions are sharp, unlike the uniform-random throughput
-// fixture), quantizes it, and checks
+// fixture), switches a copy to int8 scoring, and checks
 //   1. DeepLog top-k rank agreement fp32 vs int8 >= 99.5% of windows,
-//   2. quantized ranks are bit-identical between every SIMD kernel tier
-//      the CPU has and the serial tier, quantized log-likelihoods between
-//      the SIMD tiers, and fp32 scores (log-likelihoods and ranks) between
-//      the SIMD tiers.
+//   2. int8 ranks are bit-identical between every SIMD kernel tier the
+//      CPU has and the baseline tier, int8 log-likelihoods (scored from
+//      an int8 image built in each tier) between the SIMD tiers, and fp32
+//      scores (log-likelihoods and ranks) between the SIMD tiers.
 // Exit code is non-zero if any gate fails. Every ml kernel runs on its
 // calling thread, so every row measures one core.
 #include <benchmark/benchmark.h>
@@ -86,7 +89,7 @@ constexpr std::size_t kSweepWindows = 1008;
 
 struct Fixture {
   core::LstmDetector detector;
-  /// Same trained weights with the int8 sidecar installed.
+  /// Same trained weights, scoring from an int8 image.
   core::LstmDetector quantized;
   std::vector<std::vector<logproc::ParsedLog>> streams;
   /// The first kSweepWindows (k+1)-line windows, one view each.
@@ -354,13 +357,15 @@ int run_json_mode(const std::string& path, bool quantize) {
   w.kv("total_windows", f.total_windows);
   w.kv("score_batch", core::LstmDetector::kScoreBatch);
   if (quantize) {
-    const core::ModelMemoryStats fp32_mem = f.detector.model_memory();
     const core::ModelMemoryStats quant_mem = f.quantized.model_memory();
+    const std::size_t fp32_gate_bytes =
+        f.detector.model().build_scoring_image().gate_weight_bytes();
     w.key("model").begin_object();
-    w.kv("weight_bytes_fp32", fp32_mem.weight_bytes_fp32);
+    w.kv("weight_bytes_fp32", quant_mem.weight_bytes_fp32);
+    w.kv("gate_weight_bytes_fp32", fp32_gate_bytes);
     w.kv("weight_bytes_quantized", quant_mem.weight_bytes_quantized);
     w.kv("weight_bytes_ratio",
-         static_cast<double>(fp32_mem.weight_bytes_fp32) /
+         static_cast<double>(fp32_gate_bytes) /
              static_cast<double>(quant_mem.weight_bytes_quantized));
     w.end_object();
   }
@@ -499,16 +504,18 @@ int run_smoke_mode() {
     ok = false;
   }
 
-  // Gate 2: every SIMD tier's int8 ranks bit-identical to the serial
+  // Gate 2: every SIMD tier's int8 ranks bit-identical to the baseline
   // tier's, and the SIMD tiers' int8 log-likelihoods and fp32
-  // log-likelihoods and ranks bit-identical to each other.
+  // log-likelihoods and ranks bit-identical to each other. The int8
+  // log-likelihoods come from an int8 image built in the tier under test
+  // (the model's serial references score fp32).
   ml::WindowBatch batch;
   for (const auto& stream : streams) {
     logproc::append_sequence_windows(stream, config.window, batch);
   }
   const ml::KernelTier default_tier = ml::kernel_tier();
   ml::set_kernel_tier(ml::KernelTier::kBaseline);
-  const auto serial_ranks = score_all(quantized, streams);
+  const auto baseline_ranks = score_all(quantized, streams);
   const char* first_simd = nullptr;  // the SIMD tier the others match
   std::vector<double> simd_lls;
   std::vector<double> simd_quant_lls;
@@ -520,16 +527,20 @@ int run_smoke_mode() {
       std::cerr << "smoke: " << name << " tier not on this CPU, not checked\n";
       continue;
     }
-    if (score_all(quantized, streams) != serial_ranks) {
-      std::cerr << "smoke: FAIL int8 " << name << " vs serial scores differ\n";
+    if (score_all(quantized, streams) != baseline_ranks) {
+      std::cerr << "smoke: FAIL int8 " << name
+                << " vs baseline scores differ\n";
       ok = false;
     } else {
-      std::cerr << "smoke: int8 " << name << " == serial (bit-identical)\n";
+      std::cerr << "smoke: int8 " << name << " == baseline (bit-identical)\n";
     }
     const std::vector<double> lls =
         detector.model().score_log_likelihood(batch);
-    const std::vector<double> quant_lls =
-        quantized.model().score_log_likelihood(batch);
+    std::vector<double> quant_lls(batch.size());
+    ml::SequenceModel::InferenceScratch scratch;
+    quantized.model().score_batched(
+        quantized.model().build_scoring_image(/*int8=*/true), batch,
+        core::LstmDetector::kScoreBatch, scratch, quant_lls);
     const auto ranks = score_all(detector, streams);
     if (first_simd == nullptr) {
       first_simd = name;

@@ -44,9 +44,10 @@ enum class EventGranularity { kPerLog, kPerDocument };
 
 /// Resident model-memory footprint of a detector — the model share of a
 /// fleet's bytes/vPE. `weight_bytes_fp32` counts the fp32
-/// parameter values; `weight_bytes_quantized` the int8 scoring sidecar
-/// (0 when the detector scores in fp32). Detectors without a
-/// parameterized model report all-zero.
+/// parameter values; `weight_bytes_quantized` the int8 gate blocks
+/// (codes, scales, column sums) of an int8 scoring image, held next to
+/// the fp32 weights (0 when the detector scores in fp32). Detectors
+/// without a parameterized model report all-zero.
 struct ModelMemoryStats {
   std::size_t weight_bytes_fp32 = 0;
   std::size_t weight_bytes_quantized = 0;

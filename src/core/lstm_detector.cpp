@@ -80,12 +80,12 @@ void LstmDetector::train_epochs(const ml::WindowBatch& windows,
       model_->train_batch(batch, optimizer);
     }
   }
-  // The over-sampling loop scores between training rounds.
-  refresh_image();
+  // The over-sampling loop scores between training rounds, in fp32.
+  image_ = model_->build_scoring_image();
 }
 
 void LstmDetector::refresh_image() {
-  image_ = model_->build_scoring_image();
+  image_ = model_->build_scoring_image(config_.quantize);
 }
 
 bool LstmDetector::gather(LogView logs, std::size_t i,
@@ -192,9 +192,8 @@ void LstmDetector::fit(std::span<const LogView> streams, std::size_t vocab) {
   train_epochs(windows, all_rows(windows.size()), config_.initial_epochs,
                config_.initial_lr);
   if (config_.oversample) oversample_refine(windows);
-  // Calibrate once, after ALL training (including the over-sampling
+  // Quantize once, after ALL training (including the over-sampling
   // rounds, which score with the fp32 model they just trained).
-  if (config_.quantize) model_->quantize();
   refresh_image();
 }
 
@@ -208,7 +207,6 @@ void LstmDetector::update(std::span<const LogView> streams,
   const ml::WindowBatch windows = prepare_windows(streams);
   train_epochs(windows, all_rows(windows.size()), config_.update_epochs,
                config_.update_lr);
-  if (config_.quantize) model_->quantize();
   // Also after a grow_vocab with no training windows.
   refresh_image();
 }
@@ -236,7 +234,6 @@ void LstmDetector::adapt(std::span<const LogView> streams,
     train_epochs(windows, all_rows(windows.size()), config_.adapt_epochs,
                  config_.adapt_lr);
   }
-  if (config_.quantize) model_->quantize();
   refresh_image();
 }
 
@@ -301,11 +298,6 @@ void LstmDetector::score_windows(std::span<const logproc::ParsedLog> windows,
 void LstmDetector::set_quantized(bool on) {
   config_.quantize = on;
   if (!model_) return;  // mode takes effect at the next fit
-  if (on) {
-    model_->quantize();
-  } else {
-    model_->clear_quantized();
-  }
   refresh_image();
 }
 
@@ -313,8 +305,10 @@ ModelMemoryStats LstmDetector::model_memory() const {
   ModelMemoryStats stats;
   if (!model_) return stats;
   stats.weight_bytes_fp32 = model_->fp32_weight_bytes();
-  stats.weight_bytes_quantized = model_->quantized_weight_bytes();
-  stats.quantized = model_->quantized();
+  stats.quantized = image_.quantized;
+  if (image_.quantized) {
+    stats.weight_bytes_quantized = image_.gate_weight_bytes();
+  }
   return stats;
 }
 
@@ -324,6 +318,7 @@ void LstmDetector::save(std::ostream& os) const {
   ml::write_u64(os, static_cast<std::uint64_t>(config_.score_mode));
   ml::write_u64(os, config_.window);
   model_->save(os);
+  ml::write_u64(os, config_.quantize ? 1 : 0);
 }
 
 LstmDetector LstmDetector::load(std::istream& is) {
@@ -340,10 +335,13 @@ LstmDetector LstmDetector::load(std::istream& is) {
             "corrupt LstmDetector checkpoint: header window "
                 << config.window << " != model window "
                 << model.config().window);
+  const std::uint64_t int8 = ml::read_u64(is);
+  NFV_CHECK(int8 <= 1, "corrupt LstmDetector checkpoint: precision flag "
+                           << int8 << " is not 0 or 1");
   config.embed_dim = model.config().embed_dim;
   config.hidden = model.config().hidden;
   config.layers = model.config().layers;
-  config.quantize = model.quantized();
+  config.quantize = int8 == 1;
   LstmDetector detector(config);
   detector.model_.emplace(std::move(model));
   detector.refresh_image();

@@ -62,22 +62,23 @@ struct LstmDetectorConfig {
   double unknown_score = 27.6;  // ≈ −log(1e-12)
   LstmScoreMode score_mode = LstmScoreMode::kLogLikelihood;
   /// Quantized steady-state scoring: after every fit/update/adapt the
-  /// model is re-calibrated to per-channel int8 (ml::SequenceModel::
-  /// quantize) and all scoring — score/score_streams, score_batch,
-  /// async-ingest flushes — runs the packed int8 kernels.
-  /// Training always stays fp32; the correctness contract is the
-  /// rank-agreement gate (see README "Quantized scoring").
+  /// scoring image is built with int8 gate products, quantized per
+  /// channel from the fp32 weights (SequenceModel::build_scoring_image),
+  /// and all scoring — score/score_streams, score_batch, async-ingest
+  /// flushes — runs the fused int8 step. Training, and the over-sampling
+  /// rounds' scoring between training rounds, stay fp32; the correctness
+  /// contract is the rank-agreement gate (see README "Quantized
+  /// scoring").
   bool quantize = false;
 };
 
 class LstmDetector final : public AnomalyDetector {
  public:
   /// Rows per fused forward batch. Scores are bit-identical for any batch
-  /// size (every row's forward math is independent of its neighbours). A
-  /// batch above 64 rows runs its windows in 64-row blocks on the global
-  /// pool when that has more than one thread; an AsyncIngest flush holds
-  /// at most flush_batch (64) windows, so it is one block, scored on the
-  /// flushing worker's thread.
+  /// size (every row's forward math is independent of its neighbours).
+  /// Every batch is scored on the calling thread; an AsyncIngest flush
+  /// holds at most flush_batch (64) windows, so it is one batch, scored
+  /// on the flushing worker's thread.
   static constexpr std::size_t kScoreBatch = 1024;
 
   explicit LstmDetector(const LstmDetectorConfig& config = {});
@@ -100,9 +101,9 @@ class LstmDetector final : public AnomalyDetector {
   /// are gathered into one flat batch, each with a pointer to its output
   /// slot, and scored in fused forward batches of kScoreBatch rows.
   /// Windows holding a template the model has never seen score the
-  /// pessimistic constant instead. Bit-identical to per-stream score() for
-  /// any thread count. `vocab` is not read: the model's own vocabulary
-  /// decides which templates are known.
+  /// pessimistic constant instead. Bit-identical to per-stream score()
+  /// however the streams are grouped into calls. `vocab` is not read: the
+  /// model's own vocabulary decides which templates are known.
   std::vector<std::vector<ScoredEvent>> score_streams(
       std::span<const LogView> streams, std::size_t vocab) const override;
 
@@ -115,13 +116,14 @@ class LstmDetector final : public AnomalyDetector {
                      std::span<double> out) const override;
 
   /// Toggle quantized scoring on an already-trained detector (e.g. after
-  /// load, or to build the quantized shadow for swap_detector): on = (re)
-  /// calibrate the int8 sidecar from the current fp32 weights, off = drop
-  /// it and rebuild the fp32 scoring image. Also updates config().quantize
-  /// so later retraining keeps the chosen mode.
+  /// load, or to build the quantized shadow for swap_detector): rebuilds
+  /// the scoring image from the current fp32 weights in int8 (on) or fp32
+  /// (off). Also updates config().quantize so later retraining keeps the
+  /// chosen mode.
   void set_quantized(bool on);
 
-  /// Resident model memory (fp32 weights + int8 sidecar), zeros before fit.
+  /// Resident model memory (fp32 weights, and the int8 image's gate
+  /// blocks when scoring in int8), zeros before fit.
   ModelMemoryStats model_memory() const override;
 
   bool trained() const override { return model_.has_value(); }
@@ -138,17 +140,21 @@ class LstmDetector final : public AnomalyDetector {
   /// must be inside the model vocabulary.
   std::vector<double> score_batch(const ml::WindowBatch& windows) const;
 
-  /// Persist / restore the trained model (config + weights). load()
-  /// throws util::CheckError, naming the field, on a score mode outside
-  /// LstmScoreMode or a header window that differs from the model's.
+  /// Persist / restore the trained model: score mode, window, the fp32
+  /// model (SequenceModel::save) and the precision flag (0 = fp32, 1 =
+  /// int8). load() derives an int8 image from the loaded fp32 weights,
+  /// which gives the saved detector's image byte for byte. It throws
+  /// util::CheckError, naming the field, on a score mode outside
+  /// LstmScoreMode, a header window that differs from the model's or a
+  /// precision flag other than 0 or 1.
   void save(std::ostream& os) const;
   static LstmDetector load(std::istream& is);
 
  private:
-  /// Rebuild the scoring image from the current weights. Called wherever
-  /// they change (train_epochs, fit / update / adapt, set_quantized,
-  /// load) and never at score time, so every score path stays const and
-  /// lock-free.
+  /// Rebuild the scoring image from the current weights, in the
+  /// precision of config().quantize. Called wherever they change (fit /
+  /// update / adapt, set_quantized, load) and never at score time, so
+  /// every score path stays const and lock-free.
   void refresh_image();
 
   /// Append the window ending at logs[i] (k predecessors with their Δt;
@@ -168,7 +174,8 @@ class LstmDetector final : public AnomalyDetector {
   /// max_train_windows rows.
   ml::WindowBatch prepare_windows(std::span<const LogView> streams) const;
   /// `epochs` passes over the given rows of `windows` (a row may repeat),
-  /// shuffled each epoch, in minibatches of batch_size, with a fresh Adam.
+  /// shuffled each epoch, in minibatches of batch_size, with a fresh Adam;
+  /// leaves an fp32 image of the new weights for the over-sampling loop.
   void train_epochs(const ml::WindowBatch& windows,
                     std::vector<std::size_t> rows, std::size_t epochs,
                     float lr);

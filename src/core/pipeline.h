@@ -43,9 +43,9 @@ struct PipelineOptions {
   /// Operating threshold = this quantile of training-data scores.
   double threshold_quantile = 0.99;
   std::uint64_t seed = 7;
-  /// Quantized steady-state scoring (LSTM detector only): each group's
-  /// model is calibrated to per-channel int8 after training and every
-  /// scoring pass runs the packed int8 kernels (forwarded to
+  /// Quantized steady-state scoring (LSTM detector only): after training,
+  /// each group's detector scores from an int8 image of its weights
+  /// (per-channel int8 gate products in the fused step; forwarded to
   /// LstmDetectorConfig::quantize; overrides lstm_config's value when on).
   bool quantize = false;
   /// Optional override of the LSTM detector configuration.

@@ -197,17 +197,14 @@ const std::vector<Matrix>& Lstm::backward(
   return grad_inputs_;
 }
 
-LstmStepWeights Lstm::step_weights(bool table_input,
-                                   const QuantizedMatrix* quantized) const {
+LstmStepWeights Lstm::step_weights(bool table_input, bool int8) const {
   LstmStepWeights w;
   const std::size_t k0 = table_input ? input_size_ : 0;
   const std::size_t k1 = input_size_ + hidden_size_;
-  if (quantized != nullptr) {
-    NFV_CHECK(quantized->rows == 4 * hidden_size_ && quantized->cols == k1,
-              "Lstm::step_weights: int8 weight shape mismatch");
-    pack_gate_blocks(*quantized, k0, k1, w.quant);
+  if (int8) {
+    pack_gate_blocks(weight_.value, k0, k1, w.quant);
     if (!table_input) {
-      pack_gate_blocks(*quantized, 0, input_size_, w.quant_input);
+      pack_gate_blocks(weight_.value, 0, input_size_, w.quant_input);
     }
   } else {
     pack_gate_blocks(weight_.value, k0, k1, w.weights);
@@ -235,17 +232,16 @@ void Lstm::reset_state(LstmState& state, std::size_t batch) const {
 
 namespace {
 
-/// The baseline tier's fused step over rows [i0, i1): per row and gate
-/// block, the 64 gate outputs' unfused k-ascending chains (or exact int8
-/// sums and matmul_quant's epilogue), plus the addend, then libm
-/// activations and the cell update, in the order of the unfused baseline
-/// passes.
-void step_rows_baseline(const simd::StepArgs& s, std::size_t i0,
-                        std::size_t i1) {
+/// The baseline tier's fused step: per row and gate block, the 64 gate
+/// outputs' unfused k-ascending chains (or exact int8 sums and the
+/// dequant epilogue (acc − zp·col_sum)·(sa·scale)), plus the addend, then
+/// libm activations and the cell update, in the order of the unfused
+/// baseline passes.
+void step_rows_baseline(const simd::StepArgs& s) {
   constexpr std::size_t kq = simd::kQuantK;
   const std::size_t h = s.hidden;
   const std::size_t blocks = gate_block_count(h);
-  for (std::size_t i = i0; i < i1; ++i) {
+  for (std::size_t i = 0; i < s.rows; ++i) {
     for (std::size_t b = 0; b < blocks; ++b) {
       // The block's i, f, g and o pre-activations, gate-blocked.
       float pre[kGateBlockWidth] = {};
@@ -316,6 +312,7 @@ void Lstm::score_step(const LstmStepWeights& weights,
                                    input.x->rows() == rows),
             "Lstm::score_step input shape mismatch");
   simd::StepArgs s;
+  s.rows = rows;
   s.hidden = h;
   s.c = state.c.data();
   s.h = state.h[t % 2].data();
@@ -353,9 +350,9 @@ void Lstm::score_step(const LstmStepWeights& weights,
     }
   }
   if (const simd::Kernels* kernels = simd::active()) {
-    kernels->lstm_step(s, 0, rows);
+    kernels->lstm_step(s);
   } else {
-    step_rows_baseline(s, 0, rows);
+    step_rows_baseline(s);
   }
 }
 

@@ -24,8 +24,9 @@ namespace nfv::ml {
 /// layer). Layer 0 takes its input term from a per-template table, so it
 /// keeps only the recurrent block W[:, I:]; a layer above keeps all of W
 /// and its bias. The fp32 and int8 products are gate-blocked
-/// (pack_gate_blocks); an int8 layer above also keeps the input block
-/// W[:, :I] of its zero-state first step.
+/// (pack_gate_blocks, the int8 one quantized straight from the fp32 W);
+/// an int8 layer above also keeps the input block W[:, :I] of its
+/// zero-state first step.
 struct LstmStepWeights {
   std::vector<float> bias;      // gate-blocked b; empty in layer 0
   std::vector<float> weights;   // fp32 pack of W[:, I:] (layer 0) or W
@@ -74,11 +75,10 @@ class Lstm {
   const std::vector<Matrix>& backward(const std::vector<Matrix>& grad_hidden);
 
   /// This layer's weights for score_step: with `table_input` (layer 0)
-  /// only the recurrent block, and in int8 (`quantized`, the layer's
-  /// calibrated sidecar from quantize_pack_b(weight().value)) its codes
-  /// instead of the fp32 weights.
-  LstmStepWeights step_weights(bool table_input,
-                               const QuantizedMatrix* quantized) const;
+  /// only the recurrent block, and with `int8` its int8 gate blocks
+  /// instead of the fp32 pack. Throws util::CheckError in int8 when a
+  /// weight is NaN or infinite.
+  LstmStepWeights step_weights(bool table_input, bool int8) const;
 
   /// Size `state` for `batch` rows from the zero state.
   void reset_state(LstmState& state, std::size_t batch) const;
@@ -91,9 +91,11 @@ class Lstm {
   /// layer 0 runs no product and a layer above multiplies by its input
   /// block alone. fp32 keeps the training forward's k-ascending chains
   /// and activation kernels, so k steps reproduce forward()'s last hidden
-  /// state bit for bit. int8 first quantizes [x, h_{t−1}] per row as
-  /// matmul_quant does, and dequantizes as it does; the input block's
-  /// products equal matmul_quant's on [x, 0] exactly.
+  /// state bit for bit. int8 first quantizes [x, h_{t−1}] per row
+  /// (quantize_activations), sums the codes against the gate blocks in
+  /// exact int32 and dequantizes each sum as (acc − zp·col_sum)·(sa·scale);
+  /// the zero-state step's input block gives exactly the products of
+  /// [x, 0] against the full W.
   void score_step(const LstmStepWeights& weights, const LstmStepInput& input,
                   std::size_t t, LstmState& state) const;
 

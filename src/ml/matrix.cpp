@@ -12,7 +12,6 @@ namespace nfv::ml {
 namespace {
 
 using simd::kPanelCols;
-using simd::kQuantChannels;
 using simd::kQuantK;
 using simd::panel_count;
 using simd::round_nearest_i32;
@@ -107,38 +106,38 @@ __attribute__((always_inline)) inline void packed_tile(
   }
 }
 
-/// Rows [i0, i1) of out = a · packed panels, baseline tier: a 4-row × 1
-/// panel tile, then a 1-row tail (two panels at a time) for the rows % 4
-/// leftovers and for batches of 1–3 rows.
-void rows_packed(const Matrix& a, const float* packed, Matrix& out,
-                 std::size_t i0, std::size_t i1) {
+/// out = a · packed panels, baseline tier: a 4-row × 1 panel tile, then a
+/// 1-row tail (two panels at a time) for the rows % 4 leftovers and for
+/// batches of 1–3 rows.
+void rows_packed(const Matrix& a, const float* packed, Matrix& out) {
   const std::size_t panels = panel_count(out.cols());
-  std::size_t i = i0;
-  for (; i + 4 <= i1; i += 4) {
+  const std::size_t rows = a.rows();
+  std::size_t i = 0;
+  for (; i + 4 <= rows; i += 4) {
     for (std::size_t jp = 0; jp < panels; ++jp) {
       packed_tile<4, 1>(a, packed, out, i, jp);
     }
   }
-  for (; i < i1; ++i) {
+  for (; i < rows; ++i) {
     std::size_t jp = 0;
     for (; jp + 2 <= panels; jp += 2) packed_tile<1, 2>(a, packed, out, i, jp);
     if (jp < panels) packed_tile<1, 1>(a, packed, out, i, jp);
   }
 }
 
-/// Column block [c0, c1) of out += aᵀ * b, register-tiled 4 out-rows × 8
-/// out-columns. Each out element adds a partial sum accumulated from zero
-/// in r-ascending order (then one `out += sum`), so the result is
-/// independent of the k/c tiling.
-inline void transa_acc_block(const Matrix& a, const Matrix& b, Matrix& out,
-                             std::size_t c0, std::size_t c1) {
+/// out += aᵀ * b, register-tiled 4 out-rows × 8 out-columns. Each out
+/// element adds a partial sum accumulated from zero in r-ascending order
+/// (then one `out += sum`), so the result is independent of the k/c
+/// tiling.
+inline void transa_acc(const Matrix& a, const Matrix& b, Matrix& out) {
   constexpr std::size_t kCols = 8;
   const std::size_t rn = a.rows();
   const std::size_t kn = a.cols();
+  const std::size_t cn = b.cols();
   std::size_t k = 0;
   for (; k + 4 <= kn; k += 4) {
-    std::size_t c = c0;
-    for (; c + kCols <= c1; c += kCols) {
+    std::size_t c = 0;
+    for (; c + kCols <= cn; c += kCols) {
       float acc0[kCols] = {}, acc1[kCols] = {};
       float acc2[kCols] = {}, acc3[kCols] = {};
       for (std::size_t r = 0; r < rn; ++r) {
@@ -163,7 +162,7 @@ inline void transa_acc_block(const Matrix& a, const Matrix& b, Matrix& out,
         o3[jj] += acc3[jj];
       }
     }
-    for (; c < c1; ++c) {
+    for (; c < cn; ++c) {
       float d0 = 0.0f, d1 = 0.0f, d2 = 0.0f, d3 = 0.0f;
       for (std::size_t r = 0; r < rn; ++r) {
         const float* ar = a.row(r) + k;
@@ -180,8 +179,8 @@ inline void transa_acc_block(const Matrix& a, const Matrix& b, Matrix& out,
     }
   }
   for (; k < kn; ++k) {
-    std::size_t c = c0;
-    for (; c + kCols <= c1; c += kCols) {
+    std::size_t c = 0;
+    for (; c + kCols <= cn; c += kCols) {
       float acc[kCols] = {};
       for (std::size_t r = 0; r < rn; ++r) {
         const float ak = a.row(r)[k];
@@ -193,7 +192,7 @@ inline void transa_acc_block(const Matrix& a, const Matrix& b, Matrix& out,
       float* orow = out.row(k) + c;
       for (std::size_t jj = 0; jj < kCols; ++jj) orow[jj] += acc[jj];
     }
-    for (; c < c1; ++c) {
+    for (; c < cn; ++c) {
       float d = 0.0f;
       for (std::size_t r = 0; r < rn; ++r) {
         d += a.row(r)[k] * b.row(r)[c];
@@ -215,40 +214,22 @@ thread_local std::vector<float> tl_packed_b;
 // baseline tier differs from them as a machine without FMA would;
 // determinism is per tier.)
 
-void rows_packed_dispatch(const Matrix& a, const float* packed, Matrix& out,
-                          std::size_t i0, std::size_t i1) {
+void rows_packed_dispatch(const Matrix& a, const float* packed, Matrix& out) {
   if (const simd::Kernels* kernels = simd::active()) {
-    kernels->rows_packed(a, packed, out, i0, i1);
+    kernels->rows_packed(a, packed, out);
   } else {
-    rows_packed(a, packed, out, i0, i1);
-  }
-}
-
-void transa_acc_block_dispatch(const Matrix& a, const Matrix& b, Matrix& out,
-                               std::size_t c0, std::size_t c1) {
-  if (const simd::Kernels* kernels = simd::active()) {
-    kernels->transa_acc_block(a, b, out, c0, c1);
-  } else {
-    transa_acc_block(a, b, out, c0, c1);
+    rows_packed(a, packed, out);
   }
 }
 
 // ---------------------------------------------------------------------------
-// int8 quantized kernels (matmul_quant family).
-//
-// The reduction is exact int32 arithmetic, so unlike the fp32 kernels there
-// is no per-tier accumulation order to preserve — any tiling gives the same
-// integer. The only float work is the per-row activation quantization
-// and the dequant epilogue, which is the fixed two-rounding expression
-//     out = float(iacc - zp·col_sum) * (a_scale * b_scale)
-// on every tier; elementwise float ops have no reassociation freedom, so
-// the SIMD and baseline builds of that expression agree bit for bit.
+// int8 quantization: the step's activations and its gate-block weights.
 // ---------------------------------------------------------------------------
 
 /// Quantize one activation row, the concatenation of a (a_cols) and b
 /// (b_cols), to unsigned 7-bit codes with a per-row asymmetric
 /// scale/zero-point — the scalar reference tier. The [0, 127] code range
-/// (not [0, 255]) is what makes the AVX2 GEMM exact: every vpmaddubsw
+/// (not [0, 255]) is what makes the AVX2 int8 step exact: every vpmaddubsw
 /// pair sum is at most 2·127·127 = 32258 < 2^15, so the i16 intermediate
 /// never saturates and SIMD equals the serial int32 reference. The
 /// quantized range always brackets 0 (lo ≤ 0 ≤ hi), so the zero point
@@ -287,95 +268,12 @@ void quantize_activation_row_scalar(const float* a, std::size_t a_cols,
   *zp = z;
 }
 
-/// Code of channel c at depth k in qb's packed layout (a full 8-channel
-/// panel or a row-major tail channel).
-std::int8_t quant_code(const QuantizedMatrix& qb, std::size_t c,
-                       std::size_t k) {
-  const std::size_t kpad = qb.cols_padded;
-  const std::size_t full = qb.rows / kQuantChannels * kQuantChannels;
-  if (c >= full) return qb.data[full * kpad + (c - full) * kpad + k];
-  const std::int8_t* panel =
-      qb.data.data() + c / kQuantChannels * kpad * kQuantChannels;
-  return panel[kQuantChannels * kQuantK * (k / kQuantK) +
-               kQuantK * (c % kQuantChannels) + k % kQuantK];
-}
-
 /// Where gate row j (of 4H, gate-major) sits in a gate-blocked row: its
 /// block's offset plus its gate's 16-unit group.
 std::size_t gate_block_index(std::size_t j, std::size_t hidden) {
   const std::size_t u = j % hidden;
   return u / kGateBlockUnits * kGateBlockWidth + j / hidden * kGateBlockUnits +
          u % kGateBlockUnits;
-}
-
-/// Activation-quantization scratch.
-thread_local std::vector<std::uint8_t> tl_quant_a;
-thread_local std::vector<float> tl_quant_sa;
-thread_local std::vector<std::int32_t> tl_quant_zp;
-
-/// Rows [i0, i1) of the quantized product over qb's full 8-channel
-/// panels, plain-int reference tier. The integer sums are exact so the
-/// order is immaterial, and the dequant epilogue is the canonical
-/// expression shared with the SIMD tiers.
-void quant_panels(const std::uint8_t* qa, const float* sa,
-                  const std::int32_t* zp, std::size_t kpad,
-                  const QuantizedMatrix& qb, Matrix& out, std::size_t i0,
-                  std::size_t i1) {
-  const std::size_t groups = kpad / kQuantK;
-  const std::size_t panels = qb.rows / kQuantChannels;
-  for (std::size_t i = i0; i < i1; ++i) {
-    const std::uint8_t* ar = qa + i * kpad;
-    float* orow = out.row(i);
-    for (std::size_t p = 0; p < panels; ++p) {
-      const std::int8_t* panel = qb.data.data() + p * kpad * kQuantChannels;
-      std::int32_t acc[kQuantChannels] = {};
-      for (std::size_t g = 0; g < groups; ++g) {
-        const std::uint8_t* av = ar + kQuantK * g;
-        const std::int8_t* bg = panel + kQuantChannels * kQuantK * g;
-        for (std::size_t jj = 0; jj < kQuantChannels; ++jj) {
-          const std::int8_t* bv = bg + kQuantK * jj;
-          acc[jj] += static_cast<std::int32_t>(av[0]) * bv[0] +
-                     static_cast<std::int32_t>(av[1]) * bv[1] +
-                     static_cast<std::int32_t>(av[2]) * bv[2] +
-                     static_cast<std::int32_t>(av[3]) * bv[3];
-        }
-      }
-      const float* sc = qb.scales.data() + kQuantChannels * p;
-      const std::int32_t* cs = qb.col_sums.data() + kQuantChannels * p;
-      float* o = orow + kQuantChannels * p;
-      for (std::size_t jj = 0; jj < kQuantChannels; ++jj) {
-        o[jj] =
-            static_cast<float>(acc[jj] - zp[i] * cs[jj]) * (sa[i] * sc[jj]);
-      }
-    }
-  }
-}
-
-/// Rows [i0, i1) of the quantized product: the full panels on the active
-/// tier, then the C mod 8 row-major tail channels in plain ints.
-void quant_rows_dispatch(const std::uint8_t* qa, const float* sa,
-                         const std::int32_t* zp, std::size_t kpad,
-                         const QuantizedMatrix& qb, Matrix& out,
-                         std::size_t i0, std::size_t i1) {
-  if (const simd::Kernels* kernels = simd::active()) {
-    kernels->quant_panels(qa, sa, zp, kpad, qb, out, i0, i1);
-  } else {
-    quant_panels(qa, sa, zp, kpad, qb, out, i0, i1);
-  }
-  const std::size_t first_tail = qb.rows / kQuantChannels * kQuantChannels;
-  const std::int8_t* tail_base = qb.data.data() + first_tail * kpad;
-  for (std::size_t i = i0; i < i1; ++i) {
-    const std::uint8_t* ar = qa + i * kpad;
-    for (std::size_t c = first_tail; c < qb.rows; ++c) {
-      const std::int8_t* bv = tail_base + (c - first_tail) * kpad;
-      std::int32_t acc = 0;
-      for (std::size_t k = 0; k < kpad; ++k) {
-        acc += static_cast<std::int32_t>(ar[k]) * bv[k];
-      }
-      out.row(i)[c] = static_cast<float>(acc - zp[i] * qb.col_sums[c]) *
-                      (sa[i] * qb.scales[c]);
-    }
-  }
 }
 
 }  // namespace
@@ -434,7 +332,7 @@ void matmul(const Matrix& a, const Matrix& b, Matrix& out) {
                                       << a.cols() << " vs " << b.rows());
   out.reshape(a.rows(), b.cols());
   pack_matmul_b_panels(b, tl_packed_b);
-  rows_packed_dispatch(a, tl_packed_b.data(), out, 0, a.rows());
+  rows_packed_dispatch(a, tl_packed_b.data(), out);
 }
 
 void pack_matmul_b(const Matrix& b, std::vector<float>& packed) {
@@ -448,7 +346,7 @@ void matmul_packed(const Matrix& a, const Matrix& b,
   NFV_CHECK(packed.size() == panel_count(b.cols()) * b.rows() * kPanelCols,
             "matmul_packed: packed buffer does not match b (repack needed)");
   out.reshape(a.rows(), b.cols());
-  rows_packed_dispatch(a, packed.data(), out, 0, a.rows());
+  rows_packed_dispatch(a, packed.data(), out);
 }
 
 void matmul_transb(const Matrix& a, const Matrix& b, Matrix& out) {
@@ -456,7 +354,7 @@ void matmul_transb(const Matrix& a, const Matrix& b, Matrix& out) {
                                       << a.cols() << " vs " << b.cols());
   out.reshape(a.rows(), b.rows());
   pack_transb_panels(b, 0, b.cols(), tl_packed_b);
-  rows_packed_dispatch(a, tl_packed_b.data(), out, 0, a.rows());
+  rows_packed_dispatch(a, tl_packed_b.data(), out);
 }
 
 void pack_transb(const Matrix& b, std::vector<float>& packed) {
@@ -485,7 +383,7 @@ void matmul_transb_packed(const Matrix& a, std::size_t b_rows,
             "matmul_transb_packed: packed buffer does not match a "
             << b_rows << " × " << a.cols() << " weight (repack needed)");
   out.reshape(a.rows(), b_rows);
-  rows_packed_dispatch(a, packed.data(), out, 0, a.rows());
+  rows_packed_dispatch(a, packed.data(), out);
 }
 
 void matmul_transa_accumulate(const Matrix& a, const Matrix& b, Matrix& out) {
@@ -494,62 +392,11 @@ void matmul_transa_accumulate(const Matrix& a, const Matrix& b, Matrix& out) {
                                                       << b.rows());
   NFV_CHECK(out.rows() == a.cols() && out.cols() == b.cols(),
             "matmul_transa_accumulate output shape mismatch");
-  transa_acc_block_dispatch(a, b, out, 0, b.cols());
-}
-
-void quantize_pack_b(const Matrix& b, QuantizedMatrix& out) {
-  const std::size_t cn = b.rows();
-  const std::size_t kn = b.cols();
-  out.rows = cn;
-  out.cols = kn;
-  out.cols_padded = (kn + kQuantK - 1) / kQuantK * kQuantK;
-  out.scales.assign(cn, 1.0f);
-  out.col_sums.assign(cn, 0);
-  const std::size_t panels = cn / kQuantChannels;
-  out.data.assign(cn * out.cols_padded, 0);
-  std::vector<std::int8_t> qrow(out.cols_padded, 0);
-  for (std::size_t c = 0; c < cn; ++c) {
-    const float* w = b.row(c);
-    float amax = 0.0f;
-    for (std::size_t k = 0; k < kn; ++k) {
-      amax = std::max(amax, std::fabs(w[k]));
-    }
-    // All-zero channels keep scale 1 (nothing divides by zero) and code
-    // 0 everywhere — the dequantized row is exactly zero.
-    const float scale = amax > 0.0f ? amax / 127.0f : 1.0f;
-    const float inv = amax > 0.0f ? 127.0f / amax : 0.0f;
-    std::int32_t sum = 0;
-    for (std::size_t k = 0; k < kn; ++k) {
-      const std::int32_t q =
-          std::clamp(round_nearest_i32(w[k] * inv), -127, 127);
-      qrow[k] = static_cast<std::int8_t>(q);
-      sum += q;
-    }
-    std::fill(qrow.begin() + kn, qrow.end(), static_cast<std::int8_t>(0));
-    out.scales[c] = scale;
-    out.col_sums[c] = sum;
-    if (c < panels * kQuantChannels) {
-      // Scatter into the panel's 4-k × 8-channel blocks.
-      const std::size_t p = c / kQuantChannels;
-      const std::size_t jj = c % kQuantChannels;
-      std::int8_t* panel =
-          out.data.data() + p * out.cols_padded * kQuantChannels;
-      for (std::size_t g = 0; g < out.cols_padded / kQuantK; ++g) {
-        std::memcpy(panel + kQuantChannels * kQuantK * g + kQuantK * jj,
-                    qrow.data() + kQuantK * g, kQuantK);
-      }
-    } else {
-      std::memcpy(out.data.data() + panels * out.cols_padded * kQuantChannels +
-                      (c - panels * kQuantChannels) * out.cols_padded,
-                  qrow.data(), out.cols_padded);
-    }
+  if (const simd::Kernels* kernels = simd::active()) {
+    kernels->transa_acc(a, b, out);
+  } else {
+    transa_acc(a, b, out);
   }
-}
-
-std::int64_t quant_channel_sum(const QuantizedMatrix& qb, std::size_t c) {
-  std::int64_t sum = 0;
-  for (std::size_t k = 0; k < qb.cols_padded; ++k) sum += quant_code(qb, c, k);
-  return sum;
 }
 
 void quantize_activations(const float* a, std::size_t a_cols, const float* b,
@@ -595,51 +442,50 @@ void pack_gate_vector(const float* v, std::size_t hidden, float* out) {
   }
 }
 
-void pack_gate_blocks(const QuantizedMatrix& q, std::size_t k0,
-                      std::size_t k1, QuantGateBlocks& out) {
-  NFV_CHECK(q.rows % 4 == 0 && k0 <= k1 && k1 <= q.cols,
+void pack_gate_blocks(const Matrix& w, std::size_t k0, std::size_t k1,
+                      QuantGateBlocks& out) {
+  NFV_CHECK(w.rows() % 4 == 0 && k0 <= k1 && k1 <= w.cols(),
             "pack_gate_blocks: columns [" << k0 << ", " << k1 << ") of a "
-                                          << q.rows << " × " << q.cols
+                                          << w.rows() << " × " << w.cols()
                                           << " int8 gate matrix");
-  const std::size_t hidden = q.rows / 4;
-  const std::size_t blocks = gate_block_count(hidden);
+  const std::size_t hidden = w.rows() / 4;
   out.depth_padded = (k1 - k0 + kQuantK - 1) / kQuantK * kQuantK;
   const std::size_t groups = out.depth_padded / kQuantK;
   // Bytes per block and 4-k group: the i, f, g and o 16-channel blocks.
   constexpr std::size_t kGroupBytes = kGateBlockWidth * kQuantK;
+  const std::size_t blocks = gate_block_count(hidden);
   out.codes.assign(blocks * groups * kGroupBytes, 0);
   out.scales.assign(blocks * kGateBlockWidth, 0.0f);
   out.col_sums.assign(blocks * kGateBlockWidth, 0);
-  for (std::size_t c = 0; c < q.rows; ++c) {
+  for (std::size_t c = 0; c < w.rows(); ++c) {
+    const float* row = w.row(c);
+    float amax = 0.0f;
+    for (std::size_t k = 0; k < w.cols(); ++k) {
+      // A NaN or infinite weight has no code (its product would be a
+      // float-to-int conversion out of range).
+      NFV_CHECK(std::isfinite(row[k]), "pack_gate_blocks: weight ("
+                                           << c << ", " << k << ") is "
+                                           << row[k]);
+      amax = std::max(amax, std::fabs(row[k]));
+    }
+    // An all-zero channel keeps scale 1 (nothing divides by zero) and code
+    // 0 everywhere: its dequantized row is exactly zero.
+    const float inv = amax > 0.0f ? 127.0f / amax : 0.0f;
     const std::size_t lane = gate_block_index(c, hidden);
     std::int8_t* block = out.codes.data() +
                          lane / kGateBlockWidth * groups * kGroupBytes +
                          lane % kGateBlockWidth * kQuantK;
     std::int32_t sum = 0;
     for (std::size_t k = k0; k < k1; ++k) {
-      const std::int8_t code = quant_code(q, c, k);
-      block[(k - k0) / kQuantK * kGroupBytes + (k - k0) % kQuantK] = code;
-      sum += code;
+      const std::int32_t q =
+          std::clamp(round_nearest_i32(row[k] * inv), -127, 127);
+      block[(k - k0) / kQuantK * kGroupBytes + (k - k0) % kQuantK] =
+          static_cast<std::int8_t>(q);
+      sum += q;
     }
-    out.scales[lane] = q.scales[c];
+    out.scales[lane] = amax > 0.0f ? amax / 127.0f : 1.0f;
     out.col_sums[lane] = sum;
   }
-}
-
-void matmul_quant(const Matrix& a, const QuantizedMatrix& qb, Matrix& out) {
-  NFV_CHECK(a.cols() == qb.cols, "matmul_quant inner-dimension mismatch: "
-                                     << a.cols() << " vs " << qb.cols);
-  out.resize(a.rows(), qb.rows);
-  if (a.rows() == 0 || qb.rows == 0) return;
-  const std::size_t kpad = qb.cols_padded;
-  tl_quant_a.resize(a.rows() * kpad);
-  tl_quant_sa.resize(a.rows());
-  tl_quant_zp.resize(a.rows());
-  quantize_activations(a.data(), a.cols(), nullptr, 0, a.rows(), kpad,
-                       tl_quant_a.data(), tl_quant_sa.data(),
-                       tl_quant_zp.data());
-  quant_rows_dispatch(tl_quant_a.data(), tl_quant_sa.data(),
-                      tl_quant_zp.data(), kpad, qb, out, 0, a.rows());
 }
 
 void add_row_vector(Matrix& m, const Matrix& row) {

@@ -148,69 +148,16 @@ void matmul_transb_packed(const Matrix& a, std::size_t b_rows,
 /// any tiling produces the same bits.
 void matmul_transa_accumulate(const Matrix& a, const Matrix& b, Matrix& out);
 
-/// Post-training int8 image of a weight matrix b (C×K, out_features ×
-/// in_features — the matmul_transb B operand). Weights are quantized
-/// symmetrically per output channel (scale[c] = max|b[c,:]| / 127, all-zero
-/// rows get scale 1 so nothing divides by zero) and stored pre-packed for
-/// the int8 kernel: full groups of 8 channels live in k-major panels of
-/// 4-k × 8-channel 32-byte blocks (the vpmaddubsw operand of the AVX2
-/// tier; the AVX-512 tier's vpdpbusd reads two consecutive blocks per
-/// 64-byte load), the C mod 8 tail channels follow row-major, and K is
-/// zero-padded to a multiple of 4. Checkpoints persist this layout byte
-/// for byte. `col_sums[c]` caches Σ_k q[c][k] for the activation
-/// zero-point correction so the kernel epilogue is a single fused
-/// subtract-and-scale per output.
-struct QuantizedMatrix {
-  std::size_t rows = 0;          ///< C, output channels (b.rows()).
-  std::size_t cols = 0;          ///< K, logical reduction depth (b.cols()).
-  std::size_t cols_padded = 0;   ///< K rounded up to a multiple of 4.
-  std::vector<std::int8_t> data; ///< Packed panels then tail rows.
-  std::vector<float> scales;     ///< Per-channel dequant scale (length C).
-  std::vector<std::int32_t> col_sums;  ///< Per-channel Σ_k q[c][k].
-
-  bool empty() const { return rows == 0; }
-  /// Resident bytes of the int8 image (panels + scales + col_sums).
-  std::size_t weight_bytes() const {
-    return data.size() * sizeof(std::int8_t) +
-           scales.size() * sizeof(float) +
-           col_sums.size() * sizeof(std::int32_t);
-  }
-  /// Bytes the same matrix occupies in fp32 (rows × cols × 4).
-  std::size_t fp32_bytes() const { return rows * cols * sizeof(float); }
-};
-
-/// Quantize and pack b (C×K) into `out`. Deterministic: round-to-nearest-
-/// even via the 1.5·2^23 magic constant, identical on every kernel tier.
-/// Degenerate channels are safe by construction — an all-zero row gets
-/// scale 1 and all-zero codes (exact), a constant row lands exactly on
-/// ±127 (exact up to one rounding).
-void quantize_pack_b(const Matrix& b, QuantizedMatrix& out);
-
-/// Σ_k of channel c's codes read from qb's packed layout: the value
-/// quantize_pack_b caches in col_sums[c]. A checkpoint loader compares
-/// the two, since the kernels trust the cache.
-std::int64_t quant_channel_sum(const QuantizedMatrix& qb, std::size_t c);
-
-/// out = a (R×K) * dequant(qb)ᵀ — the int8 twin of matmul_transb.
-/// Activations are quantized on the fly per row to unsigned 7-bit
-/// (asymmetric, zero-point corrected through qb.col_sums); products
-/// accumulate in exact int32 and a single fp32 scale pair maps back.
-/// Contract (stronger than the fp32 family): results are bit-identical
-/// across batch sizes AND between every tier — the AVX2
-/// vpmaddubsw/vpmaddwd kernel, the AVX-512 VNNI vpdpbusd kernel and the
-/// baseline reference. Integer accumulation is exact and associative, the
-/// u7 activation range keeps every vpmaddubsw pair sum below i16
-/// saturation, the activation quantizer's min/max/multiply/convert are
-/// exact or singly rounded per element, and the float epilogue is the
-/// same two-rounding expression on every tier.
-void matmul_quant(const Matrix& a, const QuantizedMatrix& qb, Matrix& out);
-
-/// Quantize the rows of [a | b] as matmul_quant quantizes its activations
-/// (a: rows × a_cols, b: rows × b_cols or null, both dense row-major):
-/// row i's u7 codes go to qa + i·kpad (a's codes, then b's, then zeros up
-/// to kpad), its scale to sa[i] and its zero point to zp[i]. Every tier
-/// produces the same codes. The fused LSTM step quantizes [x, h_{t−1}]
-/// this way without copying the two halves into one row.
+/// Quantize the rows of [a | b] (a: rows × a_cols, b: rows × b_cols or
+/// null, both dense row-major) to the int8 step's activations: per row,
+/// unsigned 7-bit codes over [min, max] of the row with 0 inside the
+/// range (asymmetric; an all-zero row gets scale 1, zero point 0 and zero
+/// codes). Row i's codes go to qa + i·kpad (a's codes, then b's, then
+/// zeros up to kpad), its scale to sa[i] and its zero point to zp[i].
+/// Every tier produces the same codes: min/max, the multiply and the
+/// round-to-nearest-even convert are exact or singly rounded per element.
+/// The fused LSTM step quantizes [x, h_{t−1}] this way without copying
+/// the two halves into one row.
 void quantize_activations(const float* a, std::size_t a_cols, const float* b,
                           std::size_t b_cols, std::size_t rows,
                           std::size_t kpad, std::uint8_t* qa, float* sa,
@@ -240,14 +187,19 @@ void pack_gate_blocks(const Matrix& w, std::size_t k0, std::size_t k1,
 /// floats, units past H zero.
 void pack_gate_vector(const float* v, std::size_t hidden, float* out);
 
-/// The int8 twin of pack_gate_blocks, re-packed from a calibrated sidecar
-/// (quantize_pack_b of the gate matrix): per block and per 4-k group, the
-/// i, f, g and o 16-channel × 4-k blocks of 64 bytes (channel-major, the
-/// vpdpbusd operand; the AVX2 tier reads each as two 8-channel halves).
-/// The columns [k0, k1) are zero-padded to a multiple of 4, col_sums are
-/// summed over those columns alone and the scales stay as calibrated, so
-/// the product of a column block dequantizes exactly as matmul_quant on
-/// rows that are zero outside it.
+/// The int8 twin of pack_gate_blocks: the 4H gate rows of w quantized
+/// symmetrically per output channel (scale = max|row| / 127 over all of
+/// w's columns, so a column block shares the full row's scale; codes
+/// round to nearest even and clamp to ±127; an all-zero row gets scale 1
+/// and zero codes) and columns [k0, k1) stored per block and per 4-k
+/// group as the i, f, g and o 16-channel × 4-k blocks of 64 bytes
+/// (channel-major, the vpdpbusd operand; the AVX2 tier reads each as two
+/// 8-channel halves), zero-padded to a multiple of 4 columns. col_sums
+/// are Σ codes over [k0, k1) alone, so a column block's product
+/// dequantizes as the full row's would on activations that are zero
+/// outside it. Deterministic: the same bytes on every build and tier.
+/// Throws util::CheckError on a NaN or infinite weight, which has no
+/// code.
 struct QuantGateBlocks {
   std::size_t depth_padded = 0;        ///< k1 − k0 rounded up to 4.
   std::vector<std::int8_t> codes;
@@ -255,9 +207,14 @@ struct QuantGateBlocks {
   std::vector<std::int32_t> col_sums;  ///< Gate-block order, 0 past H.
 
   bool empty() const { return codes.empty(); }
+  /// Resident bytes: codes, scales and column sums.
+  std::size_t bytes() const {
+    return codes.size() + scales.size() * sizeof(float) +
+           col_sums.size() * sizeof(std::int32_t);
+  }
 };
-void pack_gate_blocks(const QuantizedMatrix& q, std::size_t k0,
-                      std::size_t k1, QuantGateBlocks& out);
+void pack_gate_blocks(const Matrix& w, std::size_t k0, std::size_t k1,
+                      QuantGateBlocks& out);
 
 /// Add a row vector (1×C or length-C matrix) to every row of m.
 void add_row_vector(Matrix& m, const Matrix& row);

@@ -153,13 +153,20 @@ double SequenceModel::train_batch(const WindowBatch& batch,
   const double loss = forward_backward(batch);
   clip_gradients(params(), max_grad_norm);
   optimizer.step();
-  // The fp32 weights just moved; a stale int8 image would silently score
-  // the old model.
-  quantized_.reset();
   return loss;
 }
 
-SequenceModel::ScoringImage SequenceModel::build_scoring_image() const {
+std::size_t SequenceModel::ScoringImage::gate_weight_bytes() const {
+  std::size_t total = 0;
+  for (const LstmStepWeights& layer : layers) {
+    total += layer.weights.size() * sizeof(float) + layer.quant.bytes() +
+             layer.quant_input.bytes();
+  }
+  return total;
+}
+
+SequenceModel::ScoringImage SequenceModel::build_scoring_image(
+    bool int8) const {
   ScoringImage image;
   const Lstm& first = lstm_layers_[0];
   const Matrix& w0 = first.weight().value;
@@ -182,11 +189,10 @@ SequenceModel::ScoringImage SequenceModel::build_scoring_image() const {
   image.dt_gates.resize(width);
   pack_gate_vector(dt.data(), config_.hidden, image.dt_gates.data());
   for (std::size_t l = 0; l < lstm_layers_.size(); ++l) {
-    image.layers.push_back(lstm_layers_[l].step_weights(
-        l == 0, quantized_ ? &quantized_->lstm[l] : nullptr));
+    image.layers.push_back(lstm_layers_[l].step_weights(l == 0, int8));
   }
-  if (!quantized_) pack_transb(output_.weight().value, image.output);
-  image.quantized = quantized_.has_value();
+  pack_transb(output_.weight().value, image.output);
+  image.quantized = int8;
   image.vocab = config_.vocab;
   return image;
 }
@@ -195,11 +201,11 @@ void SequenceModel::forward_logits(const ScoringImage& image,
                                    const WindowBatch& windows,
                                    std::size_t start, std::size_t n,
                                    InferenceScratch& scratch) const {
-  NFV_CHECK(image.vocab == config_.vocab && image.quantized == quantized(),
-            "scoring image built at vocab "
-                << image.vocab << (image.quantized ? " (int8)" : " (fp32)")
-                << ", model vocab is " << config_.vocab
-                << (quantized() ? " (int8)" : " (fp32)") << " (stale image)");
+  NFV_CHECK(image.vocab == config_.vocab,
+            "scoring image built at vocab " << image.vocab
+                                            << ", model vocab is "
+                                            << config_.vocab
+                                            << " (stale image)");
   const std::size_t k = config_.window;
   // Layer 0's input term of every (t, row): its table row and Δt.
   scratch.table_rows.resize(k * n);
@@ -230,11 +236,7 @@ void SequenceModel::forward_logits(const ScoringImage& image,
     }
   }
   const Matrix& top = scratch.states.back().h[(k - 1) % 2];
-  if (quantized_) {
-    matmul_quant(top, quantized_->output, scratch.logits);
-  } else {
-    matmul_transb_packed(top, config_.vocab, image.output, scratch.logits);
-  }
+  matmul_transb_packed(top, config_.vocab, image.output, scratch.logits);
   add_row_vector(scratch.logits, output_.bias().value);
 }
 
@@ -350,23 +352,6 @@ void SequenceModel::grow_vocab(std::size_t new_vocab, nfv::util::Rng& rng) {
   b.value = std::move(grown_b);
   b.grad.resize(1, new_vocab);
   config_.vocab = new_vocab;
-  quantized_.reset();
-}
-
-std::size_t SequenceModel::QuantizedWeights::weight_bytes() const {
-  std::size_t total = output.weight_bytes();
-  for (const QuantizedMatrix& m : lstm) total += m.weight_bytes();
-  return total;
-}
-
-void SequenceModel::quantize() {
-  QuantizedWeights qw;
-  qw.lstm.resize(lstm_layers_.size());
-  for (std::size_t l = 0; l < lstm_layers_.size(); ++l) {
-    quantize_pack_b(lstm_layers_[l].weight().value, qw.lstm[l]);
-  }
-  quantize_pack_b(output_.weight().value, qw.output);
-  quantized_ = std::move(qw);
 }
 
 std::size_t SequenceModel::fp32_weight_bytes() const {
@@ -374,10 +359,6 @@ std::size_t SequenceModel::fp32_weight_bytes() const {
   std::size_t total = 0;
   for (Param* p : self->params()) total += p->value.size() * sizeof(float);
   return total;
-}
-
-std::size_t SequenceModel::quantized_weight_bytes() const {
-  return quantized_ ? quantized_->weight_bytes() : 0;
 }
 
 void SequenceModel::save(std::ostream& os) const {
@@ -390,16 +371,6 @@ void SequenceModel::save(std::ostream& os) const {
   write_u64(os, 1);  // dt_feature: layer 0 reads Δt (always on)
   auto* self = const_cast<SequenceModel*>(this);
   for (Param* p : self->params()) write_matrix(os, p->value);
-  // Trailing quantized sidecar: the calibration (scales, packed panels,
-  // column sums) is persisted byte for byte so a loaded quantized model
-  // scores identically to the one that was saved.
-  write_u64(os, quantized_ ? 1 : 0);
-  if (quantized_) {
-    for (const QuantizedMatrix& m : quantized_->lstm) {
-      write_quant_matrix(os, m);
-    }
-    write_quant_matrix(os, quantized_->output);
-  }
 }
 
 SequenceModel SequenceModel::load(std::istream& is) {
@@ -443,15 +414,6 @@ SequenceModel SequenceModel::load(std::istream& is) {
   // checked before its body is allocated.
   for (Param* p : model.params()) {
     p->value = read_matrix(is, p->value.rows(), p->value.cols());
-  }
-  if (read_u64(is) != 0) {
-    QuantizedWeights qw;
-    for (const Lstm& layer : model.lstm_layers_) {
-      qw.lstm.push_back(read_quant_matrix(
-          is, 4 * config.hidden, layer.input_size() + layer.hidden_size()));
-    }
-    qw.output = read_quant_matrix(is, config.vocab, config.hidden);
-    model.quantized_ = std::move(qw);
   }
   return model;
 }

@@ -8,14 +8,14 @@
 //
 // Training runs the LSTM layers' cached forward and BPTT in fp32. Scoring
 // reads an immutable ScoringImage and runs one fused Lstm::score_step per
-// layer and time step, in fp32 or, once quantize() has calibrated an int8
-// sidecar, with int8 gate products; layer 0's input term comes from a
-// per-template fp32 table in both precisions.
+// layer and time step, with fp32 or int8 gate products: precision is a
+// property of the image, quantized from the fp32 weights when it is
+// built. Layer 0's input term comes from a per-template fp32 table and
+// the output head is an fp32 product in both precisions.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -85,25 +85,31 @@ class SequenceModel {
   /// call until then (the model never caches one: train_batch would have
   /// to invalidate it). In both precisions it holds layer 0's input term
   /// as a per-template fp32 table, input_gates[v] = W_x·embed[v] + b, and
-  /// its Δt column, both gate-blocked (pack_gate_vector). Per layer it
-  /// holds the step weights of the fused scoring step
-  /// (Lstm::step_weights): gate-blocked fp32 packs, or, for a quantized
-  /// model, 16-channel int8 blocks re-packed from the calibrated sidecar.
-  /// An fp32 image also holds the packed output head; int8 scores the
-  /// head through the sidecar.
+  /// its Δt column, both gate-blocked (pack_gate_vector), and the packed
+  /// fp32 output head. Per layer it holds the step weights of the fused
+  /// scoring step (Lstm::step_weights): gate-blocked fp32 packs, or, in
+  /// an int8 image, 16-channel int8 gate blocks quantized from the fp32
+  /// weights.
   struct ScoringImage {
     std::size_t vocab = 0;  // the model vocabulary it was built at; 0 = empty
-    bool quantized = false;
+    bool quantized = false;  // int8 gate products
     Matrix input_gates;           // vocab × gate-blocked 4H
     std::vector<float> dt_gates;  // layer 0's Δt weight column, gate-blocked
     std::vector<LstmStepWeights> layers;
     std::vector<float> output;
 
     bool empty() const { return vocab == 0; }
+    /// Resident bytes of the layers' gate-product weights: the fp32 packs,
+    /// or the int8 gate blocks' codes, scales and column sums.
+    std::size_t gate_weight_bytes() const;
   };
 
-  /// Build the scoring image of the current weights and precision.
-  ScoringImage build_scoring_image() const;
+  /// Build the scoring image of the current weights, with int8 gate
+  /// products when `int8` is set. The int8 blocks are a pure function of
+  /// the fp32 weights (Lstm::step_weights), so two builds from the same
+  /// weights are byte-identical. Throws util::CheckError for an int8
+  /// image of weights holding a NaN or an infinity.
+  ScoringImage build_scoring_image(bool int8 = false) const;
 
   /// Reusable buffers for the batched scoring path. One scratch belongs to
   /// exactly one calling thread; reusing it across calls means the fused
@@ -119,10 +125,10 @@ class SequenceModel {
   /// Batched forward-only scoring: the log-likelihood of each window's
   /// observed target, in fused sub-batches of at most `batch_size` rows,
   /// read from `image`, which must come from build_scoring_image() of the
-  /// current weights and precision. Every
-  /// row's arithmetic is independent of its batch neighbours (per-row
-  /// gathers, per-row GEMM dot products, per-row log-sum-exp), so results
-  /// are bit-identical to score_log_likelihood for ANY batch size.
+  /// current weights, in the image's precision. Every row's arithmetic is
+  /// independent of its batch neighbours (per-row gathers, per-row
+  /// products, per-row log-sum-exp), so results are bit-identical for ANY
+  /// batch size, and to score_log_likelihood for an fp32 image.
   /// `out.size()` must equal `windows.size()`.
   void score_batched(const ScoringImage& image, const WindowBatch& windows,
                      std::size_t batch_size, InferenceScratch& scratch,
@@ -134,8 +140,8 @@ class SequenceModel {
                            InferenceScratch& scratch,
                            std::span<std::size_t> out) const;
 
-  /// Serial references of the batched scorers: one batch, scored from a
-  /// scoring image built for the call.
+  /// Serial references of the batched scorers: one batch, scored from an
+  /// fp32 scoring image built for the call.
   /// predict() fills probability rows over the vocabulary, one per window.
   void predict(const WindowBatch& batch, Matrix& probs) const;
 
@@ -164,45 +170,14 @@ class SequenceModel {
 
   /// Extend the template vocabulary (new embedding rows + output columns
   /// randomly initialized); existing weights are preserved. Needed when a
-  /// software update introduces previously unseen templates. Drops any
-  /// quantized sidecar (the output head changed shape).
+  /// software update introduces previously unseen templates.
   void grow_vocab(std::size_t new_vocab, nfv::util::Rng& rng);
-
-  /// Post-training int8 sidecar: the per-layer LSTM gate matrices and the
-  /// dense output head, quantized per output channel and pre-packed for
-  /// matmul_quant (the head's product; the scoring image re-packs the
-  /// gate matrices for the fused step). The embedding is a gather (no
-  /// GEMM) and the biases are
-  /// O(width) vectors, so both stay fp32. Calibrated once from the fp32
-  /// weights; the fp32 parameters remain the source of truth for
-  /// training/serialization.
-  struct QuantizedWeights {
-    std::vector<QuantizedMatrix> lstm;  // one per layer, (4H × (I+H))
-    QuantizedMatrix output;             // (vocab × hidden)
-    std::size_t weight_bytes() const;
-  };
-
-  /// (Re)calibrate the int8 sidecar from the current fp32 weights. Every
-  /// scoring entry point (predict, score_*, score_batched /
-  /// score_ranks_batched) then runs the LSTM's gate products in int8 (the
-  /// fused step's 16-channel blocks, re-packed from the sidecar by
-  /// build_scoring_image) and the head through matmul_quant, so the
-  /// serial references and the batched path stay mutually bit-identical
-  /// within quantized mode. Layer 0's input term comes from the fp32
-  /// table in both precisions; gate/cell math and softmax stay fp32.
-  void quantize();
-  /// Drop the sidecar and return to fp32 scoring.
-  void clear_quantized() { quantized_.reset(); }
-  bool quantized() const { return quantized_.has_value(); }
-  const QuantizedWeights* quantized_weights() const {
-    return quantized_ ? &*quantized_ : nullptr;
-  }
 
   /// Resident bytes of all fp32 trainable parameter values.
   std::size_t fp32_weight_bytes() const;
-  /// Resident bytes of the int8 sidecar (0 when not quantized).
-  std::size_t quantized_weight_bytes() const;
 
+  /// Persist / restore the config and the fp32 parameters; the stream
+  /// ends after the last parameter.
   void save(std::ostream& os) const;
   static SequenceModel load(std::istream& is);
 
@@ -230,11 +205,6 @@ class SequenceModel {
   Embedding embedding_;
   std::vector<Lstm> lstm_layers_;
   Dense output_;
-
-  // int8 scoring sidecar; absent = fp32 scoring. Invalidated whenever the
-  // fp32 weights change (train_batch, grow_vocab) — callers re-quantize()
-  // after training if they want to keep scoring quantized.
-  std::optional<QuantizedWeights> quantized_;
 
   // Training-only scratch reused across train_batch calls (hoisted out of
   // the per-batch loop; copying a model simply copies the buffers).

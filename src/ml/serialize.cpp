@@ -62,59 +62,4 @@ Matrix read_matrix(std::istream& is, std::size_t rows, std::size_t cols) {
   return m;
 }
 
-void write_quant_matrix(std::ostream& os, const QuantizedMatrix& m) {
-  write_u64(os, kQuantMatrixMagic);
-  write_u64(os, m.rows);
-  write_u64(os, m.cols);
-  write_u64(os, m.cols_padded);
-  write_u64(os, m.data.size());
-  os.write(reinterpret_cast<const char*>(m.data.data()),
-           static_cast<std::streamsize>(m.data.size()));
-  os.write(reinterpret_cast<const char*>(m.scales.data()),
-           static_cast<std::streamsize>(m.scales.size() * sizeof(float)));
-  os.write(reinterpret_cast<const char*>(m.col_sums.data()),
-           static_cast<std::streamsize>(m.col_sums.size() *
-                                        sizeof(std::int32_t)));
-}
-
-QuantizedMatrix read_quant_matrix(std::istream& is, std::size_t rows,
-                                  std::size_t cols) {
-  NFV_CHECK(read_u64(is) == kQuantMatrixMagic,
-            "corrupt checkpoint: bad quantized-matrix tag");
-  QuantizedMatrix m;
-  m.rows = read_u64(is);
-  m.cols = read_u64(is);
-  NFV_CHECK(m.rows == rows && m.cols == cols,
-            "corrupt checkpoint: quantized matrix is "
-                << m.rows << " × " << m.cols << ", expected " << rows << " × "
-                << cols);
-  m.cols_padded = read_u64(is);
-  const std::uint64_t bytes = read_u64(is);
-  NFV_CHECK(m.rows >= 1 && m.cols >= 1 && m.cols_padded >= m.cols &&
-                m.cols_padded % 4 == 0 &&
-                bytes == checked_elements(m.rows, m.cols_padded),
-            "corrupt checkpoint: quantized-matrix shape mismatch");
-  m.data.resize(bytes);
-  is.read(reinterpret_cast<char*>(m.data.data()),
-          static_cast<std::streamsize>(bytes));
-  m.scales.resize(m.rows);
-  is.read(reinterpret_cast<char*>(m.scales.data()),
-          static_cast<std::streamsize>(m.scales.size() * sizeof(float)));
-  m.col_sums.resize(m.rows);
-  is.read(reinterpret_cast<char*>(m.col_sums.data()),
-          static_cast<std::streamsize>(m.col_sums.size() *
-                                       sizeof(std::int32_t)));
-  NFV_CHECK(is.good(),
-            "unexpected end of checkpoint stream in quantized-matrix body");
-  // The int8 kernels subtract zero_point × col_sums[c] in int32; a sum
-  // that disagrees with the codes is corrupt and could overflow there.
-  for (std::size_t c = 0; c < m.rows; ++c) {
-    NFV_CHECK(m.col_sums[c] == quant_channel_sum(m, c),
-              "corrupt checkpoint: quantized channel "
-                  << c << " column sum " << m.col_sums[c]
-                  << " disagrees with its codes");
-  }
-  return m;
-}
-
 }  // namespace nfv::ml

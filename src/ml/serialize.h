@@ -12,7 +12,6 @@ namespace nfv::ml {
 inline constexpr std::uint64_t kSequenceModelMagic = 0x4e46565345514d31ULL;
 inline constexpr std::uint64_t kAutoencoderMagic = 0x4e4656414531ULL;
 inline constexpr std::uint64_t kMatrixMagic = 0x4e46564d5831ULL;
-inline constexpr std::uint64_t kQuantMatrixMagic = 0x4e465651384d31ULL;
 
 /// Largest element count a checkpoint header may declare for one tensor or
 /// one model's parameters: 2^28 floats (1 GiB). A larger header is corrupt;
@@ -35,14 +34,5 @@ void write_matrix(std::ostream& os, const Matrix& m);
 /// Read a rows × cols matrix: a header declaring any other shape throws
 /// util::CheckError before the body is allocated.
 Matrix read_matrix(std::istream& is, std::size_t rows, std::size_t cols);
-
-/// Quantized-matrix image: magic, shape, then the raw packed int8 panels,
-/// per-channel fp32 scales and int32 column sums byte for byte — a
-/// round-trip reproduces the calibration exactly (no re-quantization).
-/// read_quant_matrix reads a rows × cols matrix: any other declared shape
-/// throws util::CheckError before the body is allocated.
-void write_quant_matrix(std::ostream& os, const QuantizedMatrix& m);
-QuantizedMatrix read_quant_matrix(std::istream& is, std::size_t rows,
-                                  std::size_t cols);
 
 }  // namespace nfv::ml

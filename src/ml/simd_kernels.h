@@ -4,8 +4,10 @@
 // when it returns null.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 
 #include "ml/matrix.h"
 
@@ -23,22 +25,27 @@ constexpr std::size_t panel_count(std::size_t n) {
   return (n + kPanelCols - 1) / kPanelCols;
 }
 
-/// Channels per int8 panel and k-depth of one k-group: full groups of 8
-/// channels are stored as k-major 4-k × 8-channel 32-byte blocks (the
-/// layout checkpoints persist through write_quant_matrix).
-constexpr std::size_t kQuantChannels = 8;
+/// k-depth of one int8 k-group: the 4 activation bytes one int32 lane of
+/// vpdpbusd (or vpmaddubsw + vpmaddwd) sums.
 constexpr std::size_t kQuantK = 4;
 
 /// Round-to-nearest-even via the 1.5·2^23 magic constant: exact for
-/// |x| < 2^22 (every quantized code is within ±128), branch-free, and
-/// independent of libm — the same bits on every build.
+/// |x| < 2^22 (every quantized code is within ±128) and independent of
+/// libm — the same bits on every build. Larger values only reach callers
+/// that clamp the result to a code, so they truncate; NaN and |x| ≥ 2^31
+/// give INT32_MIN, as vcvtps2dq does in the SIMD tiers' vector lanes, in
+/// place of an undefined float-to-int conversion (a NaN activation gets
+/// code 0 in every tier).
 inline std::int32_t round_nearest_i32(float x) {
   constexpr float kMagic = 12582912.0f;  // 1.5 * 2^23
-  return static_cast<std::int32_t>((x + kMagic) - kMagic);
+  const float ax = std::fabs(x);
+  if (ax < 4194304.0f) return static_cast<std::int32_t>((x + kMagic) - kMagic);
+  return ax < 2147483648.0f ? static_cast<std::int32_t>(x)
+                            : std::numeric_limits<std::int32_t>::min();
 }
 
-/// One fused LSTM scoring step (Lstm::score_step) over rows [i0, i1):
-/// per tile of rows × one gate block, the product of the step's input
+/// One fused LSTM scoring step (Lstm::score_step) over `rows` rows: per
+/// tile of rows × one gate block, the product of the step's input
 /// rows with the block's weights (none, fp32 or int8), plus the addend
 /// (the bias, or layer 0's gathered table row), then the gate activations
 /// and the cell update, writing c and h; the gates stay in registers.
@@ -46,6 +53,7 @@ inline std::int32_t round_nearest_i32(float x) {
 /// floats (the padding units are scratch) and `h` rows `hidden`. The
 /// fp32 product runs when `weights` is set, the int8 one when `quant` is.
 struct StepArgs {
+  std::size_t rows = 0;
   std::size_t hidden = 0;
   /// fp32: rows of [x | h_prev] times `weights`, a gate-blocked pack of
   /// `depth` k-rows whose first x_cols rows multiply x; either part is
@@ -77,24 +85,16 @@ struct StepArgs {
 /// name in its caller's file up to the documented per-tier numerics (FMA
 /// chains, Cephes exp); the AVX2 and AVX-512 tables agree bit for bit.
 struct Kernels {
-  /// Rows [i0, i1) of out = a · packed panels.
-  void (*rows_packed)(const Matrix& a, const float* packed, Matrix& out,
-                      std::size_t i0, std::size_t i1);
-  /// Columns [c0, c1) of out += aᵀ · b.
-  void (*transa_acc_block)(const Matrix& a, const Matrix& b, Matrix& out,
-                           std::size_t c0, std::size_t c1);
+  /// out = a · packed panels.
+  void (*rows_packed)(const Matrix& a, const float* packed, Matrix& out);
+  /// out += aᵀ · b.
+  void (*transa_acc)(const Matrix& a, const Matrix& b, Matrix& out);
   /// Per-row u7 codes, scales and zero points of [a | b] (b may be null;
   /// codes padded to kpad): quantize_activations.
   void (*quantize_rows)(const float* a, std::size_t a_cols, const float* b,
                         std::size_t b_cols, std::size_t rows,
                         std::size_t kpad, std::uint8_t* qa, float* sa,
                         std::int32_t* zp);
-  /// Rows [i0, i1) of the int8 product over qb's full 8-channel panels
-  /// (the C mod 8 tail channels are the caller's).
-  void (*quant_panels)(const std::uint8_t* qa, const float* sa,
-                       const std::int32_t* zp, std::size_t kpad,
-                       const QuantizedMatrix& qb, Matrix& out, std::size_t i0,
-                       std::size_t i1);
   /// Gate activations of one [i f g o] row after adding the bias `add`.
   void (*gate_activation_row)(float* g, const float* add, std::size_t h);
   /// c = f·c_prev + i·g, h = o·tanh(c); `c` may alias `cp`.
@@ -107,8 +107,8 @@ struct Kernels {
                             std::size_t h);
   /// Σ exp(l[c] − m) over n logits.
   float (*sum_exp)(const float* l, std::size_t n, float m);
-  /// Rows [i0, i1) of one fused LSTM scoring step.
-  void (*lstm_step)(const StepArgs& s, std::size_t i0, std::size_t i1);
+  /// One fused LSTM scoring step.
+  void (*lstm_step)(const StepArgs& s);
 };
 
 /// The kernels of the active tier (ml::kernel_tier), null in the baseline

@@ -128,21 +128,20 @@ __attribute__((always_inline)) inline void packed_tile(
   }
 }
 
-/// Rows [i0, i1) of out = a · packed panels. The 4-row tile keeps half
-/// the vector registers as accumulators (4×1 panels of two ymm halves,
-/// 4×4 panels of zmm) and falls back to 4×2 and 4×1 for the last panels;
-/// the 1-row tail (rows % 4 leftovers, batches of 1–3 rows) keeps four
-/// accumulators, enough to stream the weights rather than wait on the
-/// FMA latency.
+/// out = a · packed panels. The 4-row tile keeps half the vector
+/// registers as accumulators (4×1 panels of two ymm halves, 4×4 panels of
+/// zmm) and falls back to 4×2 and 4×1 for the last panels; the 1-row tail
+/// (rows % 4 leftovers, batches of 1–3 rows) keeps four accumulators,
+/// enough to stream the weights rather than wait on the FMA latency.
 template <class T>
-void rows_packed(const Matrix& a, const float* packed, Matrix& out,
-                 std::size_t i0, std::size_t i1) {
+void rows_packed(const Matrix& a, const float* packed, Matrix& out) {
   constexpr std::size_t kPerPanel = kPanelCols / T::kLanes;
   constexpr std::size_t kTile = T::kRegisters / 2 / (4 * kPerPanel);
   constexpr std::size_t kRowTile = 4 / kPerPanel;
   const std::size_t panels = panel_count(out.cols());
-  std::size_t i = i0;
-  for (; i + 4 <= i1; i += 4) {
+  const std::size_t rows = a.rows();
+  std::size_t i = 0;
+  for (; i + 4 <= rows; i += 4) {
     std::size_t jp = 0;
     for (; jp + kTile <= panels; jp += kTile) {
       packed_tile<T, 4, kTile>(a, packed, out, i, jp);
@@ -157,7 +156,7 @@ void rows_packed(const Matrix& a, const float* packed, Matrix& out,
       for (; jp < panels; ++jp) packed_tile<T, 4, 1>(a, packed, out, i, jp);
     }
   }
-  for (; i < i1; ++i) {
+  for (; i < rows; ++i) {
     std::size_t jp = 0;
     for (; jp + kRowTile <= panels; jp += kRowTile) {
       packed_tile<T, 1, kRowTile>(a, packed, out, i, jp);
@@ -202,25 +201,24 @@ inline void transa_column(const Matrix& a, const Matrix& b, Matrix& out,
 
 template <class T, std::size_t R>
 inline void transa_rows(const Matrix& a, const Matrix& b, Matrix& out,
-                        std::size_t k, std::size_t c0, std::size_t c1) {
-  std::size_t c = vector_span<T>(c0, c1, [&](auto lanes, std::size_t col) {
+                        std::size_t k) {
+  const std::size_t cols = b.cols();
+  std::size_t c = vector_span<T>(0, cols, [&](auto lanes, std::size_t col) {
     transa_tile<decltype(lanes), R>(a, b, out, k, col);
   });
-  for (; c < c1; ++c) transa_column<R>(a, b, out, k, c);
+  for (; c < cols; ++c) transa_column<R>(a, b, out, k, c);
 }
 
-/// Column block [c0, c1) of out += aᵀ·b (weight gradients), 4 out-rows
-/// at a time.
+/// out += aᵀ·b (weight gradients), 4 out-rows at a time.
 template <class T>
-void transa_acc_block(const Matrix& a, const Matrix& b, Matrix& out,
-                      std::size_t c0, std::size_t c1) {
+void transa_acc(const Matrix& a, const Matrix& b, Matrix& out) {
   std::size_t k = 0;
-  for (; k + 4 <= a.cols(); k += 4) transa_rows<T, 4>(a, b, out, k, c0, c1);
-  for (; k < a.cols(); ++k) transa_rows<T, 1>(a, b, out, k, c0, c1);
+  for (; k + 4 <= a.cols(); k += 4) transa_rows<T, 4>(a, b, out, k);
+  for (; k < a.cols(); ++k) transa_rows<T, 1>(a, b, out, k);
 }
 
 // ---------------------------------------------------------------------------
-// int8: the activation quantizer and the GEMM over 8-channel panels.
+// int8: the activation quantizer.
 // ---------------------------------------------------------------------------
 
 /// The scalar tier's quantizer (min/max seeded at 0, ×inv, round to
@@ -290,76 +288,6 @@ NFV_NO_CONTRACT void quantize_rows(const float* a, std::size_t a_cols,
     sa[i] = range / 127.0f;
     zp[i] = z;
   }
-}
-
-/// Exact int32 sums of R activation rows against one 8-channel panel:
-/// T::kQuads k-groups per panel load, then (two-group tier, odd group
-/// count) the last group at 8 lanes. Integer sums are exact, so the
-/// grouping cannot change them.
-template <class T, std::size_t R>
-__attribute__((always_inline)) inline void quant_panel(
-    const std::uint8_t* const* ar, const std::int8_t* panel,
-    std::size_t groups, __m256i* sums) {
-  constexpr std::size_t kBlock = kQuantChannels * kQuantK;  // bytes/group
-  typename T::Vi acc[R];
-  for (std::size_t r = 0; r < R; ++r) acc[r] = T::zero_i();
-  std::size_t g = 0;
-  for (; g + T::kQuads <= groups; g += T::kQuads) {
-    const typename T::Vi bv = T::load_i(panel + kBlock * g);
-    for (std::size_t r = 0; r < R; ++r) {
-      acc[r] = T::dot(acc[r], T::broadcast_quads(ar[r] + kQuantK * g), bv);
-    }
-  }
-  for (std::size_t r = 0; r < R; ++r) sums[r] = T::fold_channels(acc[r]);
-  for (; g < groups; ++g) {
-    const __m256i bv = Vec8::load_i(panel + kBlock * g);
-    for (std::size_t r = 0; r < R; ++r) {
-      sums[r] = Vec8::dot(sums[r], Vec8::broadcast_quads(ar[r] + kQuantK * g),
-                          bv);
-    }
-  }
-}
-
-/// Rows [i, i+R) over every full panel, then the canonical dequant
-/// epilogue (acc − zp·col_sum) · (sa·scale) shared with the serial tier.
-template <class T, std::size_t R>
-inline void quant_rows_tile(const std::uint8_t* qa, const float* sa,
-                            const std::int32_t* zp, std::size_t kpad,
-                            const QuantizedMatrix& qb, Matrix& out,
-                            std::size_t i) {
-  const std::size_t panels = qb.rows / kQuantChannels;
-  const std::uint8_t* ar[R];
-  for (std::size_t r = 0; r < R; ++r) ar[r] = qa + (i + r) * kpad;
-  for (std::size_t p = 0; p < panels; ++p) {
-    __m256i sums[R];
-    quant_panel<T, R>(ar, qb.data.data() + p * kpad * kQuantChannels,
-                      kpad / kQuantK, sums);
-    const __m256i cs = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
-        qb.col_sums.data() + kQuantChannels * p));
-    const __m256 sc = _mm256_loadu_ps(qb.scales.data() + kQuantChannels * p);
-    for (std::size_t r = 0; r < R; ++r) {
-      const __m256i corr =
-          _mm256_mullo_epi32(_mm256_set1_epi32(zp[i + r]), cs);
-      const __m256 f = _mm256_cvtepi32_ps(_mm256_sub_epi32(sums[r], corr));
-      const __m256 s = _mm256_mul_ps(_mm256_set1_ps(sa[i + r]), sc);
-      _mm256_storeu_ps(out.row(i + r) + kQuantChannels * p,
-                       _mm256_mul_ps(f, s));
-    }
-  }
-}
-
-/// Rows [i0, i1) of the int8 product over the full panels; 4 rows share
-/// each panel load.
-template <class T>
-void quant_panels(const std::uint8_t* qa, const float* sa,
-                  const std::int32_t* zp, std::size_t kpad,
-                  const QuantizedMatrix& qb, Matrix& out, std::size_t i0,
-                  std::size_t i1) {
-  std::size_t i = i0;
-  for (; i + 4 <= i1; i += 4) {
-    quant_rows_tile<T, 4>(qa, sa, zp, kpad, qb, out, i);
-  }
-  for (; i < i1; ++i) quant_rows_tile<T, 1>(qa, sa, zp, kpad, qb, out, i);
 }
 
 // ---------------------------------------------------------------------------
@@ -497,10 +425,11 @@ __attribute__((always_inline)) inline void gate_products(
 }
 
 /// pre[r][q] = the int8 products of rows [i, i+R), dequantized as
-/// matmul_quant's epilogue, (acc − zp·col_sum)·(sa·scale): per 4-k group
-/// one activation quad per row against gate q's T::kLanes channels
-/// (vpdpbusd on a whole 16-channel block, maddubs+madd on each 8-channel
-/// half). The integer sums are exact, so any grouping gives the same.
+/// (acc − zp·col_sum)·(sa·scale), the baseline tier's expression: per
+/// 4-k group one activation quad per row against gate q's T::kLanes
+/// channels (vpdpbusd on a whole 16-channel block, maddubs+madd on each
+/// 8-channel half). The integer sums are exact, so any grouping gives the
+/// same.
 template <class T, std::size_t R>
 __attribute__((always_inline)) inline void gate_products_int8(
     typename T::V (&pre)[R][4], const StepArgs& s, std::size_t i,
@@ -667,16 +596,17 @@ __attribute__((always_inline)) inline void step_tile(
 }
 
 template <class T, StepProduct kProduct, bool kTable>
-void step_rows(const StepArgs& s, std::size_t i0, std::size_t i1) {
+void step_rows(const StepArgs& s) {
   constexpr std::size_t kRows = T::kRegisters / 8;
+  const std::size_t rows = s.rows;
   if constexpr (kProduct == StepProduct::kFp32) {
     // Per row block and units: the depth in chunks, each over every row
     // tile, so a chunk's weights are read from L1 by all but the first.
     alignas(64) float carry[kStepRowBlock * 4 * T::kLanes];
     const std::size_t depth =
         s.h_prev != nullptr ? s.x_cols + s.hidden : s.x_cols;
-    for (std::size_t b0 = i0; b0 < i1; b0 += kStepRowBlock) {
-      const std::size_t b1 = std::min(i1, b0 + kStepRowBlock);
+    for (std::size_t b0 = 0; b0 < rows; b0 += kStepRowBlock) {
+      const std::size_t b1 = std::min(rows, b0 + kStepRowBlock);
       for (std::size_t u0 = 0; u0 < s.hidden; u0 += T::kLanes) {
         for (std::size_t k0 = 0; k0 < depth; k0 += kStepChunk) {
           const std::size_t k1 = std::min(depth, k0 + kStepChunk);
@@ -695,35 +625,35 @@ void step_rows(const StepArgs& s, std::size_t i0, std::size_t i1) {
     return;
   }
   for (std::size_t u0 = 0; u0 < s.hidden; u0 += T::kLanes) {
-    std::size_t i = i0;
-    for (; i + kRows <= i1; i += kRows) {
+    std::size_t i = 0;
+    for (; i + kRows <= rows; i += kRows) {
       step_tile<T, kProduct, kTable, kRows>(s, i, u0);
     }
-    for (; i < i1; ++i) step_tile<T, kProduct, kTable, 1>(s, i, u0);
+    for (; i < rows; ++i) step_tile<T, kProduct, kTable, 1>(s, i, u0);
   }
 }
 
 template <class T, bool kTable>
-void step_rows(const StepArgs& s, std::size_t i0, std::size_t i1) {
+void step_rows(const StepArgs& s) {
   if (s.quant != nullptr) {
-    step_rows<T, StepProduct::kInt8, kTable>(s, i0, i1);
+    step_rows<T, StepProduct::kInt8, kTable>(s);
   } else if (s.weights != nullptr) {
-    step_rows<T, StepProduct::kFp32, kTable>(s, i0, i1);
+    step_rows<T, StepProduct::kFp32, kTable>(s);
   } else {
-    step_rows<T, StepProduct::kNone, kTable>(s, i0, i1);
+    step_rows<T, StepProduct::kNone, kTable>(s);
   }
 }
 
-void lstm_step(const StepArgs& s, std::size_t i0, std::size_t i1) {
+void lstm_step(const StepArgs& s) {
   if (s.table != nullptr) {
-    step_rows<Vec, true>(s, i0, i1);
+    step_rows<Vec, true>(s);
   } else {
-    step_rows<Vec, false>(s, i0, i1);
+    step_rows<Vec, false>(s);
   }
 }
 
 const Kernels kKernels = {
-    rows_packed<Vec>,    transa_acc_block<Vec>, quantize_rows<Vec>,
-    quant_panels<Vec>,   gate_activation_row,   cell_forward_row,
-    gate_backward_row,   sum_exp,               lstm_step,
+    rows_packed<Vec>,  transa_acc<Vec>,  quantize_rows<Vec>,
+    gate_activation_row, cell_forward_row, gate_backward_row,
+    sum_exp,           lstm_step,
 };

@@ -28,7 +28,7 @@ namespace nfv::ml::simd {
                         "avx2,fma"),                                      \
                  always_inline)) static inline
 
-/// Read one 4-byte activation quad (an int8 GEMM k-group).
+/// Read one 4-byte activation quad (an int8 k-group).
 inline std::int32_t load_quad(const std::uint8_t* p) {
   std::int32_t v;
   std::memcpy(&v, p, sizeof(v));
@@ -42,8 +42,6 @@ struct Vec8 {
   static constexpr std::size_t kLanes = 8;
   /// Architectural vector registers; sizes the GEMM register tiles.
   static constexpr std::size_t kRegisters = 16;
-  /// int8 GEMM k-groups (4 k each, 8 channels) consumed per vector.
-  static constexpr std::size_t kQuads = 1;
 
   NFV_VEC8 V load(const float* p) { return _mm256_loadu_ps(p); }
   NFV_VEC8 void store(float* p, V v) { _mm256_storeu_ps(p, v); }
@@ -104,7 +102,7 @@ struct Vec8 {
     return _mm_cvtss_f32(_mm_max_ss(m, _mm_shuffle_ps(m, m, 1)));
   }
 
-  // Integer lanes: the activation quantizer and the int8 GEMM.
+  // Integer lanes: the activation quantizer and the int8 step.
   /// Round to nearest even (the default MXCSR mode).
   NFV_VEC8 Vi to_int(V x) { return _mm256_cvtps_epi32(x); }
   NFV_VEC8 Vi set1_i(std::int32_t x) { return _mm256_set1_epi32(x); }
@@ -131,10 +129,6 @@ struct Vec8 {
   NFV_VEC8 Vi broadcast_quad(const std::uint8_t* a) {
     return _mm256_set1_epi32(load_quad(a));
   }
-  /// The A operand of kQuads k-groups of an 8-channel panel: one here.
-  NFV_VEC8 Vi broadcast_quads(const std::uint8_t* a) {
-    return broadcast_quad(a);
-  }
   /// acc += u8 a · s8 b, 4 products per int32 lane (vpmaddubsw +
   /// vpmaddwd; exact because u7 · s8 pair sums stay below 2^15).
   NFV_VEC8 Vi dot(Vi acc, Vi a, Vi b) {
@@ -142,8 +136,6 @@ struct Vec8 {
         acc, _mm256_madd_epi16(_mm256_maddubs_epi16(a, b),
                                _mm256_set1_epi16(1)));
   }
-  /// The 8 channel sums an accumulator holds.
-  NFV_VEC8 __m256i fold_channels(Vi acc) { return acc; }
 };
 
 /// 16 fp32 / int32 lanes (AVX-512 F/BW/DQ/VL + VNNI).
@@ -152,7 +144,6 @@ struct Vec16 {
   using Vi = __m512i;
   static constexpr std::size_t kLanes = 16;
   static constexpr std::size_t kRegisters = 32;
-  static constexpr std::size_t kQuads = 2;
 
   NFV_VEC16 V load(const float* p) { return _mm512_loadu_ps(p); }
   NFV_VEC16 void store(float* p, V v) { _mm512_storeu_ps(p, v); }
@@ -214,21 +205,9 @@ struct Vec16 {
   NFV_VEC16 Vi broadcast_quad(const std::uint8_t* a) {
     return _mm512_set1_epi32(load_quad(a));
   }
-  /// The A operand of two consecutive k-groups, which one 64-byte panel
-  /// load holds back to back: quad g in lanes 0–7, quad g+1 in 8–15.
-  NFV_VEC16 Vi broadcast_quads(const std::uint8_t* a) {
-    return _mm512_mask_set1_epi32(_mm512_set1_epi32(load_quad(a)),
-                                  static_cast<__mmask16>(0xFF00),
-                                  load_quad(a + 4));
-  }
   /// acc += u8 a · s8 b (vpdpbusd: exact int32, no saturation).
   NFV_VEC16 Vi dot(Vi acc, Vi a, Vi b) {
     return _mm512_dpbusd_epi32(acc, a, b);
-  }
-  /// Lanes 0–7 and 8–15 hold the same 8 channels at different k-groups.
-  NFV_VEC16 __m256i fold_channels(Vi acc) {
-    return _mm256_add_epi32(_mm512_castsi512_si256(acc),
-                            _mm512_extracti64x4_epi64(acc, 1));
   }
 };
 

@@ -81,7 +81,7 @@ void expect_identical_events(
   }
 }
 
-TEST(BatchInvarianceTest, ScoresIdenticalForAnyBatchSizeAndThreadCount) {
+TEST(BatchInvarianceTest, ScoresIdenticalForAnyBatchComposition) {
   for (const LstmScoreMode mode :
        {LstmScoreMode::kLogLikelihood, LstmScoreMode::kTargetRank}) {
     LstmDetector detector = make_trained_detector(mode);

@@ -208,12 +208,15 @@ ml::WindowBatch all_windows(const std::vector<ParsedLog>& logs,
   return windows;
 }
 
-/// The detector's scores (its own scoring image) against the model's
-/// serial reference, which builds a fresh image from the current weights.
+/// The detector's scores (its own scoring image) against a fresh image of
+/// the current weights, built in the detector's precision.
 void expect_fresh_image(const LstmDetector& detector,
                         const ml::WindowBatch& windows, const char* after) {
-  const std::vector<double> fresh =
-      detector.model().score_log_likelihood(windows);
+  const ml::SequenceModel& model = detector.model();
+  std::vector<double> fresh(windows.size());
+  ml::SequenceModel::InferenceScratch scratch;
+  model.score_batched(model.build_scoring_image(detector.config().quantize),
+                      windows, windows.size(), scratch, fresh);
   const std::vector<double> scores = detector.score_batch(windows);
   ASSERT_EQ(scores.size(), fresh.size()) << after;
   for (std::size_t i = 0; i < scores.size(); ++i) {
@@ -221,9 +224,10 @@ void expect_fresh_image(const LstmDetector& detector,
   }
 }
 
-// The detector's scoring image follows every weight change: fit, an
-// update that only grows the vocabulary (no training windows), adapt,
-// set_quantized(false), load and copies.
+// The detector's scoring image follows every weight and precision change:
+// fit, an update that only grows the vocabulary (no training windows),
+// adapt, set_quantized in both directions, an adapt scoring in int8, load
+// and copies.
 TEST(LstmDetector, ScoringImageFollowsEveryWeightChange) {
   LstmDetector detector(fast_lstm_config());
   const auto train = motif_stream(60);
@@ -250,6 +254,9 @@ TEST(LstmDetector, ScoringImageFollowsEveryWeightChange) {
   expect_fresh_image(detector, grown, "adapt");
 
   detector.set_quantized(true);
+  expect_fresh_image(detector, grown, "set_quantized(true)");
+  detector.adapt({&post_view, 1}, 12);
+  expect_fresh_image(detector, grown, "int8 adapt");
   detector.set_quantized(false);
   expect_fresh_image(detector, grown, "set_quantized(false)");
 

@@ -1,7 +1,7 @@
 // Detector-level contracts of the int8 quantized scoring tier.
 //
-// What must hold when LstmDetector scores through the packed int8
-// kernels instead of fp32 GEMMs:
+// What must hold when LstmDetector scores from an int8 scoring image
+// instead of an fp32 one:
 //   - DeepLog-style top-k decisions agree with fp32 on predictable
 //     traffic (the statistical 99.5% gate over a noisy corpus runs in
 //     bench_scoring_throughput --smoke; here the corpus is margin-y and
@@ -9,14 +9,18 @@
 //   - the warning stream of the async ingest runtime is unchanged by
 //     quantization when anomalies have real margin — the operational
 //     parity the paper's deployment story needs;
-//   - quantize → save → load reproduces the quantized scores bit-exactly
-//     (the sidecar is persisted, not re-derived from fp32 on load);
-//   - set_quantized() is a reversible toggle: dropping the sidecar
-//     restores bit-exact fp32 scoring;
+//   - save → load reproduces the int8 scores bit-exactly: the checkpoint
+//     holds the fp32 weights and a precision flag, and the loader
+//     re-derives the same int8 image from them; an fp32 and an int8
+//     checkpoint differ only in that flag, and a flag other than 0 or 1
+//     is refused;
+//   - set_quantized() is a reversible toggle: returning to fp32 restores
+//     bit-exact fp32 scoring;
 //   - AsyncIngest::stats_json() reports the per-detector model memory so
 //     the fleet bytes/vPE axis is observable at runtime.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -24,6 +28,7 @@
 #include "core/async_ingest.h"
 #include "core/lstm_detector.h"
 #include "logproc/signature_tree.h"
+#include "util/check.h"
 #include "util/json.h"
 
 namespace nfv::core {
@@ -233,10 +238,56 @@ TEST(QuantScoring, SaveLoadReproducesQuantizedScoresExactly) {
   EXPECT_EQ(memory.weight_bytes_fp32,
             detector.model_memory().weight_bytes_fp32);
 
-  // The sidecar travels with the model: loaded scores are bit-identical,
-  // not merely close (a re-calibration from perturbed fp32 weights would
-  // betray itself here).
+  // The int8 image is a pure function of the fp32 weights, which the
+  // checkpoint holds byte for byte: loaded scores are bit-identical, not
+  // merely close (a quantization of perturbed weights would betray itself
+  // here).
   EXPECT_EQ(flat_scores(loaded, streams), before);
+}
+
+// The checkpoint is score mode, window, the fp32 model and the precision
+// flag: the same detector saved in fp32 and in int8 differs in the last
+// u64 alone, 0 against 1.
+TEST(QuantScoring, Fp32AndInt8CheckpointsDifferOnlyInTheFlag) {
+  LstmDetector detector =
+      train_detector(LstmScoreMode::kLogLikelihood, false);
+  std::stringstream fp32;
+  detector.save(fp32);
+  detector.set_quantized(true);
+  std::stringstream int8;
+  detector.save(int8);
+  const std::string a = fp32.str();
+  const std::string b = int8.str();
+  ASSERT_EQ(a.size(), b.size());
+  ASSERT_GT(a.size(), 8u);
+  const std::size_t flag = a.size() - 8;
+  EXPECT_EQ(a.substr(0, flag), b.substr(0, flag));
+  std::uint64_t fp32_flag = 7, int8_flag = 7;
+  std::memcpy(&fp32_flag, a.data() + flag, 8);
+  std::memcpy(&int8_flag, b.data() + flag, 8);
+  EXPECT_EQ(fp32_flag, 0u);
+  EXPECT_EQ(int8_flag, 1u);
+}
+
+// A flag other than 0 or 1 is corrupt, not "some other int8": the loader
+// throws, naming the flag.
+TEST(QuantScoring, PrecisionFlagOtherThanZeroOrOneThrows) {
+  const LstmDetector detector =
+      train_detector(LstmScoreMode::kLogLikelihood, true);
+  std::stringstream saved;
+  detector.save(saved);
+  std::string bytes = saved.str();
+  const std::uint64_t two = 2;
+  std::memcpy(bytes.data() + bytes.size() - 8, &two, 8);
+  std::stringstream corrupt(bytes);
+  try {
+    LstmDetector::load(corrupt);
+    ADD_FAILURE() << "a checkpoint with precision flag 2 loaded";
+  } catch (const nfv::util::CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("precision flag 2"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(QuantScoring, SetQuantizedTogglesAndRestoresFp32Exactly) {
@@ -255,13 +306,15 @@ TEST(QuantScoring, SetQuantizedTogglesAndRestoresFp32Exactly) {
   EXPECT_TRUE(quant_memory.quantized);
   EXPECT_TRUE(detector.config().quantize);
   EXPECT_EQ(quant_memory.weight_bytes_fp32, fp32_memory.weight_bytes_fp32);
-  EXPECT_GT(quant_memory.weight_bytes_quantized, 0u);
-  // Strictly smaller even at this toy size, where k-padding and the
-  // per-channel scale/col-sum overhead blunt the ratio; the ~4x shrink at
-  // realistic model sizes is gated by bench_scoring_throughput
-  // (BENCH_scoring.json: weight_bytes_ratio).
+  // The int8 gate blocks are smaller than the fp32 gate packs they
+  // replace even at this toy size (hidden 8 fills half of each 16-unit
+  // block, and k-padding and the per-channel scale/col-sum overhead blunt
+  // the ratio); the ratio at a production shape is reported by
+  // bench_scoring_throughput (BENCH_scoring.json: weight_bytes_ratio).
+  EXPECT_EQ(quant_memory.weight_bytes_quantized,
+            detector.model().build_scoring_image(true).gate_weight_bytes());
   EXPECT_LT(quant_memory.weight_bytes_quantized,
-            fp32_memory.weight_bytes_fp32 / 2);
+            detector.model().build_scoring_image(false).gate_weight_bytes());
 
   detector.set_quantized(false);
   EXPECT_FALSE(detector.model_memory().quantized);

@@ -1,23 +1,24 @@
 // Kernel- and model-level tests of the int8 quantized scoring tier.
 //
 // The contracts under test, in order of load-bearingness:
-//   1. matmul_quant is bit-identical across kernel tiers (AVX2 and
-//      AVX-512 VNNI vs the baseline reference) and row partitionings —
-//      quantized scores may differ from fp32, but never from each other.
-//   2. Degenerate weight channels (all-zero rows, constant rows) quantize
-//      without division by zero or saturation artifacts.
-//   3. The quantized product tracks the fp32 product to within the error
-//      budget of 7-bit activations × 8-bit weights.
-//   4. The SequenceModel sidecar follows the fp32 weights' lifecycle:
-//      installed by quantize(), dropped by train_batch/grow_vocab.
-//   5. The fused LSTM scoring step's 16-channel int8 blocks reproduce
-//      matmul_quant's 8-channel product bit for bit, the zero-state input
-//      block included, and int8 scores agree between the SIMD tiers.
+//   1. The fused LSTM step's int8 products equal an in-test scalar
+//      reference bit for bit in every kernel tier — the library's
+//      activation codes times weights quantized here, dequantized as
+//      (acc − zp·col_sum)·(sa·scale) — the zero-state input block
+//      included, and int8 scores agree between the SIMD tiers at any
+//      batch size.
+//   2. pack_gate_blocks quantizes each gate row per channel over its full
+//      width into the gate-block layout; degenerate channels (all-zero
+//      rows, constant rows) quantize without division by zero or
+//      saturation artifacts, and a NaN or infinite weight is refused.
+//   3. The int8 step tracks the fp32 step to within the error budget of
+//      7-bit activations × 8-bit weights.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -25,8 +26,8 @@
 #include "kernel_tiers.h"
 #include "ml/lstm.h"
 #include "ml/matrix.h"
-#include "ml/optimizer.h"
 #include "ml/sequence_model.h"
+#include "util/check.h"
 #include "util/rng.h"
 
 namespace nfv::ml {
@@ -43,228 +44,138 @@ Matrix random_matrix(std::size_t rows, std::size_t cols, Rng& rng,
   return m;
 }
 
-bool bitwise_equal(const Matrix& a, const Matrix& b) {
-  return a.rows() == b.rows() && a.cols() == b.cols() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+/// Channel c's weights quantized per channel over the full row, the
+/// reference for pack_gate_blocks: scale = max|row| / 127 (1 for an
+/// all-zero row), codes round to nearest even and clamp to ±127.
+struct ChannelCodes {
+  float scale = 1.0f;
+  std::vector<std::int32_t> codes;
+};
+
+ChannelCodes quantize_channel(const Matrix& w, std::size_t c) {
+  float amax = 0.0f;
+  for (std::size_t k = 0; k < w.cols(); ++k) {
+    amax = std::max(amax, std::fabs(w.at(c, k)));
+  }
+  ChannelCodes out;
+  out.codes.assign(w.cols(), 0);
+  if (amax == 0.0f) return out;
+  out.scale = amax / 127.0f;
+  const float inv = 127.0f / amax;
+  for (std::size_t k = 0; k < w.cols(); ++k) {
+    const float code = std::nearbyint(w.at(c, k) * inv);  // ties to even
+    out.codes[k] =
+        std::clamp(static_cast<std::int32_t>(code), std::int32_t{-127},
+                   std::int32_t{127});
+  }
+  return out;
 }
 
-TEST(QuantizePackB, PanelLayoutScalesAndColumnSums) {
-  Rng rng(3);
-  const std::size_t cn = 13, kn = 7;  // tail channels AND a padded k
-  const Matrix b = random_matrix(cn, kn, rng);
-  QuantizedMatrix qb;
-  quantize_pack_b(b, qb);
+/// Where pack_gate_blocks puts gate row c (of 4H): its lane in the
+/// gate-blocked scales and column sums, and its 16-unit block.
+struct GateLane {
+  std::size_t lane;
+  std::size_t block;
+};
 
-  EXPECT_EQ(qb.rows, cn);
-  EXPECT_EQ(qb.cols, kn);
-  EXPECT_EQ(qb.cols_padded, 8u);  // next multiple of 4
-  EXPECT_EQ(qb.data.size(), cn * qb.cols_padded);
-  EXPECT_EQ(qb.scales.size(), cn);
-  EXPECT_EQ(qb.col_sums.size(), cn);
+GateLane gate_lane(std::size_t c, std::size_t hidden) {
+  const std::size_t gate = c / hidden;
+  const std::size_t unit = c % hidden;
+  const std::size_t block = unit / kGateBlockUnits;
+  return {block * kGateBlockWidth + gate * kGateBlockUnits +
+              unit % kGateBlockUnits,
+          block};
+}
 
-  for (std::size_t c = 0; c < cn; ++c) {
-    float amax = 0.0f;
-    for (std::size_t k = 0; k < kn; ++k) {
-      amax = std::max(amax, std::abs(b.at(c, k)));
-    }
-    EXPECT_FLOAT_EQ(qb.scales[c], amax / 127.0f);
-    // Codes must reconstruct each weight to within half a step, and the
-    // stored column sum must be exactly the sum of the codes. Walk the
-    // panel layout directly: full panels of 8 channels, 4-k groups, then
-    // row-major tail channels.
-    const std::size_t panels = cn / 8;
+/// The byte offset of gate row c's code at column k of a block's pack.
+std::size_t code_offset(std::size_t c, std::size_t k, std::size_t hidden,
+                        std::size_t depth_padded) {
+  const GateLane at = gate_lane(c, hidden);
+  const std::size_t groups = depth_padded / 4;
+  return at.block * groups * kGateBlockWidth * 4 +
+         k / 4 * kGateBlockWidth * 4 + at.lane % kGateBlockWidth * 4 + k % 4;
+}
+
+/// Checks q, the pack of columns [k0, k1) of w, against the reference:
+/// codes at their layout offsets, the full row's scale, column sums over
+/// the block alone, and zeros in every padding byte and lane.
+void expect_gate_blocks(const Matrix& w, std::size_t k0, std::size_t k1,
+                        const QuantGateBlocks& q, const std::string& at) {
+  const std::size_t hidden = w.rows() / 4;
+  const std::size_t blocks = gate_block_count(hidden);
+  ASSERT_EQ(q.depth_padded, (k1 - k0 + 3) / 4 * 4) << at;
+  ASSERT_EQ(q.codes.size(), blocks * q.depth_padded * kGateBlockWidth) << at;
+  ASSERT_EQ(q.scales.size(), blocks * kGateBlockWidth) << at;
+  ASSERT_EQ(q.col_sums.size(), blocks * kGateBlockWidth) << at;
+  std::vector<bool> written(q.codes.size(), false);
+  std::vector<bool> lane_used(q.scales.size(), false);
+  for (std::size_t c = 0; c < w.rows(); ++c) {
+    const ChannelCodes ref = quantize_channel(w, c);
+    const std::size_t lane = gate_lane(c, hidden).lane;
+    lane_used[lane] = true;
+    EXPECT_EQ(q.scales[lane], ref.scale) << at << " channel " << c;
     std::int32_t sum = 0;
-    for (std::size_t k = 0; k < qb.cols_padded; ++k) {
-      std::int8_t code;
-      if (c < panels * 8) {
-        const std::size_t p = c / 8, jj = c % 8, g = k / 4;
-        code = qb.data[p * qb.cols_padded * 8 + g * 32 + jj * 4 + (k % 4)];
-      } else {
-        code = qb.data[panels * qb.cols_padded * 8 +
-                       (c - panels * 8) * qb.cols_padded + k];
-      }
-      sum += code;
-      const float reconstructed = static_cast<float>(code) * qb.scales[c];
-      const float original = k < kn ? b.at(c, k) : 0.0f;
-      EXPECT_NEAR(reconstructed, original, qb.scales[c] * 0.5f + 1e-7f)
-          << "channel " << c << " k " << k;
+    for (std::size_t k = k0; k < k1; ++k) {
+      const std::size_t off = code_offset(c, k - k0, hidden, q.depth_padded);
+      written[off] = true;
+      EXPECT_EQ(q.codes[off], ref.codes[k])
+          << at << " channel " << c << " k " << k;
+      // Each code reconstructs its weight to within half a step.
+      EXPECT_NEAR(static_cast<float>(q.codes[off]) * ref.scale, w.at(c, k),
+                  ref.scale * 0.5f + 1e-7f)
+          << at << " channel " << c << " k " << k;
+      sum += ref.codes[k];
     }
-    EXPECT_EQ(qb.col_sums[c], sum) << "channel " << c;
+    EXPECT_EQ(q.col_sums[lane], sum) << at << " channel " << c;
   }
-}
-
-TEST(QuantizePackB, AllZeroChannelHasUnitScaleAndZeroCodes) {
-  Matrix b(3, 5, 0.0f);
-  b.at(1, 2) = 0.75f;  // middle channel non-zero; rows 0 and 2 all-zero
-  QuantizedMatrix qb;
-  quantize_pack_b(b, qb);
-  EXPECT_FLOAT_EQ(qb.scales[0], 1.0f);  // no division by zero
-  EXPECT_FLOAT_EQ(qb.scales[2], 1.0f);
-  EXPECT_EQ(qb.col_sums[0], 0);
-  EXPECT_EQ(qb.col_sums[2], 0);
-
-  // The product against any activation must be exactly zero for the
-  // all-zero channels on every tier.
-  Rng rng(5);
-  const Matrix a = random_matrix(6, 5, rng, 3.0f);
-  Matrix out;
-  matmul_quant(a, qb, out);
-  for (std::size_t i = 0; i < out.rows(); ++i) {
-    EXPECT_EQ(out.at(i, 0), 0.0f);
-    EXPECT_EQ(out.at(i, 2), 0.0f);
-  }
-}
-
-TEST(QuantizePackB, ConstantChannelSaturatesToFullScaleWithoutOverflow) {
-  Matrix b(1, 4, -2.5f);  // every weight at the (negative) extreme
-  QuantizedMatrix qb;
-  quantize_pack_b(b, qb);
-  EXPECT_FLOAT_EQ(qb.scales[0], 2.5f / 127.0f);
-  for (std::size_t k = 0; k < 4; ++k) {
-    EXPECT_EQ(qb.data[k], -127);  // clamped symmetric code, never -128
-  }
-  EXPECT_EQ(qb.col_sums[0], -127 * 4);
-
-  // All-max activations drive the biggest possible accumulations; every
-  // tier must match the integer reference (i.e. no hidden saturation in
-  // the SIMD tiers). Each activation quantizes to code 127 with zero
-  // point 0 and scale 100/127, so the sum is 4 · 127 · −127 and the
-  // dequant is the canonical float(acc − zp·Σw) · (sa · scale).
-  const Matrix a(2, 4, 100.0f);
-  const float expected = static_cast<float>(4 * 127 * -127) *
-                         ((100.0f / 127.0f) * (2.5f / 127.0f));
-  EXPECT_NEAR(expected, 4 * 100.0f * -2.5f, 1e-1f);
-  for_each_kernel_tier([&](KernelTier tier) {
-    Matrix out;
-    matmul_quant(a, qb, out);
-    for (std::size_t i = 0; i < out.rows(); ++i) {
-      EXPECT_EQ(out.at(i, 0), expected) << kernel_tier_name(tier);
+  for (std::size_t i = 0; i < q.codes.size(); ++i) {
+    if (!written[i]) {
+      EXPECT_EQ(q.codes[i], 0) << at << " padding byte " << i;
     }
-  });
-}
-
-TEST(MatmulQuant, MatchesFp32WithinQuantizationError) {
-  Rng rng(7);
-  const std::size_t m = 64, kn = 48, cn = 33;
-  const Matrix a = random_matrix(m, kn, rng, 2.0f);
-  const Matrix b = random_matrix(cn, kn, rng, 0.5f);
-  QuantizedMatrix qb;
-  quantize_pack_b(b, qb);
-  Matrix exact, approx;
-  matmul_transb(a, b, exact);
-  matmul_quant(a, qb, approx);
-  // Error budget: per-element |err| ≲ K · (step_a·|w|max + step_b·|a|max).
-  // With u7 activations over [-2,2] and s8 weights over [-.5,.5]:
-  // 48 · (4/127·0.5 + 1/127·2) ≈ 1.5 worst-case; typical error is far
-  // smaller, and the relative Frobenius error is the robust check.
-  double num = 0.0, den = 0.0;
-  for (std::size_t i = 0; i < exact.size(); ++i) {
-    const double d = exact.data()[i] - approx.data()[i];
-    num += d * d;
-    den += static_cast<double>(exact.data()[i]) * exact.data()[i];
   }
-  EXPECT_LT(std::sqrt(num / den), 0.02);
-}
-
-// Every SIMD tier against the baseline reference tier, at k-group counts
-// that leave the AVX-512 tier's two-group VNNI step an odd group (K = 4,
-// 49, 65) or none (K = 5, 7, 48), and channel counts with and without
-// row-major tail channels.
-TEST(MatmulQuant, BitIdenticalAcrossSimdTiers) {
-  Rng rng(11);
-  std::vector<Matrix> as, bs;
-  for (const auto& [m, kn, cn] :
-       {std::tuple{17ul, 7ul, 13ul}, std::tuple{64ul, 48ul, 128ul},
-        std::tuple{3ul, 4ul, 8ul}, std::tuple{33ul, 65ul, 9ul},
-        std::tuple{6ul, 5ul, 16ul}, std::tuple{9ul, 49ul, 128ul}}) {
-    as.push_back(random_matrix(m, kn, rng, 2.0f));
-    bs.push_back(random_matrix(cn, kn, rng));
+  for (std::size_t lane = 0; lane < q.scales.size(); ++lane) {
+    if (lane_used[lane]) continue;
+    EXPECT_EQ(q.scales[lane], 0.0f) << at << " padding lane " << lane;
+    EXPECT_EQ(q.col_sums[lane], 0) << at << " padding lane " << lane;
   }
-  std::vector<QuantizedMatrix> qb_ref(as.size());
-  std::vector<Matrix> out_ref(as.size());
-  const std::string missing = for_each_kernel_tier([&](KernelTier tier) {
-    for (std::size_t s = 0; s < as.size(); ++s) {
-      if (tier == KernelTier::kBaseline) {
-        quantize_pack_b(bs[s], qb_ref[s]);
-        matmul_quant(as[s], qb_ref[s], out_ref[s]);
-        continue;
-      }
-      QuantizedMatrix qb;
-      Matrix out;
-      quantize_pack_b(bs[s], qb);
-      matmul_quant(as[s], qb, out);
-      // Packing is tier-independent (same bytes), and the product must be
-      // bit-identical — the u7 activation range leaves no room for i16
-      // saturation divergence in vpmaddubsw, and vpdpbusd sums exactly.
-      const std::string shape = std::to_string(as[s].rows()) + "x" +
-                                std::to_string(as[s].cols()) + "x" +
-                                std::to_string(bs[s].rows());
-      EXPECT_EQ(qb.data, qb_ref[s].data) << shape;
-      EXPECT_EQ(qb.col_sums, qb_ref[s].col_sums) << shape;
-      EXPECT_TRUE(bitwise_equal(out, out_ref[s]))
-          << kernel_tier_name(tier) << " " << shape;
-    }
-  });
-  if (!missing.empty()) GTEST_SKIP() << "CPU lacks the " << missing << " tier";
 }
 
-TEST(MatmulQuant, BitIdenticalAcrossThreadCountsAndPartitionings) {
-  Rng rng(13);
-  const Matrix a = random_matrix(512, 96, rng, 1.5f);
-  const Matrix b = random_matrix(160, 96, rng);
-  QuantizedMatrix qb;
-  quantize_pack_b(b, qb);
-
-  Matrix out_batch;
-  matmul_quant(a, qb, out_batch);
-
-  // Row-by-row calls (the window-by-window scoring shape) must agree with
-  // the fused batch elementwise.
-  for (std::size_t i = 0; i < 8; ++i) {
-    Matrix row(1, a.cols());
-    std::memcpy(row.data(), a.row(i), a.cols() * sizeof(float));
-    Matrix out_row;
-    matmul_quant(row, qb, out_row);
-    for (std::size_t c = 0; c < b.rows(); ++c) {
-      EXPECT_EQ(out_row.at(0, c), out_batch.at(i, c))
-          << "row " << i << " channel " << c;
+// Hidden 13 (one block, 3 padding units per gate) and 21 (a second,
+// mostly padded block), a depth of 7 (padded to 8), and column blocks
+// that start mid-row: each keeps the full row's scale and sums its own
+// columns.
+TEST(QuantGateBlocks, LayoutScalesAndColumnSums) {
+  Rng rng(3);
+  for (const std::size_t hidden : {13ul, 21ul}) {
+    const Matrix w = random_matrix(4 * hidden, 7, rng);
+    for (const auto& [k0, k1] :
+         {std::pair{0ul, 7ul}, std::pair{3ul, 7ul}, std::pair{0ul, 3ul},
+          std::pair{2ul, 6ul}}) {
+      QuantGateBlocks q;
+      pack_gate_blocks(w, k0, k1, q);
+      expect_gate_blocks(w, k0, k1, q,
+                         "hidden " + std::to_string(hidden) + " columns [" +
+                             std::to_string(k0) + ", " + std::to_string(k1) +
+                             ")");
     }
   }
 }
 
-TEST(MatmulQuant, ZeroActivationRowsAndEmptyInputs) {
-  Rng rng(17);
-  const Matrix b = random_matrix(12, 8, rng);
-  QuantizedMatrix qb;
-  quantize_pack_b(b, qb);
-
-  Matrix a(4, 8, 0.0f);  // all-zero rows: range 0 → exact zero codes
-  Matrix out;
-  matmul_quant(a, qb, out);
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    EXPECT_EQ(out.data()[i], 0.0f);
-  }
-
-  Matrix empty(0, 8);
-  matmul_quant(empty, qb, out);
-  EXPECT_EQ(out.rows(), 0u);
-  EXPECT_EQ(out.cols(), 12u);
+/// A layer above the first with the given weights: I inputs, H units.
+Lstm layer_with(const Matrix& w, const Matrix& bias, std::size_t inputs) {
+  Rng rng(1);
+  Lstm lstm("lstm", inputs, w.rows() / 4, rng);
+  lstm.weight().value = w;
+  lstm.bias().value = bias;
+  return lstm;
 }
 
-/// The shapes (vocab, hidden, window) of the step and scoring checks:
-/// paper-shape hidden 32 at two vocabularies, and hidden 16, 24, 12 and 40
-/// (whole 16-unit blocks, an 8-lane half block and libm tails).
-constexpr std::size_t kShapes[][3] = {{76, 32, 10}, {90, 32, 10},
-                                      {48, 16, 4},  {37, 24, 5},
-                                      {41, 12, 3},  {70, 40, 6}};
-
-/// h and c after one int8 score_step of `lstm` as a layer above the first:
-/// from the zero state (t = 0, the input block) or, when h_prev is given,
-/// from h_prev and c_prev (the full gate blocks).
-std::pair<Matrix, Matrix> int8_step(const Lstm& lstm, const QuantizedMatrix& q,
-                                    const Matrix& x, const Matrix* h_prev,
-                                    const Matrix& c_prev) {
-  const LstmStepWeights weights = lstm.step_weights(false, &q);
+/// h and c after one score_step of `lstm` as a layer above the first, in
+/// int8 or fp32: from the zero state (t = 0, the input block) or, when
+/// h_prev is given, from h_prev and c_prev (the full gate blocks).
+std::pair<Matrix, Matrix> step(const Lstm& lstm, bool int8, const Matrix& x,
+                               const Matrix* h_prev, const Matrix& c_prev) {
+  const LstmStepWeights weights = lstm.step_weights(false, int8);
   LstmState state;
   lstm.reset_state(state, x.rows());
   state.c = c_prev;
@@ -278,7 +189,8 @@ std::pair<Matrix, Matrix> int8_step(const Lstm& lstm, const QuantizedMatrix& q,
 
 /// The same step with its pre-activations given: `gates` (rows × 4H, gate
 /// order) plus the bias go in as layer 0's table rows with Δt 0, a step
-/// with no product.
+/// with no product, so the activations and the cell update run the same
+/// kernels as the step under test.
 std::pair<Matrix, Matrix> step_from_gates(const Lstm& lstm, const Matrix& gates,
                                           const Matrix& c_prev) {
   const std::size_t h = lstm.hidden_size();
@@ -294,7 +206,7 @@ std::pair<Matrix, Matrix> step_from_gates(const Lstm& lstm, const Matrix& gates,
     rows.push_back(table.row(r));
   }
   const std::vector<float> zeros(std::max(width, gates.rows()), 0.0f);
-  const LstmStepWeights weights = lstm.step_weights(true, nullptr);
+  const LstmStepWeights weights = lstm.step_weights(true, false);
   LstmState state;
   lstm.reset_state(state, gates.rows());
   state.c = c_prev;
@@ -306,47 +218,97 @@ std::pair<Matrix, Matrix> step_from_gates(const Lstm& lstm, const Matrix& gates,
   return {state.h[0], state.c};
 }
 
-// The fused step's int8 products against matmul_quant, in every tier: a
-// step from a random state (the full 16-channel re-pack of the 8-channel
-// sidecar, [x, h_{t−1}] quantized from the two buffers) ends exactly where
-// matmul_quant([x, h_{t−1}]) + b fed through the same gate and cell
-// kernels ends, and the zero-state step (the input block W[:, :I], its
-// column sums recomputed over the block) exactly where
-// matmul_quant([x, 0]) + b does.
-TEST(Int8Step, GateBlocksReproduceMatmulQuantInEveryTier) {
+/// The scalar reference of the int8 step's gate pre-activations: each
+/// row of [x, h_prev] (x alone when h_prev is null) quantized by
+/// quantize_activations, its codes summed in int32 against the weights
+/// quantized by quantize_channel over the columns it covers, and
+/// dequantized as float(acc − zp·col_sum) · (sa · scale).
+Matrix reference_int8_gates(const Lstm& lstm, const Matrix& x,
+                            const Matrix* h_prev) {
+  const Matrix& w = lstm.weight().value;
+  const std::size_t rows = x.rows();
+  const std::size_t x_cols = x.cols();
+  const std::size_t h_cols = h_prev != nullptr ? h_prev->cols() : 0;
+  const std::size_t depth = x_cols + h_cols;
+  const std::size_t kpad = (w.cols() + 3) / 4 * 4;
+  std::vector<std::uint8_t> codes(rows * kpad);
+  std::vector<float> sa(rows);
+  std::vector<std::int32_t> zp(rows);
+  quantize_activations(x.data(), x_cols,
+                       h_prev != nullptr ? h_prev->data() : nullptr, h_cols,
+                       rows, kpad, codes.data(), sa.data(), zp.data());
+  Matrix gates(rows, w.rows());
+  for (std::size_t c = 0; c < w.rows(); ++c) {
+    const ChannelCodes q = quantize_channel(w, c);
+    std::int32_t col_sum = 0;
+    for (std::size_t k = 0; k < depth; ++k) col_sum += q.codes[k];
+    for (std::size_t r = 0; r < rows; ++r) {
+      std::int32_t acc = 0;
+      for (std::size_t k = 0; k < depth; ++k) {
+        acc += static_cast<std::int32_t>(codes[r * kpad + k]) * q.codes[k];
+      }
+      const float scale = sa[r] * q.scale;
+      gates.at(r, c) = static_cast<float>(acc - zp[r] * col_sum) * scale;
+    }
+  }
+  return gates;
+}
+
+/// The shapes (vocab, hidden, window) of the step and scoring checks:
+/// paper-shape hidden 32 at two vocabularies, and hidden 16, 24, 12 and 40
+/// (whole 16-unit blocks, an 8-lane half block and libm tails).
+constexpr std::size_t kShapes[][3] = {{76, 32, 10}, {90, 32, 10},
+                                      {48, 16, 4},  {37, 24, 5},
+                                      {41, 12, 3},  {70, 40, 6}};
+
+// The fused step's int8 products against the scalar reference, in every
+// tier: a step from a random state (the full gate blocks, [x, h_{t−1}]
+// quantized from the two buffers) ends exactly where the reference gates
+// fed through the same gate and cell kernels end, and so does the
+// zero-state step (the input block W[:, :I], its column sums over the
+// block). Layers with I = H at the kShapes hiddens, and [x | h] depths of
+// 5, 7, 49 and 65 (one or two 4-k groups past a multiple of 8, and k
+// padding). From batch 7 on, two rows of x and h are all zero (range 0:
+// scale 1, zero point 0, zero codes).
+TEST(Int8Step, GateBlocksReproduceScalarReferenceInEveryTier) {
+  std::vector<std::pair<std::size_t, std::size_t>> layers;  // (I, H)
+  for (const auto& shape : kShapes) layers.emplace_back(shape[1], shape[1]);
+  for (const auto& [inputs, hidden] :
+       {std::pair{3ul, 2ul}, std::pair{3ul, 4ul}, std::pair{17ul, 32ul},
+        std::pair{25ul, 40ul}}) {
+    layers.emplace_back(inputs, hidden);
+  }
   const std::string missing = for_each_kernel_tier([&](KernelTier tier) {
-    for (const auto& shape : kShapes) {
-      const std::size_t hidden = shape[1];
+    for (const auto& [inputs, hidden] : layers) {
       for (const std::size_t batch : {1ul, 7ul, 64ul, 256ul}) {
-        Rng rng(shape[0] * 1000 + batch);
-        Lstm lstm("lstm", hidden, hidden, rng);
-        QuantizedMatrix q;
-        quantize_pack_b(lstm.weight().value, q);
-        const Matrix x = random_matrix(batch, hidden, rng);
-        const Matrix h_prev = random_matrix(batch, hidden, rng);
+        Rng rng(inputs * 1000 + hidden * 10 + batch);
+        const Lstm lstm("lstm", inputs, hidden, rng);
+        Matrix x = random_matrix(batch, inputs, rng);
+        Matrix h_prev = random_matrix(batch, hidden, rng);
+        if (batch >= 7) {
+          for (const std::size_t r : {3ul, 5ul}) {
+            std::fill_n(x.row(r), inputs, 0.0f);
+            std::fill_n(h_prev.row(r), hidden, 0.0f);
+          }
+        }
         const Matrix c_prev =
             random_matrix(batch, gate_block_count(hidden) * 16, rng);
         const Matrix c_zero(batch, c_prev.cols());
-        Matrix concat(batch, 2 * hidden);
-        for (std::size_t r = 0; r < batch; ++r) {
-          std::copy_n(x.row(r), hidden, concat.row(r));
-        }
         const std::string at = std::string(kernel_tier_name(tier)) +
+                               " inputs " + std::to_string(inputs) +
                                " hidden " + std::to_string(hidden) +
                                " batch " + std::to_string(batch);
-        Matrix gates;
-        matmul_quant(concat, q, gates);  // [x, 0]
-        const auto zero_state = int8_step(lstm, q, x, nullptr, c_zero);
-        const auto zero_ref = step_from_gates(lstm, gates, c_zero);
-        EXPECT_EQ(zero_state.first.storage(), zero_ref.first.storage()) << at;
-        EXPECT_EQ(zero_state.second.storage(), zero_ref.second.storage()) << at;
 
-        for (std::size_t r = 0; r < batch; ++r) {
-          std::copy_n(h_prev.row(r), hidden, concat.row(r) + hidden);
-        }
-        matmul_quant(concat, q, gates);
-        const auto stepped = int8_step(lstm, q, x, &h_prev, c_prev);
-        const auto ref = step_from_gates(lstm, gates, c_prev);
+        const auto zero_state = step(lstm, true, x, nullptr, c_zero);
+        const auto zero_ref = step_from_gates(
+            lstm, reference_int8_gates(lstm, x, nullptr), c_zero);
+        EXPECT_EQ(zero_state.first.storage(), zero_ref.first.storage()) << at;
+        EXPECT_EQ(zero_state.second.storage(), zero_ref.second.storage())
+            << at;
+
+        const auto stepped = step(lstm, true, x, &h_prev, c_prev);
+        const auto ref = step_from_gates(
+            lstm, reference_int8_gates(lstm, x, &h_prev), c_prev);
         EXPECT_EQ(stepped.first.storage(), ref.first.storage()) << at;
         EXPECT_EQ(stepped.second.storage(), ref.second.storage()) << at;
       }
@@ -355,8 +317,184 @@ TEST(Int8Step, GateBlocksReproduceMatmulQuantInEveryTier) {
   if (!missing.empty()) GTEST_SKIP() << "CPU lacks the " << missing << " tier";
 }
 
-// A quantized model scores the same bits in the AVX2 and AVX-512 tiers
-// (the image is built in each), at every batch size.
+// All-zero gate rows get scale 1, zero codes and zero column sums, and
+// their products are exactly zero against any activation: a layer whose
+// W is all zero steps in int8 exactly as in fp32 (both leave the bias
+// alone as the pre-activation), in every tier.
+TEST(QuantGateBlocks, AllZeroChannelHasUnitScaleAndZeroCodes) {
+  Matrix w(4 * 3, 5, 0.0f);
+  w.at(4, 2) = 0.75f;  // one non-zero channel among all-zero ones
+  QuantGateBlocks q;
+  pack_gate_blocks(w, 0, 5, q);
+  expect_gate_blocks(w, 0, 5, q, "one non-zero channel");
+  for (std::size_t c = 0; c < w.rows(); ++c) {
+    if (c == 4) continue;
+    EXPECT_EQ(q.scales[gate_lane(c, 3).lane], 1.0f) << "channel " << c;
+  }
+
+  Rng rng(5);
+  const Lstm lstm =
+      layer_with(Matrix(4 * 24, 40, 0.0f), random_matrix(1, 4 * 24, rng), 16);
+  const Matrix x = random_matrix(7, 16, rng, 3.0f);
+  const Matrix h_prev = random_matrix(7, 24, rng, 3.0f);
+  const Matrix c_prev = random_matrix(7, gate_block_count(24) * 16, rng);
+  const std::string missing = for_each_kernel_tier([&](KernelTier tier) {
+    const auto int8 = step(lstm, true, x, &h_prev, c_prev);
+    const auto fp32 = step(lstm, false, x, &h_prev, c_prev);
+    EXPECT_EQ(int8.first.storage(), fp32.first.storage())
+        << kernel_tier_name(tier);
+    EXPECT_EQ(int8.second.storage(), fp32.second.storage())
+        << kernel_tier_name(tier);
+  });
+  if (!missing.empty()) GTEST_SKIP() << "CPU lacks the " << missing << " tier";
+}
+
+// A constant channel lands exactly on the symmetric extreme, −127 and
+// never −128. All-maximal activations against such weights drive the
+// largest accumulations the step can make; every tier matches the integer
+// reference, so no SIMD tier saturates in between (vpmaddubsw pair sums
+// stay below 2^15 because activations are 7-bit).
+TEST(QuantGateBlocks, ConstantChannelSaturatesToFullScaleWithoutOverflow) {
+  const std::size_t hidden = 16, inputs = 48;
+  const Matrix w(4 * hidden, inputs + hidden, -2.5f);
+  QuantGateBlocks q;
+  pack_gate_blocks(w, 0, inputs + hidden, q);
+  expect_gate_blocks(w, 0, inputs + hidden, q, "constant");
+  for (std::size_t c = 0; c < w.rows(); ++c) {
+    const std::size_t lane = gate_lane(c, hidden).lane;
+    EXPECT_EQ(q.scales[lane], 2.5f / 127.0f);
+    EXPECT_EQ(q.col_sums[lane], -127 * static_cast<int>(inputs + hidden));
+  }
+  EXPECT_EQ(*std::min_element(q.codes.begin(), q.codes.end()), -127);
+
+  // Each activation quantizes to code 127 with zero point 0 and scale
+  // 100/127, so every gate sums (I + H) · 127 · −127 and dequantizes as
+  // float(acc) · ((100/127) · (2.5/127)).
+  Rng rng(9);
+  const Lstm lstm = layer_with(w, random_matrix(1, 4 * hidden, rng), inputs);
+  const Matrix x(4, inputs, 100.0f);
+  const Matrix h_prev(4, hidden, 100.0f);
+  const Matrix c_prev(4, gate_block_count(hidden) * 16, 0.5f);
+  const float pre = static_cast<float>(static_cast<int>(inputs + hidden) *
+                                       127 * -127) *
+                    ((100.0f / 127.0f) * (2.5f / 127.0f));
+  EXPECT_NEAR(pre, (inputs + hidden) * 100.0f * -2.5f, 2.0f);
+  const Matrix gates(4, 4 * hidden, pre);
+  const std::string missing = for_each_kernel_tier([&](KernelTier tier) {
+    const auto stepped = step(lstm, true, x, &h_prev, c_prev);
+    const auto ref = step_from_gates(lstm, gates, c_prev);
+    EXPECT_EQ(stepped.first.storage(), ref.first.storage())
+        << kernel_tier_name(tier);
+    EXPECT_EQ(stepped.second.storage(), ref.second.storage())
+        << kernel_tier_name(tier);
+  });
+  if (!missing.empty()) GTEST_SKIP() << "CPU lacks the " << missing << " tier";
+}
+
+// A NaN or infinite weight has no int8 code: quantizing it would convert
+// an out-of-range float to an integer. The gate-block quantizer refuses
+// it, naming the weight, and so does an int8 scoring image of a model
+// holding one; its fp32 image still builds.
+TEST(QuantGateBlocks, NonFiniteWeightThrowsCheckError) {
+  Rng rng(13);
+  for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity(),
+                          -std::numeric_limits<float>::infinity()}) {
+    Matrix w = random_matrix(4 * 5, 9, rng);
+    w.at(6, 7) = bad;
+    QuantGateBlocks q;
+    // The bad weight sits outside the packed columns but inside the row
+    // whose scale it would set.
+    try {
+      pack_gate_blocks(w, 0, 4, q);
+      ADD_FAILURE() << "a weight of " << bad << " quantized";
+    } catch (const nfv::util::CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("(6, 7)"), std::string::npos)
+          << e.what();
+    }
+
+    SequenceModelConfig config;
+    config.vocab = 9;
+    config.embed_dim = 4;
+    config.hidden = 6;
+    config.window = 3;
+    SequenceModel model(config, rng);
+    model.params()[3]->value.at(2, 1) = bad;  // lstm1.weight
+    EXPECT_THROW(model.build_scoring_image(true), nfv::util::CheckError)
+        << bad;
+    EXPECT_NO_THROW(model.build_scoring_image(false)) << bad;
+  }
+}
+
+// A NaN activation (a corrupt checkpoint's NaN embedding or bias reaches
+// h) and a row whose range is so small that 127/range overflows quantize
+// without an undefined float-to-int conversion (the UBSan leg checks
+// float-cast-overflow): a NaN gets code 0 in every tier, as the SIMD
+// tiers' vector lanes give it, and so does every product of the
+// overflowed row, alike in every tier. (A NaN row's range depends on
+// where the NaN falls among the vector lanes, so its other codes may
+// differ between tiers; its scores are NaN-derived either way.) Rows of
+// 37 values put NaNs in vector lanes and in the scalar tail.
+TEST(Int8Step, NonFiniteActivationsQuantizeWithoutUndefinedConversions) {
+  constexpr std::size_t kCols = 37, kPad = 40;
+  Matrix rows(3, kCols);
+  Rng rng(17);
+  for (float& v : rows.storage()) v = static_cast<float>(rng.uniform(-1, 1));
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (const std::size_t c : {2ul, 19ul, 35ul}) rows.at(0, c) = nan;
+  rows.at(1, 0) = nan;
+  for (std::size_t c = 0; c < kCols; ++c) {
+    rows.at(2, c) = c % 3 == 0 ? 1e-44f : 0.0f;
+  }
+  const std::string missing = for_each_kernel_tier([&](KernelTier tier) {
+    std::vector<std::uint8_t> codes(rows.rows() * kPad);
+    std::vector<float> sa(rows.rows());
+    std::vector<std::int32_t> zp(rows.rows());
+    quantize_activations(rows.data(), kCols, nullptr, 0, rows.rows(), kPad,
+                         codes.data(), sa.data(), zp.data());
+    for (const std::size_t c : {2ul, 19ul, 35ul}) {
+      EXPECT_EQ(codes[c], 0) << kernel_tier_name(tier) << " column " << c;
+    }
+    EXPECT_EQ(codes[kPad], 0) << kernel_tier_name(tier);
+    for (std::size_t c = 0; c < kCols; ++c) {
+      EXPECT_EQ(codes[2 * kPad + c], 0)
+          << kernel_tier_name(tier) << " overflowed row, column " << c;
+    }
+  });
+  if (!missing.empty()) GTEST_SKIP() << "CPU lacks the " << missing << " tier";
+}
+
+// The int8 step tracks the fp32 step: one step from a random state at the
+// paper shape (|x|, |h| ≤ 1, Xavier-scale weights) leaves h and c within
+// 2% of the fp32 step's in the relative Frobenius norm, about the
+// activations' quantization step (1/63.5 for a [−1, 1] row); it measures
+// near 0.6%.
+TEST(Int8Step, MatchesFp32StepWithinQuantizationError) {
+  Rng rng(7);
+  const std::size_t hidden = 32, batch = 64;
+  const Lstm lstm("lstm", hidden, hidden, rng);
+  const Matrix x = random_matrix(batch, hidden, rng);
+  const Matrix h_prev = random_matrix(batch, hidden, rng);
+  const Matrix c_prev = random_matrix(batch, gate_block_count(hidden) * 16,
+                                      rng);
+  const auto int8 = step(lstm, true, x, &h_prev, c_prev);
+  const auto fp32 = step(lstm, false, x, &h_prev, c_prev);
+  const auto relative_error = [](const Matrix& a, const Matrix& b) {
+    double num = 0.0, den = 0.0;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      const double d = static_cast<double>(a.data()[i]) - b.data()[i];
+      num += d * d;
+      den += static_cast<double>(b.data()[i]) * b.data()[i];
+    }
+    return std::sqrt(num / den);
+  };
+  EXPECT_LT(relative_error(int8.first, fp32.first), 0.02);
+  EXPECT_LT(relative_error(int8.second, fp32.second), 0.02);
+}
+
+// An int8 image scores the same bits in the AVX2 and AVX-512 tiers (the
+// image is built in each) and at every batch size, 1 row at a time
+// included.
 TEST(Int8Step, ModelScoresEqualAcrossSimdTiers) {
   const KernelTier was = kernel_tier();
   if (set_kernel_tier(KernelTier::kAvx512) != KernelTier::kAvx512) {
@@ -370,7 +508,6 @@ TEST(Int8Step, ModelScoresEqualAcrossSimdTiers) {
     config.window = shape[2];
     Rng rng(shape[0]);
     SequenceModel model(config, rng);
-    model.quantize();
     WindowBatch windows;
     for (std::size_t e = 0; e < 300; ++e) {
       for (std::size_t t = 0; t < config.window; ++t) {
@@ -384,7 +521,7 @@ TEST(Int8Step, ModelScoresEqualAcrossSimdTiers) {
     std::vector<std::vector<double>> scores[2];
     for (const int t : {0, 1}) {
       set_kernel_tier(t == 0 ? KernelTier::kAvx2 : KernelTier::kAvx512);
-      const SequenceModel::ScoringImage image = model.build_scoring_image();
+      const SequenceModel::ScoringImage image = model.build_scoring_image(true);
       SequenceModel::InferenceScratch scratch;
       for (const std::size_t batch : {1ul, 7ul, 64ul, 256ul}) {
         std::vector<double> out(windows.size());
@@ -427,59 +564,28 @@ WindowBatch make_windows(const SequenceModelConfig& config, std::size_t count,
   return windows;
 }
 
-TEST(SequenceModelQuantize, SidecarLifecycleFollowsWeightMutations) {
-  const SequenceModelConfig config = small_config();
-  Rng rng(19);
-  SequenceModel model(config, rng);
-  EXPECT_FALSE(model.quantized());
-  EXPECT_EQ(model.quantized_weight_bytes(), 0u);
-
-  model.quantize();
-  ASSERT_TRUE(model.quantized());
-  EXPECT_GT(model.quantized_weight_bytes(), 0u);
-  EXPECT_LT(model.quantized_weight_bytes(), model.fp32_weight_bytes());
-  ASSERT_NE(model.quantized_weights(), nullptr);
-  EXPECT_EQ(model.quantized_weights()->lstm.size(), config.layers);
-
-  // Training changes the fp32 weights → the stale sidecar must drop.
-  const WindowBatch batch = make_windows(config, 8, 23);
-  Adam adam(1e-2f);
-  adam.bind(model.params());
-  model.train_batch(batch, adam);
-  EXPECT_FALSE(model.quantized());
-
-  // Re-quantize, then reshape: grow_vocab must drop it too.
-  model.quantize();
-  ASSERT_TRUE(model.quantized());
-  Rng grow_rng(29);
-  model.grow_vocab(config.vocab + 2, grow_rng);
-  EXPECT_FALSE(model.quantized());
-
-  // And clear_quantized() restores bit-exact fp32 scoring.
-  const WindowBatch batch2 = make_windows(config, 8, 31);
-  const std::vector<double> fp32_scores = model.score_log_likelihood(batch2);
-  model.quantize();
-  model.clear_quantized();
-  EXPECT_EQ(model.score_log_likelihood(batch2), fp32_scores);
-}
-
 TEST(SequenceModelQuantize, SerialAndBatchedQuantizedScoresAgree) {
   const SequenceModelConfig config = small_config();
   Rng rng(37);
   SequenceModel model(config, rng);
-  model.quantize();
 
   const WindowBatch windows = make_windows(config, 32, 41);
 
-  // Serial reference (predict()-based) vs fused batches of several sizes:
-  // within quantized mode everything must stay bit-identical, exactly as
-  // in fp32 mode.
-  const std::vector<double> serial = model.score_log_likelihood(windows);
-  const std::vector<std::size_t> serial_ranks =
-      model.score_target_ranks(windows);
-  const SequenceModel::ScoringImage image = model.build_scoring_image();
-  EXPECT_TRUE(image.quantized) << "int8 scoring reads the int8 image";
+  // One batch of every window vs fused batches of several sizes: within
+  // int8 everything stays bit-identical, exactly as in fp32. Two builds
+  // of the int8 image are byte-identical, so each score here reads its
+  // own.
+  const SequenceModel::ScoringImage image = model.build_scoring_image(true);
+  ASSERT_TRUE(image.quantized);
   SequenceModel::InferenceScratch scratch;
+  std::vector<double> serial(windows.size());
+  model.score_batched(model.build_scoring_image(true), windows,
+                      windows.size(), scratch, serial);
+  std::vector<std::size_t> serial_ranks(windows.size());
+  model.score_ranks_batched(model.build_scoring_image(true), windows,
+                            windows.size(), scratch, serial_ranks);
+  EXPECT_NE(serial, model.score_log_likelihood(windows))
+      << "int8 scores equal the fp32 ones: the image is not int8";
   for (const std::size_t batch_size : {1ul, 7ul, 32ul, 1024ul}) {
     std::vector<double> batched(windows.size());
     model.score_batched(image, windows, batch_size, scratch, batched);

@@ -130,7 +130,7 @@ TEST(SequenceModel, PredictMatchesTrainingForwardPass) {
 /// first (input from x, bias added), zero state first; h_k−1 is in
 /// h[(k − 1) % 2].
 LstmState score_steps(const Lstm& lstm, const std::vector<Matrix>& inputs) {
-  const LstmStepWeights weights = lstm.step_weights(false, nullptr);
+  const LstmStepWeights weights = lstm.step_weights(false, false);
   LstmState state;
   const std::size_t batch = inputs.front().rows();
   lstm.reset_state(state, batch);
@@ -222,7 +222,7 @@ TEST(LstmStep, ZeroStateInputBlockMatchesConcatGemmInBothTiers) {
         full_step.h[0].zero();
         LstmStepInput input;
         input.x = &x;
-        lstm.score_step(lstm.step_weights(false, nullptr), input, 1,
+        lstm.score_step(lstm.step_weights(false, false), input, 1,
                         full_step);
         EXPECT_EQ(zero_step.h[0].storage(), full_step.h[1].storage())
             << kernel_tier_name(tier) << " hidden " << hidden << " batch "

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "core/lstm_detector.h"
 #include "ml/sequence_model.h"
 #include "util/check.h"
 #include "util/rng.h"
@@ -76,78 +77,6 @@ TEST(Serialize, EmptyMatrixRoundTrip) {
   EXPECT_EQ(restored.cols(), 5u);
 }
 
-/// A small packed image with tail channels (5 % 8 != 0) and a padded k
-/// dimension (7 -> 8), so the round trip covers the panel layout's edge
-/// cases, not just the dense interior.
-QuantizedMatrix sample_quant_matrix() {
-  Matrix m(5, 7);
-  for (std::size_t i = 0; i < m.size(); ++i) {
-    m.data()[i] = static_cast<float>(i % 11) * 0.3f - 1.2f;
-  }
-  QuantizedMatrix q;
-  quantize_pack_b(m, q);
-  return q;
-}
-
-TEST(Serialize, QuantMatrixRoundTripIsByteExact) {
-  const QuantizedMatrix q = sample_quant_matrix();
-  std::stringstream stream;
-  write_quant_matrix(stream, q);
-  const QuantizedMatrix restored = read_quant_matrix(stream, q.rows, q.cols);
-  EXPECT_EQ(restored.rows, q.rows);
-  EXPECT_EQ(restored.cols, q.cols);
-  EXPECT_EQ(restored.cols_padded, q.cols_padded);
-  // The calibration must survive exactly: codes, scales and column sums
-  // are compared element-wise, not "close enough" — a loaded model scores
-  // bit-identically to the one that was saved.
-  EXPECT_EQ(restored.data, q.data);
-  EXPECT_EQ(restored.col_sums, q.col_sums);
-  ASSERT_EQ(restored.scales.size(), q.scales.size());
-  for (std::size_t c = 0; c < q.scales.size(); ++c) {
-    EXPECT_EQ(restored.scales[c], q.scales[c]) << "channel " << c;
-  }
-  // The kernels trust the cached column sums; one that disagrees with
-  // its channel's codes is refused at load.
-  QuantizedMatrix corrupt = q;
-  corrupt.col_sums[3] += 1;
-  std::stringstream corrupt_stream;
-  write_quant_matrix(corrupt_stream, corrupt);
-  EXPECT_THROW(read_quant_matrix(corrupt_stream, q.rows, q.cols),
-               nfv::util::CheckError);
-}
-
-TEST(Serialize, QuantMatrixBadMagicThrows) {
-  std::stringstream stream;
-  write_u64(stream, kMatrixMagic);  // a valid magic, but the wrong one
-  write_u64(stream, 1);
-  write_u64(stream, 1);
-  write_u64(stream, 4);
-  EXPECT_THROW(read_quant_matrix(stream, 1, 1), nfv::util::CheckError);
-}
-
-TEST(Serialize, QuantMatrixTruncatedBodyThrows) {
-  const QuantizedMatrix q = sample_quant_matrix();
-  std::stringstream stream;
-  write_quant_matrix(stream, q);
-  std::string data = stream.str();
-  data.resize(data.size() - 4);  // chop the last column sum
-  std::stringstream truncated(data);
-  EXPECT_THROW(read_quant_matrix(truncated, q.rows, q.cols),
-               nfv::util::CheckError);
-}
-
-TEST(Serialize, QuantMatrixRejectsInconsistentShape) {
-  // cols_padded smaller than cols (or not a multiple of 4) means the
-  // panel image cannot be valid; the reader must refuse rather than
-  // index out of bounds later.
-  std::stringstream stream;
-  write_u64(stream, kQuantMatrixMagic);
-  write_u64(stream, 2);  // rows
-  write_u64(stream, 8);  // cols
-  write_u64(stream, 4);  // cols_padded < cols
-  EXPECT_THROW(read_quant_matrix(stream, 2, 8), nfv::util::CheckError);
-}
-
 /// A SequenceModel header (magic + config), without any tensors.
 std::stringstream model_header(std::uint64_t vocab, std::uint64_t layers,
                                std::uint64_t dt_feature = 1) {
@@ -205,58 +134,31 @@ TEST(Serialize, MatrixHeaderBeyondElementLimitThrows) {
       nfv::util::CheckError);
 }
 
-// An int8 LSTM layer whose width disagrees with the model fails at load,
-// not at the first score inside a streaming worker.
-TEST(Serialize, QuantizedLayerWithWrongColumnsThrowsAtLoad) {
-  SequenceModelConfig config;
-  config.vocab = 6;
-  config.embed_dim = 6;
-  config.hidden = 12;
-  config.window = 3;
-  nfv::util::Rng rng(3);
-  SequenceModel model(config, rng);
-  model.quantize();
-  std::stringstream saved;
-  model.save(saved);
-  std::string bytes = saved.str();
-  // Layer 0 is the first quantized matrix: tag, rows, then cols = 6 + 1 +
-  // 12 = 19 (padded to 20). Declaring 18 keeps the matrix self-consistent.
-  const std::uint64_t magic = kQuantMatrixMagic;
-  const std::size_t at =
-      bytes.find(std::string(reinterpret_cast<const char*>(&magic), 8));
-  ASSERT_NE(at, std::string::npos);
-  std::uint64_t cols = 0;
-  std::memcpy(&cols, bytes.data() + at + 16, 8);
-  ASSERT_EQ(cols, 19u);
-  cols = 18;
-  std::memcpy(bytes.data() + at + 16, &cols, 8);
-  std::stringstream corrupt(bytes);
-  EXPECT_THROW(SequenceModel::load(corrupt), nfv::util::CheckError);
-  std::stringstream intact(saved.str());
-  EXPECT_NO_THROW(SequenceModel::load(intact));
-}
-
 // ---------------------------------------------------------------------------
-// Seeded mutation fuzzer for SequenceModel::load. From a valid fp32 and a
-// valid int8 checkpoint it derives, with a fixed seed, byte flips, every
-// header and tensor-dimension u64 set to a boundary value, and truncations
-// at every 8th offset. Each input must load or throw util::CheckError:
-// nothing else may escape, and the sanitizer builds catch any crash or
-// out-of-bounds read. A model that loads must also score a window.
+// Seeded mutation fuzzer for LstmDetector::load, which reads the detector
+// header, SequenceModel::load's stream and the precision flag, and builds
+// an int8 image from the loaded weights when the flag is 1. From a valid
+// fp32 and a valid int8 checkpoint it derives, with a fixed seed, byte
+// flips, every header, tensor-dimension and flag u64 set to a boundary
+// value, and truncations at every 8th offset. Each input must load or
+// throw util::CheckError: nothing else may escape, and the sanitizer
+// builds catch any crash, out-of-bounds read or undefined conversion (a
+// payload flip can make a weight NaN or infinite, which the int8 image
+// must refuse before quantizing it). A detector that loads must also
+// score a window.
 
-/// Offsets of the u64 fields of a checkpoint that size what follows: the
-/// model header, each tensor's shape, the int8 flag and each int8 tensor's
-/// shape and byte count.
+/// Offsets of the u64 fields of a detector checkpoint that size or
+/// select what follows: the detector header (score mode, window), the
+/// model header, each tensor's shape and the precision flag.
 std::vector<std::size_t> size_fields(const std::string& bytes,
-                                     const SequenceModelConfig& config,
-                                     bool quantized) {
+                                     const SequenceModelConfig& config) {
   const auto u64_at = [&](std::size_t at) {
     std::uint64_t value = 0;
     std::memcpy(&value, bytes.data() + at, sizeof(value));
     return value;
   };
-  std::vector<std::size_t> fields;
-  std::size_t at = 8;  // past the magic
+  std::vector<std::size_t> fields{8, 16};  // score mode, window
+  std::size_t at = 32;  // past the detector header and the model magic
   for (int i = 0; i < 6; ++i, at += 8) fields.push_back(at);
   const std::size_t tensors = 3 + 2 * config.layers;
   for (std::size_t t = 0; t < tensors; ++t) {
@@ -264,14 +166,8 @@ std::vector<std::size_t> size_fields(const std::string& bytes,
     fields.push_back(at + 16);  // cols
     at += 24 + 4 * u64_at(at + 8) * u64_at(at + 16);
   }
-  fields.push_back(at);  // int8 flag
+  fields.push_back(at);  // precision flag
   at += 8;
-  if (quantized) {
-    for (std::size_t t = 0; t < config.layers + 1; ++t) {
-      for (std::size_t f = 1; f <= 4; ++f) fields.push_back(at + 8 * f);
-      at += 40 + u64_at(at + 32) + 8 * u64_at(at + 8);
-    }
-  }
   EXPECT_EQ(at, bytes.size()) << "checkpoint layout walk out of step";
   return fields;
 }
@@ -284,9 +180,9 @@ struct FuzzTally {
 void load_or_reject(const std::string& bytes, const WindowBatch& window,
                     const std::string& what, FuzzTally& tally) {
   std::stringstream stream(bytes);
-  std::optional<SequenceModel> model;
+  std::optional<core::LstmDetector> detector;
   try {
-    model.emplace(SequenceModel::load(stream));
+    detector.emplace(core::LstmDetector::load(stream));
   } catch (const nfv::util::CheckError&) {
     ++tally.rejected;
     return;
@@ -295,30 +191,46 @@ void load_or_reject(const std::string& bytes, const WindowBatch& window,
     return;
   }
   ++tally.loaded;
-  if (window.ids.size() != window.size() * model->config().window ||
-      window.targets[0] >= static_cast<std::int32_t>(model->config().vocab)) {
+  const SequenceModelConfig& config = detector->model().config();
+  if (window.ids.size() != window.size() * config.window ||
+      window.targets[0] >= static_cast<std::int32_t>(config.vocab)) {
     return;  // the probe window does not fit this (mutated) shape
   }
-  EXPECT_NO_THROW(model->score_log_likelihood(window)) << what;
+  EXPECT_NO_THROW(detector->score_batch(window)) << what;
+}
+
+/// A trained detector of the fuzzer's shape: window 3, embed 5, hidden 6
+/// over 7 templates.
+core::LstmDetector fuzz_detector() {
+  core::LstmDetectorConfig config;
+  config.window = 3;
+  config.embed_dim = 5;
+  config.hidden = 6;
+  config.initial_epochs = 1;
+  config.oversample = false;
+  std::vector<logproc::ParsedLog> logs;
+  nfv::util::Rng rng(20261018);
+  for (std::int64_t i = 0; i < 60; ++i) {
+    logs.push_back({nfv::util::SimTime{i * 40},
+                    static_cast<std::int32_t>(rng.uniform_index(7))});
+  }
+  core::LstmDetector detector(config);
+  const core::LogView view{logs};
+  detector.fit({&view, 1}, 7);
+  return detector;
 }
 
 TEST(Serialize, MutatedCheckpointsLoadOrThrowCheckError) {
-  SequenceModelConfig config;
-  config.vocab = 7;
-  config.embed_dim = 5;
-  config.hidden = 6;
-  config.layers = 2;
-  config.window = 3;
   WindowBatch window;
   window.ids = {1, 4, 6};
   window.dts = {0.0f, 12.0f, 300.0f};
   window.targets = {2};
+  core::LstmDetector detector = fuzz_detector();
   nfv::util::Rng rng(20261018);
   for (const bool quantized : {false, true}) {
-    SequenceModel model(config, rng);
-    if (quantized) model.quantize();
+    detector.set_quantized(quantized);
     std::stringstream saved;
-    model.save(saved);
+    detector.save(saved);
     const std::string valid = saved.str();
     const std::string kind = quantized ? "int8" : "fp32";
     FuzzTally tally;
@@ -335,7 +247,8 @@ TEST(Serialize, MutatedCheckpointsLoadOrThrowCheckError) {
     constexpr std::uint64_t kBoundaries[] = {
         0, 1, std::uint64_t{1} << 28, (std::uint64_t{1} << 28) + 1,
         std::uint64_t{1} << 63, ~std::uint64_t{0}};
-    for (const std::size_t at : size_fields(valid, config, quantized)) {
+    for (const std::size_t at :
+         size_fields(valid, detector.model().config())) {
       for (const std::uint64_t value : kBoundaries) {
         std::string bytes = valid;
         std::memcpy(bytes.data() + at, &value, sizeof(value));

@@ -30,7 +30,10 @@
 # shift lane masks, index vector tails and convert floats to ints. Both
 # sanitizer legs also run the detector tests of test_core
 # (LstmDetector*:HmmDetector*), whose training rounds subsample,
-# over-sample and minibatch windows by row index. The log opens with the kernel tier
+# over-sample and minibatch windows by row index, and the JSON tests of
+# test_observability (Json*), whose seeded mutation fuzzer feeds the
+# parser flipped, inserted, deleted and truncated bytes of a stats_json()
+# document. The log opens with the kernel tier
 # (avx512, avx2+fma or baseline) these legs exercise on this host.
 #
 # Usage: tools/ci.sh [jobs]
@@ -77,14 +80,15 @@ ctest --test-dir "$ROOT/build" -L forest --output-on-failure -j "$JOBS"
 echo "=== benchmark ledger: metric-set, serial-replay parity and --perturb self-test ==="
 python3 "$ROOT/perfbench/selftest.py"
 
-echo "=== quantized scoring: kernel/lifecycle tests + rank-agreement and tier-identity smoke ==="
+echo "=== quantized scoring: kernel/checkpoint tests + rank-agreement and tier-identity smoke ==="
 ctest --test-dir "$ROOT/build" -L quant --output-on-failure -j "$JOBS"
 cmake --build "$ROOT/build" -j "$JOBS" --target bench_scoring_throughput
 "$ROOT/build/bench/bench_scoring_throughput" --smoke
 
-echo "=== ASan: logproc fast path (interner, AVX2 tokenizer, alloc hook), shared arena + forest, int8 and fp32 packed kernels, scoring image + checkpoint loader + its fuzzer, detector training rounds ==="
+echo "=== ASan: logproc fast path (interner, AVX2 tokenizer, alloc hook), shared arena + forest, int8 and fp32 packed kernels, scoring image + checkpoint loader + its fuzzer, detector training rounds, JSON parser fuzzer ==="
 cmake -B "$ROOT/build-asan" -S "$ROOT" -DNFVPRED_SANITIZE=address
 cmake --build "$ROOT/build-asan" -j "$JOBS" --target test_logproc --target test_logproc_alloc --target test_forest --target test_quant --target test_ml_grad --target test_ml_models --target test_core
+cmake --build "$ROOT/build-asan" -j "$JOBS" --target test_observability
 "$ROOT/build-asan/tests/test_logproc"
 "$ROOT/build-asan/tests/test_logproc_alloc"
 "$ROOT/build-asan/tests/test_forest"
@@ -92,14 +96,17 @@ cmake --build "$ROOT/build-asan" -j "$JOBS" --target test_logproc --target test_
 "$ROOT/build-asan/tests/test_ml_grad"
 "$ROOT/build-asan/tests/test_ml_models"
 "$ROOT/build-asan/tests/test_core" --gtest_filter='LstmDetector*:HmmDetector*'
+"$ROOT/build-asan/tests/test_observability" --gtest_filter='Json*'
 
-echo "=== UBSan: fp32 packed, int8 and sequence-model kernels, checkpoint fuzzer, detector training rounds ($tier tier) ==="
+echo "=== UBSan: fp32 packed, int8 and sequence-model kernels, checkpoint fuzzer, detector training rounds, JSON parser fuzzer ($tier tier) ==="
 cmake -B "$ROOT/build-ubsan" -S "$ROOT" -DNFVPRED_SANITIZE=undefined
 cmake --build "$ROOT/build-ubsan" -j "$JOBS" --target test_ml_grad --target test_quant --target test_ml_models --target test_core
+cmake --build "$ROOT/build-ubsan" -j "$JOBS" --target test_observability
 "$ROOT/build-ubsan/tests/test_ml_grad"
 "$ROOT/build-ubsan/tests/test_quant"
 "$ROOT/build-ubsan/tests/test_ml_models"
 "$ROOT/build-ubsan/tests/test_core" --gtest_filter='LstmDetector*:HmmDetector*'
+"$ROOT/build-ubsan/tests/test_observability" --gtest_filter='Json*'
 
 echo "=== continual learning: online retrain + hot swap + adapt safety ==="
 ctest --test-dir "$ROOT/build" -L continual --output-on-failure -j "$JOBS"

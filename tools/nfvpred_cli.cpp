@@ -177,10 +177,10 @@ void usage() {
       "                vPE traces on it in parallel (default:\n"
       "                NFVPRED_THREADS env, else all cores; results are\n"
       "                identical for any thread count)\n"
-      "  --quantize 1  int8 quantized scoring (train: calibrate the int8\n"
-      "                sidecar after training and store it in the\n"
-      "                checkpoint; score: calibrate after load). Training\n"
-      "                stays fp32; see README \"Quantized scoring\"\n"
+      "  --quantize 1  int8 quantized scoring (train: mark the checkpoint\n"
+      "                int8, so loading it quantizes the fp32 weights;\n"
+      "                score: quantize after load). Training stays\n"
+      "                fp32; see README \"Quantized scoring\"\n"
       "log file format: '<epoch-seconds> <syslog message>' per line\n";
 }
 
@@ -335,8 +335,8 @@ int cmd_score(const Args& args) {
   }
   core::LstmDetector detector = core::LstmDetector::load(model_in);
   if (args.get_long("quantize", 0) != 0) {
-    // Calibrate the int8 sidecar from the loaded fp32 weights (a no-op if
-    // the checkpoint already carried one).
+    // Score from an int8 image of the loaded fp32 weights (the image an
+    // int8 checkpoint already loads with).
     detector.set_quantized(true);
   }
 
