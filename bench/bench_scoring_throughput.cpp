@@ -31,7 +31,15 @@
 // streams; the int8 blocks are held next to the fp32 parameters). The
 // `paper_shape` rows score the paper's model (hidden 32, window 10) in
 // calls of 64 windows, a full runtime flush, in fp32 and int8 in every
-// tier.
+// tier, and its `stages` rows split that forward pass per tier and
+// precision into ns per window for the Δt normalization and layer-0
+// table gather, layer 0's steps, layer 1's steps and the output head.
+//
+// Run with `--hashes` to print, one per line, an FNV-1a hash of the
+// weights after 40 Adam steps per (tier, shape) and of the log-likelihoods
+// and ranks per (tier, precision, shape, batch), at six (vocab, hidden,
+// window) shapes and batches 1, 7, 64 and 256: `diff` the output of two
+// builds to check that a change keeps every bit.
 //
 // Run with `--smoke` for the CI gate: trains a small model on a
 // *patterned* corpus (cyclic template sequence + 10% noise, so the
@@ -48,6 +56,7 @@
 
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <iostream>
 #include <span>
@@ -59,7 +68,11 @@
 #include "core/detector.h"
 #include "core/lstm_detector.h"
 #include "logproc/dataset.h"
+#include "ml/loss.h"
+#include "ml/lstm.h"
 #include "ml/matrix.h"
+#include "ml/optimizer.h"
+#include "ml/sequence_model.h"
 #include "util/rng.h"
 
 namespace {
@@ -223,6 +236,102 @@ void BM_ScoreBatchedQuantized(benchmark::State& state) {
 }
 BENCHMARK(BM_ScoreBatchedQuantized)->Unit(benchmark::kMillisecond);
 
+// The per-stage split of the paper shape (--json `paper_shape.stages`):
+// SequenceModel::forward_logits' stages replayed through the public step
+// API on the model's own scoring image, each stage timed on its own. The
+// replay must score the same bits as score_batched, or --json fails.
+struct StageTimes {
+  double gather = 0.0;  // Δt normalization and the layer-0 table gather
+  double layer0 = 0.0;  // layer 0's k steps
+  double upper = 0.0;   // the k steps of every layer above
+  double head = 0.0;    // output product, bias and log-sum-exp
+};
+
+struct StagedScorer {
+  const ml::SequenceModel& model;
+  ml::SequenceModel::ScoringImage image;
+  const ml::Matrix& out_bias;
+  std::vector<ml::Lstm> layers;  // shapes only: score_step reads `image`
+  std::vector<ml::LstmState> states;
+  std::vector<const float*> table_rows;
+  std::vector<float> dts;
+  ml::Matrix logits;
+
+  StagedScorer(const ml::SequenceModel& m, bool int8)
+      : model(m),
+        image(m.build_scoring_image(int8)),
+        out_bias(m.params().back()->value) {
+    const ml::SequenceModelConfig& c = m.config();
+    util::Rng rng(1);
+    for (std::size_t l = 0; l < c.layers; ++l) {
+      layers.emplace_back("lstm", l == 0 ? c.embed_dim + 1 : c.hidden,
+                          c.hidden, rng);
+    }
+    states.resize(c.layers);
+  }
+
+  /// Log-likelihoods of windows [start, start + n) into out, each stage's
+  /// wall time added to t.
+  void score(const ml::WindowBatch& windows, std::size_t start,
+             std::size_t n, std::span<double> out, StageTimes& t) {
+    using Clock = std::chrono::steady_clock;
+    const auto seconds = [](Clock::time_point a, Clock::time_point b) {
+      return std::chrono::duration<double>(b - a).count();
+    };
+    const std::size_t k = model.config().window;
+    auto t0 = Clock::now();
+    table_rows.resize(k * n);
+    dts.resize(k * n);
+    for (std::size_t r = 0; r < n; ++r) {
+      for (std::size_t s = 0; s < k; ++s) {
+        const std::size_t at = (start + r) * k + s;
+        table_rows[s * n + r] = image.input_gates.row(
+            static_cast<std::size_t>(windows.ids[at]));
+        dts[s * n + r] = ml::normalize_dt(windows.dts[at]);
+      }
+    }
+    for (std::size_t l = 0; l < layers.size(); ++l) {
+      layers[l].reset_state(states[l], n);
+    }
+    auto t1 = Clock::now();
+    t.gather += seconds(t0, t1);
+    for (std::size_t s = 0; s < k; ++s) {
+      ml::LstmStepInput input;
+      input.table = table_rows.data() + s * n;
+      input.dt = dts.data() + s * n;
+      input.dt_gates = image.dt_gates.data();
+      layers[0].score_step(image.layers[0], input, s, states[0]);
+      t0 = Clock::now();
+      t.layer0 += seconds(t1, t0);
+      for (std::size_t l = 1; l < layers.size(); ++l) {
+        input = ml::LstmStepInput{&states[l - 1].h[s % 2]};
+        layers[l].score_step(image.layers[l], input, s, states[l]);
+      }
+      t1 = Clock::now();
+      t.upper += seconds(t0, t1);
+    }
+    const ml::Matrix& top = states.back().h[(k - 1) % 2];
+    ml::matmul_transb_packed(top, image.vocab, image.output, logits);
+    ml::add_row_vector(logits, out_bias);
+    for (std::size_t r = 0; r < n; ++r) {
+      out[r] = ml::log_softmax_at(
+          logits.row_span(r),
+          static_cast<std::size_t>(windows.targets[start + r]));
+    }
+    t.head += seconds(t1, Clock::now());
+  }
+};
+
+/// The windows of `views` ((k+1)-line views) as one WindowBatch.
+ml::WindowBatch window_batch(std::span<const core::LogView> views,
+                             std::size_t window) {
+  ml::WindowBatch batch;
+  for (const core::LogView& view : views) {
+    logproc::append_sequence_windows(view, window, batch);
+  }
+  return batch;
+}
+
 // --json mode: interleaved best-of-N wall-clock timing (robust to CPU
 // contention from neighbouring processes), machine-readable output.
 template <typename Fn>
@@ -344,6 +453,62 @@ int run_json_mode(const std::string& path, bool quantize) {
               << paper_rows.back().quant_wps / paper_rows.back().fp32_wps
               << "x)\n";
   }
+
+  // The paper shape's per-stage split, per tier and precision: each
+  // stage's best total over kReps passes of the sweep windows in calls of
+  // kFlushWindows.
+  struct StageRow {
+    const char* tier;
+    bool int8;
+    StageTimes ns;  // per window
+  };
+  std::vector<StageRow> stage_rows;
+  const ml::WindowBatch paper_windows =
+      window_batch(paper.sweep_windows, paper.window);
+  const std::size_t paper_n = paper_windows.size();
+  for (const ml::KernelTier tier :
+       {ml::KernelTier::kBaseline, ml::KernelTier::kAvx2,
+        ml::KernelTier::kAvx512}) {
+    if (ml::set_kernel_tier(tier) != tier) continue;  // CPU lacks it
+    for (const bool int8 : {false, true}) {
+      const ml::SequenceModel& model = paper.detector.model();
+      StagedScorer staged(model, int8);
+      std::vector<double> expected(paper_n);
+      ml::SequenceModel::InferenceScratch scratch;
+      model.score_batched(staged.image, paper_windows, kFlushWindows, scratch,
+                          expected);
+      std::vector<double> got(paper_n);
+      StageTimes best{1e300, 1e300, 1e300, 1e300};
+      for (std::size_t r = 0; r <= kReps; ++r) {  // rep 0 warms up
+        StageTimes t;
+        for (std::size_t start = 0; start < paper_n; start += kFlushWindows) {
+          const std::size_t count = std::min(kFlushWindows, paper_n - start);
+          staged.score(paper_windows, start, count,
+                       std::span<double>(got).subspan(start, count), t);
+        }
+        if (r == 0) continue;
+        best = {std::min(best.gather, t.gather),
+                std::min(best.layer0, t.layer0),
+                std::min(best.upper, t.upper), std::min(best.head, t.head)};
+      }
+      if (got != expected) {
+        std::cerr << "paper shape stages: the staged replay's scores differ "
+                     "from score_batched ("
+                  << ml::kernel_tier_name(tier)
+                  << (int8 ? " int8" : " fp32") << ")\n";
+        return 1;
+      }
+      const double per = 1e9 / static_cast<double>(paper_n);
+      stage_rows.push_back({ml::kernel_tier_name(tier), int8,
+                            {best.gather * per, best.layer0 * per,
+                             best.upper * per, best.head * per}});
+      const StageTimes& ns = stage_rows.back().ns;
+      std::cerr << "paper shape stages tier=" << stage_rows.back().tier
+                << (int8 ? " int8" : " fp32") << ": dt+gather=" << ns.gather
+                << " layer0=" << ns.layer0 << " layer1=" << ns.upper
+                << " head=" << ns.head << " ns/window\n";
+    }
+  }
   ml::set_kernel_tier(default_tier);
 
   nfv::util::JsonWriter w;
@@ -403,6 +568,20 @@ int run_json_mode(const std::string& path, bool quantize) {
         .kv("fp32_windows_per_sec", row.fp32_wps)
         .kv("int8_windows_per_sec", row.quant_wps)
         .kv("int8_speedup_vs_fp32", row.quant_wps / row.fp32_wps)
+        .end_object();
+  }
+  w.end_array();
+  w.key("stages").begin_array();
+  for (const StageRow& row : stage_rows) {
+    w.begin_object()
+        .kv("kernel_tier", row.tier)
+        .kv("precision", row.int8 ? "int8" : "fp32")
+        .kv("dt_gather_ns_per_window", row.ns.gather)
+        .kv("layer0_steps_ns_per_window", row.ns.layer0)
+        .kv("layer1_steps_ns_per_window", row.ns.upper)
+        .kv("head_ns_per_window", row.ns.head)
+        .kv("total_ns_per_window",
+            row.ns.gather + row.ns.layer0 + row.ns.upper + row.ns.head)
         .end_object();
   }
   w.end_array();
@@ -574,12 +753,116 @@ int run_smoke_mode() {
   return ok ? 0 : 1;
 }
 
+// --hashes: one FNV-1a hash per line on stdout, so two builds compare with
+// `diff`: per (tier, shape) the weights after kHashSteps Adam steps, and
+// per (tier, precision, shape, batch) the log-likelihoods and ranks of the
+// trained model's windows scored in batches of that size.
+constexpr std::size_t kHashShapes[][3] = {  // vocab, hidden, window
+    {76, 32, 10}, {90, 32, 10}, {48, 16, 4},
+    {37, 24, 5},  {41, 12, 3},  {70, 40, 6}};
+constexpr std::size_t kHashSteps = 40;
+
+std::uint64_t fnv1a(const void* data, std::size_t bytes,
+                    std::uint64_t hash = 14695981039346656037ull) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < bytes; ++i) {
+    hash = (hash ^ p[i]) * 1099511628211ull;
+  }
+  return hash;
+}
+
+/// 300 windows whose gaps mix whole seconds (short ones, both ends of
+/// normalize_dt's table and far past it) with fractional, exponential
+/// ones and zeros.
+ml::WindowBatch hash_windows(const ml::SequenceModelConfig& config,
+                             util::Rng& rng) {
+  constexpr float kWhole[] = {16383.0f, 16384.0f, 16385.0f, 1e6f};
+  ml::WindowBatch windows;
+  for (std::size_t e = 0; e < 300; ++e) {
+    for (std::size_t t = 0; t < config.window; ++t) {
+      windows.ids.push_back(
+          static_cast<std::int32_t>(rng.uniform_index(config.vocab)));
+      const std::size_t kind = rng.uniform_index(8);
+      windows.dts.push_back(
+          kind < 3   ? static_cast<float>(rng.uniform_index(600))
+          : kind < 6 ? static_cast<float>(rng.exponential(60.0))
+          : kind < 7 ? kWhole[rng.uniform_index(4)]
+                     : 0.0f);
+    }
+    windows.targets.push_back(
+        static_cast<std::int32_t>(rng.uniform_index(config.vocab)));
+  }
+  return windows;
+}
+
+int run_hashes_mode() {
+  const ml::KernelTier default_tier = ml::kernel_tier();
+  for (const ml::KernelTier tier :
+       {ml::KernelTier::kBaseline, ml::KernelTier::kAvx2,
+        ml::KernelTier::kAvx512}) {
+    const char* name = ml::kernel_tier_name(tier);
+    if (ml::set_kernel_tier(tier) != tier) {
+      std::cerr << "hashes: " << name << " tier not on this CPU\n";
+      continue;
+    }
+    for (const auto& shape : kHashShapes) {
+      ml::SequenceModelConfig config;
+      config.vocab = shape[0];
+      config.hidden = shape[1];
+      config.window = shape[2];
+      const std::string label = std::to_string(shape[0]) + "/" +
+                                std::to_string(shape[1]) + "/" +
+                                std::to_string(shape[2]);
+      util::Rng rng(shape[0]);
+      ml::SequenceModel model(config, rng);
+      const ml::WindowBatch windows = hash_windows(config, rng);
+      ml::Adam adam(1e-2f);
+      adam.bind(model.params());
+      for (std::size_t step = 0; step < kHashSteps; ++step) {
+        ml::WindowBatch batch;
+        for (std::size_t i = 0; i < 32; ++i) {
+          batch.append_row(windows, (step * 32 + i) % windows.size(),
+                           config.window);
+        }
+        model.train_batch(batch, adam);
+      }
+      std::uint64_t weights = fnv1a(nullptr, 0);
+      for (const ml::Param* p : std::as_const(model).params()) {
+        weights = fnv1a(p->value.data(), p->value.size() * sizeof(float),
+                        weights);
+      }
+      std::cout << name << " weights " << label << " " << std::hex
+                << weights << std::dec << "\n";
+      for (const bool int8 : {false, true}) {
+        const ml::SequenceModel::ScoringImage image =
+            model.build_scoring_image(int8);
+        ml::SequenceModel::InferenceScratch scratch;
+        for (const std::size_t batch : {1ul, 7ul, 64ul, 256ul}) {
+          std::vector<double> lls(windows.size());
+          std::vector<std::size_t> ranks(windows.size());
+          model.score_batched(image, windows, batch, scratch, lls);
+          model.score_ranks_batched(image, windows, batch, scratch, ranks);
+          const std::uint64_t hash =
+              fnv1a(ranks.data(), ranks.size() * sizeof(std::size_t),
+                    fnv1a(lls.data(), lls.size() * sizeof(double)));
+          std::cout << name << (int8 ? " int8 " : " fp32 ") << label
+                    << " batch " << batch << " " << std::hex << hash
+                    << std::dec << "\n";
+        }
+      }
+    }
+  }
+  ml::set_kernel_tier(default_tier);
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   bool quantize = false;
   std::string json_path;
   bool smoke = false;
+  bool hashes = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[i + 1];
@@ -590,6 +873,8 @@ int main(int argc, char** argv) {
       quantize = true;
     } else if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
+    } else if (std::strcmp(argv[i], "--hashes") == 0) {
+      hashes = true;
     } else if (std::strcmp(argv[i], "--no-avx2") == 0) {
       // Same escape hatch as the NFVPRED_NO_AVX2 environment variable:
       // score through the baseline kernels instead of a SIMD tier.
@@ -597,6 +882,7 @@ int main(int argc, char** argv) {
     }
   }
   if (smoke) return run_smoke_mode();
+  if (hashes) return run_hashes_mode();
   if (!json_path.empty()) return run_json_mode(json_path, quantize);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

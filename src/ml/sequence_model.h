@@ -211,8 +211,14 @@ class SequenceModel {
   TrainingScratch train_scratch_;
 };
 
-/// Normalization applied to Δt before it enters the network; exposed for
-/// tests. Maps seconds to a small bounded feature via log1p scaling.
+/// Whole seconds of Δt in [0, kDtTableSeconds) that normalize_dt reads
+/// from a table instead of evaluating log1p.
+constexpr std::size_t kDtTableSeconds = 16384;
+
+/// Normalization applied to Δt before it enters the network:
+/// log1p(max(Δt, 0))·0.1, a small bounded feature. Whole seconds below
+/// kDtTableSeconds read a table filled from that expression, so every
+/// input, −0.0f, NaN and ±Inf included, gets the expression's bits.
 float normalize_dt(float dt_seconds);
 
 }  // namespace nfv::ml

@@ -13,6 +13,13 @@
 // separately, as in the baseline tier, the activation quantizer opts out
 // with NFV_NO_CONTRACT and the fused LSTM step passes the product through
 // T::opaque.
+//
+// The Cephes body exists once, over a batch of N vectors (exp_ps<T, N>).
+// The row kernels activate one vector at a time (N = 1); the fused
+// scoring step activates a whole tile at once, its R rows × 4 gates and
+// then its R tanh(c), so the tile's independent exp → divide chains
+// overlap instead of running one row after another. A lane's operations
+// do not depend on N, so both give the same bits.
 
 /// Runs body(T{}, j) over [j, n) in T-lane steps and, in the 16-lane
 /// tier, one more 8-lane step; returns where the scalar tail starts. An
@@ -35,46 +42,96 @@ __attribute__((always_inline)) inline std::size_t vector_span(
 // ---------------------------------------------------------------------------
 // Activations: the classic Cephes single-precision exp (range-reduce by
 // ln 2, degree-6 polynomial, scale by 2^n), accurate to ~1e-7 relative,
-// and the tanh / sigmoid built on it.
+// and the tanh / sigmoid built on it, over a batch of N vectors: every
+// statement runs over all N before the next.
 // ---------------------------------------------------------------------------
+
+/// x[v] ← exp(x[v]) for each of the N vectors.
+template <class T, std::size_t N>
+__attribute__((always_inline)) inline void exp_ps(typename T::V (&x)[N]) {
+  using V = typename T::V;
+  V n[N], r[N], p[N];
+  for (std::size_t v = 0; v < N; ++v) {
+    x[v] = T::min(x[v], T::set1(88.3762626647949f));
+  }
+  for (std::size_t v = 0; v < N; ++v) {
+    x[v] = T::max(x[v], T::set1(-88.3762626647949f));
+  }
+  for (std::size_t v = 0; v < N; ++v) {
+    n[v] = T::round_nearest(T::mul(x[v], T::set1(1.44269504088896341f)));
+  }
+  // r = x - n·ln2, with ln2 split in two for extra precision.
+  for (std::size_t v = 0; v < N; ++v) {
+    r[v] = T::fnmadd(n[v], T::set1(0.693359375f), x[v]);
+  }
+  for (std::size_t v = 0; v < N; ++v) {
+    r[v] = T::fnmadd(n[v], T::set1(-2.12194440e-4f), r[v]);
+  }
+  for (std::size_t v = 0; v < N; ++v) {
+    p[v] = T::fmadd(T::set1(1.9875691500e-4f), r[v],
+                    T::set1(1.3981999507e-3f));
+  }
+  for (const float c : {8.3334519073e-3f, 4.1665795894e-2f, 1.6666665459e-1f,
+                        5.0000001201e-1f}) {
+    for (std::size_t v = 0; v < N; ++v) {
+      p[v] = T::fmadd(p[v], r[v], T::set1(c));
+    }
+  }
+  for (std::size_t v = 0; v < N; ++v) {
+    p[v] = T::fmadd(p[v], T::mul(r[v], r[v]), r[v]);
+  }
+  for (std::size_t v = 0; v < N; ++v) p[v] = T::add(p[v], T::set1(1.0f));
+  for (std::size_t v = 0; v < N; ++v) x[v] = T::mul(p[v], T::pow2(n[v]));
+}
+
+/// x[v] ← tanh(x[v]) where bit v of kTanh is set, sigmoid(x[v]) elsewhere:
+/// tanh(x) = sign(x)·(1 − t)/(1 + t) with t = exp(−2|x|) ∈ (0, 1], and
+/// sigmoid(x) = 1/(1 + exp(−x)).
+template <class T, std::size_t N, std::uint32_t kTanh>
+__attribute__((always_inline)) inline void activate_ps(
+    typename T::V (&x)[N]) {
+  using V = typename T::V;
+  static_assert(N <= 32, "kTanh holds one bit per vector");
+  const V sign_mask = T::set1(-0.0f);
+  const V one = T::set1(1.0f);
+  V sign[N] = {};
+  for (std::size_t v = 0; v < N; ++v) {
+    if ((kTanh >> v) & 1u) {
+      sign[v] = T::bit_and(x[v], sign_mask);
+      x[v] = T::mul(T::bit_andnot(sign_mask, x[v]), T::set1(-2.0f));
+    } else {
+      x[v] = T::sub(T::zero(), x[v]);
+    }
+  }
+  exp_ps<T, N>(x);
+  for (std::size_t v = 0; v < N; ++v) {
+    if ((kTanh >> v) & 1u) {
+      x[v] = T::bit_or(T::div(T::sub(one, x[v]), T::add(one, x[v])), sign[v]);
+    } else {
+      x[v] = T::div(one, T::add(one, x[v]));
+    }
+  }
+}
 
 template <class T>
 inline typename T::V exp_ps(typename T::V x) {
-  x = T::min(x, T::set1(88.3762626647949f));
-  x = T::max(x, T::set1(-88.3762626647949f));
-  const typename T::V n =
-      T::round_nearest(T::mul(x, T::set1(1.44269504088896341f)));
-  // r = x - n·ln2, with ln2 split in two for extra precision.
-  typename T::V r = T::fnmadd(n, T::set1(0.693359375f), x);
-  r = T::fnmadd(n, T::set1(-2.12194440e-4f), r);
-  typename T::V p = T::set1(1.9875691500e-4f);
-  p = T::fmadd(p, r, T::set1(1.3981999507e-3f));
-  p = T::fmadd(p, r, T::set1(8.3334519073e-3f));
-  p = T::fmadd(p, r, T::set1(4.1665795894e-2f));
-  p = T::fmadd(p, r, T::set1(1.6666665459e-1f));
-  p = T::fmadd(p, r, T::set1(5.0000001201e-1f));
-  p = T::fmadd(p, T::mul(r, r), r);
-  p = T::add(p, T::set1(1.0f));
-  return T::mul(p, T::pow2(n));
+  typename T::V v[1] = {x};
+  exp_ps<T, 1>(v);
+  return v[0];
 }
 
 template <class T>
 inline typename T::V tanh_ps(typename T::V x) {
-  // tanh(x) = sign(x)·(1 − t)/(1 + t) with t = exp(−2|x|) ∈ (0, 1].
-  const typename T::V sign_mask = T::set1(-0.0f);
-  const typename T::V sign = T::bit_and(x, sign_mask);
-  const typename T::V ax = T::bit_andnot(sign_mask, x);
-  const typename T::V t = exp_ps<T>(T::mul(ax, T::set1(-2.0f)));
-  const typename T::V one = T::set1(1.0f);
-  const typename T::V y = T::div(T::sub(one, t), T::add(one, t));
-  return T::bit_or(y, sign);
+  typename T::V v[1] = {x};
+  activate_ps<T, 1, 1u>(v);
+  return v[0];
 }
 
 template <class T>
 inline typename T::V sigmoid_ps(typename T::V x) {
-  const typename T::V one = T::set1(1.0f);
-  const typename T::V e = exp_ps<T>(T::sub(T::zero(), x));
-  return T::div(one, T::add(one, e));
+  typename T::V v[1] = {x};
+  activate_ps<T, 1, 0u>(v);
+  return v[0];
 }
 
 // ---------------------------------------------------------------------------
@@ -221,11 +278,11 @@ void transa_acc(const Matrix& a, const Matrix& b, Matrix& out) {
 // int8: the activation quantizer.
 // ---------------------------------------------------------------------------
 
-/// The scalar tier's quantizer (min/max seeded at 0, ×inv, round to
-/// nearest even, clamp to [0, 127]) over rows of [a | b], with the
-/// vector part at T lanes. min/max, the multiply and vcvtps2dq are exact
-/// or singly rounded per element in any order, so the codes equal the
-/// scalar tier's.
+/// The scalar tier's quantizer (min/max seeded at 0 and ignoring NaN,
+/// ×inv, round to nearest even, clamp to [0, 127]) over rows of [a | b],
+/// with the vector part at T lanes. min/max, the multiply and vcvtps2dq
+/// are exact or singly rounded per element in any order, so the codes,
+/// scales and zero points equal the scalar tier's.
 template <class T>
 NFV_NO_CONTRACT void quantize_rows(const float* a, std::size_t a_cols,
                                    const float* b, std::size_t b_cols,
@@ -243,9 +300,12 @@ NFV_NO_CONTRACT void quantize_rows(const float* a, std::size_t a_cols,
     for (std::size_t p = 0; p < 2; ++p) {
       std::size_t k = 0;
       for (; k + T::kLanes <= cols[p]; k += T::kLanes) {
+        // vminps/vmaxps return the second operand when either is NaN, so
+        // a NaN element leaves the running min and max as they were, as
+        // the scalar tier's std::min/std::max do.
         const typename T::V v = T::load(seg[p] + k);
-        vlo = T::min(vlo, v);
-        vhi = T::max(vhi, v);
+        vlo = T::min(v, vlo);
+        vhi = T::max(v, vhi);
       }
       tail[p] = k;
     }
@@ -472,50 +532,65 @@ __attribute__((always_inline)) inline void gate_products_int8(
   }
 }
 
-/// Gate activations and cell update of one row's T::kLanes units from u0,
-/// given their i, f, g and o pre-activations. The units the row kernels
-/// above run in vector code (vector_span: every whole 8-lane group) run
-/// the Cephes activations here too; the rest take the same libm tail, so
-/// every unit matches gate_activation_row + cell_forward_row bit for bit.
-template <class T>
+/// Gate activations and cell update of rows [i, i+R) × the T::kLanes units
+/// from u0, given their pre-activations z[4r + q] (gates i, f, g, o of row
+/// i + r). The units the row kernels above run in vector code
+/// (vector_span: every whole 8-lane group) run the Cephes activations here
+/// too, as two batches: the tile's 4R gates, then its R tanh(c); the rest
+/// take the same libm tail, so every unit matches gate_activation_row +
+/// cell_forward_row bit for bit.
+template <class T, std::size_t R>
 __attribute__((always_inline)) inline void cell_units(
-    const StepArgs& s, std::size_t row, std::size_t u0,
-    const typename T::V (&pre)[4]) {
+    const StepArgs& s, std::size_t i, std::size_t u0,
+    typename T::V (&z)[4 * R]) {
   using V = typename T::V;
   const std::size_t h = s.hidden;
-  float* c = s.c + row * gate_block_count(h) * kGateBlockUnits + u0;
-  float* hh = s.h + row * h + u0;
-  const V cp = T::load(c);
+  const std::size_t c_stride = gate_block_count(h) * kGateBlockUnits;
+  float* c = s.c + i * c_stride + u0;
+  float* hh = s.h + i * h + u0;
   const std::size_t vec_end = h / Vec8::kLanes * Vec8::kLanes;
   const std::size_t n = std::min(T::kLanes, h - u0);
   const std::size_t nvec = vec_end > u0 ? std::min(n, vec_end - u0) : 0;
+  V cp[R];
+  for (std::size_t r = 0; r < R; ++r) cp[r] = T::load(c + r * c_stride);
+  // The libm tail's inputs, kept before the vector part overwrites c.
+  alignas(64) float tail_z[4 * R][T::kLanes];
+  alignas(64) float tail_cp[R][T::kLanes];
+  if (nvec < n) {
+    for (std::size_t v = 0; v < 4 * R; ++v) T::store(tail_z[v], z[v]);
+    for (std::size_t r = 0; r < R; ++r) T::store(tail_cp[r], cp[r]);
+  }
   if (nvec > 0) {
-    const V ig = sigmoid_ps<T>(pre[0]);
-    const V fg = sigmoid_ps<T>(pre[1]);
-    const V cg = tanh_ps<T>(pre[2]);
-    const V og = sigmoid_ps<T>(pre[3]);
-    const V cj = T::fmadd(fg, cp, T::mul(ig, cg));
-    const V hv = T::mul(og, tanh_ps<T>(cj));
-    T::store(c, cj);  // c rows are padded to whole blocks
-    if (nvec == T::kLanes) {
-      T::store(hh, hv);
-    } else {
-      T::store_n(hh, hv, nvec);
+    activate_ps<T, 4 * R, 0x44444444u>(z);  // tanh for gate g
+    V cj[R];
+    V tc[R];
+    for (std::size_t r = 0; r < R; ++r) {
+      cj[r] = T::fmadd(z[4 * r + 1], cp[r], T::mul(z[4 * r], z[4 * r + 2]));
+      tc[r] = cj[r];
+    }
+    activate_ps<T, R, ~0u>(tc);
+    for (std::size_t r = 0; r < R; ++r) {
+      const V hv = T::mul(z[4 * r + 3], tc[r]);
+      T::store(c + r * c_stride, cj[r]);  // c rows are padded to whole blocks
+      if (nvec == T::kLanes) {
+        T::store(hh + r * h, hv);
+      } else {
+        T::store_n(hh + r * h, hv, nvec);
+      }
     }
   }
   if (nvec == n) return;
-  alignas(64) float g[4][T::kLanes];
-  alignas(64) float cps[T::kLanes];
-  for (std::size_t q = 0; q < 4; ++q) T::store(g[q], pre[q]);
-  T::store(cps, cp);
-  for (std::size_t j = nvec; j < n; ++j) {
-    const float ig = sigmoid(g[0][j]);
-    const float fg = sigmoid(g[1][j]);
-    const float cg = std::tanh(g[2][j]);
-    const float og = sigmoid(g[3][j]);
-    const float cj = __builtin_fmaf(fg, cps[j], ig * cg);
-    c[j] = cj;
-    hh[j] = og * std::tanh(cj);
+  for (std::size_t r = 0; r < R; ++r) {
+    const float(*g)[T::kLanes] = tail_z + 4 * r;
+    for (std::size_t j = nvec; j < n; ++j) {
+      const float ig = sigmoid(g[0][j]);
+      const float fg = sigmoid(g[1][j]);
+      const float cg = std::tanh(g[2][j]);
+      const float og = sigmoid(g[3][j]);
+      const float cj = __builtin_fmaf(fg, tail_cp[r][j], ig * cg);
+      c[r * c_stride + j] = cj;
+      hh[r * h + j] = og * std::tanh(cj);
+    }
   }
 }
 
@@ -574,8 +649,8 @@ __attribute__((always_inline)) inline void step_tile(
   } else if constexpr (kProduct == StepProduct::kInt8) {
     gate_products_int8<T, R>(pre, s, i, u0);
   }
+  V z[4 * R];
   for (std::size_t r = 0; r < R; ++r) {
-    V g[4];
     for (std::size_t q = 0; q < 4; ++q) {
       const std::size_t at = lane0 + q * kGateBlockUnits;
       V add;
@@ -586,13 +661,13 @@ __attribute__((always_inline)) inline void step_tile(
         add = T::load(s.bias + at);
       }
       if constexpr (kProduct == StepProduct::kNone) {
-        g[q] = add;
+        z[4 * r + q] = add;
       } else {
-        g[q] = T::add(T::opaque(pre[r][q]), add);
+        z[4 * r + q] = T::add(T::opaque(pre[r][q]), add);
       }
     }
-    cell_units<T>(s, i + r, u0, g);
   }
+  cell_units<T, R>(s, i, u0, z);
 }
 
 template <class T, StepProduct kProduct, bool kTable>

@@ -16,9 +16,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -426,15 +429,15 @@ TEST(QuantGateBlocks, NonFiniteWeightThrowsCheckError) {
   }
 }
 
-// A NaN activation (a corrupt checkpoint's NaN embedding or bias reaches
-// h) and a row whose range is so small that 127/range overflows quantize
-// without an undefined float-to-int conversion (the UBSan leg checks
-// float-cast-overflow): a NaN gets code 0 in every tier, as the SIMD
-// tiers' vector lanes give it, and so does every product of the
-// overflowed row, alike in every tier. (A NaN row's range depends on
-// where the NaN falls among the vector lanes, so its other codes may
-// differ between tiers; its scores are NaN-derived either way.) Rows of
-// 37 values put NaNs in vector lanes and in the scalar tail.
+// A NaN activation and a row whose range is so small that 127/range
+// overflows quantize without an undefined float-to-int conversion (the
+// UBSan leg checks float-cast-overflow), and alike in every tier: every
+// min/max ignores a NaN, as the baseline tier's comparisons do, so a NaN
+// row's range, scale, zero point and codes do not depend on the lane the
+// NaN falls in. A NaN gets code 0, as the SIMD tiers' vector lanes give
+// it, and so does every product of the overflowed row. (SequenceModel::load
+// refuses non-finite weights, so only a bug can feed the step a NaN.)
+// Rows of 37 values put NaNs in vector lanes and in the scalar tail.
 TEST(Int8Step, NonFiniteActivationsQuantizeWithoutUndefinedConversions) {
   constexpr std::size_t kCols = 37, kPad = 40;
   Matrix rows(3, kCols);
@@ -446,19 +449,36 @@ TEST(Int8Step, NonFiniteActivationsQuantizeWithoutUndefinedConversions) {
   for (std::size_t c = 0; c < kCols; ++c) {
     rows.at(2, c) = c % 3 == 0 ? 1e-44f : 0.0f;
   }
+  struct Quantized {
+    std::vector<std::uint8_t> codes;
+    std::vector<float> sa;
+    std::vector<std::int32_t> zp;
+  };
+  std::optional<Quantized> baseline;
   const std::string missing = for_each_kernel_tier([&](KernelTier tier) {
-    std::vector<std::uint8_t> codes(rows.rows() * kPad);
-    std::vector<float> sa(rows.rows());
-    std::vector<std::int32_t> zp(rows.rows());
+    Quantized q{std::vector<std::uint8_t>(rows.rows() * kPad),
+                std::vector<float>(rows.rows()),
+                std::vector<std::int32_t>(rows.rows())};
     quantize_activations(rows.data(), kCols, nullptr, 0, rows.rows(), kPad,
-                         codes.data(), sa.data(), zp.data());
+                         q.codes.data(), q.sa.data(), q.zp.data());
     for (const std::size_t c : {2ul, 19ul, 35ul}) {
-      EXPECT_EQ(codes[c], 0) << kernel_tier_name(tier) << " column " << c;
+      EXPECT_EQ(q.codes[c], 0) << kernel_tier_name(tier) << " column " << c;
     }
-    EXPECT_EQ(codes[kPad], 0) << kernel_tier_name(tier);
+    EXPECT_EQ(q.codes[kPad], 0) << kernel_tier_name(tier);
     for (std::size_t c = 0; c < kCols; ++c) {
-      EXPECT_EQ(codes[2 * kPad + c], 0)
+      EXPECT_EQ(q.codes[2 * kPad + c], 0)
           << kernel_tier_name(tier) << " overflowed row, column " << c;
+    }
+    if (!baseline) {
+      baseline = q;
+      return;
+    }
+    EXPECT_EQ(q.codes, baseline->codes) << kernel_tier_name(tier);
+    EXPECT_EQ(q.zp, baseline->zp) << kernel_tier_name(tier);
+    for (std::size_t i = 0; i < rows.rows(); ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(q.sa[i]),
+                std::bit_cast<std::uint32_t>(baseline->sa[i]))
+          << kernel_tier_name(tier) << " row " << i;
     }
   });
   if (!missing.empty()) GTEST_SKIP() << "CPU lacks the " << missing << " tier";
@@ -494,7 +514,7 @@ TEST(Int8Step, MatchesFp32StepWithinQuantizationError) {
 
 // An int8 image scores the same bits in the AVX2 and AVX-512 tiers (the
 // image is built in each) and at every batch size, 1 row at a time
-// included.
+// included, for windows with fractional gaps and with whole-second ones.
 TEST(Int8Step, ModelScoresEqualAcrossSimdTiers) {
   const KernelTier was = kernel_tier();
   if (set_kernel_tier(KernelTier::kAvx512) != KernelTier::kAvx512) {
@@ -514,6 +534,23 @@ TEST(Int8Step, ModelScoresEqualAcrossSimdTiers) {
         windows.ids.push_back(
             static_cast<std::int32_t>(rng.uniform_index(config.vocab)));
         windows.dts.push_back(static_cast<float>(rng.exponential(60.0)));
+      }
+      windows.targets.push_back(
+          static_cast<std::int32_t>(rng.uniform_index(config.vocab)));
+    }
+    // Whole-second gaps, as the runtime's are: short ones, the ends of
+    // normalize_dt's table and past it.
+    const float far_gaps[] = {static_cast<float>(kDtTableSeconds - 1),
+                              static_cast<float>(kDtTableSeconds),
+                              static_cast<float>(kDtTableSeconds + 1), 1e6f};
+    for (std::size_t e = 0; e < 100; ++e) {
+      for (std::size_t t = 0; t < config.window; ++t) {
+        windows.ids.push_back(
+            static_cast<std::int32_t>(rng.uniform_index(config.vocab)));
+        windows.dts.push_back(
+            rng.uniform_index(4) == 0
+                ? far_gaps[rng.uniform_index(4)]
+                : static_cast<float>(rng.uniform_index(600)));
       }
       windows.targets.push_back(
           static_cast<std::int32_t>(rng.uniform_index(config.vocab)));

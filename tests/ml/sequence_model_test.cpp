@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
@@ -310,10 +313,11 @@ double reference_log_likelihood(const SequenceModel& model,
 // kernel tier, at batches of 1, 7 and 64
 // windows, hidden 12, 16, 24 and 40 (16-lane, 8-lane and scalar tails
 // of the gate, cell and gather loops) and vocab 43 (two 16-lane vectors,
-// one 8-lane vector and a scalar tail in the log-sum-exp). One window's
-// target logit is pushed far below the rest so its score sits on the
-// log(1e-12) floor. The SIMD tiers' scores are also equal to each other
-// bit for bit.
+// one 8-lane vector and a scalar tail in the log-sum-exp). Gaps are whole
+// seconds, as the runtime's are, four of them at and past the end of
+// normalize_dt's table. One window's target logit is pushed far below the
+// rest so its score sits on the log(1e-12) floor. The SIMD tiers' scores
+// are also equal to each other bit for bit.
 TEST(ScoringImage, ForwardMatchesFloat64ReferenceInBothTiers) {
   std::string missing;
   for (const std::size_t hidden : {12, 16, 24, 40}) {
@@ -336,6 +340,13 @@ TEST(ScoringImage, ForwardMatchesFloat64ReferenceInBothTiers) {
           static_cast<std::int32_t>(rng.uniform_index(10)));
     }
     examples.targets[5] = 10;
+    // Whole-second gaps at both ends of normalize_dt's table and past it.
+    const float far_gaps[] = {static_cast<float>(kDtTableSeconds - 1),
+                              static_cast<float>(kDtTableSeconds),
+                              static_cast<float>(kDtTableSeconds + 1), 1e6f};
+    for (std::size_t g = 0; g < 4; ++g) {
+      examples.dts[g * config.window + g % config.window] = far_gaps[g];
+    }
     std::vector<double> reference;
     for (std::size_t w = 0; w < examples.size(); ++w) {
       reference.push_back(reference_log_likelihood(model, examples, w));
@@ -524,6 +535,30 @@ TEST(NormalizeDt, MonotoneAndBounded) {
   EXPECT_GT(normalize_dt(100.0f), normalize_dt(10.0f));
   EXPECT_LT(normalize_dt(7200.0f), 1.0f);
   EXPECT_FLOAT_EQ(normalize_dt(-5.0f), 0.0f);  // clamped
+}
+
+// Whole seconds below kDtTableSeconds read a table; every input gets the
+// bits of the expression, table or not: each whole second up to one past
+// the table's end, and −0.0f (std::max keeps it, log1p(−0) is −0), a
+// negative, a fraction, a far gap, NaN and ±Inf.
+TEST(NormalizeDt, TableMatchesExpressionBitForBit) {
+  const auto expected = [](float dt) {
+    return std::bit_cast<std::uint32_t>(std::log1p(std::max(dt, 0.0f)) *
+                                        0.1f);
+  };
+  for (std::size_t s = 0; s <= kDtTableSeconds + 1; ++s) {
+    const auto dt = static_cast<float>(s);
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(normalize_dt(dt)), expected(dt))
+        << "dt " << s;
+  }
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  for (const float dt : {-0.0f, -1.0f, 0.5f, 1e9f,
+                         std::numeric_limits<float>::quiet_NaN(), kInf,
+                         -kInf}) {
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(normalize_dt(dt)), expected(dt))
+        << "dt " << dt;
+  }
+  EXPECT_TRUE(std::signbit(normalize_dt(-0.0f)));
 }
 
 }  // namespace

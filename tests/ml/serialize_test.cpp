@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/lstm_detector.h"
@@ -265,6 +267,58 @@ TEST(Serialize, MutatedCheckpointsLoadOrThrowCheckError) {
     // Not vacuous: float payload flips load, shape and size flips do not.
     EXPECT_GT(tally.loaded, 100u) << kind;
     EXPECT_GT(tally.rejected, 500u) << kind;
+  }
+}
+
+// A checkpoint holding one NaN or infinite parameter is refused in both
+// precisions, naming the tensor, wherever the value sits: the embedding,
+// a gate matrix, a bias or the output head. (Loaded, an fp32 detector
+// would score NaN, which never crosses a threshold, and an int8 one would
+// refuse it only in a gate matrix.)
+TEST(Serialize, NonFiniteParameterIsRefusedInBothPrecisions) {
+  core::LstmDetector detector = fuzz_detector();
+  const SequenceModelConfig& config = detector.model().config();
+  // Payload offset of each tensor of the checkpoint, in params() order.
+  const auto payloads = [&](const std::string& bytes) {
+    std::vector<std::size_t> at;
+    std::size_t pos = 80;  // detector header, model magic and config
+    for (std::size_t t = 0; t < 3 + 2 * config.layers; ++t) {
+      std::uint64_t rows = 0, cols = 0;
+      std::memcpy(&rows, bytes.data() + pos + 8, sizeof(rows));
+      std::memcpy(&cols, bytes.data() + pos + 16, sizeof(cols));
+      at.push_back(pos + 24);
+      pos += 24 + 4 * rows * cols;
+    }
+    return at;
+  };
+  const std::pair<std::size_t, const char*> tensors[] = {
+      {0, "embed.table"}, {1, "lstm0.weight"}, {4, "lstm1.bias"},
+      {5, "out.weight"}};
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  for (const bool quantized : {false, true}) {
+    detector.set_quantized(quantized);
+    std::stringstream saved;
+    detector.save(saved);
+    const std::string valid = saved.str();
+    const std::vector<std::size_t> at = payloads(valid);
+    for (const auto& [tensor, name] : tensors) {
+      for (const float bad :
+           {std::numeric_limits<float>::quiet_NaN(), kInf, -kInf}) {
+        std::string bytes = valid;
+        // The tensor's third element: not the first, not the last.
+        std::memcpy(bytes.data() + at[tensor] + 2 * sizeof(float), &bad,
+                    sizeof(bad));
+        std::stringstream stream(bytes);
+        try {
+          core::LstmDetector::load(stream);
+          ADD_FAILURE() << name << " = " << bad << " loaded, precision flag "
+                        << quantized;
+        } catch (const nfv::util::CheckError& e) {
+          EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+              << e.what();
+        }
+      }
+    }
   }
 }
 
