@@ -46,7 +46,7 @@ int main() {
                        "FA/day"});
     for (const bool oversample : {false, true}) {
       core::PipelineOptions options = bench::bench_pipeline_options();
-      options.oversample = oversample;
+      options.lstm_config->oversample = oversample;
       std::cerr << "[bench] oversample=" << oversample << "...\n";
       const auto best = run_best_f(fleet, options);
       table.add_row({oversample ? "on" : "off",

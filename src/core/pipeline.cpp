@@ -160,8 +160,6 @@ PipelineResult run_pipeline(const simnet::FleetTrace& trace,
     if (options.detector == DetectorKind::kLstm) {
       LstmDetectorConfig config =
           options.lstm_config.value_or(LstmDetectorConfig{});
-      config.oversample = options.oversample;
-      if (options.quantize) config.quantize = true;
       config.seed = options.seed + 100 * (g + 1);
       group.detector = std::make_unique<LstmDetector>(config);
     } else {

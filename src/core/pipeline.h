@@ -30,8 +30,6 @@ struct PipelineOptions {
   bool customize = true;
   /// Transfer-learning adaptation after software updates.
   bool adapt = true;
-  /// Forwarded to the LSTM detector's minority over-sampling loop.
-  bool oversample = true;
   VpeClusteringOptions clustering{.fixed_k = 4};
   MappingConfig mapping;
   /// Margin before ticket report for training-data exclusion (paper: 3 d).
@@ -43,12 +41,8 @@ struct PipelineOptions {
   /// Operating threshold = this quantile of training-data scores.
   double threshold_quantile = 0.99;
   std::uint64_t seed = 7;
-  /// Quantized steady-state scoring (LSTM detector only): after training,
-  /// each group's detector scores from an int8 image of its weights
-  /// (per-channel int8 gate products in the fused step; forwarded to
-  /// LstmDetectorConfig::quantize; overrides lstm_config's value when on).
-  bool quantize = false;
-  /// Optional override of the LSTM detector configuration.
+  /// Optional override of the LSTM detector configuration; it alone sets
+  /// over-sampling (`oversample`) and int8 scoring (`quantize`).
   std::optional<LstmDetectorConfig> lstm_config;
 };
 

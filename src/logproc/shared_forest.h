@@ -21,11 +21,16 @@
 // vPEs diverging the same way) or spills it privately; the shared node
 // itself is immutable forever.
 //
-// Concurrency contract = SharedSeqInterner's (util/seq_interner.h):
-// find()/view()/size() lock-free from any thread concurrently with
-// admissions; intern() takes a small mutex only on first-sight
-// admission. The forest must out-live every tree attached to it, and
-// its token arena must out-live the forest.
+// The forest is the std::uint32_t instance of util::SharedArena
+// (util/shared_arena.h), the same publication machinery as the token
+// arena, so its concurrency contract is the arena's: find()/view()/size()
+// lock-free from any thread concurrently with admissions; intern() takes
+// a small mutex only on first-sight admission and returns kNotFound when
+// a capacity cap rejects (the tree keeps the template privately). Token
+// ids passed to intern() must all be shared-arena ids (below
+// kPrivateBase): private token ids are tree-local and must never be
+// published fleet-wide. The forest must out-live every tree attached to
+// it, and its token arena must out-live the forest.
 #pragma once
 
 #include <cstddef>
@@ -33,18 +38,16 @@
 
 #include "util/check.h"
 #include "util/interner.h"
-#include "util/seq_interner.h"
+#include "util/shared_arena.h"
 
 namespace nfv::logproc {
 
-class SharedSignatureForest {
+class SharedSignatureForest : public nfv::util::SharedArena<std::uint32_t> {
  public:
-  static constexpr std::uint32_t kNotFound = nfv::util::SharedSeqInterner::kNotFound;
-
   struct Config {
-    /// Admission caps forwarded to the node store; beyond them intern()
-    /// rejects and trees keep the template privately. Bounds fleet
-    /// memory under template-churn attacks.
+    /// Admission caps of the node store; beyond them intern() rejects
+    /// and trees keep the template privately. Bounds fleet memory under
+    /// template-churn attacks.
     std::size_t max_templates = 1u << 17;
     std::size_t max_tokens_total = 4u << 20;
   };
@@ -56,58 +59,17 @@ class SharedSignatureForest {
   explicit SharedSignatureForest(nfv::util::SharedInterner* token_arena)
       : SharedSignatureForest(token_arena, Config{}) {}
   SharedSignatureForest(nfv::util::SharedInterner* token_arena, Config config)
-      : arena_(token_arena),
-        nodes_(nfv::util::SharedSeqInterner::Config{config.max_templates,
-                                                    config.max_tokens_total}) {
+      : SharedArena({config.max_templates, config.max_tokens_total}),
+        arena_(token_arena) {
     NFV_CHECK(token_arena != nullptr,
               "shared forest requires a shared token arena");
   }
 
-  SharedSignatureForest(const SharedSignatureForest&) = delete;
-  SharedSignatureForest& operator=(const SharedSignatureForest&) = delete;
-
   /// The token arena the node sequences are expressed over.
   nfv::util::SharedInterner* arena() const { return arena_; }
 
-  /// Lock-free: node id for the template if published, else kNotFound.
-  std::uint32_t find(const std::uint32_t* tokens, std::size_t count) const {
-    return nodes_.find(tokens, count);
-  }
-
-  /// Node id for the template, admitting it if new (mutex on first
-  /// sight only). Returns kNotFound when a capacity cap rejects — the
-  /// caller keeps the template in its private node range. Token ids
-  /// must all be shared-arena ids (below kPrivateBase): private token
-  /// ids are tree-local and must never be published fleet-wide.
-  std::uint32_t intern(const std::uint32_t* tokens, std::size_t count) {
-    return nodes_.intern(tokens, count);
-  }
-
-  /// Registrar admission, exempt from the caps (catalog pre-seeding).
-  std::uint32_t register_template(const std::uint32_t* tokens,
-                                  std::size_t count) {
-    return nodes_.register_seq(tokens, count);
-  }
-
-  /// The published token sequence of a node. Stable for the forest's
-  /// lifetime. Lock-free, any thread.
-  nfv::util::SharedSeqInterner::Seq view(std::uint32_t node) const {
-    return nodes_.view(node);
-  }
-
-  /// Published template count. Lock-free, any thread.
-  std::size_t size() const { return nodes_.size(); }
-
-  /// Resident bytes of the node store (counted once per fleet; the
-  /// token arena reports its own bytes). Lock-free, any thread.
-  std::size_t bytes() const { return nodes_.bytes(); }
-
-  /// Admissions rejected by the capacity caps.
-  std::uint64_t rejected() const { return nodes_.rejected(); }
-
  private:
   nfv::util::SharedInterner* arena_;
-  nfv::util::SharedSeqInterner nodes_;
 };
 
 }  // namespace nfv::logproc

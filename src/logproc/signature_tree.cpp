@@ -57,14 +57,13 @@ std::size_t SignatureTree::checked_index(std::int32_t id) const {
   return static_cast<std::size_t>(id);
 }
 
-SignatureTree::TokenSpan SignatureTree::node_tokens(
+std::span<const std::uint32_t> SignatureTree::node_tokens(
     std::uint32_t node) const {
   if (node >= kPrivateNodeBase) {
     const NodeRef& ref = private_nodes_[node - kPrivateNodeBase];
-    return TokenSpan{private_words_.data() + ref.offset, ref.length};
+    return {private_words_.data() + ref.offset, ref.length};
   }
-  const nfv::util::SharedSeqInterner::Seq seq = forest_->view(node);
-  return TokenSpan{seq.data, seq.length};
+  return forest_->view(node);
 }
 
 std::uint32_t SignatureTree::store_node(
@@ -80,7 +79,7 @@ std::uint32_t SignatureTree::store_node(
       }
     }
     if (shareable) {
-      const std::uint32_t node = forest_->intern(ids.data(), ids.size());
+      const std::uint32_t node = forest_->intern(ids);
       if (node != SharedSignatureForest::kNotFound) return node;
     }
   }
@@ -97,11 +96,12 @@ std::uint32_t SignatureTree::store_node(
 }
 
 std::string SignatureTree::pattern(std::int32_t id) const {
-  const TokenSpan toks = node_tokens(sigs_[checked_index(id)].node);
+  const std::span<const std::uint32_t> toks =
+      node_tokens(sigs_[checked_index(id)].node);
   std::string out;
-  for (std::size_t i = 0; i < toks.size; ++i) {
+  for (std::size_t i = 0; i < toks.size(); ++i) {
     if (i > 0) out += ' ';
-    out += token_text(toks.data[i]);
+    out += token_text(toks[i]);
   }
   return out;
 }
@@ -139,14 +139,14 @@ std::uint32_t SignatureTree::head_id() const {
 }
 
 double SignatureTree::similarity_to_line(const SigEntry& sig) const {
-  const TokenSpan toks = node_tokens(sig.node);
+  const std::span<const std::uint32_t> toks = node_tokens(sig.node);
   // Same-count is guaranteed by the leaf key, but keep the guard so a
   // corrupt tree degrades to "no match" instead of out-of-bounds reads.
   const std::size_t n = line_token_count();
-  if (toks.size != n) return 0.0;
+  if (toks.size() != n) return 0.0;
   if (spans_.empty()) {
     // Placeholder line "<empty>": matches a wildcard or itself.
-    return toks.data[0] == kWildcardTokenId || toks.data[0] == kEmptyTokenId
+    return toks[0] == kWildcardTokenId || toks[0] == kEmptyTokenId
                ? 1.0
                : 0.0;
   }
@@ -157,7 +157,7 @@ double SignatureTree::similarity_to_line(const SigEntry& sig) const {
   // traffic to the single head probe.
   std::size_t matched = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    const std::uint32_t t = toks.data[i];
+    const std::uint32_t t = toks[i];
     matched += static_cast<std::size_t>(
         t == kWildcardTokenId ||
         (variable_[i] == 0 && interner_.view(t) == spans_[i]));
@@ -191,8 +191,8 @@ void SignatureTree::generalize_to_line(SigEntry& sig) {
   // diverging the same way keep deduping onto one node — and only
   // spills into the private pool when the forest rejects it. The
   // per-tree template id (and its leaf position) never changes.
-  const nfv::util::SharedSeqInterner::Seq seq = forest_->view(sig.node);
-  gen_ids_.assign(seq.data, seq.data + seq.length);
+  const std::span<const std::uint32_t> seq = forest_->view(sig.node);
+  gen_ids_.assign(seq.begin(), seq.end());
   bool changed = false;
   if (spans_.empty()) {
     if (gen_ids_[0] != kWildcardTokenId && gen_ids_[0] != kEmptyTokenId) {

@@ -62,10 +62,12 @@
 // keeps one tree per monitor (per vPE). The SHARED pieces are the token
 // arena and the forest: many trees on many threads may read them
 // lock-free while any of them admits new tokens/templates (a small mutex
-// on the cold miss path) — see util/interner.h and
-// logproc/shared_forest.h. Copying a tree deep-copies its private tiers
-// and scratch; the shared arena and forest are referenced, not copied,
-// so copies stay id-compatible with the originals.
+// on the cold miss path). Both are instances of one publication arena,
+// util::SharedArena (util/shared_arena.h): over token bytes for the
+// arena, over token-id sequences for the forest. Copying a tree
+// deep-copies its private tiers and scratch; the shared arena and forest
+// are referenced, not copied, so copies stay id-compatible with the
+// originals.
 #pragma once
 
 #include <cstdint>
@@ -140,8 +142,7 @@ class SignatureTree {
   /// the forest's lifetime; privately-backed spans are invalidated by
   /// the next learn() that creates or generalizes a private template.
   std::span<const std::uint32_t> tokens(std::int32_t id) const {
-    const TokenSpan s = node_tokens(sigs_[checked_index(id)].node);
-    return std::span<const std::uint32_t>(s.data, s.size);
+    return node_tokens(sigs_[checked_index(id)].node);
   }
 
   /// Fleet-stable template id: the forest node currently backing
@@ -183,9 +184,9 @@ class SignatureTree {
   std::size_t memory_bytes() const;
 
  private:
-  /// First private-node id. Forest node ids live below it (the forest's
-  /// seq interner enforces that); without a forest every node is
-  /// private. Same constant as the token tier for symmetry.
+  /// First private-node id. Forest node ids live below it (the shared
+  /// arena under the forest enforces that); without a forest every node
+  /// is private. Same constant as the token tier.
   static constexpr std::uint32_t kPrivateNodeBase =
       nfv::util::ScopedInterner::kPrivateBase;
 
@@ -195,12 +196,6 @@ class SignatureTree {
   struct SigEntry {
     std::uint32_t node = 0;
     std::uint64_t match_count = 0;
-  };
-
-  /// Resolved token sequence of a node (either tier).
-  struct TokenSpan {
-    const std::uint32_t* data;
-    std::size_t size;
   };
 
   /// Span-of-signatures in the private pool. Offsets into private_words_.
@@ -242,7 +237,8 @@ class SignatureTree {
   /// re-probing the token it just looked up.
   std::uint32_t head_id() const;
 
-  TokenSpan node_tokens(std::uint32_t node) const;
+  /// Resolved token sequence of a node (either tier).
+  std::span<const std::uint32_t> node_tokens(std::uint32_t node) const;
 
   /// Store a token sequence as a node: forest intern when attached and
   /// every token id is shared (dedup across vPEs), else private pool.

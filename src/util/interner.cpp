@@ -114,168 +114,12 @@ void StringInterner::grow_table() {
 
 SharedInterner::SharedInterner() : SharedInterner(Config{}) {}
 
-SharedInterner::SharedInterner(Config config) : config_(config) {
-  auto table = std::make_unique<Table>(kInitialSlots);
-  table_bytes_.store(kInitialSlots * sizeof(std::uint32_t),
-                     std::memory_order_relaxed);
-  table_.store(table.get(), std::memory_order_release);
-  tables_.push_back(std::move(table));
+SharedInterner::SharedInterner(Config config)
+    : SharedArena<char>({config.max_tokens, config.max_bytes}) {
   // Reserved tree token ids (see signature_tree.h): the wildcard and the
   // empty-line placeholder must be ids 0 and 1 in every tier.
   register_token("<*>");
   register_token("<empty>");
-}
-
-SharedInterner::~SharedInterner() {
-  const std::uint32_t n = size_.load(std::memory_order_acquire);
-  const std::size_t used_blocks =
-      (static_cast<std::size_t>(n) + kBlockSize - 1) >> kBlockShift;
-  for (std::size_t b = 0; b < used_blocks; ++b) {
-    delete[] blocks_[b].load(std::memory_order_relaxed);
-  }
-}
-
-std::uint32_t SharedInterner::probe(const Table& table, std::string_view text,
-                                    std::uint64_t hash) const {
-  std::size_t slot = static_cast<std::size_t>(hash) & table.mask;
-  while (true) {
-    const std::uint32_t stored =
-        table.slots[slot].load(std::memory_order_acquire);
-    if (stored == 0) return kNotFound;
-    const std::uint32_t id = stored - 1;
-    const Entry& e = entry(id);
-    if (e.hash == hash &&
-        std::string_view(e.data, e.length) == text) {
-      return id;
-    }
-    slot = (slot + 1) & table.mask;
-  }
-}
-
-std::uint32_t SharedInterner::find(std::string_view text) const {
-  return find_hashed(text, StringInterner::hash_bytes(text));
-}
-
-std::uint32_t SharedInterner::find_hashed(std::string_view text,
-                                          std::uint64_t hash) const {
-  return probe(*table_.load(std::memory_order_acquire), text, hash);
-}
-
-std::uint32_t SharedInterner::intern(std::string_view text) {
-  return intern_hashed(text, StringInterner::hash_bytes(text));
-}
-
-std::uint32_t SharedInterner::intern_hashed(std::string_view text,
-                                            std::uint64_t hash) {
-  const std::uint32_t found = find_hashed(text, hash);
-  if (found != kNotFound) return found;
-  return admit(text, hash, /*enforce_caps=*/true);
-}
-
-std::uint32_t SharedInterner::register_token(std::string_view text) {
-  const std::uint64_t hash = StringInterner::hash_bytes(text);
-  const std::uint32_t found = find_hashed(text, hash);
-  if (found != kNotFound) return found;
-  return admit(text, hash, /*enforce_caps=*/false);
-}
-
-const char* SharedInterner::append_bytes(std::string_view text) {
-  if (chunk_cap_ - chunk_used_ < text.size()) {
-    // Chunks double up to 1 MiB so small fleets stay small; bytes in
-    // older chunks never move (published views stay valid forever).
-    std::size_t cap = chunks_.empty() ? 4096 : chunk_cap_ * 2;
-    if (cap > (1u << 20)) cap = 1u << 20;
-    if (cap < text.size()) cap = text.size();
-    chunks_.push_back(std::make_unique<char[]>(cap));
-    chunk_cap_ = cap;
-    chunk_used_ = 0;
-    chunk_bytes_.fetch_add(cap, std::memory_order_relaxed);
-  }
-  char* dst = chunks_.back().get() + chunk_used_;
-  std::memcpy(dst, text.data(), text.size());
-  chunk_used_ += text.size();
-  return dst;
-}
-
-std::uint32_t SharedInterner::admit(std::string_view text, std::uint64_t hash,
-                                    bool enforce_caps) {
-  std::lock_guard<std::mutex> lock(mu_);
-  // Double-check under the lock: another thread may have admitted the
-  // token between our lock-free miss and here.
-  Table* table = table_.load(std::memory_order_relaxed);
-  const std::uint32_t raced = probe(*table, text, hash);
-  if (raced != kNotFound) return raced;
-
-  const std::uint32_t count = size_.load(std::memory_order_relaxed);
-  if (enforce_caps &&
-      (count >= config_.max_tokens ||
-       text_bytes_.load(std::memory_order_relaxed) + text.size() >
-           config_.max_bytes)) {
-    rejected_.fetch_add(1, std::memory_order_relaxed);
-    return kNotFound;
-  }
-  NFV_CHECK(count < ScopedInterner::kPrivateBase &&
-                static_cast<std::size_t>(count) < kMaxBlocks * kBlockSize,
-            "shared interner id space exhausted");
-
-  const std::size_t block = count >> kBlockShift;
-  Entry* entries = blocks_[block].load(std::memory_order_relaxed);
-  if (entries == nullptr) {
-    entries = new Entry[kBlockSize];
-    blocks_[block].store(entries, std::memory_order_release);
-  }
-  Entry& e = entries[count & (kBlockSize - 1)];
-  e.data = append_bytes(text);
-  e.length = static_cast<std::uint32_t>(text.size());
-  e.hash = hash;
-  text_bytes_.fetch_add(text.size(), std::memory_order_relaxed);
-
-  // Grow BEFORE publishing so the new id is inserted exactly once, into
-  // the table every subsequent reader will load. Readers racing the swap
-  // keep probing the retired table — every previously published id is
-  // still in it, and this id simply reads as a transient miss.
-  if ((static_cast<std::size_t>(count) + 2) * 4 > table->slots.size() * 3) {
-    grow_table_locked(count);
-    table = table_.load(std::memory_order_relaxed);
-  }
-
-  std::size_t slot = static_cast<std::size_t>(hash) & table->mask;
-  while (table->slots[slot].load(std::memory_order_relaxed) != 0) {
-    slot = (slot + 1) & table->mask;
-  }
-  // Publication point: the release-store makes the entry (and its block
-  // pointer and bytes) visible to any reader that acquires this slot.
-  table->slots[slot].store(count + 1, std::memory_order_release);
-  size_.store(count + 1, std::memory_order_release);
-  return count;
-}
-
-void SharedInterner::grow_table_locked(std::size_t count) {
-  Table* old = table_.load(std::memory_order_relaxed);
-  auto fresh = std::make_unique<Table>(old->slots.size() * 2);
-  for (std::uint32_t id = 0; id < count; ++id) {
-    const Entry& e = entry(id);
-    std::size_t slot = static_cast<std::size_t>(e.hash) & fresh->mask;
-    while (fresh->slots[slot].load(std::memory_order_relaxed) != 0) {
-      slot = (slot + 1) & fresh->mask;
-    }
-    fresh->slots[slot].store(id + 1, std::memory_order_relaxed);
-  }
-  table_bytes_.fetch_add(fresh->slots.size() * sizeof(std::uint32_t),
-                         std::memory_order_relaxed);
-  // The old table stays resident (retired in tables_) so readers still
-  // probing it never touch freed memory; total retired memory is bounded
-  // by the geometric growth (< one live table's worth).
-  table_.store(fresh.get(), std::memory_order_release);
-  tables_.push_back(std::move(fresh));
-}
-
-std::size_t SharedInterner::bytes() const {
-  const std::size_t n = size_.load(std::memory_order_acquire);
-  const std::size_t blocks = (n + kBlockSize - 1) >> kBlockShift;
-  return chunk_bytes_.load(std::memory_order_relaxed) +
-         blocks * kBlockSize * sizeof(Entry) +
-         table_bytes_.load(std::memory_order_relaxed);
 }
 
 // ---------------------------------------------------------------------------

@@ -12,33 +12,18 @@
 //    (offset, length) entries into one contiguous byte buffer, so the
 //    interner can be copied and moved freely. Not thread-safe.
 //
-//  - SharedInterner: the fleet-wide read-mostly token arena. One arena
-//    serves every per-vPE signature tree of a run, so memory for the
-//    (heavily overlapping) fleet token set is O(vocabulary) instead of
-//    O(vPEs x vocabulary), and shared token ids are identical across
-//    vPEs ("id-stable"). Concurrency contract:
-//      * find()/view()/size() are LOCK-FREE and safe from any number of
-//        threads concurrently with admissions. Published ids are
-//        immutable once visible: token bytes live in stable chunks that
-//        never move, entry records live in fixed-size blocks that never
-//        move, and the open-addressed id table is published by
-//        release-storing the slot AFTER the entry is fully written (a
-//        grown table is swapped in via an atomic pointer; superseded
-//        tables are retired, not freed, until destruction — an epoch
-//        scheme with the epochs collapsed to the arena's lifetime).
-//      * intern() takes a small mutex only on the cold miss path (first
-//        sight of a token fleet-wide) to admit the token — or reject it
-//        once the configured capacity is reached, in which case it
-//        returns kNotFound and the caller spills to a private overflow
-//        (see ScopedInterner). A racing find() may transiently miss a
-//        token that intern() is admitting; that is always safe — the
-//        caller either retries through intern() or treats it as absent,
-//        exactly like the reference miner treats an unseen string.
-//      * register_token() is the registrar/admin admission path: same
-//        mutex, but exempt from the capacity cap (pre-seeding a fleet
-//        vocabulary, promoting a hot private token).
-//    A view() from SharedInterner is stable for the arena's lifetime —
-//    unlike StringInterner, growth never invalidates it.
+//  - SharedInterner: the fleet-wide read-mostly token arena, the char
+//    instance of util::SharedArena (util/shared_arena.h, which states the
+//    concurrency contract). One arena serves every per-vPE signature tree
+//    of a run, so memory for the (heavily overlapping) fleet token set is
+//    O(vocabulary) instead of O(vPEs x vocabulary), and shared token ids
+//    are identical across vPEs ("id-stable"). find()/view()/size() are
+//    lock-free from any thread; intern() takes a small mutex only on
+//    first sight of a token fleet-wide and returns kNotFound once a
+//    capacity cap rejects it (the caller spills to a private overflow,
+//    see ScopedInterner); register_token() is the cap-exempt registrar
+//    path. A view() is stable for the arena's lifetime — unlike
+//    StringInterner, growth never invalidates it.
 //
 //  - ScopedInterner: the two-level per-tree view. Resolves against the
 //    shared arena and spills tokens the arena rejects (capacity) — or
@@ -56,13 +41,11 @@
 //    compatible with the pre-arena behavior.
 #pragma once
 
-#include <array>
-#include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string_view>
 #include <vector>
+
+#include "util/shared_arena.h"
 
 namespace nfv::util {
 
@@ -126,23 +109,18 @@ class StringInterner {
   std::size_t mask_ = 0;               // slots_.size() - 1 (power of two)
 };
 
-/// Fleet-wide shared token arena (see file comment for the concurrency
-/// contract). Ids are dense in admission order and live below
-/// ScopedInterner::kPrivateBase. The constructor pre-interns "<*>" (id 0)
-/// and "<empty>" (id 1) so SignatureTree's reserved token ids hold in
-/// shared mode exactly as they do privately — attach trees before
-/// interning anything else if you rely on other specific id values.
-class SharedInterner {
+/// Fleet-wide shared token arena (see file comment). Ids are dense in
+/// admission order and live below ScopedInterner::kPrivateBase. The
+/// constructor pre-interns "<*>" (id 0) and "<empty>" (id 1) so
+/// SignatureTree's reserved token ids hold in shared mode exactly as they
+/// do privately — attach trees before interning anything else if you rely
+/// on other specific id values.
+class SharedInterner : public SharedArena<char> {
  public:
-  static constexpr std::uint32_t kNotFound = StringInterner::kNotFound;
-
   struct Config {
-    /// Admission cap on distinct shared tokens; beyond it intern()
-    /// rejects (returns kNotFound) and callers spill privately. Keeps
-    /// the arena read-mostly and fleet memory bounded under token-churn
-    /// attacks (a vPE spraying unique stable tokens).
+    /// Admission caps on distinct shared tokens and on total token bytes
+    /// (SharedArena::Config's max_entries and max_elements).
     std::size_t max_tokens = 1u << 20;
-    /// Admission cap on total token bytes.
     std::size_t max_bytes = 64u << 20;
   };
 
@@ -151,103 +129,12 @@ class SharedInterner {
   // so `Config config = {}` would not compile here.
   SharedInterner();
   explicit SharedInterner(Config config);
-  ~SharedInterner();
 
-  SharedInterner(const SharedInterner&) = delete;
-  SharedInterner& operator=(const SharedInterner&) = delete;
-
-  /// Lock-free: id for `text` if published, else kNotFound. Safe from
-  /// any thread, concurrently with admissions.
-  std::uint32_t find(std::string_view text) const;
-  std::uint32_t find_hashed(std::string_view text, std::uint64_t hash) const;
-
-  /// Id for `text`, admitting it if new (mutex on the cold miss path
-  /// only). Returns kNotFound when the capacity caps reject admission.
-  std::uint32_t intern(std::string_view text);
-  std::uint32_t intern_hashed(std::string_view text, std::uint64_t hash);
-
-  /// Registrar admission: like intern() but exempt from the capacity
-  /// caps — pre-seeding and promotion of hot private tokens.
-  std::uint32_t register_token(std::string_view text);
-
-  /// The interned bytes for a published id. Stable for the arena's
-  /// lifetime (token storage never moves). Lock-free, any thread.
-  std::string_view view(std::uint32_t id) const {
-    const Entry& e = entry(id);
-    return std::string_view(e.data, e.length);
+  /// Registrar admission, exempt from the capacity caps: pre-seeding and
+  /// promotion of hot private tokens.
+  std::uint32_t register_token(std::string_view text) {
+    return register_entry(text);
   }
-
-  /// Published token count. Lock-free, any thread.
-  std::size_t size() const {
-    return size_.load(std::memory_order_acquire);
-  }
-
-  /// Resident bytes: token storage chunks + entry blocks + the live id
-  /// table (+ retired tables, which are kept until destruction).
-  /// Lock-free, any thread.
-  std::size_t bytes() const;
-
-  /// Admissions rejected by the capacity caps (callers spilled).
-  std::uint64_t rejected() const {
-    return rejected_.load(std::memory_order_relaxed);
-  }
-
- private:
-  struct Entry {
-    const char* data = nullptr;
-    std::uint32_t length = 0;
-    std::uint64_t hash = 0;
-  };
-
-  // Entry records live in fixed blocks so a published Entry& never
-  // moves; 4096 entries/block x 4096 blocks = 16M id headroom.
-  static constexpr std::size_t kBlockShift = 12;
-  static constexpr std::size_t kBlockSize = std::size_t{1} << kBlockShift;
-  static constexpr std::size_t kMaxBlocks = std::size_t{1} << 12;
-
-  // Open-addressed id table (slot = id + 1, 0 = empty), swapped
-  // wholesale on growth via the atomic table_ pointer.
-  struct Table {
-    explicit Table(std::size_t n) : slots(n), mask(n - 1) {}
-    std::vector<std::atomic<std::uint32_t>> slots;
-    std::size_t mask;
-  };
-
-  const Entry& entry(std::uint32_t id) const {
-    // The release-store of the slot (or of size_) that published `id`
-    // happened-after the block pointer and entry were written, so the
-    // acquire the caller already performed makes relaxed loads safe;
-    // we keep an acquire on the block pointer for clarity (free on x86).
-    return blocks_[id >> kBlockShift].load(std::memory_order_acquire)
-        [id & (kBlockSize - 1)];
-  }
-
-  std::uint32_t probe(const Table& table, std::string_view text,
-                      std::uint64_t hash) const;
-  /// Admission under mu_: returns the (possibly pre-existing) id, or
-  /// kNotFound when enforce_caps and a cap rejects.
-  std::uint32_t admit(std::string_view text, std::uint64_t hash,
-                      bool enforce_caps);
-  const char* append_bytes(std::string_view text);
-  void grow_table_locked(std::size_t count);
-
-  Config config_;
-
-  std::array<std::atomic<Entry*>, kMaxBlocks> blocks_{};
-  std::atomic<std::uint32_t> size_{0};
-  std::atomic<Table*> table_{nullptr};
-
-  std::atomic<std::size_t> text_bytes_{0};
-  std::atomic<std::size_t> chunk_bytes_{0};
-  std::atomic<std::size_t> table_bytes_{0};
-  std::atomic<std::uint64_t> rejected_{0};
-
-  // Cold admission path only.
-  std::mutex mu_;
-  std::vector<std::unique_ptr<char[]>> chunks_;   // token bytes, stable
-  std::size_t chunk_used_ = 0;                    // within chunks_.back()
-  std::size_t chunk_cap_ = 0;
-  std::vector<std::unique_ptr<Table>> tables_;    // live + retired
 };
 
 /// Two-level interner view: shared arena + private overflow (see file
@@ -257,7 +144,7 @@ class ScopedInterner {
   static constexpr std::uint32_t kNotFound = StringInterner::kNotFound;
   /// First private-overflow id when a shared arena is attached. Shared
   /// ids live below it; kNotFound stays above both ranges.
-  static constexpr std::uint32_t kPrivateBase = 0x40000000u;
+  static constexpr std::uint32_t kPrivateBase = SharedInterner::kPrivateBase;
 
   /// Probe accounting, cheap enough to keep always-on: `lookups` counts
   /// public find/intern calls (the signature tree performs exactly one

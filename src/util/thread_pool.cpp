@@ -177,11 +177,6 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
   if (error) std::rethrow_exception(error);
 }
 
-void ThreadPool::parallel_invoke(
-    const std::vector<std::function<void()>>& tasks) {
-  parallel_for(0, tasks.size(), [&tasks](std::size_t i) { tasks[i](); });
-}
-
 namespace {
 
 std::mutex g_global_pool_mu;

@@ -55,10 +55,6 @@ class ThreadPool {
   void parallel_for(std::size_t begin, std::size_t end,
                     const std::function<void(std::size_t)>& fn);
 
-  /// Run every task exactly once, blocking until all completed. Same
-  /// determinism/nesting rules as parallel_for.
-  void parallel_invoke(const std::vector<std::function<void()>>& tasks);
-
   /// True while the current thread is executing inside a multi-threaded
   /// parallel region (worker thread, or the caller participating in its
   /// own job). Callers use this to run inline rather than nest.

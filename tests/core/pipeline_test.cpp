@@ -76,6 +76,31 @@ TEST_F(PipelineFixture, BaselineWithoutCustomizationIsOneGroup) {
   EXPECT_EQ(result.clustering.num_groups, 1u);
 }
 
+// lstm_config is the one place over-sampling is set: turning it off there
+// reaches every group's detector, so the trained weights, and with them
+// the scores and the operating thresholds, change.
+TEST_F(PipelineFixture, LstmConfigOversampleReachesTheDetectors) {
+  PipelineOptions options;
+  options.clustering.fixed_k = 2;
+  options.lstm_config = fast_lstm();
+  ASSERT_TRUE(options.lstm_config->oversample);
+  const PipelineResult on = run_pipeline(trace(), parsed(), options);
+  options.lstm_config->oversample = false;
+  const PipelineResult off = run_pipeline(trace(), parsed(), options);
+
+  ASSERT_EQ(on.streams.size(), off.streams.size());
+  std::size_t differing_scores = 0;
+  for (std::size_t v = 0; v < on.streams.size(); ++v) {
+    ASSERT_EQ(on.streams[v].events.size(), off.streams[v].events.size());
+    for (std::size_t i = 0; i < on.streams[v].events.size(); ++i) {
+      differing_scores += on.streams[v].events[i].score !=
+                          off.streams[v].events[i].score;
+    }
+  }
+  EXPECT_GT(differing_scores, 0u);
+  EXPECT_NE(on.group_thresholds, off.group_thresholds);
+}
+
 TEST_F(PipelineFixture, FeatureDetectorPipelineRuns) {
   PipelineOptions options;
   options.detector = DetectorKind::kAutoencoder;

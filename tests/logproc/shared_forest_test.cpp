@@ -149,7 +149,7 @@ TEST(SharedForestTest, DivergenceKeepsLocalIdsStableAndRededups) {
   const SharedSignatureForest* f = a.forest();
   ASSERT_NE(f, nullptr);
   EXPECT_GE(f->size(), 3u);
-  EXPECT_GT(f->view(base_fleet).length, 0u);
+  EXPECT_GT(f->view(base_fleet).size(), 0u);
 }
 
 TEST(SharedForestTest, CapRejectionSpillsToPrivateNodesWithoutChangingMining) {

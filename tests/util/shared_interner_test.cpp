@@ -1,81 +1,22 @@
-// SharedInterner / ScopedInterner: the fleet-wide token arena's published
-// ids must be immutable and readable lock-free while other threads admit
-// new tokens (the contract in util/interner.h), capacity rejections must
-// spill into the per-view private overflow and never re-take the arena
-// mutex, and a privately spilled token later promoted into the arena must
-// not change the ids an existing view already handed out. The reader/
-// registrar stress runs under TSan via tools/ci.sh (ctest -L concurrency).
+// SharedInterner / ScopedInterner: the token-only contracts on top of the
+// shared arena (whose publication machinery util/shared_arena_test.cpp
+// pins for tokens and templates alike). The arena pre-registers the
+// tree's reserved tokens, capacity rejections spill into the per-view
+// private overflow and never re-take the arena mutex, and a privately
+// spilled token later promoted into the arena does not change the ids an
+// existing view already handed out.
 #include "util/interner.h"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <string>
-#include <thread>
-#include <vector>
-
 namespace nfv::util {
 namespace {
-
-std::string token(std::size_t i) { return "token_" + std::to_string(i); }
 
 TEST(SharedInternerTest, ReservedTreeTokensArePreRegistered) {
   SharedInterner arena;
   EXPECT_EQ(arena.find("<*>"), 0u);
   EXPECT_EQ(arena.find("<empty>"), 1u);
   EXPECT_EQ(arena.size(), 2u);
-}
-
-TEST(SharedInternerTest, InternIsDenseStableAndIdempotent) {
-  SharedInterner arena;
-  const std::uint32_t a = arena.intern("alpha");
-  const std::uint32_t b = arena.intern("bravo");
-  EXPECT_EQ(a, 2u);
-  EXPECT_EQ(b, 3u);
-  EXPECT_EQ(arena.intern("alpha"), a);
-  EXPECT_EQ(arena.find("alpha"), a);
-  EXPECT_EQ(arena.view(a), "alpha");
-  EXPECT_EQ(arena.view(b), "bravo");
-  EXPECT_EQ(arena.find("charlie"), SharedInterner::kNotFound);
-}
-
-TEST(SharedInternerTest, ViewsStayStableAcrossGrowth) {
-  SharedInterner arena;
-  // Capture views early, then force many table growths and chunk
-  // rollovers; the early views must still point at the same bytes.
-  const std::uint32_t a = arena.intern("stable_alpha");
-  const std::string_view va = arena.view(a);
-  for (std::size_t i = 0; i < 20000; ++i) arena.intern(token(i));
-  EXPECT_EQ(va, "stable_alpha");
-  EXPECT_EQ(arena.view(a).data(), va.data());
-  EXPECT_EQ(arena.find("stable_alpha"), a);
-  EXPECT_EQ(arena.find(token(19999)), 3u + 19999u);
-  EXPECT_GT(arena.bytes(), 20000u * sizeof(std::uint32_t));
-}
-
-TEST(SharedInternerTest, CapacityCapsRejectAndCount) {
-  SharedInterner::Config config;
-  config.max_tokens = 4;  // 2 pre-registered + 2 admissible
-  SharedInterner arena(config);
-  EXPECT_NE(arena.intern("one"), SharedInterner::kNotFound);
-  EXPECT_NE(arena.intern("two"), SharedInterner::kNotFound);
-  EXPECT_EQ(arena.intern("three"), SharedInterner::kNotFound);
-  EXPECT_EQ(arena.rejected(), 1u);
-  // Existing tokens still resolve; the registrar path is cap-exempt.
-  EXPECT_EQ(arena.intern("one"), 2u);
-  const std::uint32_t promoted = arena.register_token("three");
-  EXPECT_NE(promoted, SharedInterner::kNotFound);
-  EXPECT_EQ(arena.find("three"), promoted);
-}
-
-TEST(SharedInternerTest, ByteCapRejectsOversizedToken) {
-  SharedInterner::Config config;
-  config.max_bytes = 64;
-  SharedInterner arena(config);
-  const std::string big(100, 'x');
-  EXPECT_EQ(arena.intern(big), SharedInterner::kNotFound);
-  EXPECT_EQ(arena.rejected(), 1u);
-  EXPECT_NE(arena.intern("small"), SharedInterner::kNotFound);
 }
 
 TEST(ScopedInternerTest, NoArenaDegeneratesToPlainInterner) {
@@ -159,90 +100,6 @@ TEST(ScopedInternerTest, LookupCounterCountsPublicCalls) {
   view.find("missing");
   EXPECT_EQ(view.stats().lookups, 3u);
   EXPECT_EQ(view.stats().slow_probes, 1u);  // only the cold admission
-}
-
-// Readers race a registrar admitting a stream of new tokens (forcing
-// chunk rollovers and multiple table growths). Every id a reader obtains
-// must immediately round-trip through view(), and previously published
-// ids must keep resolving while the table is being swapped. TSan-clean.
-TEST(SharedInternerStressTest, LockFreeReadersRaceRegistrar) {
-  constexpr std::size_t kTokens = 6000;
-  constexpr std::size_t kReaders = 3;
-  SharedInterner arena;
-  std::atomic<std::uint32_t> published{0};
-  std::atomic<bool> done{false};
-
-  std::thread registrar([&] {
-    for (std::size_t i = 0; i < kTokens; ++i) {
-      const std::uint32_t id = arena.intern(token(i));
-      ASSERT_NE(id, SharedInterner::kNotFound);
-      published.store(static_cast<std::uint32_t>(i + 1),
-                      std::memory_order_release);
-    }
-    done.store(true, std::memory_order_release);
-  });
-
-  std::vector<std::thread> readers;
-  std::atomic<std::uint64_t> hits{0};
-  for (std::size_t r = 0; r < kReaders; ++r) {
-    readers.emplace_back([&, r] {
-      std::uint64_t local_hits = 0;
-      std::size_t i = r;
-      while (!done.load(std::memory_order_acquire) || i < kTokens) {
-        const std::uint32_t upto = published.load(std::memory_order_acquire);
-        if (i >= upto) {
-          if (done.load(std::memory_order_acquire)) break;
-          continue;
-        }
-        const std::string text = token(i);
-        // Published before we started: find() must hit, and the id must
-        // round-trip through view() to the same bytes.
-        const std::uint32_t id = arena.find(text);
-        ASSERT_NE(id, SharedInterner::kNotFound);
-        ASSERT_EQ(arena.view(id), text);
-        ++local_hits;
-        i += kReaders;
-      }
-      hits.fetch_add(local_hits, std::memory_order_relaxed);
-    });
-  }
-  registrar.join();
-  for (std::thread& t : readers) t.join();
-  EXPECT_GE(hits.load(), kTokens / kReaders);
-  EXPECT_EQ(arena.size(), kTokens + 2);
-}
-
-// Many scoped views (one per "vPE thread") intern overlapping vocabulary
-// concurrently: the double-checked admission must assign exactly one id
-// per distinct token, and every view must agree on it. TSan-clean.
-TEST(SharedInternerStressTest, ConcurrentViewsAgreeOnSharedIds) {
-  constexpr std::size_t kThreads = 4;
-  // Prime, so every per-thread stride below is coprime with it and each
-  // thread's walk visits the whole vocabulary.
-  constexpr std::size_t kVocab = 701;
-  SharedInterner arena;
-  std::vector<std::vector<std::uint32_t>> ids(
-      kThreads, std::vector<std::uint32_t>(kVocab));
-  std::vector<std::thread> threads;
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      ScopedInterner view(&arena);
-      // Each thread walks the vocabulary with a different stride so
-      // admissions interleave instead of one thread winning every race.
-      for (std::size_t k = 0; k < kVocab; ++k) {
-        const std::size_t i = (k * (t + 1)) % kVocab;
-        ids[t][i] = view.intern(token(i));
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  EXPECT_EQ(arena.size(), kVocab + 2);
-  for (std::size_t t = 1; t < kThreads; ++t) {
-    for (std::size_t i = 0; i < kVocab; ++i) {
-      ASSERT_EQ(ids[t][i], ids[0][i]) << "token " << i;
-      ASSERT_LT(ids[t][i], ScopedInterner::kPrivateBase);
-    }
-  }
 }
 
 }  // namespace

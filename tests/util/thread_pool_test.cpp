@@ -131,21 +131,6 @@ TEST(ThreadPoolTest, InParallelRegionFlag) {
   EXPECT_FALSE(inline_flag);
 }
 
-TEST(ThreadPoolTest, ParallelInvokeRunsAllTasks) {
-  for (const std::size_t threads : test_thread_counts()) {
-    ThreadPool pool(threads);
-    std::vector<int> slots(5, 0);
-    std::vector<std::function<void()>> tasks;
-    for (std::size_t i = 0; i < slots.size(); ++i) {
-      tasks.push_back([&slots, i] { slots[i] = static_cast<int>(i) + 1; });
-    }
-    pool.parallel_invoke(tasks);
-    for (std::size_t i = 0; i < slots.size(); ++i) {
-      EXPECT_EQ(slots[i], static_cast<int>(i) + 1);
-    }
-  }
-}
-
 TEST(ThreadPoolTest, ReusableAcrossManyJobs) {
   ThreadPool pool(4);
   std::vector<int> slots(256, 0);

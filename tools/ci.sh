@@ -5,20 +5,27 @@
 # snapshots, JSON round-trip), the continual-labelled tests (online
 # retrain update-shift scenario, per-epoch swap determinism, swap-storm
 # races, adapt unfreeze safety), then a ThreadSanitizer pass over the
-# concurrency-, observability- and continual-labelled tests (thread pool, lock-free
-# queues, the shared token arena's lock-free reader/registrar stress,
-# parallel-vs-serial pipeline determinism, shared-detector streaming,
+# concurrency-, observability-, continual- and forest-labelled tests
+# (thread pool, lock-free queues, parallel-vs-serial pipeline
+# determinism, shared-detector streaming,
 # the async-ingest determinism/backpressure/control-plane suite, and the
 # batched-inference invariance suite: fused model scoring at any batch
 # size, cross-stream calls vs per-window calls, and
 # one-call group flushes vs immediate ingestion). The
 # benchmark ledger's self-test (perfbench/selftest.py) checks its metric
 # set, its serial-replay parity gate and that gate's --perturb trip. The
-# forest-labelled tests cover the shared signature forest (sequence-
-# interner publication machinery, cross-vPE template dedup, copy-on-write
+# forest-labelled tests cover the shared publication arena under the token
+# arena and the signature forest (one typed suite over tokens and
+# templates, with its lock-free reader/registrar and concurrent-admission
+# stress), the token arena's ScopedInterner spill and promotion, the
+# shared signature forest (cross-vPE template dedup, copy-on-write
 # divergence, and the fleet memory gate: the async runtime's bytes/vPE
 # below the private-tree baseline with serial warning parity at two
-# worker counts) and run in the regular, TSan and ASan legs. The
+# worker counts) and the seeded mutation fuzzer of SignatureTree::learn
+# (flipped, inserted, deleted and truncated bytes of simnet lines mined
+# identically by a capped forest tree, a private tree and the reference
+# miner). They run in the regular, TSan and ASan legs, and the UBSan leg
+# runs test_forest too. The
 # quantized-scoring leg runs the quant-labelled tests, the
 # bench_scoring_throughput --smoke gates (int8 rank agreement, int8 ranks
 # of every SIMD tier bit-identical to the serial tier, fp32 scores of the
@@ -74,7 +81,7 @@ echo "=== template mining: fast-path equivalence smoke ==="
 cmake --build "$ROOT/build" -j "$JOBS" --target bench_parsing_throughput
 "$ROOT/build/bench/bench_parsing_throughput" --smoke
 
-echo "=== shared signature forest: dedup + divergence tests ==="
+echo "=== shared arena + signature forest: arena, dedup, divergence and learn() fuzzer tests ==="
 ctest --test-dir "$ROOT/build" -L forest --output-on-failure -j "$JOBS"
 
 echo "=== benchmark ledger: metric-set, serial-replay parity and --perturb self-test ==="
@@ -85,7 +92,7 @@ ctest --test-dir "$ROOT/build" -L quant --output-on-failure -j "$JOBS"
 cmake --build "$ROOT/build" -j "$JOBS" --target bench_scoring_throughput
 "$ROOT/build/bench/bench_scoring_throughput" --smoke
 
-echo "=== ASan: logproc fast path (interner, AVX2 tokenizer, alloc hook), shared arena + forest, int8 and fp32 packed kernels, scoring image + checkpoint loader + its fuzzer, detector training rounds, JSON parser fuzzer ==="
+echo "=== ASan: logproc fast path (interner, AVX2 tokenizer, alloc hook), shared arena + forest and learn() fuzzer, int8 and fp32 packed kernels, scoring image + checkpoint loader + its fuzzer, detector training rounds, JSON parser fuzzer ==="
 cmake -B "$ROOT/build-asan" -S "$ROOT" -DNFVPRED_SANITIZE=address
 cmake --build "$ROOT/build-asan" -j "$JOBS" --target test_logproc --target test_logproc_alloc --target test_forest --target test_quant --target test_ml_grad --target test_ml_models --target test_core
 cmake --build "$ROOT/build-asan" -j "$JOBS" --target test_observability
@@ -98,15 +105,16 @@ cmake --build "$ROOT/build-asan" -j "$JOBS" --target test_observability
 "$ROOT/build-asan/tests/test_core" --gtest_filter='LstmDetector*:HmmDetector*'
 "$ROOT/build-asan/tests/test_observability" --gtest_filter='Json*'
 
-echo "=== UBSan: fp32 packed, int8 and sequence-model kernels, checkpoint fuzzer, detector training rounds, JSON parser fuzzer ($tier tier) ==="
+echo "=== UBSan: fp32 packed, int8 and sequence-model kernels, checkpoint fuzzer, detector training rounds, JSON parser fuzzer, shared arena + forest and learn() fuzzer ($tier tier) ==="
 cmake -B "$ROOT/build-ubsan" -S "$ROOT" -DNFVPRED_SANITIZE=undefined
 cmake --build "$ROOT/build-ubsan" -j "$JOBS" --target test_ml_grad --target test_quant --target test_ml_models --target test_core
-cmake --build "$ROOT/build-ubsan" -j "$JOBS" --target test_observability
+cmake --build "$ROOT/build-ubsan" -j "$JOBS" --target test_observability --target test_forest
 "$ROOT/build-ubsan/tests/test_ml_grad"
 "$ROOT/build-ubsan/tests/test_quant"
 "$ROOT/build-ubsan/tests/test_ml_models"
 "$ROOT/build-ubsan/tests/test_core" --gtest_filter='LstmDetector*:HmmDetector*'
 "$ROOT/build-ubsan/tests/test_observability" --gtest_filter='Json*'
+"$ROOT/build-ubsan/tests/test_forest"
 
 echo "=== continual learning: online retrain + hot swap + adapt safety ==="
 ctest --test-dir "$ROOT/build" -L continual --output-on-failure -j "$JOBS"
