@@ -365,7 +365,7 @@ void AsyncIngest::wait_commands() {
 
 bool AsyncIngest::shard_paused(std::size_t shard) const {
   NFV_CHECK(shard < shards_.size(), "unknown shard " << shard);
-  return shards_[shard]->pub_paused.load(std::memory_order_acquire);
+  return shards_[shard]->pub.paused.load(std::memory_order_acquire);
 }
 
 RuntimeStatsSnapshot AsyncIngest::snapshot() const {
@@ -388,6 +388,7 @@ RuntimeStatsSnapshot AsyncIngest::snapshot() const {
     model_mem = model_mem_;
   }
 
+  snap.model = model_mem;
   snap.shards.resize(shards_.size());
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     snap.shards[s].shard = s;
@@ -400,16 +401,12 @@ RuntimeStatsSnapshot AsyncIngest::snapshot() const {
 
   const auto read_shard_slots = [&](std::size_t s) {
     ShardStatsSnapshot& sh = snap.shards[s];
-    const Shard& shard = *shards_[s];
-    sh.paused = shard.pub_paused.load(std::memory_order_relaxed);
-    sh.lines = shard.pub_lines.load(std::memory_order_relaxed);
-    sh.warnings = shard.pub_warnings.load(std::memory_order_relaxed);
-    sh.held = shard.pub_held.load(std::memory_order_relaxed);
-    sh.tree_bytes = shard.pub_tree_bytes.load(std::memory_order_relaxed);
-    for (std::size_t i = 0; i < LatencyHistogram::kBuckets; ++i) {
-      sh.latency.buckets[i] =
-          shard.pub_latency[i].load(std::memory_order_relaxed);
-    }
+    const Shard::Slot& pub = shards_[s]->pub;
+    sh.paused = pub.paused.load(std::memory_order_relaxed);
+    sh.lines = pub.lines.load(std::memory_order_relaxed);
+    sh.warnings = pub.warnings.load(std::memory_order_relaxed);
+    sh.held = pub.held.load(std::memory_order_relaxed);
+    sh.tree_bytes = pub.tree_bytes.load(std::memory_order_relaxed);
   };
 
   snap.workers.resize(workers_.size());
@@ -428,6 +425,10 @@ RuntimeStatsSnapshot AsyncIngest::snapshot() const {
         ws.epoch = worker.stat_epoch.load(std::memory_order_relaxed);
         ws.lines = worker.stat_lines.load(std::memory_order_relaxed);
         ws.flushes = worker.stat_flushes.load(std::memory_order_relaxed);
+        for (std::size_t i = 0; i < LatencyHistogram::kBuckets; ++i) {
+          ws.latency.buckets[i] =
+              worker.stat_latency[i].load(std::memory_order_relaxed);
+        }
         for (const std::size_t s : worker.shard_ids) read_shard_slots(s);
         std::atomic_thread_fence(std::memory_order_acquire);
         if (worker.stat_seq.load(std::memory_order_relaxed) == s1) break;
@@ -512,7 +513,6 @@ void AsyncIngest::worker_loop(std::size_t index) {
   // the group's local id (plain memory: no atomics on the hot path).
   struct LocalShard {
     Shard* shard = nullptr;
-    LatencyHistogram latency;
     std::vector<Item> hold;  // parked lines of a paused shard, in order
     bool paused = false;
     bool listed = false;  // on the dirty list
@@ -542,6 +542,7 @@ void AsyncIngest::worker_loop(std::size_t index) {
   // (local id, submit stamp) of each staged line; latencies are recorded
   // against one clock read taken right after the batch is scored.
   std::vector<std::pair<std::size_t, std::uint64_t>> staged;
+  LatencyHistogram latency;  // every line this worker scored
   std::uint64_t lines_local = 0;
   std::uint64_t flushes_local = 0;
   std::uint64_t epoch_local = 0;
@@ -550,8 +551,8 @@ void AsyncIngest::worker_loop(std::size_t index) {
   std::uint64_t seen_epoch = 0;
   unsigned idle_round = 0;
 
-  // Seqlock publish of this worker's cut: the worker counters, then every
-  // listed shard's counters, gauges and histogram buckets.
+  // Seqlock publish of this worker's cut: the worker counters and
+  // histogram buckets, then every listed shard's counters and gauges.
   const auto publish_stats = [&] {
     const std::uint64_t seq = worker.stat_seq.load(std::memory_order_relaxed);
     worker.stat_seq.store(seq + 1, std::memory_order_relaxed);
@@ -560,21 +561,22 @@ void AsyncIngest::worker_loop(std::size_t index) {
     worker.stat_epoch.store(epoch_local, std::memory_order_relaxed);
     worker.stat_lines.store(lines_local, std::memory_order_relaxed);
     worker.stat_flushes.store(flushes_local, std::memory_order_relaxed);
+    const auto& buckets = latency.buckets();
+    for (std::size_t i = 0; i < buckets.size(); ++i) {
+      worker.stat_latency[i].store(buckets[i], std::memory_order_relaxed);
+    }
     for (const std::size_t local : dirty) {
       LocalShard& ls = locals[local];
       ls.listed = false;
-      ls.shard->pub_paused.store(ls.paused, std::memory_order_relaxed);
-      ls.shard->pub_lines.store(ls.shard->monitor->lines_ingested(),
-                                std::memory_order_relaxed);
-      ls.shard->pub_warnings.store(ls.shard->monitor->warnings_raised(),
-                                   std::memory_order_relaxed);
-      ls.shard->pub_held.store(ls.hold.size(), std::memory_order_relaxed);
-      ls.shard->pub_tree_bytes.store(ls.shard->tree->memory_bytes(),
-                                     std::memory_order_relaxed);
-      const auto& buckets = ls.latency.buckets();
-      for (std::size_t i = 0; i < buckets.size(); ++i) {
-        ls.shard->pub_latency[i].store(buckets[i], std::memory_order_relaxed);
-      }
+      Shard::Slot& pub = ls.shard->pub;
+      pub.paused.store(ls.paused, std::memory_order_relaxed);
+      pub.lines.store(ls.shard->monitor->lines_ingested(),
+                      std::memory_order_relaxed);
+      pub.warnings.store(ls.shard->monitor->warnings_raised(),
+                         std::memory_order_relaxed);
+      pub.held.store(ls.hold.size(), std::memory_order_relaxed);
+      pub.tree_bytes.store(ls.shard->tree->memory_bytes(),
+                           std::memory_order_relaxed);
     }
     worker.stat_seq.store(seq + 2, std::memory_order_release);
     dirty.clear();
@@ -590,11 +592,10 @@ void AsyncIngest::worker_loop(std::size_t index) {
     const std::uint64_t scored = now_ns();
     for (const auto& [local, submitted] : staged) {
       // Re-listed here too: an idle publish between staging and this
-      // flush already unlisted the shard, but its warnings and latency
-      // change only now.
+      // flush already unlisted the shard, but its warnings change only
+      // now.
       mark(local);
-      locals[local].latency.record(scored > submitted ? scored - submitted
-                                                      : 0);
+      latency.record(scored > submitted ? scored - submitted : 0);
     }
     staged.clear();
     publish_stats();

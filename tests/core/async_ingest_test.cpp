@@ -496,11 +496,11 @@ TEST_F(AsyncIngestTest, StatsDumpRacesIngestFlushAndShutdownSafely) {
   std::thread reader([&] {
     while (!done.load(std::memory_order_acquire)) {
       const RuntimeStatsSnapshot snap = ingest.snapshot();
-      for (const ShardStatsSnapshot& shard : snap.shards) {
+      for (const WorkerStatsSnapshot& worker : snap.workers) {
         // Epoch consistency: a worker's published histogram only counts
         // lines that were already counted as ingested in the same cut.
-        EXPECT_LE(shard.latency.total(), shard.lines)
-            << "shard " << shard.shard;
+        EXPECT_LE(worker.latency.total(), worker.lines)
+            << "worker " << worker.worker;
       }
       EXPECT_FALSE(ingest.stats_json().empty());
     }
@@ -634,8 +634,14 @@ TEST_F(AsyncIngestTest, DirtyListPublishKeepsEveryShardSlotCurrent) {
       ASSERT_EQ(shard.warnings, warnings[s]) << label << " shard " << s;
       ASSERT_EQ(shard.tree_bytes, ingest.tree(s).memory_bytes())
           << label << " shard " << s;
-      ASSERT_EQ(shard.latency.total(), shard.lines) << label << " shard " << s;
     }
+    // The one worker's histogram counts every line it scored, and those
+    // are all the runtime scored.
+    ASSERT_EQ(snap.workers.size(), 1u);
+    ASSERT_EQ(snap.workers[0].latency.total(), snap.workers[0].lines)
+        << label;
+    ASSERT_EQ(snap.workers[0].latency.total(), snap.totals.lines_scored)
+        << label;
   };
   ingest.flush();
   expect_slots_current("after flush", kHeld);
