@@ -34,6 +34,9 @@
 // tier, and its `stages` rows split that forward pass per tier and
 // precision into ns per window for the Δt normalization and layer-0
 // table gather, layer 0's steps, layer 1's steps and the output head.
+// The stage rounds alternate fp32 and int8 within each tier, and
+// `paper_shape.int8_over_fp32` reports per tier the median and quartiles
+// of the per-round fp32 time over int8 time (int8's speed over fp32's).
 //
 // Run with `--hashes` to print, one per line, an FNV-1a hash of the
 // weights after 40 Adam steps per (tier, shape) and of the log-likelihoods
@@ -54,6 +57,7 @@
 // calling thread, so every row measures one core.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -304,7 +308,8 @@ struct StagedScorer {
       t0 = Clock::now();
       t.layer0 += seconds(t1, t0);
       for (std::size_t l = 1; l < layers.size(); ++l) {
-        input = ml::LstmStepInput{&states[l - 1].h[s % 2]};
+        input = ml::LstmStepInput{&states[l - 1].h[s % 2],
+                                  states[l - 1].codes[s % 2].data()};
         layers[l].score_step(image.layers[l], input, s, states[l]);
       }
       t1 = Clock::now();
@@ -454,60 +459,98 @@ int run_json_mode(const std::string& path, bool quantize) {
               << "x)\n";
   }
 
-  // The paper shape's per-stage split, per tier and precision: each
-  // stage's best total over kReps passes of the sweep windows in calls of
-  // kFlushWindows.
+  // The paper shape's per-stage split, per tier and precision. fp32 and
+  // int8 rounds (each a pass of the sweep windows in calls of
+  // kFlushWindows) alternate, the order swapping every round, so a burst
+  // of load from a neighbouring process lands on both; each stage keeps
+  // its best round, and each tier records the median and quartiles of
+  // the per-round ratio fp32 total / int8 total (int8's speed over
+  // fp32's, > 1 when int8 is faster).
+  constexpr std::size_t kStageRounds = 21;
   struct StageRow {
     const char* tier;
     bool int8;
     StageTimes ns;  // per window
   };
+  struct RatioRow {
+    const char* tier;
+    double q1, median, q3;  // of the per-round int8_over_fp32
+  };
   std::vector<StageRow> stage_rows;
+  std::vector<RatioRow> ratio_rows;
   const ml::WindowBatch paper_windows =
       window_batch(paper.sweep_windows, paper.window);
   const std::size_t paper_n = paper_windows.size();
+  const auto total = [](const StageTimes& t) {
+    return t.gather + t.layer0 + t.upper + t.head;
+  };
   for (const ml::KernelTier tier :
        {ml::KernelTier::kBaseline, ml::KernelTier::kAvx2,
         ml::KernelTier::kAvx512}) {
     if (ml::set_kernel_tier(tier) != tier) continue;  // CPU lacks it
-    for (const bool int8 : {false, true}) {
-      const ml::SequenceModel& model = paper.detector.model();
-      StagedScorer staged(model, int8);
-      std::vector<double> expected(paper_n);
+    const ml::SequenceModel& model = paper.detector.model();
+    StagedScorer staged[2] = {StagedScorer(model, false),
+                              StagedScorer(model, true)};
+    std::vector<double> expected[2];
+    for (const std::size_t p : {0, 1}) {
+      expected[p].resize(paper_n);
       ml::SequenceModel::InferenceScratch scratch;
-      model.score_batched(staged.image, paper_windows, kFlushWindows, scratch,
-                          expected);
-      std::vector<double> got(paper_n);
-      StageTimes best{1e300, 1e300, 1e300, 1e300};
-      for (std::size_t r = 0; r <= kReps; ++r) {  // rep 0 warms up
+      model.score_batched(staged[p].image, paper_windows, kFlushWindows,
+                          scratch, expected[p]);
+    }
+    std::vector<double> got(paper_n);
+    StageTimes best[2];
+    for (StageTimes& b : best) b = {1e300, 1e300, 1e300, 1e300};
+    std::vector<double> ratios;
+    for (std::size_t r = 0; r <= kStageRounds; ++r) {  // round 0 warms up
+      double round_total[2];
+      for (const std::size_t o : {0, 1}) {
+        const std::size_t p = (r + o) % 2;
         StageTimes t;
         for (std::size_t start = 0; start < paper_n; start += kFlushWindows) {
           const std::size_t count = std::min(kFlushWindows, paper_n - start);
-          staged.score(paper_windows, start, count,
-                       std::span<double>(got).subspan(start, count), t);
+          staged[p].score(paper_windows, start, count,
+                          std::span<double>(got).subspan(start, count), t);
         }
-        if (r == 0) continue;
-        best = {std::min(best.gather, t.gather),
-                std::min(best.layer0, t.layer0),
-                std::min(best.upper, t.upper), std::min(best.head, t.head)};
+        round_total[p] = total(t);
+        if (r == 0) {
+          if (got == expected[p]) continue;
+          std::cerr << "paper shape stages: the staged replay's scores "
+                       "differ from score_batched ("
+                    << ml::kernel_tier_name(tier)
+                    << (p == 1 ? " int8" : " fp32") << ")\n";
+          return 1;
+        }
+        best[p] = {std::min(best[p].gather, t.gather),
+                   std::min(best[p].layer0, t.layer0),
+                   std::min(best[p].upper, t.upper),
+                   std::min(best[p].head, t.head)};
       }
-      if (got != expected) {
-        std::cerr << "paper shape stages: the staged replay's scores differ "
-                     "from score_batched ("
-                  << ml::kernel_tier_name(tier)
-                  << (int8 ? " int8" : " fp32") << ")\n";
-        return 1;
-      }
-      const double per = 1e9 / static_cast<double>(paper_n);
-      stage_rows.push_back({ml::kernel_tier_name(tier), int8,
-                            {best.gather * per, best.layer0 * per,
-                             best.upper * per, best.head * per}});
+      if (r > 0) ratios.push_back(round_total[0] / round_total[1]);
+    }
+    const double per = 1e9 / static_cast<double>(paper_n);
+    for (const std::size_t p : {0, 1}) {
+      stage_rows.push_back({ml::kernel_tier_name(tier), p == 1,
+                            {best[p].gather * per, best[p].layer0 * per,
+                             best[p].upper * per, best[p].head * per}});
       const StageTimes& ns = stage_rows.back().ns;
       std::cerr << "paper shape stages tier=" << stage_rows.back().tier
-                << (int8 ? " int8" : " fp32") << ": dt+gather=" << ns.gather
+                << (p == 1 ? " int8" : " fp32") << ": dt+gather=" << ns.gather
                 << " layer0=" << ns.layer0 << " layer1=" << ns.upper
                 << " head=" << ns.head << " ns/window\n";
     }
+    std::sort(ratios.begin(), ratios.end());
+    const auto quantile = [&](double q) {
+      return ratios[static_cast<std::size_t>(
+          q * static_cast<double>(ratios.size() - 1) + 0.5)];
+    };
+    ratio_rows.push_back({ml::kernel_tier_name(tier), quantile(0.25),
+                          quantile(0.5), quantile(0.75)});
+    std::cerr << "paper shape stages tier=" << ratio_rows.back().tier
+              << ": int8_over_fp32 median " << ratio_rows.back().median
+              << " (quartiles " << ratio_rows.back().q1 << "–"
+              << ratio_rows.back().q3 << ", " << ratios.size()
+              << " rounds)\n";
   }
   ml::set_kernel_tier(default_tier);
 
@@ -582,6 +625,17 @@ int run_json_mode(const std::string& path, bool quantize) {
         .kv("head_ns_per_window", row.ns.head)
         .kv("total_ns_per_window",
             row.ns.gather + row.ns.layer0 + row.ns.upper + row.ns.head)
+        .end_object();
+  }
+  w.end_array();
+  w.kv("stage_rounds", kStageRounds);
+  w.key("int8_over_fp32").begin_array();
+  for (const RatioRow& row : ratio_rows) {
+    w.begin_object()
+        .kv("kernel_tier", row.tier)
+        .kv("median", row.median)
+        .kv("q1", row.q1)
+        .kv("q3", row.q3)
         .end_object();
   }
   w.end_array();

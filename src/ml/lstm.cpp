@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <utility>
 
 #include "ml/activations.h"
 #include "ml/simd_kernels.h"
@@ -202,7 +203,7 @@ LstmStepWeights Lstm::step_weights(bool table_input, bool int8) const {
   const std::size_t k0 = table_input ? input_size_ : 0;
   const std::size_t k1 = input_size_ + hidden_size_;
   if (int8) {
-    pack_gate_blocks(weight_.value, k0, k1, w.quant);
+    pack_gate_blocks(weight_.value, input_size_, k1, w.quant);
     if (!table_input) {
       pack_gate_blocks(weight_.value, 0, input_size_, w.quant_input);
     }
@@ -216,54 +217,59 @@ LstmStepWeights Lstm::step_weights(bool table_input, bool int8) const {
   return w;
 }
 
-std::size_t Lstm::code_stride() const {
-  return (input_size_ + hidden_size_ + 3) / 4 * 4;
-}
-
 void Lstm::reset_state(LstmState& state, std::size_t batch) const {
   state.h[0].reshape(batch, hidden_size_);
   state.h[1].reshape(batch, hidden_size_);
   // Matrix::resize zero-fills: the zero cell state of a window's start.
   state.c.resize(batch, gate_block_count(hidden_size_) * kGateBlockUnits);
-  state.codes.resize(batch * code_stride());
-  state.scales.resize(batch);
-  state.zero_points.resize(batch);
+  for (std::vector<std::uint8_t>& codes : state.codes) {
+    codes.resize(batch * simd::code_row_bytes(hidden_size_));
+  }
 }
 
 namespace {
 
 /// The baseline tier's fused step: per row and gate block, the 64 gate
-/// outputs' unfused k-ascending chains (or exact int8 sums and the
-/// dequant epilogue (acc − zp·col_sum)·(sa·scale)), plus the addend, then
-/// libm activations and the cell update, in the order of the unfused
-/// baseline passes.
+/// outputs' unfused k-ascending chains (or exact int8 sums over the x and
+/// h_prev parts, dequantized as float(acc − zero_sums)·scales), plus the
+/// addend, then libm activations and the cell update, in the order of the
+/// unfused baseline passes, and in int8 the codes of the h written.
 void step_rows_baseline(const simd::StepArgs& s) {
   constexpr std::size_t kq = simd::kQuantK;
   const std::size_t h = s.hidden;
   const std::size_t blocks = gate_block_count(h);
+  const std::size_t code_stride = simd::code_row_bytes(h);
+  const bool int8 = s.x_codes != nullptr || s.h_codes != nullptr;
   for (std::size_t i = 0; i < s.rows; ++i) {
     for (std::size_t b = 0; b < blocks; ++b) {
       // The block's i, f, g and o pre-activations, gate-blocked.
       float pre[kGateBlockWidth] = {};
       const std::size_t at = b * kGateBlockWidth;
-      if (s.quant != nullptr) {
-        const QuantGateBlocks& qb = *s.quant;
-        const std::size_t groups = qb.depth_padded / kq;
-        const std::int8_t* w =
-            qb.codes.data() + b * groups * kGateBlockWidth * kq;
-        const std::uint8_t* a = s.codes + i * s.code_stride;
+      if (int8) {
         std::int32_t acc[kGateBlockWidth] = {};
-        for (std::size_t g = 0; g < groups; ++g) {
-          for (std::size_t j = 0; j < kGateBlockWidth; ++j, w += kq) {
-            for (std::size_t t = 0; t < kq; ++t) {
-              acc[j] += static_cast<std::int32_t>(a[kq * g + t]) * w[t];
+        std::int32_t zero_sum[kGateBlockWidth] = {};
+        const float* scales = nullptr;
+        for (const auto& [codes, qb] : {std::pair{s.x_codes, s.x_quant},
+                                        std::pair{s.h_codes, s.h_quant}}) {
+          if (codes == nullptr) continue;
+          const std::size_t groups = qb->depth_padded / kq;
+          const std::int8_t* w =
+              qb->codes.data() + b * groups * kGateBlockWidth * kq;
+          const std::uint8_t* a = codes + i * qb->depth_padded;
+          for (std::size_t g = 0; g < groups; ++g) {
+            for (std::size_t j = 0; j < kGateBlockWidth; ++j, w += kq) {
+              for (std::size_t t = 0; t < kq; ++t) {
+                acc[j] += static_cast<std::int32_t>(a[kq * g + t]) * w[t];
+              }
             }
           }
+          for (std::size_t j = 0; j < kGateBlockWidth; ++j) {
+            zero_sum[j] += qb->zero_sums[at + j];
+          }
+          scales = qb->scales.data();
         }
         for (std::size_t j = 0; j < kGateBlockWidth; ++j) {
-          const std::int32_t zp_sum = s.zero_points[i] * qb.col_sums[at + j];
-          pre[j] = static_cast<float>(acc[j] - zp_sum) *
-                   (s.row_scales[i] * qb.scales[at + j]);
+          pre[j] = static_cast<float>(acc[j] - zero_sum[j]) * scales[at + j];
         }
       } else if (s.weights != nullptr) {
         const float* w = s.weights + b * s.depth * kGateBlockWidth;
@@ -277,7 +283,7 @@ void step_rows_baseline(const simd::StepArgs& s) {
         if (s.x != nullptr) chain(s.x + i * s.x_cols, s.x_cols);
         if (s.h_prev != nullptr) chain(s.h_prev + i * h, h);
       }
-      const bool product = s.quant != nullptr || s.weights != nullptr;
+      const bool product = int8 || s.weights != nullptr;
       for (std::size_t j = 0; j < kGateBlockWidth; ++j) {
         const float add =
             s.table != nullptr
@@ -296,6 +302,9 @@ void step_rows_baseline(const simd::StepArgs& s) {
         const float og = sigmoid(pre[3 * kGateBlockUnits + m]);
         c = fg * c + ig * cg;
         s.h[i * h + u] = og * std::tanh(c);
+        if (s.codes != nullptr) {
+          s.codes[i * code_stride + u] = simd::activation_code(s.h[i * h + u]);
+        }
       }
     }
   }
@@ -325,29 +334,26 @@ void Lstm::score_step(const LstmStepWeights& weights,
   }
   // The state is zero at t = 0: no recurrent term.
   const float* x = input.x != nullptr ? input.x->data() : nullptr;
-  const std::size_t x_cols = x != nullptr ? input_size_ : 0;
   const float* h_prev = t == 0 ? nullptr : state.h[(t + 1) % 2].data();
-  if (x != nullptr || h_prev != nullptr) {
-    if (!weights.quant.empty()) {
-      const QuantGateBlocks& qb = t == 0 ? weights.quant_input : weights.quant;
-      // Every step's codes rows are code_stride() bytes apart (zeros past
-      // the step's width).
-      s.quant = &qb;
-      s.codes = state.codes.data();
-      s.code_stride = code_stride();
-      s.row_scales = state.scales.data();
-      s.zero_points = state.zero_points.data();
-      quantize_activations(x, x_cols, h_prev, h_prev != nullptr ? h : 0,
-                           rows, s.code_stride, state.codes.data(),
-                           state.scales.data(), state.zero_points.data());
-    } else {
-      s.x = x;
-      s.x_cols = x_cols;
-      s.h_prev = h_prev;
-      s.weights = weights.weights.data();
-      s.depth = weights.weights.size() /
-                (gate_block_count(h) * kGateBlockWidth);
+  if (!weights.quant.empty()) {
+    NFV_CHECK(x == nullptr || input.x_codes != nullptr,
+              "Lstm::score_step: an int8 step needs its input's codes");
+    s.codes = state.codes[t % 2].data();
+    if (x != nullptr) {
+      s.x_codes = input.x_codes;
+      s.x_quant = &weights.quant_input;
     }
+    if (h_prev != nullptr) {
+      s.h_codes = state.codes[(t + 1) % 2].data();
+      s.h_quant = &weights.quant;
+    }
+  } else if (x != nullptr || h_prev != nullptr) {
+    s.x = x;
+    s.x_cols = x != nullptr ? input_size_ : 0;
+    s.h_prev = h_prev;
+    s.weights = weights.weights.data();
+    s.depth =
+        weights.weights.size() / (gate_block_count(h) * kGateBlockWidth);
   }
   if (const simd::Kernels* kernels = simd::active()) {
     kernels->lstm_step(s);

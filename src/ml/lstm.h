@@ -24,22 +24,25 @@ namespace nfv::ml {
 /// layer). Layer 0 takes its input term from a per-template table, so it
 /// keeps only the recurrent block W[:, I:]; a layer above keeps all of W
 /// and its bias. The fp32 and int8 products are gate-blocked
-/// (pack_gate_blocks, the int8 one quantized straight from the fp32 W);
-/// an int8 layer above also keeps the input block W[:, :I] of its
-/// zero-state first step.
+/// (pack_gate_blocks, the int8 one quantized straight from the fp32 W).
+/// int8 keeps the input block W[:, :I] (layers above) and the recurrent
+/// block W[:, I:] as two packs, each multiplying its own activation codes
+/// (the layer below's h_t and this layer's h_{t−1}).
 struct LstmStepWeights {
   std::vector<float> bias;      // gate-blocked b; empty in layer 0
   std::vector<float> weights;   // fp32 pack of W[:, I:] (layer 0) or W
-  QuantGateBlocks quant;        // int8 pack of W[:, I:] (layer 0) or W
+  QuantGateBlocks quant;        // int8 pack of W[:, I:]
   QuantGateBlocks quant_input;  // int8 pack of W[:, :I] (layers above)
 };
 
 /// Where a scoring step's input term comes from: the layer below's h_t
-/// (`x`), or, in layer 0, each row's table row plus its normalized Δt
-/// times the table's Δt column (all gate-blocked).
+/// (`x`, and in an int8 step its activation codes), or, in layer 0, each
+/// row's table row plus its normalized Δt times the table's Δt column
+/// (all gate-blocked).
 struct LstmStepInput {
   const Matrix* x = nullptr;
-  const float* const* table = nullptr;  // row r's table row
+  const std::uint8_t* x_codes = nullptr;  // the layer below's state.codes
+  const float* const* table = nullptr;    // row r's table row
   const float* dt = nullptr;            // row r's normalized Δt
   const float* dt_gates = nullptr;
 };
@@ -50,10 +53,10 @@ struct LstmStepInput {
 struct LstmState {
   Matrix h[2];  // (batch × H)
   Matrix c;     // (batch × 16·gate_block_count(H)); padding units unused
-  // int8: the step input's u7 codes, scales and zero points per row.
-  std::vector<std::uint8_t> codes;
-  std::vector<float> scales;
-  std::vector<std::int32_t> zero_points;
+  /// int8: the activation codes of h[0] and h[1], written by the step that
+  /// writes the h and read by this layer's next step and by the layer
+  /// above; rows are H codes padded to a multiple of 4.
+  std::vector<std::uint8_t> codes[2];
 };
 
 /// Single LSTM layer. Gate packing order along the 4H axis: input, forget,
@@ -91,11 +94,14 @@ class Lstm {
   /// layer 0 runs no product and a layer above multiplies by its input
   /// block alone. fp32 keeps the training forward's k-ascending chains
   /// and activation kernels, so k steps reproduce forward()'s last hidden
-  /// state bit for bit. int8 first quantizes [x, h_{t−1}] per row
-  /// (quantize_activations), sums the codes against the gate blocks in
-  /// exact int32 and dequantizes each sum as (acc − zp·col_sum)·(sa·scale);
-  /// the zero-state step's input block gives exactly the products of
-  /// [x, 0] against the full W.
+  /// state bit for bit. int8 sums the activation codes of x (the layer
+  /// below's, from input.x_codes) and of h_{t−1} (written by this layer's
+  /// step t − 1) against the input and recurrent gate blocks in exact
+  /// int32, dequantizes each sum as float(acc − zero_sums)·scales, and
+  /// writes the codes of h_t next to it (state.codes[t % 2]), so no
+  /// separate pass quantizes anything. An h of 0 has code 64, whose
+  /// products the zero sums cancel exactly, so skipping the zero state's
+  /// recurrent block changes no bit.
   void score_step(const LstmStepWeights& weights, const LstmStepInput& input,
                   std::size_t t, LstmState& state) const;
 
@@ -108,8 +114,6 @@ class Lstm {
   const Param& bias() const { return bias_; }
 
  private:
-  /// Bytes per row of LstmState::codes: [x, h] codes padded to 4.
-  std::size_t code_stride() const;
   /// Activated gates of the training forward: [input, h_prev] · Wᵀ + b,
   /// then the gate activations.
   void compute_gates(const Matrix& input, const Matrix& h_prev,

@@ -12,6 +12,7 @@ namespace nfv::ml {
 namespace {
 
 using simd::kPanelCols;
+using simd::code_row_bytes;
 using simd::kQuantK;
 using simd::panel_count;
 using simd::round_nearest_i32;
@@ -223,50 +224,8 @@ void rows_packed_dispatch(const Matrix& a, const float* packed, Matrix& out) {
 }
 
 // ---------------------------------------------------------------------------
-// int8 quantization: the step's activations and its gate-block weights.
+// The fused LSTM step's gate-block layout.
 // ---------------------------------------------------------------------------
-
-/// Quantize one activation row, the concatenation of a (a_cols) and b
-/// (b_cols), to unsigned 7-bit codes with a per-row asymmetric
-/// scale/zero-point — the scalar reference tier. The [0, 127] code range
-/// (not [0, 255]) is what makes the AVX2 int8 step exact: every vpmaddubsw
-/// pair sum is at most 2·127·127 = 32258 < 2^15, so the i16 intermediate
-/// never saturates and SIMD equals the serial int32 reference. The
-/// quantized range always brackets 0 (lo ≤ 0 ≤ hi), so the zero point
-/// lands in [0, 127], an all-zero row round-trips to exact zeros, and a
-/// row [x, 0] gets the range, scale and zero point of x alone.
-void quantize_activation_row_scalar(const float* a, std::size_t a_cols,
-                                    const float* b, std::size_t b_cols,
-                                    std::size_t kpad, std::uint8_t* q,
-                                    float* sa, std::int32_t* zp) {
-  float lo = 0.0f, hi = 0.0f;
-  for (std::size_t k = 0; k < a_cols; ++k) {
-    lo = std::min(lo, a[k]);
-    hi = std::max(hi, a[k]);
-  }
-  for (std::size_t k = 0; k < b_cols; ++k) {
-    lo = std::min(lo, b[k]);
-    hi = std::max(hi, b[k]);
-  }
-  const float range = hi - lo;
-  if (range <= 0.0f) {
-    *sa = 1.0f;
-    *zp = 0;
-    std::memset(q, 0, kpad);
-    return;
-  }
-  const float inv = 127.0f / range;
-  const std::int32_t z = std::clamp(round_nearest_i32(-lo * inv), 0, 127);
-  const auto code = [&](float v) {
-    return static_cast<std::uint8_t>(
-        std::clamp(round_nearest_i32(v * inv) + z, 0, 127));
-  };
-  for (std::size_t k = 0; k < a_cols; ++k) q[k] = code(a[k]);
-  for (std::size_t k = 0; k < b_cols; ++k) q[a_cols + k] = code(b[k]);
-  std::memset(q + a_cols + b_cols, 0, kpad - a_cols - b_cols);
-  *sa = range / 127.0f;
-  *zp = z;
-}
 
 /// Where gate row j (of 4H, gate-major) sits in a gate-blocked row: its
 /// block's offset plus its gate's 16-unit group.
@@ -399,22 +358,12 @@ void matmul_transa_accumulate(const Matrix& a, const Matrix& b, Matrix& out) {
   }
 }
 
-void quantize_activations(const float* a, std::size_t a_cols, const float* b,
-                          std::size_t b_cols, std::size_t rows,
-                          std::size_t kpad, std::uint8_t* qa, float* sa,
-                          std::int32_t* zp) {
-  // The SIMD tiers produce the scalar tier's codes, so this dispatch is a
-  // pure speed knob.
+void activation_codes(const float* v, std::size_t n, std::uint8_t* codes) {
   if (const simd::Kernels* kernels = simd::active()) {
-    kernels->quantize_rows(a, a_cols, b, b_cols, rows, kpad, qa, sa, zp);
+    kernels->activation_codes(v, n, codes);
     return;
   }
-  for (std::size_t i = 0; i < rows; ++i) {
-    quantize_activation_row_scalar(a + i * a_cols, a_cols,
-                                   b == nullptr ? nullptr : b + i * b_cols,
-                                   b_cols, kpad, qa + i * kpad, sa + i,
-                                   zp + i);
-  }
+  for (std::size_t j = 0; j < n; ++j) codes[j] = simd::activation_code(v[j]);
 }
 
 void pack_gate_blocks(const Matrix& w, std::size_t k0, std::size_t k1,
@@ -449,14 +398,14 @@ void pack_gate_blocks(const Matrix& w, std::size_t k0, std::size_t k1,
                                           << w.rows() << " × " << w.cols()
                                           << " int8 gate matrix");
   const std::size_t hidden = w.rows() / 4;
-  out.depth_padded = (k1 - k0 + kQuantK - 1) / kQuantK * kQuantK;
+  out.depth_padded = code_row_bytes(k1 - k0);
   const std::size_t groups = out.depth_padded / kQuantK;
   // Bytes per block and 4-k group: the i, f, g and o 16-channel blocks.
   constexpr std::size_t kGroupBytes = kGateBlockWidth * kQuantK;
   const std::size_t blocks = gate_block_count(hidden);
   out.codes.assign(blocks * groups * kGroupBytes, 0);
   out.scales.assign(blocks * kGateBlockWidth, 0.0f);
-  out.col_sums.assign(blocks * kGateBlockWidth, 0);
+  out.zero_sums.assign(blocks * kGateBlockWidth, 0);
   for (std::size_t c = 0; c < w.rows(); ++c) {
     const float* row = w.row(c);
     float amax = 0.0f;
@@ -468,8 +417,8 @@ void pack_gate_blocks(const Matrix& w, std::size_t k0, std::size_t k1,
                                            << row[k]);
       amax = std::max(amax, std::fabs(row[k]));
     }
-    // An all-zero channel keeps scale 1 (nothing divides by zero) and code
-    // 0 everywhere: its dequantized row is exactly zero.
+    // An all-zero channel keeps w_scale 1 (nothing divides by zero) and
+    // code 0 everywhere: its dequantized row is exactly zero.
     const float inv = amax > 0.0f ? 127.0f / amax : 0.0f;
     const std::size_t lane = gate_block_index(c, hidden);
     std::int8_t* block = out.codes.data() +
@@ -483,8 +432,9 @@ void pack_gate_blocks(const Matrix& w, std::size_t k0, std::size_t k1,
           static_cast<std::int8_t>(q);
       sum += q;
     }
-    out.scales[lane] = amax > 0.0f ? amax / 127.0f : 1.0f;
-    out.col_sums[lane] = sum;
+    const float w_scale = amax > 0.0f ? amax / 127.0f : 1.0f;
+    out.scales[lane] = (2.0f / 127.0f) * w_scale;
+    out.zero_sums[lane] = kActivationZeroPoint * sum;
   }
 }
 

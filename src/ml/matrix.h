@@ -148,20 +148,18 @@ void matmul_transb_packed(const Matrix& a, std::size_t b_rows,
 /// any tiling produces the same bits.
 void matmul_transa_accumulate(const Matrix& a, const Matrix& b, Matrix& out);
 
-/// Quantize the rows of [a | b] (a: rows × a_cols, b: rows × b_cols or
-/// null, both dense row-major) to the int8 step's activations: per row,
-/// unsigned 7-bit codes over [min, max] of the row with 0 inside the
-/// range (asymmetric; an all-zero row gets scale 1, zero point 0 and zero
-/// codes). Row i's codes go to qa + i·kpad (a's codes, then b's, then
-/// zeros up to kpad), its scale to sa[i] and its zero point to zp[i].
-/// Every tier produces the same codes: min/max, the multiply and the
-/// round-to-nearest-even convert are exact or singly rounded per element.
-/// The fused LSTM step quantizes [x, h_{t−1}] this way without copying
-/// the two halves into one row.
-void quantize_activations(const float* a, std::size_t a_cols, const float* b,
-                          std::size_t b_cols, std::size_t rows,
-                          std::size_t kpad, std::uint8_t* qa, float* sa,
-                          std::int32_t* zp);
+/// The int8 step's activation codes. Every int8 input is an LSTM hidden
+/// state h = o·tanh(c), which lies in (−1, 1), so one fixed scale and
+/// zero point serve every tier, layer, row and step: code = clamp(RNE(v ·
+/// 63.5) + 64, 0, 127), which reads back as (code − 64) · 2/127. Codes
+/// stay 7-bit, so an AVX2 vpmaddubsw pair sum (at most 2·127·127 < 2^15)
+/// never saturates; h = 0 maps to 64 and contributes exactly 0; NaN and
+/// ±Inf map to 0. The fused step writes the codes of each h it writes
+/// (Lstm::score_step); activation_codes() applies the same rule to any n
+/// values in the active tier, and every tier gives the same codes.
+constexpr float kActivationCodeScale = 63.5f;
+constexpr std::int32_t kActivationZeroPoint = 64;
+void activation_codes(const float* v, std::size_t n, std::uint8_t* codes);
 
 /// Hidden units per gate block of the fused LSTM scoring step
 /// (Lstm::score_step), and floats per k-row of a block: the i, f, g and o
@@ -188,29 +186,30 @@ void pack_gate_blocks(const Matrix& w, std::size_t k0, std::size_t k1,
 void pack_gate_vector(const float* v, std::size_t hidden, float* out);
 
 /// The int8 twin of pack_gate_blocks: the 4H gate rows of w quantized
-/// symmetrically per output channel (scale = max|row| / 127 over all of
+/// symmetrically per output channel (w_scale = max|row| / 127 over all of
 /// w's columns, so a column block shares the full row's scale; codes
-/// round to nearest even and clamp to ±127; an all-zero row gets scale 1
+/// round to nearest even and clamp to ±127; an all-zero row gets w_scale 1
 /// and zero codes) and columns [k0, k1) stored per block and per 4-k
 /// group as the i, f, g and o 16-channel × 4-k blocks of 64 bytes
 /// (channel-major, the vpdpbusd operand; the AVX2 tier reads each as two
-/// 8-channel halves), zero-padded to a multiple of 4 columns. col_sums
-/// are Σ codes over [k0, k1) alone, so a column block's product
-/// dequantizes as the full row's would on activations that are zero
-/// outside it. Deterministic: the same bytes on every build and tier.
-/// Throws util::CheckError on a NaN or infinite weight, which has no
-/// code.
+/// 8-channel halves), zero-padded to a multiple of 4 columns. The
+/// dequantization against activation codes is folded per channel:
+/// scales = (2/127)·w_scale and zero_sums = 64·Σ codes over [k0, k1)
+/// alone, so a block's product is float(acc − zero_sums)·scales, and the
+/// blocks of two column ranges sum to the full row's product.
+/// Deterministic: the same bytes on every build and tier. Throws
+/// util::CheckError on a NaN or infinite weight, which has no code.
 struct QuantGateBlocks {
-  std::size_t depth_padded = 0;        ///< k1 − k0 rounded up to 4.
+  std::size_t depth_padded = 0;         ///< k1 − k0 rounded up to 4.
   std::vector<std::int8_t> codes;
-  std::vector<float> scales;           ///< Gate-block order, 0 past H.
-  std::vector<std::int32_t> col_sums;  ///< Gate-block order, 0 past H.
+  std::vector<float> scales;            ///< Gate-block order, 0 past H.
+  std::vector<std::int32_t> zero_sums;  ///< Gate-block order, 0 past H.
 
   bool empty() const { return codes.empty(); }
-  /// Resident bytes: codes, scales and column sums.
+  /// Resident bytes: codes, scales and zero sums.
   std::size_t bytes() const {
     return codes.size() + scales.size() * sizeof(float) +
-           col_sums.size() * sizeof(std::int32_t);
+           zero_sums.size() * sizeof(std::int32_t);
   }
 };
 void pack_gate_blocks(const Matrix& w, std::size_t k0, std::size_t k1,

@@ -262,7 +262,10 @@ void SequenceModel::forward_logits(const ScoringImage& image,
     input.dt = scratch.dts.data() + t * n;
     input.dt_gates = image.dt_gates.data();
     for (std::size_t l = 0; l < lstm_layers_.size(); ++l) {
-      if (l > 0) input = LstmStepInput{&scratch.states[l - 1].h[t % 2]};
+      if (l > 0) {
+        const LstmState& below = scratch.states[l - 1];
+        input = LstmStepInput{&below.h[t % 2], below.codes[t % 2].data()};
+      }
       lstm_layers_[l].score_step(image.layers[l], input, t, scratch.states[l]);
     }
   }

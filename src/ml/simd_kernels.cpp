@@ -76,10 +76,6 @@ const char* kernel_tier_name(KernelTier tier) {
 
 #ifdef NFV_SIMD_MATH
 
-// Marks a kernel whose multiplies and adds must round separately (see
-// simd_kernels_impl.h).
-#define NFV_NO_CONTRACT __attribute__((optimize("fp-contract=off")))
-
 // Every function simd_kernels_impl.h defines gets its tier's target from
 // the pragma region, lambdas and template instantiations included. The
 // feature lists match the NFV_VEC8 / NFV_VEC16 attributes of simd_math.h.
@@ -104,8 +100,6 @@ using Vec = Vec16;
 }  // namespace nfv::ml::simd::avx512
 #pragma GCC pop_options
 #pragma GCC diagnostic pop
-
-#undef NFV_NO_CONTRACT
 
 #endif  // NFV_SIMD_MATH
 

@@ -4,6 +4,7 @@
 // when it returns null.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -34,8 +35,7 @@ constexpr std::size_t kQuantK = 4;
 /// libm — the same bits on every build. Larger values only reach callers
 /// that clamp the result to a code, so they truncate; NaN and |x| ≥ 2^31
 /// give INT32_MIN, as vcvtps2dq does in the SIMD tiers' vector lanes, in
-/// place of an undefined float-to-int conversion (a NaN activation gets
-/// code 0 in every tier).
+/// place of an undefined float-to-int conversion.
 inline std::int32_t round_nearest_i32(float x) {
   constexpr float kMagic = 12582912.0f;  // 1.5 * 2^23
   const float ax = std::fabs(x);
@@ -44,14 +44,34 @@ inline std::int32_t round_nearest_i32(float x) {
                             : std::numeric_limits<std::int32_t>::min();
 }
 
+/// activation_codes' rule for one value, the scalar form of every tier:
+/// clamp(RNE(v · 63.5) + 64, 0, 127). NaN and ±Inf get code 0
+/// (round_nearest_i32's INT32_MIN, as vcvtps2dq gives in a vector lane).
+inline std::uint8_t activation_code(float v) {
+  float x = v * kActivationCodeScale;
+  // The product rounds before round_nearest_i32 adds to it, as vmulps
+  // rounds before vcvtps2dq in the vector lanes; an FMA target could
+  // otherwise contract the two.
+  asm("" : "+g"(x));
+  return static_cast<std::uint8_t>(
+      std::clamp(round_nearest_i32(x) + kActivationZeroPoint, 0, 127));
+}
+
+/// Bytes per row of activation codes of `n` values: whole 4-k groups, the
+/// int8 gate blocks' depth_padded.
+constexpr std::size_t code_row_bytes(std::size_t n) {
+  return (n + kQuantK - 1) / kQuantK * kQuantK;
+}
+
 /// One fused LSTM scoring step (Lstm::score_step) over `rows` rows: per
 /// tile of rows × one gate block, the product of the step's input
 /// rows with the block's weights (none, fp32 or int8), plus the addend
 /// (the bias, or layer 0's gathered table row), then the gate activations
-/// and the cell update, writing c and h; the gates stay in registers.
-/// Row pointers are of row 0; `c` rows hold gate_block_count(hidden)·16
-/// floats (the padding units are scratch) and `h` rows `hidden`. The
-/// fp32 product runs when `weights` is set, the int8 one when `quant` is.
+/// and the cell update, writing c and h (and, in int8, h's codes); the
+/// gates stay in registers. Row pointers are of row 0; `c` rows hold
+/// gate_block_count(hidden)·16 floats (the padding units are scratch) and
+/// `h` rows `hidden`. The fp32 product runs when `weights` is set, the
+/// int8 one when either part's codes are.
 struct StepArgs {
   std::size_t rows = 0;
   std::size_t hidden = 0;
@@ -63,14 +83,19 @@ struct StepArgs {
   const float* h_prev = nullptr;
   const float* weights = nullptr;
   std::size_t depth = 0;
-  /// int8: each row's u7 codes (quant->depth_padded of them, rows
-  /// `code_stride` bytes apart), scale and zero point
-  /// (quantize_activations).
-  const std::uint8_t* codes = nullptr;
-  std::size_t code_stride = 0;
-  const float* row_scales = nullptr;
-  const std::int32_t* zero_points = nullptr;
-  const QuantGateBlocks* quant = nullptr;
+  /// int8: the activation codes of x and of h_prev (rows
+  /// x_quant->depth_padded and h_quant->depth_padded bytes apart) times
+  /// the int8 packs of W's input and recurrent columns. Each part runs
+  /// its own 4-k groups, so no quad straddles the two; either part is
+  /// skipped when its codes are null. Both packs hold the same per-channel
+  /// scales, and each its own zero sums.
+  const std::uint8_t* x_codes = nullptr;
+  const QuantGateBlocks* x_quant = nullptr;
+  const std::uint8_t* h_codes = nullptr;
+  const QuantGateBlocks* h_quant = nullptr;
+  /// int8: where the epilogue writes the codes of the h it writes, rows
+  /// code_row_bytes(hidden) apart; null in fp32.
+  std::uint8_t* codes = nullptr;
   /// The addend: `bias`, or, when `table` is set, table[r] + dt[r] ·
   /// dt_gates with the product rounded before the add (all gate-blocked).
   const float* bias = nullptr;
@@ -89,12 +114,9 @@ struct Kernels {
   void (*rows_packed)(const Matrix& a, const float* packed, Matrix& out);
   /// out += aᵀ · b.
   void (*transa_acc)(const Matrix& a, const Matrix& b, Matrix& out);
-  /// Per-row u7 codes, scales and zero points of [a | b] (b may be null;
-  /// codes padded to kpad): quantize_activations.
-  void (*quantize_rows)(const float* a, std::size_t a_cols, const float* b,
-                        std::size_t b_cols, std::size_t rows,
-                        std::size_t kpad, std::uint8_t* qa, float* sa,
-                        std::int32_t* zp);
+  /// codes[j] = activation_code(v[j]) for j < n: activation_codes.
+  void (*activation_codes)(const float* v, std::size_t n,
+                           std::uint8_t* codes);
   /// Gate activations of one [i f g o] row after adding the bias `add`.
   void (*gate_activation_row)(float* g, const float* add, std::size_t h);
   /// c = f·c_prev + i·g, h = o·tanh(c); `c` may alias `cp`.

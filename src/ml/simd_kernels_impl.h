@@ -10,9 +10,8 @@
 // tiers agree bit for bit; the baseline kernels (unfused chains, libm
 // activations) keep their own results. GCC contracts a·b + c into an FMA
 // whenever the target has one, so where a multiply and an add must round
-// separately, as in the baseline tier, the activation quantizer opts out
-// with NFV_NO_CONTRACT and the fused LSTM step passes the product through
-// T::opaque.
+// separately, as in the baseline tier, the fused LSTM step passes the
+// product through T::opaque.
 //
 // The Cephes body exists once, over a batch of N vectors (exp_ps<T, N>).
 // The row kernels activate one vector at a time (N = 1); the fused
@@ -275,79 +274,26 @@ void transa_acc(const Matrix& a, const Matrix& b, Matrix& out) {
 }
 
 // ---------------------------------------------------------------------------
-// int8: the activation quantizer.
+// int8: activation codes.
 // ---------------------------------------------------------------------------
 
-/// The scalar tier's quantizer (min/max seeded at 0 and ignoring NaN,
-/// ×inv, round to nearest even, clamp to [0, 127]) over rows of [a | b],
-/// with the vector part at T lanes. min/max, the multiply and vcvtps2dq
-/// are exact or singly rounded per element in any order, so the codes,
-/// scales and zero points equal the scalar tier's.
+/// activation_code of every lane of v: vmulps, then vcvtps2dq's round to
+/// nearest even (INT32_MIN for NaN and out-of-range lanes), + 64, clamp.
 template <class T>
-NFV_NO_CONTRACT void quantize_rows(const float* a, std::size_t a_cols,
-                                   const float* b, std::size_t b_cols,
-                                   std::size_t rows, std::size_t kpad,
-                                   std::uint8_t* qa, float* sa,
-                                   std::int32_t* zp) {
-  const std::size_t cols[2] = {a_cols, b_cols};
-  for (std::size_t i = 0; i < rows; ++i) {
-    const float* seg[2] = {a + i * a_cols,
-                           b == nullptr ? nullptr : b + i * b_cols};
-    std::uint8_t* q = qa + i * kpad;
-    typename T::V vlo = T::zero();
-    typename T::V vhi = T::zero();
-    std::size_t tail[2];
-    for (std::size_t p = 0; p < 2; ++p) {
-      std::size_t k = 0;
-      for (; k + T::kLanes <= cols[p]; k += T::kLanes) {
-        // vminps/vmaxps return the second operand when either is NaN, so
-        // a NaN element leaves the running min and max as they were, as
-        // the scalar tier's std::min/std::max do.
-        const typename T::V v = T::load(seg[p] + k);
-        vlo = T::min(v, vlo);
-        vhi = T::max(v, vhi);
-      }
-      tail[p] = k;
-    }
-    float lo = T::reduce_min(vlo);
-    float hi = T::reduce_max(vhi);
-    for (std::size_t p = 0; p < 2; ++p) {
-      for (std::size_t k = tail[p]; k < cols[p]; ++k) {
-        lo = std::min(lo, seg[p][k]);
-        hi = std::max(hi, seg[p][k]);
-      }
-    }
-    const float range = hi - lo;
-    if (range <= 0.0f) {
-      sa[i] = 1.0f;
-      zp[i] = 0;
-      std::memset(q, 0, kpad);
-      continue;
-    }
-    const float inv = 127.0f / range;
-    const std::int32_t z = std::clamp(round_nearest_i32(-lo * inv), 0, 127);
-    const typename T::V vinv = T::set1(inv);
-    const typename T::Vi vz = T::set1_i(z);
-    const typename T::Vi v0 = T::zero_i();
-    const typename T::Vi v127 = T::set1_i(127);
-    std::uint8_t* out = q;
-    for (std::size_t p = 0; p < 2; ++p) {
-      std::size_t k = 0;
-      for (; k + T::kLanes <= cols[p]; k += T::kLanes) {
-        const typename T::Vi codes =
-            T::add_i(T::to_int(T::mul(T::load(seg[p] + k), vinv)), vz);
-        T::store_bytes(out + k, T::clamp_i(codes, v0, v127));
-      }
-      for (; k < cols[p]; ++k) {
-        const std::int32_t v = round_nearest_i32(seg[p][k] * inv) + z;
-        out[k] = static_cast<std::uint8_t>(std::clamp(v, 0, 127));
-      }
-      out += cols[p];
-    }
-    std::memset(out, 0, kpad - a_cols - b_cols);
-    sa[i] = range / 127.0f;
-    zp[i] = z;
+__attribute__((always_inline)) inline typename T::Vi codes_of(
+    typename T::V v) {
+  const typename T::Vi q =
+      T::to_int(T::mul(v, T::set1(kActivationCodeScale)));
+  return T::clamp_i(T::add_i(q, T::set1_i(kActivationZeroPoint)),
+                    T::zero_i(), T::set1_i(127));
+}
+
+void activation_codes(const float* v, std::size_t n, std::uint8_t* codes) {
+  std::size_t j = 0;
+  for (; j + Vec::kLanes <= n; j += Vec::kLanes) {
+    Vec::store_bytes(codes + j, codes_of<Vec>(Vec::load(v + j)));
   }
+  for (; j < n; ++j) codes[j] = activation_code(v[j]);
 }
 
 // ---------------------------------------------------------------------------
@@ -484,29 +430,21 @@ __attribute__((always_inline)) inline void gate_products(
   }
 }
 
-/// pre[r][q] = the int8 products of rows [i, i+R), dequantized as
-/// (acc − zp·col_sum)·(sa·scale), the baseline tier's expression: per
-/// 4-k group one activation quad per row against gate q's T::kLanes
-/// channels (vpdpbusd on a whole 16-channel block, maddubs+madd on each
-/// 8-channel half). The integer sums are exact, so any grouping gives the
-/// same.
+/// acc[r][q] += the int8 products of rows [i, i+R) of one part's codes
+/// (rows qb.depth_padded bytes apart) with its pack `qb`: per 4-k group
+/// one activation quad per row against gate q's T::kLanes channels
+/// (vpdpbusd on a whole 16-channel block, maddubs+madd on each 8-channel
+/// half). The integer sums are exact, so any grouping gives the same.
 template <class T, std::size_t R>
-__attribute__((always_inline)) inline void gate_products_int8(
-    typename T::V (&pre)[R][4], const StepArgs& s, std::size_t i,
-    std::size_t u0) {
+__attribute__((always_inline)) inline void int8_part(
+    typename T::Vi (&acc)[R][4], const std::uint8_t* codes,
+    const QuantGateBlocks& qb, std::size_t i, std::size_t u0) {
   constexpr std::size_t kGroupBytes = kGateBlockWidth * kQuantK;
-  const QuantGateBlocks& qb = *s.quant;
-  const std::size_t kpad = qb.depth_padded;
-  const std::size_t groups = kpad / kQuantK;
-  const std::size_t lane0 =
-      u0 / kGateBlockUnits * kGateBlockWidth + u0 % kGateBlockUnits;
+  const std::size_t stride = qb.depth_padded;
+  const std::size_t groups = stride / kQuantK;
   const std::int8_t* w = qb.codes.data() +
                          u0 / kGateBlockUnits * groups * kGroupBytes +
                          u0 % kGateBlockUnits * kQuantK;
-  typename T::Vi acc[R][4];
-  for (std::size_t r = 0; r < R; ++r) {
-    for (std::size_t q = 0; q < 4; ++q) acc[r][q] = T::zero_i();
-  }
   for (std::size_t g = 0; g < groups; ++g, w += kGroupBytes) {
     typename T::Vi wv[4];
     for (std::size_t q = 0; q < 4; ++q) {
@@ -514,20 +452,44 @@ __attribute__((always_inline)) inline void gate_products_int8(
     }
     for (std::size_t r = 0; r < R; ++r) {
       const typename T::Vi av =
-          T::broadcast_quad(s.codes + (i + r) * s.code_stride + kQuantK * g);
+          T::broadcast_quad(codes + (i + r) * stride + kQuantK * g);
       for (std::size_t q = 0; q < 4; ++q) {
         acc[r][q] = T::dot(acc[r][q], av, wv[q]);
       }
     }
   }
+}
+
+/// pre[r][q] = the int8 products of rows [i, i+R) over the step's x and
+/// h_prev parts, dequantized per channel as float(acc − zero_sums) ·
+/// scales, the baseline tier's expression.
+template <class T, std::size_t R>
+__attribute__((always_inline)) inline void gate_products_int8(
+    typename T::V (&pre)[R][4], const StepArgs& s, std::size_t i,
+    std::size_t u0) {
+  const std::size_t lane0 =
+      u0 / kGateBlockUnits * kGateBlockWidth + u0 % kGateBlockUnits;
+  typename T::Vi acc[R][4];
   for (std::size_t r = 0; r < R; ++r) {
-    const typename T::Vi zp = T::set1_i(s.zero_points[i + r]);
-    const typename T::V sa = T::set1(s.row_scales[i + r]);
-    for (std::size_t q = 0; q < 4; ++q) {
-      const std::size_t at = lane0 + q * kGateBlockUnits;
-      const typename T::V f = T::to_float(T::sub_i(
-          acc[r][q], T::mullo_i(zp, T::load_i(qb.col_sums.data() + at))));
-      pre[r][q] = T::mul(f, T::mul(sa, T::load(qb.scales.data() + at)));
+    for (std::size_t q = 0; q < 4; ++q) acc[r][q] = T::zero_i();
+  }
+  if (s.x_codes != nullptr) int8_part<T, R>(acc, s.x_codes, *s.x_quant, i, u0);
+  if (s.h_codes != nullptr) int8_part<T, R>(acc, s.h_codes, *s.h_quant, i, u0);
+  const float* scales =
+      (s.h_codes != nullptr ? s.h_quant : s.x_quant)->scales.data();
+  for (std::size_t q = 0; q < 4; ++q) {
+    const std::size_t at = lane0 + q * kGateBlockUnits;
+    typename T::Vi zero_sum = T::zero_i();
+    if (s.x_codes != nullptr) {
+      zero_sum = T::load_i(s.x_quant->zero_sums.data() + at);
+    }
+    if (s.h_codes != nullptr) {
+      zero_sum =
+          T::add_i(zero_sum, T::load_i(s.h_quant->zero_sums.data() + at));
+    }
+    const typename T::V scale = T::load(scales + at);
+    for (std::size_t r = 0; r < R; ++r) {
+      pre[r][q] = T::mul(T::to_float(T::sub_i(acc[r][q], zero_sum)), scale);
     }
   }
 }
@@ -538,7 +500,9 @@ __attribute__((always_inline)) inline void gate_products_int8(
 /// (vector_span: every whole 8-lane group) run the Cephes activations here
 /// too, as two batches: the tile's 4R gates, then its R tanh(c); the rest
 /// take the same libm tail, so every unit matches gate_activation_row +
-/// cell_forward_row bit for bit.
+/// cell_forward_row bit for bit. An int8 step (s.codes set) also writes
+/// the activation codes of the h it writes: a whole vector's from the
+/// register, the other units' from the h just stored.
 template <class T, std::size_t R>
 __attribute__((always_inline)) inline void cell_units(
     const StepArgs& s, std::size_t i, std::size_t u0,
@@ -548,6 +512,9 @@ __attribute__((always_inline)) inline void cell_units(
   const std::size_t c_stride = gate_block_count(h) * kGateBlockUnits;
   float* c = s.c + i * c_stride + u0;
   float* hh = s.h + i * h + u0;
+  const std::size_t code_stride = code_row_bytes(h);
+  std::uint8_t* codes =
+      s.codes != nullptr ? s.codes + i * code_stride + u0 : nullptr;
   const std::size_t vec_end = h / Vec8::kLanes * Vec8::kLanes;
   const std::size_t n = std::min(T::kLanes, h - u0);
   const std::size_t nvec = vec_end > u0 ? std::min(n, vec_end - u0) : 0;
@@ -574,22 +541,33 @@ __attribute__((always_inline)) inline void cell_units(
       T::store(c + r * c_stride, cj[r]);  // c rows are padded to whole blocks
       if (nvec == T::kLanes) {
         T::store(hh + r * h, hv);
+        if (codes != nullptr) {
+          T::store_bytes(codes + r * code_stride, codes_of<T>(hv));
+        }
       } else {
         T::store_n(hh + r * h, hv, nvec);
       }
     }
   }
-  if (nvec == n) return;
-  for (std::size_t r = 0; r < R; ++r) {
-    const float(*g)[T::kLanes] = tail_z + 4 * r;
-    for (std::size_t j = nvec; j < n; ++j) {
-      const float ig = sigmoid(g[0][j]);
-      const float fg = sigmoid(g[1][j]);
-      const float cg = std::tanh(g[2][j]);
-      const float og = sigmoid(g[3][j]);
-      const float cj = __builtin_fmaf(fg, tail_cp[r][j], ig * cg);
-      c[r * c_stride + j] = cj;
-      hh[r * h + j] = og * std::tanh(cj);
+  if (nvec < n) {
+    for (std::size_t r = 0; r < R; ++r) {
+      const float(*g)[T::kLanes] = tail_z + 4 * r;
+      for (std::size_t j = nvec; j < n; ++j) {
+        const float ig = sigmoid(g[0][j]);
+        const float fg = sigmoid(g[1][j]);
+        const float cg = std::tanh(g[2][j]);
+        const float og = sigmoid(g[3][j]);
+        const float cj = __builtin_fmaf(fg, tail_cp[r][j], ig * cg);
+        c[r * c_stride + j] = cj;
+        hh[r * h + j] = og * std::tanh(cj);
+      }
+    }
+  }
+  if (codes != nullptr && nvec < T::kLanes) {
+    for (std::size_t r = 0; r < R; ++r) {
+      for (std::size_t j = 0; j < n; ++j) {
+        codes[r * code_stride + j] = activation_code(hh[r * h + j]);
+      }
     }
   }
 }
@@ -710,7 +688,7 @@ void step_rows(const StepArgs& s) {
 
 template <class T, bool kTable>
 void step_rows(const StepArgs& s) {
-  if (s.quant != nullptr) {
+  if (s.x_codes != nullptr || s.h_codes != nullptr) {
     step_rows<T, StepProduct::kInt8, kTable>(s);
   } else if (s.weights != nullptr) {
     step_rows<T, StepProduct::kFp32, kTable>(s);
@@ -728,7 +706,7 @@ void lstm_step(const StepArgs& s) {
 }
 
 const Kernels kKernels = {
-    rows_packed<Vec>,  transa_acc<Vec>,  quantize_rows<Vec>,
+    rows_packed<Vec>,    transa_acc<Vec>,  activation_codes,
     gate_activation_row, cell_forward_row, gate_backward_row,
-    sum_exp,           lstm_step,
+    sum_exp,             lstm_step,
 };

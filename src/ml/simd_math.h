@@ -89,28 +89,14 @@ struct Vec8 {
   }
   /// acc += v (the 8-lane accumulator of a fixed-order reduction).
   NFV_VEC8 void fold8(__m256& acc, V v) { acc = _mm256_add_ps(acc, v); }
-  NFV_VEC8 float reduce_min(V v) {
-    __m128 m = _mm_min_ps(_mm256_castps256_ps128(v),
-                          _mm256_extractf128_ps(v, 1));
-    m = _mm_min_ps(m, _mm_movehl_ps(m, m));
-    return _mm_cvtss_f32(_mm_min_ss(m, _mm_shuffle_ps(m, m, 1)));
-  }
-  NFV_VEC8 float reduce_max(V v) {
-    __m128 m = _mm_max_ps(_mm256_castps256_ps128(v),
-                          _mm256_extractf128_ps(v, 1));
-    m = _mm_max_ps(m, _mm_movehl_ps(m, m));
-    return _mm_cvtss_f32(_mm_max_ss(m, _mm_shuffle_ps(m, m, 1)));
-  }
 
-  // Integer lanes: the activation quantizer and the int8 step.
+  // Integer lanes: the int8 step's products and activation codes.
   /// Round to nearest even (the default MXCSR mode).
   NFV_VEC8 Vi to_int(V x) { return _mm256_cvtps_epi32(x); }
   NFV_VEC8 Vi set1_i(std::int32_t x) { return _mm256_set1_epi32(x); }
   NFV_VEC8 Vi zero_i() { return _mm256_setzero_si256(); }
   NFV_VEC8 Vi add_i(Vi a, Vi b) { return _mm256_add_epi32(a, b); }
   NFV_VEC8 Vi sub_i(Vi a, Vi b) { return _mm256_sub_epi32(a, b); }
-  /// Low 32 bits of a·b.
-  NFV_VEC8 Vi mullo_i(Vi a, Vi b) { return _mm256_mullo_epi32(a, b); }
   /// Exact below 2^24, rounded to nearest even above.
   NFV_VEC8 V to_float(Vi x) { return _mm256_cvtepi32_ps(x); }
   NFV_VEC8 Vi clamp_i(Vi v, Vi lo, Vi hi) {
@@ -184,15 +170,12 @@ struct Vec16 {
     acc = _mm256_add_ps(acc, _mm512_castps512_ps256(v));
     acc = _mm256_add_ps(acc, _mm512_extractf32x8_ps(v, 1));
   }
-  NFV_VEC16 float reduce_min(V v) { return _mm512_reduce_min_ps(v); }
-  NFV_VEC16 float reduce_max(V v) { return _mm512_reduce_max_ps(v); }
 
   NFV_VEC16 Vi to_int(V x) { return _mm512_cvtps_epi32(x); }
   NFV_VEC16 Vi set1_i(std::int32_t x) { return _mm512_set1_epi32(x); }
   NFV_VEC16 Vi zero_i() { return _mm512_setzero_si512(); }
   NFV_VEC16 Vi add_i(Vi a, Vi b) { return _mm512_add_epi32(a, b); }
   NFV_VEC16 Vi sub_i(Vi a, Vi b) { return _mm512_sub_epi32(a, b); }
-  NFV_VEC16 Vi mullo_i(Vi a, Vi b) { return _mm512_mullo_epi32(a, b); }
   NFV_VEC16 V to_float(Vi x) { return _mm512_cvtepi32_ps(x); }
   NFV_VEC16 Vi clamp_i(Vi v, Vi lo, Vi hi) {
     return _mm512_min_epi32(_mm512_max_epi32(v, lo), hi);

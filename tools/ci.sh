@@ -26,7 +26,10 @@
 # identically by a capped forest tree, a private tree and the reference
 # miner). They run in the regular, TSan and ASan legs, and the UBSan leg
 # runs test_forest too. The
-# quantized-scoring leg runs the quant-labelled tests, the
+# quantized-scoring leg runs the quant-labelled tests (among them the
+# fixed activation-code rule in every tier and the codes the step's
+# epilogue writes; there is no per-row quantizer, the epilogue converts
+# the h it writes to codes), the
 # bench_scoring_throughput --smoke gates (int8 rank agreement, int8 ranks
 # of every SIMD tier bit-identical to the serial tier, fp32 scores of the
 # SIMD tiers bit-identical to each other), and an ASan build of the int8 kernels, of the fp32 packed
@@ -34,7 +37,8 @@
 # sequence model (test_ml_models: the scoring image, its table gather,
 # the checkpoint loader's corrupt-header checks and its seeded mutation
 # fuzzer). The UBSan leg runs the same three ML binaries, whose kernels
-# shift lane masks, index vector tails and convert floats to ints. Both
+# shift lane masks, index vector tails and convert floats to ints (the
+# epilogue's activation codes of NaN and ±Inf included). Both
 # sanitizer legs also run the detector tests of test_core
 # (LstmDetector*:HmmDetector*), whose training rounds subsample,
 # over-sample and minibatch windows by row index, and all of
