@@ -20,6 +20,7 @@
 //                 id sequences, template sets, and match() results
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <iostream>
@@ -38,18 +39,19 @@ using namespace nfv;
 
 constexpr std::size_t kWindow = 4;
 
-/// Detector that scores nothing: score() returns an empty vector (which
-/// never allocates), so StreamMonitor::ingest() pays mining + history
-/// tracking only — the mining-dominated runtime path this benchmark
-/// isolates.
+/// Detector that scores every window 0 without reading it, so
+/// StreamMonitor::ingest() pays mining + history tracking only — the
+/// mining-dominated runtime path this benchmark isolates.
 class NullDetector final : public core::AnomalyDetector {
  public:
   void fit(std::span<const core::LogView>, std::size_t) override {}
   void update(std::span<const core::LogView>, std::size_t) override {}
   void adapt(std::span<const core::LogView>, std::size_t) override {}
-  std::vector<core::ScoredEvent> score(core::LogView,
-                                       std::size_t) const override {
-    return {};
+  std::size_t window() const override { return kWindow; }
+  void score_windows(std::span<const logproc::ParsedLog>, std::size_t,
+                     core::WindowScratch&,
+                     std::span<double> out) const override {
+    std::fill(out.begin(), out.end(), 0.0);
   }
   bool trained() const override { return true; }
   core::DetectorKind kind() const override {

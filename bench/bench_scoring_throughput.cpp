@@ -6,9 +6,9 @@
 // windows. This benchmark measures windows/sec for the inference regimes
 // over the same fleet of streams:
 //   - window-by-window: one detector.score() call per (k+1)-log window,
-//     the granularity of the immediate streaming monitor;
+//     the call granularity of the immediate streaming monitor;
 //   - batched: one detector.score_streams() call over all streams, which
-//     packs every window into fused forward batches of
+//     stages every window into fused forward batches of
 //     LstmDetector::kScoreBatch rows;
 //   - batched+int8 (--quantize): the same fused path from the detector's
 //     int8 scoring image, so every LSTM gate product runs the fused
@@ -162,8 +162,10 @@ const Fixture& paper_fixture() {
   return f;
 }
 
-// One detector.score() call per sliding (k+1)-log window — exactly what an
-// immediate (unbatched) streaming monitor does per ingested line.
+// One detector.score() call per sliding (k+1)-log window: one window per
+// call, the call granularity of an immediate (unbatched) streaming
+// monitor. Each view is a stream of its own, so its oldest event reads
+// Δt 0 where the monitor's window reads the true gap.
 double run_window_by_window(const Fixture& f) {
   double sink = 0.0;
   for (const auto& stream : f.streams) {
@@ -177,7 +179,7 @@ double run_window_by_window(const Fixture& f) {
   return sink;
 }
 
-// One fused call over all streams (score_streams packs every window).
+// One fused call over all streams (score_streams stages every window).
 double run_batched_with(const core::LstmDetector& detector, const Fixture& f) {
   std::vector<core::LogView> views(f.streams.begin(), f.streams.end());
   const std::vector<std::vector<core::ScoredEvent>> events =

@@ -55,12 +55,11 @@ struct ModelMemoryStats {
 };
 
 /// Buffers for AnomalyDetector::score_windows, owned by the caller: one
-/// per StreamMonitorGroup or StreamMonitor, i.e. per scoring thread. A
-/// warm call refills them without allocating, while the detector itself
-/// stays const and shared.
+/// per StreamMonitorGroup, StreamMonitor or score_streams() call, i.e.
+/// per scoring thread. A warm call refills them without allocating,
+/// while the detector itself stays const and shared.
 struct WindowScratch {
-  std::vector<LogView> views;        // default path: one view per window
-  ml::WindowBatch windows;           // LSTM: the model-known windows
+  ml::WindowBatch windows;           // LSTM: known windows; HMM: ids
   std::vector<double*> slots;        // LSTM: each gathered window's score
   std::vector<double> scores;        // LSTM: log-likelihoods
   std::vector<std::size_t> ranks;    // LSTM: target ranks
@@ -69,6 +68,11 @@ struct WindowScratch {
 
 class AnomalyDetector {
  public:
+  /// Windows per score_windows call of score_streams (bounding its
+  /// staging buffer) and rows per fused LSTM forward batch. Scores do not
+  /// depend on it.
+  static constexpr std::size_t kScoreBatch = 1024;
+
   virtual ~AnomalyDetector() = default;
 
   /// Train from scratch on normal logs (one view per vPE). `vocab` is the
@@ -84,59 +88,38 @@ class AnomalyDetector {
   virtual void adapt(std::span<const LogView> streams,
                      std::size_t vocab) = 0;
 
-  /// Score one vPE's (test) log stream. Implementations may emit one event
-  /// per log position (LSTM) or per document window (feature baselines).
-  /// `vocab` is kept for symmetry with training, but no detector reads it
-  /// at score time (each scores against the vocabulary it was trained on),
-  /// so callers that batch streams of different trees may pass 0.
+  /// Score one vPE's (test) log stream. Per-log detectors inherit this
+  /// one (score_streams of the one stream: an event per position with k
+  /// predecessors); per-document detectors override it. No detector reads
+  /// `vocab` at score time, so callers that batch streams of different
+  /// trees may pass 0.
   virtual std::vector<ScoredEvent> score(LogView logs,
-                                         std::size_t vocab) const = 0;
+                                         std::size_t vocab) const;
 
-  /// Score several streams at once — one result vector per input stream,
-  /// in order. The default simply loops score(); detectors with a fused
-  /// batched path (LSTM) override it to pack all streams' scoring windows
-  /// into large forward batches. Results MUST be identical to calling
-  /// score() per stream, and the call must remain const/thread-safe under
-  /// the same contract as score().
-  virtual std::vector<std::vector<ScoredEvent>> score_streams(
-      std::span<const LogView> streams, std::size_t vocab) const {
-    std::vector<std::vector<ScoredEvent>> out;
-    out.reserve(streams.size());
-    for (const LogView& logs : streams) out.push_back(score(logs, vocab));
-    return out;
-  }
+  /// One result vector per stream, in order, each identical to score()
+  /// of that stream. A per-log detector stages the window of every
+  /// position of every stream into one flat buffer and scores it through
+  /// score_windows, kScoreBatch windows per call, so many streams share
+  /// each fused batch. A per-document detector loops score(). Const and
+  /// thread-safe like score().
+  std::vector<std::vector<ScoredEvent>> score_streams(
+      std::span<const LogView> streams, std::size_t vocab) const;
 
-  /// Score out.size() windows of `window_events` (k + 1) events each,
-  /// laid back to back in `windows`, oldest event first. Each window is a
-  /// stream of its own, so out[w] is the score score() gives its last
-  /// event: the streaming runtime hands its staged windows straight in.
-  /// Same const/thread-safety contract as score(); all mutable state lives
-  /// in the caller's `scratch`. The default builds one view per window and
-  /// calls score_streams; it serves per-log detectors only (a per-document
-  /// detector emits nothing for a single window).
+  /// The history length k of a per-log detector's windows; 0 for a
+  /// per-document detector.
+  virtual std::size_t window() const { return 0; }
+
+  /// Score out.size() staged windows of `window_events` = k + 2 events,
+  /// back to back in `windows`, oldest first: out[w] scores a window's
+  /// last event given the k before it, and its first event is read only
+  /// for its time (the next event's Δt). Stream position i stages
+  /// logs[i - k - 1 .. i], the first (i = k) with logs[0] repeated in
+  /// front, so logs[0] reads Δt = 0. The single per-log scoring path (the
+  /// default throws); const, with all mutable state in `scratch`.
   virtual void score_windows(std::span<const logproc::ParsedLog> windows,
                              std::size_t window_events,
                              WindowScratch& scratch,
-                             std::span<double> out) const {
-    NFV_CHECK(window_events >= 1 &&
-                  windows.size() == out.size() * window_events,
-              "score_windows: " << windows.size() << " events are not "
-                                << out.size() << " windows of "
-                                << window_events);
-    scratch.views.clear();
-    for (std::size_t w = 0; w < out.size(); ++w) {
-      scratch.views.push_back(windows.subspan(w * window_events,
-                                              window_events));
-    }
-    const std::vector<std::vector<ScoredEvent>> events =
-        score_streams(scratch.views, 0);
-    for (std::size_t w = 0; w < out.size(); ++w) {
-      NFV_CHECK(!events[w].empty(),
-                "detector emitted no score for a " << window_events
-                                                   << "-event window");
-      out[w] = events[w].back().score;
-    }
-  }
+                             std::span<double> out) const;
 
   virtual bool trained() const = 0;
   virtual DetectorKind kind() const = 0;
@@ -145,6 +128,17 @@ class AnomalyDetector {
   /// Model-memory footprint for observability (AsyncIngest::stats_json).
   /// Must be const/thread-safe under the same contract as score().
   virtual ModelMemoryStats model_memory() const { return {}; }
+
+ protected:
+  /// score_windows' preconditions: trained, and out.size() windows of
+  /// window() + 2 events (else util::CheckError).
+  void check_windows(std::span<const logproc::ParsedLog> windows,
+                     std::size_t window_events,
+                     std::span<const double> out) const;
+
+ private:
+  std::vector<std::vector<ScoredEvent>> score_staged(
+      std::span<const LogView> streams) const;
 };
 
 /// Mapping configuration adjusted to a detector's event granularity: per-

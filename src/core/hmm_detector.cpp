@@ -73,22 +73,20 @@ void HmmDetector::adapt(std::span<const LogView> streams, std::size_t vocab) {
   refit();
 }
 
-std::vector<ScoredEvent> HmmDetector::score(LogView logs,
-                                            std::size_t vocab) const {
-  NFV_CHECK(trained(), "score before fit");
-  (void)vocab;
-  std::vector<ScoredEvent> out;
-  const std::size_t k = config_.window;
-  if (logs.size() <= k) return out;
-  out.reserve(logs.size() - k);
-  std::vector<std::int32_t> window(k + 1);
-  for (std::size_t i = k; i < logs.size(); ++i) {
-    for (std::size_t j = 0; j <= k; ++j) {
-      window[j] = logs[i - k + j].template_id;
+void HmmDetector::score_windows(std::span<const logproc::ParsedLog> windows,
+                                std::size_t window_events,
+                                WindowScratch& scratch,
+                                std::span<double> out) const {
+  check_windows(windows, window_events, out);
+  std::vector<std::int32_t>& ids = scratch.windows.ids;
+  for (std::size_t w = 0; w < out.size(); ++w) {
+    ids.clear();
+    for (const logproc::ParsedLog& log :
+         windows.subspan(w * window_events + 1, window_events - 1)) {
+      ids.push_back(log.template_id);
     }
-    out.push_back({logs[i].time, model_.anomaly_score(window)});
+    out[w] = model_.anomaly_score(ids);
   }
-  return out;
 }
 
 }  // namespace nfv::core

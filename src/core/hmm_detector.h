@@ -30,8 +30,12 @@ class HmmDetector final : public AnomalyDetector {
   void fit(std::span<const LogView> streams, std::size_t vocab) override;
   void update(std::span<const LogView> streams, std::size_t vocab) override;
   void adapt(std::span<const LogView> streams, std::size_t vocab) override;
-  std::vector<ScoredEvent> score(LogView logs,
-                                 std::size_t vocab) const override;
+  std::size_t window() const override { return config_.window; }
+  /// Each staged window's score is the HMM's anomaly score of its last
+  /// k + 1 template ids (the time-only first event is not read).
+  void score_windows(std::span<const logproc::ParsedLog> windows,
+                     std::size_t window_events, WindowScratch& scratch,
+                     std::span<double> out) const override;
   bool trained() const override { return model_.trained(); }
   DetectorKind kind() const override { return DetectorKind::kHmm; }
   EventGranularity granularity() const override {

@@ -88,32 +88,6 @@ void LstmDetector::refresh_image() {
   image_ = model_->build_scoring_image(config_.quantize);
 }
 
-bool LstmDetector::gather(LogView logs, std::size_t i,
-                          ml::WindowBatch& windows) const {
-  const std::size_t k = config_.window;
-  const auto vocab = static_cast<std::int32_t>(model_->config().vocab);
-  for (std::size_t j = i - k; j <= i; ++j) {
-    if (logs[j].template_id >= vocab) return false;
-  }
-  // Δt as append_sequence_windows computes it: the stream's first event
-  // has no predecessor and gets 0.
-  for (std::size_t j = i - k; j < i; ++j) {
-    windows.ids.push_back(logs[j].template_id);
-    windows.dts.push_back(
-        j == 0 ? 0.0f
-               : static_cast<float>((logs[j].time - logs[j - 1].time).seconds));
-  }
-  windows.targets.push_back(logs[i].template_id);
-  return true;
-}
-
-double LstmDetector::unknown_score() const {
-  // Templates the model has never seen are maximally surprising.
-  return config_.score_mode == LstmScoreMode::kTargetRank
-             ? static_cast<double>(model_->config().vocab)
-             : config_.unknown_score;
-}
-
 void LstmDetector::score_gathered(const ml::WindowBatch& windows,
                                   WindowScratch& scratch) const {
   const std::size_t n = windows.size();
@@ -135,21 +109,14 @@ void LstmDetector::score_gathered(const ml::WindowBatch& windows,
   }
 }
 
-std::vector<double> LstmDetector::score_batch(
-    const ml::WindowBatch& windows) const {
-  NFV_CHECK(trained(), "score_batch before fit");
+void LstmDetector::oversample_refine(const ml::WindowBatch& windows) {
+  if (windows.size() == 0) return;
   std::vector<double> scores(windows.size());
   WindowScratch scratch;
   for (double& score : scores) scratch.slots.push_back(&score);
-  score_gathered(windows, scratch);
-  return scores;
-}
-
-void LstmDetector::oversample_refine(const ml::WindowBatch& windows) {
-  if (windows.size() == 0) return;
   double previous_fp_rate = 1.0;
   for (std::size_t round = 0; round < config_.oversample_rounds; ++round) {
-    const std::vector<double> scores = score_batch(windows);
+    score_gathered(windows, scratch);
     // "Misclassified as anomaly": the highest-score (lowest-likelihood)
     // quantile of the *normal* training data.
     const double threshold =
@@ -237,62 +204,38 @@ void LstmDetector::adapt(std::span<const LogView> streams,
   refresh_image();
 }
 
-std::vector<ScoredEvent> LstmDetector::score(LogView logs,
-                                             std::size_t vocab) const {
-  return std::move(score_streams({&logs, 1}, vocab)[0]);
-}
-
-std::vector<std::vector<ScoredEvent>> LstmDetector::score_streams(
-    std::span<const LogView> streams, std::size_t vocab) const {
-  NFV_CHECK(trained(), "score before fit");
-  (void)vocab;
-  // Gather every stream's model-known windows into one flat batch, each
-  // with a pointer to its output slot (out[s] is sized once, so the
-  // pointers stay valid); unknown-template windows score the pessimistic
-  // constant at once. Every log with k predecessors gets a score, so
-  // window e is position window + e.
-  const std::size_t k = config_.window;
-  std::vector<std::vector<ScoredEvent>> out(streams.size());
-  WindowScratch scratch;
-  for (std::size_t s = 0; s < streams.size(); ++s) {
-    const LogView logs = streams[s];
-    if (logs.size() <= k) continue;
-    out[s].resize(logs.size() - k);
-    for (std::size_t i = k; i < logs.size(); ++i) {
-      ScoredEvent& event = out[s][i - k];
-      event.time = logs[i].time;
-      if (gather(logs, i, scratch.windows)) {
-        scratch.slots.push_back(&event.score);
-      } else {
-        event.score = unknown_score();
-      }
-    }
-  }
-  score_gathered(scratch.windows, scratch);
-  return out;
-}
-
 void LstmDetector::score_windows(std::span<const logproc::ParsedLog> windows,
                                  std::size_t window_events,
                                  WindowScratch& scratch,
                                  std::span<double> out) const {
-  NFV_CHECK(trained(), "score before fit");
-  NFV_CHECK(window_events == config_.window + 1 &&
-                windows.size() == out.size() * window_events,
-            "score_windows: " << windows.size() << " events are not "
-                              << out.size() << " windows of "
-                              << config_.window + 1);
-  scratch.windows.clear();
+  check_windows(windows, window_events, out);
+  const auto vocab = static_cast<std::int32_t>(model_->config().vocab);
+  // Templates the model has never seen are maximally surprising.
+  const double unknown = config_.score_mode == LstmScoreMode::kTargetRank
+                             ? static_cast<double>(vocab)
+                             : config_.unknown_score;
+  ml::WindowBatch& batch = scratch.windows;
+  batch.clear();
   scratch.slots.clear();
   for (std::size_t w = 0; w < out.size(); ++w) {
-    if (gather(windows.subspan(w * window_events, window_events),
-               config_.window, scratch.windows)) {
-      scratch.slots.push_back(&out[w]);
-    } else {
-      out[w] = unknown_score();
+    const auto window = windows.subspan(w * window_events, window_events);
+    // The first event lends only its time; the k + 1 after it are scored.
+    if (std::any_of(window.begin() + 1, window.end(),
+                    [&](const logproc::ParsedLog& log) {
+                      return log.template_id >= vocab;
+                    })) {
+      out[w] = unknown;
+      continue;
     }
+    for (std::size_t j = 1; j + 1 < window.size(); ++j) {
+      batch.ids.push_back(window[j].template_id);
+      batch.dts.push_back(
+          static_cast<float>((window[j].time - window[j - 1].time).seconds));
+    }
+    batch.targets.push_back(window.back().template_id);
+    scratch.slots.push_back(&out[w]);
   }
-  score_gathered(scratch.windows, scratch);
+  score_gathered(batch, scratch);
 }
 
 void LstmDetector::set_quantized(bool on) {

@@ -64,23 +64,16 @@ struct LstmDetectorConfig {
   /// Quantized steady-state scoring: after every fit/update/adapt the
   /// scoring image is built with int8 gate products, quantized per
   /// channel from the fp32 weights (SequenceModel::build_scoring_image),
-  /// and all scoring — score/score_streams, score_batch, async-ingest
-  /// flushes — runs the fused int8 step. Training, and the over-sampling
-  /// rounds' scoring between training rounds, stay fp32; the correctness
-  /// contract is the rank-agreement gate (see README "Quantized
-  /// scoring").
+  /// and all scoring — score / score_streams and async-ingest flushes,
+  /// all through score_windows — runs the fused int8 step. Training, and
+  /// the over-sampling rounds' scoring between training rounds, stay
+  /// fp32; the correctness contract is the rank-agreement gate (see
+  /// README "Quantized scoring").
   bool quantize = false;
 };
 
 class LstmDetector final : public AnomalyDetector {
  public:
-  /// Rows per fused forward batch. Scores are bit-identical for any batch
-  /// size (every row's forward math is independent of its neighbours).
-  /// Every batch is scored on the calling thread; an AsyncIngest flush
-  /// holds at most flush_batch (64) windows, so it is one batch, scored
-  /// on the flushing worker's thread.
-  static constexpr std::size_t kScoreBatch = 1024;
-
   explicit LstmDetector(const LstmDetectorConfig& config = {});
 
   /// Heap-allocated teacher → student copy (copying is the teacher →
@@ -94,23 +87,12 @@ class LstmDetector final : public AnomalyDetector {
   void fit(std::span<const LogView> streams, std::size_t vocab) override;
   void update(std::span<const LogView> streams, std::size_t vocab) override;
   void adapt(std::span<const LogView> streams, std::size_t vocab) override;
-  std::vector<ScoredEvent> score(LogView logs,
-                                 std::size_t vocab) const override;
+  std::size_t window() const override { return config_.window; }
 
-  /// Cross-stream batched scoring: the model-known windows of ALL streams
-  /// are gathered into one flat batch, each with a pointer to its output
-  /// slot, and scored in fused forward batches of kScoreBatch rows.
-  /// Windows holding a template the model has never seen score the
-  /// pessimistic constant instead. Bit-identical to per-stream score()
-  /// however the streams are grouped into calls. `vocab` is not read: the
-  /// model's own vocabulary decides which templates are known.
-  std::vector<std::vector<ScoredEvent>> score_streams(
-      std::span<const LogView> streams, std::size_t vocab) const override;
-
-  /// The runtime flush path: gathers the windows' ids and Δt into the
-  /// caller's `scratch` and scores them from the scoring image, with no
-  /// per-window allocation and no per-call weight packing. Same scores as
-  /// score_streams over one view per window.
+  /// Gathers the windows into `scratch` and scores them from the scoring
+  /// image, with no per-window allocation or per-call weight packing. A
+  /// window holding a template the model has never seen, among its k + 1
+  /// scored events, scores the pessimistic constant.
   void score_windows(std::span<const logproc::ParsedLog> windows,
                      std::size_t window_events, WindowScratch& scratch,
                      std::span<double> out) const override;
@@ -135,11 +117,6 @@ class LstmDetector final : public AnomalyDetector {
   const LstmDetectorConfig& config() const { return config_; }
   const ml::SequenceModel& model() const { return *model_; }
 
-  /// Anomaly scores of a batch of windows (per score_mode); exposed for
-  /// the over-sampling loop and threshold calibration. Every template id
-  /// must be inside the model vocabulary.
-  std::vector<double> score_batch(const ml::WindowBatch& windows) const;
-
   /// Persist / restore the trained model: score mode, window, the fp32
   /// model (SequenceModel::save) and the precision flag (0 = fp32, 1 =
   /// int8). load() derives an int8 image from the loaded fp32 weights,
@@ -157,16 +134,9 @@ class LstmDetector final : public AnomalyDetector {
   /// every score path stays const and lock-free.
   void refresh_image();
 
-  /// Append the window ending at logs[i] (k predecessors with their Δt;
-  /// the first event of `logs` gets Δt 0) to `windows`; false, appending
-  /// nothing, when it holds a template outside the model vocabulary.
-  bool gather(LogView logs, std::size_t i, ml::WindowBatch& windows) const;
-
-  /// Score of a window holding an unknown template.
-  double unknown_score() const;
-
-  /// Score `windows` from the image in fused batches, writing window i's
-  /// anomaly score to *scratch.slots[i].
+  /// Score `windows` (per score_mode) from the image in fused batches,
+  /// writing window i's anomaly score to *scratch.slots[i]. Every
+  /// template id must be inside the model vocabulary.
   void score_gathered(const ml::WindowBatch& windows,
                       WindowScratch& scratch) const;
 

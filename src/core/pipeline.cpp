@@ -237,8 +237,8 @@ PipelineResult run_pipeline(const simnet::FleetTrace& trace,
 
     // Phase 1 — batched per-group scoring up to the adaptation point (or
     // the whole month): all member streams of a group go through ONE
-    // score_streams call, which packs their windows into fused forward
-    // batches (LstmDetector::score_streams) instead of scoring
+    // score_streams call, which stages their windows into fused forward
+    // batches (AnomalyDetector::score_windows) instead of scoring
     // window-by-window per vPE. Detectors are strictly read-only while
     // scoring; every group writes only its own members' pre-sized slots,
     // so results stay bit-identical for any thread count.

@@ -27,7 +27,7 @@ StreamMonitor::StreamMonitor(std::int32_t vpe,
   check_per_log(detector);
   NFV_CHECK(tree != nullptr, "StreamMonitor requires a signature tree");
   NFV_CHECK(config.window >= 1, "window must be >= 1");
-  history_.resize(config.window + 1);
+  history_.resize(config.window + 2);
 }
 
 void StreamMonitor::set_detector(const AnomalyDetector* detector) {
@@ -55,7 +55,7 @@ double StreamMonitor::ingest_parsed(const logproc::ParsedLog& log) {
   scratch_window_.clear();
   if (!stage_parsed(log, scratch_window_)) return 0.0;
 
-  // One-window scoring: the detector sees exactly (k history + this log).
+  // One-window scoring: a time-only event, k history and this log.
   if (!scratch_) scratch_ = std::make_unique<WindowScratch>();
   double score = 0.0;
   detector_->score_windows(scratch_window_, scratch_window_.size(), *scratch_,
@@ -66,10 +66,13 @@ double StreamMonitor::ingest_parsed(const logproc::ParsedLog& log) {
 
 bool StreamMonitor::stage_parsed(const logproc::ParsedLog& log,
                                  std::vector<logproc::ParsedLog>& windows) {
+  // The stream's first event also fills the slot behind it: the first
+  // window's time-only event, so that event reads Δt 0 as in score().
+  if (lines_ingested_ == 0) history_.back() = log;
   ++lines_ingested_;  // both ingestion paths funnel through here
   history_[history_next_] = log;
   if (++history_next_ == history_.size()) history_next_ = 0;
-  if (lines_ingested_ < history_.size()) return false;
+  if (lines_ingested_ <= config_.window) return false;
   // Full ring: history_next_ now indexes the oldest event.
   const auto oldest =
       history_.begin() + static_cast<std::ptrdiff_t>(history_next_);
@@ -131,7 +134,7 @@ StreamMonitorGroup::StreamMonitorGroup(const AnomalyDetector* detector)
 
 std::size_t StreamMonitorGroup::add(StreamMonitor* monitor) {
   NFV_CHECK(monitor != nullptr, "cannot add a null monitor");
-  const std::size_t events = monitor->config().window + 1;
+  const std::size_t events = monitor->config().window + 2;
   NFV_CHECK(monitors_.empty() || events == window_events_,
             "group shards must share one window length");
   window_events_ = events;

@@ -75,7 +75,8 @@ class StreamMonitor {
                 WarningCallback on_warning);
 
   /// Feed one raw syslog line. Returns the anomaly score assigned to this
-  /// line (0 while the history window is still filling).
+  /// line (0 while the history window is still filling): the score
+  /// AnomalyDetector::score() gives this position of the monitor's stream.
   ///
   /// Ordering contract: a monitor expects per-vPE timestamps to be
   /// non-decreasing (syslog emission order). A line whose timestamp
@@ -92,9 +93,10 @@ class StreamMonitor {
   double ingest_parsed(const logproc::ParsedLog& log);
 
   /// Deferred ingestion for micro-batched scoring (StreamMonitorGroup):
-  /// appends the event to the history and, if a full scoring window is
-  /// available, appends it (window + 1 events, oldest first) to `windows`
-  /// and returns true. The caller must later hand the externally computed
+  /// appends the event to the history and, from the stream's
+  /// (window + 1)-th event on, appends its staged window (window + 2
+  /// events, oldest first, as AnomalyDetector::score_windows reads them)
+  /// to `windows` and returns true. The caller must later hand the externally computed
   /// score back via apply_score(), in staging order — the combination is
   /// exactly ingest_parsed() with the scoring hoisted out.
   bool stage_parsed(const logproc::ParsedLog& log,
@@ -134,9 +136,10 @@ class StreamMonitor {
   StreamMonitorConfig config_;
   WarningCallback on_warning_;
 
-  // The last `window`+1 events as a fixed ring (time and id: the model's
-  // Δt input needs the times). history_next_ is the slot the next event
-  // overwrites, i.e. the oldest event once the ring is full.
+  // The last `window`+2 events as a fixed ring (time and id: the model's
+  // Δt input needs the times; the oldest is read for its time only).
+  // history_next_ is the slot the next event overwrites, i.e. the oldest
+  // event once the ring is full.
   std::vector<logproc::ParsedLog> history_;
   std::size_t history_next_ = 0;
   std::vector<logproc::ParsedLog> scratch_window_;  // ingest_parsed scratch
@@ -165,7 +168,8 @@ class StreamMonitor {
 /// LSTM) and replays the per-monitor warning tracking in arrival order.
 /// No detector reads the vocabulary at score time, so shards whose trees
 /// differ in size share the batch. Scores and warnings are identical to
-/// immediate per-line ingestion; only the GEMM granularity changes.
+/// immediate per-line ingestion, and the scores to score() of each
+/// shard's stream; only the GEMM granularity changes.
 ///
 /// Concurrency: a group is single-threaded (it serializes its shards'
 /// history/cluster mutations); many groups may share one read-only
@@ -229,7 +233,7 @@ class StreamMonitorGroup {
   SampleTap sample_tap_;
   std::vector<StreamMonitor*> monitors_;
   std::vector<PendingEntry> entries_;
-  std::size_t window_events_ = 0;  // k + 1, shared by every shard
+  std::size_t window_events_ = 0;  // k + 2, shared by every shard
   // Every staged window back to back, the flush's per-window and per-line
   // scores, and the detector's gather buffers. All keep their capacity
   // across flushes (one group per worker thread, like a per-core batch

@@ -208,20 +208,34 @@ ml::WindowBatch all_windows(const std::vector<ParsedLog>& logs,
   return windows;
 }
 
-/// The detector's scores (its own scoring image) against a fresh image of
-/// the current weights, built in the detector's precision.
+/// The detector's score() of `logs` (its own scoring image) against a
+/// fresh image of the current weights, built in the detector's precision,
+/// over every window of `logs`.
 void expect_fresh_image(const LstmDetector& detector,
-                        const ml::WindowBatch& windows, const char* after) {
+                        const std::vector<ParsedLog>& logs,
+                        const char* after) {
+  const ml::WindowBatch windows = all_windows(logs, detector.window());
   const ml::SequenceModel& model = detector.model();
   std::vector<double> fresh(windows.size());
   ml::SequenceModel::InferenceScratch scratch;
   model.score_batched(model.build_scoring_image(detector.config().quantize),
                       windows, windows.size(), scratch, fresh);
-  const std::vector<double> scores = detector.score_batch(windows);
-  ASSERT_EQ(scores.size(), fresh.size()) << after;
-  for (std::size_t i = 0; i < scores.size(); ++i) {
-    EXPECT_EQ(scores[i], -fresh[i]) << "after " << after << ", window " << i;
+  const std::vector<ScoredEvent> events = detector.score(logs, 0);
+  ASSERT_EQ(events.size(), fresh.size()) << after;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    EXPECT_EQ(events[i].score, -fresh[i]) << "after " << after << ", window "
+                                          << i;
   }
+}
+
+/// The scores of score(logs).
+std::vector<double> scores_of(const LstmDetector& detector,
+                              const std::vector<ParsedLog>& logs) {
+  std::vector<double> scores;
+  for (const ScoredEvent& event : detector.score(logs, 0)) {
+    scores.push_back(event.score);
+  }
+  return scores;
 }
 
 // The detector's scoring image follows every weight and precision change:
@@ -233,7 +247,7 @@ TEST(LstmDetector, ScoringImageFollowsEveryWeightChange) {
   const auto train = motif_stream(60);
   const LogView view{train};
   detector.fit({&view, 1}, 8);
-  expect_fresh_image(detector, all_windows(motif_stream(6), 4), "fit");
+  expect_fresh_image(detector, motif_stream(6), "fit");
 
   // Three lines < window + 1: no training window, but the vocab grows to
   // 12 and windows with templates 8–11 must score from the grown image.
@@ -246,35 +260,73 @@ TEST(LstmDetector, ScoringImageFollowsEveryWeightChange) {
   const LogView short_view{too_short};
   detector.update({&short_view, 1}, 12);
   EXPECT_EQ(detector.model().config().vocab, 12u);
-  const ml::WindowBatch grown = all_windows(post, 4);
-  expect_fresh_image(detector, grown, "update growing the vocab");
+  expect_fresh_image(detector, post, "update growing the vocab");
 
   const LogView post_view{post};
   detector.adapt({&post_view, 1}, 12);
-  expect_fresh_image(detector, grown, "adapt");
+  expect_fresh_image(detector, post, "adapt");
 
   detector.set_quantized(true);
-  expect_fresh_image(detector, grown, "set_quantized(true)");
+  expect_fresh_image(detector, post, "set_quantized(true)");
   detector.adapt({&post_view, 1}, 12);
-  expect_fresh_image(detector, grown, "int8 adapt");
+  expect_fresh_image(detector, post, "int8 adapt");
   detector.set_quantized(false);
-  expect_fresh_image(detector, grown, "set_quantized(false)");
+  expect_fresh_image(detector, post, "set_quantized(false)");
 
   std::stringstream saved;
   detector.save(saved);
   const LstmDetector loaded = LstmDetector::load(saved);
-  expect_fresh_image(loaded, grown, "load");
+  expect_fresh_image(loaded, post, "load");
 
   // Copies carry the image; retraining the original leaves them intact.
   const LstmDetector copy(detector);
   LstmDetector assigned;
   assigned = detector;
   detector.update({&view, 1}, 12);
-  expect_fresh_image(detector, grown, "update");
-  expect_fresh_image(copy, grown, "copy");
-  expect_fresh_image(assigned, grown, "assignment");
-  EXPECT_EQ(copy.score_batch(grown), loaded.score_batch(grown));
-  EXPECT_NE(copy.score_batch(grown), detector.score_batch(grown));
+  expect_fresh_image(detector, post, "update");
+  expect_fresh_image(copy, post, "copy");
+  expect_fresh_image(assigned, post, "assignment");
+  EXPECT_EQ(scores_of(copy, post), scores_of(loaded, post));
+  EXPECT_NE(scores_of(copy, post), scores_of(detector, post));
+}
+
+// A window scores the unknown-template constant exactly when one of its
+// k + 1 scored events (the k predecessors and the scored line) holds a
+// template the model never saw. The event before them lends only its
+// time, so the window after the last one holding the unknown line scores
+// from the model, its first Δt measured from that line.
+TEST(LstmDetector, UnknownTemplateMarksOnlyTheWindowsHoldingIt) {
+  LstmDetector detector(fast_lstm_config());
+  const auto train = motif_stream(60);
+  const LogView view{train};
+  detector.fit({&view, 1}, 8);
+  std::vector<ParsedLog> logs = motif_stream(6);
+  constexpr std::size_t kUnknownAt = 10;
+  logs[kUnknownAt].template_id = 8;  // outside the vocabulary of 8
+  const std::size_t k = detector.window();
+  const auto holds = [&](std::size_t i) {
+    return i >= kUnknownAt && i <= kUnknownAt + k;
+  };
+  const ml::WindowBatch all = all_windows(logs, k);
+  ml::WindowBatch known;
+  for (std::size_t i = k; i < logs.size(); ++i) {
+    if (!holds(i)) known.append_row(all, i - k, k);
+  }
+  const ml::SequenceModel& model = detector.model();
+  std::vector<double> ll(known.size());
+  ml::SequenceModel::InferenceScratch scratch;
+  model.score_batched(model.build_scoring_image(), known, known.size(),
+                      scratch, ll);
+
+  const std::vector<ScoredEvent> events = detector.score(logs, 0);
+  ASSERT_EQ(events.size(), logs.size() - k);
+  std::size_t next_known = 0;
+  for (std::size_t i = k; i < logs.size(); ++i) {
+    const double expected = holds(i) ? detector.config().unknown_score
+                                     : -ll[next_known++];
+    EXPECT_EQ(events[i - k].score, expected) << "line " << i;
+  }
+  EXPECT_EQ(next_known, known.size());
 }
 
 TEST(LstmDetector, LifecycleChecks) {

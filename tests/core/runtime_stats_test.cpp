@@ -141,14 +141,13 @@ class StepDetector final : public AnomalyDetector {
   void fit(std::span<const LogView>, std::size_t) override {}
   void update(std::span<const LogView>, std::size_t) override {}
   void adapt(std::span<const LogView>, std::size_t) override {}
-  std::vector<ScoredEvent> score(LogView logs,
-                                 std::size_t /*vocab*/) const override {
-    std::vector<ScoredEvent> events;
-    events.reserve(logs.size());
-    for (const auto& log : logs) {
-      events.push_back({log.time, log.template_id >= 100 ? 50.0 : 0.0});
+  void score_windows(std::span<const logproc::ParsedLog> windows,
+                     std::size_t window_events, WindowScratch&,
+                     std::span<double> out) const override {
+    for (std::size_t w = 0; w < out.size(); ++w) {
+      out[w] = windows[(w + 1) * window_events - 1].template_id >= 100 ? 50.0
+                                                                       : 0.0;
     }
-    return events;
   }
   bool trained() const override { return true; }
   DetectorKind kind() const override { return DetectorKind::kLstm; }

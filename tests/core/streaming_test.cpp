@@ -7,6 +7,7 @@
 
 #include "core/async_ingest.h"
 #include "core/feature_detectors.h"
+#include "core/hmm_detector.h"
 #include "core/lstm_detector.h"
 #include "util/check.h"
 
@@ -195,25 +196,21 @@ TEST_F(StreamingFixture, SaveLoadRoundTripScoresIdentically) {
 
 // Scoring stub whose score is the template id of the scored line — it
 // reads nothing else, like every real detector ignores `vocab` at score
-// time. It counts score_streams calls and the windows they carry, so a
+// time. It counts score_windows calls and the windows they carry, so a
 // test can pin how a group flush batches its windows.
 class FakeTemplateDetector final : public AnomalyDetector {
  public:
   void fit(std::span<const LogView>, std::size_t) override {}
   void update(std::span<const LogView>, std::size_t) override {}
   void adapt(std::span<const LogView>, std::size_t) override {}
-  std::vector<ScoredEvent> score(LogView logs, std::size_t) const override {
-    std::vector<ScoredEvent> events;
-    if (logs.empty()) return events;
-    events.push_back(
-        {logs.back().time, static_cast<double>(logs.back().template_id)});
-    return events;
-  }
-  std::vector<std::vector<ScoredEvent>> score_streams(
-      std::span<const LogView> streams, std::size_t vocab) const override {
-    ++stream_calls;
-    streams_scored += streams.size();
-    return AnomalyDetector::score_streams(streams, vocab);
+  void score_windows(std::span<const ParsedLog> windows,
+                     std::size_t window_events, WindowScratch&,
+                     std::span<double> out) const override {
+    ++window_calls;
+    windows_scored += out.size();
+    for (std::size_t w = 0; w < out.size(); ++w) {
+      out[w] = windows[(w + 1) * window_events - 1].template_id;
+    }
   }
   bool trained() const override { return true; }
   DetectorKind kind() const override { return DetectorKind::kLstm; }
@@ -221,8 +218,8 @@ class FakeTemplateDetector final : public AnomalyDetector {
     return EventGranularity::kPerLog;
   }
 
-  mutable std::size_t stream_calls = 0;
-  mutable std::size_t streams_scored = 0;
+  mutable std::size_t window_calls = 0;
+  mutable std::size_t windows_scored = 0;
 };
 
 // Letters-only head token (digit-bearing tokens are masked to wildcards,
@@ -234,7 +231,7 @@ std::string shape_line(std::size_t shape, std::size_t salt) {
          " notice seq " + std::to_string(salt);
 }
 
-// A flush scores every staged window of every shard in ONE score_streams
+// A flush scores every staged window of every shard in ONE score_windows
 // call, even when the shards' trees differ in size (3 vs 7 templates) and
 // a tree grows between staging and flush — the vocabulary is no reason to
 // split a batch, since no detector reads it at score time. Scores stay
@@ -279,14 +276,14 @@ TEST(StreamMonitorGroupVocab, OneScoringCallPerFlushAcrossTreeSizes) {
         }
       }
       if (!immediate) {
-        const std::size_t calls = detector.stream_calls;
-        const std::size_t windows = detector.streams_scored;
+        const std::size_t calls = detector.window_calls;
+        const std::size_t windows = detector.windows_scored;
         for (double score : group.flush()) scores.push_back(score);
-        EXPECT_EQ(detector.stream_calls - calls, 1u) << "flush " << flush;
+        EXPECT_EQ(detector.window_calls - calls, 1u) << "flush " << flush;
         // 24 staged lines; each shard's first `window` lines never fill.
         const std::size_t staged_windows =
             flush == 0 ? 24 - 2 * config.window : 24;
-        EXPECT_EQ(detector.streams_scored - windows, staged_windows)
+        EXPECT_EQ(detector.windows_scored - windows, staged_windows)
             << "flush " << flush;
       }
     }
@@ -297,7 +294,7 @@ TEST(StreamMonitorGroupVocab, OneScoringCallPerFlushAcrossTreeSizes) {
   FakeTemplateDetector group_detector;
   const std::vector<double> immediate = run(true, immediate_detector);
   const std::vector<double> batched = run(false, group_detector);
-  EXPECT_EQ(group_detector.stream_calls, 2u);
+  EXPECT_EQ(group_detector.window_calls, 2u);
   ASSERT_EQ(immediate.size(), batched.size());
   bool any_nonzero = false;
   for (std::size_t i = 0; i < immediate.size(); ++i) {
@@ -457,7 +454,7 @@ TEST(StreamMonitorGroupEdgeCases, RepeatedFlushIsIdempotent) {
 // A multi-year silence inside a stream must neither drop nor shift
 // windows: every position with `window` predecessors is scored with its
 // own time and its own window's score, and a group flush scores every
-// staged window as immediate ingestion would.
+// staged window as score() scores the full stream.
 TEST_F(StreamingFixture, MultiYearGapStillScoresEveryPosition) {
   std::vector<ParsedLog> logs = motif_stream(3);
   logs.resize(10);
@@ -484,11 +481,56 @@ TEST_F(StreamingFixture, MultiYearGapStillScoresEveryPosition) {
   const std::span<const double> scores = group.flush();
   ASSERT_EQ(scores.size(), logs.size());
   for (std::size_t e = 0; e < events.size(); ++e) {
-    const std::vector<ScoredEvent> staged =
-        detector.score(LogView{logs.data() + e, 5}, 8);
-    ASSERT_EQ(staged.size(), 1u) << "line " << 4 + e;
-    EXPECT_EQ(scores[4 + e], staged[0].score) << "line " << 4 + e;
+    EXPECT_EQ(scores[4 + e], events[e].score) << "line " << 4 + e;
   }
+}
+
+// HmmDetector streams through the same staged windows as the LSTM: an
+// immediate StreamMonitor and a StreamMonitorGroup score every line as
+// HmmDetector::score() scores that position of the whole stream, lines
+// with templates the model never saw included.
+TEST(HmmStreaming, MonitorAndGroupScoreEveryLineAsScore) {
+  HmmDetectorConfig config;
+  config.window = 4;
+  HmmDetector detector(config);
+  const std::vector<ParsedLog> train = motif_stream(100);
+  const LogView view{train};
+  detector.fit({&view, 1}, 8);
+
+  std::vector<ParsedLog> logs = motif_stream(12, 500000);
+  for (std::size_t i = 0; i < logs.size(); ++i) {
+    logs[i].time = logs[i].time + Duration{static_cast<std::int64_t>(i * i)};
+    if (i % 11 == 7) logs[i].template_id = 9;  // unseen in training
+  }
+  const std::vector<ScoredEvent> events = detector.score(logs, 0);
+  ASSERT_EQ(events.size(), logs.size() - config.window);
+
+  logproc::SignatureTree tree;
+  StreamMonitorConfig monitor_config;
+  monitor_config.window = config.window;
+  monitor_config.threshold = 1e300;
+  StreamMonitor immediate(0, &detector, &tree, monitor_config, nullptr);
+  StreamMonitor staged(1, &detector, &tree, monitor_config, nullptr);
+  StreamMonitorGroup group(&detector);
+  group.add(&staged);
+  std::vector<double> group_scores;
+  const auto flush = [&] {
+    for (double score : group.flush()) group_scores.push_back(score);
+  };
+  for (std::size_t i = 0; i < logs.size(); ++i) {
+    const double expected =
+        i < config.window ? 0.0 : events[i - config.window].score;
+    EXPECT_EQ(immediate.ingest_parsed(logs[i]), expected) << "line " << i;
+    group.ingest_parsed(0, logs[i]);
+    if (i % 7 == 6) flush();
+  }
+  flush();
+  ASSERT_EQ(group_scores.size(), logs.size());
+  for (std::size_t e = 0; e < events.size(); ++e) {
+    EXPECT_EQ(group_scores[config.window + e], events[e].score)
+        << "line " << config.window + e;
+  }
+  EXPECT_NE(events.front().score, events.back().score) << "vacuous scores";
 }
 
 TEST_F(StreamingFixture, TargetRankModeOrdersLikeDeepLog) {

@@ -147,7 +147,7 @@ TEST(Serialize, MatrixHeaderBeyondElementLimitThrows) {
 // builds catch any crash, out-of-bounds read or undefined conversion (a
 // payload flip can make a weight NaN or infinite, which the int8 image
 // must refuse before quantizing it). A detector that loads must also
-// score a window.
+// score a one-window stream.
 
 /// Offsets of the u64 fields of a detector checkpoint that size or
 /// select what follows: the detector header (score mode, window), the
@@ -179,7 +179,8 @@ struct FuzzTally {
   std::size_t rejected = 0;
 };
 
-void load_or_reject(const std::string& bytes, const WindowBatch& window,
+void load_or_reject(const std::string& bytes,
+                    const std::vector<logproc::ParsedLog>& probe,
                     const std::string& what, FuzzTally& tally) {
   std::stringstream stream(bytes);
   std::optional<core::LstmDetector> detector;
@@ -194,11 +195,11 @@ void load_or_reject(const std::string& bytes, const WindowBatch& window,
   }
   ++tally.loaded;
   const SequenceModelConfig& config = detector->model().config();
-  if (window.ids.size() != window.size() * config.window ||
-      window.targets[0] >= static_cast<std::int32_t>(config.vocab)) {
+  if (probe.size() != config.window + 1 ||
+      probe.back().template_id >= static_cast<std::int32_t>(config.vocab)) {
     return;  // the probe window does not fit this (mutated) shape
   }
-  EXPECT_NO_THROW(detector->score_batch(window)) << what;
+  EXPECT_NO_THROW(detector->score(probe, 0)) << what;
 }
 
 /// A trained detector of the fuzzer's shape: window 3, embed 5, hidden 6
@@ -223,10 +224,12 @@ core::LstmDetector fuzz_detector() {
 }
 
 TEST(Serialize, MutatedCheckpointsLoadOrThrowCheckError) {
-  WindowBatch window;
-  window.ids = {1, 4, 6};
-  window.dts = {0.0f, 12.0f, 300.0f};
-  window.targets = {2};
+  // One window: ids 1, 4, 6 with Δt 0, 12 and 300 s, then target 2.
+  const std::vector<logproc::ParsedLog> window{
+      {nfv::util::SimTime{0}, 1},
+      {nfv::util::SimTime{12}, 4},
+      {nfv::util::SimTime{312}, 6},
+      {nfv::util::SimTime{312}, 2}};
   core::LstmDetector detector = fuzz_detector();
   nfv::util::Rng rng(20261018);
   for (const bool quantized : {false, true}) {

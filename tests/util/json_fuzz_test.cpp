@@ -29,13 +29,13 @@ class ThresholdDetector final : public core::AnomalyDetector {
   void fit(std::span<const core::LogView>, std::size_t) override {}
   void update(std::span<const core::LogView>, std::size_t) override {}
   void adapt(std::span<const core::LogView>, std::size_t) override {}
-  std::vector<core::ScoredEvent> score(core::LogView logs,
-                                       std::size_t /*vocab*/) const override {
-    std::vector<core::ScoredEvent> events;
-    for (const auto& log : logs) {
-      events.push_back({log.time, log.template_id >= 100 ? 50.0 : 0.0});
+  void score_windows(std::span<const logproc::ParsedLog> windows,
+                     std::size_t window_events, core::WindowScratch&,
+                     std::span<double> out) const override {
+    for (std::size_t w = 0; w < out.size(); ++w) {
+      out[w] = windows[(w + 1) * window_events - 1].template_id >= 100 ? 50.0
+                                                                       : 0.0;
     }
-    return events;
   }
   bool trained() const override { return true; }
   core::DetectorKind kind() const override { return core::DetectorKind::kLstm; }

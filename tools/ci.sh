@@ -8,10 +8,13 @@
 # concurrency-, observability-, continual- and forest-labelled tests
 # (thread pool, lock-free queues, parallel-vs-serial pipeline
 # determinism, shared-detector streaming,
-# the async-ingest determinism/backpressure/control-plane suite, and the
+# the async-ingest determinism/backpressure/control-plane suite, the
 # batched-inference invariance suite: fused model scoring at any batch
-# size, cross-stream calls vs per-window calls, and
-# one-call group flushes vs immediate ingestion). The
+# size, score_streams over many streams vs score() per stream, and
+# one-call group flushes vs immediate ingestion, and the streaming score
+# parity suite: every line StreamMonitor, StreamMonitorGroup and
+# AsyncIngest at 1, 2 and 4 workers score equals score() of its stream,
+# in fp32 and int8, across a pause/resume and a detector swap). The
 # benchmark ledger's self-test (perfbench/selftest.py) checks its metric
 # set, its serial-replay parity gate and that gate's --perturb trip. The
 # forest-labelled tests cover the shared publication arena under the token
@@ -41,7 +44,10 @@
 # epilogue's activation codes of NaN and ±Inf included). Both
 # sanitizer legs also run the detector tests of test_core
 # (LstmDetector*:HmmDetector*), whose training rounds subsample,
-# over-sample and minibatch windows by row index, and all of
+# over-sample and minibatch windows by row index, the HMM streaming
+# test (HmmStreaming*) and the streaming score parity suite of
+# test_concurrency (*StreamingScoreParity*), whose staged windows
+# score_windows indexes by window length, and all of
 # test_observability: the runtime stats suite (the per-worker seqlock
 # slots and the optional shard rows) and the JSON tests, whose
 # seeded mutation fuzzer feeds the parser flipped, inserted, deleted and
@@ -98,27 +104,29 @@ ctest --test-dir "$ROOT/build" -L quant --output-on-failure -j "$JOBS"
 cmake --build "$ROOT/build" -j "$JOBS" --target bench_scoring_throughput
 "$ROOT/build/bench/bench_scoring_throughput" --smoke
 
-echo "=== ASan: logproc fast path (interner, AVX2 tokenizer, alloc hook), shared arena + forest and learn() fuzzer, int8 and fp32 packed kernels, scoring image + checkpoint loader + its fuzzer, detector training rounds, runtime stats + JSON parser fuzzer ==="
+echo "=== ASan: logproc fast path (interner, AVX2 tokenizer, alloc hook), shared arena + forest and learn() fuzzer, int8 and fp32 packed kernels, scoring image + checkpoint loader + its fuzzer, detector training rounds, streaming score parity, runtime stats + JSON parser fuzzer ==="
 cmake -B "$ROOT/build-asan" -S "$ROOT" -DNFVPRED_SANITIZE=address
 cmake --build "$ROOT/build-asan" -j "$JOBS" --target test_logproc --target test_logproc_alloc --target test_forest --target test_quant --target test_ml_grad --target test_ml_models --target test_core
-cmake --build "$ROOT/build-asan" -j "$JOBS" --target test_observability
+cmake --build "$ROOT/build-asan" -j "$JOBS" --target test_observability --target test_concurrency
 "$ROOT/build-asan/tests/test_logproc"
 "$ROOT/build-asan/tests/test_logproc_alloc"
 "$ROOT/build-asan/tests/test_forest"
 "$ROOT/build-asan/tests/test_quant"
 "$ROOT/build-asan/tests/test_ml_grad"
 "$ROOT/build-asan/tests/test_ml_models"
-"$ROOT/build-asan/tests/test_core" --gtest_filter='LstmDetector*:HmmDetector*'
+"$ROOT/build-asan/tests/test_core" --gtest_filter='LstmDetector*:HmmDetector*:HmmStreaming*'
+"$ROOT/build-asan/tests/test_concurrency" --gtest_filter='*StreamingScoreParity*'
 "$ROOT/build-asan/tests/test_observability"
 
-echo "=== UBSan: fp32 packed, int8 and sequence-model kernels, checkpoint fuzzer, detector training rounds, runtime stats + JSON parser fuzzer, shared arena + forest and learn() fuzzer ($tier tier) ==="
+echo "=== UBSan: fp32 packed, int8 and sequence-model kernels, checkpoint fuzzer, detector training rounds, streaming score parity, runtime stats + JSON parser fuzzer, shared arena + forest and learn() fuzzer ($tier tier) ==="
 cmake -B "$ROOT/build-ubsan" -S "$ROOT" -DNFVPRED_SANITIZE=undefined
 cmake --build "$ROOT/build-ubsan" -j "$JOBS" --target test_ml_grad --target test_quant --target test_ml_models --target test_core
-cmake --build "$ROOT/build-ubsan" -j "$JOBS" --target test_observability --target test_forest
+cmake --build "$ROOT/build-ubsan" -j "$JOBS" --target test_observability --target test_forest --target test_concurrency
 "$ROOT/build-ubsan/tests/test_ml_grad"
 "$ROOT/build-ubsan/tests/test_quant"
 "$ROOT/build-ubsan/tests/test_ml_models"
-"$ROOT/build-ubsan/tests/test_core" --gtest_filter='LstmDetector*:HmmDetector*'
+"$ROOT/build-ubsan/tests/test_core" --gtest_filter='LstmDetector*:HmmDetector*:HmmStreaming*'
+"$ROOT/build-ubsan/tests/test_concurrency" --gtest_filter='*StreamingScoreParity*'
 "$ROOT/build-ubsan/tests/test_observability"
 "$ROOT/build-ubsan/tests/test_forest"
 
