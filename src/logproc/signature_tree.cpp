@@ -5,6 +5,31 @@
 
 namespace nfv::logproc {
 
+/// One line's tokenization plus the new-signature and copy-on-write
+/// buffers. Every field is rewritten by the call that reads it, so one
+/// instance serves any number of trees in turn; the vectors keep their
+/// capacity, so a warm thread mines without allocating.
+struct SignatureTree::Scratch {
+  std::vector<std::string_view> spans;
+  std::vector<unsigned char> variable;
+  // Head-probe cache filled by head_id() for the current line (valid only
+  // when the line has a stable head), consumed by learn()'s
+  // new-signature path.
+  std::uint64_t head_hash = 0;
+  bool head_hash_valid = false;
+  std::vector<std::uint32_t> line_ids;  // new-signature path only
+  std::vector<std::uint32_t> gen_ids;   // COW generalization only
+
+  /// Token count of the tokenized line ("<empty>" placeholder counts as
+  /// one token, matching the reference miner).
+  std::size_t token_count() const { return spans.empty() ? 1 : spans.size(); }
+};
+
+SignatureTree::Scratch& SignatureTree::thread_scratch() {
+  thread_local Scratch scratch;
+  return scratch;
+}
+
 namespace {
 
 /// Id of the "<empty>" placeholder token (interned right after the
@@ -15,13 +40,14 @@ constexpr std::size_t kInitialLeafSlots = 64;  // power of two
 
 /// splitmix64 over the packed (token count, head id) leaf key, so the
 /// per-line leaf probe hashes two integers instead of a std::string.
-inline std::uint64_t leaf_hash(std::uint64_t key) {
+inline std::size_t leaf_hash(std::uint32_t count, std::uint32_t head) {
+  std::uint64_t key = (static_cast<std::uint64_t>(count) << 32) | head;
   key ^= key >> 30;
   key *= 0xBF58476D1CE4E5B9ull;
   key ^= key >> 27;
   key *= 0x94D049BB133111EBull;
   key ^= key >> 31;
-  return key;
+  return static_cast<std::size_t>(key);
 }
 
 }  // namespace
@@ -47,8 +73,6 @@ SignatureTree::SignatureTree(SignatureTreeConfig config,
   NFV_CHECK(wildcard == kWildcardTokenId, "wildcard must intern to id 0");
   const std::uint32_t empty = interner_.intern("<empty>");
   NFV_CHECK(empty == kEmptyTokenId, "<empty> must intern to id 1");
-  leaf_slots_.resize(kInitialLeafSlots);
-  leaf_mask_ = kInitialLeafSlots - 1;
 }
 
 std::size_t SignatureTree::checked_index(std::int32_t id) const {
@@ -115,36 +139,31 @@ std::size_t SignatureTree::memory_bytes() const {
       sigs_.capacity() * sizeof(SigEntry) +
       private_words_.capacity() * sizeof(std::uint32_t) +
       private_nodes_.capacity() * sizeof(NodeRef);
-  const std::size_t leaf_bytes =
-      leaf_slots_.capacity() * sizeof(LeafSlot) +
-      leaf_chain_.capacity() * sizeof(std::pair<std::int32_t, std::int32_t>);
-  const std::size_t scratch_bytes =
-      spans_.capacity() * sizeof(std::string_view) + variable_.capacity() +
-      line_ids_.capacity() * sizeof(std::uint32_t) +
-      gen_ids_.capacity() * sizeof(std::uint32_t);
-  return interner_.private_bytes() + signature_bytes + leaf_bytes +
-         scratch_bytes;
+  // The per-thread scratch is not the tree's and is not counted.
+  const std::size_t leaf_bytes = leaf_slots_.capacity() * sizeof(LeafSlot);
+  return interner_.private_bytes() + signature_bytes + leaf_bytes;
 }
 
-std::uint32_t SignatureTree::head_id() const {
+std::uint32_t SignatureTree::head_id(Scratch& s) const {
   // Masked-head equivalence classes of the reference miner's (count, head
   // string) key: a variable first token shares the wildcard bucket, an
   // empty line heads its own "<empty>" bucket.
-  head_hash_valid_ = false;
-  if (spans_.empty()) return kEmptyTokenId;
-  if (variable_[0]) return kWildcardTokenId;
-  head_hash_ = nfv::util::StringInterner::hash_bytes(spans_[0]);
-  head_hash_valid_ = true;
-  return interner_.find_hashed(spans_[0], head_hash_);
+  s.head_hash_valid = false;
+  if (s.spans.empty()) return kEmptyTokenId;
+  if (s.variable[0]) return kWildcardTokenId;
+  s.head_hash = nfv::util::StringInterner::hash_bytes(s.spans[0]);
+  s.head_hash_valid = true;
+  return interner_.find_hashed(s.spans[0], s.head_hash);
 }
 
-double SignatureTree::similarity_to_line(const SigEntry& sig) const {
+double SignatureTree::similarity_to_line(const SigEntry& sig,
+                                         const Scratch& s) const {
   const std::span<const std::uint32_t> toks = node_tokens(sig.node);
   // Same-count is guaranteed by the leaf key, but keep the guard so a
   // corrupt tree degrades to "no match" instead of out-of-bounds reads.
-  const std::size_t n = line_token_count();
+  const std::size_t n = s.token_count();
   if (toks.size() != n) return 0.0;
-  if (spans_.empty()) {
+  if (s.spans.empty()) {
     // Placeholder line "<empty>": matches a wildcard or itself.
     return toks[0] == kWildcardTokenId || toks[0] == kEmptyTokenId
                ? 1.0
@@ -160,30 +179,37 @@ double SignatureTree::similarity_to_line(const SigEntry& sig) const {
     const std::uint32_t t = toks[i];
     matched += static_cast<std::size_t>(
         t == kWildcardTokenId ||
-        (variable_[i] == 0 && interner_.view(t) == spans_[i]));
+        (s.variable[i] == 0 && interner_.view(t) == s.spans[i]));
   }
   return static_cast<double>(matched) / static_cast<double>(n);
 }
 
-void SignatureTree::generalize_to_line(SigEntry& sig) {
+bool SignatureTree::wildcard_mismatches(std::uint32_t* toks,
+                                        const Scratch& s) const {
+  bool changed = false;
+  if (s.spans.empty()) {
+    // Placeholder line "<empty>": only a stable non-placeholder differs.
+    changed = toks[0] != kWildcardTokenId && toks[0] != kEmptyTokenId;
+    if (changed) toks[0] = kWildcardTokenId;
+    return changed;
+  }
+  for (std::size_t i = 0; i < s.spans.size(); ++i) {
+    const std::uint32_t t = toks[i];
+    if (t != kWildcardTokenId &&
+        (s.variable[i] != 0 || interner_.view(t) != s.spans[i])) {
+      toks[i] = kWildcardTokenId;
+      changed = true;
+    }
+  }
+  return changed;
+}
+
+void SignatureTree::generalize_to_line(SigEntry& sig, Scratch& s) {
   if (sig.node >= kPrivateNodeBase) {
     // Private node: 1:1 with this template, mutate in place (identical
     // to the pre-forest behavior).
     const NodeRef& ref = private_nodes_[sig.node - kPrivateNodeBase];
-    std::uint32_t* toks = private_words_.data() + ref.offset;
-    if (spans_.empty()) {
-      if (toks[0] != kWildcardTokenId && toks[0] != kEmptyTokenId) {
-        toks[0] = kWildcardTokenId;
-      }
-      return;
-    }
-    for (std::size_t i = 0; i < spans_.size(); ++i) {
-      const std::uint32_t t = toks[i];
-      if (t != kWildcardTokenId &&
-          (variable_[i] != 0 || interner_.view(t) != spans_[i])) {
-        toks[i] = kWildcardTokenId;
-      }
-    }
+    wildcard_mismatches(private_words_.data() + ref.offset, s);
     return;
   }
   // Shared forest node: immutable, so diverge copy-on-write. The
@@ -192,114 +218,87 @@ void SignatureTree::generalize_to_line(SigEntry& sig) {
   // spills into the private pool when the forest rejects it. The
   // per-tree template id (and its leaf position) never changes.
   const std::span<const std::uint32_t> seq = forest_->view(sig.node);
-  gen_ids_.assign(seq.begin(), seq.end());
-  bool changed = false;
-  if (spans_.empty()) {
-    if (gen_ids_[0] != kWildcardTokenId && gen_ids_[0] != kEmptyTokenId) {
-      gen_ids_[0] = kWildcardTokenId;
-      changed = true;
-    }
-  } else {
-    for (std::size_t i = 0; i < spans_.size(); ++i) {
-      const std::uint32_t t = gen_ids_[i];
-      if (t != kWildcardTokenId &&
-          (variable_[i] != 0 || interner_.view(t) != spans_[i])) {
-        gen_ids_[i] = kWildcardTokenId;
-        changed = true;
-      }
-    }
+  s.gen_ids.assign(seq.begin(), seq.end());
+  if (wildcard_mismatches(s.gen_ids.data(), s)) {
+    sig.node = store_node(s.gen_ids);
   }
-  if (!changed) return;
-  sig.node = store_node(gen_ids_);
 }
 
-SignatureTree::BestMatch SignatureTree::find_best(std::uint32_t head) const {
+SignatureTree::BestMatch SignatureTree::find_best(std::uint32_t head,
+                                                  const Scratch& s) const {
   BestMatch best;
   if (head == nfv::util::StringInterner::kNotFound) return best;
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(line_token_count()) << 32) | head;
-  const LeafSlot* slot = leaf_find(key);
+  const LeafSlot* slot =
+      leaf_find(static_cast<std::uint32_t>(s.token_count()), head);
   if (slot == nullptr) return best;
-  // Walk head + chain in template creation order (first-best wins,
-  // identical to the reference miner's candidate scan).
-  std::int32_t id = slot->sig;
-  std::int32_t next = slot->next;
-  while (id >= 0) {
-    const double score =
-        similarity_to_line(sigs_[static_cast<std::size_t>(id)]);
+  // Walk the leaf's templates in creation order (first-best wins,
+  // identical to the reference miner's candidate scan); each link sits
+  // in the entry whose node the similarity pass reads anyway.
+  for (std::int32_t id = slot->sig; id >= 0;) {
+    const SigEntry& sig = sigs_[static_cast<std::size_t>(id)];
+    const double score = similarity_to_line(sig, s);
     if (score > best.score) {
       best.score = score;
       best.id = id;
     }
-    if (next >= 0) {
-      id = leaf_chain_[static_cast<std::size_t>(next)].first;
-      next = leaf_chain_[static_cast<std::size_t>(next)].second;
-    } else {
-      id = -1;
-    }
+    id = sig.next;
   }
   return best;
 }
 
 const SignatureTree::LeafSlot* SignatureTree::leaf_find(
-    std::uint64_t key) const {
-  std::size_t slot = static_cast<std::size_t>(leaf_hash(key)) & leaf_mask_;
+    std::uint32_t count, std::uint32_t head) const {
+  if (leaf_slots_.empty()) return nullptr;  // nothing learned yet
+  std::size_t slot = leaf_hash(count, head) & leaf_mask_;
   while (true) {
     const LeafSlot& s = leaf_slots_[slot];
-    if (s.key == key) return &s;
-    if (s.key == 0) return nullptr;
+    if (s.count == count && s.head == head) return &s;
+    if (s.count == 0) return nullptr;
     slot = (slot + 1) & leaf_mask_;
   }
 }
 
 void SignatureTree::leaf_grow() {
-  const std::size_t new_size = leaf_slots_.size() * 2;
+  const std::size_t new_size =
+      leaf_slots_.empty() ? kInitialLeafSlots : leaf_slots_.size() * 2;
   std::vector<LeafSlot> fresh(new_size);
   const std::size_t new_mask = new_size - 1;
   for (const LeafSlot& s : leaf_slots_) {
-    if (s.key == 0) continue;
-    std::size_t slot =
-        static_cast<std::size_t>(leaf_hash(s.key)) & new_mask;
-    while (fresh[slot].key != 0) slot = (slot + 1) & new_mask;
+    if (s.count == 0) continue;
+    std::size_t slot = leaf_hash(s.count, s.head) & new_mask;
+    while (fresh[slot].count != 0) slot = (slot + 1) & new_mask;
     fresh[slot] = s;
   }
   leaf_slots_ = std::move(fresh);
   leaf_mask_ = new_mask;
 }
 
-void SignatureTree::leaf_insert(std::uint64_t key, std::int32_t sig) {
-  // Keep load factor under ~0.75 so probe chains stay short.
+void SignatureTree::leaf_insert(std::uint32_t count, std::uint32_t head,
+                                std::int32_t sig) {
+  if (const LeafSlot* leaf = leaf_find(count, head)) {
+    // Append at the chain tail so find_best scans creation order.
+    std::int32_t tail = leaf->sig;
+    while (sigs_[static_cast<std::size_t>(tail)].next >= 0) {
+      tail = sigs_[static_cast<std::size_t>(tail)].next;
+    }
+    sigs_[static_cast<std::size_t>(tail)].next = sig;
+    return;
+  }
+  // Keep load factor under ~0.75 so probe chains stay short; the first
+  // leaf allocates the table.
   if ((leaf_count_ + 1) * 4 > leaf_slots_.size() * 3) leaf_grow();
-  std::size_t slot = static_cast<std::size_t>(leaf_hash(key)) & leaf_mask_;
-  while (leaf_slots_[slot].key != 0 && leaf_slots_[slot].key != key) {
-    slot = (slot + 1) & leaf_mask_;
-  }
-  LeafSlot& s = leaf_slots_[slot];
-  if (s.key == 0) {
-    s.key = key;
-    s.sig = sig;
-    ++leaf_count_;
-    return;
-  }
-  // Append at the chain tail so find_best scans creation order.
-  const std::int32_t link = static_cast<std::int32_t>(leaf_chain_.size());
-  leaf_chain_.emplace_back(sig, -1);
-  if (s.next < 0) {
-    s.next = link;
-    return;
-  }
-  std::int32_t cur = s.next;
-  while (leaf_chain_[static_cast<std::size_t>(cur)].second >= 0) {
-    cur = leaf_chain_[static_cast<std::size_t>(cur)].second;
-  }
-  leaf_chain_[static_cast<std::size_t>(cur)].second = link;
+  std::size_t slot = leaf_hash(count, head) & leaf_mask_;
+  while (leaf_slots_[slot].count != 0) slot = (slot + 1) & leaf_mask_;
+  leaf_slots_[slot] = {count, head, sig};
+  ++leaf_count_;
 }
 
 std::int32_t SignatureTree::learn(std::string_view line) {
-  tokenize_spans(line, spans_, variable_);
-  const std::uint32_t head = head_id();
+  Scratch& s = thread_scratch();
+  tokenize_spans(line, s.spans, s.variable);
+  const std::uint32_t head = head_id(s);
 
-  const BestMatch best = find_best(head);
+  const BestMatch best = find_best(head, s);
   const bool at_capacity = sigs_.size() >= config_.max_signatures;
   if (best.id >= 0 &&
       (best.score >= config_.merge_threshold || at_capacity)) {
@@ -310,7 +309,7 @@ std::int32_t SignatureTree::learn(std::string_view line) {
     // skipping it removes the second text-compare walk from the
     // steady-state path (a warm template has already generalized every
     // variable position to a wildcard).
-    if (best.score != 1.0) generalize_to_line(sig);
+    if (best.score != 1.0) generalize_to_line(sig, s);
     ++sig.match_count;
     return best.id;
   }
@@ -324,31 +323,29 @@ std::int32_t SignatureTree::learn(std::string_view line) {
   // on the intern) so no token is probed twice for one line — under
   // max_signatures cap pressure, where novel shapes keep arriving, the
   // one-probe-per-line budget holds.
-  line_ids_.clear();
-  for (std::size_t i = 0; i < spans_.size(); ++i) {
+  s.line_ids.clear();
+  for (std::size_t i = 0; i < s.spans.size(); ++i) {
     std::uint32_t id;
-    if (variable_[i] != 0) {
+    if (s.variable[i] != 0) {
       id = kWildcardTokenId;
     } else if (i == 0 && head != nfv::util::StringInterner::kNotFound) {
       id = head;  // head_id() already resolved it
-    } else if (i == 0 && head_hash_valid_) {
-      id = interner_.intern_hashed(spans_[0], head_hash_);
+    } else if (i == 0 && s.head_hash_valid) {
+      id = interner_.intern_hashed(s.spans[0], s.head_hash);
     } else {
-      id = interner_.intern(spans_[i]);
+      id = interner_.intern(s.spans[i]);
     }
-    line_ids_.push_back(id);
+    s.line_ids.push_back(id);
   }
-  if (line_ids_.empty()) line_ids_.push_back(kEmptyTokenId);
+  if (s.line_ids.empty()) s.line_ids.push_back(kEmptyTokenId);
 
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(line_ids_.size()) << 32) |
-      line_ids_.front();
   const std::int32_t id = static_cast<std::int32_t>(sigs_.size());
   SigEntry entry;
-  entry.node = store_node(line_ids_);
+  entry.node = store_node(s.line_ids);
   entry.match_count = 1;
-  leaf_insert(key, id);
   sigs_.push_back(entry);
+  leaf_insert(static_cast<std::uint32_t>(s.line_ids.size()),
+              s.line_ids.front(), id);
   return id;
 }
 
@@ -357,8 +354,9 @@ std::int32_t SignatureTree::match(std::string_view line) const {
   // and unseen stable tokens elsewhere simply fail every text comparison —
   // exactly like an unseen string in the reference miner. Nothing is
   // interned.
-  tokenize_spans(line, spans_, variable_);
-  const BestMatch best = find_best(head_id());
+  Scratch& s = thread_scratch();
+  tokenize_spans(line, s.spans, s.variable);
+  const BestMatch best = find_best(head_id(s), s);
   return best.score >= config_.merge_threshold ? best.id : -1;
 }
 

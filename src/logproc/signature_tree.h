@@ -55,26 +55,28 @@
 // byte-identical templates to private trees (pinned by
 // miner_equivalence_test).
 //
-// Thread-safety / ownership: a SignatureTree owns its (private) interner
-// tier, private node pool and tokenization scratch outright, and BOTH
-// learn() and match() use that scratch — a tree instance is strictly
-// single-threaded, even for read-only matching. StreamMonitor therefore
-// keeps one tree per monitor (per vPE). The SHARED pieces are the token
-// arena and the forest: many trees on many threads may read them
-// lock-free while any of them admits new tokens/templates (a small mutex
-// on the cold miss path). Both are instances of one publication arena,
-// util::SharedArena (util/shared_arena.h): over token bytes for the
-// arena, over token-id sequences for the forest. Copying a tree
-// deep-copies its private tiers and scratch; the shared arena and forest
-// are referenced, not copied, so copies stay id-compatible with the
-// originals.
+// Thread-safety / ownership: a SignatureTree owns only its vPE's state —
+// template entries, leaf index, private interner tier and private node
+// pool, each table allocated on first use — and is strictly
+// single-threaded, even for read-only matching (match() bumps the
+// interner's probe counters); StreamMonitor keeps one tree per vPE. The
+// tokenization scratch is one per THREAD, not per tree: learn() and
+// match() take it on entry and leave nothing in it that the next call
+// reads, so trees interleave freely on one thread and never share it
+// across threads. The SHARED pieces are the token arena and the forest:
+// many trees on many threads may read them lock-free while any of them
+// admits new tokens/templates (a small mutex on the cold miss path).
+// Both are instances of one publication arena, util::SharedArena
+// (util/shared_arena.h): over token bytes for the arena, over token-id
+// sequences for the forest. Copying a tree deep-copies its private
+// tiers; the shared arena and forest are referenced, not copied, so
+// copies stay id-compatible with the originals.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "logproc/shared_forest.h"
@@ -99,7 +101,7 @@ struct SignatureTreeConfig {
 };
 
 /// Online template miner. learn() both matches and updates the template
-/// set; match() is read-only (it still uses per-tree scratch — see the
+/// set; match() is read-only (a tree is still single-threaded — see the
 /// thread-safety note above). Template ids are dense and stable: ids are
 /// never reused or renumbered, so they can serve directly as the LSTM
 /// vocabulary.
@@ -177,10 +179,11 @@ class SignatureTree {
   const nfv::util::ScopedInterner& interner() const { return interner_; }
 
   /// Approximate resident bytes of this tree's PER-VPE state: private
-  /// interner tier, template entries, private node pool, leaf table and
-  /// scratch. Deliberately excludes the shared arena and forest
-  /// (reported once per fleet) — this is the bytes/vPE figure the
-  /// runtime stats publish. O(1).
+  /// interner tier, template entries, private node pool and leaf table.
+  /// Deliberately excludes the shared arena and forest (reported once
+  /// per fleet) and the per-thread tokenization scratch (one per
+  /// thread, not per tree) — this is the bytes/vPE figure the runtime
+  /// stats publish. 0 for a fresh tree over an arena. O(1).
   std::size_t memory_bytes() const;
 
  private:
@@ -191,12 +194,15 @@ class SignatureTree {
       nfv::util::ScopedInterner::kPrivateBase;
 
   /// A learned template: where its token sequence lives (shared forest
-  /// node or private pool node) plus the per-vPE match count. 16 bytes —
-  /// the entire per-tree cost of a fleet-shared template.
+  /// node or private pool node), the next template at its leaf, and the
+  /// per-vPE match count. 16 bytes — the entire per-tree cost of a
+  /// fleet-shared template beyond its leaf slot.
   struct SigEntry {
     std::uint32_t node = 0;
+    std::int32_t next = -1;  // next template at the same leaf, -1 = none
     std::uint64_t match_count = 0;
   };
+  static_assert(sizeof(SigEntry) == 16);
 
   /// Span-of-signatures in the private pool. Offsets into private_words_.
   struct NodeRef {
@@ -204,17 +210,23 @@ class SignatureTree {
     std::uint32_t length = 0;
   };
 
-  /// Open-addressed (token count, head id) -> template list table. One
-  /// flat power-of-two slot array (16 B/slot) plus a chain pool for the
-  /// rare leaves holding multiple templates, replacing the node-based
-  /// unordered_map (whose per-leaf allocations dominated tree bytes at
-  /// fleet scale). Keys are never 0: the packed key always has a nonzero
-  /// token count in its high half.
+  /// Open-addressed (token count, head id) -> template list table: one
+  /// flat power-of-two slot array (12 B/slot) naming each leaf's first
+  /// template; the leaf's later templates follow in creation order
+  /// through SigEntry::next. A line's token count is never 0 (an empty
+  /// line counts its "<empty>" placeholder), so count 0 marks an empty
+  /// slot.
   struct LeafSlot {
-    std::uint64_t key = 0;    // 0 = empty
+    std::uint32_t count = 0;  // line token count, 0 = empty slot
+    std::uint32_t head = 0;   // head token id
     std::int32_t sig = -1;    // first template at this leaf
-    std::int32_t next = -1;   // index into leaf_chain_, -1 = none
   };
+  static_assert(sizeof(LeafSlot) == 12);
+
+  /// Tokenization scratch of one line (signature_tree.cpp): one per
+  /// thread, taken once on entry by learn() and match().
+  struct Scratch;
+  static Scratch& thread_scratch();
 
   /// Result of the shared tokenize→leaf-lookup→best-candidate walk.
   struct BestMatch {
@@ -224,18 +236,12 @@ class SignatureTree {
 
   std::size_t checked_index(std::int32_t id) const;
 
-  /// Token count of the tokenized line in scratch ("<empty>" placeholder
-  /// counts as one token, matching the reference miner).
-  std::size_t line_token_count() const {
-    return spans_.empty() ? 1 : spans_.size();
-  }
-
   /// Interner id of the line's leaf head: kWildcardTokenId for a variable
   /// first token, kNotFound when the head was never interned (in which
-  /// case no leaf can contain it). Caches the head's hash (and probe
-  /// result) so the new-signature path can reuse them instead of
-  /// re-probing the token it just looked up.
-  std::uint32_t head_id() const;
+  /// case no leaf can contain it). Caches the head's hash in `s` so the
+  /// new-signature path can reuse it instead of re-probing the token it
+  /// just looked up.
+  std::uint32_t head_id(Scratch& s) const;
 
   /// Resolved token sequence of a node (either tier).
   std::span<const std::uint32_t> node_tokens(std::uint32_t node) const;
@@ -244,24 +250,29 @@ class SignatureTree {
   /// every token id is shared (dedup across vPEs), else private pool.
   std::uint32_t store_node(const std::vector<std::uint32_t>& ids);
 
-  /// Fraction of positions where the template matches the tokenized line
-  /// in scratch: wildcard positions match anything; stable positions
-  /// compare the token's interned text against the line's span in place
-  /// (a variable line token only matches a wildcard).
-  double similarity_to_line(const SigEntry& sig) const;
+  /// Fraction of positions where the template matches the line
+  /// tokenized in `s`: wildcard positions match anything; stable
+  /// positions compare the token's interned text against the line's span
+  /// in place (a variable line token only matches a wildcard).
+  double similarity_to_line(const SigEntry& sig, const Scratch& s) const;
 
-  /// Wildcard every position of `sig` that disagrees with the line in
-  /// scratch: in place for a private node, copy-on-write (re-intern or
-  /// private spill) for a shared node.
-  void generalize_to_line(SigEntry& sig);
+  /// Wildcard every position of the sequence `toks` that disagrees with
+  /// the line in `s` (the mismatch similarity_to_line() counts); true
+  /// when any position changed.
+  bool wildcard_mismatches(std::uint32_t* toks, const Scratch& s) const;
+
+  /// Generalize `sig` to the line in `s`: in place for a private node,
+  /// copy-on-write (re-intern or private spill) for a shared node.
+  void generalize_to_line(SigEntry& sig, Scratch& s);
 
   /// Shared by learn() and match(): probe the leaf for (count, head) and
   /// scan its candidates for the best similarity score (first-best wins,
   /// in signature creation order — identical to the reference miner).
-  BestMatch find_best(std::uint32_t head) const;
+  BestMatch find_best(std::uint32_t head, const Scratch& s) const;
 
-  const LeafSlot* leaf_find(std::uint64_t key) const;
-  void leaf_insert(std::uint64_t key, std::int32_t sig);
+  const LeafSlot* leaf_find(std::uint32_t count, std::uint32_t head) const;
+  /// Append template `sig` (already in sigs_) to the leaf's chain.
+  void leaf_insert(std::uint32_t count, std::uint32_t head, std::int32_t sig);
   void leaf_grow();
 
   SignatureTreeConfig config_;
@@ -276,24 +287,10 @@ class SignatureTree {
   std::vector<std::uint32_t> private_words_;
   std::vector<NodeRef> private_nodes_;
 
-  // Flat leaf table (see LeafSlot).
+  // Flat leaf table (see LeafSlot), allocated by the first leaf_insert.
   std::vector<LeafSlot> leaf_slots_;
-  std::vector<std::pair<std::int32_t, std::int32_t>> leaf_chain_;
   std::size_t leaf_mask_ = 0;
   std::size_t leaf_count_ = 0;
-
-  // Per-tree tokenization scratch, reused across learn()/match() calls so
-  // the steady state allocates nothing. mutable: match() is logically
-  // const but still owns the scratch (single-threaded contract above).
-  mutable std::vector<std::string_view> spans_;
-  mutable std::vector<unsigned char> variable_;
-  // Head-probe cache filled by head_id() for the current line (valid only
-  // when the line has a stable head), consumed by learn()'s
-  // new-signature path.
-  mutable std::uint64_t head_hash_ = 0;
-  mutable bool head_hash_valid_ = false;
-  std::vector<std::uint32_t> line_ids_;  // new-signature path only
-  std::vector<std::uint32_t> gen_ids_;   // COW generalization scratch
 };
 
 }  // namespace nfv::logproc

@@ -44,16 +44,13 @@ std::uint64_t StringInterner::hash_bytes(std::string_view text) {
   return h;
 }
 
-StringInterner::StringInterner() : slots_(kInitialSlots, 0) {
-  mask_ = kInitialSlots - 1;
-}
-
 std::uint32_t StringInterner::find(std::string_view text) const {
   return find_hashed(text, hash_bytes(text));
 }
 
 std::uint32_t StringInterner::find_hashed(std::string_view text,
                                           std::uint64_t hash) const {
+  if (slots_.empty()) return kNotFound;  // nothing interned yet
   std::size_t slot = static_cast<std::size_t>(hash) & mask_;
   while (true) {
     const std::uint32_t stored = slots_[slot];
@@ -70,6 +67,7 @@ std::uint32_t StringInterner::intern(std::string_view text) {
 
 std::uint32_t StringInterner::intern_hashed(std::string_view text,
                                             std::uint64_t hash) {
+  if (slots_.empty()) grow_table();  // first intern allocates the slots
   std::size_t slot = static_cast<std::size_t>(hash) & mask_;
   while (true) {
     const std::uint32_t stored = slots_[slot];
@@ -97,7 +95,8 @@ std::uint32_t StringInterner::intern_hashed(std::string_view text,
 }
 
 void StringInterner::grow_table() {
-  const std::size_t new_size = slots_.size() * 2;
+  const std::size_t new_size =
+      slots_.empty() ? kInitialSlots : slots_.size() * 2;
   std::vector<std::uint32_t> fresh(new_size, 0);
   const std::size_t new_mask = new_size - 1;
   for (std::uint32_t id = 0; id < entries_.size(); ++id) {

@@ -8,7 +8,9 @@
 //    dense (0, 1, 2, ...) in first-intern order and never change;
 //    lookups are allocation-free; intern() only allocates when it
 //    actually admits a new string, so a warm interner is
-//    zero-allocation in steady state. Value semantics: the arena stores
+//    zero-allocation in steady state. A fresh interner owns no memory:
+//    its hash slots are allocated by the first intern(), and find() on
+//    it returns kNotFound. Value semantics: the arena stores
 //    (offset, length) entries into one contiguous byte buffer, so the
 //    interner can be copied and moved freely. Not thread-safe.
 //
@@ -38,7 +40,9 @@
 //    resolve the shared id, existing trees keep their private id and
 //    both render the same text). With no shared arena attached it
 //    degenerates to a plain StringInterner with ids from 0 — bit-
-//    compatible with the pre-arena behavior.
+//    compatible with the pre-arena behavior. Over an arena the private
+//    tier owns 0 bytes until its first spill (private_bytes() == 0),
+//    which is what a fleet of trees sharing one arena mostly holds.
 #pragma once
 
 #include <cstdint>
@@ -53,8 +57,6 @@ class StringInterner {
  public:
   /// Returned by find() when the string has never been interned.
   static constexpr std::uint32_t kNotFound = 0xFFFFFFFFu;
-
-  StringInterner();
 
   /// Id for `text`, interning it if new. Ids are dense and stable.
   std::uint32_t intern(std::string_view text);

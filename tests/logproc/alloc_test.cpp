@@ -3,8 +3,9 @@
 // Replaces the global allocation functions with counting versions and
 // asserts that SignatureTree::learn() and match() perform ZERO heap
 // allocations once the tree is warm (templates discovered, stable tokens
-// interned, scratch grown) — even when every line carries fresh variable
-// field values — and that StreamMonitorGroup staging, the step after
+// interned) and the thread's tokenization scratch has grown — even when
+// every line carries fresh variable field values, and with trees
+// interleaving on one thread — and that StreamMonitorGroup staging, the step after
 // mining, allocates nothing either. This is the acceptance criterion for the zero-allocation
 // fast path; it lives in its own test binary because the counting
 // operator new/delete replacement is process-global.
@@ -205,6 +206,54 @@ TEST(SteadyStateAllocations, SharedForestLearnAndMatchAreAllocationFree) {
   EXPECT_EQ(after - before, 0u) << "shared-forest warm path allocated";
   EXPECT_NE(sink, 0);
   EXPECT_EQ(tree.size(), templates) << "fresh values minted new templates";
+}
+
+/// Long lines (12 to 15 tokens) of shapes make_corpus() never emits, so a
+/// tree mining them and a tree mining make_corpus() hand the thread's
+/// scratch lines of different token counts on every alternation.
+std::vector<std::string> make_long_corpus(int salt) {
+  std::vector<std::string> lines;
+  for (int i = 0; i < 64; ++i) {
+    const std::string n = std::to_string(salt * 1000 + i);
+    lines.push_back("ospf neighbor " + n + " on area " + n +
+                    " went down hard and stayed down for " + n + " seconds");
+    lines.push_back("cli commit " + n + " by user admin rolled back on node " +
+                    n + " after confirm timeout expired");
+  }
+  return lines;
+}
+
+// Trees share their thread's tokenization scratch: two warm trees (one
+// private, one on the shared forest) interleaving learn() and match() on
+// lines of different token counts allocate nothing once the thread is
+// warm.
+TEST(SteadyStateAllocations, InterleavedTreesAreAllocationFreeOnAWarmThread) {
+  nfv::util::SharedInterner arena;
+  SharedSignatureForest forest(&arena);
+  SignatureTree a;
+  SignatureTree b(SignatureTreeConfig{}, &arena, &forest);
+  for (const std::string& line : make_corpus(9)) a.learn(line);
+  for (const std::string& line : make_long_corpus(9)) b.learn(line);
+  const std::size_t a_templates = a.size();
+  const std::size_t b_templates = b.size();
+
+  const std::vector<std::string> fresh_a = make_corpus(10);
+  const std::vector<std::string> fresh_b = make_long_corpus(10);
+  std::int64_t sink = 0;
+  const std::uint64_t before = allocations();
+  for (std::size_t i = 0; i < fresh_b.size(); ++i) {
+    sink += a.learn(fresh_a[i]);
+    sink += b.match(fresh_a[i]);
+    sink += b.learn(fresh_b[i]);
+    sink += a.match(fresh_b[i]);
+    sink += a.match(fresh_a[i + fresh_b.size()]);
+  }
+  const std::uint64_t after = allocations();
+
+  EXPECT_EQ(after - before, 0u) << "interleaved warm trees allocated";
+  EXPECT_NE(sink, 0);
+  EXPECT_EQ(a.size(), a_templates) << "fresh values minted new templates";
+  EXPECT_EQ(b.size(), b_templates) << "fresh values minted new templates";
 }
 
 // The group's full cycle is allocation-free once warm: staging (each

@@ -6,7 +6,9 @@
 // capacity caps spill to per-tree private nodes without changing what
 // is mined, and concurrent multi-tree admission / lock-free matching
 // is race-free (the stress tests are what tools/ci.sh runs under
-// ThreadSanitizer: ctest -L forest). The fleet test drives the async
+// ThreadSanitizer: ctest -L forest). The scratch tests pin that trees
+// share only their thread's tokenization scratch, never each other's
+// state, whether they interleave on one thread or run on their own. The fleet test drives the async
 // runtime on a simnet catalog fleet and pins the point of the sharing:
 // bytes/vPE below one private tree per vPE, with the warning stream
 // still byte-for-byte the serial replay.
@@ -21,6 +23,7 @@
 
 #include "core/async_ingest.h"
 #include "core/lstm_detector.h"
+#include "logproc/reference_miner.h"
 #include "logproc/shared_forest.h"
 #include "logproc/signature_tree.h"
 #include "simnet/template_catalog.h"
@@ -276,6 +279,144 @@ TEST(SharedForestStressTest, LockFreeMatchRacesForestAdmission) {
   for (std::thread& t : threads) t.join();
   // The writer's templates actually landed next to the warm ones.
   EXPECT_GT(forest.size(), readers[0].size());
+}
+
+// ---- Per-thread mining scratch ----------------------------------------
+//
+// learn() and match() tokenize into one scratch per THREAD, not per tree.
+// These tests interleave trees on one thread and run trees on their own
+// threads; both must mine exactly what the reference miner mines for
+// each tree's lines alone. Lines change token count from call to call
+// (the empty line included), new shapes keep arriving, and the forest's
+// and arena's caps are small, so the new-signature path, private token
+// spills and copy-on-write generalization of forest nodes into the
+// private pool all run between the other tree's calls.
+
+/// Letters-only word for `i` (the tokenizer keeps it stable).
+std::string letters(std::size_t i) {
+  std::string w;
+  for (int k = 0; k < 3; ++k) {
+    w += static_cast<char>('a' + i % 26);
+    i /= 26;
+  }
+  return w;
+}
+
+/// Line `i` of stream `salt`: shapes of 0 to 13 tokens rotate with i and
+/// salt, stable words disagree across lines (generalization), and every
+/// 9th line has a fresh head (a new template).
+std::string scratch_line(std::size_t salt, std::size_t i) {
+  const std::string n = std::to_string(i * 13 + salt);
+  const std::string w = letters(i / 4 + salt);
+  switch ((i + salt) % 9) {
+    case 0: return "fresh" + letters(i * 5 + salt) + " shape appeared";
+    case 1: return "link flap on port " + w + " detected at " + n;
+    case 2: return "cpu hot " + w;
+    case 3: return "";
+    case 4: return "ospf neighbor " + n + " on area " + w +
+                   " went down hard and stayed down for " + n + " seconds";
+    case 5: return "fan tray " + n + " rpm " + n + " deviates from " + w;
+    case 6: return "session 0x" + n + " torn down by peer " + w;
+    case 7: return "cli commit by user " + w + " rolled back";
+    default: return "bgp peer 10.0." + n + ".1 state changed to " + w;
+  }
+}
+
+/// A capped forest: its template cap rejects most admissions, so later
+/// templates and copy-on-write generalizations of forest nodes spill to
+/// the trees' private pools; the arena's token cap spills tokens too.
+struct CappedForest {
+  nfv::util::SharedInterner arena{[] {
+    nfv::util::SharedInterner::Config config;
+    config.max_tokens = 40;
+    return config;
+  }()};
+  SharedSignatureForest forest{&arena, [] {
+                                 SharedSignatureForest::Config config;
+                                 config.max_templates = 8;
+                                 return config;
+                               }()};
+};
+
+void expect_mined_like(const SignatureTree& tree,
+                       const ReferenceSignatureTree& reference,
+                       const std::string& label) {
+  ASSERT_EQ(tree.size(), reference.size()) << label;
+  for (std::size_t i = 0; i < reference.size(); ++i) {
+    const auto id = static_cast<std::int32_t>(i);
+    EXPECT_EQ(tree.pattern(id), reference.signatures()[i].pattern())
+        << label << " template " << i;
+    EXPECT_EQ(tree.match_count(id), reference.signatures()[i].match_count)
+        << label << " template " << i;
+  }
+}
+
+TEST(SignatureTreeScratchTest, InterleavedTreesOnOneThreadMineLikeSoloTrees) {
+  constexpr std::size_t kLines = 400;
+  CappedForest capped;
+  SignatureTree a(SignatureTreeConfig{}, &capped.arena, &capped.forest);
+  SignatureTree b(SignatureTreeConfig{}, &capped.arena, &capped.forest);
+  ReferenceSignatureTree ref_a;
+  ReferenceSignatureTree ref_b;
+  for (std::size_t i = 0; i < kLines; ++i) {
+    // a and b see different shapes at every step, so each call's line
+    // has another token count than the line the other tree just left.
+    const std::string la = scratch_line(0, i);
+    const std::string lb = scratch_line(4, i);
+    ASSERT_EQ(a.learn(la), ref_a.learn(la)) << "a line " << i;
+    ASSERT_EQ(b.match(la), ref_b.match(la)) << "b matches a's line " << i;
+    ASSERT_EQ(b.learn(lb), ref_b.learn(lb)) << "b line " << i;
+    ASSERT_EQ(a.match(lb), ref_a.match(lb)) << "a matches b's line " << i;
+  }
+  // The caps bit: copy-on-write and new templates spilled privately.
+  EXPECT_GT(capped.forest.rejected(), 0u);
+  EXPECT_GT(a.private_template_count(), 0u);
+  EXPECT_GT(b.private_template_count(), 0u);
+  EXPECT_GT(a.interner().private_size(), 0u);
+  expect_mined_like(a, ref_a, "a");
+  expect_mined_like(b, ref_b, "b");
+}
+
+// One tree per thread, four threads on one capped forest, each thread
+// mining its own stream (different token counts at every step) and
+// matching the next thread's. Ids, patterns and match counts must equal
+// the serial reference's for each stream. TSan-clean: trees on different
+// threads share no scratch.
+TEST(SignatureTreeScratchStressTest, TreesOnTheirOwnThreadsMineLikeSerial) {
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kLines = 600;
+  std::vector<ReferenceSignatureTree> refs(kThreads);
+  std::vector<std::vector<std::int32_t>> expected(kThreads);
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    for (std::size_t i = 0; i < kLines; ++i) {
+      expected[t].push_back(refs[t].learn(scratch_line(t, i)));
+      expected[t].push_back(refs[t].match(scratch_line(t + 1, i)));
+    }
+  }
+
+  CappedForest capped;
+  std::vector<SignatureTree> trees;
+  trees.reserve(kThreads);
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    trees.emplace_back(SignatureTreeConfig{}, &capped.arena, &capped.forest);
+  }
+  std::vector<std::vector<std::int32_t>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t i = 0; i < kLines; ++i) {
+        got[t].push_back(trees[t].learn(scratch_line(t, i)));
+        got[t].push_back(trees[t].match(scratch_line(t + 1, i)));
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    const std::string label = "tree " + std::to_string(t);
+    EXPECT_EQ(got[t], expected[t]) << label;
+    expect_mined_like(trees[t], refs[t], label);
+  }
 }
 
 // ---- Fleet memory gate: the async runtime on a catalog-driven fleet ----

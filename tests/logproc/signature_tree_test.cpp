@@ -4,6 +4,7 @@
 
 #include <string>
 
+#include "logproc/reference_miner.h"
 #include "logproc/tokenizer.h"
 #include "util/check.h"
 
@@ -208,6 +209,58 @@ TEST(SignatureTree, CopiesAreIndependent) {
   EXPECT_EQ(copy.pattern(0), "peer <*> down");
 }
 
+// A leaf's templates live in a chain through the template entries; with
+// four and then five templates at one (token count, head) leaf, ties are
+// still won by the earliest template, as in the reference miner — for a
+// private tree and a forest tree alike.
+TEST(SignatureTree, LeafOfManyTemplatesScansInCreationOrder) {
+  nfv::util::SharedInterner arena;
+  SharedSignatureForest forest(&arena);
+  SignatureTree private_tree;
+  SignatureTree forest_tree(SignatureTreeConfig{}, &arena, &forest);
+  ReferenceSignatureTree reference;
+  const auto learn = [&](const std::string& line) {
+    const std::int32_t id = reference.learn(line);
+    EXPECT_EQ(private_tree.learn(line), id) << line;
+    EXPECT_EQ(forest_tree.learn(line), id) << line;
+    return id;
+  };
+  const auto match = [&](const std::string& line) {
+    const std::int32_t id = reference.match(line);
+    EXPECT_EQ(private_tree.match(line), id) << line;
+    EXPECT_EQ(forest_tree.match(line), id) << line;
+    return id;
+  };
+  // Pairwise similarity 1/5: four templates at one leaf.
+  EXPECT_EQ(learn("head aa bb cc dd"), 0);
+  EXPECT_EQ(learn("head ee ff gg hh"), 1);
+  EXPECT_EQ(learn("head ii jj kk ll"), 2);
+  EXPECT_EQ(learn("head mm nn oo pp"), 3);
+  // Two-way ties at 3/5 go to the earlier template wherever they sit.
+  EXPECT_EQ(match("head ee ff kk ll"), 1);
+  EXPECT_EQ(match("head ii jj oo pp"), 2);
+  EXPECT_EQ(match("head aa bb oo pp"), 0);
+  EXPECT_EQ(match("head mm nn oo dd"), 3);  // 4/5 beats 2/5
+  // Append a fifth at the chain tail, then generalize the middle one.
+  EXPECT_EQ(learn("head qq rr ss tt"), 4);
+  EXPECT_EQ(learn("head ii jj oo pp"), 2);
+  EXPECT_EQ(private_tree.pattern(2), "head ii jj <*> <*>");
+  // Templates 2, 3 and 4 all score 3/5: the earliest wins.
+  EXPECT_EQ(match("head mm nn ss tt"), 2);
+  EXPECT_EQ(match("head qq rr ss tt"), 4);
+  EXPECT_EQ(learn("head mm nn ss tt"), 2);
+  ASSERT_EQ(private_tree.size(), reference.size());
+  for (std::size_t i = 0; i < reference.size(); ++i) {
+    const auto id = static_cast<std::int32_t>(i);
+    EXPECT_EQ(private_tree.pattern(id), reference.signatures()[i].pattern());
+    EXPECT_EQ(forest_tree.pattern(id), reference.signatures()[i].pattern());
+    EXPECT_EQ(private_tree.match_count(id),
+              reference.signatures()[i].match_count);
+    EXPECT_EQ(forest_tree.match_count(id),
+              reference.signatures()[i].match_count);
+  }
+}
+
 // ---- Shared cross-vPE token arena ----------------------------------------
 
 TEST(SignatureTreeSharedArena, TreesOnOneArenaShareIdStableTokens) {
@@ -323,6 +376,39 @@ TEST(SignatureTreeSharedArena, MemoryBytesExcludesSharedArena) {
   // The shared tree's vocabulary lives in the arena (reported once per
   // fleet), so its per-tree footprint is strictly smaller.
   EXPECT_LT(shared_tree.memory_bytes(), private_tree.memory_bytes());
+}
+
+// A tree over an arena and a forest with no spills owns only its
+// template entries and leaf table: nothing before its first learn(), no
+// private interner tier, and none of the per-thread tokenization scratch
+// — a very long line mined by another tree, or matched by this one,
+// leaves its count unchanged.
+TEST(SignatureTreeSharedArena, ForestTreeCountsNoPrivateTierOrScratchBytes) {
+  nfv::util::SharedInterner arena;
+  SharedSignatureForest forest(&arena);
+  SignatureTree tree(SignatureTreeConfig{}, &arena, &forest);
+  EXPECT_EQ(tree.memory_bytes(), 0u);
+  EXPECT_EQ(tree.match("nothing learned yet"), -1);
+  EXPECT_EQ(tree.memory_bytes(), 0u);
+
+  for (int i = 0; i < 50; ++i) {
+    tree.learn("daemon restarted after " + std::to_string(i) + " seconds");
+    tree.learn("link down on port " + std::to_string(i));
+  }
+  ASSERT_EQ(tree.size(), 2u);
+  EXPECT_EQ(tree.interner().private_size(), 0u);
+  EXPECT_EQ(tree.interner().private_bytes(), 0u);
+  EXPECT_EQ(tree.private_template_count(), 0u);
+  const std::size_t owned = tree.memory_bytes();
+  EXPECT_GT(owned, 0u);
+
+  std::string long_line = "burst";
+  for (int i = 0; i < 400; ++i) long_line += " word" + std::to_string(i);
+  SignatureTree other(SignatureTreeConfig{}, &arena, &forest);
+  other.learn(long_line);
+  EXPECT_EQ(tree.match(long_line), -1);
+  EXPECT_EQ(tree.learn("daemon restarted after 99 seconds"), 0);
+  EXPECT_EQ(tree.memory_bytes(), owned);
 }
 
 }  // namespace

@@ -4,10 +4,13 @@
 // tree's reserved tokens, capacity rejections spill into the per-view
 // private overflow and never re-take the arena mutex, and a privately
 // spilled token later promoted into the arena does not change the ids an
-// existing view already handed out.
+// existing view already handed out. An interner, and so a view's private
+// tier, owns no bytes until its first admission.
 #include "util/interner.h"
 
 #include <gtest/gtest.h>
+
+#include <string>
 
 namespace nfv::util {
 namespace {
@@ -90,6 +93,63 @@ TEST(ScopedInternerTest, OverflowPromotionKeepsExistingIdsStable) {
   EXPECT_EQ(old_view.intern("latecomer"), private_id);
   EXPECT_EQ(old_view.find("latecomer"), private_id);
   EXPECT_EQ(old_view.view(private_id), new_view.view(shared_id));
+}
+
+// A fresh interner owns nothing until its first intern(): no slot table,
+// 0 bytes, and every read is safe on the empty state. The first intern
+// allocates and later admissions grow the table past its first size.
+TEST(StringInternerTest, TableIsAllocatedByTheFirstIntern) {
+  StringInterner interner;
+  EXPECT_EQ(interner.bytes(), 0u);
+  EXPECT_EQ(interner.size(), 0u);
+  EXPECT_EQ(interner.find("alpha"), StringInterner::kNotFound);
+  EXPECT_EQ(interner.find(""), StringInterner::kNotFound);
+
+  EXPECT_EQ(interner.intern("alpha"), 0u);
+  EXPECT_GT(interner.bytes(), 0u);
+  EXPECT_EQ(interner.find("alpha"), 0u);
+  EXPECT_EQ(interner.view(0), "alpha");
+  for (std::uint32_t i = 1; i < 200; ++i) {
+    ASSERT_EQ(interner.intern("tok" + std::to_string(i)), i);
+  }
+  for (std::uint32_t i = 1; i < 200; ++i) {
+    ASSERT_EQ(interner.find("tok" + std::to_string(i)), i);
+  }
+  EXPECT_EQ(interner.find("alpha"), 0u);
+  EXPECT_EQ(interner.find("missing"), StringInterner::kNotFound);
+
+  // Copies of an empty interner are empty and independent.
+  const StringInterner empty;
+  StringInterner copy = empty;
+  EXPECT_EQ(copy.find("alpha"), StringInterner::kNotFound);
+  EXPECT_EQ(copy.intern("beta"), 0u);
+  EXPECT_EQ(empty.bytes(), 0u);
+}
+
+// Over an arena the private tier stays unallocated (0 bytes) while every
+// token resolves shared, lookups of unknown tokens are safe on it, and
+// the first spill allocates it and interns correctly.
+TEST(ScopedInternerTest, NeverSpilledPrivateTierOwnsNoBytes) {
+  SharedInterner::Config config;
+  config.max_tokens = 4;  // <*>, <empty> and two admissions
+  SharedInterner arena(config);
+  ScopedInterner view(&arena);
+  EXPECT_EQ(view.private_bytes(), 0u);
+  EXPECT_EQ(view.find("alpha"), ScopedInterner::kNotFound);
+  EXPECT_LT(view.intern("alpha"), ScopedInterner::kPrivateBase);
+  EXPECT_LT(view.intern("beta"), ScopedInterner::kPrivateBase);
+  EXPECT_EQ(view.find("gamma"), ScopedInterner::kNotFound);
+  EXPECT_EQ(view.private_size(), 0u);
+  EXPECT_EQ(view.private_bytes(), 0u);
+
+  const std::uint32_t gamma = view.intern("gamma");
+  EXPECT_EQ(gamma, ScopedInterner::kPrivateBase);
+  EXPECT_GT(view.private_bytes(), 0u);
+  EXPECT_EQ(view.private_size(), 1u);
+  EXPECT_EQ(view.view(gamma), "gamma");
+  EXPECT_EQ(view.find("gamma"), gamma);
+  EXPECT_EQ(view.intern("delta"), ScopedInterner::kPrivateBase + 1);
+  EXPECT_EQ(view.find("alpha"), arena.find("alpha"));
 }
 
 TEST(ScopedInternerTest, LookupCounterCountsPublicCalls) {
