@@ -19,6 +19,12 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+// The trainer takes the transfer-learning adapt() path when at least this
+// fraction of the sampled corpus carries template ids outside the
+// installed model's vocabulary (a fleet software update); otherwise the
+// warm incremental update() path runs.
+constexpr double kAdaptNovelFraction = 0.05;
+
 std::uint64_t now_ns() {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -123,18 +129,6 @@ void AsyncIngest::push_item(std::size_t shard, Item item) {
   NFV_CHECK(pushed, "submit raced with stop()");
 }
 
-bool AsyncIngest::try_push_item(std::size_t shard, Item&& item) {
-  NFV_CHECK(started_ && !stopped_, "submit outside start()..stop()");
-  NFV_CHECK(shard < shards_.size(), "unknown shard " << shard);
-  item.enqueue_ns = now_ns();
-  if (!workers_[shard_worker_[shard]]->queue.try_push(std::move(item))) {
-    rejected_submits_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  lines_submitted_.fetch_add(1, std::memory_order_relaxed);
-  return true;
-}
-
 void AsyncIngest::submit(std::size_t shard, nfv::util::SimTime time,
                          std::string line) {
   Item item;
@@ -143,16 +137,6 @@ void AsyncIngest::submit(std::size_t shard, nfv::util::SimTime time,
   item.log.time = time;
   item.line = std::move(line);
   push_item(shard, std::move(item));
-}
-
-bool AsyncIngest::try_submit(std::size_t shard, nfv::util::SimTime time,
-                             std::string line) {
-  Item item;
-  item.shard = static_cast<std::uint32_t>(shard);
-  item.raw = true;
-  item.log.time = time;
-  item.line = std::move(line);
-  return try_push_item(shard, std::move(item));
 }
 
 void AsyncIngest::submit_parsed(std::size_t shard,
@@ -245,14 +229,14 @@ void AsyncIngest::flush() {
 }
 
 std::uint64_t AsyncIngest::install_detector(
-    const AnomalyDetector* detector,
-    std::unique_ptr<const AnomalyDetector> owned, bool drain_pending) {
-  check_per_log(detector);
+    std::unique_ptr<const AnomalyDetector> detector, bool drain_pending) {
+  const AnomalyDetector* raw = detector.get();
+  check_per_log(raw);
   NFV_CHECK(started_, "swap_detector() before start()");
   NFV_CHECK(!stopped_, "swap_detector() after stop()");
   // Footprint read BEFORE the install: the model is still exclusively the
   // caller's/trainer's, so no reader can race this.
-  const ModelMemoryStats mem = detector->model_memory();
+  const ModelMemoryStats mem = raw->model_memory();
   quiesce(drain_pending);
   const std::uint64_t scored_at_barrier =
       lines_scored_.load(std::memory_order_relaxed);
@@ -264,10 +248,10 @@ std::uint64_t AsyncIngest::install_detector(
   // score() call is in flight, so mutating the detector pointers here
   // honours the read-only-detector contract. Each worker re-reads
   // detector_ and refreshes its group when it resumes.
-  detector_.store(detector, std::memory_order_release);
-  for (auto& shard : shards_) shard->monitor->set_detector(detector);
+  detector_.store(raw, std::memory_order_release);
+  for (auto& shard : shards_) shard->monitor->set_detector(raw);
   if (owned_current_) retired_.push_back(std::move(owned_current_));
-  owned_current_ = std::move(owned);
+  owned_current_ = std::move(detector);
   {
     std::lock_guard<std::mutex> lock(model_mem_mu_);
     model_mem_ = mem;
@@ -276,19 +260,13 @@ std::uint64_t AsyncIngest::install_detector(
   return scored_at_barrier;
 }
 
-void AsyncIngest::swap_detector(const AnomalyDetector* detector) {
-  std::lock_guard<std::mutex> control(control_mu_);
-  install_detector(detector, nullptr, /*drain_pending=*/true);
-}
-
-void AsyncIngest::swap_detector_owned(
+void AsyncIngest::swap_detector(
     std::unique_ptr<const AnomalyDetector> detector) {
+  NFV_CHECK(!config_.online_retrain,
+            "swap_detector() on an online_retrain runtime: the trainer "
+            "owns the installed model");
   std::lock_guard<std::mutex> control(control_mu_);
-  // Read the raw pointer before handing off ownership: function-argument
-  // evaluation order is unspecified, so detector.get() inline with
-  // std::move(detector) may read the moved-from pointer.
-  const AnomalyDetector* raw = detector.get();
-  install_detector(raw, std::move(detector), /*drain_pending=*/true);
+  install_detector(std::move(detector), /*drain_pending=*/true);
 }
 
 void AsyncIngest::stop() {
@@ -341,52 +319,7 @@ AsyncIngestStats AsyncIngest::stats() const {
   stats.flushes = flushes_.load(std::memory_order_relaxed);
   stats.warnings_published =
       warnings_published_.load(std::memory_order_relaxed);
-  stats.rejected_submits = rejected_submits_.load(std::memory_order_relaxed);
   return stats;
-}
-
-void AsyncIngest::enqueue_command(std::size_t shard, ShardCommand::Kind kind) {
-  NFV_CHECK(started_ && !stopped_, "control command outside start()..stop()");
-  NFV_CHECK(shard < shards_.size(), "unknown shard " << shard);
-  Worker& worker = *workers_[shard_worker_[shard]];
-  // Raise the gauge BEFORE the push: a worker that pops the command can
-  // only ever observe pending >= 1, so wait_commands() never reports done
-  // while a command is still in flight.
-  worker.commands_pending.fetch_add(1, std::memory_order_release);
-  ShardCommand cmd;
-  cmd.kind = kind;
-  cmd.shard = static_cast<std::uint32_t>(shard);
-  const bool pushed = worker.commands.push(cmd);
-  NFV_CHECK(pushed, "command mailbox closed");  // never closed in practice
-}
-
-void AsyncIngest::pause_shard(std::size_t shard) {
-  enqueue_command(shard, ShardCommand::Kind::kPause);
-}
-
-void AsyncIngest::resume_shard(std::size_t shard) {
-  enqueue_command(shard, ShardCommand::Kind::kResume);
-}
-
-void AsyncIngest::wait_commands() {
-  NFV_CHECK(started_, "wait_commands() before start()");
-  unsigned round = 0;
-  for (;;) {
-    bool pending = false;
-    for (const auto& worker : workers_) {
-      if (worker->commands_pending.load(std::memory_order_acquire) != 0) {
-        pending = true;
-        break;
-      }
-    }
-    if (!pending) return;
-    nfv::util::queue_detail::backoff(round);
-  }
-}
-
-bool AsyncIngest::shard_paused(std::size_t shard) const {
-  NFV_CHECK(shard < shards_.size(), "unknown shard " << shard);
-  return shards_[shard]->pub.paused.load(std::memory_order_acquire);
 }
 
 RuntimeStatsSnapshot AsyncIngest::snapshot() const {
@@ -396,13 +329,12 @@ RuntimeStatsSnapshot AsyncIngest::snapshot() const {
   snap.totals.lines_scored = totals.lines_scored;
   snap.totals.flushes = totals.flushes;
   snap.totals.warnings_published = totals.warnings_published;
-  snap.totals.rejected_submits = totals.rejected_submits;
 
   // Model memory of the detector currently scoring every shard (shared;
   // a swap makes later snapshots report the new model's footprint). Read
   // from the swap-time cache, never through detector_: a straggler
   // snapshot must not dereference a generation a concurrent
-  // swap_detector_owned / trainer install is about to retire and free.
+  // swap_detector() / trainer install is about to retire and free.
   ModelMemoryStats model_mem;
   {
     std::lock_guard<std::mutex> lock(model_mem_mu_);
@@ -423,10 +355,8 @@ RuntimeStatsSnapshot AsyncIngest::snapshot() const {
   const auto read_shard_slots = [&](std::size_t s) {
     ShardStatsSnapshot& sh = snap.shards[s];
     const Shard::Slot& pub = shards_[s]->pub;
-    sh.paused = pub.paused.load(std::memory_order_relaxed);
     sh.lines = pub.lines.load(std::memory_order_relaxed);
     sh.warnings = pub.warnings.load(std::memory_order_relaxed);
-    sh.held = pub.held.load(std::memory_order_relaxed);
     sh.tree_bytes = pub.tree_bytes.load(std::memory_order_relaxed);
   };
 
@@ -530,12 +460,10 @@ void AsyncIngest::worker_loop(std::size_t index) {
     });
   }
   std::vector<std::size_t> local_of_shard(shards_.size(), 0);
-  // Worker-local control/observability state per owned shard, indexed by
-  // the group's local id (plain memory: no atomics on the hot path).
+  // Worker-local observability state per owned shard, indexed by the
+  // group's local id (plain memory: no atomics on the hot path).
   struct LocalShard {
     Shard* shard = nullptr;
-    std::vector<Item> hold;  // parked lines of a paused shard, in order
-    bool paused = false;
     bool listed = false;  // on the dirty list
   };
   std::vector<LocalShard> locals(worker.shard_ids.size());
@@ -567,7 +495,6 @@ void AsyncIngest::worker_loop(std::size_t index) {
   std::uint64_t lines_local = 0;
   std::uint64_t flushes_local = 0;
   std::uint64_t epoch_local = 0;
-  bool holds_dirty = false;  // held-lines gauge changed since last publish
   Clock::time_point batch_start{};
   std::uint64_t seen_epoch = 0;
   unsigned idle_round = 0;
@@ -590,18 +517,15 @@ void AsyncIngest::worker_loop(std::size_t index) {
       LocalShard& ls = locals[local];
       ls.listed = false;
       Shard::Slot& pub = ls.shard->pub;
-      pub.paused.store(ls.paused, std::memory_order_relaxed);
       pub.lines.store(ls.shard->monitor->lines_ingested(),
                       std::memory_order_relaxed);
       pub.warnings.store(ls.shard->monitor->warnings_raised(),
                          std::memory_order_relaxed);
-      pub.held.store(ls.hold.size(), std::memory_order_relaxed);
       pub.tree_bytes.store(ls.shard->tree->memory_bytes(),
                            std::memory_order_relaxed);
     }
     worker.stat_seq.store(seq + 2, std::memory_order_release);
     dirty.clear();
-    holds_dirty = false;
   };
 
   const auto flush_group = [&] {
@@ -612,9 +536,8 @@ void AsyncIngest::worker_loop(std::size_t index) {
     ++flushes_local;
     const std::uint64_t scored = now_ns();
     for (const auto& [local, submitted] : staged) {
-      // Re-listed here too: an idle publish between staging and this
-      // flush already unlisted the shard, but its warnings change only
-      // now.
+      // Listed at scoring too: the shard's warnings change only now, so
+      // its slot must not depend on the staging mark still being pending.
       mark(local);
       latency.record(scored > submitted ? scored - submitted : 0);
     }
@@ -636,41 +559,7 @@ void AsyncIngest::worker_loop(std::size_t index) {
     if (staged.size() >= config_.flush_batch) flush_group();
   };
 
-  // Drain the command mailbox at a micro-batch boundary. The staged batch
-  // is flushed first so a pause/resume never splits one, and the pending
-  // gauge only drops AFTER each command's effect (including hold-buffer
-  // replay) is complete AND published — that is what wait_commands()
-  // certifies, so shard_paused()/snapshot() right after it see the effect.
-  const auto apply_commands = [&] {
-    flush_group();
-    ShardCommand cmd;
-    std::uint64_t applied = 0;
-    while (worker.commands.try_pop(cmd)) {
-      const std::size_t local = local_of_shard[cmd.shard];
-      LocalShard& ls = locals[local];
-      mark(local);
-      if (cmd.kind == ShardCommand::Kind::kPause) {
-        ls.paused = true;
-      } else if (ls.paused) {
-        ls.paused = false;
-        // Replay held lines in submission order: the shard's stream is
-        // exactly what an unpaused run would have processed by now.
-        std::vector<Item> hold = std::move(ls.hold);
-        ls.hold.clear();
-        for (Item& held : hold) process_item(std::move(held));
-      }
-      ++applied;
-    }
-    publish_stats();
-    worker.commands_pending.fetch_sub(applied, std::memory_order_release);
-  };
-
   for (;;) {
-    if (worker.commands_pending.load(std::memory_order_acquire) != 0) {
-      apply_commands();
-      continue;
-    }
-
     // Read the epoch request BEFORE the pop: once a request is seen, every
     // line submitted before it is visible to the pop, so the barrier below
     // never parks with such a line still queued (read after a failed pop,
@@ -680,14 +569,6 @@ void AsyncIngest::worker_loop(std::size_t index) {
     Item item;
     if (worker.queue.try_pop(item)) {
       idle_round = 0;
-      const std::size_t local = local_of_shard[item.shard];
-      LocalShard& ls = locals[local];
-      if (ls.paused) {
-        ls.hold.push_back(std::move(item));
-        mark(local);
-        holds_dirty = true;
-        continue;
-      }
       process_item(std::move(item));
       continue;
     }
@@ -704,8 +585,7 @@ void AsyncIngest::worker_loop(std::size_t index) {
 
     // Epoch barrier: park with everything flushed and stats published,
     // wait for release, then refresh the detector (it may have been
-    // swapped while parked). Held lines of paused shards stay held —
-    // flush()'s guarantee covers lines that have reached a monitor.
+    // swapped while parked).
     if (requested != seen_epoch) {
       flush_group();
       publish_stats();
@@ -729,31 +609,12 @@ void AsyncIngest::worker_loop(std::size_t index) {
     }
 
     if (closed_.load(std::memory_order_acquire)) {
-      // Drain-and-exit: apply any last commands, force-resume every
-      // paused shard (replaying its hold in order), then one final queue
-      // sweep in case items raced the close — no submitted line is lost.
-      apply_commands();
-      for (std::size_t local = 0; local < locals.size(); ++local) {
-        LocalShard& ls = locals[local];
-        if (ls.paused || !ls.hold.empty()) {
-          ls.paused = false;
-          mark(local);
-          std::vector<Item> hold = std::move(ls.hold);
-          ls.hold.clear();
-          for (Item& held : hold) process_item(std::move(held));
-        }
-      }
+      // Drain-and-exit: one final queue sweep in case items raced the
+      // close — no submitted line is lost.
       while (worker.queue.try_pop(item)) process_item(std::move(item));
       flush_group();
       publish_stats();
       return;
-    }
-
-    if (holds_dirty) {
-      // Idle with lines parked since the last boundary: let snapshot
-      // readers see the held gauge.
-      publish_stats();
-      continue;
     }
 
     nfv::util::queue_detail::backoff(idle_round);
@@ -852,8 +713,7 @@ void AsyncIngest::trainer_loop() {
           installed_vocab, static_cast<std::size_t>(max_id) + 1);
       const double novel_fraction =
           static_cast<double>(novel) / static_cast<double>(total);
-      const bool take_adapt_path =
-          novel_fraction >= config_.adapt_novel_fraction;
+      const bool take_adapt_path = novel_fraction >= kAdaptNovelFraction;
       std::vector<LogView> views(streams.begin(), streams.end());
       const std::uint64_t t0 = now_ns();
       bool trained_ok = true;
@@ -878,12 +738,10 @@ void AsyncIngest::trainer_loop() {
           adapt_rounds_.fetch_add(1, std::memory_order_relaxed);
         }
         std::unique_ptr<LstmDetector> shadow = lineage_->clone_as_teacher();
-        const AnomalyDetector* raw = shadow.get();
         std::lock_guard<std::mutex> control(control_mu_);
         if (!stopped_) {
           const std::uint64_t swap_epoch =
-              install_detector(raw, std::move(shadow),
-                               /*drain_pending=*/false);
+              install_detector(std::move(shadow), /*drain_pending=*/false);
           last_swap_lines_.store(swap_epoch, std::memory_order_relaxed);
           retrain_swaps_.fetch_add(1, std::memory_order_relaxed);
           installed = true;

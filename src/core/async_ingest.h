@@ -34,15 +34,15 @@
 // or storage location, so sharing never moves a warning (pinned by
 // miner_equivalence_test and the determinism tests).
 //
-// Backpressure: submit() blocks when the target worker's queue is full
-// (end-to-end memory is bounded by workers × queue_capacity items, the
-// hold buffers of paused shards aside — see Runtime commands below);
-// try_submit() instead returns false so the producer can shed load.
+// Backpressure: submit() blocks when the target worker's queue is full,
+// so queued input is bounded by workers × queue_capacity items.
 //
 // Detector swap (monthly update / post-update adaptation) uses an epoch
 // barrier: swap_detector() parks every worker between micro-batches
 // (queues drained, groups flushed), installs the new model, and resumes —
-// honoring the read-only-detector contract of src/core/streaming.h.
+// honoring the read-only-detector contract of src/core/streaming.h. The
+// runtime takes ownership of every swapped-in model and frees a replaced
+// one only at the next barrier, once no worker can still read it.
 //
 // Observability + control plane
 // -----------------------------
@@ -54,10 +54,10 @@
 // in which each worker's counters are mutually consistent at its latest
 // completed micro-batch ("epoch-consistent"). A publish walks only the
 // shards touched since the previous one (a worker-local dirty list: lines
-// staged or scored, lines held, pause/resume applied), so its cost is
-// O(shards touched), at most about flush_batch per flush, not O(shards
-// owned); an untouched shard's one-cache-line slot (paused, lines,
-// warnings, held, tree bytes) already holds its current values.
+// staged or scored), so its cost is O(shards touched), at most about
+// flush_batch per flush, not O(shards owned); an untouched shard's
+// one-cache-line slot (lines, warnings, tree bytes) already holds its
+// current values.
 // Latency is kept per worker, not per shard: every line of a micro-batch
 // shares one scored stamp, so a shard's latency is its worker's batch
 // latency, and the stats memory grows with the workers, not the fleet.
@@ -75,27 +75,18 @@
 // model, fleet latency) whose size does not grow with the fleet; one row
 // per shard comes only on request (stats_json(true)).
 //
-// Runtime commands ride a thread-safe per-worker command queue and are
-// applied by the owning worker at its next micro-batch boundary:
-//   - pause_shard(): the shard's lines are parked, in order, in a hold
-//     buffer (mined/scored only on resume). The hold is unbounded today:
-//     the worker keeps popping the paused shard's lines into it, so its
-//     queue never fills and backpressure never engages — memory grows
-//     with the pause (ROADMAP item 4);
-//   - resume_shard(): the hold buffer replays in order, so the per-vPE
-//     warning stream is unchanged by any pause/resume schedule;
-//   - swap_detector() (epoch barrier, below) and snapshot()/stats_json()
-//     ("dump stats") complete the command set.
-// stop() implicitly resumes paused shards and replays their holds: no
-// submitted line is ever lost.
+// The worker loop is: pop, stage, flush on size or deadline, park at the
+// epoch barrier, exit on close. Runtime commands are the barrier ones —
+// flush(), swap_detector(), stop() — plus snapshot()/stats_json() ("dump
+// stats"), which never stop a worker. stop() drains every queued line
+// before the workers exit: no submitted line is ever lost.
 //
 // Threading rules: any number of threads may submit, and any thread may
-// call snapshot(), stats_json(), shard_paused(), stats() — including
-// concurrently with stop(). One designated caller thread owns the rest of
-// the control plane — start/flush/swap_detector/pause/resume/
-// wait_commands/stop/drain_warnings — and must not submit concurrently
-// with flush/swap/stop (workers quiesce by draining their queues, which
-// never happens under a firehose).
+// call snapshot(), stats_json(), stats() — including concurrently with
+// stop(). One designated caller thread owns the rest of the control
+// plane — start/flush/swap_detector/stop/drain_warnings — and must not
+// submit concurrently with flush/swap/stop (workers quiesce by draining
+// their queues, which never happens under a firehose).
 //
 // Online continual learning (config.online_retrain)
 // -------------------------------------------------
@@ -109,24 +100,23 @@
 // `retrain_interval_lines` scored lines (or on request_retrain()) it
 // fine-tunes a private shadow copy of the installed LstmDetector —
 // update() on the warm path, adapt() (freeze lower layers, fine-tune the
-// top) when at least `adapt_novel_fraction` of the sampled events carry
-// template ids the installed model has never seen, the update-shift
-// signature — re-quantizes it when config().quantize is set, and installs
-// a copy through the same epoch barrier as swap_detector(): detection
-// never stops during retrain. Installed generations are owned by the
-// runtime; a replaced generation moves to a retired list and is freed
-// only at the NEXT epoch barrier, after every worker has provably stopped
-// referencing it (snapshot() never dereferences the detector at all — it
-// reads a cached ModelMemoryStats refreshed at swap time).
+// top) when at least 5% of the sampled events carry template ids the
+// installed model has never seen, the update-shift signature —
+// re-quantizes it when config().quantize is set, and installs a copy
+// through the same epoch barrier as swap_detector(): detection never
+// stops during retrain. Installed generations are owned by the runtime; a
+// replaced generation moves to a retired list and is freed only at the
+// NEXT epoch barrier, after every worker has provably stopped referencing
+// it (snapshot() never dereferences the detector at all — it reads a
+// cached ModelMemoryStats refreshed at swap time).
 //
 // Determinism contract with retrain: disabled, warning streams stay
 // byte-for-byte the serial replay. Enabled, swap epochs partition each
 // per-vPE stream, and every epoch is byte-identical to a serial replay
 // that scores it with that epoch's model (pinned by the continual suite);
-// WHERE the swaps land in the stream is scheduling-dependent, exactly
-// like a caller-driven swap_detector(). Mixing caller-driven swap_detector
-// calls with online_retrain is unsupported: the trainer's lineage would
-// silently fork from whatever the caller installed.
+// WHERE the swaps land in the stream is scheduling-dependent. A
+// caller-driven swap_detector() on such a runtime throws: the trainer's
+// lineage would silently fork from whatever the caller installed.
 //
 // The trainer's install quiesces on the same barrier as flush(): under a
 // saturating firehose that never lets a worker's queue drain, an install
@@ -190,11 +180,6 @@ struct AsyncIngestConfig {
   /// trainer. Overflow is dropped and counted (RetrainStats), never
   /// blocking the scoring path.
   std::size_t retrain_tap_capacity = 16384;
-  /// Take the transfer-learning adapt() path when at least this fraction
-  /// of the sampled corpus carries template ids outside the installed
-  /// model's vocabulary (a fleet software update); otherwise the warm
-  /// incremental update() path runs.
-  double adapt_novel_fraction = 0.05;
 };
 
 struct AsyncIngestStats {
@@ -202,13 +187,13 @@ struct AsyncIngestStats {
   std::uint64_t lines_scored = 0;  // lines that went through a flush
   std::uint64_t flushes = 0;
   std::uint64_t warnings_published = 0;
-  std::uint64_t rejected_submits = 0;  // failed try_submit calls
 };
 
 class AsyncIngest {
  public:
   /// `detector` (and any detector swapped in later) must be a per-log
   /// detector; a per-document one throws util::CheckError (check_per_log).
+  /// It stays caller-owned and must outlive the runtime.
   explicit AsyncIngest(const AnomalyDetector* detector,
                        AsyncIngestConfig config = {});
   ~AsyncIngest();
@@ -228,10 +213,6 @@ class AsyncIngest {
   /// shard's worker). Blocks while the worker's queue is full; the line
   /// is never dropped. Producer threads only.
   void submit(std::size_t shard, nfv::util::SimTime time, std::string line);
-  /// Non-blocking variant: false (and counted in stats) when the worker's
-  /// queue is full — the caller decides whether to retry, buffer or shed.
-  bool try_submit(std::size_t shard, nfv::util::SimTime time,
-                  std::string line);
 
   /// Pre-parsed variant of submit(). A negative template id throws
   /// util::CheckError here, on the producer's thread, before the line is
@@ -250,24 +231,19 @@ class AsyncIngest {
 
   /// Epoch barrier + model swap: quiesces all workers between
   /// micro-batches (implies flush()), swaps the detector on every shard
-  /// monitor and worker group, and resumes. The detector stays
-  /// caller-owned and must outlive its installation by one further epoch
-  /// barrier. Caller thread only; unsupported with online_retrain.
-  void swap_detector(const AnomalyDetector* detector);
+  /// monitor and worker group, and resumes. The runtime owns the model
+  /// from here on and keeps it alive after replacement on a
+  /// retired-generation list freed at the NEXT epoch barrier, so no
+  /// straggler can ever read a destroyed model. Caller thread only;
+  /// serialized against flush()/stop(). Throws util::CheckError, before
+  /// quiescing anything, on a runtime started with online_retrain (the
+  /// trainer owns the installed lineage there).
+  void swap_detector(std::unique_ptr<const AnomalyDetector> detector);
 
-  /// Ownership-transfer variant of swap_detector(): the runtime keeps the
-  /// model alive after replacement on a retired-generation list freed at
-  /// the NEXT epoch barrier, so no straggler can ever read a destroyed
-  /// model. This is the trainer's install path; it may also be called by
-  /// the control-plane thread. Serialized against flush()/stop() and the
-  /// trainer's own installs.
-  void swap_detector_owned(std::unique_ptr<const AnomalyDetector> detector);
-
-  /// The detector generation currently scoring every shard. With
-  /// swap_detector_owned / online_retrain the pointer stays valid from
-  /// the moment it is observed until one epoch barrier after a later
-  /// swap replaces it (and at least until the runtime is destroyed when
-  /// no further swap happens). Any thread.
+  /// The detector generation currently scoring every shard. After a swap
+  /// the pointer stays valid from the moment it is observed until one
+  /// epoch barrier after a later swap replaces it (and at least until the
+  /// runtime is destroyed when no further swap happens). Any thread.
   const AnomalyDetector* installed_detector() const {
     return detector_.load(std::memory_order_acquire);
   }
@@ -287,27 +263,6 @@ class AsyncIngest {
   /// per arena its trainers were handed. Idempotent; also run by the
   /// destructor. Pending warnings stay drainable afterwards.
   void stop();
-
-  // --- Runtime control plane ---------------------------------------
-
-  /// Ask the owning worker to pause `shard` at its next micro-batch
-  /// boundary: subsequent lines for the shard are parked (in submission
-  /// order) in a hold buffer instead of being mined/scored, and replay
-  /// in order on resume — the per-vPE warning stream is identical to a
-  /// never-paused run as long as the detector is unchanged; with a
-  /// swap_detector() in between, held lines are scored by the NEW model
-  /// (exactly a serial swap at the pause position). Any thread may
-  /// enqueue; use wait_commands() to observe application. Caller must
-  /// not race stop().
-  void pause_shard(std::size_t shard);
-  void resume_shard(std::size_t shard);
-  /// Returns once every pause/resume command issued so far has been
-  /// applied by its worker and published, so shard_paused() and
-  /// snapshot() already show it. Control-plane thread only (a worker parked
-  /// inside a concurrent flush()/swap_detector() cannot apply commands).
-  void wait_commands();
-  /// Applied (not merely requested) pause state; any thread.
-  bool shard_paused(std::size_t shard) const;
 
   /// Epoch-consistent stats snapshot, readable while workers run (and
   /// after stop()): per-worker counters + latency histograms and compact
@@ -353,12 +308,6 @@ class AsyncIngest {
     std::uint64_t enqueue_ns = 0;  // steady-clock submit stamp
   };
 
-  struct ShardCommand {
-    enum class Kind : std::uint8_t { kPause, kResume };
-    Kind kind = Kind::kPause;
-    std::uint32_t shard = 0;
-  };
-
   struct Shard {
     std::int32_t vpe = -1;
     std::unique_ptr<logproc::SignatureTree> tree;
@@ -369,9 +318,7 @@ class AsyncIngest {
     struct alignas(64) Slot {
       std::atomic<std::uint64_t> lines{0};
       std::atomic<std::uint64_t> warnings{0};
-      std::atomic<std::uint64_t> held{0};
       std::atomic<std::uint64_t> tree_bytes{0};
-      std::atomic<bool> paused{false};
     };
     Slot pub;
   };
@@ -386,10 +333,6 @@ class AsyncIngest {
     std::mutex overflow_mu;
     std::vector<StreamWarning> overflow;
     bool overflowing = false;  // guarded by overflow_mu
-    // Control-plane mailbox (any thread pushes, the worker applies at
-    // micro-batch boundaries) + outstanding-command gauge.
-    nfv::util::MpscQueue<ShardCommand> commands{64};
-    std::atomic<std::uint64_t> commands_pending{0};
     // Seqlock over this worker's published stats (its own slot AND its
     // shards' slots): odd while a publish is in progress.
     alignas(64) std::atomic<std::uint64_t> stat_seq{0};
@@ -410,19 +353,16 @@ class AsyncIngest {
 
   void worker_loop(std::size_t index);
   void trainer_loop();
-  /// Epoch-barrier install shared by swap_detector{,_owned} and the
-  /// trainer. Caller must hold control_mu_. Frees generations retired at
-  /// an earlier barrier, installs `detector` (taking ownership when
-  /// `owned` is non-null), refreshes the cached ModelMemoryStats, and
-  /// returns the exact lines_scored count at the barrier (the swap
-  /// epoch). `drain_pending` must be false off the control-plane thread.
-  std::uint64_t install_detector(const AnomalyDetector* detector,
-                                 std::unique_ptr<const AnomalyDetector> owned,
-                                 bool drain_pending);
-  void enqueue_command(std::size_t shard, ShardCommand::Kind kind);
+  /// Epoch-barrier install shared by swap_detector() and the trainer.
+  /// Caller must hold control_mu_. Frees generations retired at an
+  /// earlier barrier, installs `detector` (taking ownership), refreshes
+  /// the cached ModelMemoryStats, and returns the exact lines_scored
+  /// count at the barrier (the swap epoch). `drain_pending` must be false
+  /// off the control-plane thread.
+  std::uint64_t install_detector(
+      std::unique_ptr<const AnomalyDetector> detector, bool drain_pending);
   void publish_warning(std::size_t worker, const StreamWarning& warning);
   void push_item(std::size_t shard, Item item);
-  bool try_push_item(std::size_t shard, Item&& item);
   void quiesce(bool drain_pending = true);
   void release();
   void drain_queue_into_pending();
@@ -464,16 +404,17 @@ class AsyncIngest {
   std::atomic<std::uint64_t> lines_scored_{0};
   std::atomic<std::uint64_t> flushes_{0};
   std::atomic<std::uint64_t> warnings_published_{0};
-  std::atomic<std::uint64_t> rejected_submits_{0};
 
-  // Control-plane serialization: flush / swap_detector{,_owned} / stop on
-  // the caller thread vs the trainer's installs all contend for the one
-  // epoch barrier; this mutex makes them take it one at a time.
+  // Control-plane serialization: flush / swap_detector / stop on the
+  // caller thread vs the trainer's installs all contend for the one epoch
+  // barrier; this mutex makes them take it one at a time.
   std::mutex control_mu_;
-  // Detector generations the runtime owns (trainer installs and
-  // swap_detector_owned). owned_current_ is the installed generation;
-  // replaced generations park in retired_ until the next epoch barrier
-  // proves no worker can still reference them. Guarded by control_mu_.
+  // Detector generations the runtime owns (every swap_detector() and
+  // trainer install; the constructor's detector stays caller-owned).
+  // owned_current_ is the installed generation, null until the first
+  // swap; replaced generations park in retired_ until the next epoch
+  // barrier proves no worker can still reference them. Guarded by
+  // control_mu_.
   std::unique_ptr<const AnomalyDetector> owned_current_;
   std::vector<std::unique_ptr<const AnomalyDetector>> retired_;
   // Cached footprint of the installed detector, refreshed at construction

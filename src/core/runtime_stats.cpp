@@ -117,7 +117,6 @@ std::string to_json(const RuntimeStatsSnapshot& snapshot, bool shard_rows) {
   w.kv("lines_scored", snapshot.totals.lines_scored);
   w.kv("flushes", snapshot.totals.flushes);
   w.kv("warnings_published", snapshot.totals.warnings_published);
-  w.kv("rejected_submits", snapshot.totals.rejected_submits);
   w.end_object();
 
   w.key("workers").begin_array();
@@ -181,10 +180,8 @@ std::string to_json(const RuntimeStatsSnapshot& snapshot, bool shard_rows) {
       w.kv("shard", shard.shard);
       w.kv("vpe", shard.vpe);
       w.kv("worker", shard.worker);
-      w.kv("paused", shard.paused);
       w.kv("lines", shard.lines);
       w.kv("warnings", shard.warnings);
-      w.kv("held", shard.held);
       w.kv("tree_bytes", shard.tree_bytes);
       w.end_object();
     }

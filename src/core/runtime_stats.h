@@ -107,10 +107,8 @@ struct ShardStatsSnapshot {
   std::size_t shard = 0;
   std::int32_t vpe = -1;
   std::size_t worker = 0;
-  bool paused = false;
   std::uint64_t lines = 0;     // lines ingested (incl. window warm-up)
   std::uint64_t warnings = 0;  // warning signatures raised
-  std::uint64_t held = 0;      // lines parked in the pause hold buffer
   // Resident bytes of this shard's PER-VPE mining state (private interner
   // tier + signatures + leaf table + scratch; the shared token arena is
   // reported once, fleet-wide, in FleetMemoryStats).
@@ -128,7 +126,6 @@ struct RuntimeTotals {
   std::uint64_t lines_scored = 0;
   std::uint64_t flushes = 0;
   std::uint64_t warnings_published = 0;
-  std::uint64_t rejected_submits = 0;
 };
 
 /// Fleet-level memory aggregates over the template-mining side of the

@@ -35,10 +35,6 @@ void StreamMonitor::set_detector(const AnomalyDetector* detector) {
   detector_ = detector;
 }
 
-void StreamMonitor::set_threshold(double threshold) {
-  config_.threshold = threshold;
-}
-
 double StreamMonitor::ingest(nfv::util::SimTime time,
                              std::string_view raw_line) {
   logproc::ParsedLog log;

@@ -114,7 +114,6 @@ class StreamMonitor {
 
   /// Swap in a newer model (monthly update / post-update adaptation).
   void set_detector(const AnomalyDetector* detector);
-  void set_threshold(double threshold);
 
   std::int32_t vpe() const { return vpe_; }
   std::size_t warnings_raised() const { return warnings_raised_; }

@@ -3,13 +3,15 @@
 // ANY worker count / flush batch / deadline (deterministic mode), from
 // raw lines and from the same lines pre-mined (submit_parsed), lines
 // must survive tiny-queue backpressure losslessly, multiple producers may
-// feed the runtime concurrently, and the epoch-barrier detector swap must
-// match a serial swap at the same stream position. Runs under TSan via
-// tools/ci.sh (ctest -L concurrency).
+// feed the runtime concurrently, the epoch-barrier detector swap must
+// match a serial swap at the same stream position, and flush() must
+// return only after every line submitted before it was scored. Runs under
+// TSan via tools/ci.sh (ctest -L concurrency).
 #include "core/async_ingest.h"
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -300,23 +302,17 @@ TEST_F(AsyncIngestTest, TinyQueueBackpressureLosesNothing) {
   }
   ingest.start();
 
-  // Mix non-blocking and blocking submission: a rejected try_submit falls
-  // back to the blocking path, so every line still arrives, in order.
-  std::size_t rejected = 0;
+  // Blocking submits into a 2-slot ring: the producer waits on the worker
+  // at nearly every line, and every line still arrives, in order.
   for (std::size_t i = 0; i < kTestLen; ++i) {
     for (std::size_t v = 0; v < kVpes; ++v) {
-      if (!ingest.try_submit(v, line_time(i),
-                             make_line(test_shape(v, i), i))) {
-        ++rejected;
-        ingest.submit(v, line_time(i), make_line(test_shape(v, i), i));
-      }
+      ingest.submit(v, line_time(i), make_line(test_shape(v, i), i));
     }
   }
   ingest.flush();
   const AsyncIngestStats stats = ingest.stats();
   EXPECT_EQ(stats.lines_submitted, kTestLen * kVpes);
   EXPECT_EQ(stats.lines_scored, kTestLen * kVpes);
-  EXPECT_EQ(stats.rejected_submits, rejected);
   ingest.stop();
 
   std::vector<StreamWarning> drained;
@@ -343,8 +339,9 @@ TEST_F(AsyncIngestTest, EpochBarrierDetectorSwapMatchesSerialSwap) {
     if (i == kSwapAt) {
       // Quiesces every worker between micro-batches: all pre-swap lines
       // are scored by the old model, all post-swap lines by the new one —
-      // exactly the serial set_detector at the same position.
-      ingest.swap_detector(&updated_detector());
+      // exactly the serial set_detector at the same position. The
+      // runtime owns the installed copy, which scores like the original.
+      ingest.swap_detector(std::make_unique<LstmDetector>(updated_detector()));
     }
     for (std::size_t v = 0; v < kVpes; ++v) {
       ingest.submit(v, line_time(i), make_line(test_shape(v, i), i));
@@ -356,124 +353,6 @@ TEST_F(AsyncIngestTest, EpochBarrierDetectorSwapMatchesSerialSwap) {
   std::vector<StreamWarning> drained;
   ingest.drain_warnings(drained);
   expect_same_warnings(serial, drained, "detector swap");
-}
-
-TEST_F(AsyncIngestTest, PauseResumeMidStormKeepsWarningStreamIdentical) {
-  const auto serial = serial_replay(detector(), threshold());
-
-  AsyncIngestConfig config;
-  config.workers = 2;
-  config.flush_batch = 16;
-  config.queue_capacity = 256;
-  AsyncIngest ingest(&detector(), config);
-  for (std::size_t v = 0; v < kVpes; ++v) {
-    prime_tree(ingest.mutable_tree(ingest.add_shard(
-        static_cast<std::int32_t>(v), monitor_config(threshold()))));
-  }
-  ingest.start();
-
-  constexpr std::size_t kPauseAt = kTestLen / 2;
-  for (std::size_t i = 0; i < kPauseAt; ++i) {
-    for (std::size_t v = 0; v < kVpes; ++v) {
-      ingest.submit(v, line_time(i), make_line(test_shape(v, i), i));
-    }
-  }
-  // Pause two shards (one per worker) mid-storm and keep the firehose
-  // running: their lines are parked in order, everyone else's flow. The
-  // flush first pins the pause position — without it, first-half lines
-  // still sitting in the queues would (correctly, but unpredictably for
-  // the held-gauge assertions below) be parked too.
-  ingest.flush();
-  ingest.pause_shard(0);
-  ingest.pause_shard(1);
-  ingest.wait_commands();
-  EXPECT_TRUE(ingest.shard_paused(0));
-  EXPECT_TRUE(ingest.shard_paused(1));
-  EXPECT_FALSE(ingest.shard_paused(2));
-
-  for (std::size_t i = kPauseAt; i < kTestLen; ++i) {
-    for (std::size_t v = 0; v < kVpes; ++v) {
-      ingest.submit(v, line_time(i), make_line(test_shape(v, i), i));
-    }
-  }
-  // flush() drains the queues, which parks paused shards' lines in their
-  // hold buffers — observable in the snapshot's held gauge.
-  ingest.flush();
-  const RuntimeStatsSnapshot paused = ingest.snapshot();
-  EXPECT_EQ(paused.shards[0].held, kTestLen - kPauseAt);
-  EXPECT_EQ(paused.shards[1].held, kTestLen - kPauseAt);
-  EXPECT_EQ(paused.shards[2].held, 0u);
-  EXPECT_TRUE(paused.shards[0].paused);
-
-  ingest.resume_shard(0);
-  ingest.resume_shard(1);
-  ingest.wait_commands();
-  EXPECT_FALSE(ingest.shard_paused(0));
-  EXPECT_FALSE(ingest.shard_paused(1));
-  ingest.flush();
-  const RuntimeStatsSnapshot resumed = ingest.snapshot();
-  EXPECT_EQ(resumed.shards[0].held, 0u);
-  EXPECT_EQ(resumed.totals.lines_scored, kTestLen * kVpes);
-  ingest.stop();
-
-  std::vector<StreamWarning> drained;
-  ingest.drain_warnings(drained);
-  expect_same_warnings(serial, drained, "pause-resume");
-}
-
-TEST_F(AsyncIngestTest, SwapDetectorWhileShardsPausedScoresHeldLinesWithNewModel) {
-  constexpr std::size_t kSwapAt = kTestLen / 2;
-  // Serial reference: detector swapped at the pause position — held lines
-  // must be scored by the NEW model, exactly as if the swap happened
-  // before they were ingested.
-  const auto serial =
-      serial_replay(detector(), threshold(), &updated_detector(), kSwapAt);
-
-  AsyncIngestConfig config;
-  config.workers = 3;
-  config.flush_batch = 8;
-  config.queue_capacity = 256;
-  AsyncIngest ingest(&detector(), config);
-  for (std::size_t v = 0; v < kVpes; ++v) {
-    prime_tree(ingest.mutable_tree(ingest.add_shard(
-        static_cast<std::int32_t>(v), monitor_config(threshold()))));
-  }
-  ingest.start();
-
-  for (std::size_t i = 0; i < kSwapAt; ++i) {
-    for (std::size_t v = 0; v < kVpes; ++v) {
-      ingest.submit(v, line_time(i), make_line(test_shape(v, i), i));
-    }
-  }
-  ingest.flush();  // old model has scored everything submitted so far
-  for (std::size_t v = 0; v < kVpes; ++v) ingest.pause_shard(v);
-  ingest.wait_commands();
-
-  // Second half arrives while every shard is paused: all parked.
-  for (std::size_t i = kSwapAt; i < kTestLen; ++i) {
-    for (std::size_t v = 0; v < kVpes; ++v) {
-      ingest.submit(v, line_time(i), make_line(test_shape(v, i), i));
-    }
-  }
-  ingest.flush();  // drain queues into the hold buffers
-  const RuntimeStatsSnapshot held = ingest.snapshot();
-  for (std::size_t v = 0; v < kVpes; ++v) {
-    EXPECT_EQ(held.shards[v].held, kTestLen - kSwapAt) << "shard " << v;
-  }
-
-  // Swap while paused: the epoch barrier still works (paused shards hold
-  // their lines OUTSIDE the monitors, nothing is staged).
-  ingest.swap_detector(&updated_detector());
-  for (std::size_t v = 0; v < kVpes; ++v) ingest.resume_shard(v);
-  ingest.wait_commands();
-  ingest.flush();
-  ingest.stop();
-
-  std::vector<StreamWarning> drained;
-  ingest.drain_warnings(drained);
-  expect_same_warnings(serial, drained, "swap-while-paused");
-  const AsyncIngestStats stats = ingest.stats();
-  EXPECT_EQ(stats.lines_scored, kTestLen * kVpes);
 }
 
 TEST_F(AsyncIngestTest, StatsDumpRacesIngestFlushAndShutdownSafely) {
@@ -489,9 +368,8 @@ TEST_F(AsyncIngestTest, StatsDumpRacesIngestFlushAndShutdownSafely) {
   ingest.start();
 
   // Reader hammers the snapshot/JSON path concurrently with ingestion, a
-  // detector swap, pause/resume AND stop() — the seqlock must hand back
-  // epoch-consistent cuts throughout (TSan-checked via ctest -L
-  // concurrency).
+  // detector swap AND stop() — the seqlock must hand back epoch-consistent
+  // cuts throughout (TSan-checked via ctest -L concurrency).
   std::atomic<bool> done{false};
   std::thread reader([&] {
     while (!done.load(std::memory_order_acquire)) {
@@ -507,10 +385,8 @@ TEST_F(AsyncIngestTest, StatsDumpRacesIngestFlushAndShutdownSafely) {
   });
 
   for (std::size_t i = 0; i < kTestLen; ++i) {
-    if (i == kTestLen / 3) ingest.pause_shard(0);
     if (i == kTestLen / 2) {
-      ingest.resume_shard(0);
-      ingest.swap_detector(&updated_detector());
+      ingest.swap_detector(std::make_unique<LstmDetector>(updated_detector()));
     }
     for (std::size_t v = 0; v < kVpes; ++v) {
       ingest.submit(v, line_time(i), make_line(test_shape(v, i), i));
@@ -526,8 +402,6 @@ TEST_F(AsyncIngestTest, StatsDumpRacesIngestFlushAndShutdownSafely) {
   EXPECT_EQ(final_snap.totals.lines_scored, kTestLen * kVpes);
   std::uint64_t lines = 0;
   for (const ShardStatsSnapshot& shard : final_snap.shards) {
-    EXPECT_FALSE(shard.paused);
-    EXPECT_EQ(shard.held, 0u);
     lines += shard.lines;
   }
   EXPECT_EQ(lines, kTestLen * kVpes);
@@ -535,17 +409,16 @@ TEST_F(AsyncIngestTest, StatsDumpRacesIngestFlushAndShutdownSafely) {
 
 // A publish only rewrites the shards touched since the previous one, so
 // every way a shard's published values can change must put it on the
-// worker's dirty list: staging a line, scoring it, holding it, and a
-// pause/resume or stop()'s force-resume. A sparse, shifting subset of a
-// 1k-shard fleet leaves most slots untouched for the whole run; each
-// check below goes stale if one of those paths stops listing its shard.
+// worker's dirty list: staging a line and scoring it. A sparse, shifting
+// subset of a 1k-shard fleet leaves most slots untouched for the whole
+// run; each check below goes stale if a touched shard is not listed.
 TEST_F(AsyncIngestTest, DirtyListPublishKeepsEveryShardSlotCurrent) {
   constexpr std::size_t kShards = 1024;
   AsyncIngestConfig config;
   config.workers = 1;
   config.flush_batch = 16;
-  // Batches flush only when full or at a barrier, so staged lines can sit
-  // across an idle publish.
+  // Batches flush only when full or at a barrier, so a partial batch stays
+  // staged until the flush() or stop() below.
   config.flush_deadline = std::chrono::hours(1);
   config.queue_capacity = 256;
   AsyncIngest ingest(&detector(), config);
@@ -578,48 +451,11 @@ TEST_F(AsyncIngestTest, DirtyListPublishKeepsEveryShardSlotCurrent) {
     }
   });
 
-  // Shifting subset: 8 shards at a time, each kept for 6 rounds of 8 lines
-  // (enough to pass the anomaly pairs at lines 40-41 of its stream).
-  for (std::size_t round = 0; round < 48; ++round) {
-    const std::size_t group = round / 6;
-    for (std::size_t line = 0; line < 8; ++line) {
-      for (std::size_t k = 0; k < 8; ++k) {
-        submit((group * 61 + k * 127 + 5) % kShards, 1);
-      }
-    }
-  }
-  ingest.flush();
-
-  constexpr std::size_t kPaused = 1;   // lines held while the worker idles
-  constexpr std::size_t kStaged = 2;   // lines staged across that idle
-  constexpr std::size_t kToggled = 3;  // paused and resumed, no lines
-  constexpr std::size_t kStopped = 4;  // still paused at stop()
-  constexpr std::size_t kHeld = 5;
-  ingest.pause_shard(kPaused);
-  ingest.wait_commands();
-  EXPECT_TRUE(ingest.snapshot().shards[kPaused].paused);
-
-  submit(kStaged, 3);
-  submit(kPaused, kHeld);
-  // Nothing flushes (batch not full, deadline far off), so only the idle
-  // publish can show the held gauge — in the same cut as the staged lines.
-  RuntimeStatsSnapshot idle;
-  const auto give_up = std::chrono::steady_clock::now() +
-                       std::chrono::seconds(10);
-  do {
-    idle = ingest.snapshot();
-  } while (idle.shards[kPaused].held != kHeld &&
-           std::chrono::steady_clock::now() < give_up);
-  EXPECT_EQ(idle.shards[kPaused].held, kHeld)
-      << "held gauge not published while the worker idles";
-  EXPECT_EQ(idle.shards[kStaged].lines, next[kStaged]);
-
   // After a barrier every slot equals what its monitor and tree hold: the
   // monitor's warning count is the number of warnings it published.
   std::vector<StreamWarning> drained;
   std::vector<std::uint64_t> warnings(kShards, 0);
-  const auto expect_slots_current = [&](const std::string& label,
-                                        std::size_t paused_held) {
+  const auto expect_slots_current = [&](const std::string& label) {
     ingest.drain_warnings(drained);
     for (const StreamWarning& warning : drained) {
       ++warnings[static_cast<std::size_t>(warning.vpe)];
@@ -628,9 +464,7 @@ TEST_F(AsyncIngestTest, DirtyListPublishKeepsEveryShardSlotCurrent) {
     const RuntimeStatsSnapshot snap = ingest.snapshot();
     for (std::size_t s = 0; s < kShards; ++s) {
       const ShardStatsSnapshot& shard = snap.shards[s];
-      const std::size_t held = s == kPaused ? paused_held : 0;
-      ASSERT_EQ(shard.held, held) << label << " shard " << s;
-      ASSERT_EQ(shard.lines, next[s] - held) << label << " shard " << s;
+      ASSERT_EQ(shard.lines, next[s]) << label << " shard " << s;
       ASSERT_EQ(shard.warnings, warnings[s]) << label << " shard " << s;
       ASSERT_EQ(shard.tree_bytes, ingest.tree(s).memory_bytes())
           << label << " shard " << s;
@@ -643,30 +477,65 @@ TEST_F(AsyncIngestTest, DirtyListPublishKeepsEveryShardSlotCurrent) {
     ASSERT_EQ(snap.workers[0].latency.total(), snap.totals.lines_scored)
         << label;
   };
-  ingest.flush();
-  expect_slots_current("after flush", kHeld);
 
-  ingest.pause_shard(kToggled);
-  ingest.wait_commands();
-  EXPECT_TRUE(ingest.shard_paused(kToggled));
-  ingest.resume_shard(kToggled);
-  ingest.resume_shard(kPaused);
-  ingest.pause_shard(kStopped);
-  ingest.wait_commands();
-  EXPECT_FALSE(ingest.shard_paused(kToggled));
-  EXPECT_TRUE(ingest.shard_paused(kStopped));
-
+  // Shifting subset: 8 shards at a time, each kept for 6 rounds of 8 lines
+  // (enough to pass the anomaly pairs at lines 40-41 of its stream).
+  for (std::size_t round = 0; round < 48; ++round) {
+    const std::size_t group = round / 6;
+    for (std::size_t line = 0; line < 8; ++line) {
+      for (std::size_t k = 0; k < 8; ++k) {
+        submit((group * 61 + k * 127 + 5) % kShards, 1);
+      }
+    }
+  }
+  // A partial batch, staged until flush()'s barrier scores it.
+  submit(2, 3);
   ingest.flush();
+  expect_slots_current("after flush");
+
+  // Another partial batch, on shards the subsets never touched, staged
+  // until stop()'s final sweep scores and publishes it.
+  submit(3, 5);
+  submit(4, 2);
   ingest.stop();
   done.store(true, std::memory_order_release);
   reader.join();
   EXPECT_EQ(bad_cuts.load(), 0u);
 
-  expect_slots_current("after stop", 0);
-  EXPECT_FALSE(ingest.snapshot().shards[kStopped].paused);
+  expect_slots_current("after stop");
   std::uint64_t total_warnings = 0;
   for (const std::uint64_t count : warnings) total_warnings += count;
   EXPECT_GT(total_warnings, 0u) << "vacuous warning comparison";
+}
+
+// flush() returns only once every line submitted before it was scored.
+// The worker must read the epoch request before its queue pop: read after
+// a failed pop, it can see a flush issued right behind a submit and park
+// with that line still queued. That window is a few instructions wide and
+// opens only while the worker idles on an empty queue, so each round
+// first sleeps, letting the worker go idle, then submits one line and
+// flushes at once.
+TEST_F(AsyncIngestTest, FlushScoresEveryLineSubmittedBeforeIt) {
+  constexpr std::size_t kRounds = 4000;
+  AsyncIngestConfig config;
+  config.workers = 1;
+  AsyncIngest ingest(&detector(), config);
+  for (std::size_t v = 0; v < kVpes; ++v) {
+    prime_tree(ingest.mutable_tree(ingest.add_shard(
+        static_cast<std::int32_t>(v), monitor_config(threshold()))));
+  }
+  ingest.start();
+  for (std::size_t round = 0; round < kRounds; ++round) {
+    const std::size_t v = round % kVpes;
+    const std::size_t i = round / kVpes;
+    std::this_thread::sleep_for(std::chrono::microseconds(1));
+    ingest.submit(v, line_time(i), make_line(test_shape(v, i), i));
+    ingest.flush();
+    const AsyncIngestStats stats = ingest.stats();
+    ASSERT_EQ(stats.lines_scored, stats.lines_submitted) << "round " << round;
+  }
+  ingest.stop();
+  EXPECT_EQ(ingest.stats().lines_scored, kRounds);
 }
 
 // A negative parsed template id is refused on the producer's thread,

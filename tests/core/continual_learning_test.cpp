@@ -12,8 +12,8 @@
 // (each swap epoch is byte-for-byte a serial replay with that epoch's
 // model), byte parity with retrain disabled on the same drifted stream,
 // the swap-storm / snapshot-hammer race (retired-generation ownership:
-// runs under TSan via ctest -L continual in tools/ci.sh), the adapt()
-// unfreeze guard on a throwing training round, and the persistent-Adam
+// runs under TSan via ctest -L continual in tools/ci.sh), the refused
+// caller swap on a retraining runtime, the adapt() unfreeze guard on a throwing training round, and the persistent-Adam
 // moment state across fit/adapt/update rounds.
 #include "core/async_ingest.h"
 
@@ -429,6 +429,60 @@ TEST_F(ContinualLearningTest, RetrainEpochMatchesSerialReplayOfThatModel) {
   expect_same_warnings(serial, warnings, "per-epoch retrain parity");
 }
 
+// A caller swap on a runtime with online_retrain throws before it takes
+// a barrier: the trainer fine-tunes its own lineage, and its next install
+// would silently replace the caller's model. The refused call changes
+// nothing, so the stream stays the no-swap serial replay and the runtime
+// still scores every line and stops cleanly.
+TEST_F(ContinualLearningTest, CallerSwapOnOnlineRetrainRuntimeThrows) {
+  constexpr std::size_t kLength = 600;
+  const auto serial = serial_replay(detector(), threshold(), kLength);
+
+  AsyncIngestConfig config;
+  config.workers = 2;
+  config.flush_batch = 16;
+  config.online_retrain = true;
+  config.retrain_interval_lines = 0;  // no round runs unless requested
+  AsyncIngest ingest(&detector(), config);
+  for (std::size_t v = 0; v < kVpes; ++v) {
+    const std::size_t shard = ingest.add_shard(static_cast<std::int32_t>(v),
+                                               monitor_config(threshold()));
+    prime_tree(ingest.mutable_tree(shard));
+  }
+  ingest.start();
+  const auto submit = [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      for (std::size_t v = 0; v < kVpes; ++v) {
+        ingest.submit(v, line_time(i), stream_line(v, i));
+      }
+    }
+  };
+  submit(0, kLength / 2);
+  ingest.flush();
+  // Idle workers publish only at a barrier or a flush, so an unchanged
+  // epoch shows that the refused swap never quiesced them.
+  const RuntimeStatsSnapshot before = ingest.snapshot();
+  EXPECT_THROW(
+      ingest.swap_detector(std::make_unique<LstmDetector>(detector())),
+      nfv::util::CheckError);
+  const RuntimeStatsSnapshot after = ingest.snapshot();
+  for (std::size_t w = 0; w < before.workers.size(); ++w) {
+    EXPECT_EQ(after.workers[w].epoch, before.workers[w].epoch)
+        << "worker " << w;
+  }
+  EXPECT_EQ(ingest.installed_detector(),
+            static_cast<const AnomalyDetector*>(&detector()));
+
+  submit(kLength / 2, kLength);
+  ingest.flush();
+  ingest.stop();
+  std::vector<StreamWarning> warnings;
+  ingest.drain_warnings(warnings);
+  expect_same_warnings(serial, warnings, "refused caller swap");
+  EXPECT_EQ(ingest.stats().lines_scored, kVpes * kLength);
+  EXPECT_EQ(ingest.snapshot().retrain.swaps, 0u);
+}
+
 // Satellite: swap storm + stats hammer. Owned swaps with identical
 // weights race snapshot()/stats_json() and live ingest; the stream must
 // stay byte-for-byte serial and nothing may read a freed model (the
@@ -463,8 +517,7 @@ TEST_F(ContinualLearningTest, SwapStormSurvivesConcurrentSnapshots) {
   });
   std::thread storm([&ingest] {
     for (int k = 0; k < 24; ++k) {
-      ingest.swap_detector_owned(
-          std::make_unique<LstmDetector>(detector()));
+      ingest.swap_detector(std::make_unique<LstmDetector>(detector()));
     }
   });
 

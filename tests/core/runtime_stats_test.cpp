@@ -228,8 +228,6 @@ TEST(RuntimeStatsSnapshotTest, SameTraceSameFinalCountersForAnyWorkerCount) {
       EXPECT_EQ(shard.shard, v);
       EXPECT_EQ(shard.vpe, static_cast<std::int32_t>(v));
       EXPECT_EQ(shard.worker, v % snap.workers.size());
-      EXPECT_FALSE(shard.paused);
-      EXPECT_EQ(shard.held, 0u);
       // Every submitted line was ingested.
       EXPECT_EQ(shard.lines, kLines) << "shard " << v;
       warnings += shard.warnings;
@@ -322,8 +320,6 @@ TEST(RuntimeStatsSnapshotTest, JsonDumpRoundTripsThroughTheParser) {
     EXPECT_EQ(row.find("shard")->number, static_cast<double>(v));
     EXPECT_EQ(row.find("vpe")->number, static_cast<double>(v));
     EXPECT_EQ(row.find("lines")->number, 300.0);
-    EXPECT_EQ(row.find("held")->number, 0.0);
-    EXPECT_FALSE(row.find("paused")->boolean);
     ASSERT_NE(row.find("warnings"), nullptr);
     ASSERT_NE(row.find("tree_bytes"), nullptr);
     EXPECT_EQ(row.find("latency"), nullptr);

@@ -3,14 +3,16 @@
 // 2 and 4 workers) gets, bit for bit, the score LstmDetector::score()
 // gives that position of the line's whole per-vPE stream. Covered in fp32
 // and int8, in log-likelihood and target-rank modes, across detector
-// swaps and, for AsyncIngest, across a pause/resume with the swap landing
-// while shards are paused. The streams carry irregular gaps (so every
+// swaps and, for AsyncIngest, across two swaps of runtime-owned
+// generations. The streams carry irregular gaps (so every
 // window's Δt matters, its oldest event's included), a multi-day silence
 // and templates the model has never seen.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <mutex>
 #include <ostream>
 #include <string>
@@ -218,13 +220,20 @@ TEST_P(StreamingScoreParity, StreamMonitorGroupScoresEveryLineAsScore) {
   flush();
 }
 
-/// Forwards score_windows to a detector and records each window's score
-/// by the time of its scored (last) event, so a test can check every
-/// line AsyncIngest scored. Workers score concurrently, so the record is
+/// Forwards score_windows to a detector and logs each window's score by
+/// the time of its scored (last) event into a caller-owned record, so a
+/// test can check every line AsyncIngest scored, also after the runtime
+/// has freed the generation. Workers score concurrently, so the record is
 /// locked.
 class RecordingDetector final : public AnomalyDetector {
  public:
-  explicit RecordingDetector(const LstmDetector* inner) : inner_(inner) {}
+  struct Record {
+    std::mutex mutex;
+    std::vector<std::pair<SimTime, double>> scored;  // in scoring order
+  };
+
+  RecordingDetector(const LstmDetector* inner, Record* record)
+      : inner_(inner), record_(record) {}
 
   void fit(std::span<const LogView>, std::size_t) override {}
   void update(std::span<const LogView>, std::size_t) override {}
@@ -234,9 +243,10 @@ class RecordingDetector final : public AnomalyDetector {
                      std::size_t window_events, WindowScratch& scratch,
                      std::span<double> out) const override {
     inner_->score_windows(windows, window_events, scratch, out);
-    const std::lock_guard<std::mutex> lock(mutex_);
+    const std::lock_guard<std::mutex> lock(record_->mutex);
     for (std::size_t w = 0; w < out.size(); ++w) {
-      scored_.emplace_back(windows[(w + 1) * window_events - 1].time, out[w]);
+      record_->scored.emplace_back(windows[(w + 1) * window_events - 1].time,
+                                   out[w]);
     }
   }
   bool trained() const override { return inner_->trained(); }
@@ -245,36 +255,32 @@ class RecordingDetector final : public AnomalyDetector {
     return EventGranularity::kPerLog;
   }
 
-  /// (time of the scored line, score), in scoring order.
-  std::vector<std::pair<SimTime, double>> scored() const {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return scored_;
-  }
-
  private:
   const LstmDetector* inner_;
-  mutable std::mutex mutex_;
-  mutable std::vector<std::pair<SimTime, double>> scored_;
+  Record* record_;
 };
 
-// Three phases, flushed between them: all vPEs run; vPEs 0 and 3 pause
-// and the rest keep running; the second generation is swapped in while
-// they are paused, and they resume into the third phase. A paused vPE's
-// held lines are scored by the second generation, everything else by the
-// generation installed when it was submitted.
+// Three generations, each swapped in at the flush boundary swap_detector()
+// makes: the constructor's recorder of the first model, then runtime-owned
+// recorders of the second model and of the first again. The runtime frees
+// the second generation at the barrier after the next swap; its record
+// outlives it. Every line is scored by the generation installed when it
+// was submitted.
 TEST_P(StreamingScoreParity, AsyncIngestScoresEveryLineAsScore) {
-  constexpr std::size_t kPauseAt = kLines / 3;
-  constexpr std::size_t kResumeAt = 2 * kLines / 3;
-  const auto paused = [](std::size_t v) { return v == 0 || v == 3; };
+  constexpr std::size_t kFirstSwap = kLines / 3;
+  constexpr std::size_t kSecondSwap = 2 * kLines / 3;
+  const auto generation_of = [](std::size_t i) -> std::size_t {
+    return i >= kSecondSwap ? 2 : i >= kFirstSwap ? 1 : 0;
+  };
   for (const std::size_t workers : {1u, 2u, 4u}) {
     SCOPED_TRACE(std::to_string(workers) + " worker(s)");
-    const RecordingDetector first(&first_);
-    const RecordingDetector second(&second_);
+    std::array<RecordingDetector::Record, 3> records;
+    const RecordingDetector constructed(&first_, &records[0]);
     AsyncIngestConfig config;
     config.workers = workers;
     config.flush_batch = 16;
     config.queue_capacity = 64;
-    AsyncIngest ingest(&first, config);
+    AsyncIngest ingest(&constructed, config);
     for (std::size_t v = 0; v < kVpes; ++v) {
       ingest.add_shard(static_cast<std::int32_t>(v), monitor_config());
     }
@@ -286,38 +292,30 @@ TEST_P(StreamingScoreParity, AsyncIngestScoresEveryLineAsScore) {
         }
       }
     };
-    submit(0, kPauseAt);
-    ingest.flush();
-    for (std::size_t v = 0; v < kVpes; ++v) {
-      if (paused(v)) ingest.pause_shard(v);
-    }
-    ingest.wait_commands();
-    submit(kPauseAt, kResumeAt);
-    ingest.swap_detector(&second);
-    for (std::size_t v = 0; v < kVpes; ++v) {
-      if (paused(v)) ingest.resume_shard(v);
-    }
-    ingest.wait_commands();
-    submit(kResumeAt, kLines);
+    submit(0, kFirstSwap);
+    ingest.swap_detector(
+        std::make_unique<RecordingDetector>(&second_, &records[1]));
+    submit(kFirstSwap, kSecondSwap);
+    ingest.swap_detector(
+        std::make_unique<RecordingDetector>(&first_, &records[2]));
+    submit(kSecondSwap, kLines);
     ingest.flush();
     ingest.stop();
 
     // Every line with a full history scored exactly once, by the
     // generation it belongs to, with that generation's score() score.
     std::vector<std::vector<int>> seen(kVpes, std::vector<int>(kLines, 0));
-    for (const bool second_generation : {false, true}) {
-      const RecordingDetector& recorder = second_generation ? second : first;
-      for (const auto& [time, score] : recorder.scored()) {
+    for (std::size_t generation = 0; generation < records.size();
+         ++generation) {
+      for (const auto& [time, score] : records[generation].scored) {
         const auto v = static_cast<std::size_t>(time.seconds % kVpes);
         std::size_t i = 0;
         while (i < kLines && streams_[v][i].time != time) ++i;
         ASSERT_LT(i, kLines) << "scored a line never submitted";
         ++seen[v][i];
-        const bool expect_second =
-            i >= kResumeAt || (i >= kPauseAt && paused(v));
-        EXPECT_EQ(second_generation, expect_second)
+        EXPECT_EQ(generation, generation_of(i))
             << "vPE " << v << " line " << i;
-        EXPECT_EQ(score, expected(v, i, second_generation))
+        EXPECT_EQ(score, expected(v, i, generation == 1))
             << "vPE " << v << " line " << i;
       }
     }

@@ -123,7 +123,6 @@ TEST_F(StreamingFixture, DetectorSwapKeepsHistory) {
   for (const ParsedLog& log : stream) monitor.ingest_parsed(log);
   // Swapping in the same detector must not throw and scoring continues.
   monitor.set_detector(&detector);
-  monitor.set_threshold(20.0);
   EXPECT_NO_THROW(monitor.ingest_parsed(
       {stream.back().time + Duration::of_seconds(60), 0}));
 }

@@ -4,17 +4,19 @@
 # pass over the observability-labelled tests (latency histograms, runtime stats
 # snapshots, JSON round-trip), the continual-labelled tests (online
 # retrain update-shift scenario, per-epoch swap determinism, swap-storm
-# races, adapt unfreeze safety), then a ThreadSanitizer pass over the
+# races, the refused caller swap, adapt unfreeze safety), then a
+# ThreadSanitizer pass over the
 # concurrency-, observability-, continual- and forest-labelled tests
 # (thread pool, lock-free queues, parallel-vs-serial pipeline
 # determinism, shared-detector streaming,
-# the async-ingest determinism/backpressure/control-plane suite, the
+# the async-ingest determinism/backpressure/control-plane suite (among
+# them flush() racing a line submitted right before it), the
 # batched-inference invariance suite: fused model scoring at any batch
 # size, score_streams over many streams vs score() per stream, and
 # one-call group flushes vs immediate ingestion, and the streaming score
 # parity suite: every line StreamMonitor, StreamMonitorGroup and
 # AsyncIngest at 1, 2 and 4 workers score equals score() of its stream,
-# in fp32 and int8, across a pause/resume and a detector swap). The
+# in fp32 and int8, across detector swaps). The
 # benchmark ledger's self-test (perfbench/selftest.py) checks its metric
 # set, its serial-replay parity gate and that gate's --perturb trip. The
 # forest-labelled tests cover the shared publication arena under the token
